@@ -6,7 +6,7 @@ Commands
              EDGE ...``, an acyclic multiway join of three or more CSVs in
              one Yannakakis-style pass
              (``--engine traced|vector|sharded``, ``--workers``/``--shards``/
-             ``--executor inline|pool|async|shuffle``,
+             ``--executor inline|pool|shuffle``,
              ``--padding revealed|bounded|worst_case`` with ``--bound``)
 ``plan``     compile and print a query's *public plan* — the serialized
              schedule of oblivious primitives, a pure function of input
@@ -30,9 +30,9 @@ Commands
 Every engine produces identical results; ``traced`` is the per-access-traced
 reference implementation, ``vector`` the numpy fast path (~10^3x faster),
 ``sharded`` the multi-process scale-out path (``--engine sharded --workers 4``,
-with ``--executor`` selecting inline / shared-memory pool / async overlap /
-adversarially shuffled completion order; grid results stream into the merge
-tournament as tasks complete, on every substrate).
+with ``--executor`` selecting inline / shared-memory pool / adversarially
+shuffled completion order; grid results stream into the merge tournament as
+tasks complete, on every substrate).
 """
 
 from __future__ import annotations
@@ -425,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_executors(),
         help="sharded engine: execution substrate — 'inline' (calling "
         "process), 'pool' (persistent process pool, shared-memory column "
-        "transport), 'async' (asyncio compute/gather overlap), 'shuffle' "
-        "(inline compute, adversarial completion order — validates the "
-        "streaming merge); default: inline at --workers 1, pool above",
+        "transport), 'shuffle' (inline compute, adversarial completion "
+        "order — validates the streaming merge); default: inline at "
+        "--workers 1, pool above",
     )
     join.add_argument(
         "--expand-segments",

@@ -13,8 +13,8 @@ filter, order-by — runs on a pluggable execution engine from
 reference, ``engine="vector"`` for the numpy fast path, ``engine="sharded"``
 for the multi-process scale-out path; results are identical).  Engine knobs
 pass straight through — including the sharded engine's execution substrate:
-``ObliviousEngine(engine="sharded", workers=4, executor="pool")`` (or
-``executor="async"``; see :mod:`repro.plan.executors`).
+``ObliviousEngine(engine="sharded", workers=4, executor="pool")`` (see
+:mod:`repro.plan.executors`).
 ``order_by`` is a *stable* sort (original row order breaks ties), which is
 what keeps the permutation identical across engines.
 
@@ -34,9 +34,9 @@ from typing import Callable
 
 from ..core.padding import compact_pairs
 from ..engines import Engine, get_engine
+from ..engines.pipeline import PipelineStats
 from ..errors import SchemaError
 from ..memory.tracer import Tracer
-from ..shard.pipeline import PipelineStats
 from .encoding import DictionaryEncoder
 from .encoding_cache import EncodingCache
 from .schema import Schema
@@ -48,7 +48,7 @@ class PipelineQueryResult:
     """Result of :meth:`ObliviousEngine.pipeline`: the rows plus the plan.
 
     ``stats.plan`` is the *full* compiled DAG the chain executed — every
-    stage's sub-plan joined by streaming ``channel`` nodes — and
+    stage's sub-plan joined by ``channel`` (inter-operator edge) nodes — and
     ``stats.sizes`` the revealed per-stage output sizes (the same values
     running the operators one at a time would reveal one call at a time).
     """
@@ -331,7 +331,7 @@ class ObliviousEngine:
         return DBTable(folded, rows)
 
     def pipeline(self, source: DBTable, steps) -> PipelineQueryResult:
-        """Run a whole operator chain as one compiled streaming query DAG.
+        """Run a whole operator chain under one compiled query DAG.
 
         ``source`` (and every other stage table) is a two-int-column table
         in the paper's ``(join_value, data_value)`` model.  ``steps`` is a
@@ -353,10 +353,9 @@ class ObliviousEngine:
             Stable oblivious sort of the current rows.
 
         The whole chain compiles into *one* plan before any data moves —
-        ``stats.plan`` exposes that DAG end to end — and on the sharded
-        engine in revealed mode the inter-operator edges stream: downstream
-        shard tasks dispatch as upstream blocks complete, with results
-        bit-identical to running the operators one at a time.
+        ``stats.plan`` exposes that DAG end to end — and then runs one
+        operator at a time on the configured engine, so it reveals exactly
+        what the same operators called one by one reveal.
         """
         stages: list[tuple] = [("source", _pair_rows(source, "source"))]
         schema = source.schema

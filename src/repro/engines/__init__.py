@@ -42,8 +42,8 @@ hides result sizes (including every multiway intermediate, the sharded
     The multi-process scale-out path: inputs split into ``shards`` equal,
     padded, position-based partitions; the public schedule compiled into a
     :class:`~repro.plan.ir.Plan` up front; the vector primitives run per
-    shard on a pluggable *executor* (``executor="inline"|"pool"|"async"``
-    — calling process, shared-memory process pool, or asyncio overlap);
+    shard on a pluggable *executor* (``executor="inline"|"pool"`` —
+    calling process or shared-memory process pool);
     a bitonic merge reassembles the result.  Aggregation/GROUP BY/FILTER
     do strictly *less* total comparator work than single-shot vector
     (``k`` smaller networks); the binary join runs a ``shards**2`` task
@@ -71,6 +71,7 @@ from .base import (
     get_engine,
     register_engine,
 )
+from .pipeline import PipelineResult, PipelineStats, check_pipeline_stages
 from .sharded import ShardedEngine
 from .traced import TracedEngine
 from .vector import VectorEngine
@@ -83,7 +84,10 @@ SHARDED_ENGINE = register_engine(ShardedEngine())
 __all__ = [
     "Engine",
     "Pairs",
+    "PipelineResult",
+    "PipelineStats",
     "available_engines",
+    "check_pipeline_stages",
     "engine_option_names",
     "get_engine",
     "register_engine",

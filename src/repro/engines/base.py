@@ -31,7 +31,7 @@ from ..memory.tracer import Tracer
 from ..plan.compile import compile_pipeline
 from ..plan.compile import compile_workload
 from ..plan.ir import Plan
-from ..shard.pipeline import PipelineResult, PipelineStats, check_pipeline_stages
+from .pipeline import PipelineResult, PipelineStats, check_pipeline_stages
 
 #: A table in the paper's model: a list of ``(join_value, data_value)`` pairs.
 Pairs = list[tuple[int, int]]
@@ -127,18 +127,18 @@ class PaddingOptionsMixin:
     def pipeline(self, stages, tracer: Tracer | None = None) -> PipelineResult:
         """Run a whole operator chain, one operator at a time.
 
-        This is the *reference* pipeline semantics every engine shares:
-        each stage materialises fully before the next starts, calling the
-        engine's own operator entry points, so the output is whatever the
-        single-operator differential suite already guarantees.  The sharded
-        engine overrides this with a streaming execution in revealed mode
-        and falls back here otherwise; ``tests/test_pipeline.py`` pins the
-        two paths bit-identical.
+        This is the one pipeline path every engine shares: each stage
+        materialises fully before the next starts, calling the engine's
+        own operator entry points, so the output is whatever the
+        single-operator differential suite already guarantees
+        (``tests/test_pipeline.py`` pins every engine x executor against
+        ``traced``).
 
         ``stages`` is a list of data-carrying stage tuples — see
-        :func:`repro.shard.pipeline.check_pipeline_stages` for the
-        vocabulary.  Returns a :class:`~repro.shard.pipeline.PipelineResult`
-        whose ``stats.plan`` is the full compiled DAG.
+        :func:`repro.engines.pipeline.check_pipeline_stages` for the
+        vocabulary.  Returns a
+        :class:`~repro.engines.pipeline.PipelineResult` whose
+        ``stats.plan`` is the full compiled DAG.
         """
         ops = check_pipeline_stages(stages)
         stats = PipelineStats()

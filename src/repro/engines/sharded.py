@@ -26,12 +26,10 @@ Five knobs:
     ``"inline"`` (calling process), ``"pool"`` (persistent process pool
     with shared-memory column transport — shard payloads are not pickled,
     and merge-tournament runs stay cached in shared memory between
-    rounds), ``"async"`` (asyncio overlap of shard compute and result
-    gather, same shared-memory transport), or ``"shuffle"`` (inline
-    compute completing in adversarially shuffled order — the validation
-    substrate for the streaming seam).  Executors cannot change results
-    or leakage, only wall-clock; the executor-parametrised differential
-    suite pins the former.
+    rounds), or ``"shuffle"`` (inline compute completing in adversarially
+    shuffled order — the validation substrate for the streaming seam).
+    Executors cannot change results or leakage, only wall-clock; the
+    executor-parametrised differential suite pins the former.
 ``padding`` / ``bound``
     Padded execution (:mod:`repro.core.padding`).  This engine's extra
     reveals — the join's per-task ``m_ij`` grid, aggregation's per-shard
@@ -43,7 +41,7 @@ Five knobs:
 
 Configured copies come from :func:`repro.engines.get_engine`::
 
-    get_engine("sharded", shards=4, workers=4, executor="async",
+    get_engine("sharded", shards=4, workers=4, executor="pool",
                padding="worst_case")
 
 or equivalently ``ObliviousEngine(engine="sharded", shards=4, workers=4)``
@@ -64,7 +62,6 @@ from ..shard.aggregate import sharded_group_by, sharded_join_aggregate
 from ..shard.join import sharded_oblivious_join
 from ..shard.join_tree import sharded_join_tree
 from ..shard.multiway import sharded_multiway_join
-from ..shard.pipeline import PipelineResult, PipelineStats, streamed_pipeline
 from ..shard.relational import sharded_filter_indices, sharded_order_permutation
 from .base import PaddingOptionsMixin, Pairs
 from .traced import traced_order_permutation
@@ -224,28 +221,3 @@ class ShardedEngine(PaddingOptionsMixin):
             )
         except InputError:
             return traced_order_permutation(columns, tracer=tracer)
-
-    def pipeline(
-        self, stages, tracer: Tracer | None = None
-    ) -> PipelineResult:
-        """Run the chain with streaming block channels between operators.
-
-        In revealed mode, inter-operator edges stream: a downstream shard
-        task dispatches the moment its upstream block completes
-        (:func:`repro.shard.pipeline.streamed_pipeline`), and on remote
-        executors the block's columns travel worker-to-worker through
-        shared memory without a parent round-trip.  Padded modes fall back
-        to the operator-at-a-time reference path — streaming per-block
-        completions would reveal exactly the sizes padding exists to hide.
-        Both paths return bit-identical rows/groups.
-        """
-        if self.padding != "revealed":
-            return super().pipeline(stages, tracer=tracer)
-        stats = PipelineStats()
-        return streamed_pipeline(
-            stages,
-            shards=self.shards,
-            workers=self.workers,
-            executor=self.executor,
-            stats=stats,
-        )

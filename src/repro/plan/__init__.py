@@ -14,10 +14,9 @@ emergent property into an explicit, testable artifact:
     The pure shard-layout functions (``partition_plan`` et al.) — f(n, k).
 :mod:`~repro.plan.executors`
     Pluggable execution substrates: ``inline``, ``pool`` (shared-memory
-    process pool), ``async`` (asyncio compute/gather overlap), ``shuffle``
-    (adversarial completion order, for validation) — each exposing the
-    ordered-completion seam (``imap``/``submit``) the streaming merge
-    tournament folds through.
+    process pool), ``shuffle`` (adversarial completion order, for
+    validation) — each exposing the ordered-completion seam
+    (``imap``/``submit``) the streaming merge tournament folds through.
 
 Usage::
 
@@ -45,7 +44,6 @@ from .compile import (
     compile_workload,
 )
 from .executors import (
-    AsyncExecutor,
     Executor,
     InlineExecutor,
     PoolExecutor,
@@ -56,9 +54,7 @@ from .executors import (
     get_executor,
     host_publish_arrays,
     host_unpublish,
-    register_executor,
     resolve_executor,
-    run_tasks,
     shutdown_pools,
     shutdown_warm_executors,
     submit_task,
@@ -70,7 +66,6 @@ from .memo import active_plan_memo, memoised, set_plan_memo
 from .partition import check_shards, partition_plan, shard_capacity, shard_counts
 
 __all__ = [
-    "AsyncExecutor",
     "Executor",
     "InlineExecutor",
     "MergeNode",
@@ -98,9 +93,7 @@ __all__ = [
     "host_unpublish",
     "memoised",
     "partition_plan",
-    "register_executor",
     "resolve_executor",
-    "run_tasks",
     "set_plan_memo",
     "shard_capacity",
     "shard_counts",

@@ -874,7 +874,7 @@ def compile_pipeline(
     bound=None,
     expand_segments: int | None = None,
 ) -> Plan:
-    """Compile a whole query DAG into one Plan with streaming channel edges.
+    """Compile a whole query DAG into one Plan with channel edge nodes.
 
     ``ops`` is a sequence of ``(name, params)`` stage descriptors:
     ``("source", {"n": n})`` (always first), then any chain of
@@ -884,14 +884,13 @@ def compile_pipeline(
 
     Each operator stage is the per-workload compiler's sub-plan embedded
     verbatim (``stage=s`` merged into every node), and consecutive stages
-    are connected by a ``channel`` node — the streaming block edge.  A
+    are connected by a ``channel`` node — the inter-operator edge.  A
     channel's attributes are the *public* block layout of the data crossing
     it (``blocks``/``capacity``/``counts``/``rows``), straight from the
-    partition planner, so the whole DAG — including when a downstream
-    shard task may dispatch — is a pure function of
+    partition planner, so the whole DAG is a pure function of
     ``(stage shapes, k, bounds)``.  ``rows=None`` marks a size revealed at
-    run time (only ever downstream of a revealed-mode filter/join), which
-    is the same deliberate leak the operator-at-a-time path makes.
+    run time (only ever downstream of a revealed-mode filter/join), the
+    same deliberate leak the operators make when called one at a time.
     """
     mode = check_padding(padding)
     padded = mode != "revealed"

@@ -18,7 +18,7 @@ a barrier.  Consumers must therefore be *arrival-order independent* —
 ``tests/test_streaming_merge.py`` pins that with the adversarial
 ``shuffle`` executor.  ``submit`` dispatches one task (a tournament's
 pairwise merge) and returns a completion whose ``.result()`` blocks.
-Four executors ship in-tree:
+Three executors ship in-tree:
 
 ``inline``
     Runs the task list in the calling process.  Deterministic, fork-free,
@@ -31,12 +31,6 @@ Four executors ship in-tree:
     — the sharded join's ``k x k`` grid references each shard's columns
     ``k`` times, which pickle would serialize ``k`` times per dispatch and
     shared memory writes exactly once.
-``async``
-    An asyncio wrapper that overlaps shard compute with result gather:
-    every payload is dispatched immediately (to the shared process pool —
-    over the same shared-memory transport as ``pool`` — or to threads at
-    ``workers=1``) and results are awaited as they complete, without
-    parking a helper thread per pending result.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *completion* order.  It exists to prove (in tests and the CI
@@ -60,7 +54,6 @@ executor-parametrised differential suite pins that bit for bit.
 
 from __future__ import annotations
 
-import asyncio
 import atexit
 import multiprocessing
 import os
@@ -387,7 +380,7 @@ def register_payload_resolver(leaf_type: type, resolve: Callable) -> None:
     """Teach tasks to resolve a custom payload leaf type worker-side.
 
     Storage refs are plain picklable dataclasses, so they pass through
-    :func:`_encode`/:func:`_decode` untouched and cross to pool/async
+    :func:`_encode`/:func:`_decode` untouched and cross to pool
     workers as a few hundred bytes; the *task* then calls
     :func:`resolve_payload` and each ref faults in its own blocks through
     a store handle attached in the worker process — the parent never
@@ -940,164 +933,12 @@ class PoolExecutor:
         return _pool_submit(_pool(self.workers), task, payload)
 
 
-class AsyncExecutor:
-    """Asyncio overlap of shard compute and result gather.
-
-    Every payload is dispatched up front; per-task completion callbacks
-    resolve asyncio futures, so results are gathered (and, in a streaming
-    consumer, processed) as they complete rather than after a barrier —
-    without parking a helper thread per pending result (the old
-    ``run_in_executor(None, result.get)`` pattern silently degraded to
-    batched gathers past the default thread cap).  ``workers > 1``
-    dispatches to the shared process pool over the same shared-memory
-    column transport as ``pool`` (payloads are packed once per dispatch,
-    never pickled per task); ``workers = 1`` overlaps on threads, which
-    keeps the executor fork-free for tests and small inputs.
-    """
-
-    name = "async"
-
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = check_workers(workers)
-        self._last_transport: str | None = None
-
-    @property
-    def transport(self) -> str:
-        """Shared memory through the process pool; in-memory at workers=1."""
-        if self.workers == 1:
-            return "none"
-        return self._last_transport or "shared_memory"
-
-    @property
-    def remote_submit(self) -> bool:
-        """See :attr:`PoolExecutor.remote_submit` (POSIX-only publish)."""
-        return self.workers > 1 and os.name == "posix"
-
-    def map(self, task: Callable, payloads: Sequence) -> list:
-        if len(payloads) <= 1:
-            self._last_transport = "none"
-            return [task(payload) for payload in payloads]
-        if self.workers > 1:
-            self._last_transport = "shared_memory"
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return asyncio.run(self._gather(task, list(payloads)))
-        # Called from inside a running event loop (e.g. a streaming
-        # consumer driving queries from an async app): ``map`` is a
-        # blocking call by contract, and a nested asyncio.run on this
-        # thread would raise, so run the gather on its own loop in a
-        # helper thread and block here.
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(1) as runner:
-            return runner.submit(
-                asyncio.run, self._gather(task, list(payloads))
-            ).result()
-
-    async def _gather(self, task: Callable, payloads: list) -> list:
-        loop = asyncio.get_running_loop()
-        if self.workers == 1:
-            futures = [
-                loop.run_in_executor(None, task, payload)
-                for payload in payloads
-            ]
-            return list(await asyncio.gather(*futures))
-        segment, encoded = _pack(payloads)
-        try:
-            pool = _pool(self.workers)
-            futures = []
-            for payload in encoded:
-                future = loop.create_future()
-                pool.apply_async(
-                    _run_encoded,
-                    ((task, payload),),
-                    callback=lambda value, future=future: _post_to_loop(
-                        loop, future, value, None
-                    ),
-                    error_callback=lambda error, future=future: _post_to_loop(
-                        loop, future, None, error
-                    ),
-                )
-                futures.append(future)
-            return list(await asyncio.gather(*futures))
-        finally:
-            if segment is not None:
-                segment.close()
-                segment.unlink()
-
-    def imap(self, task: Callable, payloads: Sequence):
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            self._last_transport = "none"
-            for index, payload in enumerate(payloads):
-                yield index, task(payload)
-            return
-        if self.workers > 1:
-            self._last_transport = "shared_memory"
-            yield from _pool_imap(_pool(self.workers), task, payloads)
-            return
-        # Thread overlap at workers=1: completion order, no forks.  The
-        # pool is sized to the batch (not the default cpu-derived cap) so
-        # small dispatches don't pay for threads they never use.
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(32, len(payloads))
-        ) as threads:
-            futures = {
-                threads.submit(task, payload): index
-                for index, payload in enumerate(payloads)
-            }
-            for future in concurrent.futures.as_completed(futures):
-                yield futures[future], future.result()
-
-    def submit(self, task: Callable, payload):
-        if self.workers == 1:
-            return _Immediate(task(payload))
-        self._last_transport = "shared_memory"
-        return _pool_submit(_pool(self.workers), task, payload)
-
-
-def _post_to_loop(loop, future, value, error) -> None:
-    """Pool-thread half of the apply_async callback handshake.
-
-    Runs on the pool's result-handler thread, so it must never raise: an
-    escaped exception would kill that thread and hang every later dispatch
-    on the shared persistent pool.  A closed loop (the gather already
-    aborted on a sibling task's error) just drops the straggler.
-    """
-    try:
-        loop.call_soon_threadsafe(_resolve_future, future, value, error)
-    except RuntimeError:
-        pass
-
-
-def _resolve_future(future, value, error) -> None:
-    """Loop-thread half of the apply_async callback handshake."""
-    if future.cancelled():
-        return
-    if error is not None:
-        future.set_exception(error)
-    else:
-        future.set_result(value)
-
-
 #: Executor factories by name (the ``--executor`` choices).
 _EXECUTORS: dict[str, type] = {
     InlineExecutor.name: InlineExecutor,
     PoolExecutor.name: PoolExecutor,
-    AsyncExecutor.name: AsyncExecutor,
     ShuffleExecutor.name: ShuffleExecutor,
 }
-
-
-def register_executor(factory: type) -> type:
-    """Register an executor class under ``factory.name``; returns it."""
-    if not getattr(factory, "name", ""):
-        raise InputError("executors must carry a non-empty name")
-    _EXECUTORS[factory.name] = factory
-    return factory
 
 
 def available_executors() -> list[str]:
@@ -1146,18 +987,14 @@ def warm_executor(executor: str | Executor | None, workers: int = 1) -> Executor
     pool is forked eagerly rather than on the first dispatch.  Instances
     pass straight through (the caller already owns their lifetime).
     """
-    check_workers(workers)
-    if executor is not None and not isinstance(executor, str):
-        return executor
-    name = executor if executor is not None else (
-        "inline" if workers == 1 else "pool"
-    )
-    key = (name, workers)
+    resolved = resolve_executor(executor, workers=workers)
+    if resolved is executor:
+        return resolved
+    key = (resolved.name, workers)
     instance = _WARM_EXECUTORS.get(key)
     if instance is None:
-        instance = get_executor(name, workers=workers)
-        _WARM_EXECUTORS[key] = instance
-        if workers > 1 and name in ("pool", "async"):
+        instance = _WARM_EXECUTORS[key] = resolved
+        if isinstance(instance, PoolExecutor):
             warm_pool(workers)
     return instance
 
@@ -1176,8 +1013,3 @@ def executor_stats() -> dict:
         ),
         "pinned_segments": host_published_count(),
     }
-
-
-def run_tasks(task: Callable, payloads: Sequence, workers: int = 1) -> list:
-    """Back-compat shim: map ``payloads`` under the default executor rule."""
-    return resolve_executor(None, workers=workers).map(task, payloads)

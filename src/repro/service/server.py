@@ -20,8 +20,13 @@ each client connection speaks newline-delimited JSON requests —
     Acknowledge, then stop the server.
 
 Responses are one JSON object per line: ``{"ok": true, ...}`` or
-``{"ok": false, "error": ..., "kind": ...}``.  Queries from concurrent
-connections are admitted concurrently and serialized on the engine lock;
+``{"ok": false, "error": ..., "kind": ...}``.  *Every* request line gets
+exactly one response line: a library error answers with its class name as
+``kind``, a line that is not a JSON object with ``InputError``, and any
+other exception with ``InternalError`` (traceback logged under
+``repro.service.server``) — the connection stays usable.  Queries from
+concurrent connections are admitted concurrently and serialized on the
+engine lock;
 the JSON hop is deliberately boring — all the performance lives in the
 service engine's caches, which is what ``benchmarks/bench_service.py``
 measures (the server adds one round trip).
@@ -36,11 +41,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 from ..db.schema import Schema
 from ..db.table import DBTable
-from ..errors import ReproError
+from ..errors import InputError, ReproError, SchemaError
 from .engine import ServiceEngine
+
+_LOG = logging.getLogger(__name__)
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def table_payload(table: DBTable) -> dict:
@@ -55,6 +65,28 @@ def payload_table(payload: dict) -> DBTable:
     """The inverse of :func:`table_payload`."""
     schema = Schema.of(*payload["specs"])
     return DBTable(schema, [tuple(row) for row in payload["rows"]])
+
+
+def _failure(error: str, kind: str) -> dict:
+    """The ``ok: false`` response line."""
+    return {"ok": False, "error": error, "kind": kind}
+
+
+def _check_int64_cells(table: DBTable) -> None:
+    """Reject ``int`` cells the int64 kernels cannot hold.
+
+    JSON integers are unbounded; an out-of-range key would otherwise be
+    accepted here and overflow inside the first query that encodes it.
+    """
+    for position, column in enumerate(table.schema.columns):
+        if column.type != "int":
+            continue
+        for row in table.rows:
+            if not _INT64_MIN <= row[position] <= _INT64_MAX:
+                raise SchemaError(
+                    f"column {column.name!r}: {row[position]} is outside "
+                    "the int64 range"
+                )
 
 
 class QueryServer:
@@ -101,19 +133,25 @@ class QueryServer:
                     break
                 try:
                     request = json.loads(line)
+                    if not isinstance(request, dict):
+                        raise InputError(
+                            "a request must be a JSON object, got "
+                            f"{type(request).__name__}"
+                        )
                     response = await self._dispatch(request)
                 except ReproError as exc:
-                    response = {
-                        "ok": False,
-                        "error": str(exc),
-                        "kind": type(exc).__name__,
-                    }
+                    response = _failure(str(exc), type(exc).__name__)
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    response = {
-                        "ok": False,
-                        "error": f"malformed request: {exc}",
-                        "kind": type(exc).__name__,
-                    }
+                    response = _failure(
+                        f"malformed request: {exc}", type(exc).__name__
+                    )
+                except Exception as exc:
+                    # The connection boundary: one failed request must not
+                    # take the client's connection (or the server) with it.
+                    _LOG.exception("request failed with an internal error")
+                    response = _failure(
+                        f"{type(exc).__name__}: {exc}", "InternalError"
+                    )
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
                 if response.get("bye"):
@@ -128,6 +166,7 @@ class QueryServer:
             return {"ok": True, "pong": True}
         if op == "register":
             table = payload_table(request)
+            _check_int64_cells(table)
             self.service.register_table(request["name"], table)
             return {"ok": True, "name": request["name"], "rows": len(table)}
         if op == "tables":
@@ -143,7 +182,7 @@ class QueryServer:
             return {"ok": True, "stats": self.service.service_stats()}
         if op == "shutdown":
             return {"ok": True, "bye": True}
-        return {"ok": False, "error": f"unknown op {op!r}", "kind": "InputError"}
+        return _failure(f"unknown op {op!r}", "InputError")
 
 
 async def _serve(service: ServiceEngine, host: str, port: int) -> None:

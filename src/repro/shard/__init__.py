@@ -6,9 +6,6 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
     Oblivious positional partitioner — ``k`` equal shards padded to a
     capacity that is a function of ``(n, k)`` only (the pure plan half
     lives in :mod:`repro.plan.partition`).
-:mod:`~repro.shard.executor`
-    Back-compat shim; the executor layer (inline / shared-memory pool /
-    async) lives in :mod:`repro.plan.executors` now.
 :mod:`~repro.shard.merge`
     Bitonic merge tournament + padding compaction that reassembles sorted
     sub-results into the engines' canonical order.
@@ -18,12 +15,8 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
     engine and validated by the cross-engine differential suite.  Every
     driver compiles its public plan (:mod:`repro.plan.compile`) before
     touching data and consumes the plan's node attributes for all padded
-    bounds; tasks dispatch through a pluggable executor.
-:mod:`~repro.shard.pipeline`
-    Streaming query-DAG execution — whole operator chains run as one
-    compiled plan whose inter-operator edges are streaming block channels
-    (``tests/test_pipeline.py`` pins bit-identity with the
-    operator-at-a-time path).
+    bounds; tasks dispatch through a pluggable executor
+    (:mod:`repro.plan.executors`: inline / shared-memory pool / shuffle).
 """
 
 from .aggregate import (
@@ -31,38 +24,26 @@ from .aggregate import (
     sharded_group_by,
     sharded_join_aggregate,
 )
-from .executor import run_tasks
 from .join import ShardedJoinStats, sharded_oblivious_join
 from .merge import bitonic_merge_two, merge_comparator_count, oblivious_merge_runs
 from .multiway import ShardedMultiwayStats, sharded_multiway_join
 from .partition import ShardPart, partition_pairs, partition_plan
-from .pipeline import (
-    PipelineResult,
-    PipelineStats,
-    check_pipeline_stages,
-    streamed_pipeline,
-)
 from .relational import sharded_filter_indices, sharded_order_permutation
 
 __all__ = [
-    "PipelineResult",
-    "PipelineStats",
     "ShardPart",
     "ShardedAggregateStats",
     "ShardedJoinStats",
     "ShardedMultiwayStats",
     "bitonic_merge_two",
-    "check_pipeline_stages",
     "merge_comparator_count",
     "oblivious_merge_runs",
     "partition_pairs",
     "partition_plan",
-    "run_tasks",
     "sharded_filter_indices",
     "sharded_group_by",
     "sharded_join_aggregate",
     "sharded_multiway_join",
     "sharded_oblivious_join",
     "sharded_order_permutation",
-    "streamed_pipeline",
 ]

@@ -10,7 +10,7 @@ Pipeline (all public sizes fixed by the compiled plan)::
                sorted position
     partition  ranked left / raw right -> k equal, padded shards each
     grid       run the k*k shard-pair sub-joins on the *executor*
-               (inline / shared-memory pool / async / shuffle), each a
+               (inline / shared-memory pool / shuffle), each a
                full vectorised Algorithm 1 over its (public-size) slice
     merge      fold each sorted (j, rank, d2) run into the streaming
                merge tournament *as its grid task completes* (the
@@ -399,9 +399,7 @@ def grid_join_payloads(
     ``sorted_left`` is the ``(j, d)``-sorted left table (the presort's
     output); ranks are its positions.  Returns one ``_join_task`` payload
     per grid cell, row-major, with the cells' public output bounds zipped
-    in from ``cell_targets`` (one per cell, ``None`` = unpadded).  This is
-    the seam the pipeline driver reuses to stream grid results into a
-    *different* consumer than the join's own output tournament.
+    in from ``cell_targets`` (one per cell, ``None`` = unpadded).
     """
     start = time.perf_counter()
     n1 = len(sorted_left["j"])
@@ -440,11 +438,8 @@ def run_join_grid(
 ) -> np.ndarray:
     """Run the k*k grid over ``executor`` and reassemble the join output.
 
-    The post-presort half of :func:`sharded_oblivious_join`, callable with
-    an externally produced ``sorted_left`` — the pipeline driver feeds it
-    the merged output of a *streamed* upstream stage (e.g. per-block
-    filtered runs) without materialising an intermediate table first.
-    Returns the ``(m, 2)`` pairs array.
+    The post-presort half of :func:`sharded_oblivious_join`.  Returns the
+    ``(m, 2)`` pairs array.
 
     ``segment_windows`` (per cell, row-major, from
     :func:`expand_segment_windows`) switches the padded grid to segmented

@@ -262,7 +262,7 @@ class StreamingTournament:
 
     ``seconds`` accumulates the wall-clock this tournament spent inside
     :meth:`add` and :meth:`result` — for inline executors that is the
-    merge work itself (submits run eagerly), for pool/async it is the
+    merge work itself (submits run eagerly), for pool it is the
     dispatch plus the drain wait — so drivers can report a merge phase
     that does not vanish into the task loop on the inline path.
     """

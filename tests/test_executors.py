@@ -1,7 +1,9 @@
-"""The executor layer: registry, shared-memory transport, async overlap,
-and the contract that substrates cannot change a single output bit."""
+"""The executor layer: registry, shared-memory transport, and the contract
+that substrates cannot change a single output bit."""
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from repro.engines import get_engine
 from repro.errors import InputError
 from repro.plan import (
-    AsyncExecutor,
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
@@ -17,7 +18,6 @@ from repro.plan import (
     completion_stream,
     get_executor,
     resolve_executor,
-    run_tasks,
     submit_task,
 )
 from repro.plan.executors import (
@@ -29,13 +29,11 @@ from repro.plan.executors import (
     release_segments,
 )
 
-#: One executor of each substrate; pool/async at 2 workers to force the
-#: real dispatch paths (persistent pools are shared across the suite).
+#: One executor of each substrate; pool at 2 workers to force the real
+#: dispatch path (persistent pools are shared across the suite).
 EXECUTOR_PARAMS = [
     pytest.param(InlineExecutor(), id="inline"),
     pytest.param(PoolExecutor(workers=2), id="pool"),
-    pytest.param(AsyncExecutor(workers=2), id="async-pool"),
-    pytest.param(AsyncExecutor(workers=1), id="async-threads"),
     pytest.param(ShuffleExecutor(seed=3), id="shuffle"),
 ]
 
@@ -55,14 +53,37 @@ def _shape_task(payload):
 # -- registry ----------------------------------------------------------------
 
 
-def test_registry_lists_all_four():
-    assert available_executors() == ["async", "inline", "pool", "shuffle"]
+def test_registry_contract(tmp_path, capsys):
+    """Three executors, every seam on each, and the deleted forks stay gone."""
+    assert available_executors() == ["inline", "pool", "shuffle"]
+    for name in available_executors():
+        executor = get_executor(name, workers=2)
+        assert executor.name == name
+        for seam in ("map", "imap", "submit"):
+            assert callable(getattr(executor, seam)), (name, seam)
+        assert isinstance(executor.remote_submit, bool), name
+
+    valid = "inline, pool, shuffle"
+    with pytest.raises(InputError, match=valid):
+        get_engine("sharded", executor="async")
+    from repro.cli import main
+
+    table = tmp_path / "t.csv"
+    table.write_text("k,v\n1,10\n", encoding="utf-8")
+    with pytest.raises(SystemExit):
+        main(["join", str(table), str(table), "--left-on", "k", "--right-on", "k",
+              "--engine", "sharded", "--executor", "async"])
+    usage = capsys.readouterr().err
+    assert all(name in usage for name in available_executors()), usage
+    for module in ("repro.shard.executor", "repro.shard.pipeline"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 def test_get_executor_resolves_names_and_rejects_unknown():
     assert get_executor("inline").name == "inline"
     assert get_executor("pool", workers=3).workers == 3
-    instance = AsyncExecutor()
+    instance = ShuffleExecutor()
     assert get_executor(instance) is instance
     with pytest.raises(InputError, match="unknown executor"):
         get_executor("gpu")
@@ -71,19 +92,9 @@ def test_get_executor_resolves_names_and_rejects_unknown():
 def test_resolve_executor_default_rule():
     assert resolve_executor(None, workers=1).name == "inline"
     assert resolve_executor(None, workers=2).name == "pool"
-    assert resolve_executor("async", workers=2).name == "async"
+    assert resolve_executor("shuffle", workers=2).name == "shuffle"
     with pytest.raises(InputError, match="worker count"):
         resolve_executor(None, workers=0)
-
-
-def test_run_tasks_shim_matches_inline():
-    payloads = [
-        ({"j": np.arange(4, dtype=np.int64), "d": np.ones(4, dtype=np.int64)}, 3, [i])
-        for i in range(5)
-    ]
-    assert run_tasks(_sum_task, payloads, workers=1) == [
-        _sum_task(p) for p in payloads
-    ]
 
 
 # -- transport ---------------------------------------------------------------
@@ -104,24 +115,6 @@ def test_every_executor_maps_in_payload_order(executor):
     ]
     expected = [_sum_task(payload) for payload in payloads]
     assert executor.map(_sum_task, payloads) == expected
-
-
-def test_async_executor_works_inside_a_running_event_loop():
-    """map() is blocking by contract but must not crash when the caller is
-    already inside asyncio (the streaming-consumer scenario)."""
-    import asyncio
-
-    executor = AsyncExecutor(workers=1)
-    payloads = [
-        ({"j": np.arange(4, dtype=np.int64), "d": np.ones(4, dtype=np.int64)}, 2, [i])
-        for i in range(4)
-    ]
-    expected = [_sum_task(payload) for payload in payloads]
-
-    async def drive():
-        return executor.map(_sum_task, payloads)
-
-    assert asyncio.run(drive()) == expected
 
 
 def test_pool_ships_bool_and_int_columns_faithfully():
@@ -188,28 +181,6 @@ def test_pool_transport_reflects_the_path_taken():
     assert executor.transport == "none"
     executor.map(_sum_task, _payloads(4))
     assert executor.transport == "shared_memory"
-
-
-def test_async_transport_reflects_the_path_taken():
-    assert AsyncExecutor(workers=1).transport == "none"  # threads, in-memory
-    executor = AsyncExecutor(workers=2)
-    assert executor.transport == "shared_memory"  # configured default
-    executor.map(_sum_task, _payloads(1))  # <=1 shortcut runs inline
-    assert executor.transport == "none"
-    executor.map(_sum_task, _payloads(4))
-    assert executor.transport == "shared_memory"
-
-
-def test_async_pool_dispatch_uses_shared_memory_not_pickle():
-    """The workers>1 async path must ship columns through shm like pool:
-    a worker sees a read-only view (pickled arrays come back writable)."""
-    executor = AsyncExecutor(workers=2)
-    payloads = [{"array": np.arange(6, dtype=np.int64) + i} for i in range(4)]
-    results = executor.map(_shape_task, payloads)
-    assert all(result[2] is False for result in results)
-    assert [result[3] for result in results] == [
-        (np.arange(6) + i).tolist() for i in range(4)
-    ]
 
 
 # -- the ordered-completion seam ----------------------------------------------
@@ -307,7 +278,7 @@ MASK = [k % 3 != 0 for k in range(40)]
 COLUMNS = [([j for j, _ in LEFT], False)]
 
 
-@pytest.mark.parametrize("executor", ["inline", "pool", "async", "shuffle"])
+@pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
 def test_every_workload_is_bit_identical_across_executors(executor):
     """The acceptance contract: executors change wall-clock, not outputs."""
     reference = get_engine("vector")
@@ -323,7 +294,7 @@ def test_every_workload_is_bit_identical_across_executors(executor):
     assert engine.order_permutation(COLUMNS) == reference.order_permutation(COLUMNS)
 
 
-@pytest.mark.parametrize("executor", ["inline", "pool", "async", "shuffle"])
+@pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
 def test_padded_workloads_match_across_executors(executor):
     reference = get_engine("traced", padding="worst_case")
     engine = get_engine(
@@ -340,10 +311,10 @@ def test_padded_workloads_match_across_executors(executor):
 
 
 def test_engine_executor_option_roundtrip():
-    engine = get_engine("sharded", executor="async", workers=2, shards=3)
-    assert engine.executor.name == "async"
+    engine = get_engine("sharded", executor="shuffle", workers=2, shards=3)
+    assert engine.executor.name == "shuffle"
     copy = engine.with_options(workers=4)
-    assert copy.executor.name == "async" and copy.workers == 4
+    assert copy.executor.name == "shuffle" and copy.workers == 4
     repadded = engine.with_options(executor="pool")
     assert repadded.executor.name == "pool"
     assert "executor" in type(engine).OPTIONS
@@ -364,7 +335,7 @@ def test_db_layer_threads_executor_through():
     schema = Schema.of("k:int", "v:int")
     left = DBTable(schema, [(k % 3, k) for k in range(9)])
     right = DBTable(Schema.of("k:int", "w:int"), [(k % 3, 10 * k) for k in range(9)])
-    sharded = ObliviousEngine(engine="sharded", executor="async", shards=2)
+    sharded = ObliviousEngine(engine="sharded", executor="shuffle", shards=2)
     plain = ObliviousEngine(engine="traced")
     assert (
         sharded.join(left, right, on=("k", "k")).rows
@@ -382,7 +353,7 @@ def test_cli_join_accepts_executor_flag(tmp_path, capsys):
     assert (
         main(
             ["join", str(left), str(right), "--left-on", "k", "--right-on", "k",
-             "--engine", "sharded", "--executor", "async"]
+             "--engine", "sharded", "--executor", "shuffle"]
         )
         == 0
     )

@@ -18,7 +18,6 @@ from repro.core.padding import check_target_m
 from repro.engines import get_engine
 from repro.errors import InputError
 from repro.plan.executors import (
-    AsyncExecutor,
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
@@ -155,7 +154,6 @@ def test_sharded_segmented_join_matches_the_vector_oracle(executor, segments):
     "executor",
     [
         pytest.param(PoolExecutor(workers=2), id="pool"),
-        pytest.param(AsyncExecutor(workers=2), id="async"),
     ],
 )
 def test_segmented_join_publishes_runs_on_remote_executors(executor):
@@ -276,7 +274,6 @@ def test_skewed_cell_expansion_dispatches_as_separate_segment_tasks():
         pytest.param(InlineExecutor(), id="inline"),
         pytest.param(ShuffleExecutor(seed=1), id="shuffle"),
         pytest.param(PoolExecutor(workers=2), id="pool"),
-        pytest.param(AsyncExecutor(workers=2), id="async"),
     ],
 )
 @pytest.mark.parametrize("target", [None, 7 * 6], ids=["revealed", "padded"])

@@ -1,18 +1,17 @@
-"""Cross-engine differential suite for streaming pipeline execution.
+"""Cross-engine differential suite for pipeline execution.
 
-The streamed query-DAG path (:mod:`repro.shard.pipeline`) must be
-*bit-identical* to running the operators one at a time on any engine —
-including when blocks complete in adversarial order (the ``shuffle``
-executor) and when they travel between workers through shared memory (the
-``pool``/``async`` executors).  Hypothesis drives whole chains —
-filter -> join, join -> group_by, filter -> multiway -> order_by — through
-every engine x executor configuration against the traced reference, and a
-seed sweep pins that the shuffled completion order changes neither the
-output nor the compiled plan.
+Every engine runs a chain through the one operator-at-a-time path
+(:meth:`repro.engines.base.PaddingOptionsMixin.pipeline`), so a pipeline
+must be *bit-identical* to the traced reference on any engine x executor —
+including when shard tasks complete in adversarial order (the ``shuffle``
+executor) and when they run on workers over shared memory (the ``pool``
+executor).  Hypothesis drives whole chains — filter -> join,
+join -> group_by, filter -> multiway -> order_by — through every
+configuration, and a seed sweep pins that the shuffled completion order
+changes neither the output nor the compiled plan.
 
 ``REPRO_ENGINES`` / ``REPRO_EXECUTORS`` restrict the configuration list
-exactly as in ``test_engine_properties.py`` — the CI matrix reuses them to
-parametrise the pipeline differential job per (engine, executor).
+exactly as in ``test_engine_properties.py``.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ EXECUTORS = [
 REFERENCE = "traced"
 
 #: Registry defaults, a lopsided shard count, one sharded configuration per
-#: non-default executor, and a padded configuration exercising the
-#: operator-at-a-time fallback ShardedEngine.pipeline takes outside
-#: revealed mode.
+#: non-default executor, and a padded configuration.
 CONFIGURATIONS = ENGINES + (
     [
         pytest.param(ShardedEngine(shards=5), id="sharded[shards=5]"),
@@ -115,7 +112,7 @@ def _assert_pipelines_agree(configuration, stages):
     assert result.sizes == reference.sizes
 
 
-# -- streamed chains vs the operator-at-a-time reference ---------------------
+# -- chains on every configuration vs the traced reference -------------------
 
 
 @pytest.mark.parametrize("configuration", CONFIGURATIONS)
@@ -231,15 +228,3 @@ def test_shuffle_seed_sweep_is_arrival_order_independent(chain):
         assert result.sizes == reference.sizes
         digests.add(result.stats.plan.digest())
     assert len(digests) == 1
-
-
-def test_streamed_edges_recorded():
-    """The streamed path reports which edges streamed; the fallback none."""
-    if "sharded" not in ENGINES:
-        pytest.skip("sharded engine excluded by REPRO_ENGINES")
-    chain = [("source", _SWEEP_SOURCE), ("filter", _SWEEP_MASK), ("join", _SWEEP_RIGHT)]
-    streamed = ShardedEngine(shards=3).pipeline(chain)
-    assert streamed.stats.streamed_edges == [(2, "filter->join")]
-    padded = ShardedEngine(shards=3, padding="worst_case").pipeline(chain)
-    assert padded.stats.streamed_edges == []
-    assert padded.rows == streamed.rows

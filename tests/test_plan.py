@@ -442,8 +442,7 @@ def _pipeline_chain(source, mask, right):
 def test_pipeline_plan_bytes_identical_across_adversarial_data():
     """The executed DAG plan is a pure function of (shapes, k) — skew,
     all-dup keys, and survivor patterns (mask content) change nothing."""
-    from repro.engines import ShardedEngine
-    from repro.shard.pipeline import check_pipeline_stages
+    from repro.engines import ShardedEngine, check_pipeline_stages
 
     serialized = {
         ShardedEngine(shards=3)
@@ -499,85 +498,6 @@ def test_pipeline_plan_has_channel_nodes_between_every_stage():
     assert channels[0].attr("capacity") == capacity
     assert channels[0].attr("counts") == tuple(counts)
     assert channels[1].attr("capacity") is None
-
-
-# -- streaming dispatch overlap ------------------------------------------------
-
-
-class RecordingExecutor:
-    """Inline lazy executor recording dispatch order across task kinds.
-
-    ``imap`` yields one completion at a time, so anything the consuming
-    driver dispatches per completion lands in ``events`` between
-    completions — making the streamed (no-barrier) schedule observable.
-    """
-
-    name = "recording"
-
-    def __init__(self) -> None:
-        self.events: list[tuple[str, str]] = []
-
-    def map(self, task, payloads):
-        return [task(payload) for payload in payloads]
-
-    def imap(self, task, payloads):
-        for index, payload in enumerate(list(payloads)):
-            result = task(payload)
-            self.events.append(("complete", task.__name__))
-            yield index, result
-
-    def submit(self, task, payload):
-        self.events.append(("submit", task.__name__))
-        from repro.plan.executors import _Immediate
-
-        return _Immediate(task(payload))
-
-
-def test_downstream_tasks_dispatch_before_upstream_finishes():
-    """The tentpole property: >= 1 downstream shard task is dispatched
-    *before* the upstream operator publishes its final block — the edge is
-    a streaming channel, not a barrier."""
-    from repro.shard.pipeline import streamed_pipeline
-
-    source, mask, right = PIPELINE_DATASETS[0]
-    executor = RecordingExecutor()
-    streamed_pipeline(
-        _pipeline_chain(source, mask, right), shards=3, executor=executor
-    )
-    events = executor.events
-    filter_completions = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "complete" and task == "_filter_block_task"
-    ]
-    sort_submits = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "submit" and task == "_sort_task"
-    ]
-    assert len(filter_completions) == 3
-    assert sort_submits and sort_submits[0] < filter_completions[-1]
-
-
-def test_join_group_by_edge_streams_partials_per_grid_cell():
-    from repro.shard.pipeline import streamed_pipeline
-
-    source, _, right = PIPELINE_DATASETS[0]
-    executor = RecordingExecutor()
-    streamed_pipeline(
-        [("source", source), ("join", right), ("group_by",)],
-        shards=3,
-        executor=executor,
-    )
-    events = executor.events
-    join_completions = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "complete" and task == "_join_task"
-    ]
-    aggregate_submits = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "submit" and task == "_aggregate_task"
-    ]
-    assert len(join_completions) == 9  # the full 3x3 grid
-    assert aggregate_submits and aggregate_submits[0] < join_completions[-1]
 
 
 # -- the CLI plan command -----------------------------------------------------

@@ -483,6 +483,41 @@ def test_server_registration_replaces_and_invalidates():
             client.shutdown()
 
 
+def test_server_answers_every_bad_request_and_keeps_the_connection(
+    monkeypatch, caplog
+):
+    """A non-object line, an out-of-int64 cell and an unexpected exception
+    each get exactly one ``ok: false`` line; the connection then still
+    answers a ping (a second, stale line would surface there)."""
+    service = ServiceEngine(engine="vector")
+    with _ServerThread(service) as server:
+        with ServiceClient(port=server.port) as client:
+            for payload in ([1], "ping"):
+                with pytest.raises(ServiceError, match="JSON object") as failure:
+                    client.request(payload)
+                assert failure.value.kind == "InputError"
+                assert client.ping()
+
+            huge = {"op": "register", "name": "t", "specs": ["k:int", "v:int"],
+                    "rows": [[1, 2], [2**70, 3]]}
+            with pytest.raises(ServiceError, match="'k'.*int64") as failure:
+                client.request(huge)
+            assert failure.value.kind == "SchemaError"
+            assert client.ping()
+            assert client.tables() == []
+
+            def overflow(spec):
+                raise OverflowError("Python int too large to convert to C long")
+
+            monkeypatch.setattr(service, "query", overflow)
+            with pytest.raises(ServiceError, match="OverflowError") as failure:
+                client.query({"op": "join"})
+            assert failure.value.kind == "InternalError"
+            assert "internal error" in caplog.text  # traceback was logged
+            assert client.ping()
+            client.shutdown()
+
+
 def test_service_reports_store_io_for_stored_tables(tmp_path):
     from repro.store.runtime import detach_all
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputError
-from repro.shard.executor import check_workers, run_tasks
+from repro.plan.executors import check_workers, resolve_executor
 from repro.shard.merge import (
     bitonic_merge_two,
     merge_comparator_count,
@@ -123,19 +123,23 @@ def _double(x):
     return x * 2
 
 
-def test_run_tasks_inline_and_pool_agree():
+def _default_map(payloads, workers):
+    return resolve_executor(None, workers=workers).map(_double, payloads)
+
+
+def test_default_executors_inline_and_pool_agree():
     payloads = list(range(6))
-    inline = run_tasks(_double, payloads, workers=1)
-    pooled = run_tasks(_double, payloads, workers=2)
+    inline = _default_map(payloads, workers=1)
+    pooled = _default_map(payloads, workers=2)
     assert inline == pooled == [0, 2, 4, 6, 8, 10]
 
 
-def test_run_tasks_preserves_payload_order():
-    assert run_tasks(_double, [3, 1, 2], workers=1) == [6, 2, 4]
+def test_default_executor_preserves_payload_order():
+    assert _default_map([3, 1, 2], workers=1) == [6, 2, 4]
 
 
 def test_worker_validation():
     with pytest.raises(InputError):
         check_workers(0)
     with pytest.raises(InputError):
-        run_tasks(_double, [1], workers=-1)
+        _default_map([1], workers=-1)

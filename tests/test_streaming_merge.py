@@ -14,7 +14,6 @@ from conftest import shm_segments
 from repro.engines import get_engine
 from repro.errors import BoundError, InputError
 from repro.plan.executors import (
-    AsyncExecutor,
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
@@ -84,7 +83,6 @@ def test_schedule_is_pure_in_count_lengths_and_truncate():
         pytest.param(InlineExecutor(), id="inline"),
         pytest.param(ShuffleExecutor(seed=5), id="shuffle"),
         pytest.param(PoolExecutor(workers=2), id="pool"),
-        pytest.param(AsyncExecutor(workers=2), id="async"),
     ],
 )
 @pytest.mark.parametrize("truncate", [None, 3])
@@ -165,16 +163,15 @@ def test_join_is_bit_identical_under_adversarial_completion_orders(target):
 def test_worker_side_tournament_matches_inline_join():
     left, right = _join_fixture()
     reference, reference_stats = sharded_oblivious_join(left, right, shards=3)
-    for executor in (PoolExecutor(workers=2), AsyncExecutor(workers=2)):
-        stats = ShardedJoinStats()
-        pairs, stats = sharded_oblivious_join(
-            left, right, shards=3, stats=stats, executor=executor
-        )
-        assert pairs.tobytes() == reference.tobytes()
-        # Same comparator totals: the merges moved to workers, the
-        # schedule did not move at all.
-        assert stats.merge_comparisons == reference_stats.merge_comparisons
-        assert stats.schedule == reference_stats.schedule
+    stats = ShardedJoinStats()
+    pairs, stats = sharded_oblivious_join(
+        left, right, shards=3, stats=stats, executor=PoolExecutor(workers=2)
+    )
+    assert pairs.tobytes() == reference.tobytes()
+    # Same comparator totals: the merges moved to workers, the
+    # schedule did not move at all.
+    assert stats.merge_comparisons == reference_stats.merge_comparisons
+    assert stats.schedule == reference_stats.schedule
 
 
 def test_order_permutation_streams_identically():
@@ -182,11 +179,7 @@ def test_order_permutation_streams_identically():
     values = [rng.randrange(4) for _ in range(23)]
     columns = [(values, True)]
     reference = sharded_order_permutation(columns, len(values), shards=3)
-    for executor in (
-        ShuffleExecutor(seed=2),
-        PoolExecutor(workers=2),
-        AsyncExecutor(workers=2),
-    ):
+    for executor in (ShuffleExecutor(seed=2), PoolExecutor(workers=2)):
         assert (
             sharded_order_permutation(
                 columns, len(values), shards=3, executor=executor
@@ -199,7 +192,7 @@ def test_padded_join_streams_identically_across_substrates():
     left, right = _join_fixture()
     target = len(left) * len(right)
     expected, _ = vector_oblivious_join(left, right, target_m=target)
-    for executor in ("shuffle", "pool", "async"):
+    for executor in ("shuffle", "pool"):
         engine = get_engine(
             "sharded", shards=2, workers=2, executor=executor, padding="worst_case"
         )
