@@ -2,13 +2,12 @@
 
 Usage::
 
-    python benchmarks/check_bench_regression.py BENCH_engines.json \
-        [--baseline benchmarks/BENCH_engines.baseline.json] [--factor 2.0]
+    python benchmarks/check_bench_regression.py BENCH_service.json \
+        --baseline benchmarks/BENCH_service.baseline.json [--factor 2.0]
 
 Every record in an artifact carries both the engine-under-test seconds and
-a reference engine's seconds *measured in the same run* (``traced_seconds``
-in the engines artifact, ``reference_seconds`` in the service and storage
-artifacts), so the comparison metric is the **relative cost**
+a reference engine's seconds *measured in the same run*
+(``reference_seconds``), so the comparison metric is the **relative cost**
 ``seconds / reference`` — normalising out machine speed, which is what
 makes a committed baseline from one box meaningful on another.  A record
 regresses when its relative cost grows by more than ``--factor`` (default
@@ -123,11 +122,6 @@ def storage_regressions(current: dict) -> list:
     return violations
 
 
-def reference_seconds(record: dict) -> float:
-    """The same-run reference denominator, whichever artifact shape."""
-    return record.get("reference_seconds", record.get("traced_seconds"))
-
-
 def compare(current: dict, baseline: dict, factor: float) -> tuple[list, list]:
     """Returns ``(regressions, rows)``; rows describe every comparison."""
     baseline_by_key = {record_key(r): r for r in baseline["records"]}
@@ -135,12 +129,12 @@ def compare(current: dict, baseline: dict, factor: float) -> tuple[list, list]:
     for record in current["records"]:
         key = record_key(record)
         base = baseline_by_key.get(key)
-        seconds, reference = record["seconds"], reference_seconds(record)
+        seconds, reference = record["seconds"], record["reference_seconds"]
         cost = seconds / reference
         if base is None:
             rows.append((key, None, cost, "new"))
             continue
-        base_seconds, base_reference = base["seconds"], reference_seconds(base)
+        base_seconds, base_reference = base["seconds"], base["reference_seconds"]
         # The reference denominators must clear the noise floor for any
         # ratio to mean anything; the timings themselves gate unless both
         # sides are sub-noise (so a 1ms -> 100ms blow-up is still caught).
@@ -169,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("artifact", help="freshly generated bench JSON artifact")
     parser.add_argument(
         "--baseline",
-        default="benchmarks/BENCH_engines.baseline.json",
-        help="committed baseline (default: benchmarks/BENCH_engines.baseline.json)",
+        required=True,
+        help="committed baseline, e.g. benchmarks/BENCH_service.baseline.json",
     )
     parser.add_argument(
         "--factor",

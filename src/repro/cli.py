@@ -117,8 +117,6 @@ def engine_options(args: argparse.Namespace) -> dict:
         options["shards"] = args.shards
     if getattr(args, "executor", None) is not None:
         options["executor"] = args.executor
-    if getattr(args, "expand_segments", None) is not None:
-        options["expand_segments"] = args.expand_segments
     if getattr(args, "padding", None) not in (None, "revealed"):
         options["padding"] = args.padding
     if getattr(args, "bound", None) is not None:
@@ -430,15 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers 1, pool above",
     )
     join.add_argument(
-        "--expand-segments",
-        type=int,
-        default=None,
-        dest="expand_segments",
-        help="sharded engine, padded modes: split each grid cell's "
-        "distribute-expand into this many plan-bounded segment tasks "
-        "(default: shape-driven — only output-heavy cells split)",
-    )
-    join.add_argument(
         "--padding",
         default="revealed",
         choices=PADDING_MODES,
@@ -505,14 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="sharded engine: partitions per input (default: 2)",
-    )
-    plan.add_argument(
-        "--expand-segments",
-        type=int,
-        default=None,
-        dest="expand_segments",
-        help="sharded engine, padded modes: per-cell expansion segment "
-        "count shown as expand_segment plan nodes (default: shape-driven)",
     )
     plan.add_argument(
         "--padding",
@@ -584,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=None)
     serve.add_argument(
         "--executor", default=None, choices=available_executors()
-    )
-    serve.add_argument(
-        "--expand-segments", type=int, default=None, dest="expand_segments"
     )
     serve.add_argument("--padding", default="revealed", choices=PADDING_MODES)
     serve.add_argument("--bound", type=int, default=None)

@@ -90,9 +90,6 @@ class PaddingOptionsMixin:
         shapes.setdefault("padding", self.padding)
         shapes.setdefault("bound", self.bound)
         shapes.setdefault("shards", getattr(self, "shards", None))
-        shapes.setdefault(
-            "expand_segments", getattr(self, "expand_segments", None)
-        )
         if shapes["padding"] == "revealed":
             shapes["bound"] = None  # a cap is meaningless without padding
         return compile_workload(workload, engine=self.name, **shapes)
@@ -110,9 +107,6 @@ class PaddingOptionsMixin:
         padding = overrides.get("padding", self.padding)
         bound = overrides.get("bound", self.bound)
         shards = overrides.get("shards", getattr(self, "shards", None))
-        expand_segments = overrides.get(
-            "expand_segments", getattr(self, "expand_segments", None)
-        )
         if padding == "revealed" or padding is None:
             bound = None
         return compile_pipeline(
@@ -121,7 +115,6 @@ class PaddingOptionsMixin:
             shards=shards,
             padding=padding,
             bound=bound,
-            expand_segments=expand_segments,
         )
 
     def pipeline(self, stages, tracer: Tracer | None = None) -> PipelineResult:

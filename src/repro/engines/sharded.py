@@ -35,8 +35,9 @@ Five knobs:
     reveals — the join's per-task ``m_ij`` grid, aggregation's per-shard
     partial group counts, and FILTER's per-shard survivor counts — fold
     into the same padded story: under ``"bounded"``/``"worst_case"`` every
-    grid task, partial table and survivor block runs at its public worst
-    case, so the schedule reveals only ``(n1, n2, k)`` and the bounds
+    grid task runs at its public cell bound ``min(bound, n1_i * n2_j)``
+    and every partial table and survivor block at its public worst case,
+    so the schedule reveals only ``(n1, n2, k)`` and the bounds
     (``docs/leakage.md``).
 
 Configured copies come from :func:`repro.engines.get_engine`::
@@ -56,7 +57,7 @@ from ..core.multiway import MultiwayResult
 from ..errors import InputError
 from ..memory.tracer import Tracer
 from ..plan.executors import check_workers, resolve_executor
-from ..plan.partition import check_expand_segments, check_shards
+from ..plan.partition import check_shards
 from ..core.join_tree import JoinTreeResult
 from ..shard.aggregate import sharded_group_by, sharded_join_aggregate
 from ..shard.join import sharded_oblivious_join
@@ -71,14 +72,7 @@ class ShardedEngine(PaddingOptionsMixin):
     """Sharded multi-process engine: padded partitions, identical outputs."""
 
     name = "sharded"
-    OPTIONS = (
-        "shards",
-        "workers",
-        "executor",
-        "padding",
-        "bound",
-        "expand_segments",
-    )
+    OPTIONS = ("shards", "workers", "executor", "padding", "bound")
 
     def __init__(
         self,
@@ -87,18 +81,12 @@ class ShardedEngine(PaddingOptionsMixin):
         executor: str | None = None,
         padding: str | None = None,
         bound=None,
-        expand_segments: int | None = None,
     ) -> None:
         self.workers = check_workers(workers)
         self._shards = None if shards is None else check_shards(shards)
         self._executor_name = executor
         # Resolve eagerly so an unknown name fails at configuration time.
         self.executor = resolve_executor(executor, workers=self.workers)
-        self.expand_segments = (
-            None
-            if expand_segments is None
-            else check_expand_segments(expand_segments)
-        )
         self._init_padding(padding, bound)
 
     @property
@@ -115,7 +103,6 @@ class ShardedEngine(PaddingOptionsMixin):
             executor=options.get("executor", self._executor_name),
             padding=options.get("padding", self.padding),
             bound=options.get("bound", self.bound),
-            expand_segments=options.get("expand_segments", self.expand_segments),
         )
 
     def join(
@@ -131,7 +118,6 @@ class ShardedEngine(PaddingOptionsMixin):
             shards=self.shards,
             target_m=self._join_target(left, right, target_m),
             executor=self.executor,
-            expand_segments=self.expand_segments,
         )
         return JoinResult(
             pairs=[tuple(p) for p in pairs.tolist()],
@@ -156,7 +142,6 @@ class ShardedEngine(PaddingOptionsMixin):
             padding=padding,
             bound=bound,
             executor=self.executor,
-            expand_segments=self.expand_segments,
         )
 
     def join_tree(
@@ -176,7 +161,6 @@ class ShardedEngine(PaddingOptionsMixin):
             executor=self.executor,
             padding=padding,
             bound=bound,
-            expand_segments=self.expand_segments,
         )
         return result
 

@@ -41,7 +41,6 @@ from .memo import memoised
 from .partition import (
     block_aligned_partition_plan,
     check_shards,
-    expand_segment_plan,
     join_tree_window_plan,
     partition_plan,
     shard_block_ids,
@@ -152,33 +151,24 @@ def sharded_join_plan(
     n2: int,
     k: int,
     target: int | None,
-    expand_segments: int | None = None,
     block_rows: tuple[int | None, int | None] | None = None,
 ) -> Plan:
     """The sharded join's full public schedule: presort, grid, merge.
 
     Everything here — the partition plans, each grid cell's input sizes and
-    padded output bound, the expansion segment windows, the merge
-    tournament's run lengths, the output truncation point — is derived from
-    ``(n1, n2, k, target)`` only.  The driver
-    (:func:`repro.shard.join.sharded_oblivious_join`) *consumes* this plan:
-    its per-task bounds come from the ``grid_join`` nodes and their child
-    ``expand_segment`` nodes.
+    padded output bound, the merge tournament's run lengths, the output
+    truncation point — is derived from ``(n1, n2, k, target)`` only.  The
+    driver (:func:`repro.shard.join.sharded_oblivious_join`) *consumes*
+    this plan: its per-task bounds come from the ``grid_join`` nodes.
 
-    Under padded modes every grid cell's distribute-expand is split into
-    ``expand_segment`` nodes — contiguous output windows ``[lo, hi)`` from
-    :func:`~repro.plan.partition.expand_segment_plan`, each a separately
-    dispatchable task whose sorted sub-run is a leaf of the output merge
-    tournament.  ``expand_segments`` overrides the per-cell segment count
-    (``None`` = the default shape-driven policy, which splits only
-    output-heavy cells).  Unpadded (``target is None``) cells reveal their
-    output size at run time, so they stay whole: a data-dependent split
-    point would itself be a leak.
+    Under padded modes every cell is one task padded to the public cell
+    bound ``min(target, n1_i * n2_j)`` — a cell can emit no more than its
+    cross product, and no more than the whole join may — and its run is one
+    leaf of the output merge tournament.  Unpadded (``target is None``)
+    cells reveal their output size at run time.
     """
     check_shards(k)
     shapes: dict = {"n1": n1, "n2": n2, "k": k, "target": target}
-    if expand_segments is not None:
-        shapes["segments"] = expand_segments
     # Store-backed inputs: `block_rows` is the per-side block-alignment
     # unit ((left, right), None per resident side).  A store-backed side's
     # *input* partition is block-aligned — whole blocks per shard, so each
@@ -251,42 +241,24 @@ def sharded_join_plan(
         **right_attrs,
     )
     leaves: list[int] = []
-    leaf_lengths: list[int] = []
+    cell_targets: list[int | None] = []
     for i in range(k):
         for j in range(k):
-            cell_target = None if target is None else counts1[i] * counts2[j]
-            cell = builder.add(
-                "grid_join",
-                inputs=(left_part, right_part),
-                cell=(i, j),
-                n1=counts1[i],
-                n2=counts2[j],
-                target=cell_target,
+            cell_target = (
+                None if target is None else min(target, counts1[i] * counts2[j])
             )
-            if cell_target is None:
-                # Revealed mode: the cell's output size is a run-time leak,
-                # so it executes whole — a split point would leak more.
-                leaves.append(cell)
-                continue
-            _, seg_rows = expand_segment_plan(
-                cell_target, counts1[i], counts2[j], expand_segments
-            )
-            offset = 0
-            for s, rows in enumerate(seg_rows):
-                leaves.append(
-                    builder.add(
-                        "expand_segment",
-                        inputs=(cell,),
-                        cell=(i, j),
-                        segment=s,
-                        lo=offset,
-                        hi=offset + rows,
-                        rows=rows,
-                    )
+            cell_targets.append(cell_target)
+            leaves.append(
+                builder.add(
+                    "grid_join",
+                    inputs=(left_part, right_part),
+                    cell=(i, j),
+                    n1=counts1[i],
+                    n2=counts2[j],
+                    target=cell_target,
                 )
-                leaf_lengths.append(rows)
-                offset += rows
-    run_lengths = None if target is None else tuple(leaf_lengths)
+            )
+    run_lengths = None if target is None else tuple(cell_targets)
     output_root = _add_merge_tournament(
         builder, tuple(leaves), run_lengths, target, "output"
     )
@@ -449,7 +421,6 @@ def multiway_plan(
     engine: str,
     bounds: tuple[int, ...] = (),
     k: int | None = None,
-    expand_segments: int | None = None,
 ) -> Plan:
     """A whole cascade's public schedule: one embedded join plan per step.
 
@@ -485,9 +456,7 @@ def multiway_plan(
                 )
                 sub = step_plan.build()
             else:
-                sub = sharded_join_plan(
-                    left, right, shapes["k"], target, expand_segments
-                )
+                sub = sharded_join_plan(left, right, shapes["k"], target)
         else:
             if left is None:
                 step_plan = PlanBuilder("join", engine)
@@ -616,26 +585,18 @@ def inline_join_tree_plan(engine: str, sizes, edges, target: int | None) -> Plan
 
 
 @memoised("plan")
-def sharded_join_tree_plan(
-    sizes,
-    edges,
-    k: int,
-    target: int | None,
-    expand_segments: int | None = None,
-) -> Plan:
+def sharded_join_tree_plan(sizes, edges, k: int, target: int | None) -> Plan:
     """The sharded join tree's full public schedule.
 
     Bottom-up ``multiplicity`` nodes are per-edge worker tasks (grouped by
     child depth: same-depth edges have no data dependency and dispatch
     concurrently); ``finalize`` and the ``markers`` catalogues are
     client-side vector passes; the top-down phase fans out as
-    ``join_tree_window`` tasks — contiguous slot windows from
-    :func:`~repro.plan.partition.join_tree_window_plan` (``expand_segments``
-    overrides the window count; default ``k``, one window per shard slot) —
-    whose sorted sub-runs feed the output merge tournament exactly like the
-    binary join's expansion segments.  Revealed mode (``target=None``)
-    keeps the slot space whole: window boundaries would be a function of
-    the secret ``M``.
+    ``join_tree_window`` tasks — ``k`` contiguous slot windows from
+    :func:`~repro.plan.partition.join_tree_window_plan`, one per shard
+    slot — whose sorted sub-runs are the leaves of the output merge
+    tournament.  Revealed mode (``target=None``) keeps the slot space
+    whole: window boundaries would be a function of the secret ``M``.
     """
     check_shards(k)
     sizes = tuple(int(n) for n in sizes)
@@ -646,8 +607,6 @@ def sharded_join_tree_plan(
         "k": k,
         "target": target,
     }
-    if expand_segments is not None:
-        shapes["segments"] = expand_segments
     builder = PlanBuilder("join_tree", "sharded", **shapes)
     inputs = tuple(
         builder.add("input", table=v, rows=sizes[v]) for v in range(len(sizes))
@@ -705,9 +664,7 @@ def sharded_join_tree_plan(
         )
         builder.add("gather", inputs=(merge,), rows=None)
         return builder.build()
-    _, win_rows = join_tree_window_plan(
-        target, sizes, expand_segments if expand_segments is not None else k
-    )
+    _, win_rows = join_tree_window_plan(target, k)
     leaves = []
     offset = 0
     for s, rows in enumerate(win_rows):
@@ -742,7 +699,6 @@ def compile_join_tree(
     shards: int | None = None,
     padding: str | None = None,
     bound=None,
-    expand_segments: int | None = None,
 ) -> Plan:
     """Compile a join tree's plan, resolving ``padding`` into one bound.
 
@@ -755,11 +711,7 @@ def compile_join_tree(
     target = join_tree_bound(sizes, padding, bound)
     if engine == "sharded":
         return sharded_join_tree_plan(
-            sizes,
-            tree,
-            shards if shards is not None else 2,
-            target,
-            expand_segments,
+            sizes, tree, shards if shards is not None else 2, target
         )
     if engine not in _INLINE_ENGINES:
         raise InputError(f"no plan compiler for engine {engine!r}")
@@ -778,14 +730,11 @@ def compile_join(
     padding: str | None = None,
     bound=None,
     target_m: int | None = None,
-    expand_segments: int | None = None,
 ) -> Plan:
     """Compile a binary join's plan, resolving ``padding`` into a bound."""
     target = target_m if target_m is not None else join_bound(n1, n2, padding, bound)
     if engine == "sharded":
-        return sharded_join_plan(
-            n1, n2, shards if shards is not None else 2, target, expand_segments
-        )
+        return sharded_join_plan(n1, n2, shards if shards is not None else 2, target)
     if engine not in _INLINE_ENGINES:
         raise InputError(f"no plan compiler for engine {engine!r}")
     return inline_join_plan(engine, n1, n2, target)
@@ -798,15 +747,11 @@ def compile_multiway(
     shards: int | None = None,
     padding: str | None = None,
     bound=None,
-    expand_segments: int | None = None,
 ) -> Plan:
     bounds = cascade_bounds(list(sizes), padding, bound)
     if engine != "sharded" and engine not in _INLINE_ENGINES:
         raise InputError(f"no plan compiler for engine {engine!r}")
-    return multiway_plan(
-        list(sizes), engine, bounds=bounds, k=shards,
-        expand_segments=expand_segments,
-    )
+    return multiway_plan(list(sizes), engine, bounds=bounds, k=shards)
 
 
 def compile_aggregate(
@@ -872,7 +817,6 @@ def compile_pipeline(
     shards: int | None = None,
     padding: str | None = None,
     bound=None,
-    expand_segments: int | None = None,
 ) -> Plan:
     """Compile a whole query DAG into one Plan with channel edge nodes.
 
@@ -993,9 +937,7 @@ def compile_pipeline(
             else:
                 target = join_bound(current, n2, mode, bound)
                 if engine == "sharded":
-                    sub = sharded_join_plan(
-                        current, n2, k, target, expand_segments
-                    )
+                    sub = sharded_join_plan(current, n2, k, target)
                 else:
                     sub = inline_join_plan(engine, current, n2, target)
                 current = target
@@ -1013,10 +955,7 @@ def compile_pipeline(
             else:
                 sizes = [current, *rest]
                 bounds = cascade_bounds(list(sizes), mode, bound)
-                sub = multiway_plan(
-                    sizes, engine, bounds=bounds, k=k,
-                    expand_segments=expand_segments,
-                )
+                sub = multiway_plan(sizes, engine, bounds=bounds, k=k)
                 current = bounds[-1] if bounds else None
         elif name == "group_by":
             if current is None:
@@ -1056,7 +995,6 @@ def compile_workload(
     shards: int | None = None,
     padding: str | None = None,
     bound=None,
-    expand_segments: int | None = None,
 ) -> Plan:
     """Dispatch to the right compiler from CLI-shaped arguments."""
     if workload not in WORKLOADS:
@@ -1072,22 +1010,19 @@ def compile_workload(
                 "((parent, child, parent_col, child_col[, band]) per edge)"
             )
         return compile_join_tree(
-            list(sizes), edges, engine, shards=shards, padding=padding,
-            bound=bound, expand_segments=expand_segments,
+            list(sizes), edges, engine, shards=shards, padding=padding, bound=bound
         )
     if workload == "join":
         if n1 is None or n2 is None:
             raise InputError("join plans need n1 and n2")
         return compile_join(
-            n1, n2, engine, shards=shards, padding=padding, bound=bound,
-            expand_segments=expand_segments,
+            n1, n2, engine, shards=shards, padding=padding, bound=bound
         )
     if workload == "multiway":
         if not sizes:
             raise InputError("multiway plans need sizes (one per table)")
         return compile_multiway(
-            sizes, engine, shards=shards, padding=padding, bound=bound,
-            expand_segments=expand_segments,
+            sizes, engine, shards=shards, padding=padding, bound=bound
         )
     if workload == "aggregate":
         if n1 is None or n2 is None:

@@ -41,15 +41,17 @@ from .memo import memoised
 #: Serialization format tag, bumped on any change to the byte layout.
 #: Format 3 adds pipeline plans: ``channel`` edge nodes carrying public
 #: per-block capacities between embedded per-operator sub-plans.
-#: Format 4 adds ``expand_segment`` nodes under padded sharded joins: each
-#: grid cell's distribute-expand is split into plan-bounded output windows
-#: whose caps are a pure function of ``(n1, n2, k, target)``.
+#: Format 4 split each padded sharded grid cell's distribute-expand into
+#: plan-bounded output-window nodes (removed again by format 6).
 #: Format 5 adds ``join_tree`` plans: bottom-up ``multiplicity`` nodes (one
 #: per tree edge), per-node ``finalize``/``markers`` nodes, one
 #: ``distribute_expand`` stab per node (sharded: ``join_tree_window``
 #: slot-space tasks feeding the merge bracket) and a final ``align_concat``
 #: — every attribute a pure function of ``(sizes, edges, k, padding, bound)``.
-PLAN_FORMAT = 5
+#: Format 6 removes those window nodes (op vocabulary -1): a padded
+#: ``grid_join`` node is one task and its ``target`` is redefined as the
+#: public cell bound ``min(target, n1_i * n2_j)``.
+PLAN_FORMAT = 6
 
 
 def _freeze(value, context: str):

@@ -119,71 +119,17 @@ def shard_block_ids(
     return tuple(ids)
 
 
-#: Default floor on one expansion segment's output rows.  Every segment
-#: re-runs its cell's ``O((n1 + n2) log^2)`` augment sorts, so segments far
-#: smaller than the cell's input would be all overhead and no parallelism.
-EXPAND_SEGMENT_MIN_ROWS = 4096
-
-
-def check_expand_segments(segments: int) -> int:
-    """Validate an explicit per-cell segment count; returns it for chaining."""
-    if not isinstance(segments, int) or isinstance(segments, bool) or segments < 1:
-        raise InputError(
-            f"expand_segments must be an int >= 1, got {segments!r}"
-        )
-    return segments
-
-
 @memoised("schedule")
-def expand_segment_plan(
-    target: int, n1: int, n2: int, segments: int | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """One padded grid cell's expansion split: ``(capacity, per-segment rows)``.
-
-    A pure function of the cell's public shapes ``(target, n1, n2)`` and the
-    optional explicit ``segments`` override — never of the data, which is
-    what lets the plan compiler emit the windows as ``expand_segment``
-    nodes.  The default policy floors each segment at
-    ``max(EXPAND_SEGMENT_MIN_ROWS, 4 * (n1 + n2 + 2))`` output rows (the
-    ``+ 2`` counts the padded anchor rows), so small cells compile to a
-    single segment and only output-heavy (skewed) cells split.  An explicit
-    ``segments`` asks for that many per cell, clamped so no segment is
-    empty.  The split itself reuses :func:`partition_plan`: windows are
-    contiguous and differ by at most one row.
-    """
-    if not isinstance(target, int) or isinstance(target, bool) or target < 0:
-        raise InputError(f"segment plan needs a target >= 0, got {target!r}")
-    if segments is None:
-        floor = max(EXPAND_SEGMENT_MIN_ROWS, 4 * (n1 + n2 + 2))
-        segments = max(1, target // floor)
-    else:
-        check_expand_segments(segments)
-    segments = min(segments, max(target, 1))
-    return partition_plan(target, segments)
-
-
-@memoised("schedule")
-def join_tree_window_plan(
-    target: int, sizes, segments: int | None = None
-) -> tuple[int, tuple[int, ...]]:
+def join_tree_window_plan(target: int, k: int) -> tuple[int, tuple[int, ...]]:
     """A join tree's slot-space split: ``(capacity, per-window rows)``.
 
     The top-down distribute-expand of a join tree runs over the public slot
     space ``[0, target)`` and every window's output is independent of every
     other (each stabs the same per-node marker catalogues), so the split is
-    the unit of sharded dispatch.  A pure function of ``(target, sizes)``
-    plus the optional explicit ``segments`` override.  Each window re-stabs
-    all ``sum(sizes)`` markers, so the default policy floors windows at
-    ``max(EXPAND_SEGMENT_MIN_ROWS, 4 * (sum(sizes) + 1))`` rows (the
-    ``+ 1`` counts the padded root anchor) — small queries compile to one
-    window and only output-heavy targets split.
+    the unit of sharded dispatch: ``k`` contiguous windows differing by at
+    most one row (fewer when ``target < k``, so none is empty) — a pure
+    function of ``(target, k)``.
     """
     if not isinstance(target, int) or isinstance(target, bool) or target < 0:
         raise InputError(f"window plan needs a target >= 0, got {target!r}")
-    if segments is None:
-        floor = max(EXPAND_SEGMENT_MIN_ROWS, 4 * (sum(sizes) + 1))
-        segments = max(1, target // floor)
-    else:
-        check_expand_segments(segments)
-    segments = min(segments, max(target, 1))
-    return partition_plan(target, segments)
+    return partition_plan(target, min(k, max(target, 1)))

@@ -24,7 +24,9 @@ Responses are one JSON object per line: ``{"ok": true, ...}`` or
 exactly one response line: a library error answers with its class name as
 ``kind``, a line that is not a JSON object with ``InputError``, and any
 other exception with ``InternalError`` (traceback logged under
-``repro.service.server``) — the connection stays usable.  Queries from
+``repro.service.server``) — the connection stays usable.  The one
+exception: a line longer than :data:`MAX_REQUEST_BYTES` is answered with
+``InputError`` and its connection is then closed.  Queries from
 concurrent connections are admitted concurrently and serialized on the
 engine lock;
 the JSON hop is deliberately boring — all the performance lives in the
@@ -51,6 +53,12 @@ from .engine import ServiceEngine
 _LOG = logging.getLogger(__name__)
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: Longest request line the server buffers (asyncio's default is 64 KiB,
+#: under a 9 000-row ``register``).  Sized for the largest table a line is
+#: meant to carry: 2^16 rows of two int64 cells at 20 digits each are
+#: about 3 MiB of JSON.
+MAX_REQUEST_BYTES = 4 * 2**20
 
 
 def table_payload(table: DBTable) -> dict:
@@ -89,6 +97,27 @@ def _check_int64_cells(table: DBTable) -> None:
                 )
 
 
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at EOF), or ``None`` for an over-limit one.
+
+    An over-limit line is read to its newline and dropped chunk by chunk, so
+    nothing past the limit is ever buffered and the client can finish
+    sending: closing on it with input still unread would reset the
+    connection before the refusal could be read.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF, possibly after an unterminated line
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
+
+
 class QueryServer:
     """Serve one :class:`ServiceEngine` over newline-delimited JSON."""
 
@@ -108,7 +137,7 @@ class QueryServer:
         """Bind the socket (resolving ``port=0`` to the kernel's pick)."""
         self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_REQUEST_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -128,10 +157,15 @@ class QueryServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
-                if not line:
+                line = await _read_request_line(reader)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise InputError(
+                            "request line exceeds MAX_REQUEST_BYTES "
+                            f"({MAX_REQUEST_BYTES} bytes)"
+                        )
                     request = json.loads(line)
                     if not isinstance(request, dict):
                         raise InputError(
@@ -157,6 +191,8 @@ class QueryServer:
                 if response.get("bye"):
                     self.stop()
                     break
+                if line is None:
+                    break  # an over-limit sender gets its answer, then goes
         finally:
             writer.close()
 

@@ -44,15 +44,25 @@ is a *finer* deliberate reveal than the single join's ``m`` (it localises
 output volume to position-block pairs) — the same trade the multiway
 cascade makes for intermediate sizes.  With ``target_m`` set, the grid is
 folded into the padded story: every task runs the padded vector join at
-its own public worst case ``real_i * real_j`` (a row pair cannot emit more
-than its cross product), and the merge tournament truncates every merged
-run at the public bound (*fused expand-truncate*: a row past position
-``target_m`` of a sorted run can never reach the first ``target_m`` rows
-of the final merge, so dropping it early is a public, data-independent
-cut — the run lengths stay functions of ``(n1, n2, k, target_m)``).  Task
-grid, schedule, and ``task_m`` all become functions of
-``(n1, n2, k, target_m)``; see :mod:`repro.plan.compile`,
-:mod:`repro.core.padding` and ``docs/leakage.md``.
+its public cell bound ``min(target_m, real_i * real_j)`` (a cell cannot
+emit more than its cross product, nor more than the whole join may), and
+the merge tournament truncates every merged run at the public bound
+(*fused expand-truncate*: a row past position ``target_m`` of a sorted run
+can never reach the first ``target_m`` rows of the final merge, so
+dropping it early is a public, data-independent cut).  Task grid,
+schedule, and ``task_m`` all become functions of
+``(n1, n2, k, target_m)``, and revealed and padded grids run the same
+dispatch loop.
+
+*Deferred overflow.*  A cell bound below the cross product can be exceeded
+by one hot cell alone.  A worker that raised there would reveal *which*
+cell overflowed, so an over-bound cell still runs its whole public-shape
+schedule, returns an all-dummy run of its public size and reports its true
+size; the parent sums the true sizes and raises
+:class:`~repro.errors.BoundError` only after every cell has returned —
+the one bit ``docs/leakage.md`` prices for a ``bounded`` abort.  See
+:mod:`repro.plan.compile`, :mod:`repro.core.padding` and
+``docs/leakage.md``.
 """
 
 from __future__ import annotations
@@ -74,13 +84,12 @@ from ..plan.compile import sharded_join_plan
 from ..plan.executors import (
     Executor,
     completion_stream,
-    publish_columns,
     resolve_executor,
     resolve_payload,
 )
 from ..plan.ir import Plan
 from ..store.runtime import StorePairs, store_pairs_block_rows
-from ..vector.join import vector_join_segment, vector_oblivious_join
+from ..vector.join import vector_oblivious_join
 from ..vector.sort import vector_bitonic_sort
 from .merge import StreamingTournament, truncate_run
 from .partition import pairs_partition_plan, partition_pairs
@@ -167,57 +176,25 @@ def _sort_task(payload) -> tuple[dict[str, np.ndarray], int]:
     return columns, counter[0]
 
 
-def _join_task(payload) -> tuple[np.ndarray, dict[str, int]]:
+def _join_task(payload) -> tuple[np.ndarray, dict[str, int], int]:
     """One grid cell: join a left shard with a right shard (worker side).
 
     The payload carries padded column arrays plus the public real counts;
     slicing off the padding reveals nothing because the counts are part of
     the partition plan.  Returns the keyed ``(m_ij, 3)`` output run (sorted
-    by ``(j, left_rank, d2)``) and the task's comparator counts.  Under
-    padded execution ``task_target`` is the cell's public bound
-    ``lreal * rreal`` (a ``grid_join`` plan node) and the run comes back
-    padded to exactly that size.
+    by ``(j, left_rank, d2)``), the task's comparator counts and the
+    cell's true output size.  Under padded execution ``task_target`` is the
+    cell's public bound (a ``grid_join`` plan node) and the run comes back
+    padded to exactly that size — all dummies when the true size exceeds
+    it, which the parent, not this worker, turns into the abort.
     """
     lj, ld, lreal, rj, rd, rreal, task_target = resolve_payload(payload)
     left = np.stack([lj[:lreal], ld[:lreal]], axis=1)
     right = np.stack([rj[:rreal], rd[:rreal]], axis=1)
     keyed, stats = vector_oblivious_join(
-        left, right, with_keys=True, target_m=task_target
+        left, right, with_keys=True, target_m=task_target, defer_overflow=True
     )
-    return keyed, dict(stats.comparisons_by_phase)
-
-
-def _expand_segment_task(payload):
-    """One ``expand_segment`` plan node as an executor task (worker side).
-
-    Like :func:`_join_task` but producing only the cell's output window
-    ``[lo, hi)`` via :func:`~repro.vector.join.vector_join_segment` — a
-    contiguous slice of the cell's sorted keyed run, so it is a valid
-    tournament leaf as-is.  The worker applies the fused expand-truncate
-    bound *before* publishing (the parent cannot truncate a ref tree), and
-    counts the window's real rows pre-truncation so the parent's bound
-    check sees every over-bound row even though the merge truncates early.
-    Returns ``(run_or_refs, segment_name, comparisons, real_rows)`` with
-    the same publish contract as :func:`repro.shard.merge.merge_pair_task`.
-    """
-    lj, ld, lreal, rj, rd, rreal, task_target, lo, hi, truncate, publish = (
-        resolve_payload(payload)
-    )
-    left = np.stack([lj[:lreal], ld[:lreal]], axis=1)
-    right = np.stack([rj[:rreal], rd[:rreal]], axis=1)
-    keyed, stats = vector_join_segment(left, right, task_target, lo, hi)
-    real_rows = int(np.count_nonzero(keyed[:, 1] >= 0))
-    run = {
-        "j": keyed[:, 0].copy(),
-        "d1": keyed[:, 1].copy(),
-        "d2": keyed[:, 2].copy(),
-    }
-    run = truncate_run(run, truncate)
-    comparisons = dict(stats.comparisons_by_phase)
-    if publish:
-        encoded, segment = publish_columns(run)
-        return encoded, segment, comparisons, real_rows
-    return run, None, comparisons, real_rows
+    return keyed, dict(stats.comparisons_by_phase), stats.true_m
 
 
 def _sharded_rank_sort(
@@ -289,7 +266,6 @@ def sharded_oblivious_join(
     target_m: int | None = None,
     executor: str | Executor | None = None,
     plan: Plan | None = None,
-    expand_segments: int | None = None,
 ) -> tuple[np.ndarray, ShardedJoinStats]:
     """Sharded Algorithm 1; returns ``(pairs, stats)``.
 
@@ -300,7 +276,7 @@ def sharded_oblivious_join(
     rule: inline at ``workers=1``, the shared-memory pool above).
 
     ``target_m`` selects padded execution: every grid cell is padded to its
-    public worst case, the merge tournament truncates at the public bound,
+    public cell bound, the merge tournament truncates at the public bound,
     and the whole schedule (grid, ``task_m``, merge) reveals only
     ``(n1, n2, k, target_m)``.  Like every engine, ``target_m`` is clamped
     to the cross-product worst case ``n1 * n2`` (a public function).
@@ -308,14 +284,6 @@ def sharded_oblivious_join(
     ``plan`` is the compiled public plan to consume; ``None`` compiles it
     here from the same public values (``sharded_join_plan``) — passing one
     in (as the multiway cascade does per step) is exactly equivalent.
-
-    Under padded execution each grid cell's distribute-expand runs as the
-    plan's ``expand_segment`` tasks — independent executor tasks over
-    contiguous output windows whose caps come from
-    :func:`~repro.plan.partition.expand_segment_plan` (a pure function of
-    ``(n1, n2, k, target_m)``), each feeding the streaming output
-    tournament directly.  ``expand_segments`` overrides the per-cell
-    segment count (``None`` = the shape-driven default).
     """
     executor = resolve_executor(executor, workers=workers)
     stats = stats if stats is not None else ShardedJoinStats()
@@ -331,22 +299,17 @@ def sharded_oblivious_join(
     blocks = (store_pairs_block_rows(left), store_pairs_block_rows(right))
     block_rows = None if blocks == (None, None) else blocks
     if plan is None:
-        plan = sharded_join_plan(
-            len(left), len(right), shards, target_m, expand_segments, block_rows
-        )
+        plan = sharded_join_plan(len(left), len(right), shards, target_m, block_rows)
     else:
         # A caller-supplied plan compiled for other shapes would silently
         # mis-drive the grid (the payload/cell zip truncates); fail loudly.
         supplied = tuple(
-            plan.shape(name)
-            for name in ("n1", "n2", "k", "target", "segments", "block_rows")
+            plan.shape(name) for name in ("n1", "n2", "k", "target", "block_rows")
         )
-        expected = (
-            len(left), len(right), shards, target_m, expand_segments, block_rows,
-        )
+        expected = (len(left), len(right), shards, target_m, block_rows)
         if supplied != expected:
             raise InputError(
-                f"plan compiled for (n1, n2, k, target, segments, block_rows)="
+                f"plan compiled for (n1, n2, k, target, block_rows)="
                 f"{supplied} cannot drive a join at {expected}"
             )
     stats.plan = plan
@@ -354,37 +317,12 @@ def sharded_oblivious_join(
     sorted_left = _sharded_rank_sort(left, shards, executor, stats)
     # The grid's public bounds come from the plan, not from the data: one
     # grid_join node per (i, j) cell, row-major — the same order as the
-    # payload list grid_join_payloads builds — and, under padded modes,
-    # that cell's expand_segment windows.
+    # payload list grid_join_payloads builds.
     cell_targets = [node.attr("target") for node in plan.nodes_by_op("grid_join")]
-    segment_windows = (
-        expand_segment_windows(plan, shards) if target_m is not None else None
-    )
     pairs = run_join_grid(
-        sorted_left,
-        right,
-        shards,
-        executor,
-        stats,
-        target_m,
-        cell_targets,
-        segment_windows,
+        sorted_left, right, shards, executor, stats, target_m, cell_targets
     )
     return pairs, stats
-
-
-def expand_segment_windows(plan: Plan, shards: int) -> list[list[tuple[int, int]]]:
-    """Per-cell ``[lo, hi)`` expansion windows from the plan, row-major.
-
-    The plan emits ``expand_segment`` nodes in cell order, segments in
-    window order within each cell, so appending preserves the contiguous
-    ``lo`` ordering the driver relies on.
-    """
-    windows: list[list[tuple[int, int]]] = [[] for _ in range(shards * shards)]
-    for node in plan.nodes_by_op("expand_segment"):
-        i, j = node.attr("cell")
-        windows[i * shards + j].append((node.attr("lo"), node.attr("hi")))
-    return windows
 
 
 def grid_join_payloads(
@@ -434,35 +372,13 @@ def run_join_grid(
     stats: ShardedJoinStats,
     target_m: int | None,
     cell_targets,
-    segment_windows=None,
 ) -> np.ndarray:
     """Run the k*k grid over ``executor`` and reassemble the join output.
 
     The post-presort half of :func:`sharded_oblivious_join`.  Returns the
     ``(m, 2)`` pairs array.
-
-    ``segment_windows`` (per cell, row-major, from
-    :func:`expand_segment_windows`) switches the padded grid to segmented
-    expansion: every window dispatches as its own ``_expand_segment_task``
-    and its sorted sub-run is one tournament leaf, so no whole-cell
-    barrier exists between a skewed cell's expansion and the merge.
-    ``None`` (or unpadded execution, whose revealed cell sizes must not be
-    split at data-dependent points) runs whole cells.
     """
     payloads = grid_join_payloads(sorted_left, right, shards, cell_targets, stats)
-    segmented = segment_windows is not None and target_m is not None
-    if segmented:
-        # Workers publish their sub-runs on remote executors, exactly like
-        # the merge rounds: only ref trees cross back to the parent.
-        publish = bool(getattr(executor, "remote_submit", False))
-        task_payloads = []
-        windows_flat = []
-        for cell_payload, windows in zip(payloads, segment_windows):
-            for lo, hi in windows:
-                task_payloads.append((*cell_payload, lo, hi, target_m, publish))
-                windows_flat.append((lo, hi))
-    else:
-        task_payloads = payloads
 
     # Grid tasks stream into the merge tournament as they complete: the
     # bracket (and with it the comparator schedule) is fixed by the plan's
@@ -471,48 +387,31 @@ def run_join_grid(
     # jitter, not schedule.  Pairwise merges run as executor tasks too,
     # overlapping reassembly with still-running grid cells.
     start = time.perf_counter()
-    stats.task_comparisons = [{} for _ in task_payloads]
-    stats.task_m = [0] * len(task_payloads)
-    real_rows = 0
+    stats.task_comparisons = [{} for _ in payloads]
+    stats.task_m = [0] * len(payloads)
+    true_m = 0
     counter = [0]
     tournament = StreamingTournament(
-        len(task_payloads),
+        len(payloads),
         MERGE_KEYS,
         executor=executor,
         counter=counter,
         truncate=target_m,
     )
     try:
-        if segmented:
-            for index, (run, segment, comparisons, task_real) in completion_stream(
-                executor, _expand_segment_task, task_payloads
-            ):
-                stats.task_comparisons[index] = comparisons
-                lo, hi = windows_flat[index]
-                stats.task_m[index] = min(hi - lo, target_m)
-                # Bound-check input: counted worker-side from the window
-                # *before* the fused truncation, so streaming the merge
-                # early cannot hide over-bound rows (see _join_task's
-                # branch below).
-                real_rows += task_real
-                tournament.add_published(index, run, segment)
-        else:
-            for index, (keyed, comparisons) in completion_stream(
-                executor, _join_task, task_payloads
-            ):
-                stats.task_comparisons[index] = comparisons
-                stats.task_m[index] = len(keyed)
-                if target_m is not None:
-                    # Client-side bound check input (no trace impact):
-                    # every real row carries a rank >= 0, dummies carry
-                    # -1.  Counted from the untruncated grid outputs, so
-                    # streaming the (truncating) merge early cannot hide
-                    # over-bound rows.
-                    real_rows += int(np.count_nonzero(keyed[:, 1] >= 0))
-                tournament.add(
-                    index,
-                    {"j": keyed[:, 0], "d1": keyed[:, 1], "d2": keyed[:, 2]},
-                )
+        for index, (keyed, comparisons, cell_m) in completion_stream(
+            executor, _join_task, payloads
+        ):
+            stats.task_comparisons[index] = comparisons
+            stats.task_m[index] = len(keyed)
+            # Bound-check input: each cell's true size as its worker
+            # counted it, so neither the fused truncation nor an
+            # over-bound cell's all-dummy run can hide over-bound rows.
+            true_m += cell_m
+            tournament.add(
+                index,
+                {"j": keyed[:, 0], "d1": keyed[:, 1], "d2": keyed[:, 2]},
+            )
         # Merge work executed eagerly inside add() (inline submits) is
         # tournament time, not grid time — split it out so the reported
         # merge phase covers the reassembly on every executor, not just
@@ -525,7 +424,9 @@ def run_join_grid(
 
         start = time.perf_counter()
         if target_m is not None:
-            exceeds_bound(real_rows, target_m)
+            # Only now — after the whole grid ran its public schedule —
+            # may the abort happen (one bit, not the overflowing cell).
+            exceeds_bound(true_m, target_m)
         merged = tournament.result()
     except BaseException:
         tournament.close()

@@ -188,7 +188,6 @@ def sharded_join_tree(
     plan: Plan | None = None,
     padding: str | None = None,
     bound=None,
-    expand_segments: int | None = None,
 ) -> tuple[JoinTreeResult, ShardedJoinTreeStats]:
     """Sharded Yannakakis join tree; returns ``(result, stats)``.
 
@@ -205,13 +204,10 @@ def sharded_join_tree(
     inputs = prepare_tables(tables, edges, padding)
     target = join_tree_bound(inputs.sizes, padding, bound)
     if plan is None:
-        plan = sharded_join_tree_plan(
-            inputs.sizes, inputs.edges, shards, target, expand_segments
-        )
+        plan = sharded_join_tree_plan(inputs.sizes, inputs.edges, shards, target)
     else:
         supplied = tuple(
-            plan.shape(name)
-            for name in ("sizes", "edges", "k", "target", "segments")
+            plan.shape(name) for name in ("sizes", "edges", "k", "target")
         )
         expected = (
             inputs.sizes,
@@ -221,11 +217,10 @@ def sharded_join_tree(
             ),
             shards,
             target,
-            expand_segments,
         )
         if supplied != expected:
             raise InputError(
-                f"plan compiled for (sizes, edges, k, target, segments)="
+                f"plan compiled for (sizes, edges, k, target)="
                 f"{supplied} cannot drive a join tree at {expected}"
             )
     stats.plan = plan
@@ -282,11 +277,7 @@ def sharded_join_tree(
     if padded:
         windows = join_tree_windows(plan)
     else:
-        _, win_rows = join_tree_window_plan(
-            slot_space,
-            inputs.sizes,
-            expand_segments if expand_segments is not None else shards,
-        )
+        _, win_rows = join_tree_window_plan(slot_space, shards)
         spans, offset = [], 0
         for rows in win_rows:
             spans.append((offset, offset + rows))

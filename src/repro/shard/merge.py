@@ -318,15 +318,15 @@ class StreamingTournament:
     def add_published(self, index: int, run, segment: str | None) -> None:
         """Fold a leaf whose columns a worker parked in shared memory.
 
-        The producer task (an ``expand_segment``) already applied the
-        ``truncate`` bound before publishing, so ``run`` — the encoded ref
-        tree — is placed as-is, and ``segment`` is booked for release
+        The producer task (a join-tree slot window, which lies inside the
+        ``truncate`` bound by construction) published its run itself, so
+        ``run`` — the encoded ref tree, which the parent could not cut
+        anyway — is placed as-is, and ``segment`` is booked for release
         exactly like a merge round's published output: it feeds the next
         pairwise merge by name, and :meth:`close` unlinks it on any abort
-        (including a mid-grid :class:`~repro.errors.BoundError`) while it
-        is still waiting for its bracket mate.  ``segment=None`` (an
-        all-empty run, or a non-publishing executor) falls back to the
-        plain :meth:`add`.
+        while it is still waiting for its bracket mate.  ``segment=None``
+        (an all-empty run, or a non-publishing executor) falls back to
+        the plain :meth:`add`.
         """
         if segment is None:
             self.add(index, run)

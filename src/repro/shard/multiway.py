@@ -73,7 +73,6 @@ def sharded_multiway_join(
     padding: str | None = None,
     bound=None,
     executor: str | Executor | None = None,
-    expand_segments: int | None = None,
 ) -> MultiwayResult:
     """Sharded left-deep cascade; same contract as the traced/vector versions."""
     padding = check_padding(padding)
@@ -88,7 +87,7 @@ def sharded_multiway_join(
         # The cascade's public schedule, fixed before any data moves: one
         # compiled join plan per step at (previous bound, n_s, bound_s).
         step_plans = [
-            sharded_join_plan(left, right, shards, target, expand_segments)
+            sharded_join_plan(left, right, shards, target)
             for left, right, target in multiway_step_shapes(sizes, bounds)
         ]
 
@@ -102,7 +101,6 @@ def sharded_multiway_join(
                 target_m=target,
                 executor=executor,
                 plan=step_plans[step],
-                expand_segments=expand_segments,
             )
             stats.step_stats.append(step_stats)
             stats.intermediate_sizes.append(step_stats.m)

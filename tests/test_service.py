@@ -33,6 +33,7 @@ from repro.service import (
     ServiceEngine,
     ServiceError,
 )
+from repro.service.server import MAX_REQUEST_BYTES
 
 
 @pytest.fixture
@@ -514,6 +515,35 @@ def test_server_answers_every_bad_request_and_keeps_the_connection(
                 client.query({"op": "join"})
             assert failure.value.kind == "InternalError"
             assert "internal error" in caplog.text  # traceback was logged
+            assert client.ping()
+            client.shutdown()
+
+
+def test_server_registers_a_table_past_the_old_64_kib_line_limit():
+    """A 9 000-row ``register`` is a ~107 KB line — over asyncio's default
+    reader limit, which used to kill the connection with no response."""
+    rows = [(key, 10 * key) for key in range(9000)]
+    table = DBTable.from_rows(["k:int", "v:int"], rows)
+    spec = {"op": "filter", "table": "t", "column": "k", "cmp": "ge", "value": 8998}
+    with _ServerThread(ServiceEngine(engine="vector")) as server:
+        with ServiceClient(port=server.port) as client:
+            assert client.register_table("t", table) == len(rows)
+            kept, _ = client.query(spec)
+            assert kept.rows == rows[8998:]
+            client.shutdown()
+
+
+def test_server_answers_an_over_limit_line_once_and_keeps_serving():
+    """A line over MAX_REQUEST_BYTES gets exactly one ``ok: false`` line
+    naming the limit; that connection is closed, the server is not."""
+    with _ServerThread(ServiceEngine(engine="vector")) as server:
+        with ServiceClient(port=server.port) as client:
+            with pytest.raises(ServiceError, match=str(MAX_REQUEST_BYTES)) as failure:
+                client.request({"op": "ping", "pad": "x" * MAX_REQUEST_BYTES})
+            assert failure.value.kind == "InputError"
+            # No second line follows: the next read is the server's EOF.
+            assert client._reader.readline() == b""
+        with ServiceClient(port=server.port) as client:
             assert client.ping()
             client.shutdown()
 

@@ -1,11 +1,13 @@
 """Unit tests for the shard subsystem's primitives.
 
 Partitioner (plans are functions of ``(n, k)`` only), bitonic merge
-(sorted-run reassembly + comparator accounting), and the executor
-(pool vs inline equivalence).
+(sorted-run reassembly + comparator accounting), the executor
+(pool vs inline equivalence), and the sharded join's phase accounting.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputError
-from repro.plan.executors import check_workers, resolve_executor
+from repro.plan.executors import (
+    InlineExecutor,
+    PoolExecutor,
+    ShuffleExecutor,
+    check_workers,
+    resolve_executor,
+)
+from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.shard.merge import (
     bitonic_merge_two,
     merge_comparator_count,
@@ -143,3 +152,42 @@ def test_worker_validation():
         check_workers(0)
     with pytest.raises(InputError):
         _default_map([1], workers=-1)
+
+
+# -- sharded join: phase accounting partitions the wall clock ----------------
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        pytest.param(InlineExecutor(), id="inline"),
+        pytest.param(ShuffleExecutor(seed=1), id="shuffle"),
+        pytest.param(PoolExecutor(workers=2), id="pool"),
+    ],
+)
+@pytest.mark.parametrize("target", [None, 7 * 6], ids=["revealed", "padded"])
+def test_phase_seconds_partition_the_wall_clock_on_every_executor(
+    executor, target
+):
+    """The accounting contract: the five phase keys are exactly
+    {partition, presort, presort_merge, tasks, merge}, every phase is
+    non-negative, and their sum never exceeds the measured wall time —
+    i.e. no phase double-attributes the tournament fold the way the
+    presort once did on eager executors."""
+    left = [(0, v) for v in range(7)]
+    right = [(0, v) for v in range(6)]
+    stats = ShardedJoinStats()
+    start = time.perf_counter()
+    sharded_oblivious_join(
+        left, right, shards=2, stats=stats, target_m=target, executor=executor
+    )
+    wall = time.perf_counter() - start
+    assert set(stats.seconds_by_phase) == {
+        "partition",
+        "presort",
+        "presort_merge",
+        "tasks",
+        "merge",
+    }
+    assert all(seconds >= 0.0 for seconds in stats.seconds_by_phase.values())
+    assert stats.total_seconds <= wall + 1e-6

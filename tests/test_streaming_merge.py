@@ -201,30 +201,81 @@ def test_padded_join_streams_identically_across_substrates():
         ]
 
 
-@pytest.mark.parametrize("expand_segments", [None, 2])
-def test_bounded_abort_still_raises_while_merges_are_in_flight(
-    expand_segments, shm_leak_guard
-):
-    """The bound check counts untruncated grid outputs, so a too-small
-    bound aborts even though the streaming merge already started; the
-    tournament's close() path reclaims the in-flight worker merges AND
-    the published expand-segment leaf runs — a BoundError mid-grid must
-    not leak the sub-runs workers parked in shared memory."""
+def test_bounded_abort_still_raises_while_merges_are_in_flight(shm_leak_guard):
+    """The bound check sums the cells' true sizes, so a too-small bound
+    aborts even though the streaming merge already started; the
+    tournament's close() path reclaims the in-flight worker merges — a
+    BoundError after the grid must not leak the runs workers parked in
+    shared memory."""
     left = [(0, value) for value in range(8)]
     right = [(0, value) for value in range(8)]
     for executor in (ShuffleExecutor(seed=0), PoolExecutor(workers=2)):
         before = shm_segments()
         with pytest.raises(BoundError, match="exceeds the public padding bound"):
             sharded_oblivious_join(
-                left,
-                right,
-                shards=2,
-                target_m=16,
-                executor=executor,
-                expand_segments=expand_segments,
+                left, right, shards=2, target_m=16, executor=executor
             )
         leaked = shm_segments() - before
-        assert not leaked, (executor.name, expand_segments, leaked)
+        assert not leaked, (executor.name, leaked)
+
+
+#: Over-bound inputs at n=64, k=2, bound=96 (cell bound 96 < 32 * 32).
+#: "hot": one key everywhere, so each cell alone holds 1024 > 96 rows.
+#: "spread": every cell holds 32 <= 96 rows, their sum 128 > 96.
+OVER_BOUND = {
+    "hot": ([(0, v) for v in range(64)], [(0, v) for v in range(64)]),
+    "spread": (
+        [(v // 2, v) for v in range(64)],
+        [(v % 32, v) for v in range(64)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        pytest.param(InlineExecutor(), id="inline"),
+        pytest.param(PoolExecutor(workers=2), id="pool"),
+    ],
+)
+@pytest.mark.parametrize("shape", sorted(OVER_BOUND))
+def test_over_bound_cells_defer_the_abort_to_the_parent(
+    shape, executor, shm_leak_guard
+):
+    """The abort discipline: a cell above its bound must not raise in its
+    worker (that would reveal *which* cell overflowed).  Every cell runs
+    its public schedule, the parent raises once with the vector engine's
+    text — the total true size, not a cell's — and the pool stays usable."""
+    left, right = OVER_BOUND[shape]
+    bound = 96
+    with pytest.raises(BoundError) as vector_abort:
+        vector_oblivious_join(left, right, target_m=bound)
+
+    stats = ShardedJoinStats()
+    with pytest.raises(BoundError) as abort:
+        sharded_oblivious_join(
+            left, right, shards=2, stats=stats, target_m=bound, executor=executor
+        )
+    assert str(abort.value) == str(vector_abort.value)
+
+    # The next query on the same executor is an in-bound input of the same
+    # shape: it succeeds, and the aborted run recorded the same schedule.
+    in_bound = [(v, v) for v in range(64)]
+    expected, _ = vector_oblivious_join(in_bound, in_bound, target_m=bound)
+    in_bound_stats = ShardedJoinStats()
+    pairs, _ = sharded_oblivious_join(
+        in_bound,
+        in_bound,
+        shards=2,
+        stats=in_bound_stats,
+        target_m=bound,
+        executor=executor,
+    )
+    assert pairs.tobytes() == expected.tobytes()
+    assert len(stats.task_comparisons) == 4 and all(stats.task_comparisons)
+    assert stats.task_comparisons == in_bound_stats.task_comparisons
+    assert stats.task_m == in_bound_stats.task_m == [bound] * 4
+    assert stats.plan.serialize() == in_bound_stats.plan.serialize()
 
 
 def test_merge_keys_are_the_documented_total_order():
