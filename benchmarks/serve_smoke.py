@@ -4,9 +4,11 @@ Spawns ``python -m repro serve --port 0`` as a real subprocess, parses the
 ``listening on HOST:PORT`` line it prints, registers two tables through
 :class:`ServiceClient`, and runs the same join three times.  The contract
 under test is the service layer's reason to exist: the first query is
-cold (plan + encoding caches miss), the second and third report
-``warm: true`` with zero plan-cache misses — and all three return
-byte-identical rows, because caching must be invisible in every output.
+cold (the encoding cache misses), the second and third report
+``warm: true`` with encoding-cache hits and no new encoder pass — and all
+three return byte-identical rows, because caching must be invisible in
+every output.  ``--engine sharded`` runs the same contract on the sharded
+engine's warm executor.
 
 Exits non-zero (assertion) on any violation; the server is torn down via
 the protocol's ``shutdown`` op so the clean-exit path is exercised too.
@@ -66,8 +68,9 @@ def main(argv: list[str] | None = None) -> int:
         assert not stats[0]["warm"], f"first query reported warm: {stats[0]}"
         for which, stat in enumerate(stats[1:], start=2):
             assert stat["warm"], f"query {which} was not a warm hit: {stat}"
-            assert stat["plan_cache"]["misses"] == 0, (
-                f"query {which} recompiled a plan: {stat}"
+            cache = stat["encoding_cache"]
+            assert cache["hits"] > 0 and cache["encode_passes"] == 0, (
+                f"query {which} re-encoded a table: {stat}"
             )
 
         with ServiceClient(host, int(port)) as client:

@@ -17,8 +17,8 @@ Commands
 ``trace``    print a Figure-7-style access-pattern raster for a small join
 ``predict``  Figure-8 enclave cost predictions for a given input size
 ``engines``  list the registered execution engines and their options
-``serve``    start the query service: one warm engine + cross-query plan/
-             encoding caches behind a JSON-lines TCP server
+``serve``    start the query service: one warm engine, its encoding cache
+             and a warm executor pool behind a JSON-lines TCP server
              (``python -m repro serve --engine sharded --workers 4
              --table orders=orders.csv``); prints ``listening on
              HOST:PORT`` once bound (``--port 0`` picks a free port)
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="start the query service (warm engine + cross-query caches)",
+        help="start the query service (warm engine + encoding cache + warm pool)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(

@@ -1,11 +1,9 @@
-"""Cross-query cache of dictionary encodings and published table columns.
+"""Cross-query cache of dictionary encodings.
 
-Every relational operator starts the same way: scan a table's key columns,
-dictionary-encode the ``str`` ones, and (on the sharded engine) partition
-the encoded pairs into padded shards that get written into a shared-memory
-arena for the workers.  All of that is a pure function of ``(table
-contents, column, encoder)`` — so a persistent process serving a series of
-queries over the same tables can do it *once*.
+Every relational operator starts the same way: scan a table's key columns
+and dictionary-encode the ``str`` ones.  That is a pure function of
+``(table contents, column, encoder)`` — so a persistent process serving a
+series of queries over the same tables can do it *once*.
 
 :class:`EncodingCache` memoises, per ``(table identity, table version)``:
 
@@ -13,29 +11,26 @@ queries over the same tables can do it *once*.
   (:meth:`encoded_rows`) — the dictionary-encoder column scans;
 * the **pre-warm passes** :class:`~repro.db.query.ObliviousEngine` runs
   before a multiway cascade (:meth:`prewarm`) — previously re-run on every
-  call over the same tables;
-* the ``(key, row-handle)`` **pairs arrays** the engines consume
-  (:meth:`key_handle_pairs`), registered as stable *sources* for the
-  partition cache; and
-* the padded **shard parts** of those arrays (:meth:`lookup_parts` /
-  :meth:`offer_parts`, the hook :func:`repro.shard.partition.partition_pairs`
-  consults) — with the part columns *pinned* into parent-published
-  shared-memory segments (:func:`repro.plan.executors.host_publish_arrays`)
-  when ``publish=True``, so repeat queries skip the parent->worker column
-  write entirely.
+  call over the same tables; and
+* the ``(key, row-handle)`` **pairs arrays** the numpy engines consume
+  (:meth:`key_handle_pairs`).
+
+Nothing downstream of the encoding is kept: shard parts are re-cut and
+re-shipped by every query (caching them measured level; see the "Query
+service" section of ``docs/architecture.md``).
 
 Invalidation is by table version: any mutation through
 :class:`~repro.db.table.DBTable`'s mutation API (or an explicit
-``table.touch()``) makes every cached value — and every pinned segment —
-for that table stale on the next lookup.  Entries are keyed by
-``id(table)`` with a weakref keepalive check, evicted LRU beyond
-``max_tables``, and dropped when the table is garbage collected.
+``table.touch()``) makes every cached value for that table stale on the
+next lookup.  Entries are keyed by ``id(table)`` with a weakref keepalive
+check, evicted LRU beyond ``max_tables``, and dropped when the table is
+garbage collected.
 
 Thread safety: one re-entrant lock guards all state, so the service layer
 can admit concurrent queries.  Cached values are immutable by convention —
 list-valued results are returned as shallow copies; the pairs arrays are
-returned by identity on purpose (identity is what keys the partition
-cache) and every consumer treats them as read-only.
+returned by identity (the copy would be the whole cost) and every consumer
+treats them as read-only.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..plan.executors import host_publish_arrays, host_unpublish
 from .encoding import DictionaryEncoder
 from .table import DBTable
 
@@ -61,58 +55,28 @@ class _TableEntry:
     ref: "weakref.ref[DBTable]"
     version: int
     values: dict = field(default_factory=dict)
-    #: Pinned shared-memory segment names owned by this entry.
-    segments: set = field(default_factory=set)
-    #: ``id(array)`` keys this entry registered as partition sources.
-    sources: set = field(default_factory=set)
 
 
 class EncodingCache:
-    """Cross-query dictionary-encoding + published-column cache.
+    """Cross-query dictionary-encoding cache."""
 
-    ``publish=True`` additionally pins cached shard parts into
-    parent-published shared-memory segments — only worth it when a remote
-    executor will consume them (the service layer flips it on when the
-    engine's executor reports ``remote_submit``).
-    """
-
-    def __init__(self, publish: bool = False, max_tables: int = 64) -> None:
-        self.publish = publish
+    def __init__(self, max_tables: int = 64) -> None:
         self.max_tables = max_tables
         self._lock = threading.RLock()
         self._tables: "OrderedDict[int, _TableEntry]" = OrderedDict()
-        #: id(array) -> (array keepalive, owning table key): the partition
-        #: cache only ever acts on arrays registered here, which is what
-        #: makes id() keying safe — a key cannot be reused while the
-        #: registry holds the array.
-        self._sources: dict[int, tuple[np.ndarray, int]] = {}
         #: Encoders seen, kept alive so id(encoder) cache keys stay unique.
         self._encoders: dict[int, DictionaryEncoder] = {}
         #: Keys of entries whose tables were garbage collected; appended
         #: from weakref callbacks (which may fire anywhere), drained under
         #: the lock at the next cache operation.
         self._dead: list[int] = []
-        self.stats = {
-            "hits": 0,
-            "misses": 0,
-            "encode_passes": 0,
-            "published_segments": 0,
-        }
+        self.stats = {"hits": 0, "misses": 0, "encode_passes": 0}
 
     # -- entry lifecycle -----------------------------------------------------
 
     def _reap(self) -> None:
         while self._dead:
-            self._drop(self._dead.pop())
-
-    def _drop(self, key: int) -> None:
-        entry = self._tables.pop(key, None)
-        if entry is None:
-            return
-        for source_key in entry.sources:
-            self._sources.pop(source_key, None)
-        if entry.segments:
-            host_unpublish(entry.segments)
+            self._tables.pop(self._dead.pop(), None)
 
     def _entry(self, table: DBTable) -> _TableEntry:
         key = id(table)
@@ -130,15 +94,14 @@ class EncodingCache:
             if held is table and entry.version == version:
                 self._tables.move_to_end(key)
                 return entry
-            self._drop(key)  # mutated, or the id was reused after a gc
+            del self._tables[key]  # mutated, or the id was reused after a gc
         entry = _TableEntry(
             ref=weakref.ref(table, lambda _, key=key: self._dead.append(key)),
             version=version,
         )
         self._tables[key] = entry
         while len(self._tables) > self.max_tables:
-            oldest, _ = next(iter(self._tables.items()))
-            self._drop(oldest)
+            self._tables.popitem(last=False)
         return entry
 
     def _remember_encoder(self, encoder: DictionaryEncoder) -> int:
@@ -233,16 +196,15 @@ class EncodingCache:
             entry.values[key] = rows
             return list(rows)
 
-    # -- engine-shaped pairs arrays (partition-cache sources) ----------------
+    # -- engine-shaped pairs arrays ------------------------------------------
 
     def key_handle_pairs(
         self, table: DBTable, column: str, encoder: DictionaryEncoder
     ) -> np.ndarray:
         """The join input ``(n, 2)`` array of ``(encoded key, row handle)``.
 
-        Returned by *identity* across calls: the stable array object is
-        what the partition cache keys its shard parts on, and consumers
-        treat pairs inputs as read-only by contract.
+        Returned by *identity* across calls (no per-query rebuild);
+        consumers treat pairs inputs as read-only by contract.
         """
         with self._lock:
             self._reap()
@@ -257,70 +219,21 @@ class EncodingCache:
             array[:, 0] = keys
             array[:, 1] = np.arange(len(keys), dtype=_INT)
             entry.values[key] = array
-            source_key = id(array)
-            self._sources[source_key] = (array, id(table))
-            entry.sources.add(source_key)
             return array
-
-    # -- the partition-cache hook (repro.shard.partition consults this) ------
-
-    def lookup_parts(self, array: np.ndarray, k: int):
-        """Cached shard parts of a registered source array, or ``None``."""
-        with self._lock:
-            source = self._sources.get(id(array))
-            if source is None or source[0] is not array:
-                return None
-            entry = self._tables.get(source[1])
-            if entry is None:
-                return None
-            parts = entry.values.get(("parts", id(array), k))
-            if parts is None:
-                return None
-            self.stats["hits"] += 1
-            return parts
-
-    def offer_parts(self, array: np.ndarray, k: int, parts) -> None:
-        """Cache freshly computed shard parts of a registered source array.
-
-        Unregistered arrays (every per-query intermediate) are ignored —
-        caching them would pin arbitrary query state forever.  With
-        ``publish`` on, the part columns are pinned into one
-        parent-published segment so later dispatches ship refs, not bytes.
-        """
-        with self._lock:
-            source = self._sources.get(id(array))
-            if source is None or source[0] is not array:
-                return
-            entry = self._tables.get(source[1])
-            if entry is None:
-                return
-            self.stats["misses"] += 1
-            entry.values[("parts", id(array), k)] = list(parts)
-            if self.publish and all(
-                isinstance(part.j, np.ndarray) for part in parts
-            ):
-                # Store-backed parts are block refs, not arrays — workers
-                # fault them in themselves, so there is nothing to pin.
-                columns = [part.j for part in parts] + [part.d for part in parts]
-                segment = host_publish_arrays(columns)
-                if segment is not None:
-                    entry.segments.add(segment)
-                    self.stats["published_segments"] += 1
 
     # -- lifecycle -----------------------------------------------------------
 
     def invalidate(self, table: DBTable) -> None:
-        """Drop everything cached for one table (and its pinned segments)."""
+        """Drop everything cached for one table."""
         with self._lock:
             self._reap()
-            self._drop(id(table))
+            self._tables.pop(id(table), None)
 
     def close(self) -> None:
-        """Drop every entry and unpin every published segment."""
+        """Drop every entry."""
         with self._lock:
-            self._reap()
-            for key in list(self._tables):
-                self._drop(key)
+            self._dead.clear()
+            self._tables.clear()
             self._encoders.clear()
 
     def snapshot(self) -> dict:

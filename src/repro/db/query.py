@@ -84,9 +84,9 @@ class ObliviousEngine:
     ) -> None:
         self.tracer = tracer or Tracer()
         self.encoder = DictionaryEncoder()
-        # Encoder passes (and their downstream artifacts) are memoised per
-        # (table, version); a private cache makes single queries no slower,
-        # a shared one (the service layer's) makes repeats skip the scans.
+        # Encoder passes are cached per (table, version): a one-shot engine
+        # pays each scan once, a long-lived one (the service layer's) skips
+        # them on repeat queries.
         self.encoding = encoding_cache if encoding_cache is not None else EncodingCache()
         self.engine = get_engine(engine, **engine_options)
 
@@ -94,6 +94,30 @@ class ObliviousEngine:
 
     def _encode_key(self, table: DBTable, column: str) -> list[int]:
         return self.encoding.encoded_keys(table, column, self.encoder)
+
+    def _join_input(self, table: DBTable, column: str):
+        """One join side as ``(encoded key, row handle)`` pairs, in the form
+        the engine reads without a rebuild.
+
+        A store-backed table joining on an int column hands the sharded
+        engine a :class:`~repro.store.StorePairs` descriptor instead of a
+        materialised array — the partitioner then ships block refs and the
+        workers fault in only their plan-named blocks (``str`` keys need
+        the dictionary encoder, so they take the resident path).  The numpy
+        engines get the cached ``(n, 2)`` array; ``traced`` iterates
+        tuples.
+        """
+        name = self.engine.name
+        if (
+            name == "sharded"
+            and hasattr(table, "store_pairs")
+            and table.schema.column(column).type == "int"
+        ):
+            return table.store_pairs(column)
+        if name in ("vector", "sharded"):
+            return self.encoding.key_handle_pairs(table, column, self.encoder)
+        keys = self._encode_key(table, column)
+        return list(zip(keys, range(len(keys))))
 
     # -- operators ----------------------------------------------------------
 
@@ -109,11 +133,11 @@ class ObliviousEngine:
         The result contains all columns of both inputs (clashing names get
         dotted prefixes).  Core algorithm: the paper's Algorithm 1.
         """
-        left_keys = self._encode_key(left, on[0])
-        right_keys = self._encode_key(right, on[1])
-        pairs_left = list(zip(left_keys, range(len(left))))
-        pairs_right = list(zip(right_keys, range(len(right))))
-        result = self.engine.join(pairs_left, pairs_right, tracer=self.tracer)
+        result = self.engine.join(
+            self._join_input(left, on[0]),
+            self._join_input(right, on[1]),
+            tracer=self.tracer,
+        )
         schema = left.schema.concat(right.schema, prefixes)
         # Padded engines append (-1, -1) dummy pairs after the real rows;
         # compaction is exact because real handles are >= 0 (and a no-op

@@ -66,7 +66,11 @@ class Schema:
             )
         for value, column in zip(row, self.columns):
             expected = int if column.type == "int" else str
-            if not isinstance(value, expected):
+            # bool is an int subclass: a JSON `true` must not pass as key 1.
+            # (Exact type first: this runs per cell of every table built.)
+            if type(value) is not expected and (
+                isinstance(value, bool) or not isinstance(value, expected)
+            ):
                 raise SchemaError(
                     f"column {column.name!r} expects {column.type}, got "
                     f"{type(value).__name__} ({value!r})"

@@ -16,7 +16,7 @@ class DBTable:
     anything else that memoises per-table derived state) keys on
     ``(id(table), version)``, so going through :meth:`append_row` /
     :meth:`extend_rows` — or calling :meth:`touch` after editing ``rows``
-    in place — invalidates every cached encoding and published column.
+    in place — invalidates every cached encoding.
     """
 
     def __init__(self, schema: Schema, rows: Iterable[tuple] = ()) -> None:

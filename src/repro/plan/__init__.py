@@ -52,8 +52,6 @@ from .executors import (
     completion_stream,
     executor_stats,
     get_executor,
-    host_publish_arrays,
-    host_unpublish,
     resolve_executor,
     shutdown_pools,
     shutdown_warm_executors,
@@ -62,7 +60,6 @@ from .executors import (
     warm_pool,
 )
 from .ir import MergeNode, OpNode, Plan, PlanBuilder, tournament_schedule
-from .memo import active_plan_memo, memoised, set_plan_memo
 from .partition import check_shards, partition_plan, shard_capacity, shard_counts
 
 __all__ = [
@@ -76,7 +73,6 @@ __all__ = [
     "PoolExecutor",
     "ShuffleExecutor",
     "WORKLOADS",
-    "active_plan_memo",
     "available_executors",
     "check_shards",
     "compile_aggregate",
@@ -89,12 +85,8 @@ __all__ = [
     "completion_stream",
     "executor_stats",
     "get_executor",
-    "host_publish_arrays",
-    "host_unpublish",
-    "memoised",
     "partition_plan",
     "resolve_executor",
-    "set_plan_memo",
     "shard_capacity",
     "shard_counts",
     "shutdown_pools",

@@ -37,7 +37,6 @@ from ..core.join_tree import (
 from ..core.padding import cascade_bounds, check_padding, join_bound
 from ..errors import InputError
 from .ir import Plan, PlanBuilder, tournament_schedule
-from .memo import memoised
 from .partition import (
     block_aligned_partition_plan,
     check_shards,
@@ -123,7 +122,6 @@ def _add_merge_tournament(
 # -- join --------------------------------------------------------------------
 
 
-@memoised("plan")
 def inline_join_plan(engine: str, n1: int, n2: int, target: int | None) -> Plan:
     """Algorithm 1 as a linear pipeline at public sizes.
 
@@ -145,7 +143,6 @@ def inline_join_plan(engine: str, n1: int, n2: int, target: int | None) -> Plan:
     return builder.build()
 
 
-@memoised("plan")
 def sharded_join_plan(
     n1: int,
     n2: int,
@@ -276,7 +273,6 @@ def sharded_join_plan(
 # -- aggregate / group-by ----------------------------------------------------
 
 
-@memoised("plan")
 def inline_aggregate_plan(engine: str, workload: str, n1: int, n2: int) -> Plan:
     """Single-shot aggregation: one sort + segmented reduce at ``n1 + n2``."""
     builder = PlanBuilder(workload, engine, n1=n1, n2=n2)
@@ -287,7 +283,6 @@ def inline_aggregate_plan(engine: str, workload: str, n1: int, n2: int) -> Plan:
     return builder.build()
 
 
-@memoised("plan")
 def sharded_aggregate_plan(
     workload: str, n1: int, n2: int, k: int, padded: bool
 ) -> Plan:
@@ -331,7 +326,6 @@ def sharded_aggregate_plan(
 # -- filter ------------------------------------------------------------------
 
 
-@memoised("plan")
 def inline_filter_plan(engine: str, n: int) -> Plan:
     builder = PlanBuilder("filter", engine, n=n)
     mask = builder.add("input", side="mask", rows=n)
@@ -339,7 +333,6 @@ def inline_filter_plan(engine: str, n: int) -> Plan:
     return builder.build()
 
 
-@memoised("plan")
 def sharded_filter_plan(n: int, k: int, padded: bool) -> Plan:
     """Per-block compaction; ``padded`` ships every survivor list at the
     block capacity (tagged tail), hiding the per-shard survivor counts."""
@@ -366,7 +359,6 @@ def sharded_filter_plan(n: int, k: int, padded: bool) -> Plan:
 # -- order-by ----------------------------------------------------------------
 
 
-@memoised("plan")
 def inline_order_plan(engine: str, n: int) -> Plan:
     builder = PlanBuilder("order_by", engine, n=n)
     rows = builder.add("input", side="keys", rows=n)
@@ -374,7 +366,6 @@ def inline_order_plan(engine: str, n: int) -> Plan:
     return builder.build()
 
 
-@memoised("plan")
 def sharded_order_plan(n: int, k: int) -> Plan:
     check_shards(k)
     builder = PlanBuilder("order_by", "sharded", n=n, k=k)
@@ -415,7 +406,6 @@ def multiway_step_shapes(
     return shapes
 
 
-@memoised("plan")
 def multiway_plan(
     sizes: list[int],
     engine: str,
@@ -514,7 +504,6 @@ def _edge_shapes(edges) -> tuple:
     )
 
 
-@memoised("plan")
 def inline_join_tree_plan(engine: str, sizes, edges, target: int | None) -> Plan:
     """A join tree's single-process schedule at public sizes.
 
@@ -584,7 +573,6 @@ def inline_join_tree_plan(engine: str, sizes, edges, target: int | None) -> Plan
     return builder.build()
 
 
-@memoised("plan")
 def sharded_join_tree_plan(sizes, edges, k: int, target: int | None) -> Plan:
     """The sharded join tree's full public schedule.
 
@@ -809,7 +797,6 @@ def _deferred_stage_plan(workload: str, engine: str, op: str, **attrs) -> Plan:
     return builder.build()
 
 
-@memoised("plan")
 def compile_pipeline(
     ops,
     engine: str = "traced",
@@ -982,7 +969,6 @@ def compile_pipeline(
     return builder.build()
 
 
-@memoised("plan")
 def compile_workload(
     workload: str,
     engine: str = "vector",

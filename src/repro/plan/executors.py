@@ -50,6 +50,14 @@ later dispatches reuse it (:func:`shutdown_pools` tears them down; an
 ``atexit`` hook does so at interpreter exit).  ``map`` returns results in
 payload order, so the execution strategy never changes the output — the
 executor-parametrised differential suite pins that bit for bit.
+
+What is process-wide here is stateless between queries: the pools in
+``_POOLS``, the warm-executor registry (:func:`warm_executor`) and each
+worker's two attach caches (dispatch arena, published runs).  No segment
+outlives the query that created it.  The one sharing rule callers must
+keep is **one dispatching thread per process** on the pool transport:
+:func:`_borrowed_segment_ownership` patches the resource tracker for the
+length of a borrowed open.
 """
 
 from __future__ import annotations
@@ -88,17 +96,6 @@ _ARENA_LIMIT = 1
 _ATTACHED_RUNS: "OrderedDict[str, object]" = OrderedDict()
 _RUN_LIMIT = 8
 _RUN_BYTES_LIMIT = 64 * 2**20
-
-#: *Pinned* table segments a worker has attached — columns the parent
-#: published once (:func:`host_publish_arrays`) so repeat queries over the
-#: same table skip the parent->worker column write entirely.  They outlive
-#: dispatches *and* queries (the service layer unpublishes on table
-#: mutation or shutdown), so they must never be evicted by a dispatch
-#: arena or a run segment; they get their own LRU with its own byte
-#: budget.
-_ATTACHED_TABLES: "OrderedDict[str, object]" = OrderedDict()
-_TABLE_LIMIT = 16
-_TABLE_BYTES_LIMIT = 256 * 2**20
 
 
 def check_workers(workers: int) -> int:
@@ -148,9 +145,8 @@ class _ArrayRef:
     """Wire stand-in for one ndarray: segment name + layout, no bytes.
 
     ``published`` marks refs into worker-published run segments (the
-    cross-dispatch cache) as opposed to a dispatch's arena; ``pinned``
-    marks refs into *parent*-published table segments (the cross-query
-    column cache).  The worker attach cache treats the three differently.
+    cross-dispatch cache) as opposed to a dispatch's arena; the worker
+    attach cache treats the two differently.
     """
 
     segment: str
@@ -158,7 +154,6 @@ class _ArrayRef:
     dtype: str
     shape: tuple[int, ...]
     published: bool = False
-    pinned: bool = False
 
 
 @contextmanager
@@ -220,11 +215,6 @@ def _encode(obj, arena: dict, chunks: list):
             return value
         if value.nbytes == 0:
             return value  # zero-size arrays ship inline (nothing to share)
-        hosted = _HOST_PUBLISHED.get(id(value))
-        if hosted is not None and hosted[0] is value:
-            # A column the parent already published cross-query: ship the
-            # pinned ref instead of re-writing the bytes into the arena.
-            return hosted[1]
         ref = arena.get(id(value))
         if ref is None:
             contiguous = np.ascontiguousarray(value)
@@ -297,26 +287,21 @@ def _rename(obj, name: str, published: bool = False):
     return _map_tree(obj, leaf)
 
 
-def _attach(name: str, published: bool = False, pinned: bool = False):
+def _attach(name: str, published: bool = False):
     """Worker side: map a segment by name, caching recent attachments.
 
     The parent owns every segment's lifecycle (it unlinks after the
     dispatch, or — for published runs — when the consuming tournament
-    finishes, or — for pinned table columns — when the table mutates or
-    the service shuts down); a worker's mapping stays valid until closed,
-    which is what lets the tasks of one dispatch share a single attach.
-    Dispatch arenas, published run segments and pinned table segments
-    cache separately: a new dispatch's first task evicts (and frees) the
-    previous dispatch's O(n) arena immediately, the small published-run
-    segments keep a short LRU of their own, and pinned table columns —
-    reused query after query — keep the longest-lived LRU, so a dispatch's
-    churn can never flush the cross-query cache.
+    finishes); a worker's mapping stays valid until closed, which is what
+    lets the tasks of one dispatch share a single attach.  Dispatch arenas
+    and published run segments cache separately: a new dispatch's first
+    task evicts (and frees) the previous dispatch's O(n) arena
+    immediately, while the small published-run segments keep a short LRU
+    of their own.
     """
     from multiprocessing import shared_memory
 
-    if pinned:
-        cache, limit, bytes_limit = _ATTACHED_TABLES, _TABLE_LIMIT, _TABLE_BYTES_LIMIT
-    elif published:
+    if published:
         cache, limit, bytes_limit = _ATTACHED_RUNS, _RUN_LIMIT, _RUN_BYTES_LIMIT
     else:
         cache, limit, bytes_limit = _ATTACHED_ARENAS, _ARENA_LIMIT, None
@@ -350,7 +335,7 @@ def _decode(obj):
     def leaf(value):
         if not isinstance(value, _ArrayRef):
             return value
-        segment = _attach(value.segment, value.published, value.pinned)
+        segment = _attach(value.segment, value.published)
         view = np.ndarray(
             value.shape,
             dtype=np.dtype(value.dtype),
@@ -369,41 +354,25 @@ def _run_encoded(call):
     return task(_decode(payload))
 
 
-# -- store-handle payload resolvers ------------------------------------------
-
-#: leaf type -> resolver: how a worker turns a storage ref (e.g. a
-#: :class:`repro.store.runtime.StoreBlocksRef`) into its column array.
-_PAYLOAD_RESOLVERS: dict[type, Callable] = {}
-
-
-def register_payload_resolver(leaf_type: type, resolve: Callable) -> None:
-    """Teach tasks to resolve a custom payload leaf type worker-side.
-
-    Storage refs are plain picklable dataclasses, so they pass through
-    :func:`_encode`/:func:`_decode` untouched and cross to pool
-    workers as a few hundred bytes; the *task* then calls
-    :func:`resolve_payload` and each ref faults in its own blocks through
-    a store handle attached in the worker process — the parent never
-    materialises (or ships) the columns.  Registration happens at the
-    ref module's import time, and unpickling a ref imports that module,
-    so any process that can receive a ref can resolve it.
-    """
-    _PAYLOAD_RESOLVERS[leaf_type] = resolve
+# -- storage-ref payload leaves ----------------------------------------------
 
 
 def resolve_payload(tree):
-    """Resolve every registered storage-ref leaf of a payload tree.
+    """Resolve every storage-ref leaf of a payload tree worker-side.
 
-    Idempotent (resolved leaves are plain arrays) and free for ref-less
-    payloads beyond the tree walk; every shard task calls it first so
-    inline and remote substrates see identical inputs.
+    A storage ref (:class:`repro.store.runtime.StoreBlocksRef`) is a plain
+    picklable dataclass with a ``resolve()`` method, so it passes through
+    :func:`_encode`/:func:`_decode` untouched and crosses to pool workers
+    as a few hundred bytes; the *task* then calls this and each ref faults
+    in its own blocks through a store handle attached in the worker
+    process — the parent never materialises (or ships) the columns.
+    Idempotent (resolved leaves are plain arrays); every shard task calls
+    it first so inline and remote substrates see identical inputs.
     """
-    if not _PAYLOAD_RESOLVERS:
-        return tree
 
     def leaf(value):
-        resolve = _PAYLOAD_RESOLVERS.get(type(value))
-        return resolve(value) if resolve is not None else value
+        resolve = getattr(value, "resolve", None)
+        return value if resolve is None else resolve()
 
     return _map_tree(tree, leaf)
 
@@ -512,110 +481,6 @@ def release_segments(names) -> None:
             pass
 
 
-# -- cross-query column cache (parent-published, pinned) ---------------------
-
-#: Parent-published table columns: ``id(array)`` -> ``(array, ref)``.  The
-#: strong array reference is the keepalive that makes ``id()`` keys safe —
-#: an entry's key can only collide after the entry itself is unpublished.
-_HOST_PUBLISHED: dict[int, tuple[np.ndarray, _ArrayRef]] = {}
-
-#: Parent-owned pinned segments by name (the parent keeps the mapping and
-#: the resource-tracker entry; workers attach borrowed).
-_HOST_SEGMENTS: dict[str, object] = {}
-
-
-def host_publish_arrays(arrays) -> str | None:
-    """Parent side: pin table columns in one long-lived shm segment.
-
-    The cross-*query* analogue of a dispatch arena: every later dispatch
-    whose payload tree references one of these exact array objects ships a
-    pinned ref instead of the bytes (:func:`_encode` checks the registry),
-    so repeat queries over the same table skip the parent->worker column
-    write entirely.  The parent owns the segment — normal resource-tracker
-    entry, unlinked by :func:`host_unpublish` — and workers keep their own
-    pinned-attach LRU, separate from the per-dispatch caches.
-
-    Arrays already registered (or empty) are skipped; returns the new
-    segment's name, or ``None`` when nothing needed publishing.
-    """
-    from multiprocessing import shared_memory
-
-    entries = []
-    offset = 0
-    for array in arrays:
-        if not isinstance(array, np.ndarray) or array.nbytes == 0:
-            continue
-        hosted = _HOST_PUBLISHED.get(id(array))
-        if hosted is not None and hosted[0] is array:
-            continue
-        contiguous = np.ascontiguousarray(array)
-        offset = -(-offset // 64) * 64
-        entries.append((array, contiguous, offset))
-        offset += contiguous.nbytes
-    if not entries:
-        return None
-    segment = shared_memory.SharedMemory(create=True, size=offset)
-    for original, contiguous, start in entries:
-        view = np.ndarray(
-            contiguous.shape,
-            dtype=contiguous.dtype,
-            buffer=segment.buf,
-            offset=start,
-        )
-        view[...] = contiguous
-        _HOST_PUBLISHED[id(original)] = (
-            original,
-            _ArrayRef(
-                segment.name,
-                start,
-                contiguous.dtype.str,
-                tuple(contiguous.shape),
-                published=False,
-                pinned=True,
-            ),
-        )
-    _HOST_SEGMENTS[segment.name] = segment
-    return segment.name
-
-
-def host_unpublish(names=None) -> None:
-    """Unpin published table segments (all of them when ``names`` is None).
-
-    Drops the registry entries (later dispatches fall back to arena
-    transport for those arrays) and unlinks the segments.  Workers that
-    still hold a mapping keep reading valid bytes until their pinned LRU
-    evicts it — the name is never reused, so there is no aliasing hazard.
-    Idempotent.
-    """
-    if names is None:
-        names = list(_HOST_SEGMENTS)
-    names = set(names)
-    stale = [
-        key
-        for key, (_, ref) in _HOST_PUBLISHED.items()
-        if ref.segment in names
-    ]
-    for key in stale:
-        del _HOST_PUBLISHED[key]
-    for name in names:
-        segment = _HOST_SEGMENTS.pop(name, None)
-        if segment is None:
-            continue
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def host_published_count() -> int:
-    """How many pinned table segments the parent currently holds."""
-    return len(_HOST_SEGMENTS)
-
-
-atexit.register(host_unpublish)
-
-
 # -- completions -------------------------------------------------------------
 
 
@@ -664,11 +529,11 @@ class _PoolCompletion:
 
 
 def _published_result_segments(tree) -> set[str]:
-    """Worker-published (non-pinned) segment names a result tree references."""
+    """Worker-published segment names a result tree references."""
     names: set[str] = set()
 
     def leaf(value):
-        if isinstance(value, _ArrayRef) and value.published and not value.pinned:
+        if isinstance(value, _ArrayRef) and value.published:
             names.add(value.segment)
         return value
 
@@ -981,11 +846,12 @@ def warm_executor(executor: str | Executor | None, workers: int = 1) -> Executor
     """The cross-query warm executor registry.
 
     Same resolution rule as :func:`resolve_executor`, but the instance is
-    cached by ``(name, workers)`` and handed out again on the next query —
-    so the executor's process pool (already persistent in :data:`_POOLS`)
-    *and* its workers' attach caches stay warm across queries, and the
-    pool is forked eagerly rather than on the first dispatch.  Instances
-    pass straight through (the caller already owns their lifetime).
+    cached by ``(name, workers)`` and handed out again on the next query,
+    and its process pool (persistent in :data:`_POOLS`) is forked eagerly
+    rather than on the first dispatch.  Nothing a query shipped outlives
+    it: the workers' two attach caches hold only segments the parent has
+    already unlinked.  Instances pass straight through (the caller
+    already owns their lifetime).
     """
     resolved = resolve_executor(executor, workers=workers)
     if resolved is executor:
@@ -1011,5 +877,4 @@ def executor_stats() -> dict:
         "warm_executors": sorted(
             f"{name}:{workers}" for name, workers in _WARM_EXECUTORS
         ),
-        "pinned_segments": host_published_count(),
     }

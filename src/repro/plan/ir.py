@@ -36,7 +36,6 @@ import numbers
 from dataclasses import dataclass
 
 from ..errors import InputError
-from .memo import memoised
 
 #: Serialization format tag, bumped on any change to the byte layout.
 #: Format 3 adds pipeline plans: ``channel`` edge nodes carrying public
@@ -210,7 +209,6 @@ class MergeNode:
         return self.right is None
 
 
-@memoised("schedule")
 def tournament_schedule(
     runs: int,
     run_lengths=None,

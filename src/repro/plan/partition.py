@@ -17,7 +17,6 @@ the first ``n mod k`` shards carry ``ceil(n / k)`` rows, the rest
 from __future__ import annotations
 
 from ..errors import InputError
-from .memo import memoised
 
 
 def check_shards(shards: int) -> int:
@@ -42,7 +41,6 @@ def shard_counts(n: int, k: int) -> tuple[int, ...]:
     return tuple(base + (1 if i < rem else 0) for i in range(k))
 
 
-@memoised("schedule")
 def partition_plan(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     """The public partition plan ``(capacity, per-shard real counts)``.
 
@@ -72,7 +70,6 @@ def block_count(n: int, block_rows: int) -> int:
     return -(-n // block_rows)
 
 
-@memoised("schedule")
 def block_aligned_partition_plan(
     n: int, k: int, block_rows: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -99,7 +96,6 @@ def block_aligned_partition_plan(
     return capacity, tuple(counts)
 
 
-@memoised("schedule")
 def shard_block_ids(
     n: int, k: int, block_rows: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -119,7 +115,6 @@ def shard_block_ids(
     return tuple(ids)
 
 
-@memoised("schedule")
 def join_tree_window_plan(target: int, k: int) -> tuple[int, tuple[int, ...]]:
     """A join tree's slot-space split: ``(capacity, per-window rows)``.
 

@@ -224,12 +224,13 @@ LEAKAGE_PROFILES: dict[tuple[str, str], tuple[str, ...]] = {
 #: What serving a *series* of queries from one warm process
 #: (``repro serve``) reveals beyond the per-query engine profiles above.
 #: Every symbol is derived from values the single-query profiles already
-#: treat as public — the caches key on public shapes by construction —
-#: but repetition makes their *reuse* observable: ``query_shape`` the
-#: per-query (op, table identities, shape) tuple behind every cache key,
-#: ``shape_reuse`` the fact that two queries shared plan/encoding cache
-#: entries (equal public shapes / same table version), ``warm_timing``
-#: the cold-vs-warm latency difference a timing observer can use to infer
+#: treat as public — the one cache keys on table identity and version by
+#: construction — but repetition makes *reuse* observable:
+#: ``query_shape`` the per-query (op, table identities, shape) tuple,
+#: ``shape_reuse`` the fact that two queries shared an encoding-cache
+#: entry (same table at the same version; equal plan *shapes* alone share
+#: nothing), ``warm_timing`` the cold-vs-warm latency difference (cached
+#: encodings, an already-forked pool) a timing observer can use to infer
 #: that reuse, and ``queue_depth`` the admission queue length reported in
 #: (and observable through) per-query stats under concurrency.  The prose
 #: twin is the "What repetition reveals" section of ``docs/leakage.md``;

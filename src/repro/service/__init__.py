@@ -1,28 +1,24 @@
-"""The query service layer: cross-query caching and warm executor pools.
+"""The query service layer: an engine, an encoding cache and a warm pool.
 
-A single oblivious query pays three avoidable setup costs every time it
-runs: compiling the (shape-determined) plan, dictionary-encoding and
-partitioning the input tables, and — on the sharded engine — forking a
-process pool and shipping the partitioned columns into shared memory.
-None of those depend on anything but the *public* query shape and the
-(unchanged) tables, so a process serving a *series* of queries can pay
-them once.  This package is that process:
+A single oblivious query pays two setup costs a *series* of queries over
+unchanged tables can share: dictionary-encoding the input tables, and — on
+the sharded engine — forking a process pool.  Neither depends on anything
+but the (unchanged) tables and the public engine configuration, so a
+process serving a series of queries pays them once.  This package is that
+process:
 
-:mod:`~repro.service.plan_cache`
-    :class:`PlanCache` — compiled plans and materialized schedules keyed
-    by frozen shape arguments, installed as the :mod:`repro.plan.memo`
-    hook.  A hit is byte-identical to a fresh compile.
 :mod:`~repro.service.engine`
-    :class:`ServiceEngine` — one warm engine + shared
-    :class:`~repro.db.encoding_cache.EncodingCache` + warm executor pool,
-    admitting concurrent queries (serialized on the engine), reporting
-    per-query cache deltas and queue stats.
+    :class:`ServiceEngine` — one warm engine, its
+    :class:`~repro.db.encoding_cache.EncodingCache` and a warm executor
+    pool, admitting concurrent queries (serialized on the engine),
+    reporting per-query cache deltas and queue stats.  It installs nothing
+    process-wide: several can share a process.
 :mod:`~repro.service.server` / :mod:`~repro.service.client`
     The ``python -m repro serve`` asyncio JSON-lines front end and its
     client.
 
 What a observer of the *service* learns beyond single-query leakage —
-cache-hit timing, shape-keyed reuse across a series of queries — is
+cache-hit timing, table-version reuse across a series of queries — is
 catalogued in ``docs/leakage.md`` ("what repetition reveals") and pinned
 as :data:`repro.security.SERVICE_LEAKAGE`.
 """
@@ -30,13 +26,11 @@ as :data:`repro.security.SERVICE_LEAKAGE`.
 from ..db.encoding_cache import EncodingCache
 from .client import ServiceClient, ServiceError
 from .engine import FILTER_CMPS, QUERY_OPS, QueryResult, QueryStats, ServiceEngine
-from .plan_cache import PlanCache
 from .server import QueryServer, payload_table, run_server, table_payload
 
 __all__ = [
     "EncodingCache",
     "FILTER_CMPS",
-    "PlanCache",
     "QUERY_OPS",
     "QueryResult",
     "QueryServer",

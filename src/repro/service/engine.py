@@ -2,20 +2,17 @@
 
 :class:`ServiceEngine` is the in-process core behind ``python -m repro
 serve``: it owns one configured :class:`~repro.db.query.ObliviousEngine`
-plus the three cross-query caches this layer exists for —
+and the two things a series of queries can share —
 
-* a :class:`~repro.service.plan_cache.PlanCache` installed as the global
-  plan memo (:func:`repro.plan.memo.set_plan_memo`), so repeated shapes
-  skip compilation;
-* an :class:`~repro.db.encoding_cache.EncodingCache` shared with the
-  relational engine *and* installed as the partition cache
-  (:func:`repro.shard.partition.set_partition_cache`), so repeated tables
-  skip the dictionary-encoding scans, the pairs materialization, the
-  shard partitioning, and — on remote executors — the parent->worker
-  column write (parts are pinned in parent-published shared memory);
+* an :class:`~repro.db.encoding_cache.EncodingCache` (the relational
+  engine's own), so repeated tables skip the dictionary-encoding scans and
+  the pairs materialization;
 * the warm executor registry (:func:`repro.plan.executors.warm_executor`),
-  so the sharded engine's process pool and its workers' attach caches
-  survive from one query to the next.
+  so the sharded engine's process pool is forked once, not per query.
+
+Plans are recompiled and shard parts re-cut and re-shipped by every query:
+caching them measured level against the query they serve (the sizing is in
+``docs/architecture.md``, "Query service").
 
 Queries arrive as JSON-able *specs* over named registered tables (the wire
 format ``repro serve`` speaks; see :data:`QUERY_OPS`) and run strictly one
@@ -23,13 +20,15 @@ at a time under a lock — obliviousness is per-schedule, and interleaving
 two schedules on one tracer/engine would corrupt both.  Concurrency is
 therefore admission concurrency: :meth:`submit` is safe to call from many
 asyncio tasks, requests queue on the lock, and each result reports the
-queue depth it saw plus its cache hit/miss deltas.  Same-shape concurrent
-requests coalesce onto the same warm pool and the same cache entries by
-construction — there is exactly one engine and one set of caches.
+queue depth it saw plus its cache hit/miss deltas.
 
-The global hook installation means at most one ServiceEngine should be
-*started* per process at a time; :meth:`close` restores whatever hooks it
-replaced.  Results are bit-identical to a cold engine — pinned by the
+A service installs nothing process-wide, so any number of them can live in
+one process and closing one leaves the others intact.  What they do share
+is stateless between queries: the persistent pools and the warm-executor
+registry of :mod:`repro.plan.executors`, and the per-process store handles
+of :mod:`repro.store.runtime`.  The pool transport assumes one dispatching
+thread per process, so two *pooled* services must not run queries at the
+same instant.  Results are bit-identical to a cold engine — pinned by the
 serial-vs-concurrent and cold-vs-warm tests in ``tests/test_service.py``.
 """
 
@@ -43,13 +42,9 @@ from dataclasses import dataclass, field
 from ..db.encoding_cache import EncodingCache
 from ..db.query import ObliviousEngine
 from ..db.table import DBTable
-from ..core.padding import compact_pairs
 from ..errors import InputError, SchemaError
 from ..plan.executors import executor_stats, warm_executor
-from ..plan.memo import set_plan_memo
-from ..shard.partition import set_partition_cache
 from ..store.runtime import residency_snapshot, stats_snapshot
-from .plan_cache import PlanCache
 
 #: Spec ops the service understands (the ``repro serve`` wire surface).
 QUERY_OPS = (
@@ -76,13 +71,14 @@ FILTER_CMPS = {
 
 @dataclass
 class QueryStats:
-    """What one query cost and what the caches did for it."""
+    """What one query cost and what the encoding cache did for it."""
 
     op: str
     seconds: float
     queue_depth: int
+    #: The query hit the encoding cache: it reused an earlier query's
+    #: table-level work.
     warm: bool
-    plan_cache: dict = field(default_factory=dict)
     encoding_cache: dict = field(default_factory=dict)
     #: Block-store IO this query drove *in this process* (reads, cache
     #: hits/misses/evictions, decryptions — deltas of the attached
@@ -97,7 +93,6 @@ class QueryStats:
             "seconds": self.seconds,
             "queue_depth": self.queue_depth,
             "warm": self.warm,
-            "plan_cache": dict(self.plan_cache),
             "encoding_cache": dict(self.encoding_cache),
             "store": dict(self.store),
         }
@@ -121,62 +116,35 @@ class ServiceEngine:
     def __init__(
         self,
         engine: str = "vector",
-        plan_cache: PlanCache | None = None,
         encoding_cache: EncodingCache | None = None,
         **engine_options,
     ) -> None:
         if engine == "sharded":
-            # Resolve through the warm registry so the pool (and the
-            # workers' attach caches) survive across queries.
+            # Resolve through the warm registry so the pool survives
+            # across queries.
             engine_options["executor"] = warm_executor(
                 engine_options.get("executor"),
                 workers=engine_options.get("workers", 1),
             )
-        executor = engine_options.get("executor")
-        publish = bool(getattr(executor, "remote_submit", False))
-        self.plans = plan_cache if plan_cache is not None else PlanCache()
-        self.encoding = (
-            encoding_cache
-            if encoding_cache is not None
-            else EncodingCache(publish=publish)
-        )
         self.oblivious = ObliviousEngine(
-            engine=engine, encoding_cache=self.encoding, **engine_options
+            engine=engine, encoding_cache=encoding_cache, **engine_options
         )
+        self.encoding = self.oblivious.encoding
         self.engine_name = self.oblivious.engine.name
-        # The numpy engines take (n, 2) pairs arrays directly, which is
-        # what lets the cached key-handle arrays (and their cached shard
-        # parts) flow in without a per-query list rebuild.
-        self._array_pairs = self.engine_name in ("vector", "sharded")
         self.tables: dict[str, DBTable] = {}
         self._lock = threading.Lock()
         self._waiting = 0
         self._admitted = threading.Lock()  # guards the _waiting counter
-        self._started = False
-        self._previous_memo = None
-        self._previous_partition_cache = None
         self.queries = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "ServiceEngine":
-        """Install the caches as the process-wide memo/partition hooks."""
-        if not self._started:
-            self._previous_memo = set_plan_memo(self.plans)
-            self._previous_partition_cache = set_partition_cache(self.encoding)
-            self._started = True
-        return self
-
     def close(self) -> None:
-        """Restore the hooks and release every pinned published segment."""
-        if self._started:
-            set_plan_memo(self._previous_memo)
-            set_partition_cache(self._previous_partition_cache)
-            self._started = False
+        """Drop every cached encoding."""
         self.encoding.close()
 
     def __enter__(self) -> "ServiceEngine":
-        return self.start()
+        return self
 
     def __exit__(self, *exc) -> None:
         self.close()
@@ -212,13 +180,11 @@ class ServiceEngine:
             self._waiting += 1
         try:
             with self._lock:
-                plans_before = self.plans.snapshot()
                 encoding_before = self.encoding.snapshot()
                 store_before = stats_snapshot()
                 started = time.perf_counter()
                 table = getattr(self, f"_run_{op}")(spec)
                 seconds = time.perf_counter() - started
-                plan_delta = _delta(plans_before, self.plans.snapshot())
                 encoding_delta = _delta(
                     encoding_before, self.encoding.snapshot()
                 )
@@ -227,22 +193,13 @@ class ServiceEngine:
         finally:
             with self._admitted:
                 self._waiting -= 1
-        # "Warm" means the query benefited from *previous* queries: it
-        # reused table-level artifacts, or its whole plan side was served
-        # from cache.  (A cold sharded query self-hits the plan memo while
-        # also missing — its k x k grid repeats shapes — so plan hits
-        # alone don't imply warmth.)
-        warm = encoding_delta.get("hits", 0) > 0 or (
-            plan_delta.get("hits", 0) > 0 and plan_delta.get("misses", 0) == 0
-        )
         return QueryResult(
             table=table,
             stats=QueryStats(
                 op=op,
                 seconds=seconds,
                 queue_depth=depth,
-                warm=warm,
-                plan_cache=plan_delta,
+                warm=encoding_delta["hits"] > 0,
                 encoding_cache=encoding_delta,
                 store=store_delta,
             ),
@@ -259,7 +216,11 @@ class ServiceEngine:
             "queries": self.queries,
             "tables": sorted(self.tables),
             "waiting": self._waiting,
-            "plan_cache": self.plans.snapshot(),
+            # No plan cache exists; the frozen benchmark's
+            # benchmarks/e2e/layers.py::service_and_db indexes this field
+            # (it always read 0 there).  The `benchmark` PR that retires
+            # `service.plan_cache_hit_frac` removes it.
+            "plan_cache": {"hits": 0, "misses": 0},
             "encoding_cache": self.encoding.snapshot(),
             "executors": executor_stats(),
             "store": stats_snapshot(),
@@ -270,48 +231,13 @@ class ServiceEngine:
 
     # -- per-op runners ------------------------------------------------------
 
-    def _join_pairs(self, table: DBTable, column: str):
-        """A table's join input, in the engine's preferred pairs form.
-
-        A store-backed table joining on an int column hands the sharded
-        engine a :class:`~repro.store.StorePairs` descriptor instead of a
-        materialised array — the partitioner then ships block refs and
-        the workers fault in only their plan-named blocks.  ``str`` key
-        columns still need the dictionary encoder, so they take the
-        resident (encoding-cache) path.
-        """
-        encoder = self.oblivious.encoder
-        if (
-            self.engine_name == "sharded"
-            and hasattr(table, "store_pairs")
-            and table.schema.column(column).type == "int"
-        ):
-            return table.store_pairs(column)
-        if self._array_pairs:
-            return self.encoding.key_handle_pairs(table, column, encoder)
-        keys = self.encoding.encoded_keys(table, column, encoder)
-        return list(zip(keys, range(len(keys))))
-
     def _run_join(self, spec: dict) -> DBTable:
         left = self._table(spec["left"])
         right = self._table(spec["right"])
         on = tuple(spec["on"])
         if len(on) != 2:
             raise SchemaError("join 'on' must name (left_col, right_col)")
-        # Same construction as ObliviousEngine.join, but the pairs inputs
-        # come from the cache — stable arrays whose shard parts (and
-        # published columns) are reused across queries.
-        pairs_left = self._join_pairs(left, on[0])
-        pairs_right = self._join_pairs(right, on[1])
-        result = self.oblivious.engine.join(
-            pairs_left, pairs_right, tracer=self.oblivious.tracer
-        )
-        schema = left.schema.concat(right.schema, ("l", "r"))
-        rows = [
-            left.rows[li] + right.rows[ri]
-            for li, ri in compact_pairs(result.pairs)
-        ]
-        return DBTable(schema, rows)
+        return self.oblivious.join(left, right, on)
 
     def _run_multiway_join(self, spec: dict) -> DBTable:
         tables = [self._table(name) for name in spec["tables"]]

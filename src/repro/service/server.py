@@ -15,7 +15,7 @@ each client connection speaks newline-delimited JSON requests —
     the response carries the result schema/rows and the per-query stats
     (cache hit/miss deltas, queue depth, warm flag, seconds).
 ``{"op": "stats"}``
-    Service-level counters (caches, warm executors, pinned segments).
+    Service-level counters (encoding cache, warm executors, store IO).
 ``{"op": "shutdown"}``
     Acknowledge, then stop the server.
 
@@ -29,13 +29,12 @@ exception: a line longer than :data:`MAX_REQUEST_BYTES` is answered with
 ``InputError`` and its connection is then closed.  Queries from
 concurrent connections are admitted concurrently and serialized on the
 engine lock;
-the JSON hop is deliberately boring — all the performance lives in the
-service engine's caches, which is what ``benchmarks/bench_service.py``
-measures (the server adds one round trip).
+the JSON hop is deliberately boring — the ``service_mix`` workload of
+``benchmarks/e2e`` measures what it adds around the engine.
 
 Security note: the server trusts its clients (it binds loopback by
 default).  What a *network* observer learns from serving repeated queries
-— cache-hit timing, shape-keyed reuse — is the subject of the
+— cache-hit timing, table-version reuse — is the subject of the
 "what repetition reveals" section of ``docs/leakage.md``.
 """
 
@@ -135,7 +134,6 @@ class QueryServer:
 
     async def start(self) -> "QueryServer":
         """Bind the socket (resolving ``port=0`` to the kernel's pick)."""
-        self.service.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port, limit=MAX_REQUEST_BYTES
         )

@@ -87,23 +87,6 @@ def partition_columns(
     return blocks
 
 
-#: The installed cross-query partition cache, or ``None`` (partition fresh
-#: on every call).  A cache implements ``lookup_parts(array, k)`` /
-#: ``offer_parts(array, k, parts)`` and only ever acts on arrays it itself
-#: registered as stable sources (the service layer's encoded key columns),
-#: so ad-hoc callers pay one dict miss and nothing else.
-_PARTITION_CACHE = None
-
-
-def set_partition_cache(cache):
-    """Install (or, with ``None``, clear) the partition cache; returns the
-    previous one so the service layer can restore it on shutdown."""
-    global _PARTITION_CACHE
-    previous = _PARTITION_CACHE
-    _PARTITION_CACHE = cache
-    return previous
-
-
 def pairs_partition_plan(pairs, k: int) -> tuple[int, tuple[int, ...]]:
     """The public partition plan actually used for this pairs input.
 
@@ -121,17 +104,13 @@ def partition_pairs(pairs, k: int) -> list[ShardPart]:
     """Split a ``(j, d)`` pairs table into ``k`` equal, padded shards.
 
     Accepts the same inputs as the vector engine (a sequence of int pairs or
-    an ``(n, 2)`` array).  With a partition cache installed, shards of a
-    registered source array are computed once per ``(array, k)`` and reused
-    across queries — the parts are never mutated by consumers (tasks copy
-    before sorting), so reuse cannot change any output.
+    an ``(n, 2)`` array).
 
     A :class:`~repro.store.StorePairs` input takes the out-of-core path:
     the shards come back as **block-aligned** parts whose ``j``/``d`` are
     :class:`~repro.store.StoreBlocksRef` leaves naming exactly the plan's
     block ids — no column bytes are read here; the task that receives a
-    part faults its blocks in through its own store handle.  Such parts
-    are cheap on-demand descriptors, so the partition cache is bypassed.
+    part faults its blocks in through its own store handle.
     """
     if isinstance(pairs, StorePairs):
         check_shards(k)
@@ -144,17 +123,9 @@ def partition_pairs(pairs, k: int) -> list[ShardPart]:
         array = array.reshape(0, 2)
     if array.ndim != 2 or array.shape[1] != 2:
         raise InputError("input tables must be sequences of (j, d) pairs")
-    cache = _PARTITION_CACHE
-    if cache is not None:
-        parts = cache.lookup_parts(array, k)
-        if parts is not None:
-            return list(parts)
-    parts = [
+    return [
         ShardPart(j=block["j"], d=block["d"], real=real)
         for block, real in partition_columns(
             {"j": array[:, 0], "d": array[:, 1]}, k
         )
     ]
-    if cache is not None:
-        cache.offer_parts(array, k, parts)
-    return parts

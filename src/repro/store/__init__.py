@@ -32,7 +32,6 @@ from .runtime import (
     attach,
     detach_all,
     residency_snapshot,
-    resolve_blocks,
     stats_snapshot,
     store_pairs_block_rows,
     trace_faults,
@@ -53,7 +52,6 @@ __all__ = [
     "attach",
     "detach_all",
     "residency_snapshot",
-    "resolve_blocks",
     "stats_snapshot",
     "store_pairs_block_rows",
     "trace_faults",

@@ -22,10 +22,10 @@ This is the seam between the block store and the execution layers:
 :class:`StoreBlocksRef`
     A picklable payload leaf naming exactly the blocks one shard task may
     touch (the plan's ``block_ids`` attrs), plus the row window and the
-    padded capacity.  :func:`resolve_blocks` turns it into the padded
-    column array worker-side; the executors' payload-resolver hook (see
-    :func:`repro.plan.executors.register_payload_resolver`) applies it
-    inside every task, so inline and remote substrates behave identically.
+    padded capacity.  :meth:`StoreBlocksRef.resolve` turns it into the
+    padded column array worker-side; every shard task calls it through
+    :func:`repro.plan.executors.resolve_payload`, so inline and remote
+    substrates behave identically.
     A ref with ``arange_base`` set is a *virtual* column (row handles) and
     faults zero blocks.
 
@@ -50,7 +50,6 @@ import numpy as np
 
 from ..enclave.epc import EPCModel
 from ..errors import InputError
-from ..plan.executors import register_payload_resolver
 from ..plan.partition import (
     block_aligned_partition_plan,
     block_count,
@@ -156,8 +155,9 @@ _HANDLES: dict[StoreSpec, StoreHandle] = {}
 def attach(spec: StoreSpec) -> StoreHandle:
     """The process-wide handle for ``spec``, created on first use.
 
-    Workers call this (through :func:`resolve_blocks`) with specs that
-    arrived inside task payloads; the parent calls it when opening tables.
+    Workers call this (through :meth:`StoreBlocksRef.resolve`) with specs
+    that arrived inside task payloads; the parent calls it when opening
+    tables.
     One handle per spec per process means every task shares one trusted
     memory of ``spec.cache_bytes``.
     """
@@ -300,25 +300,21 @@ class StoreBlocksRef:
     def __len__(self) -> int:
         return self.capacity
 
-
-def resolve_blocks(ref: StoreBlocksRef) -> np.ndarray:
-    """Materialise one ref as its padded int64 column array."""
-    out = np.zeros(ref.capacity, dtype=_INT)
-    if ref.arange_base is not None:
-        out[: ref.rows] = np.arange(
-            ref.arange_base, ref.arange_base + ref.rows, dtype=_INT
-        )
+    def resolve(self) -> np.ndarray:
+        """Materialise the ref as its padded int64 column array."""
+        out = np.zeros(self.capacity, dtype=_INT)
+        if self.arange_base is not None:
+            out[: self.rows] = np.arange(
+                self.arange_base, self.arange_base + self.rows, dtype=_INT
+            )
+            return out
+        if self.rows == 0:
+            return out
+        handle = attach(self.spec)
+        parts = [handle.read_int_block(self.column, index) for index in self.blocks]
+        window = np.concatenate(parts)[self.start : self.start + self.rows]
+        out[: self.rows] = window
         return out
-    if ref.rows == 0:
-        return out
-    handle = attach(ref.spec)
-    parts = [handle.read_int_block(ref.column, index) for index in ref.blocks]
-    window = np.concatenate(parts)[ref.start : ref.start + ref.rows]
-    out[: ref.rows] = window
-    return out
-
-
-register_payload_resolver(StoreBlocksRef, resolve_blocks)
 
 
 # -- engine-facing stored pairs ----------------------------------------------

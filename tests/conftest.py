@@ -23,10 +23,10 @@ def shm_segments() -> set[str]:
 def shm_leak_guard():
     """Assert a test leaves no new /dev/shm segments behind.
 
-    Segments live *before* the test (warm pools, a service's pinned
-    published columns) are fine; anything the test itself created must be
-    gone by the end — including after aborts mid-dispatch.  Yields the
-    baseline set so tests can also assert mid-flight.
+    Segments live *before* the test are fine; anything the test itself
+    created must be gone by the end — including after aborts mid-dispatch.
+    Yields the baseline set so tests can also assert mid-flight (no
+    segment outlives the query that created it).
     """
     before = shm_segments()
     yield before

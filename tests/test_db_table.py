@@ -20,6 +20,15 @@ def test_rows_validated_on_construction():
         DBTable.from_rows(["id:int"], [("not-an-int",)])
 
 
+def test_bool_is_not_an_int_cell(people):
+    """`True == 1`, so a bool key would silently merge into group 1."""
+    with pytest.raises(SchemaError, match="'k' expects int, got bool"):
+        DBTable.from_rows(["k:int", "v:int"], [(True, 5), (1, 7)])
+    with pytest.raises(SchemaError, match="'age' expects int, got bool"):
+        people.append_row((4, "di", False))
+    assert len(people) == 3
+
+
 def test_column_extraction(people):
     assert people.column("name") == ["ana", "bo", "cy"]
 

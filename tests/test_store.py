@@ -49,7 +49,7 @@ from repro.store.columns import (
     write_int_column,
     write_str_column,
 )
-from repro.store.runtime import StoreBlocksRef, residency_snapshot, resolve_blocks
+from repro.store.runtime import StoreBlocksRef, residency_snapshot
 
 
 @pytest.fixture(autouse=True)
@@ -254,7 +254,7 @@ def test_store_pairs_shard_parts_name_exactly_the_plan_blocks(tmp_path):
     # d-side refs are virtual row handles: no blocks faulted, ever.
     assert all(p[1].arange_base is not None and p[1].blocks == () for p in parts)
     # Resolving a j ref yields the padded rows of exactly those blocks.
-    j0 = resolve_blocks(parts[0][0])
+    j0 = parts[0][0].resolve()
     real0 = parts[0][2]
     assert list(j0[:real0]) == list(range(real0))
     assert all(v == 0 for v in j0[real0:])
