@@ -31,7 +31,7 @@ Every engine produces identical results; ``traced`` is the per-access-traced
 reference implementation, ``vector`` the numpy fast path (~10^3x faster),
 ``sharded`` the multi-process scale-out path (``--engine sharded --workers 4``,
 with ``--executor`` selecting inline / shared-memory pool / adversarially
-shuffled completion order; grid results stream into the merge tournament as
+shuffled completion order; sorted blocks stream into the merge tournament as
 tasks complete, on every substrate).
 """
 

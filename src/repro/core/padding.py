@@ -3,8 +3,8 @@
 The paper's guarantee for a *single* join is that the memory trace depends
 only on ``(n1, n2, m)`` — the final output size ``m`` is deliberately
 public.  A cascade of joins compounds that leak: every *intermediate* size
-becomes public too, and the sharded engine refines it further (per-task
-``m_ij`` grids, per-shard partial group counts).  This module closes the
+becomes public too, and the sharded engine refines it further (per-shard
+partial group counts).  This module closes the
 gap by padding every intermediate relation to a *public bound*, so the
 whole cascade's trace/schedule is a function of the input sizes and the
 bounds alone.  ObliDB pads intermediate operator outputs the same way; the

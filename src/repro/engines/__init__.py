@@ -21,8 +21,8 @@ suite in ``tests/test_engines.py`` and ``tests/test_engine_properties.py``
 enforces it); they differ in speed, leakage granularity, and parallelism.
 All three also support *padded execution* —
 ``get_engine(name, padding="bounded"|"worst_case", bound=...)`` — which
-hides result sizes (including every multiway intermediate, the sharded
-``m_ij`` grid, and per-shard partial group counts) behind public bounds;
+hides result sizes (including every multiway intermediate and the sharded
+per-shard partial group counts) behind public bounds;
 ``docs/leakage.md`` is the full leakage-profile table.
 
 ``traced``
@@ -46,14 +46,15 @@ hides result sizes (including every multiway intermediate, the sharded
     calling process or shared-memory process pool);
     a bitonic merge reassembles the result.  Aggregation/GROUP BY/FILTER
     do strictly *less* total comparator work than single-shot vector
-    (``k`` smaller networks); the binary join runs a ``shards**2`` task
-    grid — more total work, but embarrassingly parallel, so it wins
-    wall-clock once ``workers`` processes land on real cores.
-    Additionally reveals the per-task output-size grid (``m_ij``),
-    per-shard partial group counts, and per-shard filter survivor counts
-    (all folded into public bounds under padded modes) — the positional
+    (``k`` smaller networks); the join, the cascade and ORDER BY are the
+    ``vector`` engine's own text over a ``shards``-way sharded sort — the
+    same comparator work, shared between the workers, and the same
+    leakage.  Additionally reveals
+    per-shard partial group counts and per-shard filter survivor counts
+    (both folded into public bounds under padded modes) — the positional
     analogue of the multiway cascade's revealed intermediate sizes.
-    Prefer it at ``n >= 2^14`` on multi-core hardware; knobs via
+    Prefer it at ``n >= 2^14`` on multi-core hardware (measured on two
+    cores only — nothing here has been run on more); knobs via
     ``get_engine("sharded", shards=K, workers=N, executor="pool")``.
 
 Every engine also *emits* its public schedule before execution:

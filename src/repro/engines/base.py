@@ -215,9 +215,10 @@ class Engine(Protocol):
     ``compile_plan`` exposes the engine's public schedule as a
     :class:`~repro.plan.ir.Plan` — a pure function of workload shapes and
     the engine's configuration, compiled by :mod:`repro.plan.compile`
-    before any data is touched.  Sharded execution *consumes* the same
-    plans (grid bounds, padded block sizes come from plan nodes), so the
-    printed artifact and the executed schedule cannot drift apart.
+    before any data is touched.  Sharded execution compiles the same
+    plans from the same partition functions (and reads padded block sizes
+    from plan nodes), so the printed artifact and the executed schedule
+    cannot drift apart.
     """
 
     name: str

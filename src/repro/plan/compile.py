@@ -38,11 +38,10 @@ from ..core.padding import cascade_bounds, check_padding, join_bound
 from ..errors import InputError
 from .ir import Plan, PlanBuilder, tournament_schedule
 from .partition import (
-    block_aligned_partition_plan,
+    block_count,
     check_shards,
     join_tree_window_plan,
     partition_plan,
-    shard_block_ids,
 )
 
 #: Workload names `compile_workload` accepts.
@@ -119,6 +118,54 @@ def _add_merge_tournament(
     return current[0]
 
 
+def _add_sharded_sort(
+    builder: PlanBuilder,
+    inputs: tuple[int, ...],
+    n: int | None,
+    k: int,
+    stage: str,
+) -> int:
+    """Emit one sharded sort of ``n`` rows; returns its root node.
+
+    ``partition`` into ``k`` positional blocks, one ``shard_sort`` per
+    block, then the ``merge_pair`` bracket — the public schedule of
+    :func:`repro.shard.sort.sharded_sort`, a function of ``(n, k)``.
+    ``n=None`` is a size revealed at run time: the bracket is compiled,
+    its lengths are not.
+    """
+    capacity, counts = (None, None) if n is None else partition_plan(n, k)
+    part = builder.add(
+        "partition", inputs=inputs, stage=stage, n=n, k=k, capacity=capacity, counts=counts
+    )
+    sorts = tuple(
+        builder.add(
+            "shard_sort",
+            inputs=(part,),
+            stage=stage,
+            shard=i,
+            rows=None if counts is None else counts[i],
+        )
+        for i in range(k)
+    )
+    return _add_merge_tournament(builder, sorts, counts, None, stage)
+
+
+def _deferred_stage_plan(workload: str, engine: str, op: str, **attrs) -> Plan:
+    """A one-node sub-plan standing in for a stage whose input size is only
+    revealed at run time (the ``"revealed"`` padding mode mid-chain)."""
+    builder = PlanBuilder(workload, engine)
+    builder.add(op, **attrs)
+    return builder.build()
+
+
+def _deferred_join_plan(engine: str, n2: int, k: int | None) -> Plan:
+    """A join whose left size the previous step reveals at run time."""
+    shards = {} if k is None else {"k": k}
+    return _deferred_stage_plan(
+        "join", engine, "join_deferred", n1=None, n2=n2, target=None, **shards
+    )
+
+
 # -- join --------------------------------------------------------------------
 
 
@@ -148,125 +195,51 @@ def sharded_join_plan(
     n2: int,
     k: int,
     target: int | None,
-    block_rows: tuple[int | None, int | None] | None = None,
+    block_rows: tuple[int | None, int | None] = (None, None),
 ) -> Plan:
-    """The sharded join's full public schedule: presort, grid, merge.
+    """:func:`inline_join_plan`'s pipeline with each of its five sorts
+    expanded into a sharded sort (``partition`` → ``k`` ``shard_sort`` →
+    ``merge_pair`` bracket).
 
-    Everything here — the partition plans, each grid cell's input sizes and
-    padded output bound, the merge tournament's run lengths, the output
-    truncation point — is derived from ``(n1, n2, k, target)`` only.  The
-    driver (:func:`repro.shard.join.sharded_oblivious_join`) *consumes*
-    this plan: its per-task bounds come from the ``grid_join`` nodes.
+    The two augment sorts run at ``n1 + n2`` rows (plus the two anchors
+    under padding), the expansion sorts at ``max(n_i, target)`` and the
+    align sort at ``target`` — ``None`` throughout when ``target`` is, the
+    revealed ``m``.  Everything is a function of ``(n1, n2, k, target)``.
 
-    Under padded modes every cell is one task padded to the public cell
-    bound ``min(target, n1_i * n2_j)`` — a cell can emit no more than its
-    cross product, and no more than the whole join may — and its run is one
-    leaf of the output merge tournament.  Unpadded (``target is None``)
-    cells reveal their output size at run time.
+    ``block_rows`` is the per-side rows-per-block of store-backed inputs
+    (``None`` per resident side; left out of the shapes when both are, so
+    that resident plan bytes do not know the store exists): such an
+    ``input`` node names the blocks the scan reads,
+    ``0 … ceil(n / block_rows) - 1`` in order, a function of
+    ``(n, block_rows)``.
     """
     check_shards(k)
     shapes: dict = {"n1": n1, "n2": n2, "k": k, "target": target}
-    # Store-backed inputs: `block_rows` is the per-side block-alignment
-    # unit ((left, right), None per resident side).  A store-backed side's
-    # *input* partition is block-aligned — whole blocks per shard, so each
-    # worker faults in only its own blocks, whose ids become `blocks`
-    # attrs on the partition node.  The ranked-left partition (the
-    # presort's output, always parent-resident) stays row-aligned.  All of
-    # it remains a pure function of the shapes dict: block_rows is public
-    # store configuration, and omitting it keeps resident plans
-    # byte-identical to before.
-    b1, b2 = block_rows if block_rows is not None else (None, None)
-    if block_rows is not None:
+    if tuple(block_rows) != (None, None):
         shapes["block_rows"] = block_rows
     builder = PlanBuilder("join", "sharded", **shapes)
-    cap1, counts1 = partition_plan(n1, k)
-    if b1 is not None:
-        in_cap1, in_counts1 = block_aligned_partition_plan(n1, k, b1)
-        left_blocks = shard_block_ids(n1, k, b1)
-    else:
-        in_cap1, in_counts1, left_blocks = cap1, counts1, None
-    if b2 is not None:
-        cap2, counts2 = block_aligned_partition_plan(n2, k, b2)
-        right_blocks = shard_block_ids(n2, k, b2)
-    else:
-        cap2, counts2 = partition_plan(n2, k)
-        right_blocks = None
-
-    presort_attrs: dict = {}
-    if left_blocks is not None:
-        presort_attrs = {"block_rows": b1, "blocks": left_blocks}
-    presort_part = builder.add(
-        "partition",
-        side="left",
-        n=n1,
-        k=k,
-        capacity=in_cap1,
-        counts=in_counts1,
-        **presort_attrs,
-    )
-    sorts = tuple(
-        builder.add(
-            "shard_sort", inputs=(presort_part,), shard=i, rows=in_counts1[i]
-        )
-        for i in range(k)
-    )
-    presort_root = _add_merge_tournament(
-        builder, sorts, in_counts1, None, "presort"
-    )
-    presort_merge = builder.add(
-        "merge", inputs=(presort_root,), stage="presort", run_lengths=in_counts1
-    )
-    left_part = builder.add(
-        "partition",
-        inputs=(presort_merge,),
-        side="left_ranked",
-        n=n1,
-        k=k,
-        capacity=cap1,
-        counts=counts1,
-    )
-    right_attrs: dict = {}
-    if right_blocks is not None:
-        right_attrs = {"block_rows": b2, "blocks": right_blocks}
-    right_part = builder.add(
-        "partition",
-        side="right",
-        n=n2,
-        k=k,
-        capacity=cap2,
-        counts=counts2,
-        **right_attrs,
-    )
-    leaves: list[int] = []
-    cell_targets: list[int | None] = []
-    for i in range(k):
-        for j in range(k):
-            cell_target = (
-                None if target is None else min(target, counts1[i] * counts2[j])
-            )
-            cell_targets.append(cell_target)
-            leaves.append(
-                builder.add(
-                    "grid_join",
-                    inputs=(left_part, right_part),
-                    cell=(i, j),
-                    n1=counts1[i],
-                    n2=counts2[j],
-                    target=cell_target,
-                )
-            )
-    run_lengths = None if target is None else tuple(cell_targets)
-    output_root = _add_merge_tournament(
-        builder, tuple(leaves), run_lengths, target, "output"
-    )
-    merge = builder.add(
-        "merge",
-        inputs=(output_root,),
-        stage="output",
-        run_lengths=run_lengths,
-        truncate=target,
-    )
-    builder.add("gather", inputs=(merge,), rows=target)
+    extra = 0 if target is None else 1
+    inputs = []
+    for side, n, rows_per_block in zip(("left", "right"), (n1, n2), block_rows):
+        scan: dict = {}
+        if rows_per_block is not None:
+            scan = {
+                "block_rows": rows_per_block,
+                "blocks": tuple(range(block_count(n, rows_per_block))),
+            }
+        inputs.append(builder.add("input", side=side, rows=n + extra, **scan))
+    total = n1 + n2 + 2 * extra
+    sort = _add_sharded_sort(builder, tuple(inputs), total, k, "augment_sort1")
+    sort = _add_sharded_sort(builder, (sort,), total, k, "augment_sort2")
+    augment = builder.add("augment", inputs=(sort,), rows=total)
+    expands = []
+    for index, (side, n) in enumerate((("left", n1), ("right", n2)), start=1):
+        size = None if target is None else max(n + extra, target)
+        sort = _add_sharded_sort(builder, (augment,), size, k, f"expand{index}_sort")
+        expands.append(builder.add("expand", inputs=(sort,), side=side, rows=target))
+    sort = _add_sharded_sort(builder, (expands[1],), target, k, "align_sort")
+    align = builder.add("align", inputs=(sort,), rows=target)
+    builder.add("zip", inputs=(expands[0], align), rows=target)
     return builder.build()
 
 
@@ -367,18 +340,11 @@ def inline_order_plan(engine: str, n: int) -> Plan:
 
 
 def sharded_order_plan(n: int, k: int) -> Plan:
+    """:func:`inline_order_plan` with its sort expanded into a sharded one."""
     check_shards(k)
     builder = PlanBuilder("order_by", "sharded", n=n, k=k)
-    capacity, counts = partition_plan(n, k)
-    part = builder.add(
-        "partition", side="keys", n=n, k=k, capacity=capacity, counts=counts
-    )
-    sorts = tuple(
-        builder.add("shard_sort", inputs=(part,), shard=i, rows=counts[i])
-        for i in range(k)
-    )
-    root = _add_merge_tournament(builder, sorts, counts, None, "output")
-    builder.add("merge", inputs=(root,), stage="output", run_lengths=counts)
+    rows = builder.add("input", side="keys", rows=n)
+    _add_sharded_sort(builder, (rows,), n, k, "order")
     return builder.build()
 
 
@@ -434,26 +400,12 @@ def multiway_plan(
     for step, (left, right, target) in enumerate(
         multiway_step_shapes(sizes, bounds)
     ):
-        if engine == "sharded":
-            if left is None:
-                step_plan = PlanBuilder("join", "sharded")
-                step_plan.add(
-                    "grid_join_deferred",
-                    n1=None,
-                    n2=right,
-                    k=shapes["k"],
-                    target=None,
-                )
-                sub = step_plan.build()
-            else:
-                sub = sharded_join_plan(left, right, shapes["k"], target)
+        if left is None:
+            sub = _deferred_join_plan(engine, right, shapes.get("k"))
+        elif engine == "sharded":
+            sub = sharded_join_plan(left, right, shapes["k"], target)
         else:
-            if left is None:
-                step_plan = PlanBuilder("join", engine)
-                step_plan.add("join_deferred", n1=None, n2=right, target=None)
-                sub = step_plan.build()
-            else:
-                sub = inline_join_plan(engine, left, right, target)
+            sub = inline_join_plan(engine, left, right, target)
         last = builder.embed(sub, step=step)
     builder.add("compact", inputs=(last[-1],) if last else ())
     return builder.build()
@@ -789,14 +741,6 @@ def compile_order_by(
 # -- pipeline DAGs -----------------------------------------------------------
 
 
-def _deferred_stage_plan(workload: str, engine: str, op: str, **attrs) -> Plan:
-    """A one-node sub-plan standing in for a stage whose input size is only
-    revealed at run time (the ``"revealed"`` padding mode mid-chain)."""
-    builder = PlanBuilder(workload, engine)
-    builder.add(op, **attrs)
-    return builder.build()
-
-
 def compile_pipeline(
     ops,
     engine: str = "traced",
@@ -906,20 +850,7 @@ def compile_pipeline(
         elif name == "join":
             n2 = int(params["n2"])
             if current is None:
-                if engine == "sharded":
-                    sub = _deferred_stage_plan(
-                        "join",
-                        engine,
-                        "grid_join_deferred",
-                        n1=None,
-                        n2=n2,
-                        k=k,
-                        target=None,
-                    )
-                else:
-                    sub = _deferred_stage_plan(
-                        "join", engine, "join_deferred", n1=None, n2=n2, target=None
-                    )
+                sub = _deferred_join_plan(engine, n2, k)
                 current = None
             else:
                 target = join_bound(current, n2, mode, bound)

@@ -27,10 +27,9 @@ Three executors ship in-tree:
     A persistent ``multiprocessing`` pool with **shared-memory column
     transport**: every distinct numpy array in a dispatch is written once
     into a ``multiprocessing.shared_memory`` segment and workers attach
-    zero-copy, read-only views.  This replaces pickling the shard payloads
-    — the sharded join's ``k x k`` grid references each shard's columns
-    ``k`` times, which pickle would serialize ``k`` times per dispatch and
-    shared memory writes exactly once.
+    zero-copy, read-only views.  This replaces pickling the shard payloads:
+    an array referenced by several tasks of a dispatch is written exactly
+    once.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *completion* order.  It exists to prove (in tests and the CI
@@ -88,13 +87,14 @@ _ATTACHED_ARENAS: "OrderedDict[str, object]" = OrderedDict()
 _ARENA_LIMIT = 1
 
 #: Worker-*published* run segments (the merge tournament's cross-dispatch
-#: column cache) a worker has attached.  A merge task touches two at
-#: once, so a short LRU keeps round-to-round reuse warm; late tournament
-#: rounds can be ``O(m)`` each, so the cache is *byte*-bounded as well as
-#: count-bounded — a persistent worker must not pin dead, parent-unlinked
-#: runs from a finished query until the next large attach evicts them.
+#: column cache) a worker has attached.  A merge task touches two at once
+#: and no run is read twice, so two slots are all the reuse there is: a
+#: join is five sorts, and every extra slot pins one more dead,
+#: parent-unlinked ~1 MiB run per worker until a later attach evicts it.
+#: Late tournament rounds can be ``O(m)`` each, so the cache is
+#: *byte*-bounded as well.
 _ATTACHED_RUNS: "OrderedDict[str, object]" = OrderedDict()
-_RUN_LIMIT = 8
+_RUN_LIMIT = 2
 _RUN_BYTES_LIMIT = 64 * 2**20
 
 
@@ -202,8 +202,7 @@ def _encode(obj, arena: dict, chunks: list):
     """Replace every ndarray in a payload tree with an :class:`_ArrayRef`.
 
     ``arena`` maps ``id(array)`` to its assigned ref so an array referenced
-    by many payloads (each shard's columns appear in ``k`` grid tasks) is
-    written exactly once; ``chunks`` collects ``(offset, array)`` copy
+    by many payloads is written exactly once; ``chunks`` collects ``(offset, array)`` copy
     instructions for :func:`_pack`.  Offsets are 64-byte aligned.
     :class:`_ArrayRef` leaves already in the tree (runs published by a
     worker in an earlier dispatch) pass through untouched — that is the
@@ -244,7 +243,7 @@ def _pack(
     ``run_sized`` marks the segment for the worker's published-run LRU
     rather than the single dispatch-arena slot — used by ``submit`` (one
     merge's pair of runs), whose small segments must not evict a live
-    grid arena between two of its dispatch's tasks.  ``owned=False``
+    dispatch arena between two of its dispatch's tasks.  ``owned=False``
     creates the segment under borrowed ownership (no tracker entry):
     the caller is handing the lifecycle to another process
     (:func:`publish_columns`).
@@ -352,29 +351,6 @@ def _run_encoded(call):
     """Worker entry point: decode one payload and run the task on it."""
     task, payload = call
     return task(_decode(payload))
-
-
-# -- storage-ref payload leaves ----------------------------------------------
-
-
-def resolve_payload(tree):
-    """Resolve every storage-ref leaf of a payload tree worker-side.
-
-    A storage ref (:class:`repro.store.runtime.StoreBlocksRef`) is a plain
-    picklable dataclass with a ``resolve()`` method, so it passes through
-    :func:`_encode`/:func:`_decode` untouched and crosses to pool workers
-    as a few hundred bytes; the *task* then calls this and each ref faults
-    in its own blocks through a store handle attached in the worker
-    process — the parent never materialises (or ships) the columns.
-    Idempotent (resolved leaves are plain arrays); every shard task calls
-    it first so inline and remote substrates see identical inputs.
-    """
-
-    def leaf(value):
-        resolve = getattr(value, "resolve", None)
-        return value if resolve is None else resolve()
-
-    return _map_tree(tree, leaf)
 
 
 # -- cross-dispatch column cache ---------------------------------------------

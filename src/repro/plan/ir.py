@@ -5,7 +5,7 @@ primitives — which networks run, at which sizes, in which order — is a
 function of public values only.  Until now that schedule was an emergent
 property, re-derived ad hoc inside each engine; this module makes it a
 first-class, serializable value.  A :class:`Plan` is a DAG of
-:class:`OpNode` operator nodes whose shapes, bounds and shard grids are
+:class:`OpNode` operator nodes whose shapes, bounds and shard layouts are
 computed *up front* from the public inputs (``n1, n2, …, k, padding
 bounds``) by :mod:`repro.plan.compile`, before any data is touched.
 
@@ -50,7 +50,13 @@ from ..errors import InputError
 #: Format 6 removes those window nodes (op vocabulary -1): a padded
 #: ``grid_join`` node is one task and its ``target`` is redefined as the
 #: public cell bound ``min(target, n1_i * n2_j)``.
-PLAN_FORMAT = 6
+#: Format 7 removes the sharded join's grid (ops ``grid_join``,
+#: ``grid_join_deferred`` and the join's ``merge`` / ``gather`` gone): a
+#: sharded join or order-by plan is the inline pipeline with every sort
+#: expanded to ``partition`` -> ``shard_sort`` x k -> ``merge_pair`` nodes
+#: tagged with the sort's ``stage``; store-backed ``input`` nodes name the
+#: scanned ``blocks``.
+PLAN_FORMAT = 7
 
 
 def _freeze(value, context: str):
@@ -193,7 +199,7 @@ class MergeNode:
     compilers (which emit one ``merge_pair`` op node per pairing) and the
     runtime streaming tournament (:class:`repro.shard.merge.StreamingTournament`)
     consume this same function, so the executed pairing order cannot drift
-    from the compiled artifact no matter in which order grid tasks finish.
+    from the compiled artifact no matter in which order tasks finish.
     """
 
     round: int

@@ -70,51 +70,6 @@ def block_count(n: int, block_rows: int) -> int:
     return -(-n // block_rows)
 
 
-def block_aligned_partition_plan(
-    n: int, k: int, block_rows: int
-) -> tuple[int, tuple[int, ...]]:
-    """The partition plan for a store-backed input: whole blocks per shard.
-
-    Shard ``i`` receives the ``i``-th contiguous run of *blocks* (the same
-    positional rule as :func:`partition_plan`, lifted from rows to blocks),
-    so a worker faults in exactly its own blocks — no block is shared
-    between two shards.  Row counts follow: every block contributes
-    ``block_rows`` rows except the final partial one.  Still a pure
-    function of ``(n, k, block_rows)`` — ``block_rows`` is public store
-    configuration — so the obliviousness-by-plan-equality story is
-    unchanged.
-    """
-    check_shards(k)
-    nblocks = block_count(n, block_rows)
-    counts = []
-    offset = 0
-    for blocks in shard_counts(nblocks, k):
-        rows = min(blocks * block_rows, n - offset)
-        counts.append(rows)
-        offset += rows
-    capacity = max(counts) if counts else 0
-    return capacity, tuple(counts)
-
-
-def shard_block_ids(
-    n: int, k: int, block_rows: int
-) -> tuple[tuple[int, ...], ...]:
-    """Per-shard block-id tuples of the block-aligned partition.
-
-    These are the attrs the plan compiler stamps onto ``partition`` nodes:
-    the complete, public statement of which store blocks each shard worker
-    is allowed to touch — a pure function of ``(n, k, block_rows)``.
-    """
-    check_shards(k)
-    nblocks = block_count(n, block_rows)
-    ids = []
-    offset = 0
-    for blocks in shard_counts(nblocks, k):
-        ids.append(tuple(range(offset, offset + blocks)))
-        offset += blocks
-    return tuple(ids)
-
-
 def join_tree_window_plan(target: int, k: int) -> tuple[int, tuple[int, ...]]:
     """A join tree's slot-space split: ``(capacity, per-window rows)``.
 

@@ -176,18 +176,17 @@ KNOWN_PROFILES: dict[str, ProgramProfile] = {
 #: also defines each symbol).  Symbols: ``n1``/``n2``/``n_i`` input sizes,
 #: ``m`` join output size, ``step_sizes`` multiway intermediate sizes,
 #: ``bound``/``bounds`` the public padding bounds, ``k`` shard count,
-#: ``partition_plan`` the (n, k)-determined shard layout, ``m_ij_grid``
-#: per-task output sizes, ``partial_group_counts`` per-shard distinct-key
-#: counts, ``filter_block_counts`` the sharded FILTER's per-shard survivor
+#: ``partition_plan`` the (n, k)-determined shard layout,
+#: ``partial_group_counts`` per-shard distinct-key counts, ``filter_block_counts`` the sharded FILTER's per-shard survivor
 #: counts, ``g`` the final group count, ``m_final`` the compacted final
 #: output size (always revealed — the paper's model accepts it).
 #: ``m_final`` and ``g`` (final output / group count after compaction) are
 #: revealed in *every* mode — the paper's model accepts that — so every
 #: profile lists them.  Store-backed (out-of-core) inputs add
 #: ``block_rows`` (the store's fixed rows-per-block layout constant) and
-#: ``block_ids`` (which block ids each shard faults in — the
-#: block-aligned partition plan, a pure function of
-#: ``(n, k, block_rows)``); see the block-access-pattern section of
+#: ``block_ids`` (which block ids a query's scan reads, in order — every
+#: block of each input column once, a pure function of
+#: ``(n, block_rows)``); see the block-access-pattern section of
 #: ``docs/leakage.md``.
 LEAKAGE_PROFILES: dict[tuple[str, str], tuple[str, ...]] = {
     ("traced", "revealed"): (
@@ -206,7 +205,7 @@ LEAKAGE_PROFILES: dict[tuple[str, str], tuple[str, ...]] = {
     ("vector", "worst_case"): ("n1", "n2", "tree", "m_final", "g"),
     ("sharded", "revealed"): (
         "n1", "n2", "k", "partition_plan", "m", "step_sizes",
-        "m_ij_grid", "partial_group_counts", "filter_block_counts",
+        "partial_group_counts", "filter_block_counts",
         "tree", "windows", "block_rows", "block_ids", "m_final", "g",
     ),
     ("sharded", "bounded"): (
@@ -250,8 +249,8 @@ SERVICE_LEAKAGE: tuple[str, ...] = (
 #: store's fixed block size (a layout constant), ``num_blocks`` each
 #: column's block count ``ceil(n / block_rows)`` (a function of the
 #: public ``n``), ``block_access_order`` the sequence of ``(column,
-#: block id)`` reads — exactly the plan's block-aligned partition, a
-#: pure function of ``(n, k, block_rows)`` — and ``write_pattern`` which
+#: block id)`` reads — exactly the plan's scan order, a pure function
+#: of ``(n, block_rows)`` — and ``write_pattern`` which
 #: slots were rewritten (each rewrite under a fresh nonce, so two
 #: ciphertexts of one block are unlinkable; the *fact* of the write is
 #: visible).  Cache hit/miss/eviction and residency counters never leave

@@ -7,15 +7,16 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
     capacity that is a function of ``(n, k)`` only (the pure plan half
     lives in :mod:`repro.plan.partition`).
 :mod:`~repro.shard.merge`
-    Bitonic merge tournament + padding compaction that reassembles sorted
-    sub-results into the engines' canonical order.
+    Bitonic merge tournament that folds sorted runs into one.
+:mod:`~repro.shard.sort`
+    The sharded sort — ``k`` local bitonic sorts plus that tournament —
+    under the join, the cascade and ``order_by``.
 :mod:`~repro.shard.join` / :mod:`~repro.shard.aggregate` /
 :mod:`~repro.shard.multiway` / :mod:`~repro.shard.relational`
     The sharded workloads themselves, each bit-identical to the vector
     engine and validated by the cross-engine differential suite.  Every
     driver compiles its public plan (:mod:`repro.plan.compile`) before
-    touching data and consumes the plan's node attributes for all padded
-    bounds; tasks dispatch through a pluggable executor
+    touching data; tasks dispatch through a pluggable executor
     (:mod:`repro.plan.executors`: inline / shared-memory pool / shuffle).
 """
 
@@ -29,6 +30,7 @@ from .merge import bitonic_merge_two, merge_comparator_count, oblivious_merge_ru
 from .multiway import ShardedMultiwayStats, sharded_multiway_join
 from .partition import ShardPart, partition_pairs, partition_plan
 from .relational import sharded_filter_indices, sharded_order_permutation
+from .sort import sharded_sort
 
 __all__ = [
     "ShardPart",
@@ -46,4 +48,5 @@ __all__ = [
     "sharded_multiway_join",
     "sharded_oblivious_join",
     "sharded_order_permutation",
+    "sharded_sort",
 ]

@@ -22,8 +22,7 @@ is the sharded analogue of the multiway cascade's intermediate sizes.
 With ``padded=True`` each shard's partial table is padded to its public
 worst case (the block's row count — a block cannot hold more distinct keys
 than rows) with neutral anchor-keyed dummies that the combine's own filter
-compacts away, so only ``(n1, n2, k)`` and the final ``g`` are revealed —
-the same padded story the join's ``m_ij`` grid folds into.
+compacts away, so only ``(n1, n2, k)`` and the final ``g`` are revealed.
 
 Outputs are bit-identical to :mod:`repro.vector.aggregate` — asserted by
 the cross-engine differential suite — including the refusal of inputs whose

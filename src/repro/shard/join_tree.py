@@ -307,8 +307,7 @@ def sharded_join_tree(
             else:
                 tournament.add(index, run)
         # Merge work executed eagerly inside add() (inline submits) is
-        # tournament time, not window time — the same wall-clock split as
-        # the binary join's grid.
+        # tournament time, not window time.
         fold_seconds = tournament.seconds
         stats.seconds_by_phase["windows"] = max(
             time.perf_counter() - start - fold_seconds, 0.0

@@ -1,10 +1,10 @@
-"""Oblivious reassembly of sub-join outputs: bitonic merge + pad compaction.
+"""Oblivious merging of sorted runs: bitonic merge + pad compaction.
 
-Every sub-join emits its output rows already in the engine's canonical order
-(lexicographic in the sort keys), so reassembling the global result does not
-need a full `O(m log^2 m)` sort — a tournament of Batcher bitonic *merge*
+Runs that are already sorted by the keys do not need a full
+`O(m log^2 m)` sort to become one — a tournament of Batcher bitonic *merge*
 networks (`O(m log m)` comparators per round, `log` rounds over the runs)
-suffices.
+suffices, and `k` sorted blocks plus this tournament *are* one bitonic sort
+(:mod:`repro.shard.sort`).
 
 One pairwise merge of ascending runs ``A`` and ``B`` lays the rows out as
 
@@ -18,8 +18,7 @@ is a function of the (public) run lengths alone — and is compacted away by
 truncation.
 
 The comparator schedule of the whole tournament is determined by the run
-lengths only; the sharded engine exposes it through its stats object so the
-obliviousness tests can pin it.
+lengths only; the obliviousness tests pin it.
 
 Two ways to run the tournament:
 
@@ -119,10 +118,12 @@ def bitonic_merge_two(
         col[:la] = a[name]
         col[padded - lb :] = b[name][::-1]
         work[name] = col
-    flags = np.zeros(padded, dtype=_INT)
-    flags[la : padded - lb] = 1
-    work[PAD_FLAG] = flags
-    merge_keys: list[Key] = [(PAD_FLAG, True)] + list(keys)
+    merge_keys = list(keys)
+    if padded != total:
+        flags = np.zeros(padded, dtype=_INT)
+        flags[la : padded - lb] = 1
+        work[PAD_FLAG] = flags
+        merge_keys = [(PAD_FLAG, True)] + merge_keys
 
     indices = np.arange(padded)
     gap = padded // 2
@@ -138,7 +139,6 @@ def bitonic_merge_two(
             col[src], col[dst] = col[dst].copy(), col[src].copy()
         gap //= 2
 
-    del work[PAD_FLAG]
     return {name: work[name][:total] for name in names}
 
 
@@ -191,9 +191,8 @@ def oblivious_merge_runs(
     never reach the first ``truncate`` rows of the final output — dropping
     it early is exact.  The cut points are ``min(run lengths, truncate)``,
     pure functions of the (public) run lengths and the bound, so the
-    comparator schedule stays data-independent while the padded sharded
-    join's merge cost drops from the grid total (``n1 * n2`` rows under a
-    cascade step's full cross product) to ``O(runs * truncate)``.
+    comparator schedule stays data-independent while a padded merge costs
+    ``O(runs * truncate)`` whatever the runs' own lengths.
     """
     if not runs:
         return {}

@@ -1,4 +1,4 @@
-"""Sharded multi-way join cascade: each binary step runs the shard grid.
+"""Sharded multi-way join cascade: each binary step is a sharded join.
 
 Structurally identical to :func:`repro.vector.multiway.vector_multiway_join`
 — a left-deep fold of binary joins over a client-side row catalogue — with
@@ -8,17 +8,12 @@ in the exact canonical order the vector engine produces, the accumulated
 catalogues (and therefore the final rows and intermediate sizes) are
 bit-identical across the three engines; the differential suite pins that.
 
-Under padded execution the whole cascade's public schedule is compiled
-up front (:func:`repro.plan.compile.multiway_plan`): each step's left size
-is the *previous step's bound*, so every per-step join plan — partition
-layout, grid bounds, the merge tournament's ``merge_pair`` bracket and its
-truncation — is a function of the input sizes, ``k``, and the bounds
-alone, and the driver hands each step its compiled sub-plan.  Each step
-inherits the streaming reassembly of :func:`repro.shard.join.sharded_oblivious_join`:
-grid results fold into the merge tournament as they complete, and the
-pairwise merges run as executor tasks.  Revealed per step without padding: the intermediate size (as in
-every engine) plus the sharded join's per-task ``m_ij`` grid (see
-:mod:`repro.shard.join`).
+Under padded execution each step's left size is the *previous step's
+bound*, so every step's plan (``stats.step_stats[s].plan``) and schedule is
+a function of the input sizes, ``k`` and the bounds alone
+(:func:`repro.plan.compile.multiway_plan` is the whole cascade's artifact).
+Revealed per step without padding: the intermediate size, as in every
+engine.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from ..core.multiway import (
     validate_cascade,
 )
 from ..core.padding import cascade_bounds, check_padding, padded_cascade
-from ..plan.compile import multiway_step_shapes, sharded_join_plan
 from ..plan.executors import Executor, resolve_executor
 from .join import ShardedJoinStats, sharded_oblivious_join
 
@@ -84,12 +78,6 @@ def sharded_multiway_join(
         sizes = [len(t) for t in tables]
         bounds = cascade_bounds(sizes, padding, bound)
         stats.step_bounds = list(bounds)
-        # The cascade's public schedule, fixed before any data moves: one
-        # compiled join plan per step at (previous bound, n_s, bound_s).
-        step_plans = [
-            sharded_join_plan(left, right, shards, target)
-            for left, right, target in multiway_step_shapes(sizes, bounds)
-        ]
 
         def run_step(step, left_pairs, right_pairs, target):
             step_stats = ShardedJoinStats()
@@ -100,7 +88,6 @@ def sharded_multiway_join(
                 stats=step_stats,
                 target_m=target,
                 executor=executor,
-                plan=step_plans[step],
             )
             stats.step_stats.append(step_stats)
             stats.intermediate_sizes.append(step_stats.m)

@@ -17,9 +17,8 @@ Position-based partitioning deliberately avoids key-based (hash/range)
 partitioning: a key-partitioned shard's load is a function of the key
 distribution, and padding it to a data-independent capacity while staying
 *correct* under adversarial skew (every key in one shard) forces the
-capacity up to ``n``.  The price of the positional scheme is that a binary
-join must run the full ``k x k`` grid of shard pairs; see
-:mod:`repro.shard.join`.
+capacity up to ``n``.  Positional blocks carry no key locality, so what is
+sharded is the *sort* (:mod:`repro.shard.sort`), never the join.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ import numpy as np
 
 from ..errors import InputError
 from ..plan.partition import (  # noqa: F401 (re-exports: the pure plan half)
-    block_aligned_partition_plan,
     check_shards,
     partition_plan,
     shard_capacity,
     shard_counts,
 )
-from ..store.runtime import StorePairs
 
 _INT = np.int64
 
@@ -87,37 +84,12 @@ def partition_columns(
     return blocks
 
 
-def pairs_partition_plan(pairs, k: int) -> tuple[int, tuple[int, ...]]:
-    """The public partition plan actually used for this pairs input.
-
-    Store-backed inputs partition block-aligned (whole blocks per shard,
-    f(n, k, block_rows)); resident inputs row-aligned (f(n, k)).  The
-    driver reports this plan in its stats so the pinned schedule matches
-    what ran.
-    """
-    if isinstance(pairs, StorePairs):
-        return block_aligned_partition_plan(len(pairs), k, pairs.block_rows)
-    return partition_plan(len(pairs), k)
-
-
 def partition_pairs(pairs, k: int) -> list[ShardPart]:
     """Split a ``(j, d)`` pairs table into ``k`` equal, padded shards.
 
     Accepts the same inputs as the vector engine (a sequence of int pairs or
     an ``(n, 2)`` array).
-
-    A :class:`~repro.store.StorePairs` input takes the out-of-core path:
-    the shards come back as **block-aligned** parts whose ``j``/``d`` are
-    :class:`~repro.store.StoreBlocksRef` leaves naming exactly the plan's
-    block ids — no column bytes are read here; the task that receives a
-    part faults its blocks in through its own store handle.
     """
-    if isinstance(pairs, StorePairs):
-        check_shards(k)
-        return [
-            ShardPart(j=j_ref, d=d_ref, real=real)
-            for j_ref, d_ref, real in pairs.shard_parts(k)
-        ]
     array = np.asarray(pairs, dtype=_INT)
     if array.size == 0:
         array = array.reshape(0, 2)

@@ -21,16 +21,13 @@ Both relational operators decompose over positional shards:
 ``order_by``
     The order-by contract is a *stable* sort (original position is the
     final tiebreak key — see :mod:`repro.vector.relational`), which makes
-    the ordering total.  Each shard sorts its block into a run, and the
-    streaming merge tournament of :mod:`repro.shard.merge` folds each run
-    in the moment its sort task completes, reassembling the exact global
-    permutation without a barrier between the sorts and the merge.
+    the ordering total, so it is one call of
+    :func:`repro.shard.sort.sharded_sort` over the key columns.
 
-Per-task schedules depend only on the partition plan; the merge schedule
-(the plan's ``merge_pair`` bracket) only on the (public) block sizes —
-never on the order tasks happen to finish in.  Both drivers compile their
-public plan (:mod:`repro.plan.compile`) up front, consume the block shapes
-from it, and fold results off the executor's ordered-completion seam
+Per-task schedules depend only on the partition plan — never on the order
+tasks happen to finish in.  The filter compiles its public plan
+(:mod:`repro.plan.compile`) up front, consumes the block shapes from it,
+and folds results off the executor's ordered-completion seam
 (:func:`repro.plan.executors.completion_stream`).
 """
 
@@ -41,12 +38,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.padding import DUMMY_HANDLE
-from ..plan.compile import sharded_filter_plan, sharded_order_plan
+from ..plan.compile import sharded_filter_plan
 from ..plan.executors import Executor, completion_stream, resolve_executor
 from ..vector.relational import order_columns, vector_filter_indices
-from ..vector.sort import vector_bitonic_sort
-from .merge import StreamingTournament
 from .partition import partition_columns
+from .sort import sharded_sort
 
 
 def _filter_task(payload) -> list[int]:
@@ -94,13 +90,6 @@ def sharded_filter_indices(
     return kept
 
 
-def _order_task(payload) -> dict[str, np.ndarray]:
-    """Sort one shard's block into a run keyed by ``(columns..., position)``."""
-    work, keys, real = payload
-    sliced = {name: column[:real] for name, column in work.items()}
-    return vector_bitonic_sort(sliced, keys)
-
-
 def sharded_order_permutation(
     columns: Sequence[tuple[Sequence[int], bool]],
     n: int,
@@ -108,7 +97,7 @@ def sharded_order_permutation(
     workers: int = 1,
     executor: str | Executor | None = None,
 ) -> list[int]:
-    """The stable sort permutation, computed shard-by-shard then merged.
+    """The stable sort permutation, from one sharded sort.
 
     Raises :class:`~repro.errors.InputError` for non-int64 key columns, like
     the vector path — callers fall back to the traced engine.
@@ -117,20 +106,4 @@ def sharded_order_permutation(
     if n <= 1:
         return list(range(n))
     table, keys = order_columns(columns, n)
-    # Per-shard real counts come from the compiled plan, like the filter's
-    # pad sizes and the join's grid bounds.
-    plan = sharded_order_plan(n, shards)
-    counts = [node.attr("rows") for node in plan.nodes_by_op("shard_sort")]
-    payloads = [
-        (block, keys, rows)
-        for (block, _), rows in zip(partition_columns(table, shards), counts)
-    ]
-    tournament = StreamingTournament(len(payloads), keys, executor=executor)
-    try:
-        for index, run in completion_stream(executor, _order_task, payloads):
-            tournament.add(index, run)
-        merged = tournament.result()
-    except BaseException:
-        tournament.close()
-        raise
-    return merged["pos"].tolist()
+    return sharded_sort(table, keys, shards=shards, executor=executor)["pos"].tolist()

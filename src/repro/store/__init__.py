@@ -8,8 +8,7 @@ Layered bottom-up:
   :class:`BlockCache` trusted-memory LRU;
 * :mod:`repro.store.columns` — column <-> block serialization for tables;
 * :mod:`repro.store.runtime` — per-process :class:`StoreHandle` attach
-  registry, the :class:`StoreBlocksRef` payload leaves shard workers
-  resolve, and the engine-facing :class:`StorePairs`.
+  registry and the engine-facing :class:`StorePairs`.
 
 See ``docs/architecture.md`` (storage layer) and the block-access-pattern
 section of ``docs/leakage.md``.
@@ -24,7 +23,6 @@ from .blockstore import (
 from .columns import write_table
 from .runtime import (
     DEFAULT_CACHE_BYTES,
-    StoreBlocksRef,
     StoreHandle,
     StorePairs,
     StoreSpec,
@@ -33,7 +31,6 @@ from .runtime import (
     detach_all,
     residency_snapshot,
     stats_snapshot,
-    store_pairs_block_rows,
     trace_faults,
 )
 
@@ -44,7 +41,6 @@ __all__ = [
     "InMemoryStore",
     "write_table",
     "DEFAULT_CACHE_BYTES",
-    "StoreBlocksRef",
     "StoreHandle",
     "StorePairs",
     "StoreSpec",
@@ -53,6 +49,5 @@ __all__ = [
     "detach_all",
     "residency_snapshot",
     "stats_snapshot",
-    "store_pairs_block_rows",
     "trace_faults",
 ]

@@ -4,12 +4,10 @@ This is the seam between the block store and the execution layers:
 
 :class:`StoreSpec`
     A tiny frozen, picklable description of a store (kind, path, block
-    size, encryption key, trusted-memory budget).  It is the *address* a
-    worker process uses to attach its own handle — shipping a spec instead
-    of column bytes is what makes shard dispatch out-of-core.  The
-    encryption key rides in the spec because workers play the role of
-    enclaves in the simulated trust split: they hold the key; the store
-    directory is the untrusted side.
+    size, encryption key, trusted-memory budget): the *address* a process
+    uses to attach its own handle.  The encryption key rides in the spec
+    because the attaching process plays the enclave in the simulated trust
+    split: it holds the key; the store directory is the untrusted side.
 
 :class:`StoreHandle`
     One process's view of one store: the store itself plus the
@@ -17,23 +15,13 @@ This is the seam between the block store and the execution layers:
     memory) and an :class:`~repro.enclave.epc.EPCModel` sized to the same
     budget, so the handle can report both measured counters and the
     modeled paging multiplier.  :func:`attach` memoises handles per spec
-    per process — every task in a worker shares one cache.
-
-:class:`StoreBlocksRef`
-    A picklable payload leaf naming exactly the blocks one shard task may
-    touch (the plan's ``block_ids`` attrs), plus the row window and the
-    padded capacity.  :meth:`StoreBlocksRef.resolve` turns it into the
-    padded column array worker-side; every shard task calls it through
-    :func:`repro.plan.executors.resolve_payload`, so inline and remote
-    substrates behave identically.
-    A ref with ``arange_base`` set is a *virtual* column (row handles) and
-    faults zero blocks.
+    per process.
 
 :class:`StorePairs`
     The engine-facing ``(j, d)`` pairs view of stored columns: a sequence
     (so the traced engine iterates it and ``np.asarray`` materialises it)
-    that the sharded partitioner special-cases into block-aligned
-    :class:`~repro.shard.partition.ShardPart`\\ s of refs.
+    with a streaming :meth:`StorePairs.scan` the sharded join reads each
+    query's input through.
 
 ``stats_snapshot()`` aggregates every attached handle's counters — the
 service layer reports the per-query delta.  The counters are *local-only*
@@ -50,12 +38,7 @@ import numpy as np
 
 from ..enclave.epc import EPCModel
 from ..errors import InputError
-from ..plan.partition import (
-    block_aligned_partition_plan,
-    block_count,
-    check_block_rows,
-    shard_block_ids,
-)
+from ..plan.partition import block_count, check_block_rows
 from .blockstore import BlockCache, FileStore, InMemoryStore
 from .columns import block_rows_of, read_int_block
 
@@ -155,10 +138,7 @@ _HANDLES: dict[StoreSpec, StoreHandle] = {}
 def attach(spec: StoreSpec) -> StoreHandle:
     """The process-wide handle for ``spec``, created on first use.
 
-    Workers call this (through :meth:`StoreBlocksRef.resolve`) with specs
-    that arrived inside task payloads; the parent calls it when opening
-    tables.
-    One handle per spec per process means every task shares one trusted
+    One handle per spec per process means every reader shares one trusted
     memory of ``spec.cache_bytes``.
     """
     with _LOCK:
@@ -182,9 +162,7 @@ def adopt(store, cache_bytes: int = DEFAULT_CACHE_BYTES) -> StoreSpec:
     """Register an in-process store under a synthetic spec; returns it.
 
     This is how :class:`InMemoryStore`-backed tables join the runtime: the
-    spec's path is an opaque token only this process can resolve, so such
-    tables work on the inline/shuffle executors (same process) and fail
-    loudly if shipped to a process pool.
+    spec's path is an opaque token only this process can resolve.
     """
     with _LOCK:
         if isinstance(store, FileStore):
@@ -249,7 +227,7 @@ def residency_snapshot() -> list[dict]:
     return report
 
 
-# -- fault tracing (tests assert workers touch only plan-named blocks) -------
+# -- fault tracing (tests assert a query touches only plan-named blocks) -----
 
 _TRACED_FAULTS: set[tuple[str, int]] | None = None
 
@@ -274,49 +252,6 @@ def _record_fault(key: str, index: int) -> None:
         _TRACED_FAULTS.add((key, index))
 
 
-# -- block refs: the payload leaves workers resolve --------------------------
-
-
-@dataclass(frozen=True)
-class StoreBlocksRef:
-    """A shard column as (spec, blocks, window): resolved worker-side.
-
-    ``blocks`` are the plan-named block ids this task may touch (empty for
-    virtual columns); ``start`` is the row offset of the window inside the
-    first block (always 0 for block-aligned partitions); ``rows`` the real
-    row count; ``capacity`` the padded length the resolved array must
-    have.  With ``arange_base`` set the column is the virtual row-handle
-    sequence ``arange_base + [0, rows)`` and no store access happens.
-    """
-
-    spec: StoreSpec
-    column: str
-    blocks: tuple[int, ...]
-    start: int
-    rows: int
-    capacity: int
-    arange_base: int | None = None
-
-    def __len__(self) -> int:
-        return self.capacity
-
-    def resolve(self) -> np.ndarray:
-        """Materialise the ref as its padded int64 column array."""
-        out = np.zeros(self.capacity, dtype=_INT)
-        if self.arange_base is not None:
-            out[: self.rows] = np.arange(
-                self.arange_base, self.arange_base + self.rows, dtype=_INT
-            )
-            return out
-        if self.rows == 0:
-            return out
-        handle = attach(self.spec)
-        parts = [handle.read_int_block(self.column, index) for index in self.blocks]
-        window = np.concatenate(parts)[self.start : self.start + self.rows]
-        out[: self.rows] = window
-        return out
-
-
 # -- engine-facing stored pairs ----------------------------------------------
 
 
@@ -329,9 +264,8 @@ class StorePairs:
     ``arange(n)``, so they are never stored at all).
 
     Sequence-shaped on purpose: the traced engine iterates it, the vector
-    engine materialises it through ``__array__``, and the sharded
-    partitioner recognises the type and emits block-aligned shard parts
-    of :class:`StoreBlocksRef` columns instead of resident arrays.
+    engine materialises it through ``__array__``, and the sharded join
+    recognises the type and scans it afresh (:meth:`scan`) for every query.
     """
 
     def __init__(
@@ -359,25 +293,33 @@ class StorePairs:
             f"block_rows={self.block_rows})"
         )
 
-    # -- whole-table materialisation (resident fall-back) --------------------
+    # -- whole-table reads ---------------------------------------------------
 
-    def _column(self, key: str | None) -> np.ndarray:
-        if key is None:
-            return np.arange(self.n, dtype=_INT)
+    def scan(self) -> np.ndarray:
+        """A fresh ``(n, 2)`` pairs array, streamed from the store.
+
+        Reads blocks ``0 … B-1`` of the key column, then of the data
+        column, each straight into its place through the handle's budgeted
+        cache — an order that is a public function of ``(n, block_rows)``
+        — and keeps nothing on this object, so every query pays (and
+        shows) its own block reads.
+        """
+        pairs = np.empty((self.n, 2), dtype=_INT)
         handle = attach(self.spec)
-        nblocks = block_count(self.n, self.block_rows)
-        if nblocks == 0:
-            return np.zeros(0, dtype=_INT)
-        parts = [handle.read_int_block(key, index) for index in range(nblocks)]
-        return np.concatenate(parts)[: self.n]
+        for column, key in enumerate((self.j_key, self.d_key)):
+            if key is None:
+                pairs[:, column] = np.arange(self.n, dtype=_INT)
+                continue
+            for index in range(block_count(self.n, self.block_rows)):
+                lo = index * self.block_rows
+                block = handle.read_int_block(key, index)
+                pairs[lo : lo + self.block_rows, column] = block[: self.n - lo]
+        return pairs
 
     def materialize(self) -> np.ndarray:
         """The resident ``(n, 2)`` pairs array, read once and kept."""
         if self._materialized is None:
-            pairs = np.empty((self.n, 2), dtype=_INT)
-            pairs[:, 0] = self._column(self.j_key)
-            pairs[:, 1] = self._column(self.d_key)
-            self._materialized = pairs
+            self._materialized = self.scan()
         return self._materialized
 
     def __array__(self, dtype=None, copy=None):
@@ -395,89 +337,3 @@ class StorePairs:
         if isinstance(index, (int, np.integer)):
             return (int(row[0]), int(row[1]))
         return row
-
-    # -- streaming reductions (padded-input validation) ----------------------
-
-    def _block_reduce(self, key: str | None, reducer, empty: int) -> int:
-        if self.n == 0:
-            return empty
-        if key is None:
-            return reducer(0, self.n - 1)
-        handle = attach(self.spec)
-        nblocks = block_count(self.n, self.block_rows)
-        best = None
-        for index in range(nblocks):
-            block = handle.read_int_block(key, index)
-            lo = index * self.block_rows
-            real = min(self.block_rows, self.n - lo)
-            value = reducer(*_minmax(block[:real]))
-            best = value if best is None else reducer(best, value)
-        return int(best)
-
-    def max_j(self) -> int:
-        """Streaming ``max`` of the key column (anchor-headroom check)."""
-        return self._block_reduce(self.j_key, max, 0)
-
-    def min_d(self) -> int:
-        """Streaming ``min`` of the data column (payload-headroom check)."""
-        return self._block_reduce(self.d_key, min, 0)
-
-    # -- shard refs (the block-aligned partition path) -----------------------
-
-    def shard_parts(self, k: int) -> list[tuple[StoreBlocksRef, StoreBlocksRef, int]]:
-        """Block-aligned ``(j ref, d ref, real)`` triples for ``k`` shards.
-
-        Shard layout comes from
-        :func:`~repro.plan.partition.block_aligned_partition_plan` /
-        :func:`~repro.plan.partition.shard_block_ids` — the same pure
-        functions the plan compiler stamps onto ``partition`` nodes — so
-        the refs name exactly the plan's blocks.
-        """
-        capacity, counts = block_aligned_partition_plan(self.n, k, self.block_rows)
-        ids = shard_block_ids(self.n, k, self.block_rows)
-        parts = []
-        offset = 0
-        for shard in range(k):
-            real = counts[shard]
-            blocks = ids[shard]
-            j_ref = StoreBlocksRef(
-                spec=self.spec,
-                column=self.j_key,
-                blocks=blocks,
-                start=0,
-                rows=real,
-                capacity=capacity,
-            )
-            if self.d_key is None:
-                d_ref = StoreBlocksRef(
-                    spec=self.spec,
-                    column="",
-                    blocks=(),
-                    start=0,
-                    rows=real,
-                    capacity=capacity,
-                    arange_base=offset,
-                )
-            else:
-                d_ref = StoreBlocksRef(
-                    spec=self.spec,
-                    column=self.d_key,
-                    blocks=blocks,
-                    start=0,
-                    rows=real,
-                    capacity=capacity,
-                )
-            parts.append((j_ref, d_ref, real))
-            offset += real
-        return parts
-
-
-def _minmax(array: np.ndarray) -> tuple[int, int]:
-    return int(array.min()), int(array.max())
-
-
-def store_pairs_block_rows(pairs) -> int | None:
-    """The block-alignment unit of a pairs input (``None`` = resident)."""
-    if isinstance(pairs, StorePairs):
-        return pairs.block_rows
-    return None

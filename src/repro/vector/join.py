@@ -35,15 +35,12 @@ _INT = np.int64
 class VectorJoinStats:
     """Per-phase wall time and comparator counts of one vectorised join.
 
-    ``m`` is the emitted row count (the public bound under padding);
-    ``true_m`` the join's real output size, which only differs under
-    padding and is what a deferred bound check compares to the bound.
+    ``m`` is the emitted row count (the public bound under padding).
     """
 
     seconds_by_phase: dict[str, float] = field(default_factory=dict)
     comparisons_by_phase: dict[str, int] = field(default_factory=dict)
     m: int = 0
-    true_m: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -111,6 +108,7 @@ def _expand(
     stats: VectorJoinStats,
     sort_phase: str,
     route_phase: str,
+    sort=vector_bitonic_sort,
 ) -> dict[str, np.ndarray]:
     """Vectorised Algorithm 4: duplicate each row ``count_column`` times."""
     n = len(columns["j"])
@@ -133,9 +131,7 @@ def _expand(
 
     start = time.perf_counter()
     counter = [0]
-    extended = vector_bitonic_sort(
-        extended, [("_null", True), ("f", True)], counter=counter
-    )
+    extended = sort(extended, [("_null", True), ("f", True)], counter=counter)
     stats.seconds_by_phase[sort_phase] = time.perf_counter() - start
     stats.comparisons_by_phase[sort_phase] = counter[0]
 
@@ -164,7 +160,9 @@ def _expand(
     return filled
 
 
-def _align(s2: dict[str, np.ndarray], m: int, stats: VectorJoinStats) -> dict[str, np.ndarray]:
+def _align(
+    s2: dict[str, np.ndarray], m: int, stats: VectorJoinStats, sort=vector_bitonic_sort
+) -> dict[str, np.ndarray]:
     """Vectorised Algorithm 5: transpose each group block of S2."""
     gid = _group_ids(s2["j"])
     starts = np.flatnonzero(np.concatenate([[True], s2["j"][1:] != s2["j"][:-1]]))
@@ -174,7 +172,7 @@ def _align(s2: dict[str, np.ndarray], m: int, stats: VectorJoinStats) -> dict[st
 
     start = time.perf_counter()
     counter = [0]
-    s2 = vector_bitonic_sort(s2, [("j", True), ("ii", True)], counter=counter)
+    s2 = sort(s2, [("j", True), ("ii", True)], counter=counter)
     stats.seconds_by_phase["align_sort"] = time.perf_counter() - start
     stats.comparisons_by_phase["align_sort"] = counter[0]
     return s2
@@ -197,7 +195,7 @@ def _augmented_tables(
     right,
     stats: VectorJoinStats,
     target_m: int | None,
-    defer_overflow: bool,
+    sort=vector_bitonic_sort,
 ):
     """Algorithm 1's augment prefix: sorted, dimension-filled tables.
 
@@ -229,7 +227,7 @@ def _augmented_tables(
 
     start = time.perf_counter()
     counter = [0]
-    combined = vector_bitonic_sort(combined, [("j", True), ("tid", True)], counter=counter)
+    combined = sort(combined, [("j", True), ("tid", True)], counter=counter)
     stats.seconds_by_phase["augment_sort1"] = time.perf_counter() - start
     stats.comparisons_by_phase["augment_sort1"] = counter[0]
 
@@ -242,11 +240,11 @@ def _augmented_tables(
     combined["a2"] = count2[gid]
     m = int((count1 * count2).sum())
     stats.seconds_by_phase["fill_dimensions"] = time.perf_counter() - start
-    stats.m = stats.true_m = m
+    stats.m = m
 
     start = time.perf_counter()
     counter = [0]
-    combined = vector_bitonic_sort(
+    combined = sort(
         combined, [("tid", True), ("j", True), ("d", True)], counter=counter
     )
     stats.seconds_by_phase["augment_sort2"] = time.perf_counter() - start
@@ -261,17 +259,8 @@ def _augmented_tables(
         # group contributed 1*1 to m; rewriting its dimensions to the pad
         # size makes both expansions total exactly target_m (see
         # repro.core.padding — value writes don't shape the schedule).
-        stats.true_m = m - 1
-        if not defer_overflow:
-            exceeds_bound(stats.true_m, target_m)
-        # A deferred overflow still runs the whole public-shape schedule:
-        # the same kind of value writes zero every real row's copy count,
-        # so the run comes back all-dummy and the caller, who reads
-        # ``stats.true_m``, decides when to raise.
-        fits = int(stats.true_m <= target_m)
-        table1["a2"] *= fits
-        table2["a1"] *= fits
-        pad = target_m - fits * stats.true_m
+        exceeds_bound(m - 1, target_m)
+        pad = target_m - (m - 1)
         table1["a2"][-1] = pad
         table2["a1"][-1] = pad
         m = target_m
@@ -284,47 +273,39 @@ def vector_oblivious_join(
     left,
     right,
     stats: VectorJoinStats | None = None,
-    with_keys: bool = False,
     target_m: int | None = None,
-    defer_overflow: bool = False,
+    sort=vector_bitonic_sort,
 ) -> tuple[np.ndarray, VectorJoinStats]:
     """Vectorised Algorithm 1; returns ``(pairs, stats)``.
 
     ``pairs`` is an ``(m, 2)`` int64 array of joined data values in the same
     order the traced engine produces: groups in ascending ``j`` order, each
-    group's cross product row-major over its two d-sorted sides.  (That is
-    *not* a lexicographic sort of the value triples — duplicate left
-    payloads emit interleaved rows; see ``repro/shard/join.py``.)  With
-    ``with_keys=True`` the array is ``(m, 3)``: ``(j, d1, d2)`` rows, which
-    is what lets the sharded engine rank rows for its oblivious merge.
+    group's cross product row-major over its two d-sorted sides.
 
     ``target_m`` pads the output to that public bound exactly as the traced
     engine does (anchor rows, rewritten group dimensions — see
     :mod:`repro.core.padding`): real rows first, ``DUMMY_HANDLE`` rows
     after, and a primitive schedule that is a function of
     ``(n1, n2, target_m)`` only.  A true size above ``target_m`` raises
-    :class:`~repro.errors.BoundError` right after the augment phase —
-    unless ``defer_overflow`` is set (the sharded grid's cells: a worker
-    that raised would reveal *which* cell overflowed), in which case the
-    join runs its full schedule, emits ``target_m`` dummy rows and leaves
-    the decision to the caller via ``stats.true_m``.
+    :class:`~repro.errors.BoundError` right after the augment phase.
+
+    ``sort`` is the oblivious sort all five sorting steps call, with
+    :func:`~repro.vector.sort.vector_bitonic_sort`'s signature.  It is how
+    :mod:`repro.shard.join` runs this same text over a sharded sort; no
+    engine option reaches it.  Every tie the five key lists leave open is
+    between rows that are identical or whose order a later step
+    overwrites, so the output does not depend on how ``sort`` breaks them.
     """
     stats = stats or VectorJoinStats()
-    width = 3 if with_keys else 2
-    table1, table2, m = _augmented_tables(
-        left, right, stats, target_m, defer_overflow
-    )
+    table1, table2, m = _augmented_tables(left, right, stats, target_m, sort)
     if table1 is None or m == 0:
-        return np.zeros((0, width), dtype=_INT), stats
+        return np.zeros((0, 2), dtype=_INT), stats
 
-    s1 = _expand(table1, "a2", m, stats, "expand1_sort", "expand1_route")
-    s2 = _expand(table2, "a1", m, stats, "expand2_sort", "expand2_route")
-    s2 = _align(s2, m, stats)
+    s1 = _expand(table1, "a2", m, stats, "expand1_sort", "expand1_route", sort)
+    s2 = _expand(table2, "a1", m, stats, "expand2_sort", "expand2_route", sort)
+    s2 = _align(s2, m, stats, sort)
 
     start = time.perf_counter()
-    if with_keys:
-        pairs = np.stack([s1["j"], s1["d"], s2["d"]], axis=1)
-    else:
-        pairs = np.stack([s1["d"], s2["d"]], axis=1)
+    pairs = np.stack([s1["d"], s2["d"]], axis=1)
     stats.seconds_by_phase["zip"] = time.perf_counter() - start
     return pairs, stats

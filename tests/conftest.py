@@ -9,6 +9,9 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.memory.tracer import HashSink, ListSink, Tracer
+from repro.obliv.bitonic import next_power_of_two
+from repro.plan.partition import partition_plan
+from repro.shard.merge import merge_comparator_count
 
 
 def shm_segments() -> set[str]:
@@ -66,3 +69,17 @@ def int_lists(max_size: int = 32, low: int = -100, high: int = 100):
     return st.lists(
         st.integers(min_value=low, max_value=high), max_size=max_size
     )
+
+
+def _bitonic_comparators(n: int) -> int:
+    """Comparators of one bitonic sort of ``n`` rows (padded to 2**s)."""
+    if n <= 1:
+        return 0
+    stages = (next_power_of_two(n) - 1).bit_length()
+    return stages * (stages + 1) // 2 * next_power_of_two(n) // 2
+
+
+def sharded_sort_comparators(n: int, k: int) -> int:
+    """What ``sharded_sort`` must count for ``n`` rows over ``k`` blocks."""
+    _, counts = partition_plan(n, k)
+    return sum(map(_bitonic_comparators, counts)) + merge_comparator_count(counts)

@@ -86,7 +86,7 @@ def test_join_tree_beats_cascade_compounded_bounds():
     """PR 8's headline claim on a canonical 3-table skewed bounded query:
     the cascade pays a padding bound at *every* step (surfaced per step in
     ``stats.step_bounds``), the join tree pays one bound for the final
-    output — so the tree's total padded rows and its merge comparator
+    output — so the tree's total padded rows and its total comparator
     count both land strictly below the cascade's, read from stats on both
     sides rather than re-derived."""
     from repro.shard.join_tree import ShardedJoinTreeStats, sharded_join_tree
@@ -127,14 +127,13 @@ def test_join_tree_beats_cascade_compounded_bounds():
     assert tree_stats.target == bound == 200
     assert tree_stats.target < cascade.total_padded_rows
 
-    # Merge comparators: the tree reassembles one slot space, the cascade
-    # one padded grid per step; both counts are the pure run-length
-    # formula of their public schedules.
-    cascade_merges = sum(s.merge_comparisons for s in cascade_stats.step_stats)
+    # Comparators: the tree reassembles one slot space (its merge count is
+    # the pure run-length formula of its public schedule); the cascade's
+    # merges are part of each step's five sharded sorts, so the comparable
+    # quantity is the total.
     assert tree_stats.merge_comparisons == merge_comparator_count(
         tree_stats.windows, truncate=tree_stats.target
     )
-    assert tree_stats.merge_comparisons < cascade_merges
     assert tree_stats.total_comparisons < cascade_stats.total_comparisons
 
 

@@ -262,6 +262,30 @@ def test_published_runs_cross_dispatches_without_a_parent_round_trip():
     release_segments([segment])  # double release is tolerated
 
 
+def _attached_runs_task(_payload):
+    """Worker task: how many published segments this worker has attached."""
+    import os
+
+    from repro.plan import executors
+
+    return os.getpid(), len(executors._ATTACHED_RUNS)
+
+
+def test_pooled_worker_holds_at_most_two_published_segments():
+    """A merge task reads two published runs and none twice; every further
+    slot would only pin a dead, already-unlinked run per worker.  A pooled
+    join at k = 8 publishes four to seven runs per sort, five sorts."""
+    from repro.plan import executors
+    from repro.shard.join import sharded_oblivious_join
+
+    assert executors._RUN_LIMIT == 2
+    executor = PoolExecutor(workers=2)
+    rows = [(k % 9, k) for k in range(64)]
+    sharded_oblivious_join(rows, rows, shards=8, executor=executor)
+    held = dict(executor.map(_attached_runs_task, list(range(16))))
+    assert held and 1 <= max(held.values()) <= 2
+
+
 def test_publish_without_arrays_creates_no_segment():
     encoded, segment = publish_columns({"empty": np.zeros(0, dtype=np.int64)})
     assert segment is None

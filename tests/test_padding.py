@@ -127,8 +127,10 @@ def test_vector_revealed_cascade_schedule_differs():
 
 
 def test_sharded_padded_join_grid_and_schedule_are_size_determined():
-    """The acceptance experiment for the sharded engine: task grid, task_m,
-    and full schedule identical across key distributions of equal sizes."""
+    """The acceptance experiment for the sharded engine: full schedule,
+    executed plan and emitted size identical across key distributions of
+    equal sizes (the id predates the sort-sharded join: there is no task
+    grid left to compare)."""
     views = []
     for left, right in (
         ([(0, i) for i in range(5)], [(0, i) for i in range(4)]),  # m = 20
@@ -136,7 +138,7 @@ def test_sharded_padded_join_grid_and_schedule_are_size_determined():
     ):
         stats = ShardedJoinStats()
         sharded_oblivious_join(left, right, shards=3, stats=stats, target_m=20)
-        views.append((stats.schedule, tuple(stats.task_m), stats.m))
+        views.append((stats.schedule, stats.plan.serialize(), stats.m))
     assert views[0] == views[1]
 
 
@@ -148,21 +150,27 @@ def test_sharded_padded_cascade_schedule_is_size_determined():
             tables, CASCADE_KEYS, shards=2, stats=stats, padding="worst_case"
         )
         views.append(
-            (stats.schedule, tuple(tuple(s.task_m) for s in stats.step_stats))
+            (stats.schedule, tuple(s.plan.serialize() for s in stats.step_stats))
         )
     assert views[0] == views[1]
 
 
 def test_sharded_revealed_grid_differs_on_the_same_inputs():
-    grids = []
+    """Without padding the one revealed size, ``m``, shapes the schedule —
+    and nothing finer does: the executed plans are still byte-identical
+    (the id predates the sort-sharded join; the per-task size grid it used
+    to compare is gone from the engine and from the leakage profile)."""
+    views = []
     for left, right in (
         ([(0, i) for i in range(5)], [(0, i) for i in range(4)]),
         ([(i, i) for i in range(5)], [(9 + i, i) for i in range(4)]),
     ):
         stats = ShardedJoinStats()
         sharded_oblivious_join(left, right, shards=3, stats=stats)
-        grids.append(tuple(stats.task_m))
-    assert grids[0] != grids[1]
+        views.append((stats.schedule, stats.m, stats.plan.serialize()))
+    assert views[0][0] != views[1][0]
+    assert (views[0][1], views[1][1]) == (20, 0)
+    assert views[0][2] == views[1][2]
 
 
 def test_join_target_above_worst_case_clamps_identically_everywhere():
@@ -284,7 +292,10 @@ def test_leakage_profiles_cover_every_engine_and_mode():
             if mode == "revealed":
                 assert "m" in profile
             else:
-                assert "m" not in profile and "m_ij_grid" not in profile
+                assert "m" not in profile
+            # The k x k per-task output sizes left the sharded profile with
+            # the grid: the join reveals the single m, like every engine.
+            assert "m_ij_grid" not in profile
     with pytest.raises(KeyError, match="no leakage profile"):
         leakage_profile("gpu")
 

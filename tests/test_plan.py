@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import sharded_sort_comparators
 
 from repro.cli import main
 from repro.core.padding import cascade_bounds, join_bound
@@ -104,90 +105,97 @@ def test_compile_multiway_bounds_match_cascade_bounds():
     assert capped.shape("bounds") == cascade_bounds(sizes, "bounded", 6)
 
 
+#: The five sorts of Algorithm 1, by the stage name plan and stats share.
+JOIN_SORTS = (
+    "augment_sort1", "augment_sort2", "expand1_sort", "expand2_sort", "align_sort",
+)
+
+
+def _sort_sizes(n1, n2, target):
+    """Rows each of the five sorts runs at under padded execution."""
+    total = n1 + n2 + 2
+    return dict(
+        zip(JOIN_SORTS, (total, total, max(n1 + 1, target), max(n2 + 1, target), target))
+    )
+
+
+def _stage(plan, op, stage):
+    return [node for node in plan.nodes_by_op(op) if node.attr("stage") == stage]
+
+
 def test_sharded_join_plan_grid_uses_partition_counts():
+    """Every block size in the plan is ``partition_plan(sort size, k)``
+    (the id predates the sort-sharded join, whose plan has no grid)."""
     n1, n2, k = 10, 7, 3
     plan = sharded_join_plan(n1, n2, k, n1 * n2)
-    _, counts1 = partition_plan(n1, k)
-    _, counts2 = partition_plan(n2, k)
-    cells = plan.nodes_by_op("grid_join")
-    assert len(cells) == k * k
-    assert [node.attr("target") for node in cells] == [
-        c1 * c2 for c1 in counts1 for c2 in counts2
+    for stage, size in _sort_sizes(n1, n2, n1 * n2).items():
+        capacity, counts = partition_plan(size, k)
+        (part,) = _stage(plan, "partition", stage)
+        assert (part.attr("n"), part.attr("k")) == (size, k)
+        assert (part.attr("capacity"), part.attr("counts")) == (capacity, counts)
+        sorts = _stage(plan, "shard_sort", stage)
+        assert [node.attr("shard") for node in sorts] == list(range(k))
+        assert tuple(node.attr("rows") for node in sorts) == counts
+    # The pipeline around the sorts is the inline engines' own.
+    skeleton = [n.op for n in plan.nodes if n.op not in ("partition", "shard_sort", "merge_pair")]
+    assert skeleton == [
+        n.op for n in compile_join(n1, n2, "vector", target_m=n1 * n2).nodes
     ]
-    merge = plan.nodes_by_op("merge")[-1]
-    assert merge.attr("truncate") == n1 * n2
 
 
 def test_sharded_plans_embed_the_merge_tournament_bracket():
-    """Every pairwise merge of the reassembly is a merge_pair node whose
+    """Every pairwise merge of every sharded sort is a merge_pair node whose
     (round, slot, lengths) come from tournament_schedule — the same pure
     function the runtime streaming tournament walks."""
     from repro.plan import tournament_schedule
 
     n1, n2, k = 10, 7, 3
     plan = sharded_join_plan(n1, n2, k, n1 * n2)
-    _, counts1 = partition_plan(n1, k)
-    _, counts2 = partition_plan(n2, k)
-    run_lengths = [c1 * c2 for c1 in counts1 for c2 in counts2]
-    output_pairs = [
-        node
-        for node in plan.nodes_by_op("merge_pair")
-        if node.attr("stage") == "output"
-    ]
-    expected = [
-        node
-        for node in tournament_schedule(k * k, run_lengths, truncate=n1 * n2)
-        if not node.is_carry
-    ]
-    assert [
-        (p.attr("round"), p.attr("slot"), p.attr("left_rows"),
-         p.attr("right_rows"), p.attr("rows"))
-        for p in output_pairs
-    ] == [(n.round, n.slot, n.left_rows, n.right_rows, n.rows) for n in expected]
-    presort_pairs = [
-        node
-        for node in plan.nodes_by_op("merge_pair")
-        if node.attr("stage") == "presort"
-    ]
-    assert len(presort_pairs) == len(
-        [n for n in tournament_schedule(k, counts1) if not n.is_carry]
-    )
-    # Revealed mode keeps the bracket but marks the lengths run-time.
+    for stage, size in _sort_sizes(n1, n2, n1 * n2).items():
+        _, counts = partition_plan(size, k)
+        expected = [n for n in tournament_schedule(k, counts) if not n.is_carry]
+        assert [
+            (p.attr("round"), p.attr("slot"), p.attr("left_rows"),
+             p.attr("right_rows"), p.attr("rows"))
+            for p in _stage(plan, "merge_pair", stage)
+        ] == [(n.round, n.slot, n.left_rows, n.right_rows, n.rows) for n in expected]
+    # Revealed mode keeps every bracket but marks the m-sized ones run-time.
     revealed = sharded_join_plan(n1, n2, k, None)
-    for node in revealed.nodes_by_op("merge_pair"):
-        if node.attr("stage") == "output":
-            assert node.attr("rows") is None
+    assert len(revealed.nodes) == len(plan.nodes)
+    for stage in JOIN_SORTS:
+        known = stage.startswith("augment")
+        for node in _stage(revealed, "merge_pair", stage):
+            assert (node.attr("rows") is not None) == known
+    # k = 1 is one block and no merge at all.
+    assert not sharded_join_plan(n1, n2, 1, None).nodes_by_op("merge_pair")
 
 
 @pytest.mark.parametrize(
     "padding,bound",
     [
-        ("bounded", 3),  # below every cell product (k=3 over 8x8: 9, 6, 4)
-        ("bounded", 7),  # between them
+        ("bounded", 3),  # below both input sizes
+        ("bounded", 7),
         ("bounded", 12),  # above them, below n1 * n2
         ("worst_case", None),
     ],
 )
 def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
-    """The cell-bound pin: a padded cell is one task at ``min(target,
-    n1_i * n2_j)``, its run is one leaf of the output merge, and the plan
-    bytes are a function of ``(n1, n2, k, target)`` — equal across
-    recompiles and across adversarial data of one shape."""
+    """The public-size pin (the id predates the sort-sharded join, which
+    has no grid): under padding every sort size — and so every task and
+    merge size — is fixed by ``(n1, n2, k, target)``; the plan bytes are
+    equal across recompiles and across adversarial data of one shape, and
+    the executed comparator counts are the ones the plan's sizes imply."""
     n1, n2, k = 8, 8, 3
     target = join_bound(n1, n2, padding, bound)
     plan = sharded_join_plan(n1, n2, k, target)
-    _, counts1 = partition_plan(n1, k)
-    _, counts2 = partition_plan(n2, k)
-    cell_targets = tuple(min(target, c1 * c2) for c1 in counts1 for c2 in counts2)
-    assert tuple(
-        node.attr("target") for node in plan.nodes_by_op("grid_join")
-    ) == cell_targets
-    merge = plan.nodes_by_op("merge")[-1]
-    assert merge.attr("run_lengths") == cell_targets
-    assert merge.attr("truncate") == target
-    # Whole cells only: no op splits a cell, no shape key selects a split.
+    sizes = _sort_sizes(n1, n2, target)
+    assert {
+        stage: _stage(plan, "partition", stage)[0].attr("n") for stage in JOIN_SORTS
+    } == sizes
+    # No op of the k x k design is left, no shape key selects a variant.
     assert {node.op for node in plan.nodes} == {
-        "partition", "shard_sort", "merge_pair", "merge", "grid_join", "gather",
+        "input", "partition", "shard_sort", "merge_pair",
+        "augment", "expand", "align", "zip",
     }
     assert json.loads(plan.serialize())["shapes"] == {
         "n1": n1, "n2": n2, "k": k, "target": target,
@@ -196,15 +204,22 @@ def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
     # Skewed-but-disjoint keys and DATASET_B both stay under every bound.
     disjoint = ([(0, v) for v in range(n1)], [(1, v) for v in range(n2)])
     for left, right in (DATASET_B, disjoint):
-        assert (
-            _executed_join_plan(left, right, target).serialize()
-            == plan.serialize()
-        )
+        stats = ShardedJoinStats()
+        sharded_oblivious_join(left, right, shards=k, stats=stats, target_m=target)
+        assert stats.plan.serialize() == plan.serialize()
+        for stage, size in sizes.items():
+            assert stats.comparisons_by_phase[stage] == sharded_sort_comparators(
+                size, k
+            )
 
 
 def test_revealed_plans_mark_runtime_sizes_as_null():
     plan = sharded_join_plan(6, 6, 2, None)
-    assert all(n.attr("target") is None for n in plan.nodes_by_op("grid_join"))
+    for op in ("expand", "align", "zip"):
+        assert all(n.attr("rows") is None for n in plan.nodes_by_op(op))
+    for stage in JOIN_SORTS[2:]:
+        (part,) = _stage(plan, "partition", stage)
+        assert part.attr("n") is None and part.attr("counts") is None
     cascade = compile_multiway([4, 4, 4], "vector", padding=None)
     assert cascade.shape("bounds") == ()
 
@@ -286,21 +301,8 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
     assert plan_a.serialize() == sharded_join_plan(8, 8, 3, target).serialize()
 
 
-def test_join_rejects_a_plan_compiled_for_other_shapes():
-    """A mismatched supplied plan must fail loudly, not silently truncate
-    the grid against the wrong cell list."""
-    foreign = sharded_join_plan(8, 8, 2, None)
-    with pytest.raises(InputError, match="cannot drive"):
-        sharded_oblivious_join(*DATASET_A, shards=3, plan=foreign)
-    # The matching plan drives the join exactly like plan=None.
-    matching = sharded_join_plan(8, 8, 3, None)
-    with_plan, _ = sharded_oblivious_join(*DATASET_A, shards=3, plan=matching)
-    without, _ = sharded_oblivious_join(*DATASET_A, shards=3)
-    assert with_plan.tolist() == without.tolist()
-
-
 def test_executed_plan_bytes_survive_adversarial_completion_orders():
-    """The streaming merge folds grid results in whatever order they
+    """The streaming merge folds sorted blocks in whatever order they
     complete; the executed plan's canonical bytes must stay a pure
     function of (sizes, k, bounds) anyway — completion order is
     scheduling jitter, not schedule."""

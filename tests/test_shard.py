@@ -2,7 +2,8 @@
 
 Partitioner (plans are functions of ``(n, k)`` only), bitonic merge
 (sorted-run reassembly + comparator accounting), the executor
-(pool vs inline equivalence), and the sharded join's phase accounting.
+(pool vs inline equivalence), the sharded sort, and the sharded join's
+phase accounting.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import sharded_sort_comparators
 
 from repro.errors import InputError
 from repro.plan.executors import (
@@ -34,6 +36,9 @@ from repro.shard.partition import (
     shard_capacity,
     shard_counts,
 )
+from repro.shard.sort import ROW_ID, sharded_sort
+from repro.vector.join import vector_oblivious_join
+from repro.vector.sort import vector_bitonic_sort
 
 # -- partitioner -------------------------------------------------------------
 
@@ -154,6 +159,75 @@ def test_worker_validation():
         _default_map([1], workers=-1)
 
 
+# -- the sharded sort ---------------------------------------------------------
+
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+class RecordingExecutor(InlineExecutor):
+    """Inline, recording the column names of every dispatched payload."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.shipped: set[str] = set()
+
+    def imap(self, task, payloads):
+        for payload in payloads:
+            self.shipped |= set(payload[0])
+        return super().imap(task, payloads)
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        pytest.param(InlineExecutor(), id="inline"),
+        pytest.param(ShuffleExecutor(seed=3), id="shuffle"),
+        pytest.param(PoolExecutor(workers=2), id="pool"),
+    ],
+)
+def test_sharded_sort_equals_the_single_process_sort(executor):
+    """Same rows, same comparator formula, at int64 extremes and negative
+    payloads; (a, b) is a total order here, so there are no ties to break."""
+    rng = np.random.default_rng(5)
+    keys = [("a", True), ("b", False)]
+    for n in (0, 1, 2, 7, 16, 37):
+        table = {
+            "a": rng.choice([INT64_MIN, -1, 0, 1, INT64_MAX], n),
+            "b": rng.permutation(n).astype(np.int64) - n // 2,
+            "payload": rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True),
+        }
+        reference_counter = [0]
+        reference = vector_bitonic_sort(table, keys, counter=reference_counter)
+        for k in (1, 2, 3, 5):
+            counter = [0]
+            got = sharded_sort(table, keys, counter, shards=k, executor=executor)
+            assert list(got) == list(table)
+            for name in table:
+                assert np.array_equal(got[name], reference[name]), (n, k, name)
+            assert counter[0] == sharded_sort_comparators(n, k)
+            if k == 1:
+                assert counter[0] == reference_counter[0]
+
+
+def test_sharded_sort_ships_only_keys_and_a_row_id():
+    executor = RecordingExecutor()
+    table = {name: np.arange(9, dtype=np.int64) for name in ("k", "p1", "p2")}
+    sharded_sort(table, [("k", False)], shards=3, executor=executor)
+    assert executor.shipped == {"k", ROW_ID}
+
+
+def test_merge_two_keeps_zero_padding_out_of_extreme_runs():
+    """The merge network pads with zero rows; flagged, they must sort after
+    INT64_MAX keys and never displace negative ones."""
+    a = {"k": np.array([INT64_MIN, -5, INT64_MAX], dtype=np.int64),
+         "v": np.array([-1, INT64_MIN, 7], dtype=np.int64)}
+    b = {"k": np.array([-7, INT64_MAX], dtype=np.int64),
+         "v": np.array([INT64_MAX, -2], dtype=np.int64)}
+    merged = bitonic_merge_two(a, b, [("k", True), ("v", True)])  # 5 rows in 8
+    assert merged["k"].tolist() == [INT64_MIN, -7, -5, INT64_MAX, INT64_MAX]
+    assert merged["v"].tolist() == [-1, INT64_MAX, INT64_MIN, -2, 7]
+
+
 # -- sharded join: phase accounting partitions the wall clock ----------------
 
 
@@ -169,11 +243,9 @@ def test_worker_validation():
 def test_phase_seconds_partition_the_wall_clock_on_every_executor(
     executor, target
 ):
-    """The accounting contract: the five phase keys are exactly
-    {partition, presort, presort_merge, tasks, merge}, every phase is
-    non-negative, and their sum never exceeds the measured wall time —
-    i.e. no phase double-attributes the tournament fold the way the
-    presort once did on eager executors."""
+    """The accounting contract: the phase keys are the vector join's own
+    (the sharded join *is* that text), every phase is non-negative, and
+    their sum never exceeds the measured wall time."""
     left = [(0, v) for v in range(7)]
     right = [(0, v) for v in range(6)]
     stats = ShardedJoinStats()
@@ -183,11 +255,17 @@ def test_phase_seconds_partition_the_wall_clock_on_every_executor(
     )
     wall = time.perf_counter() - start
     assert set(stats.seconds_by_phase) == {
-        "partition",
-        "presort",
-        "presort_merge",
-        "tasks",
-        "merge",
+        "augment_sort1",
+        "fill_dimensions",
+        "augment_sort2",
+        "expand1_sort",
+        "expand1_route",
+        "expand2_sort",
+        "expand2_route",
+        "align_sort",
+        "zip",
     }
+    _, vector_stats = vector_oblivious_join(left, right, target_m=target)
+    assert set(vector_stats.seconds_by_phase) == set(stats.seconds_by_phase)
     assert all(seconds >= 0.0 for seconds in stats.seconds_by_phase.values())
     assert stats.total_seconds <= wall + 1e-6

@@ -18,7 +18,8 @@ from repro.cli import main
 from repro.db.query import ObliviousEngine
 from repro.db.table import DBTable
 from repro.engines import ShardedEngine, get_engine
-from repro.errors import InputError
+from repro.errors import BoundError, InputError
+from repro.plan.executors import get_executor
 from repro.shard.aggregate import ShardedAggregateStats, sharded_join_aggregate
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.shard.multiway import ShardedMultiwayStats, sharded_multiway_join
@@ -28,9 +29,9 @@ from repro.vector.join import vector_oblivious_join
 def _matched_pair(n, key_shift, data_seed):
     """Same-shape inputs: n 1-1-matched keys, arbitrary payloads.
 
-    For a fixed ``n`` every instance has the same partition plan, the same
-    per-task ``m_ij`` grid (keys are position-aligned), hence — if the
-    engine is schedule-oblivious — the same schedule.
+    For a fixed ``n`` every instance has the same partition plans and the
+    same ``m = n``, hence — if the engine is schedule-oblivious — the same
+    schedule.
     """
     rng = random.Random(data_seed)
     left = [(key_shift + k, rng.randrange(1 << 20)) for k in range(n)]
@@ -41,16 +42,36 @@ def _matched_pair(n, key_shift, data_seed):
 # -- bit identity at scale knobs --------------------------------------------
 
 
+EXECUTORS = ("inline", "pool", "shuffle")
+
+
 @pytest.mark.parametrize("shards", [1, 2, 3, 4, 9])
 def test_sharded_join_matches_vector_for_any_shard_count(shards):
+    """Bit-identical to ``vector`` for every k x executor x padding mode,
+    with duplicate left payloads (the rows whose order the old design
+    needed a rank presort for) and empty sides."""
     rng = random.Random(shards)
     left = [(rng.randrange(5), rng.randrange(4)) for _ in range(23)]
     right = [(rng.randrange(5), rng.randrange(4)) for _ in range(17)]
-    expected, _ = vector_oblivious_join(left, right)
-    pairs, stats = sharded_oblivious_join(left, right, shards=shards)
-    assert pairs.tolist() == expected.tolist()
-    assert stats.m == len(expected)
-    assert len(stats.task_m) == shards * shards
+    assert len(set(left)) < len(left)  # duplicate (j, d) rows on the left
+    true_m = len(vector_oblivious_join(left, right)[0])
+    for a, b in ((left, right), ([], right), (left, []), ([], [])):
+        worst = len(a) * len(b)
+        for target in (None, min(true_m + 3, worst), worst):
+            expected, vector_stats = vector_oblivious_join(a, b, target_m=target)
+            for executor in EXECUTORS:
+                pairs, stats = sharded_oblivious_join(
+                    a, b, shards=shards, workers=2, target_m=target, executor=executor
+                )
+                assert pairs.tobytes() == expected.tobytes(), (target, executor)
+                assert pairs.shape == expected.shape
+                assert stats.m == vector_stats.m == len(expected)
+                if shards == 1:
+                    # One block, no merges: the vector engine's own network.
+                    assert (
+                        stats.comparisons_by_phase
+                        == vector_stats.comparisons_by_phase
+                    )
 
 
 def test_sharded_pool_output_equals_inline():
@@ -89,14 +110,19 @@ def test_bounded_join_below_the_cell_products_matches_vector():
 
 
 def test_join_partition_plan_depends_only_on_sizes():
-    # Wildly different data — all-duplicate vs all-distinct keys — but the
-    # partition plan and presort schedule must not move at all.
+    # Wildly different data — all-duplicate vs all-distinct keys, m = 77 vs
+    # m = 0 — but everything up to the point where m is revealed (the two
+    # augment sorts: their partition plans and comparator counts) must not
+    # move at all.
     dup = sharded_oblivious_join([(0, 0)] * 11, [(0, 1)] * 7, shards=3)[1]
     distinct = sharded_oblivious_join(
         [(i, i) for i in range(11)], [(100 + i, i) for i in range(7)], shards=3
     )[1]
-    assert dup.schedule[0] == distinct.schedule[0]  # partition plans
-    assert dup.schedule[1] == distinct.schedule[1]  # presort comparators
+    assert dup.plan.serialize() == distinct.plan.serialize()
+    for phase in ("augment_sort1", "augment_sort2"):
+        assert dup.comparisons_by_phase[phase] == distinct.comparisons_by_phase[phase]
+    assert (dup.m, distinct.m) == (77, 0)
+    assert dup.schedule != distinct.schedule  # m is the revealed mode's leak
 
 
 def test_join_schedule_depends_only_on_shape():
@@ -107,6 +133,32 @@ def test_join_schedule_depends_only_on_shape():
         sharded_oblivious_join(left, right, shards=3, stats=stats)
         schedules.append(stats.schedule)
     assert schedules[0] == schedules[1]
+
+
+#: One shape (n1 = n2 = 12), adversarially different key distributions.
+ADVERSARIAL = {
+    "all-equal": ([(7, v) for v in range(12)], [(7, v) for v in range(12)]),
+    "all-distinct": ([(v, v) for v in range(12)], [(50 + v, v) for v in range(12)]),
+    "one-hot": (
+        [(0, v) for v in range(9)] + [(1, 0), (2, 0), (3, 0)],
+        [(0, v) for v in range(10)] + [(4, 0), (5, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_padded_schedule_and_plan_identical_across_adversarial_datasets(executor):
+    views = set()
+    for left, right in ADVERSARIAL.values():
+        stats = ShardedJoinStats()
+        pairs, _ = sharded_oblivious_join(
+            left, right, shards=3, workers=2, stats=stats,
+            target_m=144, executor=executor,
+        )
+        expected, _ = vector_oblivious_join(left, right, target_m=144)
+        assert pairs.tobytes() == expected.tobytes()
+        views.add((stats.schedule, stats.plan.serialize()))
+    assert len(views) == 1
 
 
 def test_join_schedule_changes_with_sizes_and_shards():
@@ -151,9 +203,38 @@ def test_stats_expose_revealed_sizes():
     stats = ShardedJoinStats()
     sharded_oblivious_join([(0, 1), (1, 2)], [(0, 3), (2, 4)], shards=2, stats=stats)
     assert stats.m == 1
-    assert sum(stats.task_m) == 1
+    assert stats.shards == 2
     assert stats.total_comparisons > 0
-    assert stats.partition == (((1, (1, 1))), ((1, (1, 1))))
+    assert stats.schedule == (2, tuple(sorted(stats.comparisons_by_phase.items())))
+    assert stats.plan.shape("k") == 2 and stats.plan.shape("target") is None
+    # There is no per-task output size to expose (frozen-benchmark stub).
+    assert stats.task_m == []
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_bound_error_after_the_augment_leaves_pool_and_shm_clean(
+    executor, shm_leak_guard
+):
+    """ROADMAP 7(b): the abort comes from the parent, between two sorts,
+    with the vector engine's text; nothing is left in /dev/shm and the
+    same warm executor serves the next query."""
+    substrate = get_executor(executor, workers=2)
+    left = [(0, v) for v in range(16)]
+    with pytest.raises(BoundError) as vector_abort:
+        vector_oblivious_join(left, left, target_m=40)
+    stats = ShardedJoinStats()
+    with pytest.raises(BoundError) as abort:
+        sharded_oblivious_join(
+            left, left, shards=2, stats=stats, target_m=40, executor=substrate
+        )
+    assert str(abort.value) == str(vector_abort.value)
+    assert set(stats.comparisons_by_phase) == {"augment_sort1", "augment_sort2"}
+    in_bound = [(v, v) for v in range(16)]
+    expected, _ = vector_oblivious_join(in_bound, in_bound, target_m=40)
+    pairs, _ = sharded_oblivious_join(
+        in_bound, in_bound, shards=2, target_m=40, executor=substrate
+    )
+    assert pairs.tobytes() == expected.tobytes()
 
 
 # -- knobs -------------------------------------------------------------------

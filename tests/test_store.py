@@ -7,13 +7,13 @@ Covers the out-of-core storage layer bottom-up:
   the live ``ProbabilisticEncryptor`` wiring (not a mock);
 * the trusted-memory ``BlockCache`` and the ``EPCModel`` slowdown curve
   as the store runtime actually drives it;
-* block-aligned partition plans as pure functions of public shapes;
+* ``StorePairs.scan``: every block once, in order, nothing kept;
 * ``StoredTable`` / ``DBTable.open`` round-trips;
 * the acceptance end-to-end: a sharded join over an encrypted FileStore
   with a trusted-memory budget smaller than the table runs bit-identical
-  to the resident path, with evictions, while every worker faults in
-  only its plan-named blocks — and the plan bytes stay pure functions of
-  the public shapes.
+  to the resident path, with evictions, while the query faults in only
+  its plan-named blocks — and the plan bytes stay pure functions of the
+  public shapes.
 """
 
 import numpy as np
@@ -23,12 +23,7 @@ from repro.db.table import DBTable
 from repro.enclave.epc import EPCModel
 from repro.errors import CapacityError, InputError, SchemaError
 from repro.memory.encryption import ProbabilisticEncryptor
-from repro.plan.partition import (
-    block_aligned_partition_plan,
-    block_count,
-    partition_plan,
-    shard_block_ids,
-)
+from repro.plan.partition import block_count
 from repro.security import LEAKAGE_PROFILES, STORE_LEAKAGE
 from repro.shard.join import sharded_oblivious_join
 from repro.store import (
@@ -49,7 +44,8 @@ from repro.store.columns import (
     write_int_column,
     write_str_column,
 )
-from repro.store.runtime import StoreBlocksRef, residency_snapshot
+from repro.store.runtime import residency_snapshot
+from repro.vector.join import vector_oblivious_join
 
 
 @pytest.fixture(autouse=True)
@@ -220,44 +216,31 @@ def test_residency_snapshot_reports_attached_stores(tmp_path):
     assert entry["modeled_slowdown"] > 1.0  # one miss, zero hits
 
 
-# -- block-aligned partition plans (pure functions of public shapes) ----------
+# -- StorePairs: the engine-facing view ---------------------------------------
 
 
-def test_block_aligned_plan_assigns_whole_blocks():
-    capacity, counts = block_aligned_partition_plan(100, 3, 8)
-    ids = shard_block_ids(100, 3, 8)
-    assert sum(counts) == 100
-    assert sum(len(b) for b in ids) == block_count(100, 8) == 13
-    # Every shard boundary except the table end falls on a block boundary.
-    offset = 0
-    for real, blocks in zip(counts, ids):
-        assert real <= len(blocks) * 8
-        assert offset % 8 == 0
-        offset += real
-    assert capacity == max(counts)
-
-
-def test_block_aligned_plan_matches_row_plan_when_blocks_are_rows():
-    # block_rows=1 degenerates to the standard row-aligned plan.
-    assert block_aligned_partition_plan(17, 4, 1) == partition_plan(17, 4)
-
-
-def test_store_pairs_shard_parts_name_exactly_the_plan_blocks(tmp_path):
+def test_store_pairs_scan_reads_each_block_once_and_keeps_nothing(tmp_path):
     store = FileStore(str(tmp_path / "db"), block_bytes=64)
     write_int_column(store, "t/j", list(range(50)))
+    write_int_column(store, "t/d", list(range(100, 150)))
     store.flush()
-    spec = adopt(store, cache_bytes=4096)
-    pairs = StorePairs(spec, 50, "t/j")
-    ids = shard_block_ids(50, 3, 8)
-    parts = pairs.shard_parts(3)
-    assert [p[0].blocks for p in parts] == list(ids)
-    # d-side refs are virtual row handles: no blocks faulted, ever.
-    assert all(p[1].arange_base is not None and p[1].blocks == () for p in parts)
-    # Resolving a j ref yields the padded rows of exactly those blocks.
-    j0 = parts[0][0].resolve()
-    real0 = parts[0][2]
-    assert list(j0[:real0]) == list(range(real0))
-    assert all(v == 0 for v in j0[real0:])
+    # Trusted memory of two blocks: the scan cannot be served from cache.
+    spec = adopt(store, cache_bytes=128)
+    handles = StorePairs(spec, 50, "t/j")
+    stored = StorePairs(spec, 50, "t/j", "t/d")
+    blocks = block_count(50, 8)
+    for pairs, columns in ((handles, 1), (stored, 2)):
+        expected = np.asarray(pairs).copy()
+        for _ in range(2):  # every scan pays its own reads: nothing is kept
+            before = stats_snapshot()["reads"]
+            faults = trace_faults(True)
+            assert np.array_equal(pairs.scan(), expected)
+            trace_faults(False)
+            assert stats_snapshot()["reads"] - before == columns * blocks
+            assert {index for _, index in faults} == set(range(blocks))
+    assert handles.scan()[:, 1].tolist() == list(range(50))  # virtual handles
+    empty = StorePairs(spec, 0, "t/j")
+    assert empty.scan().shape == (0, 2)
 
 
 def test_store_pairs_materialises_and_reduces(tmp_path):
@@ -271,8 +254,10 @@ def test_store_pairs_materialises_and_reduces(tmp_path):
     assert list(pairs) == [(v, i) for i, v in enumerate(values)]
     assert pairs[2] == (9, 2)
     assert np.asarray(pairs).shape == (7, 2)
-    assert pairs.max_j() == 9
-    assert pairs.min_d() == 0
+    # materialize() is the kept copy; scan() a fresh one with the same rows.
+    assert pairs.materialize() is pairs.materialize()
+    assert pairs.scan() is not pairs.materialize()
+    assert np.array_equal(pairs.scan(), pairs.materialize())
 
 
 # -- stored tables ------------------------------------------------------------
@@ -381,9 +366,7 @@ def test_sharded_join_over_encrypted_file_store_is_bit_identical(
     rj = rng.integers(0, 18, n2)
     left = np.stack([lj, np.arange(n1)], axis=1).astype(np.int64)
     right = np.stack([rj, np.arange(n2)], axis=1).astype(np.int64)
-    expected, _ = sharded_oblivious_join(
-        left, right, shards=3, executor="inline", target_m=target_m
-    )
+    expected, _ = vector_oblivious_join(left, right, target_m=target_m)
     # Trusted memory (256 B = 4 blocks) far below the table footprint.
     sleft, sright = _store_inputs(tmp_path, lj, rj, key=b"e" * 16)
     faults = trace_faults(True)
@@ -394,16 +377,19 @@ def test_sharded_join_over_encrypted_file_store_is_bit_identical(
     assert np.array_equal(expected, got)
     snapshot = stats_snapshot()
     assert snapshot["evictions"] > 0
-    assert snapshot["decryptions"] > 0
-    # Every fault names a (column, block id) the plan's partition nodes
-    # declared: workers touch plan-named blocks and nothing else.
+    # One read and one decryption per block of the two stored key columns
+    # (the handles are virtual): each block is scanned exactly once.
+    scanned = block_count(n1, 8) + block_count(n2, 8)
+    assert snapshot["reads"] == snapshot["decryptions"] == scanned
+    # Every fault names a (column, block id) the plan's input nodes
+    # declared: the query touches plan-named blocks and nothing else.
     named = {
-        index
-        for node in stats.plan.nodes
-        for shard_blocks in (node.attr("blocks") or ())
-        for index in shard_blocks
+        (side, index)
+        for node in stats.plan.nodes_by_op("input")
+        for side in [{"left": "L/j", "right": "R/j"}[node.attr("side")]]
+        for index in node.attr("blocks")
     }
-    assert {index for _, index in faults} <= named
+    assert faults == named
     # And the plan records the store layout as public shape state.
     assert stats.plan.shape("block_rows") == (8, 8)
 

@@ -1,6 +1,7 @@
 """The streaming parallel merge: runs fold into the tournament as their
 producing tasks complete, pairwise merges run as worker tasks, and neither
-the output bits nor the comparator schedule may depend on arrival order.
+the output bits nor the comparator schedule may depend on arrival order —
+pinned on the tournament itself and on the drivers whose sorts run on it.
 """
 
 from __future__ import annotations
@@ -168,9 +169,9 @@ def test_worker_side_tournament_matches_inline_join():
         left, right, shards=3, stats=stats, executor=PoolExecutor(workers=2)
     )
     assert pairs.tobytes() == reference.tobytes()
-    # Same comparator totals: the merges moved to workers, the
-    # schedule did not move at all.
-    assert stats.merge_comparisons == reference_stats.merge_comparisons
+    # Same comparator counts phase by phase: the sorts and merges moved to
+    # workers, the schedule did not move at all.
+    assert stats.comparisons_by_phase == reference_stats.comparisons_by_phase
     assert stats.schedule == reference_stats.schedule
 
 
@@ -202,11 +203,10 @@ def test_padded_join_streams_identically_across_substrates():
 
 
 def test_bounded_abort_still_raises_while_merges_are_in_flight(shm_leak_guard):
-    """The bound check sums the cells' true sizes, so a too-small bound
-    aborts even though the streaming merge already started; the
-    tournament's close() path reclaims the in-flight worker merges — a
-    BoundError after the grid must not leak the runs workers parked in
-    shared memory."""
+    """A too-small bound aborts on every substrate, and the abort leaks no
+    shared-memory run: it comes from the parent after the second augment
+    sort has drained its tournament, so no merge is in flight any more
+    (under the grid design some were — hence the name)."""
     left = [(0, value) for value in range(8)]
     right = [(0, value) for value in range(8)]
     for executor in (ShuffleExecutor(seed=0), PoolExecutor(workers=2)):
@@ -219,9 +219,9 @@ def test_bounded_abort_still_raises_while_merges_are_in_flight(shm_leak_guard):
         assert not leaked, (executor.name, leaked)
 
 
-#: Over-bound inputs at n=64, k=2, bound=96 (cell bound 96 < 32 * 32).
-#: "hot": one key everywhere, so each cell alone holds 1024 > 96 rows.
-#: "spread": every cell holds 32 <= 96 rows, their sum 128 > 96.
+#: Over-bound inputs at n=64, k=2, bound=96.
+#: "hot": one key everywhere, true size 4096.
+#: "spread": 32 two-row groups against 32 two-row groups, true size 128.
 OVER_BOUND = {
     "hot": ([(0, v) for v in range(64)], [(0, v) for v in range(64)]),
     "spread": (
@@ -242,10 +242,11 @@ OVER_BOUND = {
 def test_over_bound_cells_defer_the_abort_to_the_parent(
     shape, executor, shm_leak_guard
 ):
-    """The abort discipline: a cell above its bound must not raise in its
-    worker (that would reveal *which* cell overflowed).  Every cell runs
-    its public schedule, the parent raises once with the vector engine's
-    text — the total true size, not a cell's — and the pool stays usable."""
+    """The abort discipline (the id predates the sort-sharded join, which
+    has no cells): no worker ever sees the true size, so none can raise.
+    The parent raises once, right after the augment, with the vector
+    engine's text; up to that public point the aborted run's schedule is
+    an in-bound run's, and the pool stays usable."""
     left, right = OVER_BOUND[shape]
     bound = 96
     with pytest.raises(BoundError) as vector_abort:
@@ -259,7 +260,8 @@ def test_over_bound_cells_defer_the_abort_to_the_parent(
     assert str(abort.value) == str(vector_abort.value)
 
     # The next query on the same executor is an in-bound input of the same
-    # shape: it succeeds, and the aborted run recorded the same schedule.
+    # shape: it succeeds, and the aborted run recorded the same schedule
+    # for the two sorts it ran.
     in_bound = [(v, v) for v in range(64)]
     expected, _ = vector_oblivious_join(in_bound, in_bound, target_m=bound)
     in_bound_stats = ShardedJoinStats()
@@ -272,11 +274,13 @@ def test_over_bound_cells_defer_the_abort_to_the_parent(
         executor=executor,
     )
     assert pairs.tobytes() == expected.tobytes()
-    assert len(stats.task_comparisons) == 4 and all(stats.task_comparisons)
-    assert stats.task_comparisons == in_bound_stats.task_comparisons
-    assert stats.task_m == in_bound_stats.task_m == [bound] * 4
+    assert set(stats.comparisons_by_phase) == {"augment_sort1", "augment_sort2"}
+    for phase, count in stats.comparisons_by_phase.items():
+        assert count == in_bound_stats.comparisons_by_phase[phase]
     assert stats.plan.serialize() == in_bound_stats.plan.serialize()
 
 
 def test_merge_keys_are_the_documented_total_order():
+    # A stub since the output tournament went: only the frozen
+    # benchmarks/e2e/layers.py reads it (ROADMAP item 8 retires both).
     assert MERGE_KEYS == [("j", True), ("d1", True), ("d2", True)]
