@@ -47,6 +47,7 @@ from .errors import (
     ObliviousnessError,
     ReproError,
     SchemaError,
+    StoreIntegrityError,
     TraceMismatchError,
     TypingError,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "ObliviousnessError",
     "ReproError",
     "SchemaError",
+    "StoreIntegrityError",
     "TraceMismatchError",
     "TypingError",
     "verify_oblivious",

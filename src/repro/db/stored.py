@@ -6,8 +6,7 @@ resident row list.  Three access tiers, cheapest first:
 
 * :meth:`StoredTable.store_pairs` — the out-of-core tier: an ``int`` key
   column as an engine-ready :class:`~repro.store.StorePairs`, which the
-  sharded partitioner turns into block refs so *workers* fault in the
-  blocks; the parent process never reads the column.
+  sharded join scans block-wise, once per query.
 * :meth:`StoredTable.column` — streams one column block-wise through the
   trusted-memory cache and returns its values.
 * ``rows`` — the resident fall-back: materialises the whole table once,

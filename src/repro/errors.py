@@ -35,6 +35,16 @@ class BoundError(InputError):
     """
 
 
+class StoreIntegrityError(ReproError):
+    """A stored block failed authentication or came back short.
+
+    Tampered, moved or truncated slot, or the wrong key.  Not an
+    :class:`InputError`: the caller's arguments were fine, the untrusted
+    store's bytes were not.  See ``docs/leakage.md`` for what is *not*
+    detected (replay of an older slot at its own index).
+    """
+
+
 class InjectivityError(InputError):
     """A destination map handed to oblivious distribution is not injective."""
 

@@ -1,4 +1,4 @@
-"""Probabilistic encryption of public-memory cells.
+"""Probabilistic, authenticated encryption of public-memory cells.
 
 §3.1 of the paper assumes the adversary "cannot infer anything about the
 individual contents of individual cells of public memory, as well as whether
@@ -6,47 +6,46 @@ the contents of a cell match a previous value", achieved with a probabilistic
 encryption scheme.  This module simulates such a scheme so the repository can
 *demonstrate* the assumption rather than merely state it: every write
 produces a fresh ciphertext (fresh nonce), so identical plaintexts written
-twice are indistinguishable at rest.
+twice are indistinguishable at rest, and every ciphertext carries a tag over
+``associated data || nonce || payload``, so a cell that was altered, moved
+to another address or written under another key raises
+:class:`~repro.errors.StoreIntegrityError` instead of decrypting to garbage.
 
-The cipher is a SHA-256-based stream cipher (counter-mode keystream over
-``key || nonce || block``).  It is deliberately dependency-free — the point
-is behavioural fidelity (fresh randomisation per write, correct round-trip),
-not cryptographic review.
+Encrypt-then-MAC from the standard library: the keystream is one
+``shake_256(key || nonce)`` squeeze XORed in one wide operation, the tag is
+keyed BLAKE2b-128.  Deliberately dependency-free — the point is behavioural
+fidelity (fresh randomisation per write, round-trip, tamper evidence) at
+memory speed, not cryptographic review.  Replay of an older ciphertext
+under the same associated data is *not* detected (``docs/leakage.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 import os
 from dataclasses import dataclass
 
-from ..errors import InputError
+from ..errors import InputError, StoreIntegrityError
 
-_BLOCK = 32
+NONCE_BYTES = 16
+TAG_BYTES = 16
 
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """An encrypted cell value: public nonce plus masked payload."""
+    """An encrypted cell value: public nonce, tag, and masked payload."""
 
     nonce: bytes
+    tag: bytes
     payload: bytes
 
     def __len__(self) -> int:
         return len(self.payload)
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest()
-        )
-    return b"".join(blocks)[:length]
-
-
 class ProbabilisticEncryptor:
-    """Encrypts byte strings with a fresh nonce per call.
+    """Encrypts and authenticates byte strings with a fresh nonce per call.
 
     Parameters
     ----------
@@ -61,17 +60,40 @@ class ProbabilisticEncryptor:
         self.key = key if key is not None else os.urandom(32)
         if not self.key:
             raise InputError("encryption key must be non-empty")
-        self._nonce_source = nonce_source or (lambda: os.urandom(16))
+        self._nonce_source = nonce_source or (lambda: os.urandom(NONCE_BYTES))
+        # A MAC key separated from the keystream key, hashed to BLAKE2b's
+        # 64-byte limit; each tag starts from a copy of this keyed state.
+        self._mac = hashlib.blake2b(
+            key=hashlib.blake2b(self.key, person=b"repro-tag").digest(),
+            digest_size=TAG_BYTES,
+        )
 
-    def encrypt(self, plaintext: bytes) -> Ciphertext:
+    def _mask(self, nonce: bytes, data: bytes) -> bytes:
+        stream = hashlib.shake_256(self.key + nonce).digest(len(data))
+        masked = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+        return masked.to_bytes(len(data), "little")
+
+    def _tag(self, aad: bytes, nonce: bytes, payload: bytes) -> bytes:
+        mac = self._mac.copy()
+        # The length prefix keeps (aad, nonce || payload) unambiguous.
+        mac.update(len(aad).to_bytes(4, "little") + aad + nonce + payload)
+        return mac.digest()
+
+    def encrypt(self, plaintext: bytes, aad: bytes = b"") -> Ciphertext:
+        """Mask ``plaintext`` under a fresh nonce and bind it to ``aad``."""
         nonce = self._nonce_source()
-        stream = _keystream(self.key, nonce, len(plaintext))
-        payload = bytes(p ^ s for p, s in zip(plaintext, stream))
-        return Ciphertext(nonce=nonce, payload=payload)
+        payload = self._mask(nonce, plaintext)
+        return Ciphertext(nonce, self._tag(aad, nonce, payload), payload)
 
-    def decrypt(self, ciphertext: Ciphertext) -> bytes:
-        stream = _keystream(self.key, ciphertext.nonce, len(ciphertext.payload))
-        return bytes(c ^ s for c, s in zip(ciphertext.payload, stream))
+    def decrypt(self, ciphertext: Ciphertext, aad: bytes = b"") -> bytes:
+        """Verify the tag under ``aad``, then unmask; raises on mismatch."""
+        expected = self._tag(aad, ciphertext.nonce, ciphertext.payload)
+        if not hmac.compare_digest(expected, ciphertext.tag):
+            raise StoreIntegrityError(
+                "ciphertext failed authentication: altered, moved to "
+                "another address, or written under a different key"
+            )
+        return self._mask(ciphertext.nonce, ciphertext.payload)
 
 
 class Codec:

@@ -4,8 +4,8 @@ Layered bottom-up:
 
 * :mod:`repro.store.blockstore` — the :class:`BlockStore` contract with
   :class:`InMemoryStore` / :class:`FileStore` backends (fixed-size blocks,
-  optional per-block probabilistic encryption) and the byte-budgeted
-  :class:`BlockCache` trusted-memory LRU;
+  optional per-block authenticated probabilistic encryption) and the
+  byte-budgeted :class:`BlockCache` trusted-memory LRU;
 * :mod:`repro.store.columns` — column <-> block serialization for tables;
 * :mod:`repro.store.runtime` — per-process :class:`StoreHandle` attach
   registry and the engine-facing :class:`StorePairs`.

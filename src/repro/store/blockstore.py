@@ -19,10 +19,17 @@ concrete:
     ``i * slot_bytes`` — offsets are pure functions of the index, so the
     *file-level* access pattern equals the block-id access pattern the plan
     already declares.  With an encryption ``key``, every slot holds
-    ``nonce || ciphertext`` from
+    ``nonce || tag || ciphertext`` from
     :class:`~repro.memory.encryption.ProbabilisticEncryptor`: rewriting a
     block draws a fresh nonce, so identical plaintexts are unlinkable at
-    rest.
+    rest, and the tag binds the ciphertext to ``(store key name, block
+    index, block_bytes)``.  A flipped bit anywhere in the slot, a slot
+    moved to another index or another column's file, a short or truncated
+    file, or the wrong key on reopen raises
+    :class:`~repro.errors.StoreIntegrityError` from :meth:`read_block`,
+    before any plaintext exists.  Writing an *older* slot back at its own
+    index is not detected (that takes a trusted per-block counter; see
+    ``docs/leakage.md``).
 
 :class:`BlockCache`
     The byte-budgeted LRU standing in for trusted memory.  Its
@@ -39,14 +46,17 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import urllib.parse
 from collections import OrderedDict
 
-from ..errors import InputError
-from ..memory.encryption import Ciphertext, ProbabilisticEncryptor
-
-#: Nonce width of :class:`ProbabilisticEncryptor` ciphertexts.
-NONCE_BYTES = 16
+from ..errors import InputError, StoreIntegrityError
+from ..memory.encryption import (
+    NONCE_BYTES,
+    TAG_BYTES,
+    Ciphertext,
+    ProbabilisticEncryptor,
+)
 
 #: Default block payload size: 4 KiB, one EPC page.
 DEFAULT_BLOCK_BYTES = 4096
@@ -115,8 +125,13 @@ class BlockStore:
 
     @property
     def slot_bytes(self) -> int:
-        """On-store size of one block: payload plus nonce when encrypted."""
-        return self.block_bytes + (NONCE_BYTES if self.encrypted else 0)
+        """On-store size of one block: payload, plus nonce and tag when
+        encrypted."""
+        return self.block_bytes + (NONCE_BYTES + TAG_BYTES if self.encrypted else 0)
+
+    def _aad(self, key: str, index: int) -> bytes:
+        """The public slot coordinates every tag is bound to."""
+        return struct.pack("<QQ", index, self.block_bytes) + key.encode()
 
     def write_block(self, key: str, index: int, payload: bytes) -> None:
         """Write one block; short payloads are zero-padded to the slot."""
@@ -129,8 +144,8 @@ class BlockStore:
             )
         payload = payload.ljust(self.block_bytes, b"\x00")
         if self._encryptor is not None:
-            ciphertext = self._encryptor.encrypt(payload)
-            slot = ciphertext.nonce + ciphertext.payload
+            ciphertext = self._encryptor.encrypt(payload, self._aad(key, index))
+            slot = ciphertext.nonce + ciphertext.tag + ciphertext.payload
             self.stats["encryptions"] += 1
         else:
             slot = payload
@@ -140,17 +155,28 @@ class BlockStore:
         self.generation += 1
 
     def read_block(self, key: str, index: int) -> bytes:
-        """Read one block's ``block_bytes`` plaintext payload."""
+        """Read one block's ``block_bytes`` plaintext payload.
+
+        Raises :class:`StoreIntegrityError` when the slot is short or, on
+        an encrypted store, fails authentication at ``(key, index)``.
+        """
         slot = self._load(key, index)
         self.stats["reads"] += 1
         self.stats["bytes_read"] += len(slot)
-        if self._encryptor is not None:
-            ciphertext = Ciphertext(
-                nonce=slot[:NONCE_BYTES], payload=slot[NONCE_BYTES:]
+        if len(slot) != self.slot_bytes:
+            raise StoreIntegrityError(
+                f"short read of block {index} under {key!r}: "
+                f"{len(slot)} of {self.slot_bytes} bytes"
             )
-            self.stats["decryptions"] += 1
-            return self._encryptor.decrypt(ciphertext)
-        return slot
+        if self._encryptor is None:
+            return slot
+        head = NONCE_BYTES + TAG_BYTES
+        ciphertext = Ciphertext(slot[:NONCE_BYTES], slot[NONCE_BYTES:head], slot[head:])
+        self.stats["decryptions"] += 1
+        try:
+            return self._encryptor.decrypt(ciphertext, self._aad(key, index))
+        except StoreIntegrityError as exc:
+            raise StoreIntegrityError(f"block {index} under {key!r}: {exc}") from None
 
     def put_meta(self, key: str, meta: dict) -> None:
         """Attach JSON metadata to a key (schema, row count, ...)."""
@@ -210,9 +236,9 @@ class FileStore(BlockStore):
     """One file per key in ``path``; block ``i`` at offset ``i * slot``.
 
     The directory is the untrusted store: with an encryption ``key`` every
-    slot on disk is ``nonce || ciphertext`` and a rewrite is unlinkable
-    from the original.  ``store.json`` records the public configuration
-    (``block_bytes``, whether slots carry nonces, the committed
+    slot on disk is ``nonce || tag || ciphertext`` and a rewrite is
+    unlinkable from the original.  ``store.json`` records the public
+    configuration (``block_bytes``, whether slots are encrypted, the committed
     ``generation``) so :func:`open_store` — and worker processes attaching
     by path — reconstruct a compatible view.  ``meta.json`` holds the
     per-key metadata map.
@@ -308,11 +334,6 @@ class FileStore(BlockStore):
                 slot = handle.read(self.slot_bytes)
         except FileNotFoundError:
             raise InputError(f"no stored column {key!r} in {self.path!r}") from None
-        if len(slot) != self.slot_bytes:
-            raise InputError(
-                f"short read of block {index} under {key!r}: "
-                f"{len(slot)} of {self.slot_bytes} bytes"
-            )
         return slot
 
     def _save(self, key: str, index: int, slot: bytes) -> None:

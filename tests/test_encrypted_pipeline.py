@@ -10,7 +10,7 @@ non-swap are indistinguishable at rest).
 from repro.core.entry import Entry, EntryCodec
 from repro.memory.encryption import IntCodec, ProbabilisticEncryptor
 from repro.memory.public import PublicArray
-from repro.memory.tracer import ListSink, Tracer
+from repro.memory.tracer import HashSink, ListSink, Tracer
 from repro.obliv.bitonic import bitonic_sort
 from repro.obliv.compare import attr_key, identity_key, spec
 from repro.obliv.routing import route_forward
@@ -54,6 +54,28 @@ def test_dummy_writeback_indistinguishable_from_swap():
             unsorted_input.ciphertext_at(i)
         )
     assert sorted_input.snapshot() == unsorted_input.snapshot() == [1, 2]
+
+
+def test_trace_hash_is_blind_to_the_cipher():
+    # The trace records (op, array, index), never ciphertext bytes: the
+    # same sort over plaintext cells, encrypted cells and encrypted cells
+    # under another key hashes identically, so a cipher change cannot move
+    # a trace hash.
+    def sort_hash(**cipher):
+        sink = HashSink()
+        array = PublicArray([5, 3, 8, 1, 9, 2, 7, 0], tracer=Tracer(sink), **cipher)
+        bitonic_sort(array, spec(identity_key()))
+        assert array.snapshot() == [0, 1, 2, 3, 5, 7, 8, 9]
+        return sink.hexdigest
+
+    plain = sort_hash()
+    for key in (b"integration-key", b"another-key"):
+        assert plain == sort_hash(
+            encryptor=ProbabilisticEncryptor(key=key), codec=IntCodec()
+        )
+    assert plain == (
+        "21f24005985298e92d154018f0f41db6965fb5e7cc250ac377eb5e1de1e0f10b"
+    )
 
 
 def test_routing_over_encrypted_entries():

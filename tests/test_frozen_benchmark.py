@@ -60,3 +60,16 @@ def test_names_kept_only_for_the_frozen_benchmark_still_behave():
     assert merge_comparator_count(list(stats.task_m)) == 0
     plan = compile_workload("join", engine="sharded", n1=8, n2=8, shards=2)
     assert plan.nodes_by_op("grid_join") == []
+
+
+def test_the_cipher_keeps_the_call_shapes_the_frozen_benchmark_uses():
+    """``layers.py::store_and_memory``: ``ProbabilisticEncryptor(key)``, then
+    ``encrypt(block)`` and ``decrypt(ciphertext)`` with one positional
+    argument each — tier-1 never imports that file, so the shapes are
+    exercised here."""
+    from repro.memory.encryption import ProbabilisticEncryptor
+
+    encryptor = ProbabilisticEncryptor(b"bench-key-16byte")
+    block = bytes(range(256)) * 16
+    ciphertexts = [encryptor.encrypt(block) for _ in range(4)]
+    assert [encryptor.decrypt(c) for c in ciphertexts] == [block] * 4

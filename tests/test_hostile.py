@@ -1,0 +1,293 @@
+"""A hostile store: every tampered, moved, truncated or wrong-key block is a
+typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
+
+Store cases only (ROADMAP item 7's other hostile conditions are not here).
+Each tamper case is driven through ``store.read_block``, through
+``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
+executor substrate; afterwards no plaintext of the bad block sits in the
+trusted-memory cache, no ``/dev/shm`` segment is left, and the same
+executor answers a clean query.
+
+``REPRO_EXECUTORS`` (comma-separated names) restricts the executor list the
+way it does for ``tests/test_engine_properties.py`` — the CI matrix runs
+this file once per substrate.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+from test_service import _ServerThread
+
+from repro.db.table import DBTable
+from repro.errors import StoreIntegrityError
+from repro.plan import available_executors
+from repro.plan.executors import get_executor
+from repro.service import ServiceClient, ServiceEngine, ServiceError
+from repro.shard.join import sharded_oblivious_join
+from repro.store import FileStore, InMemoryStore, StorePairs, adopt, attach, detach_all
+from repro.store.blockstore import NONCE_BYTES, TAG_BYTES
+from repro.store.columns import write_int_column
+from repro.store.runtime import StoreSpec
+from repro.vector.join import vector_oblivious_join
+
+EXECUTORS = [
+    name
+    for name in available_executors()
+    if name
+    in os.environ.get("REPRO_EXECUTORS", ",".join(available_executors())).split(",")
+]
+
+KEY = b"hostile-test-key"
+WRONG_KEY = b"another-test-key"
+BLOCK_BYTES = 64
+N = 40  # five 8-row blocks per column
+CACHE_BYTES = 1 << 16  # holds every block: absence is never an eviction
+
+
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(7)
+    left = np.stack([rng.integers(0, 12, N), np.arange(N)], axis=1)
+    right = np.stack([rng.integers(0, 12, N), 100 + np.arange(N)], axis=1)
+    return left, right
+
+
+def _build(kind: str, path) -> FileStore | InMemoryStore:
+    if kind == "file":
+        store = FileStore(str(path), BLOCK_BYTES, KEY)
+    else:
+        store = InMemoryStore(BLOCK_BYTES, KEY)
+    left, right = _tables()
+    for name, column in (
+        ("L/j", left[:, 0]), ("L/d", left[:, 1]),
+        ("R/j", right[:, 0]), ("R/d", right[:, 1]),
+    ):
+        write_int_column(store, name, column)
+    store.flush()
+    return store
+
+
+def _pairs(store) -> tuple[StorePairs, StorePairs]:
+    spec = adopt(store, cache_bytes=CACHE_BYTES)
+    return StorePairs(spec, N, "L/j", "L/d"), StorePairs(spec, N, "R/j", "R/d")
+
+
+# -- the adversary's moves: each returns (store to read, the bad blocks) -------
+
+
+def _flip(offset: int):
+    def tamper(store):
+        slot = bytearray(store.raw_slot("L/j", 2))
+        slot[offset] ^= 0x01
+        store._save("L/j", 2, bytes(slot))
+        return store, [("L/j", 2)]
+
+    return tamper
+
+
+def _swap(first: tuple[str, int], second: tuple[str, int]):
+    def tamper(store):
+        a, b = store.raw_slot(*first), store.raw_slot(*second)
+        store._save(*first, b)
+        store._save(*second, a)
+        return store, [first, second]
+
+    return tamper
+
+
+def _truncate(extra_bytes: int):
+    def tamper(store):
+        os.truncate(store._file("R/d"), 4 * store.slot_bytes + extra_bytes)
+        return store, [("R/d", 4)]
+
+    return tamper
+
+
+def _wrong_key(store):
+    if isinstance(store, FileStore):
+        reopened = FileStore(store.path, key=WRONG_KEY)
+    else:
+        reopened = InMemoryStore(BLOCK_BYTES, WRONG_KEY)
+        reopened._blocks = store._blocks
+    return reopened, [("L/j", 0), ("R/d", 4)]
+
+
+TAMPERS = {
+    "flip-nonce": _flip(3),
+    "flip-tag": _flip(NONCE_BYTES + 3),
+    "flip-ciphertext": _flip(NONCE_BYTES + TAG_BYTES + 3),
+    "swap-slots-in-one-column": _swap(("L/j", 1), ("L/j", 3)),
+    "swap-same-index-across-columns": _swap(("L/j", 2), ("L/d", 2)),
+    "wrong-key": _wrong_key,
+    "truncate-mid-slot": _truncate(10),
+    "truncate-at-slot-boundary": _truncate(0),
+}
+
+CASES = [
+    pytest.param((kind, name), id=f"{kind}-{name}")
+    for kind in ("file", "memory")
+    for name in TAMPERS
+    if kind == "file" or not name.startswith("truncate")
+]
+
+
+@pytest.fixture(autouse=True)
+def fresh_handles():
+    """No store handle (or its cache) crosses from one test to the next."""
+    detach_all()
+    yield
+    detach_all()
+
+
+@pytest.fixture
+def hostile(request, tmp_path):
+    """``(tampered store, bad blocks)`` for the parametrised case."""
+    kind, name = request.param
+    return TAMPERS[name](_build(kind, tmp_path / "db"))
+
+
+def _assert_no_plaintext_cached(store, bad) -> None:
+    cache = attach(adopt(store, cache_bytes=CACHE_BYTES)).cache
+    for block in bad:
+        assert cache.get(block) is None
+
+
+@pytest.mark.parametrize("hostile", CASES, indirect=True)
+def test_read_block_raises_on_every_bad_block(hostile):
+    store, bad = hostile
+    for key, index in bad:
+        with pytest.raises(StoreIntegrityError, match=f"block {index} under '{key}'"):
+            store.read_block(key, index)
+    if store._encryptor.key == KEY:  # untouched neighbours still read
+        assert store.read_block("R/j", 0) == _tables()[1][:8, 0].tobytes()
+
+
+@pytest.mark.parametrize("hostile", CASES, indirect=True)
+def test_scan_raises_and_caches_no_plaintext_of_the_bad_block(hostile):
+    store, bad = hostile
+    with pytest.raises(StoreIntegrityError):
+        for pairs in _pairs(store):
+            pairs.scan()
+    _assert_no_plaintext_cached(store, bad)
+
+
+@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("hostile", CASES, indirect=True)
+def test_join_raises_and_the_same_executor_answers_a_clean_query(
+    hostile, name, tmp_path, shm_leak_guard
+):
+    store, bad = hostile
+    executor = get_executor(name, workers=2)
+    with pytest.raises(StoreIntegrityError):
+        sharded_oblivious_join(*_pairs(store), shards=4, executor=executor)
+    _assert_no_plaintext_cached(store, bad)
+    clean = _build("file", tmp_path / "clean")
+    got, _ = sharded_oblivious_join(*_pairs(clean), shards=4, executor=executor)
+    assert np.array_equal(got, vector_oblivious_join(*_tables())[0])
+
+
+# -- a worker attaching by spec, the db layer, the service ---------------------
+
+
+def _first_block(spec: StoreSpec) -> bytes:
+    """What a pool worker does with a spec: attach by path, read a block."""
+    return attach(spec).read_block("L/j", 0)
+
+
+@pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
+def test_wrong_key_fails_in_a_pool_worker_attaching_by_spec(tmp_path, shm_leak_guard):
+    store = _build("file", tmp_path / "db")
+    good = StoreSpec("file", store.path, BLOCK_BYTES, KEY)
+    bad = StoreSpec("file", store.path, BLOCK_BYTES, WRONG_KEY)
+    pool = get_executor("pool", workers=2)
+    # The typed error survives the trip back from the worker process.
+    with pytest.raises(StoreIntegrityError, match="block 0 under 'L/j'"):
+        pool.map(_first_block, [good, bad])
+    assert pool.transport == "shared_memory"
+    assert pool.map(_first_block, [good, good]) == [store.read_block("L/j", 0)] * 2
+
+
+def _stored_tables(path, key):
+    left = DBTable.from_rows(["k:int", "v:int"], [(i % 5, i) for i in range(20)])
+    right = DBTable.from_rows(["k:int", "w:int"], [(i % 7, 10 * i) for i in range(20)])
+    store = left.to_store(str(path), "l", key=key)
+    right.to_store(store, "r")
+    return left, right
+
+
+def test_stored_table_opened_with_the_wrong_key_fails_on_first_read(tmp_path):
+    _stored_tables(tmp_path / "db", KEY)
+    table = DBTable.open(str(tmp_path / "db"), "l", key=WRONG_KEY)
+    with pytest.raises(StoreIntegrityError):
+        table.column("k")
+    with pytest.raises(StoreIntegrityError):
+        table.rows
+    with pytest.raises(StoreIntegrityError):
+        table.store_pairs("k").scan()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"engine": "vector"}]
+    + [
+        {"engine": "sharded", "shards": 2, "workers": 2, "executor": name}
+        for name in EXECUTORS
+    ],
+    ids=lambda options: options.get("executor", options["engine"]),
+)
+def test_service_answers_a_tampered_store_in_band_and_keeps_serving(
+    options, tmp_path, caplog, shm_leak_guard
+):
+    left, right = _stored_tables(tmp_path / "db", KEY)
+    wrong = [DBTable.open(str(tmp_path / "db"), n, key=WRONG_KEY) for n in "lr"]
+    spec = {"op": "join", "left": "l", "right": "r", "on": ["k", "k"]}
+    with ServiceEngine(**options) as service:
+        service.register_table("l", wrong[0])
+        service.register_table("r", wrong[1])
+        with _ServerThread(service) as server, ServiceClient(port=server.port) as client:
+            with pytest.raises(ServiceError, match="failed authentication") as failure:
+                client.query(spec)
+            assert failure.value.kind == "StoreIntegrityError"
+            assert "internal error" not in caplog.text  # no traceback logged
+            # The engine lock is free and the warm pool usable: the next
+            # query, on clean tables, is answered by the same service.
+            client.register_table("l", left)
+            client.register_table("r", right)
+            table, _ = client.query(spec)
+            assert sorted(table.rows) == sorted(
+                l + r for l in left.rows for r in right.rows if l[0] == r[0]
+            )
+            client.shutdown()
+
+
+# -- what is *not* detected, pinned ---------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["file", "memory"])
+def test_replaying_an_older_slot_at_its_own_index_still_decrypts(kind, tmp_path):
+    """The documented residual (``docs/leakage.md``, "What the tag does not
+    cover"): a slot's tag binds ``(key name, index, block_bytes)``, not
+    *when* it was written, so an older slot put back at its own index
+    verifies and decrypts to the older plaintext.  Detecting that takes a
+    trusted per-block counter, which this store does not keep."""
+    store = _build(kind, tmp_path / "db")
+    old_slot, old_plain = store.raw_slot("L/d", 1), store.read_block("L/d", 1)
+    store.write_block("L/d", 1, b"newer contents")
+    assert store.read_block("L/d", 1) != old_plain
+    store._save("L/d", 1, old_slot)
+    assert store.read_block("L/d", 1) == old_plain
+
+
+def test_a_store_written_with_the_parent_layout_is_refused(tmp_path):
+    """``nonce || ciphertext`` slots (no tag) under the same ``store.json``
+    keys: every read fails authentication or comes back short."""
+    store = FileStore(str(tmp_path / "db"), BLOCK_BYTES, KEY)
+    old_slot_bytes = NONCE_BYTES + BLOCK_BYTES
+    with open(store._file("c"), "wb") as handle:
+        handle.write(os.urandom(3 * old_slot_bytes))
+    reopened = FileStore(str(tmp_path / "db"), key=KEY)
+    for index in range(3):
+        with pytest.raises(StoreIntegrityError):
+            reopened.read_block("c", index)

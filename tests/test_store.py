@@ -16,6 +16,8 @@ Covers the out-of-core storage layer bottom-up:
   public shapes.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from repro.store import (
     stats_snapshot,
     trace_faults,
 )
-from repro.store.blockstore import NONCE_BYTES
+from repro.store.blockstore import NONCE_BYTES, TAG_BYTES
 from repro.store.columns import (
     column_key,
     read_str_block,
@@ -127,7 +129,8 @@ def test_encrypted_slots_hold_ciphertext_with_fresh_nonces(tmp_path):
     store = FileStore(str(tmp_path / "db"), block_bytes=32, key=b"k" * 16)
     store.write_block("c", 0, b"secret")
     first = store.raw_slot("c", 0)
-    assert len(first) == 32 + NONCE_BYTES
+    # The slot layout: nonce || tag || ciphertext.
+    assert len(first) == store.slot_bytes == NONCE_BYTES + TAG_BYTES + 32
     assert b"secret" not in first
     # Rewriting the identical plaintext draws a fresh nonce: the at-rest
     # bytes are unlinkable, but the plaintext still round-trips.
@@ -135,15 +138,19 @@ def test_encrypted_slots_hold_ciphertext_with_fresh_nonces(tmp_path):
     second = store.raw_slot("c", 0)
     assert second != first
     assert second[:NONCE_BYTES] != first[:NONCE_BYTES]
+    body = NONCE_BYTES + TAG_BYTES
+    assert second[NONCE_BYTES:body] != first[NONCE_BYTES:body]
+    assert second[body:] != first[body:]
     assert store.read_block("c", 0) == b"secret".ljust(32, b"\x00")
     assert store.stats["encryptions"] == 2
     assert store.stats["decryptions"] >= 1
 
 
 def test_store_decrypts_with_the_same_scheme_as_the_encryptor():
-    # The store's at-rest format is nonce || ciphertext from the shared
-    # ProbabilisticEncryptor — decryptable by an independent instance
-    # holding the same key (the worker-as-enclave contract).
+    # The store's at-rest format is nonce || tag || ciphertext from the
+    # shared ProbabilisticEncryptor — decryptable by an independent
+    # instance holding the same key and the slot's public coordinates
+    # (the worker-as-enclave contract).
     key = b"s" * 32
     store = InMemoryStore(block_bytes=16, key=key)
     store.write_block("c", 0, b"payload!")
@@ -151,8 +158,12 @@ def test_store_decrypts_with_the_same_scheme_as_the_encryptor():
     from repro.memory.encryption import Ciphertext
 
     outside = ProbabilisticEncryptor(key)
+    body = NONCE_BYTES + TAG_BYTES
     plain = outside.decrypt(
-        Ciphertext(nonce=slot[:NONCE_BYTES], payload=slot[NONCE_BYTES:])
+        Ciphertext(
+            nonce=slot[:NONCE_BYTES], tag=slot[NONCE_BYTES:body], payload=slot[body:]
+        ),
+        aad=struct.pack("<QQ", 0, 16) + b"c",
     )
     assert plain == b"payload!".ljust(16, b"\x00")
 
