@@ -59,7 +59,7 @@ from ..plan.executors import (
     submit_task,
 )
 from ..plan.ir import tournament_schedule
-from ..vector.sort import Key, lexicographic_greater
+from ..vector.sort import WORD_PAD, Key, lexicographic_greater, sort_words, word_column
 
 _INT = np.int64
 
@@ -111,6 +111,16 @@ def bitonic_merge_two(
     names = list(a)
     total = la + lb
     padded = next_power_of_two(total)
+
+    word = word_column(a, keys)
+    if word is not None:  # payload-free: half-cleaners are min / max on views
+        words = np.full(padded, WORD_PAD)
+        words[:la] = a[word]
+        words[padded - lb :] = b[word][::-1]
+        sort_words(words, k=padded)
+        if counter is not None:
+            counter[0] += merge_comparator_count([la, lb])
+        return {word: words[:total]}
 
     work: dict[str, np.ndarray] = {}
     for name in names:

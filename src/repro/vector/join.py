@@ -26,7 +26,7 @@ from ..core.padding import (
 )
 from ..errors import InputError
 from ..obliv.routing import largest_hop
-from .sort import vector_bitonic_sort
+from .sort import index_bits, vector_bitonic_sort
 
 _INT = np.int64
 
@@ -65,13 +65,17 @@ def _as_columns(pairs, tid: int) -> dict[str, np.ndarray]:
     }
 
 
-def _group_ids(j: np.ndarray) -> np.ndarray:
-    """0-based group index per row of a j-sorted column."""
-    n = len(j)
-    new_group = np.empty(n, dtype=bool)
+def _group_starts(j: np.ndarray) -> np.ndarray:
+    """Boolean mask over a j-sorted column: the row opens a new group."""
+    new_group = np.empty(len(j), dtype=bool)
     new_group[0] = True
     np.not_equal(j[1:], j[:-1], out=new_group[1:])
-    return np.cumsum(new_group) - 1
+    return new_group
+
+
+def _group_ids(j: np.ndarray) -> np.ndarray:
+    """0-based group index per row of a j-sorted column."""
+    return np.cumsum(_group_starts(j)) - 1
 
 
 def _route_forward(columns: dict[str, np.ndarray], m: int) -> None:
@@ -116,7 +120,8 @@ def _expand(
     keep = counts > 0
     first_slot = np.cumsum(counts) - counts
     columns = dict(columns)
-    columns["f"] = np.where(keep, first_slot, -1).astype(_INT)
+    # Sorted as a slot in [0, m) (a public width); ``f`` after the sort.
+    columns["slot"] = np.where(keep, first_slot, 0).astype(_INT)
     columns["_null"] = (~keep).astype(_INT)
 
     size = max(n, m)
@@ -125,15 +130,15 @@ def _expand(
         ext = np.zeros(size, dtype=_INT)
         ext[:n] = col
         extended[name] = ext
-    if size > n:
-        extended["_null"][n:] = 1
-        extended["f"][n:] = -1
+    extended["_null"][n:] = 1
 
     start = time.perf_counter()
     counter = [0]
-    extended = sort(extended, [("_null", True), ("f", True)], counter=counter)
+    keys = [("_null", True, 1), ("slot", True, index_bits(m))]
+    extended = sort(extended, keys, counter=counter)
     stats.seconds_by_phase[sort_phase] = time.perf_counter() - start
     stats.comparisons_by_phase[sort_phase] = counter[0]
+    extended["f"] = extended.pop("slot") - extended["_null"]
 
     start = time.perf_counter()
     _route_forward(extended, m)
@@ -164,15 +169,16 @@ def _align(
     s2: dict[str, np.ndarray], m: int, stats: VectorJoinStats, sort=vector_bitonic_sort
 ) -> dict[str, np.ndarray]:
     """Vectorised Algorithm 5: transpose each group block of S2."""
-    gid = _group_ids(s2["j"])
-    starts = np.flatnonzero(np.concatenate([[True], s2["j"][1:] != s2["j"][:-1]]))
-    q = np.arange(m, dtype=_INT) - starts[gid]
-    s2 = dict(s2)
-    s2["ii"] = q // s2["a1"] + (q % s2["a1"]) * s2["a2"]
+    new_group = _group_starts(s2["j"])
+    gid = np.cumsum(new_group) - 1
+    q = np.arange(m, dtype=_INT) - np.flatnonzero(new_group)[gid]
+    # The group id stands in for j: same order, public width, j is not read again.
+    s2 = {**s2, "j": gid, "ii": q // s2["a1"] + (q % s2["a1"]) * s2["a2"]}
 
     start = time.perf_counter()
     counter = [0]
-    s2 = sort(s2, [("j", True), ("ii", True)], counter=counter)
+    bits = index_bits(m)
+    s2 = sort(s2, [("j", True, bits), ("ii", True, bits)], counter=counter)
     stats.seconds_by_phase["align_sort"] = time.perf_counter() - start
     stats.comparisons_by_phase["align_sort"] = counter[0]
     return s2
@@ -227,7 +233,9 @@ def _augmented_tables(
 
     start = time.perf_counter()
     counter = [0]
-    combined = sort(combined, [("j", True), ("tid", True)], counter=counter)
+    combined = sort(
+        combined, [("j", True), ("tid", True), ("d", True)], counter=counter
+    )
     stats.seconds_by_phase["augment_sort1"] = time.perf_counter() - start
     stats.comparisons_by_phase["augment_sort1"] = counter[0]
 
@@ -242,11 +250,14 @@ def _augmented_tables(
     stats.seconds_by_phase["fill_dimensions"] = time.perf_counter() - start
     stats.m = m
 
+    # Sort 1 ordered by (j, tid, d), so a row's position is its rank under
+    # (j, d) within its table: tid ‖ position is the (tid, j, d) order as one
+    # key of public width, carried in the tid column (dropped below).
     start = time.perf_counter()
     counter = [0]
-    combined = sort(
-        combined, [("tid", True), ("j", True), ("d", True)], counter=counter
-    )
+    bits = index_bits(n1 + n2)
+    combined["tid"] = (combined["tid"] << bits) | np.arange(n1 + n2, dtype=_INT)
+    combined = sort(combined, [("tid", True, 2 + bits)], counter=counter)
     stats.seconds_by_phase["augment_sort2"] = time.perf_counter() - start
     stats.comparisons_by_phase["augment_sort2"] = counter[0]
 

@@ -9,6 +9,11 @@ input-independent — every stage touches fixed index sets derived only from
 the array length — so the engine preserves the algorithm's structure and
 cost shape while running ~10^3x faster; the test suite cross-checks its
 output against the traced engine row for row.
+
+One table shape has its own kernel: a single int64 column sorted ascending by
+itself carries no payload, so a compare-exchange is ``minimum`` / ``maximum``
+over two strided views (:func:`sort_words`) — same stages and counts, a write
+set that does not depend on the data.  :mod:`repro.shard.sort` packs into it.
 """
 
 from __future__ import annotations
@@ -16,13 +21,55 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InputError
-from ..obliv.bitonic import next_power_of_two
+from ..obliv.bitonic import comparison_count, next_power_of_two
 
 #: Column holding the padding flag in padded sorts (sorts after real rows).
 PAD_COLUMN = "_pad"
 
-#: Sort key: (column name, ascending).
-Key = tuple[str, bool]
+#: Sort key: ``(column name, ascending)``, optionally ``(…, bits)`` — the
+#: caller's promise, derived from sizes only, that the column lies in
+#: ``[0, 2**bits)``.  Ignored here; :mod:`repro.shard.sort` packs by it.
+Key = tuple[str, bool] | tuple[str, bool, int]
+
+WORD_PAD = np.iinfo(np.int64).max  #: pads a payload-free buffer: sorts last
+
+
+def index_bits(size: int) -> int:
+    """Public width of a column of indices into ``size`` slots, ``[0, size)``."""
+    return max(size - 1, 0).bit_length()
+
+
+def word_column(columns: dict[str, np.ndarray], keys: list[Key]) -> str | None:
+    """The column's name if the table is one int64 column sorted ascending by itself."""
+    if len(columns) == len(keys) == 1:
+        ((name, column),) = columns.items()
+        key, ascending, *_ = keys[0]
+        if key == name and ascending and np.asarray(column).dtype == np.int64:
+            return name
+    return None
+
+
+def exchange(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Compare-exchange two equal-shape views in place: ``lo <= hi`` after."""
+    smaller = np.minimum(lo, hi)
+    np.maximum(lo, hi, out=hi)
+    lo[...] = smaller
+
+
+def sort_words(words: np.ndarray, k: int = 2) -> None:
+    """Phases ``k, 2k, … n`` of :func:`stage_pairs`' network over a power-of-two
+    buffer, in place; ``k = len(words)`` is the bitonic merger alone."""
+    n = len(words)
+    while k <= n:
+        j = k // 2
+        while j >= 1:
+            # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]);
+            # the last phase is one ascending block, its [:, 1:] empty.
+            view = words.reshape(-1, min(2, n // k), k // (2 * j), 2, j)
+            exchange(view[:, 0, :, 0], view[:, 0, :, 1])
+            exchange(view[:, 1:, :, 1], view[:, 1:, :, 0])
+            j //= 2
+        k *= 2
 
 
 def stage_pairs(n: int):
@@ -59,7 +106,7 @@ def lexicographic_greater(
     """Boolean mask: row ``lo[i]`` strictly follows row ``hi[i]`` under keys."""
     greater = np.zeros(len(lo), dtype=bool)
     equal = np.ones(len(lo), dtype=bool)
-    for name, ascending in keys:
+    for name, ascending, *_ in keys:
         col = columns[name]
         a = col[lo]
         b = col[hi]
@@ -85,10 +132,18 @@ def vector_bitonic_sort(
     feeding the same Table 3 accounting as the traced engine.
     """
     names = list(columns)
-    n = len(columns[names[0]])
+    n = len(columns[names[0]]) if names else 0
     if n <= 1:
         return {k: v.copy() for k, v in columns.items()}
     padded = next_power_of_two(n)
+    word = word_column(columns, keys)
+    if word is not None:
+        words = np.full(padded, WORD_PAD)
+        words[:n] = columns[word]
+        sort_words(words)
+        if counter is not None:
+            counter[0] += comparison_count(padded)
+        return {word: words[:n]}
     work: dict[str, np.ndarray] = {}
     for name in names:
         col = np.asarray(columns[name])

@@ -1,7 +1,8 @@
 """A hostile store: every tampered, moved, truncated or wrong-key block is a
 typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
 
-Store cases only (ROADMAP item 7's other hostile conditions are not here).
+Store cases first; the last section is hostile *values* through the sharded
+engine's packed sort (ROADMAP item 7's other conditions are not here).
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -21,8 +22,10 @@ import numpy as np
 import pytest
 from test_service import _ServerThread
 
+from repro.core.padding import ANCHOR_KEY
 from repro.db.table import DBTable
-from repro.errors import StoreIntegrityError
+from repro.engines import get_engine
+from repro.errors import BoundError, InputError, StoreIntegrityError
 from repro.plan import available_executors
 from repro.plan.executors import get_executor
 from repro.service import ServiceClient, ServiceEngine, ServiceError
@@ -291,3 +294,134 @@ def test_a_store_written_with_the_parent_layout_is_refused(tmp_path):
     for index in range(3):
         with pytest.raises(StoreIntegrityError):
             reopened.read_block("c", index)
+
+
+# -- hostile values: the packed sort under every padding mode -----------------
+
+I64_MIN, I64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def _value_cases(padded: bool) -> dict[str, tuple[list, list]]:
+    """``(left, right)`` inputs whose ``j`` / ``d`` sit at the int64 extremes
+    the headroom checks allow: any int64 when sizes are revealed; under
+    padding ``j < ANCHOR_KEY`` (reserved) and ``d >= 0`` (dummies are -1)."""
+    j_max = ANCHOR_KEY - 1 if padded else I64_MAX
+    d_min = 0 if padded else I64_MIN
+    extremes = [(j, d) for j in (I64_MIN, -1, 0, j_max) for d in (d_min, 1, I64_MAX)]
+    return {
+        "extremes": (extremes, extremes[::-1] + extremes[:5]),
+        "all-equal-rows": ([(j_max, I64_MAX)] * 6, [(j_max, d_min)] * 5),
+        "one-giant-group": (
+            [(3, v % 4) for v in range(12)] + [(I64_MIN, 1)],
+            [(9, 0), (j_max, 2)] + [(3, 7 - v % 3) for v in range(9)],
+        ),
+        "empty-left": ([], extremes),
+        "empty-right": (extremes, []),
+        "one-row-sides": ([(j_max, I64_MAX)], [(j_max, d_min)]),
+        "one-row-sides-no-match": ([(I64_MIN, 5)], [(j_max, 5)]),
+    }
+
+
+def _padding_options(padding: str, left, right) -> dict:
+    if padding != "bounded":
+        return {"padding": padding}
+    true_m = len(vector_oblivious_join(left, right)[0])
+    return {"padding": padding, "bound": min(true_m + 2, len(left) * len(right))}
+
+
+@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+@pytest.mark.parametrize("padding", ["revealed", "bounded", "worst_case"])
+def test_hostile_values_join_to_the_vector_engines_rows(
+    padding, shards, name, shm_leak_guard
+):
+    for case, (left, right) in _value_cases(padding != "revealed").items():
+        options = _padding_options(padding, left, right)
+        expected = get_engine("vector", **options).join(left, right)
+        engine = get_engine("sharded", shards=shards, workers=2, executor=name, **options)
+        got = engine.join(left, right)
+        assert np.array_equal(
+            np.asarray(got.pairs, dtype=np.int64).reshape(-1, 2),
+            np.asarray(expected.pairs, dtype=np.int64).reshape(-1, 2),
+        ), case
+        assert got.m == expected.m
+
+
+@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("padding", ["bounded", "worst_case"])
+def test_negative_payloads_are_refused_under_padding_like_vector(padding, name):
+    left, right = [(1, -5), (2, 3)], [(1, 4), (2, I64_MIN)]
+    options = _padding_options(padding, left, right)
+    with pytest.raises(InputError) as vector_refusal:
+        get_engine("vector", **options).join(left, right)
+    with pytest.raises(InputError) as refusal:
+        get_engine("sharded", shards=2, workers=2, executor=name, **options).join(
+            left, right
+        )
+    assert str(refusal.value) == str(vector_refusal.value)
+
+
+class _Collected:
+    """A completion that tells its probe when it has been collected."""
+
+    def __init__(self, probe, completion) -> None:
+        self.probe, self.completion = probe, completion
+
+    def result(self):
+        value = self.completion.result()
+        self.probe.in_flight -= 1
+        return value
+
+
+class _InFlightProbe:
+    """Wraps an executor substrate; counts tasks handed out and not yet
+    collected, so a raise can be checked to happen with none in flight."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.in_flight = self.dispatched = 0
+
+    def map(self, task, payloads):
+        return self.inner.map(task, payloads)
+
+    def imap(self, task, payloads):
+        payloads = list(payloads)
+        self.in_flight += len(payloads)
+        self.dispatched += len(payloads)
+        for item in self.inner.imap(task, payloads):
+            self.in_flight -= 1
+            yield item
+
+    def submit(self, task, payload):
+        self.in_flight += 1
+        self.dispatched += 1
+        return _Collected(self, self.inner.submit(task, payload))
+
+    def __getattr__(self, attribute):
+        return getattr(self.inner, attribute)
+
+
+@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_an_exceeded_bound_raises_in_the_parent_with_no_task_in_flight(
+    shards, name, shm_leak_guard
+):
+    left, right = _value_cases(padded=True)["one-giant-group"]
+    true_m = len(vector_oblivious_join(left, right)[0])
+    with pytest.raises(BoundError) as vector_abort:
+        vector_oblivious_join(left, right, target_m=true_m - 1)
+    probe = _InFlightProbe(get_executor(name, workers=2))
+    with pytest.raises(BoundError) as abort:
+        sharded_oblivious_join(
+            left, right, shards=shards, target_m=true_m - 1, executor=probe
+        )
+    assert str(abort.value) == str(vector_abort.value)
+    # Two sorts ran (k local sorts and k - 1 merges each), all collected.
+    assert probe.dispatched == 2 * (2 * shards - 1) and probe.in_flight == 0
+    # The same substrate then answers the query at a bound that fits.
+    got, _ = sharded_oblivious_join(
+        left, right, shards=shards, target_m=true_m, executor=probe
+    )
+    assert np.array_equal(got, vector_oblivious_join(left, right, target_m=true_m)[0])
+    assert probe.in_flight == 0

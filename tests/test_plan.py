@@ -4,10 +4,12 @@ across engines, key distributions, and padding modes."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 from conftest import sharded_sort_comparators
+from test_shard import BENCHMARK_SHAPES, benchmark_shape_runs
 
 from repro.cli import main
 from repro.core.padding import cascade_bounds, join_bound
@@ -299,6 +301,18 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
     assert plan_a.serialize() == plan_b.serialize()
     # ... and identical to the plan compiled with no data in sight.
     assert plan_a.serialize() == sharded_join_plan(8, 8, 3, target).serialize()
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
+    """The packed sort changed what a task carries, not the plan: at the
+    three sharded benchmark shapes the executed plan's canonical bytes hash
+    to the digest recorded at the parent commit, and are the same bytes on
+    adversarially different data of one shape."""
+    _, _, digest, _ = BENCHMARK_SHAPES[shape]
+    plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
+    assert len(plans) == 1
+    assert hashlib.sha256(plans.pop()).hexdigest() == digest
 
 
 def test_executed_plan_bytes_survive_adversarial_completion_orders():

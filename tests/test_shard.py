@@ -8,6 +8,7 @@ phase accounting.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -36,7 +37,9 @@ from repro.shard.partition import (
     shard_capacity,
     shard_counts,
 )
-from repro.shard.sort import ROW_ID, sharded_sort
+from repro.shard.sort import ROW_ID, sharded_sort, word_layout
+from repro.store import InMemoryStore, StorePairs, adopt, detach_all
+from repro.store.columns import write_int_column
 from repro.vector.join import vector_oblivious_join
 from repro.vector.sort import vector_bitonic_sort
 
@@ -214,6 +217,210 @@ def test_sharded_sort_ships_only_keys_and_a_row_id():
     table = {name: np.arange(9, dtype=np.int64) for name in ("k", "p1", "p2")}
     sharded_sort(table, [("k", False)], shards=3, executor=executor)
     assert executor.shipped == {"k", ROW_ID}
+
+
+# -- the packed path: one word per row, chosen by (key list, n) alone ----------
+
+
+def test_word_layout_is_a_pure_function_of_the_key_list_and_n():
+    """The decision helper is handed no column, so it can read no value: field
+    widths most significant first, the row id's ``ceil(log2 n)`` last."""
+    keys = [("a", True, 2), ("b", True, 15)]
+    assert word_layout(keys, 0) == word_layout(keys, 1) == (2, 15, 0)
+    assert word_layout(keys, 2) == (2, 15, 1)
+    assert word_layout(keys, 32768) == (2, 15, 15)
+    assert word_layout(keys, 32769) == (2, 15, 16)
+    assert word_layout([("a", True, 0)], 8) == (0, 3)
+    # No width, a descending key, or no key at all: the wide path.
+    assert word_layout([("a", True, 2), ("b", True)], 8) is None
+    assert word_layout([("a", True, 2), ("b", False, 15)], 8) is None
+    assert word_layout([], 8) is None
+
+
+def _shipped(table, keys, shards=3):
+    executor = RecordingExecutor()
+    got = sharded_sort(table, keys, shards=shards, executor=executor)
+    return executor.shipped, got
+
+
+def test_one_bit_over_the_budget_takes_the_wide_path():
+    """52 key bits leave 10 for the row id: 1024 rows pack, 1025 do not — the
+    boundary is crossed with sizes, not by patching the constant."""
+    keys = [("a", True, 40), ("b", True, 12)]
+    assert word_layout(keys, 1024) == (40, 12, 10)
+    assert word_layout(keys, 1025) is None
+    rng = np.random.default_rng(2)
+    for n, shipped in ((1024, {ROW_ID}), (1025, {"a", "b", ROW_ID})):
+        table = {
+            "a": rng.integers(0, 1 << 40, n),
+            "b": rng.integers(0, 1 << 12, n),
+            "payload": rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True),
+        }
+        seen, got = _shipped(table, keys)
+        assert seen == shipped
+        reference = vector_bitonic_sort(table, keys)
+        for name in table:
+            assert np.array_equal(got[name], reference[name]), (n, name)
+
+
+def test_descending_unwidthed_and_non_int64_keys_take_the_wide_path():
+    n = 9
+    ints = np.arange(n, dtype=np.int64)
+    table = {"k": ints % 4, "p": ints}
+    assert _shipped(table, [("k", True, 2)])[0] == {ROW_ID}
+    for keys in ([("k", False, 2)], [("k", True)], [("k", True, 2), ("p", True)]):
+        assert _shipped(table, keys)[0] > {ROW_ID}  # key columns travel too
+    for dtype in (np.int32, np.float64, np.uint64):
+        seen, got = _shipped({"k": (ints % 4).astype(dtype), "p": ints}, [("k", True, 2)])
+        assert seen == {"k", ROW_ID}
+        assert got["k"].dtype == dtype and got["k"].tolist() == sorted(ints % 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 4, INT64_MIN, INT64_MAX])
+def test_a_column_outside_its_declared_width_is_refused_before_any_dispatch(bad):
+    """A packed word never overflows silently: one value outside
+    ``[0, 2**bits)``, wherever it sits, is an ``InputError`` raised in the
+    parent with nothing shipped."""
+    for position in (0, 4, 8):
+        column = np.arange(9, dtype=np.int64) % 4
+        column[position] = bad
+        executor = RecordingExecutor()
+        with pytest.raises(InputError, match=r"'k' outside its declared \[0, 2\*\*2\)"):
+            sharded_sort(
+                {"k": column, "p": column}, [("k", True, 2)], shards=3, executor=executor
+            )
+        assert executor.shipped == set()
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        pytest.param(InlineExecutor(), id="inline"),
+        pytest.param(ShuffleExecutor(seed=4), id="shuffle"),
+        pytest.param(PoolExecutor(workers=2), id="pool"),
+    ],
+)
+def test_the_packed_path_is_a_stable_sort(executor):
+    """Ties keep input order (the row id is the word's low field) for every
+    shard count, and every column — keys included — is gathered once."""
+    rng = np.random.default_rng(9)
+    keys = [("a", True, 1), ("b", True, 2)]
+    for n in (0, 1, 2, 7, 16, 37, 100):
+        table = {
+            "a": rng.integers(0, 2, n),
+            "b": rng.integers(0, 3, n),
+            "payload": np.arange(n, dtype=np.int64) * -7,
+        }
+        order = np.lexsort((table["b"], table["a"]))  # stable
+        for k in (1, 2, 3, 5):
+            counter = [0]
+            got = sharded_sort(table, keys, counter, shards=k, executor=executor)
+            assert list(got) == list(table)
+            for name in table:
+                assert np.array_equal(got[name], table[name][order]), (n, k, name)
+            assert counter[0] == sharded_sort_comparators(n, k)
+
+
+def test_sorting_an_empty_table_returns_an_empty_table():
+    assert sharded_sort({}, [("k", True)], shards=2, executor=InlineExecutor()) == {}
+
+
+# -- the benchmark shapes: schedule pinned from the parent commit -------------
+
+_SORT_16K = {"augment": 1966080, "expand": 860160, "route": 212993}
+_SORT_512 = {"augment": 67584, "expand": 28160, "route": 9217}
+
+
+def _phases(sizes):
+    return {
+        "augment_sort1": sizes["augment"], "augment_sort2": sizes["augment"],
+        "expand1_sort": sizes["expand"], "expand2_sort": sizes["expand"],
+        "expand1_route": sizes["route"], "expand2_route": sizes["route"],
+        "align_sort": sizes["expand"],
+    }
+
+
+#: shape -> (sharded_oblivious_join options, comparators per phase and plan
+#: digest as the parent commit (3582208) recorded them, store block bytes).
+BENCHMARK_SHAPES = {
+    "join_sharded_pool": (
+        {"shards": 2}, _phases(_SORT_16K),
+        "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161", None,
+    ),
+    "join_sharded_bounded": (
+        {"shards": 2, "target_m": 1024}, _phases(_SORT_512),
+        "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f", None,
+    ),
+    "store_paged_join": (
+        {"shards": 4}, _phases(_SORT_16K),
+        "15558eb3fd47055d4a25ae67dcc4300d4fc6efe8c4b607eabaeb3245ed0d71b3", 4096,
+    ),
+}
+
+
+def _benchmark_datasets(shape: str):
+    """Adversarially different ``(left, right)`` inputs of one public shape
+    (same ``n1, n2`` and — where it is revealed — same ``m``)."""
+    rng = np.random.default_rng(31)
+    n, side = (512, 32) if shape == "join_sharded_bounded" else (16384, 128)
+    payload = rng.integers(0, 1 << 40, n)
+    one_to_one = (
+        np.stack([rng.permutation(n), payload], axis=1),
+        np.stack([rng.permutation(n), payload[::-1]], axis=1),
+    )
+    # One side x side group holding every output row; nothing else matches,
+    # keys reach down to the int64 minimum, payloads are all equal.
+    lone = np.arange(n - side, dtype=np.int64)
+    giant = (
+        np.stack([np.concatenate([np.zeros(side, np.int64), INT64_MIN + lone]),
+                  np.zeros(n, np.int64)], axis=1),
+        np.stack([np.concatenate([1 + lone, np.zeros(side, np.int64)]),
+                  np.full(n, 7, np.int64)], axis=1),
+    )
+    datasets = [one_to_one, giant]
+    if shape == "join_sharded_bounded":  # m is hidden: vary it too (768, 1024, 0)
+        repeated = np.concatenate([np.arange(n - n // 4), np.arange(n // 4)])
+        datasets.append((
+            np.stack([rng.permutation(repeated), np.arange(n)], axis=1),
+            np.stack([rng.permutation(repeated), np.arange(n)], axis=1),
+        ))
+        datasets.append((one_to_one[0], one_to_one[1] + [[n, 0]]))
+    return datasets
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_shape_runs(shape: str):
+    """``[(pairs, stats, vector pairs)]`` per dataset of a benchmark shape."""
+    options, _, _, block_bytes = BENCHMARK_SHAPES[shape]
+    runs = []
+    for left, right in _benchmark_datasets(shape):
+        sides = (left, right)
+        if block_bytes is not None:
+            store = InMemoryStore(block_bytes, b"shape-test-key-0")
+            for tag, table in zip("LR", sides):
+                write_int_column(store, f"{tag}/j", table[:, 0])
+                write_int_column(store, f"{tag}/d", table[:, 1])
+            store.flush()
+            spec = adopt(store, cache_bytes=1 << 16)
+            sides = tuple(StorePairs(spec, len(left), f"{t}/j", f"{t}/d") for t in "LR")
+        pairs, stats = sharded_oblivious_join(*sides, **options)
+        detach_all()
+        expected, _ = vector_oblivious_join(left, right, target_m=options.get("target_m"))
+        runs.append((pairs, stats, expected))
+    return runs
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_benchmark_shapes_keep_the_parent_commits_schedule(shape):
+    """Packing moved no comparator: ``stats.schedule`` and
+    ``stats.comparisons_by_phase`` are the values recorded at the parent
+    commit, the same on adversarially different data of one shape, and the
+    rows are the ``vector`` engine's."""
+    options, phases, _, _ = BENCHMARK_SHAPES[shape]
+    for pairs, stats, expected in benchmark_shape_runs(shape):
+        assert stats.comparisons_by_phase == phases
+        assert stats.schedule == (options["shards"], tuple(sorted(phases.items())))
+        assert np.array_equal(pairs, expected)
 
 
 def test_merge_two_keeps_zero_padding_out_of_extreme_runs():

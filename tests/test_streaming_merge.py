@@ -115,6 +115,38 @@ def test_streaming_matches_barrier_bit_for_bit(executor, truncate):
         )
 
 
+#: Every shuffle seed this module uses elsewhere.
+SHUFFLE_SEEDS = range(6)
+
+
+def test_packed_runs_merge_bit_identically_on_every_substrate():
+    """One-word-per-row runs (the packed shape: a single int64 column sorted
+    by itself) of unequal and zero lengths, ``int64`` max included: the
+    min / max merger gives ``np.sort`` of the rows and the schedule's
+    comparator count under no executor, inline, pool and every shuffle seed."""
+    keys = [("_row", True)]
+    rng = np.random.default_rng(23)
+    executors = [None, InlineExecutor(), PoolExecutor(workers=2)]
+    executors += [ShuffleExecutor(seed=seed) for seed in SHUFFLE_SEEDS]
+    for lengths in ([], [0], [5], [0, 0], [3, 0, 4], [1, 8, 0, 2, 13], [7] * 8):
+        runs = [{"_row": np.sort(rng.integers(0, 1 << 40, n))} for n in lengths]
+        if lengths and lengths[-1]:
+            runs[-1]["_row"][-1] = np.iinfo(np.int64).max
+        rows = np.concatenate([run["_row"] for run in runs] + [np.zeros(0, np.int64)])
+        for executor in executors:
+            counter = [0]
+            tournament = StreamingTournament(
+                len(runs), keys, executor=executor, counter=counter
+            )
+            for index in rng.permutation(len(runs)):
+                tournament.add(int(index), runs[index])
+            merged = tournament.result()
+            assert list(merged) == (["_row"] if runs else [])
+            if runs:
+                assert merged["_row"].tobytes() == np.sort(rows).tobytes(), lengths
+            assert counter[0] == merge_comparator_count(lengths)
+
+
 def test_tournament_validates_indices_and_completeness():
     tournament = StreamingTournament(2, KEYS)
     with pytest.raises(InputError, match="leaf index"):

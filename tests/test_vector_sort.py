@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputError
+from repro.obliv.bitonic import comparison_count, next_power_of_two
 from repro.obliv.network import is_valid_schedule
 from repro.vector.sort import (
     is_sorted_by,
     lexicographic_greater,
     stage_pairs,
     vector_bitonic_sort,
+    word_column,
 )
 
 
@@ -105,3 +107,79 @@ def test_lexicographic_greater_tie_break():
     table = _table(a=[1, 1], b=[5, 2])
     gt = lexicographic_greater(table, [("a", True), ("b", True)], np.array([0]), np.array([1]))
     assert gt.tolist() == [True]
+
+
+# -- the payload-free shape: one int64 column sorted ascending by itself ------
+
+WORD_SIZES = sorted(
+    set(range(131)) | {2**k + step for k in range(1, 13) for step in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("flavour", ["distinct", "duplicates", "with_int64_max"])
+def test_single_column_kernel_matches_numpy_sort_at_every_size(flavour):
+    """The min / max kernel against ``np.sort`` for every n in 0..130 and
+    2**k - 1, 2**k, 2**k + 1 up to 2**12: the padding is ``int64`` max, so
+    rows holding that very value must survive it; the comparator count is
+    the padded network's, as on the multi-column path."""
+    limit = np.iinfo(np.int64).max
+    rng = np.random.default_rng(11)
+    for n in WORD_SIZES:
+        if flavour == "distinct":
+            words = rng.permutation(n).astype(np.int64) - n // 2
+        else:
+            words = rng.integers(0, 4, n)
+        if flavour == "with_int64_max":
+            words[rng.random(n) < 0.3] = limit
+        before = words.copy()
+        counter = [0]
+        got = vector_bitonic_sort({"w": words}, [("w", True, 62)], counter=counter)
+        assert list(got) == ["w"] and got["w"].dtype == np.int64
+        assert np.array_equal(got["w"], np.sort(before)), (flavour, n)
+        assert np.array_equal(words, before)  # input not mutated
+        assert counter[0] == comparison_count(next_power_of_two(n)), n
+
+
+def test_single_column_kernel_agrees_with_the_masked_swap_network():
+    """Same rows and same count as the multi-column text, which a second
+    (constant) column forces."""
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 64, 100, 1000):
+        words = rng.integers(-5, 5, n)
+        narrow, wide = [0], [0]
+        got = vector_bitonic_sort({"w": words}, [("w", True)], counter=narrow)
+        reference = vector_bitonic_sort(
+            {"w": words, "z": np.zeros(n, dtype=np.int64)}, [("w", True)], counter=wide
+        )
+        assert np.array_equal(got["w"], reference["w"])
+        assert narrow == wide
+
+
+@pytest.mark.parametrize(
+    "columns,keys",
+    [
+        pytest.param({"w": [3, 1, 2]}, [("w", False)], id="descending"),
+        pytest.param({"w": [3, 1, 2], "v": [0, 1, 2]}, [("w", True)], id="payload"),
+        pytest.param({"w": [3.5, 1.5, 2.5]}, [("w", True)], id="float"),
+        pytest.param({"w": [3, 1, 2], "v": [0, 1, 2]}, [("v", True)], id="other-key"),
+    ],
+)
+def test_every_other_table_shape_takes_the_multi_column_text(columns, keys):
+    table = {name: np.asarray(column) for name, column in columns.items()}
+    assert word_column(table, keys) is None
+    assert is_sorted_by(vector_bitonic_sort(table, keys), keys)
+    assert word_column({"w": np.arange(3)}, [("w", True)]) == "w"
+    assert word_column({"w": np.arange(3)}, [("w", True, 2)]) == "w"
+
+
+def test_widths_are_accepted_and_ignored():
+    table = _table(a=[1, 0, 1, 0], b=[0, 1, 1, 0], v=[0, 1, 2, 3])
+    plain = vector_bitonic_sort(table, [("a", True), ("b", False)])
+    # Even a width the data breaks: this module never reads it.
+    wide = vector_bitonic_sort(table, [("a", True, 0), ("b", False, 1)])
+    for name in table:
+        assert np.array_equal(plain[name], wide[name])
+
+
+def test_empty_table_sorts_to_an_empty_table():
+    assert vector_bitonic_sort({}, [("k", True)]) == {}
