@@ -133,5 +133,5 @@ def check_pipeline_stages(stages) -> list[tuple[str, dict]]:
                         f"order_by column {column} out of range at position "
                         f"{index} (rows have {arity} columns)"
                     )
-            ops.append(("order_by", {}))
+            ops.append(("order_by", {"columns": len(stage[1])}))
     return ops

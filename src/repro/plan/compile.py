@@ -36,12 +36,14 @@ from ..core.join_tree import (
 )
 from ..core.padding import cascade_bounds, check_padding, join_bound
 from ..errors import InputError
+from ..vector.sort import Key, index_bits
 from .ir import Plan, PlanBuilder, tournament_schedule
 from .partition import (
     block_count,
     check_shards,
     join_tree_window_plan,
     partition_plan,
+    word_passes,
 )
 
 #: Workload names `compile_workload` accepts.
@@ -124,14 +126,15 @@ def _add_sharded_sort(
     n: int | None,
     k: int,
     stage: str,
+    keys: list[Key],
 ) -> int:
-    """Emit one sharded sort of ``n`` rows; returns its root node.
+    """Emit one sharded sort of ``n`` rows by ``keys``; returns its root node.
 
     ``partition`` into ``k`` positional blocks, one ``shard_sort`` per
-    block, then the ``merge_pair`` bracket — the public schedule of
-    :func:`repro.shard.sort.sharded_sort`, a function of ``(n, k)``.
-    ``n=None`` is a size revealed at run time: the bracket is compiled,
-    its lengths are not.
+    block with its one-word ``passes``, then the ``merge_pair`` bracket —
+    the public schedule of :func:`repro.shard.sort.sharded_sort`, a
+    function of ``(n, k)`` and the key widths.  ``n=None`` is a size
+    revealed at run time: the bracket is compiled, its lengths are not.
     """
     capacity, counts = (None, None) if n is None else partition_plan(n, k)
     part = builder.add(
@@ -144,6 +147,7 @@ def _add_sharded_sort(
             stage=stage,
             shard=i,
             rows=None if counts is None else counts[i],
+            passes=None if counts is None else word_passes(keys, counts[i]),
         )
         for i in range(k)
     )
@@ -229,15 +233,22 @@ def sharded_join_plan(
             }
         inputs.append(builder.add("input", side=side, rows=n + extra, **scan))
     total = n1 + n2 + 2 * extra
-    sort = _add_sharded_sort(builder, tuple(inputs), total, k, "augment_sort1")
-    sort = _add_sharded_sort(builder, (sort,), total, k, "augment_sort2")
+    # The five sorts' keys as repro.vector.join declares them; m's width is
+    # unused while m is revealed.
+    bits = index_bits(target or 0)
+    keys = [("j", True), ("tid", True, 2), ("d", True)]
+    sort = _add_sharded_sort(builder, tuple(inputs), total, k, "augment_sort1", keys)
+    keys = [("tid", True, 2 + index_bits(total))]
+    sort = _add_sharded_sort(builder, (sort,), total, k, "augment_sort2", keys)
     augment = builder.add("augment", inputs=(sort,), rows=total)
     expands = []
+    keys = [("_null", True, 1), ("slot", True, bits)]
     for index, (side, n) in enumerate((("left", n1), ("right", n2)), start=1):
         size = None if target is None else max(n + extra, target)
-        sort = _add_sharded_sort(builder, (augment,), size, k, f"expand{index}_sort")
+        sort = _add_sharded_sort(builder, (augment,), size, k, f"expand{index}_sort", keys)
         expands.append(builder.add("expand", inputs=(sort,), side=side, rows=target))
-    sort = _add_sharded_sort(builder, (expands[1],), target, k, "align_sort")
+    keys = [("j", True, bits), ("ii", True, bits)]
+    sort = _add_sharded_sort(builder, (expands[1],), target, k, "align_sort", keys)
     align = builder.add("align", inputs=(sort,), rows=target)
     builder.add("zip", inputs=(expands[0], align), rows=target)
     return builder.build()
@@ -339,12 +350,15 @@ def inline_order_plan(engine: str, n: int) -> Plan:
     return builder.build()
 
 
-def sharded_order_plan(n: int, k: int) -> Plan:
-    """:func:`inline_order_plan` with its sort expanded into a sharded one."""
+def sharded_order_plan(n: int, k: int, columns: int = 1) -> Plan:
+    """:func:`inline_order_plan` with its sort expanded into a sharded one:
+    ``columns`` int64 sort keys, then the position at its public width
+    (:func:`repro.vector.relational.order_columns`)."""
     check_shards(k)
-    builder = PlanBuilder("order_by", "sharded", n=n, k=k)
+    builder = PlanBuilder("order_by", "sharded", n=n, k=k, columns=columns)
     rows = builder.add("input", side="keys", rows=n)
-    _add_sharded_sort(builder, (rows,), n, k, "order")
+    keys = [("k", True)] * columns + [("pos", True, index_bits(n))]
+    _add_sharded_sort(builder, (rows,), n, k, "order", keys)
     return builder.build()
 
 
@@ -729,10 +743,10 @@ def compile_filter(
 
 
 def compile_order_by(
-    n: int, engine: str = "vector", *, shards: int | None = None
+    n: int, engine: str = "vector", *, shards: int | None = None, columns: int = 1
 ) -> Plan:
     if engine == "sharded":
-        return sharded_order_plan(n, shards if shards is not None else 2)
+        return sharded_order_plan(n, shards if shards is not None else 2, columns)
     if engine not in _INLINE_ENGINES:
         raise InputError(f"no plan compiler for engine {engine!r}")
     return inline_order_plan(engine, n)
@@ -755,7 +769,8 @@ def compile_pipeline(
     ``("source", {"n": n})`` (always first), then any chain of
     ``("filter", {})``, ``("join", {"n2": m})``,
     ``("multiway", {"sizes": [...]})`` (sizes of the *remaining* cascade
-    tables), ``("group_by", {})`` and ``("order_by", {})``.
+    tables), ``("group_by", {})`` and ``("order_by", {"columns": c})`` (the
+    number of sort keys, default 1).
 
     Each operator stage is the per-workload compiler's sub-plan embedded
     verbatim (``stage=s`` merged into every node), and consecutive stages
@@ -891,7 +906,7 @@ def compile_pipeline(
                     "order_by", engine, "shard_sort_deferred", n=None, k=k
                 )
             elif engine == "sharded":
-                sub = sharded_order_plan(current, k)
+                sub = sharded_order_plan(current, k, int(params.get("columns", 1)))
             else:
                 sub = inline_order_plan(engine, current)
         embedded = builder.embed(sub, stage=stage_index)

@@ -56,7 +56,9 @@ from ..errors import InputError
 #: expanded to ``partition`` -> ``shard_sort`` x k -> ``merge_pair`` nodes
 #: tagged with the sort's ``stage``; store-backed ``input`` nodes name the
 #: scanned ``blocks``.
-PLAN_FORMAT = 7
+#: Format 8 adds ``shard_sort.passes`` (one-word sorts per block, ``None``
+#: with ``rows``) and an order-by plan's ``columns`` (its sort key count).
+PLAN_FORMAT = 8
 
 
 def _freeze(value, context: str):

@@ -59,7 +59,8 @@ class ShardedJoinStats(VectorJoinStats):
     def schedule(self) -> tuple:
         """The adversary-visible schedule: shard count and each phase's
         comparator count (local sorts plus merges) — a function of
-        ``(n1, n2, k)`` and ``m`` (the public bound under padding)."""
+        ``(n1, n2, k)``, ``m`` (the public bound under padding) and the
+        five sorts' fixed key widths, which set each block's passes."""
         return (self.shards, tuple(sorted(self.comparisons_by_phase.items())))
 
 

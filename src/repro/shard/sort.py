@@ -2,21 +2,23 @@
 
 The one primitive every sharded operator above a sort is built on.  The
 table is cut into ``k`` positional blocks (:func:`partition_plan` — a
-function of ``(n, k)`` only), each block is sorted by
-:func:`~repro.vector.sort.vector_bitonic_sort` as an executor task, and the
-sorted runs fold into the :class:`~repro.shard.merge.StreamingTournament`
+function of ``(n, k)`` only), each block is sorted as an executor task, and
+the sorted runs fold into the :class:`~repro.shard.merge.StreamingTournament`
 of bitonic merges as they complete.  ``k`` local sorts plus ``log k`` merge
 rounds *are* one bitonic sort, so the comparator work is the single-process
-sort's (exactly, at ``k = 1``) and the workers share it.
+sort's (exactly, at ``k = 1``, when the keys fit one word) and the workers
+share it.
 
 Only the keys and a row id cross to the workers — as **one int64 word per
 row**, ``key fields ‖ row id``, the shape the network sorts with ``minimum`` /
 ``maximum`` on views, when every key carries a public width and the fields fit
-(:func:`word_layout`); as separate columns otherwise.  Every other column is
-gathered once, in the parent, through the sorted row ids.  The schedule —
-block sizes, bracket, comparator counts, which shape — is a function of
-``(n, k)`` and the key list, so a caller's leakage is whatever its own sort
-sizes reveal.
+(:func:`word_layout`); as separate columns otherwise.  A block of separate
+int64 columns is still ordered by that one-word network: its key fields are
+cut into :func:`word_passes` digits, each sorted stably as ``digit ‖ row id``,
+least significant first.  Every other column is gathered once, in the parent,
+through the sorted row ids.  The schedule — block sizes, passes, bracket,
+comparator counts, which shape — is a function of ``(n, k)`` and the key list,
+so a caller's leakage is whatever its own sort sizes reveal.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from ..errors import InputError
 from ..plan.executors import Executor, completion_stream
-from ..vector.sort import Key, index_bits, vector_bitonic_sort
+from ..plan.partition import WORD_BITS, word_passes
+from ..vector.sort import Key, index_bits, vector_bitonic_sort, word_column
 from .merge import StreamingTournament
 from .partition import partition_columns
 
@@ -33,8 +36,7 @@ from .partition import partition_columns
 #: as the low field of the packed shape's single word.
 ROW_ID = "_row"
 
-#: Bits a packed word may use (it stays below the network's int64 padding).
-WORD_BITS = 62
+_SIGN = np.uint64(1 << 63)
 
 
 def word_layout(keys: list[Key], n: int) -> tuple[int, ...] | None:
@@ -50,24 +52,74 @@ def word_layout(keys: list[Key], n: int) -> tuple[int, ...] | None:
     return widths if sum(widths) <= WORD_BITS else None
 
 
+def _check_widths(table: dict[str, np.ndarray], keys: list[Key]) -> None:
+    """A column outside its declared width is refused, before any dispatch."""
+    for name, _, *bits in keys:
+        column = table[name]
+        if not bits or not len(column):
+            continue
+        if int(column.min()) < 0 or int(column.max()) >> bits[0]:
+            raise InputError(f"sort key {name!r} outside its declared [0, 2**{bits[0]})")
+
+
 def _pack(table: dict[str, np.ndarray], keys: list[Key], widths, n: int) -> np.ndarray:
-    """One word per row; a column outside its declared width is refused."""
+    """One word per row: the key fields, then the row id (Horner)."""
     words = np.zeros(n, dtype=np.int64)
     for (name, *_), bits in zip(keys, widths):
-        column = table[name]
-        if n and (int(column.min()) < 0 or int(column.max()) >> bits):
-            raise InputError(f"sort key {name!r} outside its declared [0, 2**{bits})")
-        words = (words << bits) | column
+        words = (words << bits) | table[name]
     return (words << widths[-1]) | np.arange(n, dtype=np.int64)
+
+
+def _digits(block: dict[str, np.ndarray], keys: list[Key], bits: int, passes: int):
+    """The key fields as one unsigned bit string, ``bits`` at a time, least
+    significant digit first.  An unwidthed key is its 64 bits with the sign
+    flipped, a descending one is complemented: both keep the order."""
+    fields, offset = [], 0
+    for name, ascending, *width in reversed(keys):
+        size = width[0] if width else 64
+        values = block[name].view(np.uint64)
+        if not width:
+            values = values ^ _SIGN
+        if not ascending:
+            values = ~values & np.uint64((1 << size) - 1)
+        fields.append((values, offset, offset + size))
+        offset += size
+    mask = np.uint64((1 << bits) - 1)
+    for low in range(0, passes * bits, bits):
+        digit = np.zeros(len(block[ROW_ID]), dtype=np.uint64)
+        for values, start, stop in fields:
+            if start < low + bits and low < stop:
+                shift = np.uint64(abs(start - low))
+                digit |= values << shift if start >= low else values >> shift
+        yield (digit & mask).view(np.int64)
+
+
+def _word_order(block: dict[str, np.ndarray], keys: list[Key], counter: list) -> np.ndarray:
+    """The stable order of a block's rows: one one-word sort per digit."""
+    rows = len(block[ROW_ID])
+    row_bits = index_bits(rows)
+    passes = word_passes(keys, rows)
+    order = positions = np.arange(rows, dtype=np.int64)
+    for digit in _digits(block, keys, WORD_BITS - row_bits, passes):
+        words = {ROW_ID: (digit[order] << row_bits) | positions}
+        words = vector_bitonic_sort(words, [(ROW_ID, True)], counter=counter)[ROW_ID]
+        order = order[words & ((1 << row_bits) - 1)]
+    return order
 
 
 def _sort_task(payload) -> tuple[dict[str, np.ndarray], int]:
     """Sort one padded block's real rows (worker side)."""
     block, keys, real = payload
+    block = {name: column[:real] for name, column in block.items()}
     counter = [0]
-    run = vector_bitonic_sort(
-        {name: column[:real] for name, column in block.items()}, keys, counter=counter
-    )
+    # Already one word, or a non-int64 key (the masked-swap network).
+    if word_column(block, keys) is not None or any(
+        block[name].dtype != np.int64 for name, *_ in keys
+    ):
+        run = vector_bitonic_sort(block, keys, counter=counter)
+    else:
+        order = _word_order(block, keys, counter)
+        run = {name: column[order] for name, column in block.items()}
     return run, counter[0]
 
 
@@ -86,16 +138,18 @@ def sharded_sort(
     tie on every key may come back in a different relative order than the
     single-process network leaves them in.  The packed path
     (:func:`word_layout`) is **stable**: ties keep input order, the row id
-    being the word's low field.  The wide path's order is fixed by ``(n, k)``.
+    being the word's low field.  The wide path's local sorts are stable too
+    and its merges are fixed by ``(n, k)``.
     """
     if not columns:
         return {}
     columns = {name: np.asarray(column) for name, column in columns.items()}
     n = len(next(iter(columns.values())))
     table = {name: columns[name] for name, *_ in keys}
-    widths = word_layout(keys, n)
-    packed = widths is not None and all(c.dtype == np.int64 for c in table.values())
-    if packed:
+    _check_widths(table, keys)
+    int64 = all(column.dtype == np.int64 for column in table.values())
+    widths = word_layout(keys, n) if int64 else None
+    if widths is not None:
         table, keys = {ROW_ID: _pack(table, keys, widths, n)}, [(ROW_ID, True)]
     else:
         table[ROW_ID] = np.arange(n, dtype=np.int64)
@@ -115,7 +169,7 @@ def sharded_sort(
         tournament.close()
         raise
     order = merged.pop(ROW_ID)
-    if packed:
+    if widths is not None:
         order = order & ((1 << widths[-1]) - 1)
     return {
         name: merged[name] if name in merged else column[order]

@@ -234,7 +234,7 @@ def _augmented_tables(
     start = time.perf_counter()
     counter = [0]
     combined = sort(
-        combined, [("j", True), ("tid", True), ("d", True)], counter=counter
+        combined, [("j", True), ("tid", True, 2), ("d", True)], counter=counter
     )
     stats.seconds_by_phase["augment_sort1"] = time.perf_counter() - start
     stats.comparisons_by_phase["augment_sort1"] = counter[0]

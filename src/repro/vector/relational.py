@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import InputError
-from .sort import vector_bitonic_sort
+from .sort import Key, index_bits, vector_bitonic_sort
 
 _INT = np.int64
 
@@ -52,14 +52,14 @@ def vector_filter_indices(mask: Sequence[bool]) -> list[int]:
 
 def order_columns(
     columns: Sequence[tuple[Sequence[int], bool]], n: int
-) -> tuple[dict[str, np.ndarray], list[tuple[str, bool]]]:
+) -> tuple[dict[str, np.ndarray], list[Key]]:
     """Build the struct-of-arrays table + keys of a stable order-by sort.
 
     Raises :class:`~repro.errors.InputError` when a key column does not fit
     int64 (e.g. string columns) — callers fall back to the traced path.
     """
     work: dict[str, np.ndarray] = {}
-    keys: list[tuple[str, bool]] = []
+    keys: list[Key] = []
     for index, (values, ascending) in enumerate(columns):
         name = f"k{index}"
         try:
@@ -70,7 +70,7 @@ def order_columns(
             ) from exc
         keys.append((name, ascending))
     work["pos"] = np.arange(n, dtype=_INT)
-    keys.append(("pos", True))
+    keys.append(("pos", True, index_bits(n)))  # a public width: ignored here
     return work, keys
 
 

@@ -79,7 +79,17 @@ def _bitonic_comparators(n: int) -> int:
     return stages * (stages + 1) // 2 * next_power_of_two(n) // 2
 
 
-def sharded_sort_comparators(n: int, k: int) -> int:
-    """What ``sharded_sort`` must count for ``n`` rows over ``k`` blocks."""
+def sharded_sort_comparators(n: int, k: int, passes: int = 1) -> int:
+    """What ``sharded_sort`` must count for ``n`` rows over ``k`` blocks whose
+    local sorts take ``passes`` one-word passes each."""
     _, counts = partition_plan(n, k)
-    return sum(map(_bitonic_comparators, counts)) + merge_comparator_count(counts)
+    local = passes * sum(map(_bitonic_comparators, counts))
+    return local + merge_comparator_count(counts)
+
+
+def plan_sort_comparators(plan, stage: str) -> int:
+    """What the sharded sort ``stage`` of a compiled plan must count: every
+    ``shard_sort`` node's ``passes`` x its block's network, plus the merges."""
+    sorts = [n for n in plan.nodes_by_op("shard_sort") if n.attr("stage") == stage]
+    local = sum(n.attr("passes") * _bitonic_comparators(n.attr("rows")) for n in sorts)
+    return local + merge_comparator_count([n.attr("rows") for n in sorts])

@@ -8,8 +8,8 @@ import hashlib
 import json
 
 import pytest
-from conftest import sharded_sort_comparators
-from test_shard import BENCHMARK_SHAPES, benchmark_shape_runs
+from conftest import plan_sort_comparators
+from test_shard import BENCHMARK_SHAPES, PARENT_PLAN_DIGESTS, benchmark_shape_runs
 
 from repro.cli import main
 from repro.core.padding import cascade_bounds, join_bound
@@ -209,10 +209,8 @@ def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
         stats = ShardedJoinStats()
         sharded_oblivious_join(left, right, shards=k, stats=stats, target_m=target)
         assert stats.plan.serialize() == plan.serialize()
-        for stage, size in sizes.items():
-            assert stats.comparisons_by_phase[stage] == sharded_sort_comparators(
-                size, k
-            )
+        for stage in sizes:
+            assert stats.comparisons_by_phase[stage] == plan_sort_comparators(plan, stage)
 
 
 def test_revealed_plans_mark_runtime_sizes_as_null():
@@ -305,14 +303,35 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
 def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
-    """The packed sort changed what a task carries, not the plan: at the
-    three sharded benchmark shapes the executed plan's canonical bytes hash
-    to the digest recorded at the parent commit, and are the same bytes on
-    adversarially different data of one shape."""
+    """The one-word passes added one attribute and changed nothing else: at
+    the three sharded benchmark shapes the executed plan's canonical bytes
+    hash to the pinned digest, are the same bytes on adversarially different
+    data of one shape, and — without ``passes``, at format 7 — are the parent
+    commit's bytes."""
     _, _, digest, _ = BENCHMARK_SHAPES[shape]
     plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
     assert len(plans) == 1
-    assert hashlib.sha256(plans.pop()).hexdigest() == digest
+    plan = plans.pop()
+    assert hashlib.sha256(plan).hexdigest() == digest
+    payload = json.loads(plan)
+    payload["format"] = 7
+    for node in payload["nodes"]:
+        assert (node["op"] == "shard_sort") == ("passes" in node["attrs"])
+        node["attrs"].pop("passes", None)
+    parent = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(parent).hexdigest() == PARENT_PLAN_DIGESTS[shape]
+
+
+def test_every_shard_sort_node_carries_its_passes():
+    """Sort 1 (130 key bits) takes 3 passes, the four packed sorts 1, at the
+    CLI smoke's shape; revealed sizes leave ``passes`` unknown with ``rows``."""
+    plan = compile_join(64, 64, "sharded", shards=4, padding="worst_case")
+    passes = {}
+    for node in plan.nodes_by_op("shard_sort"):
+        passes.setdefault(node.attr("stage"), set()).add(node.attr("passes"))
+    assert passes == {stage: {3 if stage == "augment_sort1" else 1} for stage in JOIN_SORTS}
+    for node in sharded_join_plan(64, 64, 4, None).nodes_by_op("shard_sort"):
+        assert (node.attr("passes") is None) == (node.attr("rows") is None)
 
 
 def test_executed_plan_bytes_survive_adversarial_completion_orders():

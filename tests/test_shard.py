@@ -9,20 +9,26 @@ phase accounting.
 from __future__ import annotations
 
 import functools
+import inspect
+import os
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import sharded_sort_comparators
+from conftest import plan_sort_comparators, sharded_sort_comparators
 
 from repro.errors import InputError
+from repro.obliv.bitonic import comparison_count, next_power_of_two
+from repro.plan.compile import compile_order_by
 from repro.plan.executors import (
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
+    available_executors,
     check_workers,
+    get_executor,
     resolve_executor,
 )
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
@@ -37,10 +43,12 @@ from repro.shard.partition import (
     shard_capacity,
     shard_counts,
 )
-from repro.shard.sort import ROW_ID, sharded_sort, word_layout
+from repro.shard.sort import ROW_ID, _sort_task, sharded_sort, word_layout, word_passes
+from repro.shard.relational import sharded_order_permutation
 from repro.store import InMemoryStore, StorePairs, adopt, detach_all
 from repro.store.columns import write_int_column
 from repro.vector.join import vector_oblivious_join
+from repro.vector.relational import order_columns, vector_order_permutation
 from repro.vector.sort import vector_bitonic_sort
 
 # -- partitioner -------------------------------------------------------------
@@ -190,10 +198,13 @@ class RecordingExecutor(InlineExecutor):
 )
 def test_sharded_sort_equals_the_single_process_sort(executor):
     """Same rows, same comparator formula, at int64 extremes and negative
-    payloads; (a, b) is a total order here, so there are no ties to break."""
+    payloads; (a, b) is a total order here, so there are no ties to break.
+    Two unwidthed keys are 128 bits: every block takes 3 one-word passes."""
     rng = np.random.default_rng(5)
     keys = [("a", True), ("b", False)]
+    passes = 3
     for n in (0, 1, 2, 7, 16, 37):
+        assert word_passes(keys, n) == passes
         table = {
             "a": rng.choice([INT64_MIN, -1, 0, 1, INT64_MAX], n),
             "b": rng.permutation(n).astype(np.int64) - n // 2,
@@ -207,9 +218,9 @@ def test_sharded_sort_equals_the_single_process_sort(executor):
             assert list(got) == list(table)
             for name in table:
                 assert np.array_equal(got[name], reference[name]), (n, k, name)
-            assert counter[0] == sharded_sort_comparators(n, k)
+            assert counter[0] == sharded_sort_comparators(n, k, passes)
             if k == 1:
-                assert counter[0] == reference_counter[0]
+                assert counter[0] == passes * reference_counter[0]
 
 
 def test_sharded_sort_ships_only_keys_and_a_row_id():
@@ -237,27 +248,31 @@ def test_word_layout_is_a_pure_function_of_the_key_list_and_n():
     assert word_layout([], 8) is None
 
 
-def _shipped(table, keys, shards=3):
+def _shipped(table, keys, shards=3, counter=None):
     executor = RecordingExecutor()
-    got = sharded_sort(table, keys, shards=shards, executor=executor)
+    got = sharded_sort(table, keys, counter, shards=shards, executor=executor)
     return executor.shipped, got
 
 
-def test_one_bit_over_the_budget_takes_the_wide_path():
-    """52 key bits leave 10 for the row id: 1024 rows pack, 1025 do not — the
-    boundary is crossed with sizes, not by patching the constant."""
+def test_one_bit_over_the_budget_ships_key_columns_sorted_in_two_passes():
+    """52 key bits leave 10 for the row id: 1024 rows ship one word, 1025 ship
+    the key columns and sort their block in 2 one-word passes — the boundary
+    is crossed with sizes, not by patching the constant."""
     keys = [("a", True, 40), ("b", True, 12)]
     assert word_layout(keys, 1024) == (40, 12, 10)
     assert word_layout(keys, 1025) is None
+    assert (word_passes(keys, 1024), word_passes(keys, 1025)) == (1, 2)
     rng = np.random.default_rng(2)
-    for n, shipped in ((1024, {ROW_ID}), (1025, {"a", "b", ROW_ID})):
+    for n, shipped, passes in ((1024, {ROW_ID}, 1), (1025, {"a", "b", ROW_ID}, 2)):
         table = {
             "a": rng.integers(0, 1 << 40, n),
             "b": rng.integers(0, 1 << 12, n),
             "payload": rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True),
         }
-        seen, got = _shipped(table, keys)
+        counter = [0]
+        seen, got = _shipped(table, keys, shards=1, counter=counter)
         assert seen == shipped
+        assert counter[0] == sharded_sort_comparators(n, 1, passes)
         reference = vector_bitonic_sort(table, keys)
         for name in table:
             assert np.array_equal(got[name], reference[name]), (n, name)
@@ -325,36 +340,214 @@ def test_sorting_an_empty_table_returns_an_empty_table():
     assert sharded_sort({}, [("k", True)], shards=2, executor=InlineExecutor()) == {}
 
 
-# -- the benchmark shapes: schedule pinned from the parent commit -------------
+# -- the wide path: one-word passes inside each block --------------------------
+
+#: Substrates for the tests below: every registered executor, or the
+#: REPRO_EXECUTORS subset (the CI matrix runs this file once per substrate).
+EXECUTORS = [
+    name
+    for name in available_executors()
+    if name
+    in os.environ.get("REPRO_EXECUTORS", ",".join(available_executors())).split(",")
+]
+
+#: Algorithm 1's first sort: 64 + 2 + 64 = 130 key bits.
+SORT1_KEYS = [("j", True), ("tid", True, 2), ("d", True)]
+
+
+def _lexsort(table, keys):
+    """The stable oracle; ``~`` reverses an int64 order without overflow."""
+    return np.lexsort(
+        [table[name] if ascending else ~table[name] for name, ascending, *_ in reversed(keys)]
+    )
+
+
+def test_word_passes_is_a_pure_function_of_the_key_list_and_rows():
+    """Handed no column, it can read no value: digits of ``62 - ceil(log2
+    rows)`` bits over the declared widths, 64 bits per unwidthed key."""
+    assert list(inspect.signature(word_passes).parameters) == ["keys", "rows"]
+    assert word_passes(SORT1_KEYS, 1 << 18) == 3  # 44-bit digits
+    assert word_passes(SORT1_KEYS, (1 << 18) + 1) == 4  # 43-bit digits
+    assert word_passes(SORT1_KEYS, 0) == word_passes(SORT1_KEYS, 1) == 3
+    assert word_passes([("nowhere", False)], 8) == 2
+    assert word_passes([("a", True, 0)], 8) == word_passes([], 8) == 1
+    # A key list that packs at n takes one pass in any block of n or fewer rows.
+    for keys, n in (([("tid", True, 17)], 32768), ([("a", True, 40), ("b", True, 12)], 1024)):
+        assert word_layout(keys, n) is not None
+        assert {word_passes(keys, rows) for rows in (0, 1, 2, n // 3, n)} == {1}
+
+
+@pytest.mark.parametrize("bad", [-1, 4, INT64_MIN, INT64_MAX])
+def test_a_broken_width_beside_an_unwidthed_key_is_refused_before_any_dispatch(bad):
+    """The wide path packs its digits by the declared widths too, so it checks
+    them in the parent exactly as the packed path does."""
+    column = np.arange(9, dtype=np.int64) % 4
+    column[4] = bad
+    executor = RecordingExecutor()
+    with pytest.raises(InputError, match=r"'k' outside its declared \[0, 2\*\*2\)"):
+        sharded_sort(
+            {"j": column * -7, "k": column}, [("j", True), ("k", True, 2)],
+            shards=3, executor=executor,
+        )
+    assert executor.shipped == set()
+
+
+def _local_sort_cases(rows, rng):
+    """Key lists over ``rows`` rows: random, all-equal and one giant group."""
+    for case in ("random", "all-equal", "giant"):
+        keys, table = [], {}
+        for index in range(int(rng.integers(1, 4))):
+            width = int(rng.integers(0, 30)) if rng.integers(0, 2) else None
+            high = 1 << width if width is not None else None
+            if case == "all-equal":
+                column = np.full(rows, 0 if high is None else high - 1, dtype=np.int64)
+            elif high is None:
+                column = rng.choice([INT64_MIN, -1, 0, 1, INT64_MAX], rows)
+                column[: rows // 2] = rng.integers(INT64_MIN, INT64_MAX, rows // 2)
+            else:
+                column = rng.integers(0, high, rows) if high > 1 else np.zeros(rows, np.int64)
+            if case == "giant":
+                column[: rows - rows // 10] = column[0] if rows else 0
+            name = f"k{index}"
+            keys.append((name, bool(rng.integers(0, 2))) + (() if width is None else (width,)))
+            table[name] = column.astype(np.int64)
+        yield case, keys, table
+
+
+def test_the_local_sort_is_the_stable_lexsort_permutation():
+    """``_sort_task`` on a padded block equals ``np.lexsort`` of its real rows
+    — ties in input order — and counts ``passes`` one-word networks."""
+    rng = np.random.default_rng(13)
+    sizes = list(range(131)) + [(1 << k) + d for k in range(8, 13) for d in (-1, 1)]
+    for rows in sizes:
+        for case, keys, table in _local_sort_cases(rows, rng):
+            table[ROW_ID] = np.arange(rows, dtype=np.int64)
+            block = {
+                name: np.concatenate([column, np.full(3, 5, np.int64)])
+                for name, column in table.items()
+            }
+            run, count = _sort_task((block, keys, rows))
+            assert run[ROW_ID].tolist() == _lexsort(table, keys).tolist(), (rows, case, keys)
+            passes = word_passes(keys, rows)
+            assert count == passes * comparison_count(next_power_of_two(rows))
+
+
+def _digit_edges(rows):
+    """int64 extremes and the values around every digit boundary of sort 1's
+    ``d`` (bits 0–63) and ``j`` (bits 66–129) at this block size."""
+    digit = 62 - max(rows - 1, 0).bit_length()
+    edges = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX}
+    for bit in (47, 48, digit, 2 * digit - 66, 3 * digit - 66):
+        if 0 < bit < 63:
+            edges |= {sign * ((1 << bit) + d) for sign in (1, -1) for d in (-1, 0, 1)}
+    return np.array(sorted(edges), dtype=np.int64)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_sort_one_orders_int64_extremes_and_digit_boundaries(executor):
+    """Straight through ``sharded_sort``: ``j`` and ``d`` at ``INT64_MIN``,
+    -1, 0, ``INT64_MAX`` and either side of every digit boundary (±2^47,
+    ±2^48 and the block's own) sort equal to the stable ``np.lexsort``."""
+    rng = np.random.default_rng(17)
+    substrate = get_executor(executor, workers=2)
+    for n, choices in ((100, (1, 2, 3, 4)), (16384, (1, 2))):
+        for k in choices:
+            edges = _digit_edges(-(-n // k))
+            table = {
+                "j": rng.choice(edges, n),
+                "tid": rng.integers(1, 3, n),
+                "d": rng.choice(edges, n),
+                "payload": np.arange(n, dtype=np.int64),
+            }
+            order = _lexsort(table, SORT1_KEYS)
+            counter = [0]
+            got = sharded_sort(table, SORT1_KEYS, counter, shards=k, executor=substrate)
+            for name in ("j", "tid", "d"):  # ties may swap payloads in a merge
+                assert np.array_equal(got[name], table[name][order]), (n, k, name)
+            if k == 1:
+                assert np.array_equal(got["payload"], order)
+            assert counter[0] == sharded_sort_comparators(n, k, passes=3)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sharded_order_by_equals_vector_on_every_substrate(data):
+    """ORDER BY on the one-word passes: duplicates, int64 extremes, mixed
+    directions, 1–4 shards — the ``vector`` permutation on every substrate."""
+    n = data.draw(st.integers(0, 40))
+    values = st.sampled_from([INT64_MIN, -1, 0, 1, INT64_MAX]) | st.integers(
+        INT64_MIN, INT64_MAX
+    )
+    columns = [
+        (data.draw(st.lists(values, min_size=n, max_size=n)), data.draw(st.booleans()))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    shards = data.draw(st.integers(1, 4))
+    expected = vector_order_permutation(columns, n)
+    for executor in EXECUTORS:
+        got = sharded_order_permutation(
+            columns, n, shards=shards, workers=2, executor=executor
+        )
+        assert got == expected, (executor, shards)
+
+
+def test_a_one_key_order_by_takes_two_passes_as_its_plan_says():
+    """The position carries ``ceil(log2 n)`` bits, so one int64 key plus the
+    position is 78 bits at 2^14 rows: 2 passes of 49-bit digits, not 3."""
+    n, k = 1 << 14, 2
+    plan = compile_order_by(n, "sharded", shards=k)
+    assert [node.attr("passes") for node in plan.nodes_by_op("shard_sort")] == [2, 2]
+    rng = np.random.default_rng(3)
+    table, keys = order_columns([(rng.integers(INT64_MIN, INT64_MAX, n), False)], n)
+    counter = [0]
+    sharded_sort(table, keys, counter, shards=k, executor=InlineExecutor())
+    assert counter[0] == plan_sort_comparators(plan, "order")
+    two_keys = compile_order_by(n, "sharded", shards=k, columns=2)
+    assert {node.attr("passes") for node in two_keys.nodes_by_op("shard_sort")} == {3}
+
+
+# -- the benchmark shapes: schedule pinned ----------------------------------
 
 _SORT_16K = {"augment": 1966080, "expand": 860160, "route": 212993}
 _SORT_512 = {"augment": 67584, "expand": 28160, "route": 9217}
 
 
-def _phases(sizes):
+def _phases(sizes, sort1):
     return {
-        "augment_sort1": sizes["augment"], "augment_sort2": sizes["augment"],
+        "augment_sort1": sort1, "augment_sort2": sizes["augment"],
         "expand1_sort": sizes["expand"], "expand2_sort": sizes["expand"],
         "expand1_route": sizes["route"], "expand2_route": sizes["route"],
         "align_sort": sizes["expand"],
     }
 
 
-#: shape -> (sharded_oblivious_join options, comparators per phase and plan
-#: digest as the parent commit (3582208) recorded them, store block bytes).
+#: shape -> (sharded_oblivious_join options, comparators per phase, plan
+#: digest, store block bytes).  Sort 1 runs 3 one-word passes per block:
+#: 2 x 3 x 860 160 + 245 760, 2 x 3 x 28 160 + 11 264 and 4 x 3 x 372 736 +
+#: 475 136 comparators, where the parent commit (642a1cd) recorded one
+#: masked-swap sort per block — augment_sort1 equal to augment_sort2,
+#: 1 966 080 / 67 584 / 1 966 080.  Every other phase is the parent's.
 BENCHMARK_SHAPES = {
     "join_sharded_pool": (
-        {"shards": 2}, _phases(_SORT_16K),
-        "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161", None,
+        {"shards": 2}, _phases(_SORT_16K, 5406720),
+        "107f180c6f3defec056d1c02f0dd85212215cbbdc5d2c648d9e9136838d90320", None,
     ),
     "join_sharded_bounded": (
-        {"shards": 2, "target_m": 1024}, _phases(_SORT_512),
-        "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f", None,
+        {"shards": 2, "target_m": 1024}, _phases(_SORT_512, 180224),
+        "638297776b7f3a4a999a3af506633ff0f0201134c29e071318c6643841cdf861", None,
     ),
     "store_paged_join": (
-        {"shards": 4}, _phases(_SORT_16K),
-        "15558eb3fd47055d4a25ae67dcc4300d4fc6efe8c4b607eabaeb3245ed0d71b3", 4096,
+        {"shards": 4}, _phases(_SORT_16K, 4947968),
+        "4ee813f12f59416a88fc00d50fb9542d1506b40243c87471d92b86e6dea532f4", 4096,
     ),
+}
+
+#: The same plans' digests at the parent commit (642a1cd, plan format 7):
+#: what the bytes hash to with every ``shard_sort`` node's ``passes`` removed.
+PARENT_PLAN_DIGESTS = {
+    "join_sharded_pool": "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161",
+    "join_sharded_bounded": "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f",
+    "store_paged_join": "15558eb3fd47055d4a25ae67dcc4300d4fc6efe8c4b607eabaeb3245ed0d71b3",
 }
 
 
@@ -412,14 +605,16 @@ def benchmark_shape_runs(shape: str):
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
 def test_benchmark_shapes_keep_the_parent_commits_schedule(shape):
-    """Packing moved no comparator: ``stats.schedule`` and
-    ``stats.comparisons_by_phase`` are the values recorded at the parent
-    commit, the same on adversarially different data of one shape, and the
-    rows are the ``vector`` engine's."""
+    """Only sort 1 moved: ``stats.schedule`` and ``stats.comparisons_by_phase``
+    are the pinned values — the parent commit's for every phase but
+    ``augment_sort1``, whose count is the one its plan's ``passes`` imply —
+    the same on adversarially different data of one shape, and the rows are
+    the ``vector`` engine's."""
     options, phases, _, _ = BENCHMARK_SHAPES[shape]
     for pairs, stats, expected in benchmark_shape_runs(shape):
         assert stats.comparisons_by_phase == phases
         assert stats.schedule == (options["shards"], tuple(sorted(phases.items())))
+        assert phases["augment_sort1"] == plan_sort_comparators(stats.plan, "augment_sort1")
         assert np.array_equal(pairs, expected)
 
 
