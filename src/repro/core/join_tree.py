@@ -115,7 +115,7 @@ def validate_join_tree(widths, edges) -> tuple[JoinTreeEdge, ...]:
     ``widths`` are the per-table column counts (public).  Requirements:
     exactly ``T - 1`` edges, node 0 the root, every non-root node the child
     of exactly one edge, every node reachable from the root, key columns in
-    range, bands non-negative ints.
+    range, bands ints in ``[0, 2**63 - 1]``.
     """
     edges = normalize_edges(edges)
     count = len(widths)
@@ -151,8 +151,10 @@ def validate_join_tree(widths, edges) -> tuple[JoinTreeEdge, ...]:
                 f"child key column {edge.child_col} out of range for "
                 f"table {edge.child} (width {widths[edge.child]})"
             )
-        if edge.band < 0:
-            raise InputError(f"join-tree band must be >= 0, got {edge.band}")
+        if not 0 <= edge.band <= 2**63 - 1:
+            raise InputError(
+                f"join-tree band must lie in [0, 2**63 - 1], got {edge.band}"
+            )
     # Reachability from the root makes the edge set a tree.
     topdown_edge_order(edges, count)
     return edges

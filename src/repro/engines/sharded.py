@@ -5,12 +5,12 @@ engine seam: every workload is split into equal, padded, position-based
 shards (:mod:`repro.shard.partition`), its public schedule is compiled into
 a plan up front (:mod:`repro.plan.compile`), and the tasks run on a
 pluggable executor (:mod:`repro.plan.executors`).  What is sharded under the
-join, the multiway cascade and ORDER BY is the *sort*
+join, the multiway cascade, the join tree and ORDER BY is the *sort*
 (:mod:`repro.shard.sort`): ``shards`` local bitonic sorts whose runs stream
 into a bitonic merge tournament (:mod:`repro.shard.merge`) as they finish,
 the merges themselves executor tasks.  Everything above the sort is the
-``vector`` engine's own code, so outputs are bit-identical and the leakage
-is the ``vector`` engine's.
+``vector`` engine's own code, called with ``sort=sharded_sort``, so outputs
+are bit-identical and the leakage is the ``vector`` engine's.
 
 Five knobs:
 
@@ -19,9 +19,10 @@ Five knobs:
     and FILTER, each input) is split into — one task per block.  The join
     does the single-process join's comparator work whatever ``shards`` is;
     measured on a 2-core guest (nothing here has been run on more),
-    ``shards=2 workers=2`` takes about 0.7x the ``vector`` engine's time
-    at ``n1 = n2 = 16384``.  Defaults to ``max(2, workers)`` so the tasks
-    always saturate the pool.
+    ``shards=2 workers=2`` takes about 0.4x the ``vector`` engine's time
+    at ``n1 = n2 = 16384``, more through the one-word sort kernel than the
+    second core.  Defaults to ``max(2, workers)`` so the tasks always
+    saturate the pool.
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
     executor — deterministic, fork-free, what the test suite uses;
@@ -55,19 +56,22 @@ and ``--engine sharded --workers 4 --executor pool`` on the CLI.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..core.aggregate import GroupAggregate
 from ..core.join import JoinResult
+from ..core.join_tree import JoinTreeResult
 from ..core.multiway import MultiwayResult
 from ..errors import InputError
 from ..memory.tracer import Tracer
 from ..plan.executors import check_workers, resolve_executor
 from ..plan.partition import check_shards
-from ..core.join_tree import JoinTreeResult
 from ..shard.aggregate import sharded_group_by, sharded_join_aggregate
 from ..shard.join import sharded_oblivious_join
-from ..shard.join_tree import sharded_join_tree
-from ..shard.multiway import sharded_multiway_join
 from ..shard.relational import sharded_filter_indices, sharded_order_permutation
+from ..shard.sort import sharded_sort
+from ..vector.join_tree import vector_join_tree
+from ..vector.multiway import vector_multiway_join
 from .base import PaddingOptionsMixin, Pairs
 from .traced import traced_order_permutation
 
@@ -139,13 +143,12 @@ class ShardedEngine(PaddingOptionsMixin):
         bound=None,
     ) -> MultiwayResult:
         padding, bound = self._cascade_padding(padding, bound)
-        return sharded_multiway_join(
+        return vector_multiway_join(
             tables,
             keys,
-            shards=self.shards,
             padding=padding,
             bound=bound,
-            executor=self.executor,
+            sort=partial(sharded_sort, shards=self.shards, executor=self.executor),
         )
 
     def join_tree(
@@ -157,14 +160,12 @@ class ShardedEngine(PaddingOptionsMixin):
         bound=None,
     ) -> JoinTreeResult:
         padding, bound = self._cascade_padding(padding, bound)
-        result, _stats = sharded_join_tree(
+        result, _stats = vector_join_tree(
             tables,
             edges,
-            shards=self.shards,
-            workers=self.workers,
-            executor=self.executor,
             padding=padding,
             bound=bound,
+            sort=partial(sharded_sort, shards=self.shards, executor=self.executor),
         )
         return result
 

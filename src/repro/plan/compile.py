@@ -10,9 +10,9 @@ agree by construction.
 
 Two levels of entry point:
 
-* the ``sharded_*_plan`` / ``inline_*_plan`` functions take already
-  resolved bounds (``target``/``bounds``/``pad`` arguments) — these are
-  what the shard drivers consume at run time;
+* the ``sharded_*_plan`` / ``inline_*_plan`` / ``*_tree_plan`` functions
+  take already resolved bounds (``target``/``bounds``/``pad`` arguments) —
+  these are what the shard drivers consume at run time;
 * :func:`compile_workload` (and the per-workload ``compile_*`` wrappers)
   additionally resolve a ``padding`` mode + ``bound`` cap into bounds, and
   are what the engines' ``compile_plan`` method and the CLI ``plan``
@@ -36,15 +36,11 @@ from ..core.join_tree import (
 )
 from ..core.padding import cascade_bounds, check_padding, join_bound
 from ..errors import InputError
+from ..vector.join import align_keys, augment_keys, expand_keys
+from ..vector.join_tree import prefix_keys, stab_keys
 from ..vector.sort import Key, index_bits
 from .ir import Plan, PlanBuilder, tournament_schedule
-from .partition import (
-    block_count,
-    check_shards,
-    join_tree_window_plan,
-    partition_plan,
-    word_passes,
-)
+from .partition import block_count, check_shards, partition_plan, word_passes
 
 #: Workload names `compile_workload` accepts.
 WORKLOADS = (
@@ -78,7 +74,6 @@ def _add_merge_tournament(
     builder: PlanBuilder,
     leaves: tuple[int, ...],
     run_lengths,
-    truncate: int | None,
     stage: str,
 ) -> int:
     """Emit one ``merge_pair`` node per tournament pairing; returns the root.
@@ -91,7 +86,7 @@ def _add_merge_tournament(
     the bracket structure with run-time-revealed lengths (``rows=None``).
     """
     current = list(leaves)
-    schedule = tournament_schedule(len(leaves), run_lengths, truncate)
+    schedule = tournament_schedule(len(leaves), run_lengths)
     rnd = 0
     nxt: list[int] = []
     for node in schedule:
@@ -151,7 +146,7 @@ def _add_sharded_sort(
         )
         for i in range(k)
     )
-    return _add_merge_tournament(builder, sorts, counts, None, stage)
+    return _add_merge_tournament(builder, sorts, counts, stage)
 
 
 def _deferred_stage_plan(workload: str, engine: str, op: str, **attrs) -> Plan:
@@ -233,21 +228,19 @@ def sharded_join_plan(
             }
         inputs.append(builder.add("input", side=side, rows=n + extra, **scan))
     total = n1 + n2 + 2 * extra
-    # The five sorts' keys as repro.vector.join declares them; m's width is
-    # unused while m is revealed.
-    bits = index_bits(target or 0)
-    keys = [("j", True), ("tid", True, 2), ("d", True)]
-    sort = _add_sharded_sort(builder, tuple(inputs), total, k, "augment_sort1", keys)
-    keys = [("tid", True, 2 + index_bits(total))]
-    sort = _add_sharded_sort(builder, (sort,), total, k, "augment_sort2", keys)
+    # The five sorts' keys, from repro.vector.join; m's width is unused while
+    # m is revealed.
+    first, second = augment_keys(total)
+    sort = _add_sharded_sort(builder, tuple(inputs), total, k, "augment_sort1", first)
+    sort = _add_sharded_sort(builder, (sort,), total, k, "augment_sort2", second)
     augment = builder.add("augment", inputs=(sort,), rows=total)
     expands = []
-    keys = [("_null", True, 1), ("slot", True, bits)]
+    keys = expand_keys(target or 0)
     for index, (side, n) in enumerate((("left", n1), ("right", n2)), start=1):
         size = None if target is None else max(n + extra, target)
         sort = _add_sharded_sort(builder, (augment,), size, k, f"expand{index}_sort", keys)
         expands.append(builder.add("expand", inputs=(sort,), side=side, rows=target))
-    keys = [("j", True, bits), ("ii", True, bits)]
+    keys = align_keys(target or 0)
     sort = _add_sharded_sort(builder, (expands[1],), target, k, "align_sort", keys)
     align = builder.add("align", inputs=(sort,), rows=target)
     builder.add("zip", inputs=(expands[0], align), rows=target)
@@ -395,9 +388,9 @@ def multiway_plan(
     """A whole cascade's public schedule: one embedded join plan per step.
 
     ``bounds`` comes from :func:`repro.core.padding.cascade_bounds` (empty
-    = unpadded).  The per-step sub-plans are produced by the *same*
-    functions the drivers consume, so the cascade artifact and the executed
-    schedule cannot drift apart.
+    = unpadded).  The per-step sub-plans are the binary join's own plans,
+    whose sort keys are the join text's key lists, so the cascade artifact
+    and the executed schedule cannot drift apart.
     """
     if len(sizes) < 2:
         raise InputError("a multiway plan needs at least two table sizes")
@@ -470,8 +463,10 @@ def _edge_shapes(edges) -> tuple:
     )
 
 
-def inline_join_tree_plan(engine: str, sizes, edges, target: int | None) -> Plan:
-    """A join tree's single-process schedule at public sizes.
+def join_tree_plan(
+    engine: str, sizes, edges, target: int | None, k: int | None = None
+) -> Plan:
+    """A join tree's schedule at public sizes.
 
     One ``multiplicity`` node per edge (bottom-up, deepest first — size
     ``2 * n_parent + n_child``: two band endpoints per parent row plus the
@@ -479,29 +474,55 @@ def inline_join_tree_plan(engine: str, sizes, edges, target: int | None) -> Plan
     ``distribute_expand`` stab per node over the slot space, and the final
     ``align_concat``.  ``target=None`` (revealed mode) leaves the
     slot-space sizes to be revealed at run time (``rows=None``).
+
+    ``k`` (the sharded engine) expands every sort
+    :func:`repro.vector.join_tree.vector_join_tree` runs into a sharded
+    sort by that text's own key list, on the edge or node the sort serves
+    — stage ``multiplicity.e<edge>.prefix|stab|unstab``,
+    ``finalize.e<edge>`` (the child's marker sort) and
+    ``distribute_expand.n<node>.stab|unstab`` — so a stage's prefix is the
+    phase whose comparators it counts.  Every size is a function of
+    ``(sizes, tree, k, target)``; the slot-space sorts' are ``None`` while
+    the slot space is the revealed ``M``.
     """
     sizes = tuple(int(n) for n in sizes)
     edges, children, order = _plan_tree(sizes, edges)
-    builder = PlanBuilder(
-        "join_tree",
-        engine,
-        sizes=sizes,
-        edges=_edge_shapes(edges),
-        target=target,
-    )
+    shapes: dict = {"sizes": sizes, "edges": _edge_shapes(edges), "target": target}
+    if k is not None:
+        shapes["k"] = check_shards(k)
+    builder = PlanBuilder("join_tree", engine, **shapes)
+
+    def sorted_by(inputs, *sorts):
+        """``inputs`` through the sorts ``(stage, rows, keys)`` a node runs:
+        unchanged inline, the last sharded sort's merge root under ``k``."""
+        for stage, n, keys in sorts if k is not None else ():
+            inputs = (_add_sharded_sort(builder, inputs, n, k, stage, keys),)
+        return inputs
+
+    def stab(stage: str, size: int | None, tags: int):
+        keys = stab_keys(size or 0, tags)
+        return (f"{stage}.stab", size, keys[0]), (f"{stage}.unstab", size, keys[1])
+
     inputs = tuple(
         builder.add("input", table=v, rows=sizes[v]) for v in range(len(sizes))
     )
     mult: dict[int, int] = {}
     for e in reversed(order):
         edge = edges[e]
+        n_c = sizes[edge.child]
+        size = 2 * sizes[edge.parent] + n_c
+        child = sorted_by(
+            (inputs[edge.child],) + tuple(mult[e2] for e2 in children.get(edge.child, ())),
+            (f"multiplicity.e{e}.prefix", n_c, prefix_keys(n_c)),
+        )
         mult[e] = builder.add(
             "multiplicity",
-            inputs=(inputs[edge.parent], inputs[edge.child])
-            + tuple(mult[e2] for e2 in children.get(edge.child, ())),
+            inputs=sorted_by(
+                (inputs[edge.parent],) + child, *stab(f"multiplicity.e{e}", size, 3)
+            ),
             edge=e,
             band=edge.band,
-            rows=2 * sizes[edge.parent] + sizes[edge.child],
+            rows=size,
         )
     fin: dict[int, int] = {}
     for v in range(len(sizes)):
@@ -514,134 +535,39 @@ def inline_join_tree_plan(engine: str, sizes, edges, target: int | None) -> Plan
                 rows=sizes[v],
             )
     extra = 0 if target is None else 1  # the root's padding anchor
+    size = None if target is None else target + sizes[0] + extra
     expand: dict[int, int] = {}
     expand[0] = builder.add(
         "distribute_expand",
-        inputs=(inputs[0],) + ((fin[0],) if 0 in fin else ()),
+        inputs=sorted_by(
+            (inputs[0],) + ((fin[0],) if 0 in fin else ()),
+            *stab("distribute_expand.n0", size, 2),
+        ),
         node=0,
-        rows=None if target is None else target + sizes[0] + extra,
+        rows=size,
     )
     for e in order:
-        edge = edges[e]
-        expand[edge.child] = builder.add(
+        c = edges[e].child
+        size = None if target is None else target + sizes[c]
+        markers = sorted_by(
+            (inputs[c],) + ((fin[c],) if c in fin else ()),
+            (f"finalize.e{e}", sizes[c], prefix_keys(sizes[c])),
+        )
+        expand[c] = builder.add(
             "distribute_expand",
-            inputs=(expand[edge.parent], inputs[edge.child])
-            + ((fin[edge.child],) if edge.child in fin else ()),
-            node=edge.child,
+            inputs=sorted_by(
+                (expand[edges[e].parent],) + markers,
+                *stab(f"distribute_expand.n{c}", size, 2),
+            ),
+            node=c,
             edge=e,
-            rows=None if target is None else target + sizes[edge.child],
+            rows=size,
         )
     builder.add(
         "align_concat",
         inputs=tuple(expand[v] for v in range(len(sizes))),
         rows=target,
     )
-    return builder.build()
-
-
-def sharded_join_tree_plan(sizes, edges, k: int, target: int | None) -> Plan:
-    """The sharded join tree's full public schedule.
-
-    Bottom-up ``multiplicity`` nodes are per-edge worker tasks (grouped by
-    child depth: same-depth edges have no data dependency and dispatch
-    concurrently); ``finalize`` and the ``markers`` catalogues are
-    client-side vector passes; the top-down phase fans out as
-    ``join_tree_window`` tasks — ``k`` contiguous slot windows from
-    :func:`~repro.plan.partition.join_tree_window_plan`, one per shard
-    slot — whose sorted sub-runs are the leaves of the output merge
-    tournament.  Revealed mode (``target=None``) keeps the slot space
-    whole: window boundaries would be a function of the secret ``M``.
-    """
-    check_shards(k)
-    sizes = tuple(int(n) for n in sizes)
-    edges, children, order = _plan_tree(sizes, edges)
-    shapes: dict = {
-        "sizes": sizes,
-        "edges": _edge_shapes(edges),
-        "k": k,
-        "target": target,
-    }
-    builder = PlanBuilder("join_tree", "sharded", **shapes)
-    inputs = tuple(
-        builder.add("input", table=v, rows=sizes[v]) for v in range(len(sizes))
-    )
-    mult: dict[int, int] = {}
-    for e in reversed(order):
-        edge = edges[e]
-        mult[e] = builder.add(
-            "multiplicity",
-            inputs=(inputs[edge.parent], inputs[edge.child])
-            + tuple(mult[e2] for e2 in children.get(edge.child, ())),
-            edge=e,
-            band=edge.band,
-            rows=2 * sizes[edge.parent] + sizes[edge.child],
-        )
-    fin: dict[int, int] = {}
-    for v in range(len(sizes)):
-        kids = children.get(v, ())
-        if kids:
-            fin[v] = builder.add(
-                "finalize",
-                inputs=tuple(mult[e] for e in kids),
-                node=v,
-                rows=sizes[v],
-            )
-    extra = 0 if target is None else 1
-    markers: list[int] = [
-        builder.add(
-            "markers",
-            inputs=(inputs[0],) + ((fin[0],) if 0 in fin else ()),
-            node=0,
-            rows=sizes[0] + extra,
-        )
-    ]
-    for e in order:
-        edge = edges[e]
-        markers.append(
-            builder.add(
-                "markers",
-                inputs=(inputs[edge.child],)
-                + ((fin[edge.child],) if edge.child in fin else ()),
-                node=edge.child,
-                edge=e,
-                rows=sizes[edge.child],
-            )
-        )
-    if target is None:
-        # Revealed mode: the slot space is the run-time-revealed M, so the
-        # expansion executes whole — a window split would leak more.
-        whole = builder.add(
-            "join_tree_expand", inputs=tuple(markers), rows=None
-        )
-        merge = builder.add(
-            "merge", inputs=(whole,), stage="output", run_lengths=None
-        )
-        builder.add("gather", inputs=(merge,), rows=None)
-        return builder.build()
-    _, win_rows = join_tree_window_plan(target, k)
-    leaves = []
-    offset = 0
-    for s, rows in enumerate(win_rows):
-        leaves.append(
-            builder.add(
-                "join_tree_window",
-                inputs=tuple(markers),
-                window=s,
-                lo=offset,
-                hi=offset + rows,
-                rows=rows,
-            )
-        )
-        offset += rows
-    root = _add_merge_tournament(builder, tuple(leaves), win_rows, target, "output")
-    merge = builder.add(
-        "merge",
-        inputs=(root,),
-        stage="output",
-        run_lengths=win_rows,
-        truncate=target,
-    )
-    builder.add("gather", inputs=(merge,), rows=target)
     return builder.build()
 
 
@@ -664,12 +590,11 @@ def compile_join_tree(
     sizes = join_tree_sizes(tables)
     target = join_tree_bound(sizes, padding, bound)
     if engine == "sharded":
-        return sharded_join_tree_plan(
-            sizes, tree, shards if shards is not None else 2, target
-        )
+        shards = shards if shards is not None else 2
+        return join_tree_plan(engine, sizes, tree, target, shards)
     if engine not in _INLINE_ENGINES:
         raise InputError(f"no plan compiler for engine {engine!r}")
-    return inline_join_tree_plan(engine, sizes, tree, target)
+    return join_tree_plan(engine, sizes, tree, target)
 
 
 # -- mode-resolving front door ----------------------------------------------

@@ -44,8 +44,8 @@ from ..errors import InputError
 #: plan-bounded output-window nodes (removed again by format 6).
 #: Format 5 adds ``join_tree`` plans: bottom-up ``multiplicity`` nodes (one
 #: per tree edge), per-node ``finalize``/``markers`` nodes, one
-#: ``distribute_expand`` stab per node (sharded: ``join_tree_window``
-#: slot-space tasks feeding the merge bracket) and a final ``align_concat``
+#: ``distribute_expand`` stab per node (sharded: one slot-window task per
+#: shard, feeding the merge bracket) and a final ``align_concat``
 #: — every attribute a pure function of ``(sizes, edges, k, padding, bound)``.
 #: Format 6 removes those window nodes (op vocabulary -1): a padded
 #: ``grid_join`` node is one task and its ``target`` is redefined as the
@@ -58,7 +58,11 @@ from ..errors import InputError
 #: scanned ``blocks``.
 #: Format 8 adds ``shard_sort.passes`` (one-word sorts per block, ``None``
 #: with ``rows``) and an order-by plan's ``columns`` (its sort key count).
-PLAN_FORMAT = 8
+#: Format 9 removes the sharded join tree's own ops — its marker
+#: catalogues, slot windows, whole-space expand, ``merge`` and ``gather``:
+#: a sharded join-tree plan is the inline one with every sort expanded to
+#: ``partition`` -> ``shard_sort`` x k -> ``merge_pair`` nodes.
+PLAN_FORMAT = 9
 
 
 def _freeze(value, context: str):
@@ -192,12 +196,12 @@ class MergeNode:
     indices in the previous round; ``right is None`` marks a carry — an odd
     tail run promoted unmerged to the next round, executing zero
     comparators.  ``left_rows``/``right_rows``/``rows`` are the public run
-    lengths (post-truncation), or ``None`` when the lengths are only
-    revealed at run time (the ``"revealed"`` padding mode).
+    lengths, or ``None`` when the lengths are only revealed at run time
+    (the ``"revealed"`` padding mode).
 
     The whole tournament — which pairs merge, in which bracket position,
     at which sizes — is produced by :func:`tournament_schedule`, a pure
-    function of ``(run count, run lengths, truncate)``.  Both the plan
+    function of ``(run count, run lengths)``.  Both the plan
     compilers (which emit one ``merge_pair`` op node per pairing) and the
     runtime streaming tournament (:class:`repro.shard.merge.StreamingTournament`)
     consume this same function, so the executed pairing order cannot drift
@@ -217,20 +221,15 @@ class MergeNode:
         return self.right is None
 
 
-def tournament_schedule(
-    runs: int,
-    run_lengths=None,
-    truncate: int | None = None,
-) -> tuple[MergeNode, ...]:
+def tournament_schedule(runs: int, run_lengths=None) -> tuple[MergeNode, ...]:
     """The balanced tournament's full pairing schedule for ``runs`` runs.
 
-    Pure in ``(runs, run_lengths, truncate)`` — the public values the merge
-    schedule is allowed to depend on.  Round ``r`` pairs the previous
-    round's slots ``(2s, 2s+1)`` in order; an odd tail slot is carried.
-    With ``run_lengths`` given, every node also carries its public input
-    and output lengths, with ``truncate`` applied to the inputs first and
-    to every merge output (the fused expand-truncate of padded execution),
-    mirroring :func:`repro.shard.merge.oblivious_merge_runs` exactly.
+    Pure in ``(runs, run_lengths)`` — the public values the merge schedule
+    is allowed to depend on.  Round ``r`` pairs the previous round's slots
+    ``(2s, 2s+1)`` in order; an odd tail slot is carried.  With
+    ``run_lengths`` given, every node also carries its public input and
+    output lengths, mirroring :func:`repro.shard.merge.oblivious_merge_runs`
+    exactly.
     """
     if runs < 0:
         raise InputError(f"tournament needs a non-negative run count, got {runs}")
@@ -241,10 +240,7 @@ def tournament_schedule(
     if run_lengths is None:
         lengths: list[int | None] = [None] * runs
     else:
-        lengths = [
-            int(length) if truncate is None else min(int(length), truncate)
-            for length in run_lengths
-        ]
+        lengths = [int(length) for length in run_lengths]
     nodes: list[MergeNode] = []
     rnd = 0
     while len(lengths) > 1:
@@ -259,10 +255,7 @@ def tournament_schedule(
                 merged.append(lengths[li])
                 continue
             la, lb = lengths[li], lengths[ri]
-            if la is None or lb is None:
-                rows = None
-            else:
-                rows = la + lb if truncate is None else min(la + lb, truncate)
+            rows = None if la is None or lb is None else la + lb
             nodes.append(MergeNode(rnd, slot, li, ri, la, lb, rows))
             merged.append(rows)
         lengths = merged

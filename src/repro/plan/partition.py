@@ -82,17 +82,3 @@ def block_count(n: int, block_rows: int) -> int:
         raise InputError(f"table size must be >= 0, got {n}")
     return -(-n // block_rows)
 
-
-def join_tree_window_plan(target: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """A join tree's slot-space split: ``(capacity, per-window rows)``.
-
-    The top-down distribute-expand of a join tree runs over the public slot
-    space ``[0, target)`` and every window's output is independent of every
-    other (each stabs the same per-node marker catalogues), so the split is
-    the unit of sharded dispatch: ``k`` contiguous windows differing by at
-    most one row (fewer when ``target < k``, so none is empty) — a pure
-    function of ``(target, k)``.
-    """
-    if not isinstance(target, int) or isinstance(target, bool) or target < 0:
-        raise InputError(f"window plan needs a target >= 0, got {target!r}")
-    return partition_plan(target, min(k, max(target, 1)))

@@ -206,16 +206,15 @@ LEAKAGE_PROFILES: dict[tuple[str, str], tuple[str, ...]] = {
     ("sharded", "revealed"): (
         "n1", "n2", "k", "partition_plan", "m", "step_sizes",
         "partial_group_counts", "filter_block_counts",
-        "tree", "windows", "block_rows", "block_ids", "m_final", "g",
+        "tree", "block_rows", "block_ids", "m_final", "g",
     ),
     ("sharded", "bounded"): (
         "n1", "n2", "k", "partition_plan", "bound", "bounds",
-        "tree", "target", "windows", "block_rows", "block_ids",
-        "m_final", "g",
+        "tree", "target", "block_rows", "block_ids", "m_final", "g",
     ),
     ("sharded", "worst_case"): (
-        "n1", "n2", "k", "partition_plan", "tree", "windows",
-        "block_rows", "block_ids", "m_final", "g",
+        "n1", "n2", "k", "partition_plan", "tree", "block_rows",
+        "block_ids", "m_final", "g",
     ),
 }
 

@@ -10,12 +10,13 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
     Bitonic merge tournament that folds sorted runs into one.
 :mod:`~repro.shard.sort`
     The sharded sort — ``k`` local bitonic sorts plus that tournament —
-    under the join, the cascade and ``order_by``.
+    under the join, ``order_by`` and, handed to the ``vector`` text as its
+    ``sort``, the multiway cascade and the join tree.
 :mod:`~repro.shard.join` / :mod:`~repro.shard.aggregate` /
-:mod:`~repro.shard.multiway` / :mod:`~repro.shard.relational`
-    The sharded workloads themselves, each bit-identical to the vector
-    engine and validated by the cross-engine differential suite.  Every
-    driver compiles its public plan (:mod:`repro.plan.compile`) before
+:mod:`~repro.shard.relational`
+    The sharded workloads with drivers of their own, each bit-identical to
+    the vector engine and validated by the cross-engine differential suite.
+    Every driver compiles its public plan (:mod:`repro.plan.compile`) before
     touching data; tasks dispatch through a pluggable executor
     (:mod:`repro.plan.executors`: inline / shared-memory pool / shuffle).
 """
@@ -27,7 +28,6 @@ from .aggregate import (
 )
 from .join import ShardedJoinStats, sharded_oblivious_join
 from .merge import bitonic_merge_two, merge_comparator_count, oblivious_merge_runs
-from .multiway import ShardedMultiwayStats, sharded_multiway_join
 from .partition import ShardPart, partition_pairs, partition_plan
 from .relational import sharded_filter_indices, sharded_order_permutation
 from .sort import sharded_sort
@@ -36,7 +36,6 @@ __all__ = [
     "ShardPart",
     "ShardedAggregateStats",
     "ShardedJoinStats",
-    "ShardedMultiwayStats",
     "bitonic_merge_two",
     "merge_comparator_count",
     "oblivious_merge_runs",
@@ -45,7 +44,6 @@ __all__ = [
     "sharded_filter_indices",
     "sharded_group_by",
     "sharded_join_aggregate",
-    "sharded_multiway_join",
     "sharded_oblivious_join",
     "sharded_order_permutation",
     "sharded_sort",

@@ -14,8 +14,7 @@ padded to the next power of two.  Padding rows carry a flag column that
 orders them after every real row, which keeps the layout bitonic
 (non-decreasing then non-increasing), so the classic ``log P`` half-cleaner
 stages sort it ascending.  The padding then sits in the tail — its position
-is a function of the (public) run lengths alone — and is compacted away by
-truncation.
+is a function of the (public) run lengths alone — and is cut off.
 
 The comparator schedule of the whole tournament is determined by the run
 lengths only; the obliviousness tests pin it.
@@ -27,8 +26,8 @@ Two ways to run the tournament:
     round on the calling core.
 
 :class:`StreamingTournament`
-    The streaming form the sharded drivers use: runs are *folded in as
-    their producing tasks complete* (fed from the executor's
+    The streaming form :func:`repro.shard.sort.sharded_sort` uses: runs are
+    *folded in as their producing tasks complete* (fed from the executor's
     ordered-completion seam), a pairwise merge fires the moment a run's
     bracket mate exists, and — on executors whose ``submit`` crosses a
     process boundary — the merges themselves run as worker tasks, with
@@ -44,7 +43,6 @@ Two ways to run the tournament:
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 
 import numpy as np
@@ -73,21 +71,6 @@ def _run_length(run: dict[str, np.ndarray]) -> int:
 
 def _copy(run: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: col.copy() for name, col in run.items()}
-
-
-def truncate_run(
-    run: dict[str, np.ndarray], bound: int | None
-) -> dict[str, np.ndarray]:
-    """Cut a run to its first ``bound`` rows (``None`` or shorter = no-op).
-
-    The single definition of the fused expand-truncate cut, shared by the
-    barrier merge, the streaming tournament, the worker-side merge task
-    and the join driver — the streaming==barrier bit-identity contract
-    depends on every site truncating identically.
-    """
-    if bound is None or _run_length(run) <= bound:
-        return run
-    return {name: column[:bound] for name, column in run.items()}
 
 
 def bitonic_merge_two(
@@ -152,16 +135,13 @@ def bitonic_merge_two(
     return {name: work[name][:total] for name in names}
 
 
-def merge_comparator_count(lengths: list[int], truncate: int | None = None) -> int:
+def merge_comparator_count(lengths: list[int]) -> int:
     """Comparators the tournament executes for runs of the given lengths.
 
-    A pure function of the run lengths (and the public ``truncate`` bound,
-    when given) — used to document (and test) that the merge schedule is
-    independent of the data being merged.
+    A pure function of the run lengths — used to document (and test) that
+    the merge schedule is independent of the data being merged.
     """
     lengths = list(lengths)
-    if truncate is not None:
-        lengths = [min(length, truncate) for length in lengths]
     count = 0
     while len(lengths) > 1:
         merged = []
@@ -173,8 +153,7 @@ def merge_comparator_count(lengths: list[int], truncate: int | None = None) -> i
                 while gap >= 1:
                     count += padded // 2
                     gap //= 2
-            total = la + lb
-            merged.append(total if truncate is None else min(total, truncate))
+            merged.append(la + lb)
         if len(lengths) % 2:
             merged.append(lengths[-1])
         lengths = merged
@@ -185,34 +164,22 @@ def oblivious_merge_runs(
     runs: list[dict[str, np.ndarray]],
     keys: list[Key],
     counter: list | None = None,
-    truncate: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Tournament-merge sorted runs into one run sorted ascending by ``keys``.
 
     Runs are merged pairwise round by round (a balanced tournament), so the
     network depth over the runs is ``ceil(log2(len(runs)))`` rounds; the
     comparator schedule depends only on the run lengths.
-
-    ``truncate`` is the fused expand-truncate of padded execution: every
-    run — input runs first, then every round's merge output — is cut to
-    its first ``truncate`` rows before the next round.  A row past
-    position ``truncate`` of a sorted run is preceded by at least
-    ``truncate`` rows that order before it in every later round, so it can
-    never reach the first ``truncate`` rows of the final output — dropping
-    it early is exact.  The cut points are ``min(run lengths, truncate)``,
-    pure functions of the (public) run lengths and the bound, so the
-    comparator schedule stays data-independent while a padded merge costs
-    ``O(runs * truncate)`` whatever the runs' own lengths.
     """
     if not runs:
         return {}
-    current = [_copy(truncate_run(run, truncate)) for run in runs]
+    current = [_copy(run) for run in runs]
     while len(current) > 1:
         merged = []
         for i in range(0, len(current) - 1, 2):
-            pair = bitonic_merge_two(current[i], current[i + 1], keys, counter=counter)
-            pair = truncate_run(pair, truncate)
-            merged.append(pair)
+            merged.append(
+                bitonic_merge_two(current[i], current[i + 1], keys, counter=counter)
+            )
         if len(current) % 2:
             merged.append(current[-1])
         current = merged
@@ -225,18 +192,18 @@ def oblivious_merge_runs(
 def merge_pair_task(payload) -> tuple[object, str | None, int]:
     """One tournament pairing as an executor task (worker side).
 
-    ``payload`` is ``(a, b, keys, truncate, publish)`` — two runs (column
-    dicts, possibly shared-memory views), the sort keys, the public
-    truncation bound, and whether to park the output in shared memory.
+    ``payload`` is ``(a, b, keys, publish)`` — two runs (column dicts,
+    possibly shared-memory views), the sort keys, and whether to park the
+    output in shared memory.
     Returns ``(run_or_refs, segment_name, comparators)``: with ``publish``
     the merged run stays in a freshly published segment and only its ref
     tree travels back (the cross-dispatch column cache — the next round's
     merge references the segment by name instead of re-shipping the rows);
     without it the plain column dict returns, ``segment_name=None``.
     """
-    a, b, keys, truncate, publish = payload
+    a, b, keys, publish = payload
     counter = [0]
-    merged = truncate_run(bitonic_merge_two(a, b, keys, counter=counter), truncate)
+    merged = bitonic_merge_two(a, b, keys, counter=counter)
     if publish:
         encoded, segment = publish_columns(merged)
         return encoded, segment, counter[0]
@@ -265,15 +232,6 @@ class StreamingTournament:
     rounds hand refs between workers without a parent round-trip; the
     parent materialises only the final run.  ``executor=None`` folds
     inline.
-
-    ``truncate`` is the fused expand-truncate bound applied to every input
-    run and every merge output (see :func:`oblivious_merge_runs`).
-
-    ``seconds`` accumulates the wall-clock this tournament spent inside
-    :meth:`add` and :meth:`result` — for inline executors that is the
-    merge work itself (submits run eagerly), for pool it is the
-    dispatch plus the drain wait — so drivers can report a merge phase
-    that does not vanish into the task loop on the inline path.
     """
 
     def __init__(
@@ -282,14 +240,12 @@ class StreamingTournament:
         keys: list[Key],
         executor=None,
         counter: list | None = None,
-        truncate: int | None = None,
     ) -> None:
         if runs < 0:
             raise InputError(f"tournament needs a non-negative run count, got {runs}")
         self.runs = runs
         self.keys = list(keys)
         self.counter = counter
-        self.truncate = truncate
         self._executor = executor
         self._publish = bool(getattr(executor, "remote_submit", False))
         #: child (round, slot) -> the MergeNode consuming it.
@@ -308,7 +264,6 @@ class StreamingTournament:
         self._feeds: dict[tuple[int, int], list[str]] = {}
         self._added: set[int] = set()
         self._root = None
-        self.seconds = 0.0
 
     def add(self, index: int, run: dict[str, np.ndarray]) -> None:
         """Fold leaf run ``index`` in; safe in any arrival order."""
@@ -318,42 +273,8 @@ class StreamingTournament:
             )
         if index in self._added:
             raise InputError(f"tournament leaf {index} was already added")
-        start = time.perf_counter()
-        run = truncate_run(run, self.truncate)
         self._added.add(index)
         self._place(0, index, run)
-        self.seconds += time.perf_counter() - start
-
-    def add_published(self, index: int, run, segment: str | None) -> None:
-        """Fold a leaf whose columns a worker parked in shared memory.
-
-        The producer task (a join-tree slot window, which lies inside the
-        ``truncate`` bound by construction) published its run itself, so
-        ``run`` — the encoded ref tree, which the parent could not cut
-        anyway — is placed as-is, and ``segment`` is booked for release
-        exactly like a merge round's published output: it feeds the next
-        pairwise merge by name, and :meth:`close` unlinks it on any abort
-        while it is still waiting for its bracket mate.  ``segment=None``
-        (an all-empty run, or a non-publishing executor) falls back to
-        the plain :meth:`add`.
-        """
-        if segment is None:
-            self.add(index, run)
-            return
-        if not 0 <= index < self.runs:
-            raise InputError(
-                f"tournament over {self.runs} runs got leaf index {index}"
-            )
-        if index in self._added:
-            raise InputError(f"tournament leaf {index} was already added")
-        start = time.perf_counter()
-        # Book with the resource tracker immediately: a parent crash
-        # between here and release must still reclaim the segment.
-        adopt_segments([segment])
-        self._added.add(index)
-        self._borne[id(run)] = segment
-        self._place(0, index, run)
-        self.seconds += time.perf_counter() - start
 
     def _place(self, rnd: int, slot: int, value) -> None:
         node = self._up.get((rnd, slot))
@@ -375,7 +296,7 @@ class StreamingTournament:
             if segment is not None:
                 feeds.append(segment)
         key = (node.round, node.slot)
-        payload = (left, right, self.keys, self.truncate, self._publish)
+        payload = (left, right, self.keys, self._publish)
         self._pending[key] = submit_task(self._executor, merge_pair_task, payload)
         self._feeds[key] = feeds
 
@@ -406,7 +327,6 @@ class StreamingTournament:
             raise InputError(
                 f"tournament expected {self.runs} runs, got {len(self._added)}"
             )
-        start = time.perf_counter()
         try:
             while self._pending:
                 key, completion = next(iter(self._pending.items()))
@@ -417,7 +337,6 @@ class StreamingTournament:
             root = materialize_columns(self._root)
         finally:
             self.close()
-            self.seconds += time.perf_counter() - start
         return root
 
     def close(self) -> None:

@@ -26,7 +26,7 @@ from ..core.padding import (
 )
 from ..errors import InputError
 from ..obliv.routing import largest_hop
-from .sort import index_bits, vector_bitonic_sort
+from .sort import Key, index_bits, vector_bitonic_sort
 
 _INT = np.int64
 
@@ -105,6 +105,11 @@ def _route_forward(columns: dict[str, np.ndarray], m: int) -> None:
         hop //= 2
 
 
+def expand_keys(m: int) -> list[Key]:
+    """Both expansions' sort over ``m`` output slots: real rows by first slot."""
+    return [("_null", True, 1), ("slot", True, index_bits(m))]
+
+
 def _expand(
     columns: dict[str, np.ndarray],
     count_column: str,
@@ -134,8 +139,7 @@ def _expand(
 
     start = time.perf_counter()
     counter = [0]
-    keys = [("_null", True, 1), ("slot", True, index_bits(m))]
-    extended = sort(extended, keys, counter=counter)
+    extended = sort(extended, expand_keys(m), counter=counter)
     stats.seconds_by_phase[sort_phase] = time.perf_counter() - start
     stats.comparisons_by_phase[sort_phase] = counter[0]
     extended["f"] = extended.pop("slot") - extended["_null"]
@@ -165,6 +169,12 @@ def _expand(
     return filled
 
 
+def align_keys(m: int) -> list[Key]:
+    """The align sort over ``m`` slots: by group id, then transposed index."""
+    bits = index_bits(m)
+    return [("j", True, bits), ("ii", True, bits)]
+
+
 def _align(
     s2: dict[str, np.ndarray], m: int, stats: VectorJoinStats, sort=vector_bitonic_sort
 ) -> dict[str, np.ndarray]:
@@ -177,8 +187,7 @@ def _align(
 
     start = time.perf_counter()
     counter = [0]
-    bits = index_bits(m)
-    s2 = sort(s2, [("j", True, bits), ("ii", True, bits)], counter=counter)
+    s2 = sort(s2, align_keys(m), counter=counter)
     stats.seconds_by_phase["align_sort"] = time.perf_counter() - start
     stats.comparisons_by_phase["align_sort"] = counter[0]
     return s2
@@ -194,6 +203,13 @@ def _append_anchor(columns: dict[str, np.ndarray], tid: int) -> dict[str, np.nda
         "d": np.append(columns["d"], np.asarray([DUMMY_HANDLE], dtype=_INT)),
         "tid": np.append(columns["tid"], np.asarray([tid], dtype=_INT)),
     }
+
+
+def augment_keys(total: int) -> tuple[list[Key], list[Key]]:
+    """The augment's two sorts over ``total`` rows: by ``(j, tid, d)``, then
+    by ``tid ‖ position`` — the ``(tid, j, d)`` order as one public width."""
+    first = [("j", True), ("tid", True, 2), ("d", True)]
+    return first, [("tid", True, 2 + index_bits(total))]
 
 
 def _augmented_tables(
@@ -231,11 +247,10 @@ def _augmented_tables(
         for name in ("j", "d", "tid")
     }
 
+    first, second = augment_keys(n1 + n2)
     start = time.perf_counter()
     counter = [0]
-    combined = sort(
-        combined, [("j", True), ("tid", True, 2), ("d", True)], counter=counter
-    )
+    combined = sort(combined, first, counter=counter)
     stats.seconds_by_phase["augment_sort1"] = time.perf_counter() - start
     stats.comparisons_by_phase["augment_sort1"] = counter[0]
 
@@ -257,7 +272,7 @@ def _augmented_tables(
     counter = [0]
     bits = index_bits(n1 + n2)
     combined["tid"] = (combined["tid"] << bits) | np.arange(n1 + n2, dtype=_INT)
-    combined = sort(combined, [("tid", True, 2 + bits)], counter=counter)
+    combined = sort(combined, second, counter=counter)
     stats.seconds_by_phase["augment_sort2"] = time.perf_counter() - start
     stats.comparisons_by_phase["augment_sort2"] = counter[0]
 

@@ -1,23 +1,20 @@
 """Vectorised join-tree multiway joins (numpy struct-of-arrays engine).
 
 Phase-for-phase the same algorithm as :mod:`repro.core.join_tree` — one
-bottom-up ``multiplicity`` pass per edge, a ``finalize`` suffix-product
-pass, one ``distribute_expand`` stab per node, and an ``align_concat`` —
-with every pass a whole-array numpy operation whose index patterns depend
-only on ``(sizes, tree, target)``.  Outputs are bit-identical to the
-traced engine (pinned by ``tests/test_join_tree.py``).
+bottom-up ``multiplicity`` pass per edge, a ``finalize`` pass laying out
+every node's stab markers, one ``distribute_expand`` stab per node over the
+slot space, and an ``align_concat`` — with every pass a whole-array numpy
+operation whose index patterns depend only on ``(sizes, tree, target)``.
+Outputs are bit-identical to the traced engine (pinned by
+``tests/test_join_tree.py``).
 
-The module is organised as kernels around a :class:`JoinTreeCatalogue`:
-
-* :func:`edge_multiplicity` — one bottom-up edge pass (also the sharded
-  engine's per-edge worker task);
-* :func:`build_catalogue` — bottom-up + finalize + marker preparation,
-  producing the per-node marker tables every slot window stabs against;
-* :func:`expand_window` — the top-down stabs for a contiguous slot window
-  ``[lo, hi)`` (also the sharded engine's window worker task): each
-  window's cost is ``O((win + n) log^2)`` per node and its output is
-  independent of every other window, which is what lets the sharded
-  driver fan the slot space out as plan-bounded tasks.
+Every sort goes through the ``sort`` argument of :func:`vector_join_tree`,
+the way :func:`repro.vector.join.vector_oblivious_join` takes one: the
+sharded engine runs this same text over :func:`repro.shard.sort.sharded_sort`.
+The key lists are :func:`prefix_keys` and :func:`stab_keys`, functions of
+public sizes only, which the sharded plan compiler reads as well.  Each
+orders its rows totally — the position ``i`` is unique within a tag — so the
+output cannot depend on how ``sort`` breaks ties.
 """
 
 from __future__ import annotations
@@ -36,13 +33,23 @@ from ..core.join_tree import (
 )
 from ..core.padding import DUMMY_HANDLE, check_padding, exceeds_bound
 from ..errors import InputError
-from .sort import vector_bitonic_sort
+from .sort import Key, index_bits, vector_bitonic_sort
 
 _INT = np.int64
+_MIN, _MAX = -(2**63), 2**63 - 1
 
-#: Sort keys of every stab: coordinate, marker-before-query tag, position.
-_STAB_KEYS = [("x", True), ("t", True), ("i", True)]
-_UNSTAB_KEYS = [("t", True), ("i", True)]
+
+def prefix_keys(n: int) -> list[Key]:
+    """A table's ``(key, position)`` order over ``n`` rows: the child sort of
+    :func:`edge_multiplicity` and every edge's marker sort."""
+    return [("x", True), ("i", True, index_bits(n))]
+
+
+def stab_keys(size: int, tags: int) -> tuple[list[Key], list[Key]]:
+    """A stab's two sorts over ``size`` rows of ``tags`` kinds: by
+    ``(coordinate, tag, position)``, then back by ``(tag, position)``."""
+    tag, position = ("t", True, index_bits(tags)), ("i", True, index_bits(size))
+    return [("x", True), tag, position], [tag, position]
 
 
 @dataclass
@@ -63,8 +70,11 @@ class VectorJoinTreeStats:
         return sum(self.comparisons_by_phase.values())
 
 
-def _table_array(table, width: int) -> np.ndarray:
-    array = np.asarray([tuple(row) for row in table], dtype=_INT)
+def _table_array(table, width: int, index: int) -> np.ndarray:
+    try:
+        array = np.asarray(table, dtype=_INT)
+    except OverflowError:
+        raise InputError(f"join-tree table {index} holds a value outside int64") from None
     if array.size == 0:
         array = array.reshape(0, width)
     if array.ndim != 2:
@@ -78,6 +88,7 @@ def edge_multiplicity(
     child_alpha: np.ndarray,
     band: int,
     counter: list,
+    sort=vector_bitonic_sort,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One bottom-up edge pass: per parent row, ``(beta, start)``.
 
@@ -90,19 +101,25 @@ def edge_multiplicity(
     """
     n_v = len(parent_key)
     n_c = len(child_key)
-    sc = vector_bitonic_sort(
+    sc = sort(
         {
             "x": np.asarray(child_key, dtype=_INT),
             "i": np.arange(n_c, dtype=_INT),
             "a": np.asarray(child_alpha, dtype=_INT),
         },
-        [("x", True), ("i", True)],
+        prefix_keys(n_c),
         counter=counter,
     )
     acc = np.cumsum(sc["a"], dtype=_INT)
     parent_key = np.asarray(parent_key, dtype=_INT)
+    # The band's ends saturate at the int64 limits — exact, as every child
+    # key is an int64 — instead of wrapping around them.
+    lo = np.where(parent_key < _MIN + band, _MIN, parent_key - band)
+    hi = np.where(parent_key > _MAX - band, _MAX, parent_key + band)
+    size = 2 * n_v + n_c
+    stab, unstab = stab_keys(size, 3)
     combined = {
-        "x": np.concatenate([parent_key - band, sc["x"], parent_key + band]),
+        "x": np.concatenate([lo, sc["x"], hi]),
         "t": np.concatenate(
             [
                 np.zeros(n_v, dtype=_INT),
@@ -121,13 +138,12 @@ def edge_multiplicity(
             [np.zeros(n_v, dtype=_INT), acc, np.zeros(n_v, dtype=_INT)]
         ),
     }
-    combined = vector_bitonic_sort(combined, _STAB_KEYS, counter=counter)
-    size = 2 * n_v + n_c
+    combined = sort(combined, stab, counter=counter)
     src = np.where(combined["t"] == 1, np.arange(size, dtype=_INT), -1)
     np.maximum.accumulate(src, out=src)
     filled = np.where(src >= 0, combined["acc"][np.maximum(src, 0)], 0)
     combined["acc"] = filled.astype(_INT)
-    combined = vector_bitonic_sort(combined, _UNSTAB_KEYS, counter=counter)
+    combined = sort(combined, unstab, counter=counter)
     lo = combined["acc"][:n_v]
     hi = combined["acc"][size - n_v :]
     return (hi - lo).astype(_INT), lo.astype(_INT)
@@ -138,6 +154,7 @@ def stab_markers(
     coords: np.ndarray,
     defaults: dict[str, int],
     counter: list,
+    sort=vector_bitonic_sort,
 ) -> dict[str, np.ndarray]:
     """Fill each query coordinate with the last marker at or before it.
 
@@ -145,13 +162,15 @@ def stab_markers(
     arbitrary payload columns; queries whose coordinate precedes every
     marker (the dummy ``-1`` convention) receive ``defaults``.  Two
     oblivious sorts of public size ``len(markers) + len(coords)``; returns
-    the payload columns in query order.
+    the payload columns in query order plus ``"sg"``, each real query's
+    offset from its marker.
     """
     n = len(markers["x"])
     q = len(coords)
     names = [name for name in markers if name != "x"]
+    coords = np.asarray(coords, dtype=_INT)
     combined = {
-        "x": np.concatenate([markers["x"], np.asarray(coords, dtype=_INT)]),
+        "x": np.concatenate([markers["x"], coords]),
         "t": np.concatenate([np.zeros(n, dtype=_INT), np.ones(q, dtype=_INT)]),
         "i": np.concatenate(
             [np.arange(n, dtype=_INT), np.arange(q, dtype=_INT)]
@@ -162,7 +181,8 @@ def stab_markers(
         combined[name] = np.concatenate(
             [np.asarray(markers[name], dtype=_INT), np.full(q, fill, dtype=_INT)]
         )
-    combined = vector_bitonic_sort(combined, _STAB_KEYS, counter=counter)
+    stab, unstab = stab_keys(n + q, 2)
+    combined = sort(combined, stab, counter=counter)
     src = np.where(combined["t"] == 0, np.arange(n + q, dtype=_INT), -1)
     np.maximum.accumulate(src, out=src)
     has = src >= 0
@@ -170,31 +190,11 @@ def stab_markers(
     for name in names:
         fill = defaults.get(name, 0)
         combined[name] = np.where(has, combined[name][idx], fill).astype(_INT)
-    combined = vector_bitonic_sort(combined, _UNSTAB_KEYS, counter=counter)
-    return {name: combined[name][n:].copy() for name in names}
-
-
-@dataclass
-class JoinTreeCatalogue:
-    """Everything the top-down stabs need, per node — the shippable unit.
-
-    ``root_markers`` / ``edge_markers[e]`` are marker tables (coordinate
-    column ``"x"``, handle ``"h"``, start ``"a"``, data columns
-    ``"d0"..``, and per child edge ``j`` of the marked node the
-    ``"b{j}"/"s{j}"/"q{j}"`` decomposition params).  A window task stabs
-    slot coordinates against these tables and nothing else, so the
-    catalogue is exactly the state the sharded driver broadcasts.
-    """
-
-    sizes: tuple[int, ...]
-    widths: tuple[int, ...]
-    edges: tuple
-    order: tuple[int, ...]
-    children: dict[int, tuple[int, ...]]
-    root_markers: dict[str, np.ndarray]
-    edge_markers: list
-    m: int
-    target: int
+    combined = sort(combined, unstab, counter=counter)
+    stabbed = {name: combined[name][n:].copy() for name in names}
+    real = stabbed["h"] != DUMMY_HANDLE
+    stabbed["sg"] = np.where(real, coords - stabbed["a"], 0).astype(_INT)
+    return stabbed
 
 
 def _payload_columns(
@@ -234,57 +234,46 @@ def _marker_defaults(node: int, widths, children) -> dict[str, int]:
     return defaults
 
 
-@dataclass
-class JoinTreeInputs:
-    """Validated, array-backed inputs shared by the inline/sharded drivers."""
-
-    arrays: list
-    widths: tuple[int, ...]
-    edges: tuple
-    sizes: tuple[int, ...]
-    children: dict[int, tuple[int, ...]]
-    order: tuple[int, ...]
-
-
-def prepare_tables(tables, edges, padding: str) -> JoinTreeInputs:
-    """Validate and load a join-tree query into numpy arrays."""
-    tables = [[tuple(row) for row in table] for table in tables]
-    widths, edges = validate_join_tree_tables(tables, edges, padding)
-    sizes = tuple(len(table) for table in tables)
-    return JoinTreeInputs(
-        arrays=[_table_array(table, widths[v]) for v, table in enumerate(tables)],
-        widths=tuple(widths),
-        edges=edges,
-        sizes=sizes,
-        children=child_edge_indices(edges),
-        order=topdown_edge_order(edges, len(tables)),
-    )
-
-
-def build_catalogue(
+def vector_join_tree(
     tables,
     edges,
     padding: str | None = None,
     bound=None,
     stats: VectorJoinTreeStats | None = None,
-) -> JoinTreeCatalogue:
-    """Bottom-up + finalize + marker preparation; returns the catalogue."""
+    sort=vector_bitonic_sort,
+) -> tuple[JoinTreeResult, VectorJoinTreeStats]:
+    """The vectorised join tree; returns ``(result, stats)``.
+
+    ``result.rows`` are bit-identical (values and order) to
+    :func:`repro.core.join_tree.oblivious_join_tree`'s.  ``sort`` is the
+    oblivious sort every phase calls, with
+    :func:`~repro.vector.sort.vector_bitonic_sort`'s signature; no engine
+    option reaches it.  Under padding, a true size above the public bound
+    raises :class:`~repro.errors.BoundError` right after ``multiplicity``.
+    """
     stats = stats if stats is not None else VectorJoinTreeStats()
     padding = check_padding(padding)
-    inputs = prepare_tables(tables, edges, padding)
+    tables = [[tuple(row) for row in table] for table in tables]
+    widths, edges = validate_join_tree_tables(tables, edges, padding)
+    sizes = tuple(len(table) for table in tables)
+    arrays = [_table_array(table, widths[v], v) for v, table in enumerate(tables)]
+    children = child_edge_indices(edges)
+    order = topdown_edge_order(edges, len(tables))
 
+    # -- multiplicity: bottom-up, deepest edges first --------------------------
     start_time = time.perf_counter()
     counter = [0]
-    alpha = [np.ones(n, dtype=_INT) for n in inputs.sizes]
+    alpha = [np.ones(n, dtype=_INT) for n in sizes]
     edge_bs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for e in reversed(inputs.order):
-        edge = inputs.edges[e]
+    for e in reversed(order):
+        edge = edges[e]
         beta, start = edge_multiplicity(
-            inputs.arrays[edge.parent][:, edge.parent_col],
-            inputs.arrays[edge.child][:, edge.child_col],
+            arrays[edge.parent][:, edge.parent_col],
+            arrays[edge.child][:, edge.child_col],
             alpha[edge.child],
             edge.band,
             counter,
+            sort,
         )
         edge_bs[e] = (beta, start)
         alpha[edge.parent] = alpha[edge.parent] * beta
@@ -292,184 +281,69 @@ def build_catalogue(
     stats.comparisons_by_phase["multiplicity"] = counter[0]
 
     m = int(alpha[0].sum())
-    target = join_tree_bound(inputs.sizes, padding, bound)
-    if target is None:
-        target = m
-    else:
+    target = join_tree_bound(sizes, padding, bound)
+    if target is not None:
         exceeds_bound(m, target)
+    slots = m if target is None else target
     stats.m = m
-    stats.target = target
+    stats.target = slots
 
+    # -- finalize: every node's markers, at the exclusive prefix of its mass ---
+    # The root's lie in input order (plus, padded, the anchor owning the pad
+    # slots [m, target)); each child's in (key, index)-sorted order.
     start_time = time.perf_counter()
     counter = [0]
-    catalogue = finalize_catalogue(
-        inputs, alpha, edge_bs, m, target, padding != "revealed", counter
-    )
-    stats.seconds_by_phase["finalize"] = time.perf_counter() - start_time
-    stats.comparisons_by_phase["finalize"] = counter[0]
-    return catalogue
-
-
-def finalize_catalogue(
-    inputs: JoinTreeInputs,
-    alpha,
-    edge_bs: dict,
-    m: int,
-    target: int,
-    padded: bool,
-    counter: list,
-) -> JoinTreeCatalogue:
-    """Finalize + marker prep from completed bottom-up results.
-
-    The root's markers sit at the exclusive prefix of ``alpha`` in input
-    order (plus the anchor owning ``[m, target)`` under padded modes); each
-    edge's markers at the exclusive prefix of alpha-mass in
-    ``(key, index)``-sorted child order.  The sharded driver calls this
-    directly after running the bottom-up edge passes as executor tasks.
-    """
-    arrays, widths, edges = inputs.arrays, inputs.widths, inputs.edges
-    sizes, children, order = inputs.sizes, inputs.children, inputs.order
-    payload0 = _payload_columns(0, arrays[0], widths, children, edge_bs)
+    defaults = [_marker_defaults(v, widths, children) for v in range(len(sizes))]
     prefix = np.cumsum(alpha[0], dtype=_INT) - alpha[0]
-    root_markers = {
-        "x": prefix.copy(),
-        "h": np.arange(sizes[0], dtype=_INT),
-        "a": prefix.copy(),
-    }
-    root_markers.update(payload0)
-    if padded:
-        anchor = _marker_defaults(0, widths, children)
-        anchor["a"] = m
-        root_markers = {
-            name: np.append(
-                col, np.asarray([m if name == "x" else anchor[name]], dtype=_INT)
-            )
-            for name, col in root_markers.items()
-        }
-
-    edge_markers: list = [None] * len(edges)
+    root = {"x": prefix, "h": np.arange(sizes[0], dtype=_INT), "a": prefix}
+    root.update(_payload_columns(0, arrays[0], widths, children, edge_bs))
+    if target is not None:
+        anchor = {**defaults[0], "x": m, "a": m}
+        root = {name: np.append(col, _INT(anchor[name])) for name, col in root.items()}
+    markers = {0: root}
     for e in order:
-        edge = edges[e]
-        c = edge.child
+        c, key_col = edges[e].child, edges[e].child_col
         payload = _payload_columns(c, arrays[c], widths, children, edge_bs)
         prep = {
-            "x": arrays[c][:, edge.child_col].copy(),
+            "x": arrays[c][:, key_col].copy(),
             "i": np.arange(sizes[c], dtype=_INT),
-            "al": alpha[c].copy(),
+            "al": alpha[c],
+            **payload,
         }
-        prep.update(payload)
-        prep = vector_bitonic_sort(prep, [("x", True), ("i", True)], counter=counter)
+        prep = sort(prep, prefix_keys(sizes[c]), counter=counter)
         mass = np.cumsum(prep["al"], dtype=_INT) - prep["al"]
-        markers = {"x": mass.copy(), "h": prep["i"].copy(), "a": mass.copy()}
-        for name in payload:
-            markers[name] = prep[name]
-        edge_markers[e] = markers
+        markers[c] = {"x": mass, "h": prep["i"], "a": mass}
+        markers[c].update((name, prep[name]) for name in payload)
+    stats.seconds_by_phase["finalize"] = time.perf_counter() - start_time
+    stats.comparisons_by_phase["finalize"] = counter[0]
 
-    return JoinTreeCatalogue(
-        sizes=sizes,
-        widths=tuple(widths),
-        edges=edges,
-        order=order,
-        children=children,
-        root_markers=root_markers,
-        edge_markers=edge_markers,
-        m=m,
-        target=target,
-    )
-
-
-def expand_window(
-    catalogue: JoinTreeCatalogue, lo: int, hi: int, counter: list
-) -> list[dict[str, np.ndarray]]:
-    """Top-down stabs for slots ``[lo, hi)``; per-node slot columns.
-
-    Pure in ``(catalogue, lo, hi)`` and independent of every other window
-    — the property that makes windows valid executor tasks whose results
-    can arrive in any order.  Returns one column dict per node holding
-    ``"h"`` (matched row handle, :data:`DUMMY_HANDLE` on pad slots),
-    ``"sg"`` (the slot's residual index inside that row's block) and the
-    node's data columns ``"d0"..``.
-    """
-    if not 0 <= lo <= hi <= catalogue.target:
-        raise InputError(
-            f"join-tree window [{lo}, {hi}) outside the slot space "
-            f"[0, {catalogue.target})"
-        )
-    widths, children = catalogue.widths, catalogue.children
-    slots: list = [None] * len(catalogue.sizes)
-    coords = np.arange(lo, hi, dtype=_INT)
-    stabbed = stab_markers(
-        catalogue.root_markers,
-        coords,
-        _marker_defaults(0, widths, children),
-        counter,
-    )
-    real = stabbed["h"] != DUMMY_HANDLE
-    stabbed["sg"] = np.where(real, coords - stabbed["a"], 0).astype(_INT)
-    slots[0] = stabbed
-    for e in catalogue.order:
-        edge = catalogue.edges[e]
-        parent = slots[edge.parent]
-        j = children[edge.parent].index(e)
-        beta = parent[f"b{j}"]
-        weight = parent[f"q{j}"]
-        digit = (parent["sg"] // np.maximum(weight, 1)) % np.maximum(beta, 1)
-        real = parent["h"] != DUMMY_HANDLE
-        coords = np.where(real, parent[f"s{j}"] + digit, -1).astype(_INT)
-        stabbed = stab_markers(
-            catalogue.edge_markers[e],
-            coords,
-            _marker_defaults(edge.child, widths, children),
-            counter,
-        )
-        real = stabbed["h"] != DUMMY_HANDLE
-        stabbed["sg"] = np.where(real, coords - stabbed["a"], 0).astype(_INT)
-        slots[edge.child] = stabbed
-    return slots
-
-
-def window_rows(catalogue: JoinTreeCatalogue, slots) -> np.ndarray:
-    """Align-concat: zip per-node slot data columns into output rows."""
-    columns = []
-    for v in range(len(catalogue.sizes)):
-        for c in range(catalogue.widths[v]):
-            columns.append(slots[v][f"d{c}"])
-    if not columns:
-        return np.zeros((0, 0), dtype=_INT)
-    return np.stack(columns, axis=1)
-
-
-def vector_join_tree(
-    tables,
-    edges,
-    padding: str | None = None,
-    bound=None,
-    stats: VectorJoinTreeStats | None = None,
-) -> tuple[JoinTreeResult, VectorJoinTreeStats]:
-    """The vectorised join tree; returns ``(result, stats)``.
-
-    ``result.rows`` are bit-identical (values and order) to
-    :func:`repro.core.join_tree.oblivious_join_tree`'s.
-    """
-    stats = stats if stats is not None else VectorJoinTreeStats()
-    padding = check_padding(padding)
-    catalogue = build_catalogue(tables, edges, padding, bound, stats)
-
+    # -- distribute_expand: top-down, each node stabs the slot space ----------
     start_time = time.perf_counter()
     counter = [0]
-    slots = expand_window(catalogue, 0, catalogue.target, counter)
+    stabbed = {0: stab_markers(root, np.arange(slots, dtype=_INT), defaults[0], counter, sort)}
+    for e in order:
+        edge = edges[e]
+        parent = stabbed[edge.parent]
+        j = children[edge.parent].index(e)
+        digit = (parent["sg"] // np.maximum(parent[f"q{j}"], 1)) % np.maximum(
+            parent[f"b{j}"], 1
+        )
+        real = parent["h"] != DUMMY_HANDLE
+        coords = np.where(real, parent[f"s{j}"] + digit, -1).astype(_INT)
+        stabbed[edge.child] = stab_markers(
+            markers[edge.child], coords, defaults[edge.child], counter, sort
+        )
     stats.seconds_by_phase["distribute_expand"] = time.perf_counter() - start_time
     stats.comparisons_by_phase["distribute_expand"] = counter[0]
 
+    # -- align_concat: zip the nodes' slot columns, keep the real prefix ------
     start_time = time.perf_counter()
-    padded = window_rows(catalogue, slots)
-    rows = [tuple(row) for row in padded[: catalogue.m].tolist()]
+    columns = [
+        stabbed[v][f"d{c}"][:m] for v in range(len(sizes)) for c in range(widths[v])
+    ]
+    rows = [tuple(row) for row in np.stack(columns, axis=1).tolist()]
     stats.seconds_by_phase["align_concat"] = time.perf_counter() - start_time
     result = JoinTreeResult(
-        rows=rows,
-        m=catalogue.m,
-        padding=padding,
-        target=catalogue.target if padding != "revealed" else None,
-        sizes=catalogue.sizes,
+        rows=rows, m=m, padding=padding, target=target, sizes=sizes
     )
     return result, stats

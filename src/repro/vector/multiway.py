@@ -34,6 +34,7 @@ from ..core.multiway import (
 )
 from ..core.padding import check_padding, padded_cascade
 from .join import VectorJoinStats, vector_oblivious_join
+from .sort import vector_bitonic_sort
 
 
 @dataclass
@@ -76,6 +77,7 @@ def vector_multiway_join(
     stats: VectorMultiwayStats | None = None,
     padding: str | None = None,
     bound=None,
+    sort=vector_bitonic_sort,
 ) -> MultiwayResult:
     """Vectorised left-deep cascade; same contract as the traced version.
 
@@ -83,7 +85,9 @@ def vector_multiway_join(
     :func:`repro.core.multiway.oblivious_multiway_join`; rows may carry
     arbitrary payloads as long as the key columns are ints.  ``padding`` /
     ``bound`` select padded execution with the same semantics (and
-    bit-identical compacted rows).
+    bit-identical compacted rows).  ``sort`` is handed to every step's
+    :func:`~repro.vector.join.vector_oblivious_join` — the sharded engine's
+    cascade is this text over :func:`repro.shard.sort.sharded_sort`.
     """
     padding = check_padding(padding)
     validate_cascade(tables, keys)
@@ -103,7 +107,7 @@ def vector_multiway_join(
 
         def run_step(step, left_pairs, right_pairs, target):
             handles, join_stats = vector_oblivious_join(
-                left_pairs, right_pairs, target_m=target
+                left_pairs, right_pairs, target_m=target, sort=sort
             )
             stats.step_stats.append(join_stats)
             stats.intermediate_sizes.append(join_stats.m)
@@ -122,6 +126,7 @@ def vector_multiway_join(
         handles, join_stats = vector_oblivious_join(
             encode_handles(accumulated, left_col),
             encode_handles(next_table, right_col),
+            sort=sort,
         )
         stats.step_stats.append(join_stats)
         stats.intermediate_sizes.append(join_stats.m)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.memory.tracer import HashSink, ListSink, Tracer
 from repro.obliv.bitonic import next_power_of_two
-from repro.plan.partition import partition_plan
+from repro.plan.partition import partition_plan, word_passes
 from repro.shard.merge import merge_comparator_count
 
 
@@ -84,6 +84,14 @@ def sharded_sort_comparators(n: int, k: int, passes: int = 1) -> int:
     local sorts take ``passes`` one-word passes each."""
     _, counts = partition_plan(n, k)
     local = passes * sum(map(_bitonic_comparators, counts))
+    return local + merge_comparator_count(counts)
+
+
+def sort_comparators(n: int, k: int, keys) -> int:
+    """What ``sharded_sort`` must count for ``n`` rows by ``keys`` over ``k``
+    blocks: each block's one-word passes x its network, plus the merges."""
+    _, counts = partition_plan(n, k)
+    local = sum(word_passes(keys, rows) * _bitonic_comparators(rows) for rows in counts)
     return local + merge_comparator_count(counts)
 
 

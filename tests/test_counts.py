@@ -88,10 +88,13 @@ def test_join_tree_beats_cascade_compounded_bounds():
     ``stats.step_bounds``), the join tree pays one bound for the final
     output — so the tree's total padded rows and its total comparator
     count both land strictly below the cascade's, read from stats on both
-    sides rather than re-derived."""
-    from repro.shard.join_tree import ShardedJoinTreeStats, sharded_join_tree
-    from repro.shard.merge import merge_comparator_count
-    from repro.shard.multiway import ShardedMultiwayStats, sharded_multiway_join
+    sides rather than re-derived.  Both are the ``vector`` text with its
+    single-process sort: one network per sort, the algorithms' own count.
+    (Over a 3-block sharded sort the tree's count is the larger: its
+    slot-space sorts pad each block to a power of two and take two
+    one-word passes — docs/architecture.md, "The join tree".)"""
+    from repro.vector.join_tree import vector_join_tree
+    from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
     # Skewed: keys 0..2 on both wide tables, every t2 row in the heaviest
     # group — the worst shape for compounded per-step padding.
@@ -99,41 +102,23 @@ def test_join_tree_beats_cascade_compounded_bounds():
     t1 = [(i % 3, i) for i in range(12)]
     t2 = [(0, i) for i in range(8)]
     tables, bound = [t0, t1, t2], 200
+    padding = {"padding": "bounded", "bound": bound}
 
-    cascade_stats = ShardedMultiwayStats()
-    cascade = sharded_multiway_join(
-        tables,
-        [(0, 0), (0, 0)],
-        shards=3,
-        stats=cascade_stats,
-        padding="bounded",
-        bound=bound,
+    cascade_stats = VectorMultiwayStats()
+    cascade = vector_multiway_join(
+        tables, [(0, 0), (0, 0)], stats=cascade_stats, **padding
     )
-    tree_stats = ShardedJoinTreeStats()
-    tree, tree_stats = sharded_join_tree(
-        tables,
-        [(0, 1, 0, 0), (0, 2, 0, 0)],
-        shards=3,
-        stats=tree_stats,
-        padding="bounded",
-        bound=bound,
-    )
+    tree, tree_stats = vector_join_tree(tables, [(0, 1, 0, 0), (0, 2, 0, 0)], **padding)
     # Same query, bit-equal real rows as a multiset.
     assert sorted(tree.rows) == sorted(cascade.rows)
 
     # Bounds: one per cascade step vs one for the whole tree.
     assert cascade_stats.step_bounds == [144, 200]
     assert cascade.total_padded_rows == sum(cascade_stats.step_bounds) == 344
-    assert tree_stats.target == bound == 200
+    assert tree_stats.target == tree.target == bound == 200
     assert tree_stats.target < cascade.total_padded_rows
 
-    # Comparators: the tree reassembles one slot space (its merge count is
-    # the pure run-length formula of its public schedule); the cascade's
-    # merges are part of each step's five sharded sorts, so the comparable
-    # quantity is the total.
-    assert tree_stats.merge_comparisons == merge_comparator_count(
-        tree_stats.windows, truncate=tree_stats.target
-    )
+    # Comparators: every sort of either side, phase by phase.
     assert tree_stats.total_comparisons < cascade_stats.total_comparisons
 
 

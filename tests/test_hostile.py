@@ -1,8 +1,9 @@
 """A hostile store: every tampered, moved, truncated or wrong-key block is a
 typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
 
-Store cases first; the last section is hostile *values* through the sharded
-engine's packed sort (ROADMAP item 7's other conditions are not here).
+Store cases first; the last section is hostile *values*: through the
+sharded engine's packed sort, and join-tree bands at the int64 limits on
+every engine (ROADMAP item 7's other conditions are not here).
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -425,3 +426,43 @@ def test_an_exceeded_bound_raises_in_the_parent_with_no_task_in_flight(
     )
     assert np.array_equal(got, vector_oblivious_join(left, right, target_m=true_m)[0])
     assert probe.in_flight == 0
+
+
+#: One engine of each kind; the sharded one on every listed substrate.
+TREE_ENGINES = [
+    pytest.param({"name": "traced"}, id="traced"),
+    pytest.param({"name": "vector"}, id="vector"),
+] + [
+    pytest.param(
+        {"name": "sharded", "shards": 2, "workers": 2, "executor": name},
+        id=f"sharded-{name}",
+    )
+    for name in EXECUTORS
+]
+
+
+@pytest.mark.parametrize("config", TREE_ENGINES)
+def test_join_tree_bands_saturate_at_the_int64_limits(config, shm_leak_guard):
+    """A band reaching past either int64 limit keeps its match on every
+    engine and padding mode (the array engines used to wrap ``key ± band``
+    around and return nothing); a band above ``2**63 - 1`` is refused, and
+    so is a value outside int64, naming its table, by the array engines."""
+    options = dict(config)
+    name = options.pop("name")
+    # (key, band, padding modes): padded keys stay below 2**61 (reserved).
+    for key, band, modes in (
+        (I64_MAX, 1, ("revealed",)),
+        (I64_MIN, 1, ("revealed", "worst_case")),
+        (2**61 - 1, I64_MAX, ("revealed", "worst_case")),
+    ):
+        tables = [[(key, 1)], [(key, 2), (0, 3)]]
+        expected = [(key, 1) + row for row in sorted(tables[1]) if abs(key - row[0]) <= band]
+        for padding in modes:
+            engine = get_engine(name, padding=padding, **options)
+            assert engine.join_tree(tables, [(0, 1, 0, 0, band)]).rows == expected
+    engine = get_engine(name, **options)
+    with pytest.raises(InputError, match="band"):
+        engine.join_tree([[(0, 1)], [(0, 2)]], [(0, 1, 0, 0, 2**63)])
+    if name != "traced":  # Python ints: the traced engine has no int64 limit
+        with pytest.raises(InputError, match="table 1"):
+            engine.join_tree([[(0, 1)], [(0, 2**63)]], [(0, 1, 0, 0)])

@@ -6,26 +6,31 @@ empty sides, single rows (the same corner bias as
 multiset, with the binary cascade oracle on every engine, executor
 substrate and padding mode, and bit-for-bit (values *and* order) with the
 traced reference.  Band predicates (``|a - b| <= w``), which the cascade
-cannot express, are checked against a brute-force numpy oracle instead,
-including the empty-band and full-band (cross product) edges.
+cannot express, are checked against a brute-force oracle instead,
+including the empty-band and full-band (cross product) edges and keys at
+the int64 limits.
 
 The plan tests pin that the compiled tree is a *pure function of shapes*:
 byte-identical serialization for equal ``(sizes, tree, k, padding,
 bound)``, different bytes when any of them changes, and no dependence on
-the data values at all.
+the data values at all — and that the sharded tree, the ``vector`` text
+over :func:`~repro.shard.sort.sharded_sort`, executes exactly the
+comparators its plan's ``shard_sort`` and ``merge_pair`` nodes imply.
 
 ``REPRO_ENGINES`` / ``REPRO_EXECUTORS`` restrict the engine/executor lists
-exactly as in ``test_engine_properties.py`` — the CI
-``join-tree-differential`` matrix job uses them.
+exactly as in ``test_engine_properties.py`` — the CI ``differential``
+job's sharded step uses them.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import random
+from functools import partial
 
-import numpy as np
 import pytest
+from conftest import plan_sort_comparators, sort_comparators
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +38,9 @@ from repro.engines import ShardedEngine, available_engines, get_engine
 from repro.errors import BoundError, InputError
 from repro.plan import available_executors
 from repro.plan.compile import compile_join_tree
-from repro.shard.join_tree import ShardedJoinTreeStats, sharded_join_tree
-from repro.shard.merge import merge_comparator_count
+from repro.plan.executors import get_executor
+from repro.shard.sort import sharded_sort
+from repro.vector.join_tree import stab_keys, vector_join_tree
 
 ENGINES = [
     name
@@ -50,6 +56,8 @@ EXECUTORS = [
 ]
 
 REFERENCE = "traced"
+
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 
 CONFIGURATIONS = ENGINES + (
     [pytest.param(ShardedEngine(shards=5), id="sharded[shards=5]")]
@@ -103,18 +111,15 @@ def _cascade_oracle(tables, keys):
 
 
 def _band_oracle(tables, edges):
-    """Brute-force numpy oracle: mask the full cross product per edge."""
-    dims = [len(t) for t in tables]
-    keep = np.ones(dims, dtype=bool)
-    for parent, child, pcol, ccol, band in edges:
-        a = np.asarray([row[pcol] for row in tables[parent]], dtype=np.int64)
-        b = np.asarray([row[ccol] for row in tables[child]], dtype=np.int64)
-        shape_a = [dims[v] if v == parent else 1 for v in range(len(dims))]
-        shape_b = [dims[v] if v == child else 1 for v in range(len(dims))]
-        keep &= np.abs(a.reshape(shape_a) - b.reshape(shape_b)) <= band
+    """Brute force over the full cross product, in Python ints: an int64
+    difference overflows at the int64 limits."""
     return sorted(
-        sum((tuple(tables[v][i]) for v, i in enumerate(combo)), ())
-        for combo in np.argwhere(keep).tolist()
+        sum(combo, ())
+        for combo in itertools.product(*(map(tuple, t) for t in tables))
+        if all(
+            abs(combo[parent][pcol] - combo[child][ccol]) <= band
+            for parent, child, pcol, ccol, band in edges
+        )
     )
 
 
@@ -193,8 +198,8 @@ def test_four_table_tree_matches_cascade_on_all_engines():
 @given(t1=table(max_rows=6), t2=table(max_rows=6), t3=table(max_rows=6))
 @settings(max_examples=10, deadline=None)
 def test_shuffled_completion_order_cannot_change_the_rows(t1, t2, t3):
-    """The shuffle executor completes window tasks in adversarial orders;
-    repeated runs (fresh shuffles) must still be bit-identical."""
+    """The shuffle executor completes sort blocks and merges in adversarial
+    orders; repeated runs (fresh shuffles) must still be bit-identical."""
     tables = [t1, t2, t3]
     reference = get_engine(REFERENCE).join_tree(tables, STAR).rows
     engine = ShardedEngine(shards=3, workers=2, executor="shuffle")
@@ -215,6 +220,10 @@ def test_shuffled_completion_order_cannot_change_the_rows(t1, t2, t3):
 @example(t1=[(0, 0), (5, 1)], t2=[(2, 7), (6, 8)], band=2)
 @example(t1=[(0, 0)], t2=[(100, 1)], band=5)  # empty band: no key within w
 @example(t1=[(0, 0), (1, 1)], t2=[(39, 2)], band=10_000)  # full band: cross
+# Bands reaching past the int64 limits: the ends saturate instead of wrapping.
+@example(t1=[(I64_MAX, 1), (I64_MAX - 2, 0)], t2=[(I64_MAX, 2), (0, 3)], band=1)
+@example(t1=[(I64_MIN, 1)], t2=[(I64_MIN, 2), (I64_MIN + 1, 3), (0, 4)], band=3)
+@example(t1=[(I64_MIN, 1), (I64_MAX, 0)], t2=[(I64_MAX, 2), (I64_MIN, 3)], band=10_000)
 def test_band_join_matches_brute_force(configuration, t1, t2, band):
     engine = get_engine(configuration)
     edges = [(0, 1, 0, 0, band)]
@@ -327,28 +336,125 @@ def test_plan_bytes_do_not_depend_on_data(t1, t2, t3):
     assert from_tables.serialize() == from_sizes.serialize()
 
 
+#: A 4-table chain + branch, one of its edges a band.
+FOUR_TABLES = [
+    [(k % 3, k) for k in range(7)],
+    [(k % 3, k % 2) for k in range(6)],
+    [(k % 2, k + 10) for k in range(5)],
+    [(k % 3, k + 20) for k in range(4)],
+]
+FOUR_EDGES = [(0, 1, 0, 0), (1, 2, 1, 0, 1), (0, 3, 0, 0)]
+
+#: The join tree's phases that sort; a plan stage's first field names one.
+SORT_PHASES = ("multiplicity", "finalize", "distribute_expand")
+
+
+def _sharded_tree(tables, edges, shards, executor, **options):
+    """The sharded engine's tree: the ``vector`` text over ``sharded_sort``."""
+    sort = partial(sharded_sort, shards=shards, executor=get_executor(executor, workers=2))
+    return vector_join_tree(tables, edges, sort=sort, **options)
+
+
+def _phase_comparators(plan, phase: str, m: int) -> int:
+    """What a sharded tree plan's sorts of ``phase`` imply.  A sort the plan
+    leaves unsized is node ``v``'s stab of the revealed slot space, which
+    runs at ``m + n_v`` rows."""
+    total = 0
+    for part in plan.nodes_by_op("partition"):
+        stage = part.attr("stage")
+        if stage.split(".")[0] != phase:
+            continue
+        if part.attr("n") is not None:
+            total += plan_sort_comparators(plan, stage)
+            continue
+        _, node, sort = stage.split(".")
+        size = m + plan.shape("sizes")[int(node[1:])]
+        keys = stab_keys(size, 2)[sort == "unstab"]
+        total += sort_comparators(size, plan.shape("k"), keys)
+    return total
+
+
+@pytest.mark.skipif("sharded" not in ENGINES, reason="sharded engine excluded")
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize(
+    "padding,bound", [("revealed", None), ("bounded", 120), ("worst_case", None)]
+)
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_executed_comparators_are_the_compiled_plans(shards, padding, bound, executor):
+    """Phase by phase, the sharded tree counts exactly what the
+    ``shard_sort`` and ``merge_pair`` nodes of its compiled plan imply, and
+    returns the ``vector`` engine's rows."""
+    options = {"padding": padding, "bound": bound}
+    result, stats = _sharded_tree(FOUR_TABLES, FOUR_EDGES, shards, executor, **options)
+    assert result.rows == get_engine("vector").join_tree(FOUR_TABLES, FOUR_EDGES, **options).rows
+    plan = compile_join_tree(FOUR_TABLES, FOUR_EDGES, "sharded", shards=shards, **options)
+    assert set(stats.comparisons_by_phase) == set(SORT_PHASES)
+    for phase in SORT_PHASES:
+        assert stats.comparisons_by_phase[phase] == _phase_comparators(plan, phase, stats.m)
+
+
+def _outcome(call):
+    """A query's rows, or the text of the ``BoundError`` it raised."""
+    try:
+        return call().rows
+    except BoundError as error:
+        return str(error)
+
+
+@pytest.mark.skipif("sharded" not in ENGINES, reason="sharded engine excluded")
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_sharded_tree_and_cascade_match_vector_for_any_shard_count(shards):
+    """On random 4-table band / equi trees and their 3-table cascades, every
+    padding mode and executor: the sharded rows — or the ``BoundError``
+    text — are the ``vector`` engine's."""
+    rng = random.Random(shards)
+    for _ in range(4):
+        tables = [
+            [(rng.randrange(3), rng.randrange(4)) for _ in range(rng.randrange(6))]
+            for _ in range(4)
+        ]
+        edges = [(0, 1, 0, 0, rng.choice([0, 1])), (1, 2, 1, 0), (0, 3, 0, 0, 2)]
+        for padding, bound in (("revealed", None), ("bounded", 6), ("worst_case", None)):
+            options = {"padding": padding, "bound": bound}
+            engines = [get_engine("vector")] + [
+                ShardedEngine(shards=shards, workers=2, executor=name) for name in EXECUTORS
+            ]
+            outcomes = [
+                (
+                    _outcome(lambda: engine.join_tree(tables, edges, **options)),
+                    _outcome(lambda: engine.multiway_join(tables[:3], CHAIN_KEYS, **options)),
+                )
+                for engine in engines
+            ]
+            assert outcomes[1:] == [outcomes[0]] * len(EXECUTORS), (padding, tables)
+
+
 @pytest.mark.skipif("sharded" not in ENGINES, reason="sharded engine excluded")
 def test_executed_plan_and_schedule_are_input_independent():
-    """Two same-shape datasets with different values: the consumed plan
-    bytes, the comparator schedule and the merge count all coincide, and
-    the merge count is the pure run-length formula."""
+    """Two same-shape datasets with different values: the compiled plan
+    bytes and the per-phase comparator schedule coincide."""
     first = [[(k % 2, k) for k in range(6)], [(0, 9)] * 4, [(1, 7)] * 5]
     second = [[(3, 0)] * 6, [(k % 4, 0) for k in range(4)], [(2, 2)] * 5]
     runs = []
     for tables in (first, second):
-        stats = ShardedJoinTreeStats()
-        sharded_join_tree(
-            tables,
-            STAR,
-            shards=3,
-            stats=stats,
-            padding="worst_case",
-        )
-        runs.append(stats)
-    assert runs[0].plan.serialize() == runs[1].plan.serialize()
-    assert runs[0].schedule == runs[1].schedule
-    assert runs[0].target == runs[1].target == 6 * 4 * 5
-    for stats in runs:
-        assert stats.merge_comparisons == merge_comparator_count(
-            stats.windows, truncate=stats.target
-        )
+        _, stats = _sharded_tree(tables, STAR, 3, "inline", padding="worst_case")
+        plan = compile_join_tree(tables, STAR, "sharded", shards=3, padding="worst_case")
+        runs.append((plan.serialize(), stats.comparisons_by_phase, stats.target))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == 6 * 4 * 5
+
+
+@pytest.mark.skipif("sharded" not in ENGINES, reason="sharded engine excluded")
+def test_over_bound_tree_raises_the_vector_text_in_the_parent(shm_leak_guard):
+    """Under a process pool an exceeded bound is raised in the parent, after
+    the bottom-up pass, with the ``vector`` engine's text; nothing is left in
+    ``/dev/shm`` and the same pool answers the next query."""
+    tables, edges = [[(0, 0)] * 4, [(0, 1)] * 4], [(0, 1, 0, 0)]
+    with pytest.raises(BoundError) as vector_abort:
+        get_engine("vector").join_tree(tables, edges, padding="bounded", bound=15)
+    engine = ShardedEngine(shards=2, workers=2, executor="pool")
+    with pytest.raises(BoundError) as abort:
+        engine.join_tree(tables, edges, padding="bounded", bound=15)
+    assert str(abort.value) == str(vector_abort.value)
+    expected = get_engine("vector").join_tree(tables, edges, padding="bounded", bound=16)
+    assert engine.join_tree(tables, edges, padding="bounded", bound=16).rows == expected.rows

@@ -9,6 +9,7 @@ the db layer, and the ``security.py`` <-> ``docs/leakage.md`` cross-link.
 """
 
 import pathlib
+from functools import partial
 
 import pytest
 
@@ -24,10 +25,11 @@ from repro.db.query import ObliviousEngine
 from repro.db.table import DBTable
 from repro.engines import get_engine
 from repro.errors import BoundError, InputError
+from repro.plan.executors import InlineExecutor
 from repro.security import LEAKAGE_PROFILES, SERVICE_LEAKAGE, leakage_profile
 from repro.shard.aggregate import ShardedAggregateStats, sharded_join_aggregate
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
-from repro.shard.multiway import ShardedMultiwayStats, sharded_multiway_join
+from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
@@ -143,15 +145,16 @@ def test_sharded_padded_join_grid_and_schedule_are_size_determined():
 
 
 def test_sharded_padded_cascade_schedule_is_size_determined():
+    """The sharded cascade is the vector text over a sharded sort: its
+    per-step schedule is fixed by the sizes and bounds alone."""
+    sort = partial(sharded_sort, shards=2, executor=InlineExecutor())
     views = []
     for tables in (CASCADE_A, CASCADE_B):
-        stats = ShardedMultiwayStats()
-        sharded_multiway_join(
-            tables, CASCADE_KEYS, shards=2, stats=stats, padding="worst_case"
+        stats = VectorMultiwayStats()
+        vector_multiway_join(
+            tables, CASCADE_KEYS, stats=stats, padding="worst_case", sort=sort
         )
-        views.append(
-            (stats.schedule, tuple(s.plan.serialize() for s in stats.step_stats))
-        )
+        views.append((stats.schedule, tuple(stats.intermediate_sizes)))
     assert views[0] == views[1]
 
 
@@ -208,7 +211,9 @@ def test_bounded_mode_aborts_loudly_on_overflow():
     with pytest.raises(BoundError):
         vector_multiway_join([big, big, big], CASCADE_KEYS, padding="bounded", bound=3)
     with pytest.raises(BoundError):
-        sharded_multiway_join([big, big, big], CASCADE_KEYS, padding="bounded", bound=3)
+        get_engine("sharded").multiway_join(
+            [big, big, big], CASCADE_KEYS, padding="bounded", bound=3
+        )
 
 
 # -- db layer ----------------------------------------------------------------

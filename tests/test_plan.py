@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 from conftest import plan_sort_comparators
@@ -29,9 +30,11 @@ from repro.plan.compile import (
     sharded_join_plan,
 )
 from repro.shard.aggregate import ShardedAggregateStats, sharded_join_aggregate
+from repro.plan.executors import get_executor
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
-from repro.shard.multiway import ShardedMultiwayStats, sharded_multiway_join
 from repro.shard.relational import sharded_filter_indices
+from repro.shard.sort import sharded_sort
+from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
 
 # -- IR mechanics ------------------------------------------------------------
@@ -303,23 +306,30 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
 def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
-    """The one-word passes added one attribute and changed nothing else: at
-    the three sharded benchmark shapes the executed plan's canonical bytes
-    hash to the pinned digest, are the same bytes on adversarially different
-    data of one shape, and — without ``passes``, at format 7 — are the parent
-    commit's bytes."""
+    """At the three sharded benchmark shapes the executed plan's canonical
+    bytes hash to the pinned digest and are the same bytes on adversarially
+    different data of one shape.  With the format tag set back to 8 they
+    are the parent commit's bytes (the key lists the compiler now reads from
+    ``repro.vector.join`` are the ones it used to restate); without
+    ``passes``, at format 7, the bytes from before the one-word passes."""
     _, _, digest, _ = BENCHMARK_SHAPES[shape]
     plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
     assert len(plans) == 1
     plan = plans.pop()
     assert hashlib.sha256(plan).hexdigest() == digest
     payload = json.loads(plan)
-    payload["format"] = 7
+
+    def digest_at(fmt):
+        payload["format"] = fmt
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    parent, before_passes = PARENT_PLAN_DIGESTS[shape]
+    assert digest_at(8) == parent
     for node in payload["nodes"]:
         assert (node["op"] == "shard_sort") == ("passes" in node["attrs"])
         node["attrs"].pop("passes", None)
-    parent = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert hashlib.sha256(parent).hexdigest() == PARENT_PLAN_DIGESTS[shape]
+    assert digest_at(7) == before_passes
 
 
 def test_every_shard_sort_node_carries_its_passes():
@@ -356,22 +366,40 @@ def test_executed_plan_bytes_survive_adversarial_completion_orders():
             assert stats.plan.serialize() == compiled
 
 
-def test_padded_multiway_step_plans_are_byte_identical_across_data():
+def _step(plan: Plan, step: int) -> Plan:
+    """The nodes ``builder.embed`` tagged with cascade ``step``."""
+    nodes = tuple(node for node in plan.nodes if node.attr("step") == step)
+    return Plan(plan.workload, plan.engine, plan.shapes, nodes)
+
+
+@pytest.mark.parametrize("executor", ["inline", "shuffle", "pool"])
+@pytest.mark.parametrize(
+    "padding,bound", [("revealed", None), ("bounded", 30), ("worst_case", None)]
+)
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_cascade_steps_count_their_compiled_sub_plans(shards, padding, bound, executor):
+    """The sharded cascade — the ``vector`` text over ``sharded_sort`` — runs
+    every sort of every step at exactly the comparators its
+    ``compile_multiway`` sub-plan implies, whatever the data.  A revealed
+    cascade's plan sizes only step 0's augment sorts; padded, all five
+    sorts of every step."""
     t3 = [(1, 0), (2, 0), (3, 0)]
-    serialized = []
+    plan = compile_multiway([8, 8, 3], "sharded", shards=shards, padding=padding, bound=bound)
+    sort = partial(sharded_sort, shards=shards, executor=get_executor(executor, workers=2))
     for left, right in (DATASET_A, DATASET_B):
-        stats = ShardedMultiwayStats()
-        sharded_multiway_join(
-            [left, right, t3],
-            [(0, 0), (3, 0)],
-            shards=2,
-            stats=stats,
-            padding="worst_case",
+        stats = VectorMultiwayStats()
+        vector_multiway_join(
+            [left, right, t3], [(0, 0), (3, 0)],
+            stats=stats, padding=padding, bound=bound, sort=sort,
         )
-        serialized.append(
-            tuple(step.plan.serialize() for step in stats.step_stats)
-        )
-    assert serialized[0] == serialized[1]
+        for step, join_stats in enumerate(stats.step_stats):
+            sub = _step(plan, step)
+            stages = [
+                p.attr("stage") for p in sub.nodes_by_op("partition") if p.attr("n") is not None
+            ]
+            assert len(stages) == (5 if padding != "revealed" else 2 * (step == 0))
+            for stage in stages:
+                assert join_stats.comparisons_by_phase[stage] == plan_sort_comparators(sub, stage)
 
 
 def test_aggregate_plans_are_byte_identical_across_data():

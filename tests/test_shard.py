@@ -526,28 +526,39 @@ def _phases(sizes, sort1):
 #: 2 x 3 x 860 160 + 245 760, 2 x 3 x 28 160 + 11 264 and 4 x 3 x 372 736 +
 #: 475 136 comparators, where the parent commit (642a1cd) recorded one
 #: masked-swap sort per block — augment_sort1 equal to augment_sort2,
-#: 1 966 080 / 67 584 / 1 966 080.  Every other phase is the parent's.
+#: 1 966 080 / 67 584 / 1 966 080.  Every other phase is the parent's.  The
+#: digests are of plan format 9.
 BENCHMARK_SHAPES = {
     "join_sharded_pool": (
         {"shards": 2}, _phases(_SORT_16K, 5406720),
-        "107f180c6f3defec056d1c02f0dd85212215cbbdc5d2c648d9e9136838d90320", None,
+        "97b53e399cb91bec206881e13ae771cc85c58e2dac964b77426024c165d5ec04", None,
     ),
     "join_sharded_bounded": (
         {"shards": 2, "target_m": 1024}, _phases(_SORT_512, 180224),
-        "638297776b7f3a4a999a3af506633ff0f0201134c29e071318c6643841cdf861", None,
+        "f9886b598b4702cee823b856b422b006102b725ab87933e7e5b49a7ff1de548a", None,
     ),
     "store_paged_join": (
         {"shards": 4}, _phases(_SORT_16K, 4947968),
-        "4ee813f12f59416a88fc00d50fb9542d1506b40243c87471d92b86e6dea532f4", 4096,
+        "eb9407218bc2eee5152278599edb37162487a589dfc66c9e9484539f6aad16d5", 4096,
     ),
 }
 
-#: The same plans' digests at the parent commit (642a1cd, plan format 7):
-#: what the bytes hash to with every ``shard_sort`` node's ``passes`` removed.
+#: The same plans' digests at earlier commits: at 1dc4b94 (plan format 8),
+#: the bytes with only the format tag set back; at 642a1cd (format 7), with
+#: every ``shard_sort`` node's ``passes`` removed as well.
 PARENT_PLAN_DIGESTS = {
-    "join_sharded_pool": "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161",
-    "join_sharded_bounded": "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f",
-    "store_paged_join": "15558eb3fd47055d4a25ae67dcc4300d4fc6efe8c4b607eabaeb3245ed0d71b3",
+    "join_sharded_pool": (
+        "107f180c6f3defec056d1c02f0dd85212215cbbdc5d2c648d9e9136838d90320",
+        "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161",
+    ),
+    "join_sharded_bounded": (
+        "638297776b7f3a4a999a3af506633ff0f0201134c29e071318c6643841cdf861",
+        "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f",
+    ),
+    "store_paged_join": (
+        "4ee813f12f59416a88fc00d50fb9542d1506b40243c87471d92b86e6dea532f4",
+        "15558eb3fd47055d4a25ae67dcc4300d4fc6efe8c4b607eabaeb3245ed0d71b3",
+    ),
 }
 
 

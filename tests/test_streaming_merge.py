@@ -51,20 +51,20 @@ def _random_runs(rng, count, max_len=7):
 
 
 def test_schedule_pairs_in_order_and_carries_odd_tails():
-    nodes = tournament_schedule(5, [3, 1, 4, 1, 5], truncate=4)
+    nodes = tournament_schedule(5, [3, 1, 4, 1, 5])
     # Round 1: (0,1), (2,3), carry 4; round 2: pair + carry; round 3: root.
     assert [(n.round, n.slot, n.left, n.right) for n in nodes] == [
         (1, 0, 0, 1), (1, 1, 2, 3), (1, 2, 4, None),
         (2, 0, 0, 1), (2, 1, 2, None),
         (3, 0, 0, 1),
     ]
-    # Lengths truncate on the way in and after every merge.
-    assert [n.rows for n in nodes] == [4, 4, 4, 4, 4, 4]
+    # A merge's output is its two runs; a carry passes its run on.
+    assert [n.rows for n in nodes] == [4, 5, 5, 9, 5, 14]
     assert nodes[0].left_rows == 3 and nodes[0].right_rows == 1
-    assert nodes[2].is_carry and nodes[2].left_rows == 4
+    assert nodes[2].is_carry and nodes[2].left_rows == 5
 
 
-def test_schedule_is_pure_in_count_lengths_and_truncate():
+def test_schedule_is_pure_in_count_and_lengths():
     assert tournament_schedule(6, [2] * 6) == tournament_schedule(6, [2] * 6)
     assert tournament_schedule(6) != tournament_schedule(7)
     assert tournament_schedule(0) == () and tournament_schedule(1, [9]) == ()
@@ -86,18 +86,15 @@ def test_schedule_is_pure_in_count_lengths_and_truncate():
         pytest.param(PoolExecutor(workers=2), id="pool"),
     ],
 )
-@pytest.mark.parametrize("truncate", [None, 3])
-def test_streaming_matches_barrier_bit_for_bit(executor, truncate):
+def test_streaming_matches_barrier_bit_for_bit(executor):
     rng = random.Random(17)
     for trial in range(12):
         runs = _random_runs(rng, rng.randrange(0, 8))
         reference_counter = [0]
-        reference = oblivious_merge_runs(
-            runs, KEYS, counter=reference_counter, truncate=truncate
-        )
+        reference = oblivious_merge_runs(runs, KEYS, counter=reference_counter)
         counter = [0]
         tournament = StreamingTournament(
-            len(runs), KEYS, executor=executor, counter=counter, truncate=truncate
+            len(runs), KEYS, executor=executor, counter=counter
         )
         order = list(range(len(runs)))
         rng.shuffle(order)
@@ -110,9 +107,7 @@ def test_streaming_matches_barrier_bit_for_bit(executor, truncate):
         # The worker-side tournament executes the same comparator total as
         # the single-process path, and both equal the pure schedule count.
         assert counter[0] == reference_counter[0]
-        assert counter[0] == merge_comparator_count(
-            [len(run["a"]) for run in runs], truncate=truncate
-        )
+        assert counter[0] == merge_comparator_count([len(run["a"]) for run in runs])
 
 
 #: Every shuffle seed this module uses elsewhere.
