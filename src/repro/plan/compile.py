@@ -38,7 +38,8 @@ from ..core.padding import cascade_bounds, check_padding, join_bound
 from ..errors import InputError
 from ..vector.join import align_keys, augment_keys, expand_keys
 from ..vector.join_tree import prefix_keys, stab_keys
-from ..vector.sort import Key, index_bits
+from ..vector.relational import order_keys
+from ..vector.sort import Key
 from .ir import Plan, PlanBuilder, tournament_schedule
 from .partition import block_count, check_shards, partition_plan, word_passes
 
@@ -344,14 +345,13 @@ def inline_order_plan(engine: str, n: int) -> Plan:
 
 
 def sharded_order_plan(n: int, k: int, columns: int = 1) -> Plan:
-    """:func:`inline_order_plan` with its sort expanded into a sharded one:
-    ``columns`` int64 sort keys, then the position at its public width
-    (:func:`repro.vector.relational.order_columns`)."""
+    """:func:`inline_order_plan` with its sort expanded into a sharded one by
+    :func:`~repro.vector.relational.order_keys` (their directions do not
+    change the plan)."""
     check_shards(k)
     builder = PlanBuilder("order_by", "sharded", n=n, k=k, columns=columns)
     rows = builder.add("input", side="keys", rows=n)
-    keys = [("k", True)] * columns + [("pos", True, index_bits(n))]
-    _add_sharded_sort(builder, (rows,), n, k, "order", keys)
+    _add_sharded_sort(builder, (rows,), n, k, "order", order_keys([True] * columns, n))
     return builder.build()
 
 

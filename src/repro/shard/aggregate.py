@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.aggregate import GroupAggregate
-from ..core.padding import ANCHOR_KEY, check_anchor_headroom
+from ..core.padding import ANCHOR_KEY
 from ..errors import InputError
 from ..plan.compile import sharded_aggregate_plan
 from ..plan.executors import Executor, completion_stream, resolve_executor
@@ -104,9 +104,9 @@ def _pad_partials(
 ) -> dict[str, np.ndarray]:
     """Pad a shard's partial table to its public bound with neutral rows.
 
-    Dummy partials carry the anchor key (sorts after every real key), zero
-    counts/sums, and min/max identity elements, so the combine's segmented
-    reduction and presence filter eliminate them without a dedicated path.
+    Dummy partials carry the anchor key, zero counts/sums and min/max
+    identities: the combine's reduction absorbs them into a real key's
+    segment and its presence filter drops a dummy-only one — no key reserved.
     """
     extra = pad_to - len(partials["j"])
     neutral = {
@@ -238,12 +238,6 @@ def _run_sharded_aggregation(
     _overflow_guard(
         [part.d[: part.real] for part in left_parts + right_parts], n1 + n2
     )
-    if padded:
-        check_anchor_headroom(
-            int(part.j[: part.real].max())
-            for part in left_parts + right_parts
-            if part.real
-        )
     stats.partition = (partition_plan(n1, shards), partition_plan(n2, shards))
     # Per-shard input sizes and padded partial-table bounds come from the
     # compiled plan (pure f(n1, n2, k)); the data only fills the slots.

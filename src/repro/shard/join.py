@@ -40,7 +40,7 @@ from .sort import sharded_sort
 
 #: Sort keys of the deleted output tournament.  Nothing in ``src`` reads
 #: this; the frozen ``benchmarks/e2e/layers.py`` imports it for its merge
-#: probe.  Retire with ROADMAP item 8.
+#: probe.  Retire with ROADMAP item 1(b).
 MERGE_KEYS = [("j", True), ("d1", True), ("d2", True)]
 
 
@@ -52,7 +52,7 @@ class ShardedJoinStats(VectorJoinStats):
     plan: Plan | None = None
     #: Always empty — there are no per-task output sizes any more.  Kept
     #: only because the frozen ``benchmarks/e2e/layers.py`` iterates it.
-    #: Retire with ROADMAP item 8.
+    #: Retire with ROADMAP item 1(b).
     task_m: list[int] = field(default_factory=list)
 
     @property

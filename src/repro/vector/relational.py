@@ -50,6 +50,12 @@ def vector_filter_indices(mask: Sequence[bool]) -> list[int]:
     return columns["pos"][:count].tolist()
 
 
+def order_keys(ascending: Sequence[bool], n: int) -> list[Key]:
+    """A stable order-by's keys: columns ``k0, k1, …`` in their directions,
+    then the position at its public width (ignored by this module)."""
+    return [(f"k{i}", up) for i, up in enumerate(ascending)] + [("pos", True, index_bits(n))]
+
+
 def order_columns(
     columns: Sequence[tuple[Sequence[int], bool]], n: int
 ) -> tuple[dict[str, np.ndarray], list[Key]]:
@@ -59,19 +65,15 @@ def order_columns(
     int64 (e.g. string columns) — callers fall back to the traced path.
     """
     work: dict[str, np.ndarray] = {}
-    keys: list[Key] = []
-    for index, (values, ascending) in enumerate(columns):
-        name = f"k{index}"
+    for index, (values, _) in enumerate(columns):
         try:
-            work[name] = np.asarray(values, dtype=_INT)
+            work[f"k{index}"] = np.asarray(values, dtype=_INT)
         except (ValueError, TypeError, OverflowError) as exc:
             raise InputError(
                 "vector order_by requires int64-encodable sort columns"
             ) from exc
-        keys.append((name, ascending))
     work["pos"] = np.arange(n, dtype=_INT)
-    keys.append(("pos", True, index_bits(n)))  # a public width: ignored here
-    return work, keys
+    return work, order_keys([ascending for _, ascending in columns], n)
 
 
 def vector_order_permutation(

@@ -12,8 +12,8 @@ output against the traced engine row for row.
 
 One table shape has its own kernel: a single int64 column sorted ascending by
 itself carries no payload, so a compare-exchange is ``minimum`` / ``maximum``
-over two strided views (:func:`sort_words`) — same stages and counts, a write
-set that does not depend on the data.  :mod:`repro.shard.sort` packs into it.
+over two views (:func:`sort_words`) — same stages and counts, a write set
+that does not depend on the data.  :mod:`repro.shard.sort` packs into it.
 """
 
 from __future__ import annotations
@@ -56,20 +56,63 @@ def exchange(lo: np.ndarray, hi: np.ndarray) -> None:
     lo[...] = smaller
 
 
+def transpose(src: np.ndarray, dst: np.ndarray) -> None:
+    """Copy one layout of a word buffer into the other."""
+    dst[...] = src
+
+
+def _view(array: np.ndarray, *shape: int) -> np.ndarray:
+    view = array.view()
+    view.shape = shape  # raises where reshape would copy: never sort a temporary
+    return view
+
+
 def sort_words(words: np.ndarray, k: int = 2) -> None:
     """Phases ``k, 2k, … n`` of :func:`stage_pairs`' network over a power-of-two
-    buffer, in place; ``k = len(words)`` is the bitonic merger alone."""
+    buffer, in place; ``k = len(words)`` is the bitonic merger alone.
+
+    Stages with partners ``j >= b`` slots apart exchange views of the buffer;
+    shorter ones run on its transpose ``rows`` (slot ``c·b + r`` at ``rows[r,
+    c]``), partners whole rows, the phase's descending blocks complemented
+    around them.  Every view and copy is a fixed function of ``(n, k)``.
+    """
     n = len(words)
+    b = min(n, 128)  # the sweep is in docs/architecture.md, "One word per row"
+    natural = _view(words, n // b, b).T
+    rows = np.empty((b, n // b), dtype=words.dtype)
+    if k <= b:  # phases of short stages only: transposed once, in and out
+        transpose(natural, rows)
+        while k <= b:
+            # Slot c·b + r descends if r & k (k < b) or c is odd (k = b < n).
+            descending = _view(rows, -1, min(2, n // k), k * n // b if k < b else 1)[:, 1:]
+            np.invert(descending, out=descending)  # ~ reverses int64 order
+            _short_stages(rows, k // 2)
+            np.invert(descending, out=descending)
+            k *= 2
+        transpose(rows, natural)
     while k <= n:
         j = k // 2
-        while j >= 1:
-            # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]);
-            # the last phase is one ascending block, its [:, 1:] empty.
-            view = words.reshape(-1, min(2, n // k), k // (2 * j), 2, j)
+        while j >= b:
+            # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]).
+            view = _view(words, -1, min(2, n // k), k // (2 * j), 2, j)
             exchange(view[:, 0, :, 0], view[:, 0, :, 1])
             exchange(view[:, 1:, :, 1], view[:, 1:, :, 0])
             j //= 2
+        descending = _view(words, -1, min(2, n // k), k)[:, 1:]
+        np.invert(descending, out=descending)
+        transpose(natural, rows)
+        _short_stages(rows, j)
+        transpose(rows, natural)
+        np.invert(descending, out=descending)
         k *= 2
+
+
+def _short_stages(rows: np.ndarray, j: int) -> None:
+    """Stages ``j, j/2, … 1`` on the transposed buffer, all ascending."""
+    while j >= 1:
+        pairs = _view(rows, -1, 2, j * rows.shape[1])
+        exchange(pairs[:, 0], pairs[:, 1])
+        j //= 2
 
 
 def stage_pairs(n: int):

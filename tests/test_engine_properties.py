@@ -301,6 +301,8 @@ def test_padded_join_prefix_matches_unpadded(configuration, left, right):
 @given(left=table(max_rows=10), right=table(max_rows=10))
 @settings(max_examples=10, deadline=None)
 @example(left=[(0, 0), (1, 1)], right=[(0, 2), (1, 3)])
+@example(left=[(2**62, 1), (0, 2)], right=[(2**62, 3), (2**62 + 1, 4)])  # the join's anchor
+@example(left=[(2**63 - 1, 1), (0, 4)], right=[(2**63 - 1, 5)])  # int64 max
 def test_padding_configured_engines_aggregate_identically(
     configuration, left, right
 ):

@@ -362,6 +362,31 @@ def test_negative_payloads_are_refused_under_padding_like_vector(padding, name):
     assert str(refusal.value) == str(vector_refusal.value)
 
 
+#: Keys at and above the join's reserved ANCHOR_KEY, around it, and below.
+RESERVED_KEYS = [(I64_MAX, 1), (ANCHOR_KEY, 2), (0, 4), (ANCHOR_KEY + 1, 3), (I64_MAX, 6)]
+
+
+@pytest.mark.parametrize(
+    "engine,executor",
+    [("traced", None), ("vector", None)] + [("sharded", name) for name in EXECUTORS],
+)
+@pytest.mark.parametrize("padding", ["bounded", "worst_case"])
+def test_padded_aggregation_keeps_the_keys_a_padded_join_reserves(
+    padding, engine, executor, shm_leak_guard
+):
+    """Padded aggregation's dummies are neutral partials, not reserved keys:
+    every engine answers a key at ``2^62`` or int64 max like ``vector``."""
+    options = {"padding": padding, "bound": 64} if padding == "bounded" else {"padding": padding}
+    if executor is not None:
+        options.update(shards=2, workers=2, executor=executor)
+    padded = get_engine(engine, **options)
+    plain = get_engine("vector")
+    right = [(ANCHOR_KEY, 7), (I64_MAX, 8), (5, 9)]
+    assert padded.group_by(RESERVED_KEYS) == plain.group_by(RESERVED_KEYS)
+    assert padded.aggregate(RESERVED_KEYS, right) == plain.aggregate(RESERVED_KEYS, right)
+    assert [group.j for group in plain.group_by(RESERVED_KEYS)][-1] == I64_MAX
+
+
 class _Collected:
     """A completion that tells its probe when it has been collected."""
 

@@ -309,5 +309,5 @@ def test_over_bound_cells_defer_the_abort_to_the_parent(
 
 def test_merge_keys_are_the_documented_total_order():
     # A stub since the output tournament went: only the frozen
-    # benchmarks/e2e/layers.py reads it (ROADMAP item 8 retires both).
+    # benchmarks/e2e/layers.py reads it (ROADMAP item 1(b) retires both).
     assert MERGE_KEYS == [("j", True), ("d1", True), ("d2", True)]

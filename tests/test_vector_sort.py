@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from repro.errors import InputError
 from repro.obliv.bitonic import comparison_count, next_power_of_two
 from repro.obliv.network import is_valid_schedule
+from repro.shard.merge import bitonic_merge_two
+from repro.vector import sort as sort_module
 from repro.vector.sort import (
+    WORD_PAD,
     is_sorted_by,
     lexicographic_greater,
+    sort_words,
     stage_pairs,
     vector_bitonic_sort,
     word_column,
@@ -183,3 +187,110 @@ def test_widths_are_accepted_and_ignored():
 
 def test_empty_table_sorts_to_an_empty_table():
     assert vector_bitonic_sort({}, [("k", True)]) == {}
+
+
+# -- the one-word kernel's layouts: the same network as the strided text -----
+
+
+def _exchange(lo, hi):
+    smaller = np.minimum(lo, hi)
+    np.maximum(lo, hi, out=hi)
+    lo[...] = smaller
+
+
+def strided_sort_words(words, k=2):
+    """The one-word kernel before its short strides were transposed: every
+    stage two views of the natural buffer, inner runs ``j`` long."""
+    n = len(words)
+    while k <= n:
+        j = k // 2
+        while j >= 1:
+            view = words.reshape(-1, min(2, n // k), k // (2 * j), 2, j)
+            _exchange(view[:, 0, :, 0], view[:, 0, :, 1])
+            _exchange(view[:, 1:, :, 1], view[:, 1:, :, 0])
+            j //= 2
+        k *= 2
+
+
+def _word_inputs(n, rng):
+    """Arbitrary words, a few values with many ties, and ~40 % int64 limits
+    (``WORD_PAD`` and ``~WORD_PAD``, which the complement swaps)."""
+    limits = rng.choice([WORD_PAD, ~WORD_PAD], n)
+    return {
+        "random": rng.integers(~WORD_PAD, WORD_PAD, n, endpoint=True),
+        "ties": rng.integers(-2, 2, n, endpoint=True),
+        "limits": np.where(rng.random(n) < 0.4, limits, rng.integers(-9, 9, n)),
+    }
+
+
+@pytest.mark.parametrize("log_n", range(13))
+def test_transposed_kernel_runs_the_strided_network(log_n):
+    """Every starting phase, on unsorted input: partial networks agree only
+    if their comparators do, so this pins the network, not just the order."""
+    n = 2**log_n
+    rng = np.random.default_rng(log_n)
+    for k in [2**e for e in range(1, log_n + 1)] or [2]:
+        for flavour, words in _word_inputs(n, rng).items():
+            expected = words.copy()
+            strided_sort_words(expected, k)
+            got = words.copy()
+            sort_words(got, k)
+            assert np.array_equal(got, expected), (n, k, flavour)
+
+
+@pytest.mark.parametrize("la,lb", [(1, 3), (300, 257), (5000, 7000)])
+def test_one_word_merge_matches_the_masked_swap_merge(la, lb):
+    """A merge of two one-word runs is ``sort_words(words, k=padded)``; a
+    second, constant column forces the masked-swap half-cleaners."""
+    rng = np.random.default_rng(la)
+    a, b = (np.sort(rng.integers(-50, 50, size)) for size in (la, lb))
+    narrow, wide = [0], [0]
+    got = bitonic_merge_two({"w": a}, {"w": b}, [("w", True)], counter=narrow)
+    zeros = {"z": np.zeros(la, dtype=np.int64)}, {"z": np.zeros(lb, dtype=np.int64)}
+    reference = bitonic_merge_two(
+        {"w": a, **zeros[0]}, {"w": b, **zeros[1]}, [("w", True)], counter=wide
+    )
+    assert np.array_equal(got["w"], reference["w"])
+    assert np.array_equal(got["w"], np.sort(np.concatenate([a, b])))
+    assert narrow == wide
+
+
+def _access_log(monkeypatch, words, k):
+    """Every exchange and transpose of one ``sort_words`` call as
+    ``(name, [(buffer, shape, strides, byte offset)])`` — ``buffer`` says
+    whether the view is of the caller's words or of the kernel's own."""
+    log = []
+    start = words.ctypes.data
+
+    def where(view):
+        root = view if view.base is None else view.base
+        owner = "words" if root.ctypes.data == start else "rows"
+        return owner, view.shape, view.strides, view.ctypes.data - root.ctypes.data
+
+    for name in ("exchange", "transpose"):
+        original = getattr(sort_module, name)
+
+        def spy(*views, name=name, original=original):
+            log.append((name, [where(view) for view in views]))
+            original(*views)
+
+        monkeypatch.setattr(sort_module, name, spy)
+    sort_words(words, k)
+    monkeypatch.undo()
+    return log
+
+
+@pytest.mark.parametrize("n", [2, 64, 256, 1024, 4096])
+def test_access_schedule_is_a_function_of_n(monkeypatch, n):
+    """Two inputs of one size take the same views and transposes, at the
+    same offsets; and the stages are the network's."""
+    rng = np.random.default_rng(n)
+    log_n = n.bit_length() - 1
+    for k, stages in ((2, log_n * (log_n + 1) // 2), (n, log_n)):
+        first, second = (rng.integers(~WORD_PAD, WORD_PAD, n, endpoint=True) for _ in "ab")
+        log = _access_log(monkeypatch, first, k)
+        assert log == _access_log(monkeypatch, second, k), (n, k)
+        exchanges = [views[0][0] for name, views in log if name == "exchange"]
+        # A long stage is two exchanges on the words, a short one one on rows.
+        assert exchanges.count("words") / 2 + exchanges.count("rows") == stages
+        assert k == n or np.array_equal(first, np.sort(first))
