@@ -42,10 +42,9 @@ class PaddingOptionsMixin:
 
     Engines default to ``padding="revealed"``; a configured copy from
     ``get_engine(name, padding=..., bound=...)`` pads every join and
-    multiway cascade it runs (:mod:`repro.core.padding`).  Aggregation
-    obeys the flag where it leaks more than the output size (the sharded
-    engine's partial group counts); the traced/vector aggregations already
-    reveal only the final group count, so the flag changes nothing there.
+    multiway cascade it runs (:mod:`repro.core.padding`).  Aggregation,
+    GROUP BY and FILTER reveal only their output size on every engine, so
+    the flag changes nothing there.
     Backends extend ``OPTIONS`` with their own knobs (the sharded engine
     adds ``shards``/``workers``).
     """

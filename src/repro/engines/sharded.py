@@ -4,24 +4,24 @@ The first backend to carry a genuinely new *execution strategy* through the
 engine seam: every workload is split into equal, padded, position-based
 shards (:mod:`repro.shard.partition`), its public schedule is compiled into
 a plan up front (:mod:`repro.plan.compile`), and the tasks run on a
-pluggable executor (:mod:`repro.plan.executors`).  What is sharded under the
-join, the multiway cascade, the join tree and ORDER BY is the *sort*
-(:mod:`repro.shard.sort`): ``shards`` local bitonic sorts whose runs stream
-into a bitonic merge tournament (:mod:`repro.shard.merge`) as they finish,
-the merges themselves executor tasks.  Everything above the sort is the
-``vector`` engine's own code, called with ``sort=sharded_sort``, so outputs
-are bit-identical and the leakage is the ``vector`` engine's.
+pluggable executor (:mod:`repro.plan.executors`).  What is sharded is the
+*sort* (:mod:`repro.shard.sort`): ``shards`` local bitonic sorts whose runs
+stream into a bitonic merge tournament (:mod:`repro.shard.merge`) as they
+finish, the merges themselves executor tasks.  Everything above the sort —
+the join, the multiway cascade, the join tree, aggregation, GROUP BY,
+FILTER and ORDER BY — is the ``vector`` engine's own code, called with
+``sort=sharded_sort``, so outputs are bit-identical and the leakage is the
+``vector`` engine's plus the ``(n, k)``-determined block layout.
 
 Five knobs:
 
 ``shards``
-    How many positional blocks each sort (or, for aggregation, GROUP BY
-    and FILTER, each input) is split into — one task per block.  The join
-    does the single-process join's comparator work whatever ``shards`` is;
-    measured on a 2-core guest (nothing here has been run on more),
-    ``shards=2 workers=2`` takes about 0.4x the ``vector`` engine's time
-    at ``n1 = n2 = 16384``, more through the one-word sort kernel than the
-    second core.  Defaults to ``max(2, workers)`` so the tasks always
+    How many positional blocks each sort is split into — one task per
+    block.  The join does the single-process join's comparator work
+    whatever ``shards`` is; measured on a 2-core guest (nothing here has
+    been run on more), ``shards=2 workers=2`` takes about 0.4x the
+    ``vector`` engine's time at ``n1 = n2 = 16384``, more through the
+    one-word sort kernel than the second core.  Defaults to ``max(2, workers)`` so the tasks always
     saturate the pool.
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
@@ -37,13 +37,11 @@ Five knobs:
     Executors cannot change results or leakage, only wall-clock; the
     executor-parametrised differential suite pins the former.
 ``padding`` / ``bound``
-    Padded execution (:mod:`repro.core.padding`).  A padded join is the
-    ``vector`` engine's padded join and reveals what it reveals.  This
-    engine's extra reveals — aggregation's per-shard partial group counts
-    and FILTER's per-shard survivor counts — fold into the same padded
-    story: under ``"bounded"``/``"worst_case"`` every partial table and
-    survivor block ships at its public worst case, so the schedule
-    reveals only ``(n1, n2, k)`` and the bounds (``docs/leakage.md``).
+    Padded execution (:mod:`repro.core.padding`) of joins, cascades and
+    join trees: a padded join is the ``vector`` engine's padded join and
+    reveals what it reveals.  Aggregation, GROUP BY and FILTER reveal only
+    their output size in every mode, as in ``vector``, so ``padding`` does
+    not touch them (``docs/leakage.md``).
 
 Configured copies come from :func:`repro.engines.get_engine`::
 
@@ -66,12 +64,12 @@ from ..errors import InputError
 from ..memory.tracer import Tracer
 from ..plan.executors import check_workers, resolve_executor
 from ..plan.partition import check_shards
-from ..shard.aggregate import sharded_group_by, sharded_join_aggregate
 from ..shard.join import sharded_oblivious_join
-from ..shard.relational import sharded_filter_indices, sharded_order_permutation
 from ..shard.sort import sharded_sort
+from ..vector.aggregate import vector_group_by, vector_join_aggregate
 from ..vector.join_tree import vector_join_tree
 from ..vector.multiway import vector_multiway_join
+from ..vector.relational import vector_filter_indices, vector_order_permutation
 from .base import PaddingOptionsMixin, Pairs
 from .traced import traced_order_permutation
 
@@ -96,6 +94,8 @@ class ShardedEngine(PaddingOptionsMixin):
         # Resolve eagerly so an unknown name fails at configuration time.
         self.executor = resolve_executor(executor, workers=self.workers)
         self._init_padding(padding, bound)
+        # The sort every operator below hands the vector text.
+        self._sort = partial(sharded_sort, shards=self.shards, executor=self.executor)
 
     @property
     def shards(self) -> int:
@@ -144,11 +144,7 @@ class ShardedEngine(PaddingOptionsMixin):
     ) -> MultiwayResult:
         padding, bound = self._cascade_padding(padding, bound)
         return vector_multiway_join(
-            tables,
-            keys,
-            padding=padding,
-            bound=bound,
-            sort=partial(sharded_sort, shards=self.shards, executor=self.executor),
+            tables, keys, padding=padding, bound=bound, sort=self._sort
         )
 
     def join_tree(
@@ -161,52 +157,30 @@ class ShardedEngine(PaddingOptionsMixin):
     ) -> JoinTreeResult:
         padding, bound = self._cascade_padding(padding, bound)
         result, _stats = vector_join_tree(
-            tables,
-            edges,
-            padding=padding,
-            bound=bound,
-            sort=partial(sharded_sort, shards=self.shards, executor=self.executor),
+            tables, edges, padding=padding, bound=bound, sort=self._sort
         )
         return result
 
     def aggregate(
         self, left: Pairs, right: Pairs, tracer: Tracer | None = None
     ) -> list[GroupAggregate]:
-        return sharded_join_aggregate(
-            left,
-            right,
-            shards=self.shards,
-            padded=self.padding != "revealed",
-            executor=self.executor,
-        )
+        return vector_join_aggregate(left, right, sort=self._sort)
 
     def group_by(
         self, table: Pairs, tracer: Tracer | None = None
     ) -> list[GroupAggregate]:
-        return sharded_group_by(
-            table,
-            shards=self.shards,
-            padded=self.padding != "revealed",
-            executor=self.executor,
-        )
+        return vector_group_by(table, sort=self._sort)
 
     def filter_indices(
         self, mask: list[bool], tracer: Tracer | None = None
     ) -> list[int]:
-        return sharded_filter_indices(
-            mask,
-            shards=self.shards,
-            padded=self.padding != "revealed",
-            executor=self.executor,
-        )
+        return vector_filter_indices(mask, sort=self._sort)
 
     def order_permutation(
         self, columns: list[tuple[list, bool]], tracer: Tracer | None = None
     ) -> list[int]:
         n = len(columns[0][0]) if columns else 0
         try:
-            return sharded_order_permutation(
-                columns, n, shards=self.shards, executor=self.executor
-            )
+            return vector_order_permutation(columns, n, sort=self._sort)
         except InputError:
             return traced_order_permutation(columns, tracer=tracer)

@@ -10,9 +10,9 @@ agree by construction.
 
 Two levels of entry point:
 
-* the ``sharded_*_plan`` / ``inline_*_plan`` / ``*_tree_plan`` functions
-  take already resolved bounds (``target``/``bounds``/``pad`` arguments) —
-  these are what the shard drivers consume at run time;
+* the ``sharded_join_plan`` / ``inline_*_plan`` / ``*_tree_plan``
+  functions take already resolved bounds (``target``/``bounds`` arguments)
+  and, for the sharded engine, the shard count ``k``;
 * :func:`compile_workload` (and the per-workload ``compile_*`` wrappers)
   additionally resolve a ``padding`` mode + ``bound`` cap into bounds, and
   are what the engines' ``compile_plan`` method and the CLI ``plan``
@@ -36,9 +36,10 @@ from ..core.join_tree import (
 )
 from ..core.padding import cascade_bounds, check_padding, join_bound
 from ..errors import InputError
+from ..vector.aggregate import aggregate_keys
 from ..vector.join import align_keys, augment_keys, expand_keys
 from ..vector.join_tree import prefix_keys, stab_keys
-from ..vector.relational import order_keys
+from ..vector.relational import filter_keys, order_keys
 from ..vector.sort import Key
 from .ir import Plan, PlanBuilder, tournament_schedule
 from .partition import block_count, check_shards, partition_plan, word_passes
@@ -248,110 +249,65 @@ def sharded_join_plan(
     return builder.build()
 
 
-# -- aggregate / group-by ----------------------------------------------------
+# -- aggregate / group-by / filter / order-by ---------------------------------
 
 
-def inline_aggregate_plan(engine: str, workload: str, n1: int, n2: int) -> Plan:
-    """Single-shot aggregation: one sort + segmented reduce at ``n1 + n2``."""
-    builder = PlanBuilder(workload, engine, n1=n1, n2=n2)
+def _sorted_by(
+    builder: PlanBuilder, inputs, k: int | None, stage: str, n: int, keys, op: str = "sort"
+) -> int:
+    """``inputs`` through one sort of the ``vector`` text: an inline ``op``
+    node, or under ``k`` that sort sharded by its key list."""
+    if k is None:
+        return builder.add(op, inputs=inputs, rows=n)
+    return _add_sharded_sort(builder, inputs, n, k, stage, keys)
+
+
+def inline_aggregate_plan(
+    engine: str, workload: str, n1: int, n2: int, k: int | None = None
+) -> Plan:
+    """Aggregation at ``n1 + n2`` rows: sort, segmented reduce, and (under
+    ``k``) each of the text's two sorts sharded by
+    :func:`~repro.vector.aggregate.aggregate_keys` — stages
+    ``aggregate_sort`` / ``aggregate_compact``, or ``groupby_*``."""
+    shapes: dict = {"n1": n1, "n2": n2}
+    if k is not None:
+        shapes["k"] = check_shards(k)
+    builder = PlanBuilder(workload, engine, **shapes)
     left = builder.add("input", side="left", rows=n1)
     right = builder.add("input", side="right", rows=n2)
-    sort = builder.add("sort", inputs=(left, right), rows=n1 + n2)
-    builder.add("reduce", inputs=(sort,), rows=n1 + n2)
+    prefix = "groupby" if workload == "group_by" else "aggregate"
+    group_keys, compact_keys = aggregate_keys()
+    n = n1 + n2
+    sort = _sorted_by(builder, (left, right), k, f"{prefix}_sort", n, group_keys)
+    reduce = builder.add("reduce", inputs=(sort,), rows=n)
+    if k is not None:
+        _add_sharded_sort(builder, (reduce,), n, k, f"{prefix}_compact", compact_keys)
     return builder.build()
 
 
-def sharded_aggregate_plan(
-    workload: str, n1: int, n2: int, k: int, padded: bool
-) -> Plan:
-    """Per-shard partial aggregation + one combine, at public sizes.
-
-    ``padded`` pads every shard's partial table to its public worst case
-    (the block's row count), so the combine's input size — and with it the
-    whole schedule — is fixed by ``(n1, n2, k)``.  Unpadded, each partial
-    table ships at its revealed distinct-key count (``pad = None``).
-    """
-    check_shards(k)
-    builder = PlanBuilder(workload, "sharded", n1=n1, n2=n2, k=k, padded=padded)
-    cap1, counts1 = partition_plan(n1, k)
-    cap2, counts2 = partition_plan(n2, k)
-    left_part = builder.add(
-        "partition", side="left", n=n1, k=k, capacity=cap1, counts=counts1
-    )
-    right_part = builder.add(
-        "partition", side="right", n=n2, k=k, capacity=cap2, counts=counts2
-    )
-    tasks = []
-    for i in range(k):
-        rows = counts1[i] + counts2[i]
-        tasks.append(
-            builder.add(
-                "partial_aggregate",
-                inputs=(left_part, right_part),
-                shard=i,
-                rows=rows,
-                pad=rows if padded else None,
-            )
-        )
-    builder.add(
-        "combine",
-        inputs=tuple(tasks),
-        rows=n1 + n2 if padded else None,
-    )
-    return builder.build()
-
-
-# -- filter ------------------------------------------------------------------
-
-
-def inline_filter_plan(engine: str, n: int) -> Plan:
-    builder = PlanBuilder("filter", engine, n=n)
+def inline_filter_plan(engine: str, n: int, k: int | None = None) -> Plan:
+    """Order-preserving compaction of ``n`` mask cells; under ``k`` its sort
+    sharded by :func:`~repro.vector.relational.filter_keys`, stage
+    ``filter_compact``."""
+    shapes: dict = {"n": n}
+    if k is not None:
+        shapes["k"] = check_shards(k)
+    builder = PlanBuilder("filter", engine, **shapes)
     mask = builder.add("input", side="mask", rows=n)
-    builder.add("compact", inputs=(mask,), rows=n)
+    _sorted_by(builder, (mask,), k, "filter_compact", n, filter_keys(n), op="compact")
     return builder.build()
 
 
-def sharded_filter_plan(n: int, k: int, padded: bool) -> Plan:
-    """Per-block compaction; ``padded`` ships every survivor list at the
-    block capacity (tagged tail), hiding the per-shard survivor counts."""
-    check_shards(k)
-    builder = PlanBuilder("filter", "sharded", n=n, k=k, padded=padded)
-    capacity, counts = partition_plan(n, k)
-    part = builder.add(
-        "partition", side="mask", n=n, k=k, capacity=capacity, counts=counts
-    )
-    blocks = tuple(
-        builder.add(
-            "block_filter",
-            inputs=(part,),
-            shard=i,
-            rows=counts[i],
-            pad=capacity if padded else None,
-        )
-        for i in range(k)
-    )
-    builder.add("concat", inputs=blocks, rows=n if padded else None)
-    return builder.build()
-
-
-# -- order-by ----------------------------------------------------------------
-
-
-def inline_order_plan(engine: str, n: int) -> Plan:
-    builder = PlanBuilder("order_by", engine, n=n)
-    rows = builder.add("input", side="keys", rows=n)
-    builder.add("sort", inputs=(rows,), rows=n)
-    return builder.build()
-
-
-def sharded_order_plan(n: int, k: int, columns: int = 1) -> Plan:
-    """:func:`inline_order_plan` with its sort expanded into a sharded one by
+def inline_order_plan(engine: str, n: int, k: int | None = None, columns: int = 1) -> Plan:
+    """A stable sort of ``n`` rows; under ``k`` sharded by
     :func:`~repro.vector.relational.order_keys` (their directions do not
-    change the plan)."""
-    check_shards(k)
-    builder = PlanBuilder("order_by", "sharded", n=n, k=k, columns=columns)
+    change the plan), stage ``order``."""
+    shapes: dict = {"n": n}
+    if k is not None:
+        shapes.update(k=check_shards(k), columns=columns)
+    builder = PlanBuilder("order_by", engine, **shapes)
     rows = builder.add("input", side="keys", rows=n)
-    _add_sharded_sort(builder, (rows,), n, k, "order", order_keys([True] * columns, n))
+    _sorted_by(builder, (rows,), k, "order", n, order_keys([True] * columns, n))
     return builder.build()
 
 
@@ -633,6 +589,15 @@ def compile_multiway(
     return multiway_plan(list(sizes), engine, bounds=bounds, k=shards)
 
 
+def _plan_shards(engine: str, shards: int | None) -> int | None:
+    """The sharded engine's ``k`` (default 2), ``None`` for an inline one."""
+    if engine == "sharded":
+        return shards if shards is not None else 2
+    if engine not in _INLINE_ENGINES:
+        raise InputError(f"no plan compiler for engine {engine!r}")
+    return None
+
+
 def compile_aggregate(
     n1: int,
     n2: int,
@@ -642,14 +607,8 @@ def compile_aggregate(
     shards: int | None = None,
     padding: str | None = None,
 ) -> Plan:
-    padded = check_padding(padding) != "revealed"
-    if engine == "sharded":
-        return sharded_aggregate_plan(
-            workload, n1, n2, shards if shards is not None else 2, padded
-        )
-    if engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-    return inline_aggregate_plan(engine, workload, n1, n2)
+    check_padding(padding)
+    return inline_aggregate_plan(engine, workload, n1, n2, _plan_shards(engine, shards))
 
 
 def compile_filter(
@@ -659,22 +618,14 @@ def compile_filter(
     shards: int | None = None,
     padding: str | None = None,
 ) -> Plan:
-    padded = check_padding(padding) != "revealed"
-    if engine == "sharded":
-        return sharded_filter_plan(n, shards if shards is not None else 2, padded)
-    if engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-    return inline_filter_plan(engine, n)
+    check_padding(padding)
+    return inline_filter_plan(engine, n, _plan_shards(engine, shards))
 
 
 def compile_order_by(
     n: int, engine: str = "vector", *, shards: int | None = None, columns: int = 1
 ) -> Plan:
-    if engine == "sharded":
-        return sharded_order_plan(n, shards if shards is not None else 2, columns)
-    if engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-    return inline_order_plan(engine, n)
+    return inline_order_plan(engine, n, _plan_shards(engine, shards), columns)
 
 
 # -- pipeline DAGs -----------------------------------------------------------
@@ -777,15 +728,11 @@ def compile_pipeline(
         )
         if name == "filter":
             if current is None:
-                sub = _deferred_stage_plan(
-                    "filter", engine, "block_filter_deferred", n=None, k=k
-                )
-            elif engine == "sharded":
-                sub = sharded_filter_plan(current, k, padded)
+                sub = _deferred_stage_plan("filter", engine, "filter_deferred", n=None, k=k)
             else:
-                sub = inline_filter_plan(engine, current)
-            # A padded filter's output occupies its full input bound; a
-            # revealed filter's survivor count is a run-time leak.
+                sub = inline_filter_plan(engine, current, k)
+            # Under padding the next stage is planned at the filter's input
+            # bound; a revealed filter's survivor count is a run-time leak.
             current = current if padded else None
         elif name == "join":
             n2 = int(params["n2"])
@@ -817,23 +764,17 @@ def compile_pipeline(
                 current = bounds[-1] if bounds else None
         elif name == "group_by":
             if current is None:
-                sub = _deferred_stage_plan(
-                    "group_by", engine, "partial_aggregate_deferred", n=None, k=k
-                )
-            elif engine == "sharded":
-                sub = sharded_aggregate_plan("group_by", current, 0, k, padded)
+                sub = _deferred_stage_plan("group_by", engine, "group_by_deferred", n=None, k=k)
             else:
-                sub = inline_aggregate_plan(engine, "group_by", current, 0)
+                sub = inline_aggregate_plan(engine, "group_by", current, 0, k)
             current = None  # group count is always revealed on output
         else:  # order_by
             if current is None:
                 sub = _deferred_stage_plan(
                     "order_by", engine, "shard_sort_deferred", n=None, k=k
                 )
-            elif engine == "sharded":
-                sub = sharded_order_plan(current, k, int(params.get("columns", 1)))
             else:
-                sub = inline_order_plan(engine, current)
+                sub = inline_order_plan(engine, current, k, int(params.get("columns", 1)))
         embedded = builder.embed(sub, stage=stage_index)
         prev = embedded[-1]
     builder.add("output", inputs=(prev,), rows=current)

@@ -62,7 +62,13 @@ from ..errors import InputError
 #: catalogues, slot windows, whole-space expand, ``merge`` and ``gather``:
 #: a sharded join-tree plan is the inline one with every sort expanded to
 #: ``partition`` -> ``shard_sort`` x k -> ``merge_pair`` nodes.
-PLAN_FORMAT = 9
+#: Format 10 removes the sharded aggregate's and filter's own ops
+#: (``partial_aggregate``, ``block_filter``, ``combine``, ``concat``): their
+#: plans are the inline ones with every sort expanded the same way, stages
+#: ``aggregate_sort`` / ``aggregate_compact`` (``groupby_*``) and
+#: ``filter_compact``; the pipeline's deferred stand-ins become
+#: ``filter_deferred`` and ``group_by_deferred``.
+PLAN_FORMAT = 10
 
 
 def _freeze(value, context: str):

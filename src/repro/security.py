@@ -176,10 +176,11 @@ KNOWN_PROFILES: dict[str, ProgramProfile] = {
 #: also defines each symbol).  Symbols: ``n1``/``n2``/``n_i`` input sizes,
 #: ``m`` join output size, ``step_sizes`` multiway intermediate sizes,
 #: ``bound``/``bounds`` the public padding bounds, ``k`` shard count,
-#: ``partition_plan`` the (n, k)-determined shard layout,
-#: ``partial_group_counts`` per-shard distinct-key counts, ``filter_block_counts`` the sharded FILTER's per-shard survivor
-#: counts, ``g`` the final group count, ``m_final`` the compacted final
-#: output size (always revealed — the paper's model accepts it).
+#: ``partition_plan`` the (n, k)-determined shard layout, ``g`` the final
+#: group count, ``m_final`` the compacted final output size (always
+#: revealed — the paper's model accepts it).  Every sharded operator is the
+#: ``vector`` text over the sharded sort, so a sharded profile is the
+#: ``vector`` one plus ``k``, ``partition_plan`` and the store's layout.
 #: ``m_final`` and ``g`` (final output / group count after compaction) are
 #: revealed in *every* mode — the paper's model accepts that — so every
 #: profile lists them.  Store-backed (out-of-core) inputs add
@@ -205,7 +206,6 @@ LEAKAGE_PROFILES: dict[tuple[str, str], tuple[str, ...]] = {
     ("vector", "worst_case"): ("n1", "n2", "tree", "m_final", "g"),
     ("sharded", "revealed"): (
         "n1", "n2", "k", "partition_plan", "m", "step_sizes",
-        "partial_group_counts", "filter_block_counts",
         "tree", "block_rows", "block_ids", "m_final", "g",
     ),
     ("sharded", "bounded"): (

@@ -19,6 +19,12 @@ deliberate reveal as in the traced engine.  Outputs are bit-identical to
 :func:`repro.core.aggregate.oblivious_join_aggregate` — same
 :class:`~repro.core.aggregate.GroupAggregate` values in the same
 (``j``-ascending) order — which the differential tests assert.
+
+Both sorts are a parameter, by the key lists of :func:`aggregate_keys`: the
+``sharded`` engine runs this text with :func:`repro.shard.sort.sharded_sort`,
+whose order among rows tied on ``(j, tid)`` may differ — harmless, since a
+group's accumulators do not depend on its rows' order and the compaction's
+surviving keys are distinct.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from ..core.aggregate import GroupAggregate
 from ..errors import InputError
 from .join import _as_columns, _group_ids
-from .sort import vector_bitonic_sort
+from .sort import Key, vector_bitonic_sort
 
 _INT = np.int64
 _INT_MAX = np.iinfo(np.int64).max
@@ -61,10 +67,17 @@ class VectorAggregateStats:
         return tuple(sorted(self.comparisons_by_phase.items()))
 
 
-def _timed_sort(columns, keys, phase, stats):
+def aggregate_keys() -> tuple[list[Key], list[Key]]:
+    """The two sorts' keys: rows by ``(j, tid)``, then the compaction's
+    surviving boundary cells first, by ``j``.  ``tid`` is 1 or 2, the null
+    flag 0 or 1; ``j`` is any int64, so it carries no width."""
+    return [("j", True), ("tid", True, 2)], [("null", True, 1), ("j", True)]
+
+
+def _timed_sort(columns, keys, phase, stats, sort):
     start = time.perf_counter()
     counter = [0]
-    columns = vector_bitonic_sort(columns, keys, counter=counter)
+    columns = sort(columns, keys, counter=counter)
     stats.seconds_by_phase[phase] = time.perf_counter() - start
     stats.comparisons_by_phase[phase] = counter[0]
     return columns
@@ -84,7 +97,7 @@ def _segment_accumulators(j, d, member):
     return count, total, minimum, maximum
 
 
-def _aggregate_columns(combined, keep_if, sort_phase, compact_phase, stats):
+def _aggregate_columns(combined, keep_if, sort_phase, compact_phase, stats, sort):
     """Shared sort → segment-reduce → scatter → compact pipeline.
 
     ``keep_if(c1, c2)`` decides (per group) which boundary cells survive
@@ -101,9 +114,8 @@ def _aggregate_columns(combined, keep_if, sort_phase, compact_phase, stats):
             f"data values exceed the vector engine's overflow-safe range "
             f"(|d| <= {limit} at n = {n}); use the traced engine"
         )
-    combined = _timed_sort(
-        combined, [("j", True), ("tid", True)], sort_phase, stats
-    )
+    group_keys, compact_keys = aggregate_keys()
+    combined = _timed_sort(combined, group_keys, sort_phase, stats, sort)
 
     start = time.perf_counter()
     j, d, tid = combined["j"], combined["d"], combined["tid"]
@@ -126,7 +138,7 @@ def _aggregate_columns(combined, keep_if, sort_phase, compact_phase, stats):
     }
     stats.seconds_by_phase["scan"] = time.perf_counter() - start
 
-    cells = _timed_sort(cells, [("null", True), ("j", True)], compact_phase, stats)
+    cells = _timed_sort(cells, compact_keys, compact_phase, stats, sort)
     groups = int(n - null.sum())
     stats.groups = groups
     return cells, groups
@@ -155,6 +167,7 @@ def vector_join_aggregate(
     left,
     right,
     stats: VectorAggregateStats | None = None,
+    sort=vector_bitonic_sort,
 ) -> list[GroupAggregate]:
     """Aggregate ``T1 ⋈ T2`` per join value without materialising the join.
 
@@ -162,7 +175,8 @@ def vector_join_aggregate(
     :func:`repro.core.aggregate.oblivious_join_aggregate`: one
     :class:`~repro.core.aggregate.GroupAggregate` per join value present in
     *both* tables, ordered by join value, in `O(n log^2 n)` independent of
-    the would-be join size ``m``.
+    the would-be join size ``m``.  ``sort`` runs both sorts (the sharded
+    engine passes :func:`repro.shard.sort.sharded_sort`).
     """
     stats = stats if stats is not None else VectorAggregateStats()
     left_cols = _as_columns(left, tid=1)
@@ -179,6 +193,7 @@ def vector_join_aggregate(
         sort_phase="aggregate_sort",
         compact_phase="aggregate_compact",
         stats=stats,
+        sort=sort,
     )
     return _emit(cells, groups, left_only=False)
 
@@ -186,12 +201,13 @@ def vector_join_aggregate(
 def vector_group_by(
     table,
     stats: VectorAggregateStats | None = None,
+    sort=vector_bitonic_sort,
 ) -> list[GroupAggregate]:
     """Single-table oblivious GROUP BY — vectorised counterpart of
     :func:`repro.core.aggregate.oblivious_group_by` (count/sum/min/max per
     join value, every group emitted)."""
     stats = stats if stats is not None else VectorAggregateStats()
-    columns = _as_columns(table, tid=1)
+    columns = _as_columns(table, tid=1, side="group-by")
     if len(columns["j"]) == 0:
         return []
     cells, groups = _aggregate_columns(
@@ -200,5 +216,6 @@ def vector_group_by(
         sort_phase="groupby_sort",
         compact_phase="groupby_compact",
         stats=stats,
+        sort=sort,
     )
     return _emit(cells, groups, left_only=True)

@@ -51,8 +51,28 @@ class VectorJoinStats:
         return sum(self.comparisons_by_phase.values())
 
 
-def _as_columns(pairs, tid: int) -> dict[str, np.ndarray]:
-    array = np.asarray(pairs, dtype=_INT)
+def int64_cells(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; anything else is an
+    :class:`~repro.errors.InputError` naming ``what``.
+
+    A float, string or out-of-range cell is refused, never cast (``1.5``
+    would truncate onto ``1``); an empty input is accepted whatever dtype
+    numpy infers for it.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise InputError(f"{what} has rows of different lengths") from None
+    if array.size and array.dtype.kind == "u" and array.max() > np.iinfo(_INT).max:
+        raise InputError(f"{what} holds a value outside int64")
+    if array.size and array.dtype.kind not in "biu":
+        raise InputError(f"{what} holds a value that is not an int64 int ({array.dtype} cells)")
+    return array.astype(_INT, copy=False)
+
+
+def _as_columns(pairs, tid: int, side: str | None = None) -> dict[str, np.ndarray]:
+    """A ``(j, d)`` table as int64 columns; ``side`` names it in errors."""
+    array = int64_cells(pairs, f"{side or ('left' if tid == 1 else 'right')} input")
     if array.size == 0:
         array = array.reshape(0, 2)
     if array.ndim != 2 or array.shape[1] != 2:

@@ -33,6 +33,7 @@ from ..core.join_tree import (
 )
 from ..core.padding import DUMMY_HANDLE, check_padding, exceeds_bound
 from ..errors import InputError
+from .join import int64_cells
 from .sort import Key, index_bits, vector_bitonic_sort
 
 _INT = np.int64
@@ -71,10 +72,7 @@ class VectorJoinTreeStats:
 
 
 def _table_array(table, width: int, index: int) -> np.ndarray:
-    try:
-        array = np.asarray(table, dtype=_INT)
-    except OverflowError:
-        raise InputError(f"join-tree table {index} holds a value outside int64") from None
+    array = int64_cells(table, f"join-tree table {index}")
     if array.size == 0:
         array = array.reshape(0, width)
     if array.ndim != 2:

@@ -20,7 +20,10 @@ primitives, both expressible as one bitonic sort on
     with duplicate sort keys.
 
 Both schedules depend only on the input length (and the revealed survivor
-count), matching the vector engine's leakage profile.
+count), matching the vector engine's leakage profile.  The sort is a
+parameter, by :func:`filter_keys` / :func:`order_keys`: the ``sharded``
+engine runs this text over :func:`repro.shard.sort.sharded_sort`.  Both key
+lists end in the unique position, so every sort lands on the same order.
 """
 
 from __future__ import annotations
@@ -29,13 +32,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import InputError
+from .join import int64_cells
 from .sort import Key, index_bits, vector_bitonic_sort
 
 _INT = np.int64
 
 
-def vector_filter_indices(mask: Sequence[bool]) -> list[int]:
+def filter_keys(n: int) -> list[Key]:
+    """The compaction's keys: survivors first, then by position."""
+    return [("null", True, 1), ("pos", True, index_bits(n))]
+
+
+def vector_filter_indices(mask: Sequence[bool], sort=vector_bitonic_sort) -> list[int]:
     """Indices of the true cells of ``mask``, in order, via bitonic compaction."""
     flags = np.asarray(mask, dtype=bool)
     n = len(flags)
@@ -45,14 +53,14 @@ def vector_filter_indices(mask: Sequence[bool]) -> list[int]:
         "null": (~flags).astype(_INT),
         "pos": np.arange(n, dtype=_INT),
     }
-    columns = vector_bitonic_sort(columns, [("null", True), ("pos", True)])
+    columns = sort(columns, filter_keys(n))
     count = int(flags.sum())
     return columns["pos"][:count].tolist()
 
 
 def order_keys(ascending: Sequence[bool], n: int) -> list[Key]:
     """A stable order-by's keys: columns ``k0, k1, …`` in their directions,
-    then the position at its public width (ignored by this module)."""
+    then the position at its public width."""
     return [(f"k{i}", up) for i, up in enumerate(ascending)] + [("pos", True, index_bits(n))]
 
 
@@ -61,23 +69,20 @@ def order_columns(
 ) -> tuple[dict[str, np.ndarray], list[Key]]:
     """Build the struct-of-arrays table + keys of a stable order-by sort.
 
-    Raises :class:`~repro.errors.InputError` when a key column does not fit
-    int64 (e.g. string columns) — callers fall back to the traced path.
+    Raises :class:`~repro.errors.InputError` when a key column is not int64
+    ints (e.g. string or float columns) — callers fall back to the traced
+    path.
     """
-    work: dict[str, np.ndarray] = {}
-    for index, (values, _) in enumerate(columns):
-        try:
-            work[f"k{index}"] = np.asarray(values, dtype=_INT)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise InputError(
-                "vector order_by requires int64-encodable sort columns"
-            ) from exc
+    work = {
+        f"k{index}": int64_cells(values, f"order_by column {index}")
+        for index, (values, _) in enumerate(columns)
+    }
     work["pos"] = np.arange(n, dtype=_INT)
     return work, order_keys([ascending for _, ascending in columns], n)
 
 
 def vector_order_permutation(
-    columns: Sequence[tuple[Sequence[int], bool]], n: int
+    columns: Sequence[tuple[Sequence[int], bool]], n: int, sort=vector_bitonic_sort
 ) -> list[int]:
     """The stable sort permutation of ``n`` rows under the given key columns.
 
@@ -87,5 +92,4 @@ def vector_order_permutation(
     if n <= 1:
         return list(range(n))
     work, keys = order_columns(columns, n)
-    work = vector_bitonic_sort(work, keys)
-    return work["pos"].tolist()
+    return sort(work, keys)["pos"].tolist()

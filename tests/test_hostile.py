@@ -1,9 +1,10 @@
 """A hostile store: every tampered, moved, truncated or wrong-key block is a
 typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
 
-Store cases first; the last section is hostile *values*: through the
-sharded engine's packed sort, and join-tree bands at the int64 limits on
-every engine (ROADMAP item 7's other conditions are not here).
+Store cases first; the last sections are hostile *values*: through the
+sharded engine's packed sort, join-tree bands at the int64 limits on
+every engine, and cells that are not int64 ints, refused by the array
+engines (ROADMAP item 7's other conditions are not here).
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -491,3 +492,56 @@ def test_join_tree_bands_saturate_at_the_int64_limits(config, shm_leak_guard):
     if name != "traced":  # Python ints: the traced engine has no int64 limit
         with pytest.raises(InputError, match="table 1"):
             engine.join_tree([[(0, 1)], [(0, 2**63)]], [(0, 1, 0, 0)])
+
+
+#: Cells the array engines used to cast silently (``1.5`` onto key ``1``) or
+#: fail on with a raw numpy exception; every one is an ``InputError``.
+BAD_CELLS = {
+    "float-key": [(1.5, 1), (1, 2)],
+    "float-payload": [(1, 2.5)],
+    "above-int64": [(1, 2**63)],
+    "far-above-int64": [(1, 2**70)],
+    "string-key": [("a", 1)],
+    "ragged-row": [(1, 2), (3,)],
+}
+
+#: The engines with an int64 array path: every tree engine but ``traced``.
+ARRAY_ENGINES = TREE_ENGINES[1:]
+
+
+@pytest.mark.parametrize("operator", ["join", "aggregate", "group_by"])
+@pytest.mark.parametrize("config", ARRAY_ENGINES)
+def test_non_int64_cells_are_refused_naming_the_side(config, operator, shm_leak_guard):
+    options = dict(config)
+    engine = get_engine(options.pop("name"), **options)
+    good = [(1, 7), (2, 8)]
+    if operator == "group_by":
+        sides = {"group-by": engine.group_by}
+    else:
+        run = getattr(engine, operator)
+        sides = {
+            "left": lambda table: run(table, good),
+            "right": lambda table: run(good, table),
+        }
+    for side, call in sides.items():
+        for case, bad in BAD_CELLS.items():
+            with pytest.raises(InputError, match=f"^{side} input"):
+                call(bad)
+        # Empty inputs stay accepted, whatever dtype numpy infers for them.
+        result = call([])
+        assert not (result.pairs if operator == "join" else result), side
+
+
+@pytest.mark.parametrize("config", ARRAY_ENGINES)
+def test_float_cells_never_truncate_in_order_by_or_join_trees(config, shm_leak_guard):
+    """The same refusal guards ORDER BY, whose array engines then fall back
+    to the traced network (float keys order as floats, not as their
+    truncations), and join trees, which name the table (their keys were
+    checked already; a payload cell used to truncate)."""
+    options = dict(config)
+    engine = get_engine(options.pop("name"), **options)
+    columns = [([1.5, 1.2, 1.0, -0.5], True)]
+    assert engine.order_permutation(columns) == [3, 2, 1, 0]
+    assert engine.order_permutation(columns) == get_engine("traced").order_permutation(columns)
+    with pytest.raises(InputError, match="table 1"):
+        engine.join_tree([[(1, 1)], [(1, 2.5)]], [(0, 1, 0, 0)])

@@ -4,8 +4,8 @@ Trace-level experiments for the traced engine live in
 ``test_join_trace_obliviousness.py``; cross-engine differential coverage in
 ``test_engine_properties.py``.  This file pins the rest of the contract:
 the planner's bound arithmetic, the vector/sharded *schedule* byte-identity
-(their adversary view), the sharded aggregation's padded partial counts,
-the db layer, and the ``security.py`` <-> ``docs/leakage.md`` cross-link.
+(their adversary view), the db layer, and the ``security.py`` <->
+``docs/leakage.md`` cross-link.
 """
 
 import pathlib
@@ -27,7 +27,6 @@ from repro.engines import get_engine
 from repro.errors import BoundError, InputError
 from repro.plan.executors import InlineExecutor
 from repro.security import LEAKAGE_PROFILES, SERVICE_LEAKAGE, leakage_profile
-from repro.shard.aggregate import ShardedAggregateStats, sharded_join_aggregate
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
@@ -191,21 +190,6 @@ def test_join_target_above_worst_case_clamps_identically_everywhere():
         get_engine("vector").join(left, right, target_m=-1)
 
 
-def test_sharded_padded_aggregate_partial_counts_are_block_sizes():
-    """Padded partial tables ship at the public block size, independent of
-    how many distinct keys the block actually held."""
-    skewed = [(0, i) for i in range(6)]  # one group
-    spread = [(i, i) for i in range(6)]  # six groups
-    right = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
-    counts = []
-    for left in (skewed, spread):
-        stats = ShardedAggregateStats()
-        sharded_join_aggregate(left, right, shards=3, stats=stats, padded=True)
-        counts.append((tuple(stats.partial_group_counts), stats.schedule))
-    assert counts[0] == counts[1]
-    assert counts[0][0] == (4, 4, 4)  # 2 left + 2 right real rows per block
-
-
 def test_bounded_mode_aborts_loudly_on_overflow():
     big = [(0, i) for i in range(4)]
     with pytest.raises(BoundError):
@@ -303,6 +287,18 @@ def test_leakage_profiles_cover_every_engine_and_mode():
             assert "m_ij_grid" not in profile
     with pytest.raises(KeyError, match="no leakage profile"):
         leakage_profile("gpu")
+
+
+def test_sharded_profiles_are_vectors_plus_the_block_layout():
+    """Every sharded operator is the ``vector`` text over the sharded sort,
+    so in every mode the sharded engine reveals exactly what ``vector``
+    does plus the shard count, the partition plan and the store layout."""
+    layout = {"k", "partition_plan", "block_rows", "block_ids"}
+    for mode in PADDING_MODES:
+        sharded, vector = LEAKAGE_PROFILES[("sharded", mode)], LEAKAGE_PROFILES[("vector", mode)]
+        assert len(set(sharded)) == len(sharded)
+        assert set(sharded) == set(vector) | layout
+        assert not set(vector) & layout
 
 
 def test_leakage_doc_mentions_every_profile_symbol():

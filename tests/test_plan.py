@@ -5,9 +5,12 @@ across engines, key distributions, and padding modes."""
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import os
 from functools import partial
 
+import numpy as np
 import pytest
 from conftest import plan_sort_comparators
 from test_shard import BENCHMARK_SHAPES, PARENT_PLAN_DIGESTS, benchmark_shape_runs
@@ -19,22 +22,27 @@ from repro.errors import InputError
 from repro.plan import (
     Plan,
     PlanBuilder,
+    available_executors,
     compile_join,
     compile_multiway,
     compile_workload,
     partition_plan,
 )
-from repro.plan.compile import (
-    sharded_aggregate_plan,
-    sharded_filter_plan,
-    sharded_join_plan,
-)
-from repro.shard.aggregate import ShardedAggregateStats, sharded_join_aggregate
-from repro.plan.executors import get_executor
+from repro.plan.compile import sharded_join_plan
+from repro.plan.executors import InlineExecutor, get_executor
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
-from repro.shard.relational import sharded_filter_indices
 from repro.shard.sort import sharded_sort
+from repro.vector.aggregate import VectorAggregateStats, vector_group_by, vector_join_aggregate
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
+from repro.vector.relational import vector_filter_indices, vector_order_permutation
+
+#: Substrates: every registered executor, or the REPRO_EXECUTORS subset.
+EXECUTORS = [
+    name
+    for name in available_executors()
+    if name
+    in os.environ.get("REPRO_EXECUTORS", ",".join(available_executors())).split(",")
+]
 
 
 # -- IR mechanics ------------------------------------------------------------
@@ -308,10 +316,12 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
 def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
     """At the three sharded benchmark shapes the executed plan's canonical
     bytes hash to the pinned digest and are the same bytes on adversarially
-    different data of one shape.  With the format tag set back to 8 they
-    are the parent commit's bytes (the key lists the compiler now reads from
-    ``repro.vector.join`` are the ones it used to restate); without
-    ``passes``, at format 7, the bytes from before the one-word passes."""
+    different data of one shape.  With the format tag set back to 9 they
+    are the parent commit's bytes (removing the sharded aggregate's and
+    filter's ops touched no join plan), at 8 the bytes of the commit before
+    (the key lists the compiler now reads from ``repro.vector.join`` are the
+    ones it used to restate); without ``passes``, at format 7, the bytes
+    from before the one-word passes."""
     _, _, digest, _ = BENCHMARK_SHAPES[shape]
     plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
     assert len(plans) == 1
@@ -324,8 +334,9 @@ def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    parent, before_passes = PARENT_PLAN_DIGESTS[shape]
-    assert digest_at(8) == parent
+    parent, grandparent, before_passes = PARENT_PLAN_DIGESTS[shape]
+    assert digest_at(9) == parent
+    assert digest_at(8) == grandparent
     for node in payload["nodes"]:
         assert (node["op"] == "shard_sort") == ("passes" in node["attrs"])
         node["attrs"].pop("passes", None)
@@ -402,18 +413,6 @@ def test_cascade_steps_count_their_compiled_sub_plans(shards, padding, bound, ex
                 assert join_stats.comparisons_by_phase[stage] == plan_sort_comparators(sub, stage)
 
 
-def test_aggregate_plans_are_byte_identical_across_data():
-    serialized = []
-    for left, right in (DATASET_A, DATASET_B):
-        stats = ShardedAggregateStats()
-        sharded_join_aggregate(left, right, shards=3, stats=stats, padded=True)
-        serialized.append(stats.plan.serialize())
-    assert serialized[0] == serialized[1]
-    assert serialized[0] == sharded_aggregate_plan(
-        "aggregate", 8, 8, 3, True
-    ).serialize()
-
-
 def test_engine_level_plan_depends_only_on_shapes_not_data():
     """compile_plan never sees data, so this is equality by construction —
     pinned anyway as the contract the CLI `plan` command sells."""
@@ -425,56 +424,127 @@ def test_engine_level_plan_depends_only_on_shapes_not_data():
     assert one.serialize() != other.serialize()
 
 
-# -- padded sharded FILTER (the closed residual) ------------------------------
+# -- aggregate, GROUP BY, FILTER, ORDER BY: the vector text, sorts sharded ----
 
 
-class CapturingExecutor:
-    """Inline executor that records every task's result shape."""
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_relational_sorts_count_their_compiled_plans(shards, executor):
+    """Every sort the ``vector`` text runs over ``sharded_sort`` executes
+    exactly the comparators its compiled plan's ``shard_sort`` nodes imply,
+    on both datasets: aggregate, GROUP BY, FILTER and ORDER BY."""
+    substrate = get_executor(executor, workers=2)
+    sort = partial(sharded_sort, shards=shards, executor=substrate)
+    plans = {
+        workload: compile_workload(workload, "sharded", shards=shards, **shapes)
+        for workload, shapes in (
+            ("aggregate", {"n1": 8, "n2": 8}),
+            ("group_by", {"n": 8}),
+            ("filter", {"n": 8}),
+            ("order_by", {"n": 8}),
+        )
+    }
+    for left, right in (DATASET_A, DATASET_B):
+        stats = VectorAggregateStats()
+        vector_join_aggregate(left, right, stats=stats, sort=sort)
+        for stage in ("aggregate_sort", "aggregate_compact"):
+            expected = plan_sort_comparators(plans["aggregate"], stage)
+            assert stats.comparisons_by_phase[stage] == expected
+        stats = VectorAggregateStats()
+        vector_group_by(left, stats=stats, sort=sort)
+        for stage in ("groupby_sort", "groupby_compact"):
+            expected = plan_sort_comparators(plans["group_by"], stage)
+            assert stats.comparisons_by_phase[stage] == expected
+        counter = [0]
+        vector_filter_indices([j % 2 == 0 for j, _ in left], sort=partial(sort, counter=counter))
+        assert counter[0] == plan_sort_comparators(plans["filter"], "filter_compact")
+        counter = [0]
+        vector_order_permutation(
+            [([j for j, _ in right], True)], 8, sort=partial(sort, counter=counter)
+        )
+        assert counter[0] == plan_sort_comparators(plans["order_by"], "order")
 
-    name = "capturing"
-    transport = "none"
+
+class CapturingExecutor(InlineExecutor):
+    """Inline executor recording the shape of everything that crosses to a
+    task and back: every array's row count and dtype, every other value."""
 
     def __init__(self) -> None:
-        self.result_lengths: list[list[int]] = []
+        super().__init__()
+        self.shipped: list = []
+
+    def _run(self, task, payload):
+        result = task(payload)
+        self.shipped.append((task.__name__, _wire_shape(payload), _wire_shape(result)))
+        return result
 
     def map(self, task, payloads):
-        results = [task(payload) for payload in payloads]
-        self.result_lengths.append([len(r) for r in results])
-        return results
+        return [self._run(task, payload) for payload in payloads]
+
+    def imap(self, task, payloads):
+        for index, payload in enumerate(payloads):
+            yield index, self._run(task, payload)
+
+    def submit(self, task, payload):
+        return super().submit(partial(self._run, task), payload)
+
+
+def _wire_shape(value):
+    if isinstance(value, np.ndarray):
+        return ("array", value.shape, value.dtype.str)
+    if isinstance(value, dict):
+        return tuple((name, _wire_shape(item)) for name, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_wire_shape(item) for item in value)
+    return value
+
+
+#: Same-shape inputs per operator whose data differ as much as they can.
+WIRE_INPUTS = {
+    "aggregate": [DATASET_A, DATASET_B],
+    "group_by": [([(0, v) for v in range(8)],), ([(v, v) for v in range(8)],)],
+    "filter": [([True] * 10,), ([False] * 10,), ([True, False] * 5,)],
+}
 
 
 @pytest.mark.parametrize(
-    "mask",
-    [
-        [True] * 10,
-        [False] * 10,
-        [True, False] * 5,
-        [False] * 9 + [True],
-    ],
+    "padding,bound", [("revealed", None), ("bounded", 30), ("worst_case", None)]
 )
-def test_padded_filter_blocks_all_ship_at_capacity(mask):
-    """Padded mode: every survivor block has the (n, k)-determined shape —
-    the per-shard survivor counts are no longer visible on the wire."""
-    capacity, _ = partition_plan(len(mask), 3)
-    executor = CapturingExecutor()
-    kept = sharded_filter_indices(mask, shards=3, padded=True, executor=executor)
-    assert kept == [i for i, keep in enumerate(mask) if keep]
-    assert executor.result_lengths == [[capacity] * 3]
+@pytest.mark.parametrize("operator", sorted(WIRE_INPUTS))
+def test_shipped_blocks_depend_only_on_shapes(operator, padding, bound):
+    """What workers receive and return — block row counts, dtypes, key
+    lists — is the same for every input of one shape in every padding mode:
+    no per-shard group or survivor count crosses, and only keys and a row
+    id ship (the aggregate's ``d`` column stays in the parent)."""
+    records = []
+    for inputs in WIRE_INPUTS[operator]:
+        executor = CapturingExecutor()
+        engine = get_engine(
+            "sharded", shards=3, executor=executor, padding=padding, bound=bound
+        )
+        method = "filter_indices" if operator == "filter" else operator
+        getattr(engine, method)(*inputs)
+        assert executor.shipped
+        records.append(executor.shipped)
+    assert all(record == records[0] for record in records)
+    columns = {name for _, payload, _ in records[0] for name, _ in payload[0]}
+    assert "d" not in columns
 
 
-def test_unpadded_filter_blocks_reveal_their_counts():
-    executor = CapturingExecutor()
-    sharded_filter_indices([True, True, False, False], shards=2, executor=executor)
-    assert executor.result_lengths == [[2, 0]]
+def test_the_sharded_aggregate_and_filter_modules_are_gone():
+    """Aggregation and FILTER are the vector text over the sharded sort: no
+    sharded driver, plan compiler or op of their own is left."""
+    import repro.plan.compile as compile_module
 
-
-def test_filter_plan_pads_to_capacity_only_when_padded():
-    padded = sharded_filter_plan(10, 3, True)
-    revealed = sharded_filter_plan(10, 3, False)
-    assert [n.attr("pad") for n in padded.nodes_by_op("block_filter")] == [4, 4, 4]
-    assert [n.attr("pad") for n in revealed.nodes_by_op("block_filter")] == [
-        None, None, None,
-    ]
+    for module in ("repro.shard.aggregate", "repro.shard.relational"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for name in ("sharded_aggregate_plan", "sharded_filter_plan", "sharded_order_plan"):
+        assert not hasattr(compile_module, name)
+    engine = get_engine("sharded", shards=3, padding="worst_case")
+    for workload, shapes in (("aggregate", {"n1": 6, "n2": 6}), ("filter", {"n": 6})):
+        ops = {node.op for node in engine.compile_plan(workload, **shapes).nodes}
+        assert not ops & {"partial_aggregate", "block_filter", "combine", "concat"}
 
 
 def test_padded_filter_via_engine_matches_reference():

@@ -21,7 +21,6 @@ from repro.db.table import DBTable
 from repro.engines import ShardedEngine, get_engine
 from repro.errors import BoundError, InputError
 from repro.plan.executors import InlineExecutor, get_executor
-from repro.shard.aggregate import ShardedAggregateStats, sharded_join_aggregate
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
@@ -177,17 +176,6 @@ def test_join_schedule_changes_with_sizes_and_shards():
 
     assert schedule(8, 2) != schedule(12, 2)  # function *of* n
     assert schedule(8, 2) != schedule(8, 4)  # and of k
-
-
-def test_aggregate_schedule_depends_only_on_shape():
-    schedules = []
-    for key_shift, data_seed in ((0, 5), (400, 6)):
-        left, right = _matched_pair(10, key_shift, data_seed)
-        stats = ShardedAggregateStats()
-        sharded_join_aggregate(left, right, shards=2, stats=stats)
-        schedules.append(stats.schedule)
-    assert schedules[0] == schedules[1]
-    assert len(schedules[0][1]) == 2  # one comparator record per shard task
 
 
 def test_multiway_schedule_depends_only_on_shape():

@@ -7,6 +7,7 @@ pinned on the tournament itself and on the drivers whose sorts run on it.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from repro.shard.merge import (
     merge_comparator_count,
     oblivious_merge_runs,
 )
-from repro.shard.relational import sharded_order_permutation
+from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
+from repro.vector.relational import vector_order_permutation
 
 KEYS = [("a", True), ("b", True)]
 
@@ -206,14 +208,14 @@ def test_order_permutation_streams_identically():
     rng = random.Random(11)
     values = [rng.randrange(4) for _ in range(23)]
     columns = [(values, True)]
-    reference = sharded_order_permutation(columns, len(values), shards=3)
+
+    def order(executor):
+        sort = partial(sharded_sort, shards=3, executor=executor)
+        return vector_order_permutation(columns, len(values), sort=sort)
+
+    reference = order(InlineExecutor())
     for executor in (ShuffleExecutor(seed=2), PoolExecutor(workers=2)):
-        assert (
-            sharded_order_permutation(
-                columns, len(values), shards=3, executor=executor
-            )
-            == reference
-        )
+        assert order(executor) == reference
 
 
 def test_padded_join_streams_identically_across_substrates():
