@@ -217,42 +217,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pipeline_stage(text: str) -> tuple[str, dict]:
-    """One ``--stages`` token: ``filter``, ``join:N2``, ``multiway:S1,S2``,
-    ``group_by`` or ``order_by``."""
-    name, _, argument = text.partition(":")
-    if name == "join":
-        try:
-            return "join", {"n2": int(argument)}
-        except ValueError:
-            raise SystemExit(f"--stages join needs a size, e.g. join:64 (got {text!r})")
-    if name == "multiway":
-        try:
-            sizes = [int(size) for size in argument.split(",") if size]
-        except ValueError:
-            sizes = []
-        if not sizes:
-            raise SystemExit(
-                f"--stages multiway needs sizes, e.g. multiway:16,8 (got {text!r})"
-            )
-        return "multiway", {"sizes": sizes}
-    if name in ("filter", "group_by", "order_by") and not argument:
-        return name, {}
-    raise SystemExit(
-        f"unknown pipeline stage {text!r}; stages are filter, join:N2, "
-        f"multiway:S1,S2,..., group_by, order_by"
-    )
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
     """Compile and print a workload's public plan (no data touched).
 
     The serialization is a pure function of the sizes, the shard count and
     the padding bounds — ``tests/test_plan.py`` pins that — so the printed
     artifact is exactly what an adversary may learn from the eventual run.
-    With ``--stages``, a whole pipeline DAG is compiled instead: the
-    source size comes from ``--n`` and each stage token adds one operator
-    (``--n 64 --stages filter join:32 group_by``).
     """
     check_padding_args(args.padding, args.bound)
     shapes = {}
@@ -270,15 +240,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         ]
     try:
         engine = get_engine(args.engine, **engine_options(args))
-        if args.stages:
-            if args.n is None:
-                raise SystemExit("--stages needs --n (the source table size)")
-            ops = [("source", {"n": args.n})] + [
-                _parse_pipeline_stage(stage) for stage in args.stages
-            ]
-            plan = engine.compile_pipeline(ops)
-        else:
-            plan = engine.compile_plan(args.workload, **shapes)
+        plan = engine.compile_plan(args.workload, **shapes)
     except InputError as error:
         raise SystemExit(str(error)) from None
     if args.json:
@@ -478,16 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EDGE",
         help="join-tree edges PARENT:CHILD:PCOL:CCOL[:BAND] with integer "
         "column indices (--workload join_tree, together with --sizes)",
-    )
-    plan.add_argument(
-        "--stages",
-        nargs="+",
-        default=None,
-        metavar="STAGE",
-        help="compile a whole pipeline DAG instead of one workload: stage "
-        "tokens after a --n-sized source, e.g. --n 64 --stages filter "
-        "join:32 group_by (tokens: filter, join:N2, multiway:S1,S2,..., "
-        "group_by, order_by); ignores --workload",
     )
     plan.add_argument(
         "--shards",

@@ -34,9 +34,9 @@ from typing import Callable
 
 from ..core.padding import compact_pairs
 from ..engines import Engine, get_engine
-from ..engines.pipeline import PipelineStats
 from ..errors import SchemaError
 from ..memory.tracer import Tracer
+from ..plan.ir import Plan
 from .encoding import DictionaryEncoder
 from .encoding_cache import EncodingCache
 from .schema import Schema
@@ -47,15 +47,15 @@ from .table import DBTable, require_int_column
 class PipelineQueryResult:
     """Result of :meth:`ObliviousEngine.pipeline`: the rows plus the plan.
 
-    ``stats.plan`` is the *full* compiled DAG the chain executed — every
-    stage's sub-plan joined by ``channel`` (inter-operator edge) nodes — and
-    ``stats.sizes`` the revealed per-stage output sizes (the same values
-    running the operators one at a time would reveal one call at a time).
+    ``plan`` is the plans of the operators the chain ran, each compiled at
+    the input size its stage received, and ``sizes`` the revealed
+    per-stage output sizes (the same values running the operators one at a
+    time would reveal one call at a time).
     """
 
     table: DBTable
     sizes: list[int]
-    stats: PipelineStats
+    plan: Plan
 
     def __len__(self) -> int:
         return len(self.table)
@@ -355,7 +355,7 @@ class ObliviousEngine:
         return DBTable(folded, rows)
 
     def pipeline(self, source: DBTable, steps) -> PipelineQueryResult:
-        """Run a whole operator chain under one compiled query DAG.
+        """Run a whole operator chain, one operator at a time.
 
         ``source`` (and every other stage table) is a two-int-column table
         in the paper's ``(join_value, data_value)`` model.  ``steps`` is a
@@ -376,10 +376,11 @@ class ObliviousEngine:
         ``("order_by", [(column_name, ascending), ...])``
             Stable oblivious sort of the current rows.
 
-        The whole chain compiles into *one* plan before any data moves —
-        ``stats.plan`` exposes that DAG end to end — and then runs one
-        operator at a time on the configured engine, so it reveals exactly
-        what the same operators called one by one reveal.
+        The chain runs one operator at a time on the configured engine, so
+        it reveals exactly what the same operators called one by one
+        reveal; ``plan`` is those operators' plans, each compiled at the
+        input size its stage received
+        (:meth:`~repro.engines.base.PaddingOptionsMixin.pipeline`).
         """
         stages: list[tuple] = [("source", _pair_rows(source, "source"))]
         schema = source.schema
@@ -432,8 +433,7 @@ class ObliviousEngine:
         else:
             rows = list(result.rows)
         return PipelineQueryResult(
-            table=DBTable(schema, rows), sizes=list(result.sizes),
-            stats=result.stats,
+            table=DBTable(schema, rows), sizes=result.sizes, plan=result.plan
         )
 
     def _multiway_key_plan(self, tables: list[DBTable], on: list[tuple[str, str]]):

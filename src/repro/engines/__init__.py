@@ -72,7 +72,7 @@ from .base import (
     get_engine,
     register_engine,
 )
-from .pipeline import PipelineResult, PipelineStats, check_pipeline_stages
+from .pipeline import PipelineResult, check_pipeline_stages
 from .sharded import ShardedEngine
 from .traced import TracedEngine
 from .vector import VectorEngine
@@ -86,7 +86,6 @@ __all__ = [
     "Engine",
     "Pairs",
     "PipelineResult",
-    "PipelineStats",
     "available_engines",
     "check_pipeline_stages",
     "engine_option_names",

@@ -28,10 +28,9 @@ from ..core.multiway import MultiwayResult
 from ..core.padding import check_padding, compact_pairs, join_bound
 from ..errors import InputError
 from ..memory.tracer import Tracer
-from ..plan.compile import compile_pipeline
 from ..plan.compile import compile_workload
-from ..plan.ir import Plan
-from .pipeline import PipelineResult, PipelineStats, check_pipeline_stages
+from ..plan.ir import Plan, PlanBuilder
+from .pipeline import PipelineResult, check_pipeline_stages
 
 #: A table in the paper's model: a list of ``(join_value, data_value)`` pairs.
 Pairs = list[tuple[int, int]]
@@ -78,8 +77,9 @@ class PaddingOptionsMixin:
         """Compile this engine's public plan for a workload shape.
 
         ``shapes`` are the workload's public inputs (``n1=..., n2=...`` for
-        join/aggregate, ``n=...`` for filter/group-by/order-by,
-        ``sizes=[...]`` for multiway) plus optional ``padding``/``bound``
+        join/aggregate, ``n=...`` for filter/group-by/order-by, plus
+        ``columns=...`` for order-by's key count, ``sizes=[...]`` for
+        multiway) plus optional ``padding``/``bound``
         overrides; the engine's own configuration (padding mode, bound,
         shard count) fills everything left unset.  The result — the same
         plan the engine consumes when it executes — serializes canonically,
@@ -92,29 +92,6 @@ class PaddingOptionsMixin:
         if shapes["padding"] == "revealed":
             shapes["bound"] = None  # a cap is meaningless without padding
         return compile_workload(workload, engine=self.name, **shapes)
-
-    def compile_pipeline(self, ops, **overrides) -> Plan:
-        """Compile the public plan of a whole operator chain.
-
-        ``ops`` are the shape-only stage descriptors
-        (:data:`repro.plan.compile.PIPELINE_OPS`); the engine's own
-        configuration fills in padding, bound and shard count unless
-        overridden.  The resulting DAG — every stage's sub-plan joined by
-        ``channel`` edge nodes — is a pure function of the stage shapes and
-        those options, never of the data flowing through the chain.
-        """
-        padding = overrides.get("padding", self.padding)
-        bound = overrides.get("bound", self.bound)
-        shards = overrides.get("shards", getattr(self, "shards", None))
-        if padding == "revealed" or padding is None:
-            bound = None
-        return compile_pipeline(
-            ops,
-            engine=self.name,
-            shards=shards,
-            padding=padding,
-            bound=bound,
-        )
 
     def pipeline(self, stages, tracer: Tracer | None = None) -> PipelineResult:
         """Run a whole operator chain, one operator at a time.
@@ -129,30 +106,38 @@ class PaddingOptionsMixin:
         ``stages`` is a list of data-carrying stage tuples — see
         :func:`repro.engines.pipeline.check_pipeline_stages` for the
         vocabulary.  Returns a
-        :class:`~repro.engines.pipeline.PipelineResult` whose
-        ``stats.plan`` is the full compiled DAG.
+        :class:`~repro.engines.pipeline.PipelineResult` whose ``plan`` is
+        the plans of the operators that ran: stage ``i``'s
+        :meth:`compile_plan` at the input size it received (``sizes[i -
+        1]``, already revealed), embedded with ``pipeline_stage=i``; the
+        plan's ``stages`` shape is every stage's ``(name, input size)``.
+        No plan is compiled ahead of the run: a stage's input size is the
+        output size of the stage before it.
         """
-        ops = check_pipeline_stages(stages)
-        stats = PipelineStats()
-        stats.plan = self.compile_pipeline(ops)
+        stages = list(stages)
+        check_pipeline_stages(stages)
         rows = [tuple(row) for row in stages[0][1]]
-        stats.sizes.append(len(rows))
+        sizes = [len(rows)]
+        shapes = [("source", len(rows))]
+        plans: list[Plan] = []
         groups: list[GroupAggregate] | None = None
-        for stage in list(stages)[1:]:
-            name = stage[0]
+        for stage in stages[1:]:
+            name, n = stage[0], len(rows)
+            shapes.append((name, n))
             if name == "filter":
+                plans.append(self.compile_plan("filter", n=n))
                 kept = self.filter_indices(
                     [bool(flag) for flag in stage[1]], tracer=tracer
                 )
                 rows = [rows[index] for index in kept]
             elif name == "join":
-                result = self.join(
-                    rows, [tuple(pair) for pair in stage[1]], tracer=tracer
-                )
+                right = [tuple(pair) for pair in stage[1]]
+                plans.append(self.compile_plan("join", n1=n, n2=len(right)))
+                result = self.join(rows, right, tracer=tracer)
                 # Padded joins append tagged dummies; the chain continues
                 # with the real rows (the final output size is public in
                 # the paper's model, and so is every stage's true size
-                # here — stats.sizes is exactly that reveal).
+                # here — sizes is exactly that reveal).
                 pairs = (
                     result.pairs
                     if self.padding == "revealed"
@@ -160,29 +145,36 @@ class PaddingOptionsMixin:
                 )
                 rows = [tuple(pair) for pair in pairs]
             elif name == "multiway":
+                tables = [[tuple(row) for row in table] for table in stage[1]]
+                plans.append(
+                    self.compile_plan("multiway", sizes=[n] + [len(t) for t in tables])
+                )
                 result = self.multiway_join(
-                    [rows] + [[tuple(row) for row in table] for table in stage[1]],
-                    list(stage[2]),
-                    tracer=tracer,
+                    [rows] + tables, list(stage[2]), tracer=tracer
                 )
                 rows = [tuple(row) for row in result.rows]
             elif name == "group_by":
+                plans.append(self.compile_plan("group_by", n=n))
                 groups = self.group_by(rows, tracer=tracer)
-                stats.sizes.append(len(groups))
+                sizes.append(len(groups))
                 continue
             else:  # order_by
+                plans.append(self.compile_plan("order_by", n=n, columns=len(stage[1])))
                 key_columns = [
                     ([row[column] for row in rows], ascending)
                     for column, ascending in stage[1]
                 ]
                 permutation = self.order_permutation(key_columns, tracer=tracer)
                 rows = [rows[index] for index in permutation]
-            stats.sizes.append(len(rows))
+            sizes.append(len(rows))
+        builder = PlanBuilder("pipeline", self.name, stages=shapes)
+        for index, plan in enumerate(plans, start=1):
+            builder.embed(plan, pipeline_stage=index)
         return PipelineResult(
             rows=None if groups is not None else rows,
             groups=groups,
-            sizes=list(stats.sizes),
-            stats=stats,
+            sizes=sizes,
+            plan=builder.build(),
         )
 
 
@@ -267,8 +259,6 @@ class Engine(Protocol):
     ) -> list[int]: ...
 
     def compile_plan(self, workload: str = "join", **shapes) -> Plan: ...
-
-    def compile_pipeline(self, ops, **overrides) -> Plan: ...
 
     def pipeline(
         self, stages, tracer: Tracer | None = None

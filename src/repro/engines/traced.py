@@ -16,12 +16,26 @@ from ..core.aggregate import (
 from ..core.join import JoinResult, oblivious_join
 from ..core.join_tree import JoinTreeResult, oblivious_join_tree
 from ..core.multiway import MultiwayResult, oblivious_multiway_join
+from ..errors import InputError
 from ..memory.public import PublicArray
 from ..memory.tracer import Tracer
 from ..obliv.bitonic import bitonic_sort
 from ..obliv.compact import compact_by_routing
 from ..obliv.compare import SortKey, SortSpec
 from .base import PaddingOptionsMixin, Pairs
+
+
+def _check_pairs(*tables) -> None:
+    """Refuse rows that are not ``(j, d)`` pairs with the array engines'
+    error (the reference loops would fail unpacking them)."""
+    for table in tables:
+        for row in table:
+            try:
+                pair = len(row) == 2
+            except TypeError:
+                pair = False
+            if not pair:
+                raise InputError("input tables must be sequences of (j, d) pairs")
 
 
 def traced_filter_indices(mask: list[bool], tracer: Tracer | None = None) -> list[int]:
@@ -89,6 +103,7 @@ class TracedEngine(PaddingOptionsMixin):
         tracer: Tracer | None = None,
         target_m: int | None = None,
     ) -> JoinResult:
+        _check_pairs(left, right)
         return oblivious_join(
             left, right, tracer=tracer, target_m=self._join_target(left, right, target_m)
         )
@@ -122,11 +137,13 @@ class TracedEngine(PaddingOptionsMixin):
     def aggregate(
         self, left: Pairs, right: Pairs, tracer: Tracer | None = None
     ) -> list[GroupAggregate]:
+        _check_pairs(left, right)
         return oblivious_join_aggregate(left, right, tracer=tracer)
 
     def group_by(
         self, table: Pairs, tracer: Tracer | None = None
     ) -> list[GroupAggregate]:
+        _check_pairs(table)
         return oblivious_group_by(table, tracer=tracer)
 
     def filter_indices(

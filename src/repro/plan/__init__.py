@@ -33,14 +33,12 @@ Usage::
 """
 
 from .compile import (
-    PIPELINE_OPS,
     WORKLOADS,
     compile_aggregate,
     compile_filter,
     compile_join,
     compile_multiway,
     compile_order_by,
-    compile_pipeline,
     compile_workload,
 )
 from .executors import (
@@ -67,7 +65,6 @@ __all__ = [
     "InlineExecutor",
     "MergeNode",
     "OpNode",
-    "PIPELINE_OPS",
     "Plan",
     "PlanBuilder",
     "PoolExecutor",
@@ -80,7 +77,6 @@ __all__ = [
     "compile_join",
     "compile_multiway",
     "compile_order_by",
-    "compile_pipeline",
     "compile_workload",
     "completion_stream",
     "executor_stats",

@@ -58,16 +58,6 @@ WORKLOADS = (
 #: Engines whose plans are a single-process primitive pipeline.
 _INLINE_ENGINES = ("traced", "vector")
 
-#: Stage names `compile_pipeline` accepts (``source`` must come first).
-PIPELINE_OPS = (
-    "source",
-    "filter",
-    "join",
-    "multiway",
-    "group_by",
-    "order_by",
-)
-
 
 # -- merge tournaments -------------------------------------------------------
 
@@ -151,20 +141,13 @@ def _add_sharded_sort(
     return _add_merge_tournament(builder, sorts, counts, stage)
 
 
-def _deferred_stage_plan(workload: str, engine: str, op: str, **attrs) -> Plan:
-    """A one-node sub-plan standing in for a stage whose input size is only
-    revealed at run time (the ``"revealed"`` padding mode mid-chain)."""
-    builder = PlanBuilder(workload, engine)
-    builder.add(op, **attrs)
-    return builder.build()
-
-
 def _deferred_join_plan(engine: str, n2: int, k: int | None) -> Plan:
-    """A join whose left size the previous step reveals at run time."""
+    """A one-node stand-in for an unpadded cascade step's join, whose left
+    size the previous step reveals at run time."""
     shards = {} if k is None else {"k": k}
-    return _deferred_stage_plan(
-        "join", engine, "join_deferred", n1=None, n2=n2, target=None, **shards
-    )
+    builder = PlanBuilder("join", engine)
+    builder.add("join_deferred", n1=None, n2=n2, target=None, **shards)
+    return builder.build()
 
 
 # -- join --------------------------------------------------------------------
@@ -628,159 +611,6 @@ def compile_order_by(
     return inline_order_plan(engine, n, _plan_shards(engine, shards), columns)
 
 
-# -- pipeline DAGs -----------------------------------------------------------
-
-
-def compile_pipeline(
-    ops,
-    engine: str = "traced",
-    *,
-    shards: int | None = None,
-    padding: str | None = None,
-    bound=None,
-) -> Plan:
-    """Compile a whole query DAG into one Plan with channel edge nodes.
-
-    ``ops`` is a sequence of ``(name, params)`` stage descriptors:
-    ``("source", {"n": n})`` (always first), then any chain of
-    ``("filter", {})``, ``("join", {"n2": m})``,
-    ``("multiway", {"sizes": [...]})`` (sizes of the *remaining* cascade
-    tables), ``("group_by", {})`` and ``("order_by", {"columns": c})`` (the
-    number of sort keys, default 1).
-
-    Each operator stage is the per-workload compiler's sub-plan embedded
-    verbatim (``stage=s`` merged into every node), and consecutive stages
-    are connected by a ``channel`` node — the inter-operator edge.  A
-    channel's attributes are the *public* block layout of the data crossing
-    it (``blocks``/``capacity``/``counts``/``rows``), straight from the
-    partition planner, so the whole DAG is a pure function of
-    ``(stage shapes, k, bounds)``.  ``rows=None`` marks a size revealed at
-    run time (only ever downstream of a revealed-mode filter/join), the
-    same deliberate leak the operators make when called one at a time.
-    """
-    mode = check_padding(padding)
-    padded = mode != "revealed"
-    stages = [(name, dict(params)) for name, params in ops]
-    if not stages:
-        raise InputError("a pipeline needs at least a source stage")
-    for name, _ in stages:
-        if name not in PIPELINE_OPS:
-            raise InputError(
-                f"unknown pipeline stage {name!r}; expected one of {PIPELINE_OPS}"
-            )
-    if stages[0][0] != "source" or any(
-        name == "source" for name, _ in stages[1:]
-    ):
-        raise InputError(
-            "a pipeline starts with one ('source', {'n': ...}) stage"
-        )
-    if len(stages) < 2:
-        raise InputError("a pipeline needs at least one operator stage")
-
-    k = check_shards(shards if shards is not None else 2) if engine == "sharded" else None
-    if engine != "sharded" and engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-
-    stage_shapes: list[tuple] = []
-    for name, params in stages:
-        if name == "source":
-            stage_shapes.append((name, int(params["n"])))
-        elif name == "join":
-            if "n2" not in params:
-                raise InputError("pipeline join stages need n2")
-            stage_shapes.append((name, int(params["n2"])))
-        elif name == "multiway":
-            sizes = tuple(int(s) for s in params.get("sizes", ()))
-            if not sizes:
-                raise InputError(
-                    "pipeline multiway stages need sizes (one per extra table)"
-                )
-            stage_shapes.append((name, sizes))
-        else:
-            stage_shapes.append((name,))
-
-    shapes: dict = {"stages": tuple(stage_shapes), "padding": mode}
-    if engine == "sharded":
-        shapes["k"] = k
-    if bound is not None:
-        shapes["bound"] = bound
-    builder = PlanBuilder("pipeline", engine, **shapes)
-
-    current: int | None = int(stages[0][1]["n"])
-    prev = builder.add("input", side="pipeline", rows=current, stage=0)
-    for stage_index, (name, params) in enumerate(stages[1:], start=1):
-        if current is None:
-            blocks = k if engine == "sharded" else 1
-            capacity, counts = None, None
-        elif engine == "sharded":
-            blocks = k
-            capacity, counts = partition_plan(current, k)
-        else:
-            blocks, capacity, counts = 1, current, (current,)
-        prev = builder.add(
-            "channel",
-            inputs=(prev,),
-            stage=stage_index,
-            blocks=blocks,
-            capacity=capacity,
-            counts=counts,
-            rows=current,
-        )
-        if name == "filter":
-            if current is None:
-                sub = _deferred_stage_plan("filter", engine, "filter_deferred", n=None, k=k)
-            else:
-                sub = inline_filter_plan(engine, current, k)
-            # Under padding the next stage is planned at the filter's input
-            # bound; a revealed filter's survivor count is a run-time leak.
-            current = current if padded else None
-        elif name == "join":
-            n2 = int(params["n2"])
-            if current is None:
-                sub = _deferred_join_plan(engine, n2, k)
-                current = None
-            else:
-                target = join_bound(current, n2, mode, bound)
-                if engine == "sharded":
-                    sub = sharded_join_plan(current, n2, k, target)
-                else:
-                    sub = inline_join_plan(engine, current, n2, target)
-                current = target
-        elif name == "multiway":
-            rest = [int(s) for s in params["sizes"]]
-            if current is None:
-                sub = _deferred_stage_plan(
-                    "multiway",
-                    engine,
-                    "cascade_deferred",
-                    sizes=(None, *rest),
-                    k=k,
-                )
-                current = None
-            else:
-                sizes = [current, *rest]
-                bounds = cascade_bounds(list(sizes), mode, bound)
-                sub = multiway_plan(sizes, engine, bounds=bounds, k=k)
-                current = bounds[-1] if bounds else None
-        elif name == "group_by":
-            if current is None:
-                sub = _deferred_stage_plan("group_by", engine, "group_by_deferred", n=None, k=k)
-            else:
-                sub = inline_aggregate_plan(engine, "group_by", current, 0, k)
-            current = None  # group count is always revealed on output
-        else:  # order_by
-            if current is None:
-                sub = _deferred_stage_plan(
-                    "order_by", engine, "shard_sort_deferred", n=None, k=k
-                )
-            else:
-                sub = inline_order_plan(engine, current, k, int(params.get("columns", 1)))
-        embedded = builder.embed(sub, stage=stage_index)
-        prev = embedded[-1]
-    builder.add("output", inputs=(prev,), rows=current)
-    return builder.build()
-
-
 def compile_workload(
     workload: str,
     engine: str = "vector",
@@ -793,6 +623,7 @@ def compile_workload(
     shards: int | None = None,
     padding: str | None = None,
     bound=None,
+    columns: int = 1,
 ) -> Plan:
     """Dispatch to the right compiler from CLI-shaped arguments."""
     if workload not in WORKLOADS:
@@ -840,4 +671,4 @@ def compile_workload(
         return compile_filter(n, engine, shards=shards, padding=padding)
     if n is None:
         raise InputError("order_by plans need n")
-    return compile_order_by(n, engine, shards=shards)
+    return compile_order_by(n, engine, shards=shards, columns=columns)

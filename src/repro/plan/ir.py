@@ -68,7 +68,13 @@ from ..errors import InputError
 #: ``aggregate_sort`` / ``aggregate_compact`` (``groupby_*``) and
 #: ``filter_compact``; the pipeline's deferred stand-ins become
 #: ``filter_deferred`` and ``group_by_deferred``.
-PLAN_FORMAT = 10
+#: Format 11 removes the ahead-of-time pipeline DAG (ops ``channel``,
+#: ``filter_deferred``, ``group_by_deferred``, ``shard_sort_deferred`` and
+#: ``cascade_deferred`` gone): a pipeline plan is the plans of the operators
+#: it ran, each compiled at the input size its stage received and tagged
+#: ``pipeline_stage``; its ``stages`` shape is every stage's
+#: ``(name, input size)``.  ``join_deferred`` stays for unpadded cascades.
+PLAN_FORMAT = 11
 
 
 def _freeze(value, context: str):

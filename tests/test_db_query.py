@@ -146,9 +146,9 @@ def test_engine_operations_share_one_tracer():
 
 
 def test_pipeline_runs_chain_and_exposes_full_dag_plan():
-    """Regression: ``stats.plan`` must expose the *executed* DAG end to
-    end — every stage's operator nodes plus the streaming channel edges —
-    not just the final operator's sub-plan."""
+    """Regression: ``plan`` must expose what the chain executed end to end
+    — every stage's operator plan at the size that stage received — not
+    just the final operator's sub-plan."""
     source = DBTable.from_rows(
         ["k:int", "v:int"], [(1, 10), (2, 20), (1, 30), (3, 40), (2, 50)]
     )
@@ -167,19 +167,16 @@ def test_pipeline_runs_chain_and_exposes_full_dag_plan():
         assert result.table.schema.names() == [
             "l_v", "count", "sum_r_w", "min_r_w", "max_r_w",
         ]
-        plan = result.stats.plan
+        plan = result.plan
         assert plan.workload == "pipeline"
-        stages = plan.shape("stages")
-        assert len(stages) == 4 and stages[0] == ("source", 5)
+        assert plan.shape("stages") == (
+            ("source", 5), ("filter", 5), ("join", 4), ("group_by", 4),
+        )
         ops = {node.op for node in plan.nodes}
-        assert "channel" in ops  # the streaming edges are first-class nodes
-        staged = {
-            node.attr("stage")
-            for node in plan.nodes
-            if node.attr("stage") is not None
-        }
-        # Every operator stage contributed nodes to the one DAG.
-        assert {1, 2, 3} <= staged, (name, staged, ops)
+        assert {"zip", "reduce"} <= ops, ops
+        staged = {node.attr("pipeline_stage") for node in plan.nodes}
+        # Every operator stage contributed nodes, and every node is a stage's.
+        assert staged == {1, 2, 3}, (name, staged, ops)
 
 
 def test_pipeline_rejects_wide_stage_tables():

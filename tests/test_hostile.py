@@ -3,8 +3,9 @@ typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
 
 Store cases first; the last sections are hostile *values*: through the
 sharded engine's packed sort, join-tree bands at the int64 limits on
-every engine, and cells that are not int64 ints, refused by the array
-engines (ROADMAP item 7's other conditions are not here).
+every engine, cells that are not int64 ints, refused by the array
+engines, rows that are not ``(j, d)`` pairs and malformed pipeline stages,
+refused by every engine (ROADMAP item 7's other conditions are not here).
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -545,3 +546,62 @@ def test_float_cells_never_truncate_in_order_by_or_join_trees(config, shm_leak_g
     assert engine.order_permutation(columns) == get_engine("traced").order_permutation(columns)
     with pytest.raises(InputError, match="table 1"):
         engine.join_tree([[(1, 1)], [(1, 2.5)]], [(0, 1, 0, 0)])
+
+
+#: Rows that are not ``(j, d)`` pairs: the traced engine used to fail
+#: unpacking them with a ``ValueError``.
+NON_PAIR_TABLES = {
+    "three-columns": [(1, 2, 3), (4, 5, 6)],
+    "one-column": [(1,), (2,)],
+    "bare-cells": [1, 2],
+}
+
+
+@pytest.mark.parametrize("operator", ["join", "aggregate", "group_by"])
+@pytest.mark.parametrize("config", TREE_ENGINES)
+def test_non_pair_rows_are_refused_alike_on_every_engine(config, operator, shm_leak_guard):
+    options = dict(config)
+    engine = get_engine(options.pop("name"), **options)
+    good = [(1, 7), (2, 8)]
+    if operator == "group_by":
+        calls = [engine.group_by]
+    else:
+        run = getattr(engine, operator)
+        calls = [lambda table: run(table, good), lambda table: run(good, table)]
+    for call in calls:
+        for case, bad in NON_PAIR_TABLES.items():
+            with pytest.raises(InputError, match=r"^input tables must be sequences of \(j, d\) pairs$"):
+                call(bad)
+
+
+#: Chain tails after ``source -> join`` that the stage check refuses; they
+#: used to escape as ``TypeError`` / ``ValueError`` / ``IndexError``, or (a
+#: ``bool`` column) to run as column 1.
+BAD_STAGES = {
+    "string-order-column": ("order_by", [("a", True)]),
+    "float-order-column": ("order_by", [(1.0, True)]),
+    "bool-order-column": ("order_by", [(True, True)]),
+    "one-item-order-key": ("order_by", [(1,)]),
+    "bare-order-key": ("order_by", [1]),
+    "empty-stage": (),
+    "one-item-multiway-key": ("multiway", [[(3, 4)]], [(0,)]),
+    "bare-multiway-key": ("multiway", [[(3, 4)]], [0]),
+}
+
+
+@pytest.mark.parametrize("config", TREE_ENGINES)
+def test_malformed_pipeline_stages_are_refused_before_any_operator_runs(config, monkeypatch):
+    options = dict(config)
+    engine = get_engine(options.pop("name"), **options)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("an operator ran before the stages were checked")
+
+    for operator in ("join", "multiway_join", "group_by", "filter_indices", "order_permutation"):
+        monkeypatch.setattr(engine, operator, ran)
+    head = [("source", [(0, 1), (1, 2)]), ("join", [(0, 3)])]
+    for case, stage in BAD_STAGES.items():
+        with pytest.raises(InputError):
+            engine.pipeline(head + [stage])
+    with pytest.raises(InputError, match="non-empty tuples"):
+        engine.pipeline([()])

@@ -8,7 +8,7 @@ executor) and when they run on workers over shared memory (the ``pool``
 executor).  Hypothesis drives whole chains — filter -> join,
 join -> group_by, filter -> multiway -> order_by — through every
 configuration, and a seed sweep pins that the shuffled completion order
-changes neither the output nor the compiled plan.
+changes neither the output nor the plan.
 
 ``REPRO_ENGINES`` / ``REPRO_EXECUTORS`` restrict the configuration list
 exactly as in ``test_engine_properties.py``.
@@ -215,7 +215,7 @@ _SWEEP_RIGHT = [(0, 5), (1, 6), (0, 5), (3, 7), (1, 6)]
     ],
 )
 def test_shuffle_seed_sweep_is_arrival_order_independent(chain):
-    """Ten adversarial completion orders: same bits, same compiled plan."""
+    """Ten adversarial completion orders: same bits, same plan."""
     if "sharded" not in ENGINES:
         pytest.skip("sharded engine excluded by REPRO_ENGINES")
     reference = get_engine(REFERENCE).pipeline(chain)
@@ -226,5 +226,5 @@ def test_shuffle_seed_sweep_is_arrival_order_independent(chain):
         assert result.rows == reference.rows
         assert result.groups == reference.groups
         assert result.sizes == reference.sizes
-        digests.add(result.stats.plan.digest())
+        digests.add(result.plan.digest())
     assert len(digests) == 1

@@ -20,6 +20,7 @@ from repro.core.padding import cascade_bounds, join_bound
 from repro.engines import get_engine
 from repro.errors import InputError
 from repro.plan import (
+    OpNode,
     Plan,
     PlanBuilder,
     available_executors,
@@ -316,12 +317,13 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
 def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
     """At the three sharded benchmark shapes the executed plan's canonical
     bytes hash to the pinned digest and are the same bytes on adversarially
-    different data of one shape.  With the format tag set back to 9 they
-    are the parent commit's bytes (removing the sharded aggregate's and
-    filter's ops touched no join plan), at 8 the bytes of the commit before
-    (the key lists the compiler now reads from ``repro.vector.join`` are the
-    ones it used to restate); without ``passes``, at format 7, the bytes
-    from before the one-word passes."""
+    different data of one shape.  With the format tag set back to 10 they
+    are the parent commit's bytes (removing the pipeline's ops touched no
+    join plan), at 9 those of the commit before (nor did removing the
+    sharded aggregate's and filter's ops), at 8 the bytes of the commit
+    before that (the key lists the compiler now reads from
+    ``repro.vector.join`` are the ones it used to restate); without
+    ``passes``, at format 7, the bytes from before the one-word passes."""
     _, _, digest, _ = BENCHMARK_SHAPES[shape]
     plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
     assert len(plans) == 1
@@ -334,9 +336,10 @@ def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    parent, grandparent, before_passes = PARENT_PLAN_DIGESTS[shape]
-    assert digest_at(9) == parent
-    assert digest_at(8) == grandparent
+    parent, format_9, format_8, before_passes = PARENT_PLAN_DIGESTS[shape]
+    assert digest_at(10) == parent
+    assert digest_at(9) == format_9
+    assert digest_at(8) == format_8
     for node in payload["nodes"]:
         assert (node["op"] == "shard_sort") == ("passes" in node["attrs"])
         node["attrs"].pop("passes", None)
@@ -555,80 +558,183 @@ def test_padded_filter_via_engine_matches_reference():
     ).filter_indices(mask)
 
 
-# -- pipeline DAG plans --------------------------------------------------------
+# -- pipeline plans -------------------------------------------------------------
 
-#: Same-shape chains over very differently distributed data: skewed keys,
-#: all-duplicate keys, empty right side of the mask, ragged survivors.
+#: Eight source rows, four survivors, each joining one of three right rows,
+#: four groups: sizes 8, 4, 4, 4.  The second dataset has the same sizes
+#: from one all-duplicate key, the other survivors and one matching row.
 PIPELINE_DATASETS = [
-    (DATASET_A[0], [True] * 8, DATASET_A[1]),
-    (DATASET_B[0], [False] * 8, DATASET_B[1]),
-    ([(0, 0)] * 8, [True, False] * 4, [(0, 0)] * 8),
+    (
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (1, 6), (2, 7), (3, 8)],
+        [True, False] * 4,
+        [(0, 9), (2, 9), (4, 9)],
+    ),
+    ([(5, v) for v in range(8)], [False] * 4 + [True] * 4, [(6, 0), (5, 1), (7, 0)]),
 ]
+
+PIPELINE_ENGINES = [{"name": "traced"}, {"name": "vector"}, {"name": "sharded", "shards": 3}]
+PADDINGS = [{"padding": "revealed"}, {"padding": "bounded", "bound": 10}, {"padding": "worst_case"}]
+
+
+def _pipeline_engine(config: dict, padding: dict):
+    options = dict(config)
+    return get_engine(options.pop("name"), **options, **padding)
 
 
 def _pipeline_chain(source, mask, right):
     return [("source", source), ("filter", mask), ("join", right), ("group_by",)]
 
 
-def test_pipeline_plan_bytes_identical_across_adversarial_data():
-    """The executed DAG plan is a pure function of (shapes, k) — skew,
-    all-dup keys, and survivor patterns (mask content) change nothing."""
-    from repro.engines import ShardedEngine, check_pipeline_stages
+def _stage_nodes(plan: Plan, stage: int) -> list:
+    """Stage ``stage``'s embedded nodes, untagged, with inputs rebased: the
+    sub-plan's own nodes, if it was embedded verbatim."""
+    indices = [i for i, node in enumerate(plan.nodes) if node.attr("pipeline_stage") == stage]
+    return [
+        OpNode(
+            node.op,
+            tuple(item for item in node.attrs if item[0] != "pipeline_stage"),
+            tuple(i - indices[0] for i in node.inputs),
+        )
+        for node in (plan.nodes[i] for i in indices)
+    ]
 
-    serialized = {
-        ShardedEngine(shards=3)
-        .pipeline(_pipeline_chain(source, mask, right))
-        .stats.plan.serialize()
-        for source, mask, right in PIPELINE_DATASETS
-    }
-    assert len(serialized) == 1
-    # ... identical to the plan compiled with no data in sight.
-    ops = check_pipeline_stages(_pipeline_chain(*PIPELINE_DATASETS[0]))
-    compiled = get_engine("sharded", shards=3).compile_pipeline(ops)
-    assert serialized == {compiled.serialize()}
+
+def _stage_workloads(stages, sizes):
+    """What every operator stage compiles alone at the size it received."""
+    for index, stage in enumerate(stages[1:], start=1):
+        n = sizes[index - 1]
+        if stage[0] == "join":
+            yield "join", {"n1": n, "n2": len(stage[1])}
+        elif stage[0] == "multiway":
+            yield "multiway", {"sizes": [n] + [len(table) for table in stage[1]]}
+        elif stage[0] == "order_by":
+            yield "order_by", {"n": n, "columns": len(stage[1])}
+        else:
+            yield stage[0], {"n": n}
+
+
+@pytest.mark.parametrize("padding", PADDINGS, ids=lambda padding: padding["padding"])
+@pytest.mark.parametrize("config", PIPELINE_ENGINES, ids=lambda config: config["name"])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        pytest.param(_pipeline_chain(*PIPELINE_DATASETS[0]), id="filter-join-group_by"),
+        pytest.param(
+            [
+                ("source", PIPELINE_DATASETS[0][0]),
+                ("filter", PIPELINE_DATASETS[0][1]),
+                ("multiway", [[(1, 0), (3, 1), (5, 2)], [(0, 4), (1, 5)]], [(1, 0), (3, 0)]),
+                ("order_by", [(5, False), (0, True), (3, False)]),
+            ],
+            id="filter-multiway-order_by",
+        ),
+    ],
+)
+def test_pipeline_plan_is_the_plans_of_the_operators_it_ran(chain, config, padding):
+    """Every stage's embedded nodes are the plan its operator compiles alone
+    for the input that stage received, and nothing else is in the plan: the
+    8 -> 4 survivors join at n1 = 4 (target 12 under worst_case), not at
+    the filter's input size."""
+    engine = _pipeline_engine(config, padding)
+    result = engine.pipeline(chain)
+    assert result.sizes[:2] == [8, 4]
+    plan = result.plan
+    assert plan.workload == "pipeline" and plan.engine == engine.name
+    expected = list(_stage_workloads(chain, result.sizes))
+    assert sum(len(engine.compile_plan(w, **s).nodes) for w, s in expected) == len(plan.nodes)
+    for stage, (workload, shapes) in enumerate(expected, start=1):
+        alone = engine.compile_plan(workload, **shapes)
+        assert _stage_nodes(plan, stage) == list(alone.nodes), (stage, workload)
+    if chain[2][0] == "join":
+        join = engine.compile_plan("join", n1=4, n2=3)
+        assert join.nodes_by_op("input")[0].attr("rows") == 4 + (padding["padding"] != "revealed")
+        target = {"revealed": None, "bounded": 10, "worst_case": 12}[padding["padding"]]
+        assert join.nodes_by_op("zip")[0].attr("rows") == target
+
+
+def test_a_three_key_order_by_stage_compiles_its_three_keys():
+    """``compile_plan("order_by", columns=...)`` reaches the compiler, so an
+    order-by stage's sub-plan sorts by as many keys as its spec names."""
+    source, mask, _ = PIPELINE_DATASETS[0]
+    spec = [(1, True), (0, False), (1, False)]
+    for name in ("traced", "vector", "sharded"):
+        engine = get_engine(name)
+        plan = engine.pipeline([("source", source), ("filter", mask), ("order_by", spec)]).plan
+        three = engine.compile_plan("order_by", n=4, columns=3)
+        assert _stage_nodes(plan, 2) == list(three.nodes)
+    assert three.shape("columns") == 3
+    assert three.digest() != get_engine("sharded").compile_plan("order_by", n=4).digest()
+
+
+def test_pipeline_plan_bytes_identical_across_adversarial_data():
+    """Datasets with equal revealed ``sizes`` — skewed keys against one
+    all-duplicate key, other survivors — run byte-identical plans on every
+    engine and padding mode; the ``stages`` shape is every stage's input
+    size, read from ``sizes``, and another survivor count is another plan."""
+    source, mask, right = PIPELINE_DATASETS[0]
+    for config in PIPELINE_ENGINES:
+        for padding in PADDINGS:
+            engine = _pipeline_engine(config, padding)
+            results = [engine.pipeline(_pipeline_chain(*data)) for data in PIPELINE_DATASETS]
+            assert {tuple(result.sizes) for result in results} == {(8, 4, 4, 4)}
+            assert len({result.plan.serialize() for result in results}) == 1, engine.name
+            sizes = results[0].sizes
+            stages = results[0].plan.shape("stages")
+            assert stages[0] == ("source", sizes[0])
+            assert [n for _, n in stages[1:]] == sizes[:-1]
+            other = engine.pipeline(_pipeline_chain(source, [True] * 6 + [False] * 2, right))
+            assert other.sizes[1] == 6 and other.plan.digest() != results[0].plan.digest()
 
 
 def test_pipeline_plan_bytes_survive_adversarial_completion_orders():
     from repro.engines import ShardedEngine
     from repro.plan import ShuffleExecutor
 
-    source, mask, right = PIPELINE_DATASETS[0]
-    chain = _pipeline_chain(source, mask, right)
-    reference = ShardedEngine(shards=3).pipeline(chain).stats.plan.serialize()
+    chain = _pipeline_chain(*PIPELINE_DATASETS[0])
+    reference = ShardedEngine(shards=3).pipeline(chain).plan.serialize()
     for seed in range(4):
         engine = ShardedEngine(shards=3, executor=ShuffleExecutor(seed=seed))
-        assert engine.pipeline(chain).stats.plan.serialize() == reference
+        assert engine.pipeline(chain).plan.serialize() == reference
 
 
-def test_pipeline_plan_digest_depends_on_shapes_k_and_bounds():
-    engine = get_engine("sharded", shards=3)
-    base = [("source", {"n": 8}), ("filter", {}), ("join", {"n2": 8})]
-    one = engine.compile_pipeline(base)
-    assert one.serialize() == engine.compile_pipeline(base).serialize()
-    bigger = [("source", {"n": 9}), ("filter", {}), ("join", {"n2": 8})]
-    assert one.digest() != engine.compile_pipeline(bigger).digest()
-    assert (
-        one.digest()
-        != get_engine("sharded", shards=4).compile_pipeline(base).digest()
+def test_the_ahead_of_time_pipeline_plan_is_gone():
+    """A pipeline's plan exists only once it has run: no DAG compiler, its
+    stage vocabulary, engine method, stats class, CLI flag or ops are left."""
+    import repro
+    import repro.cli as cli_module
+    import repro.engines as engines_module
+    import repro.engines.pipeline as pipeline_module
+    import repro.plan as plan_module
+    import repro.plan.compile as compile_module
+    from repro.engines.base import Engine
+
+    for module, name in (
+        (compile_module, "compile_pipeline"),
+        (compile_module, "PIPELINE_OPS"),
+        (compile_module, "_deferred_stage_plan"),
+        (plan_module, "compile_pipeline"),
+        (plan_module, "PIPELINE_OPS"),
+        (engines_module, "PipelineStats"),
+        (pipeline_module, "PipelineStats"),
+        (cli_module, "_parse_pipeline_stage"),
+    ):
+        assert not hasattr(module, name), name
+    assert not hasattr(Engine, "compile_pipeline")
+    for name in ("traced", "vector", "sharded"):
+        assert not hasattr(get_engine(name), "compile_pipeline")
+    with pytest.raises(SystemExit):
+        main(["plan", "--n", "8", "--stages", "filter"])
+    root = os.path.dirname(repro.__file__)
+    text = "".join(
+        open(os.path.join(folder, name), encoding="utf-8").read()
+        for folder, _, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
     )
-    padded = get_engine("sharded", shards=3, padding="worst_case")
-    assert one.digest() != padded.compile_pipeline(base).digest()
-
-
-def test_pipeline_plan_has_channel_nodes_between_every_stage():
-    engine = get_engine("sharded", shards=3)
-    plan = engine.compile_pipeline(
-        [("source", {"n": 10}), ("filter", {}), ("join", {"n2": 4}), ("group_by", {})]
-    )
-    channels = plan.nodes_by_op("channel")
-    assert len(channels) == 3  # one per operator stage
-    assert channels[0].attr("blocks") == 3
-    # The source channel's per-block capacities come from the partition
-    # plan; post-filter channels carry run-time (revealed) sizes.
-    capacity, counts = partition_plan(10, 3)
-    assert channels[0].attr("capacity") == capacity
-    assert channels[0].attr("counts") == tuple(counts)
-    assert channels[1].attr("capacity") is None
+    for op in ("channel", "filter_deferred", "group_by_deferred",
+               "shard_sort_deferred", "cascade_deferred"):
+        assert f'"{op}"' not in text, op
+    assert '"join_deferred"' in text  # the unpadded cascade still uses it
 
 
 # -- the CLI plan command -----------------------------------------------------

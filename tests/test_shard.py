@@ -528,38 +528,41 @@ def _phases(sizes, sort1):
 #: 475 136 comparators, where the parent commit (642a1cd) recorded one
 #: masked-swap sort per block — augment_sort1 equal to augment_sort2,
 #: 1 966 080 / 67 584 / 1 966 080.  Every other phase is the parent's.  The
-#: digests are of plan format 10.
+#: digests are of plan format 11.
 BENCHMARK_SHAPES = {
     "join_sharded_pool": (
         {"shards": 2}, _phases(_SORT_16K, 5406720),
-        "91503f7ed3bdc06289bfa0bf68608def0294a1d0bb4e80f8a465086bb59bc20d", None,
+        "b7174cf096b458df919ab200bb662a3c94bbda1272779e7ac8a6b3dd5718aa7e", None,
     ),
     "join_sharded_bounded": (
         {"shards": 2, "target_m": 1024}, _phases(_SORT_512, 180224),
-        "07b6aa42142c37eb207b33cbb2cbf7b140e5fa6914f42f39eaa3fcd7ce591dca", None,
+        "e79bd026512fe836513030d8df45598ee4953dd4c045b286bf06d8e412e8c974", None,
     ),
     "store_paged_join": (
         {"shards": 4}, _phases(_SORT_16K, 4947968),
-        "eb73e3ade15e3055d02e4a7026cbd6658d25694c53d2b3fddc38f2441af3b724", 4096,
+        "6bdb2a4a6d53c843c70a47f2b8094b288c79a3f73eb139bf5b925d460e6ed8b1", 4096,
     ),
 }
 
-#: The same plans' digests at earlier commits: at 6442b2c (plan format 9)
-#: and 1dc4b94 (format 8), the bytes with only the format tag set back; at
-#: 642a1cd (format 7), with every ``shard_sort`` node's ``passes`` removed
-#: as well.
+#: The same plans' digests at earlier commits: at 3aaff8a (plan format 10),
+#: 6442b2c (format 9) and 1dc4b94 (format 8), the bytes with only the
+#: format tag set back; at 642a1cd (format 7), with every ``shard_sort``
+#: node's ``passes`` removed as well.
 PARENT_PLAN_DIGESTS = {
     "join_sharded_pool": (
+        "91503f7ed3bdc06289bfa0bf68608def0294a1d0bb4e80f8a465086bb59bc20d",
         "97b53e399cb91bec206881e13ae771cc85c58e2dac964b77426024c165d5ec04",
         "107f180c6f3defec056d1c02f0dd85212215cbbdc5d2c648d9e9136838d90320",
         "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161",
     ),
     "join_sharded_bounded": (
+        "07b6aa42142c37eb207b33cbb2cbf7b140e5fa6914f42f39eaa3fcd7ce591dca",
         "f9886b598b4702cee823b856b422b006102b725ab87933e7e5b49a7ff1de548a",
         "638297776b7f3a4a999a3af506633ff0f0201134c29e071318c6643841cdf861",
         "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f",
     ),
     "store_paged_join": (
+        "eb73e3ade15e3055d02e4a7026cbd6658d25694c53d2b3fddc38f2441af3b724",
         "eb9407218bc2eee5152278599edb37162487a589dfc66c9e9484539f6aad16d5",
         "4ee813f12f59416a88fc00d50fb9542d1506b40243c87471d92b86e6dea532f4",
         "15558eb3fd47055d4a25ae67dcc4300d4fc6efe8c4b607eabaeb3245ed0d71b3",
