@@ -50,6 +50,7 @@ from .errors import (
     StoreIntegrityError,
     TraceMismatchError,
     TypingError,
+    WorkerLostError,
 )
 from .memory.monitor import verify_oblivious
 from .memory.tracer import CountSink, HashSink, ListSink, Tracer
@@ -105,6 +106,7 @@ __all__ = [
     "StoreIntegrityError",
     "TraceMismatchError",
     "TypingError",
+    "WorkerLostError",
     "verify_oblivious",
     "CountSink",
     "HashSink",

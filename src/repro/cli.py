@@ -30,7 +30,7 @@ Commands
 Every engine produces identical results; ``traced`` is the per-access-traced
 reference implementation, ``vector`` the numpy fast path (~10^3x faster),
 ``sharded`` the multi-process scale-out path (``--engine sharded --workers 4``,
-with ``--executor`` selecting inline / shared-memory pool / adversarially
+with ``--executor`` selecting inline / process pool / adversarially
 shuffled completion order; sorted blocks stream into the merge tournament as
 tasks complete, on every substrate).
 """
@@ -384,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=available_executors(),
         help="sharded engine: execution substrate — 'inline' (calling "
-        "process), 'pool' (persistent process pool, shared-memory column "
-        "transport), 'shuffle' (inline compute, adversarial completion "
+        "process), 'pool' (persistent process pool, pickled payloads), "
+        "'shuffle' (inline compute, adversarial completion "
         "order — validates the streaming merge); default: inline at "
         "--workers 1, pool above",
     )

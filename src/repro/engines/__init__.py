@@ -21,8 +21,8 @@ suite in ``tests/test_engines.py`` and ``tests/test_engine_properties.py``
 enforces it); they differ in speed, leakage granularity, and parallelism.
 All three also support *padded execution* —
 ``get_engine(name, padding="bounded"|"worst_case", bound=...)`` — which
-hides result sizes (including every multiway intermediate and the sharded
-per-shard partial group counts) behind public bounds;
+hides result sizes (including every multiway intermediate) behind public
+bounds;
 ``docs/leakage.md`` is the full leakage-profile table.
 
 ``traced``
@@ -39,20 +39,15 @@ per-shard partial group counts) behind public bounds;
     view is the primitive schedule (``Vector*Stats.schedule``).
 
 ``sharded``
-    The multi-process scale-out path: inputs split into ``shards`` equal,
-    padded, position-based partitions; the public schedule compiled into a
-    :class:`~repro.plan.ir.Plan` up front; the vector primitives run per
-    shard on a pluggable *executor* (``executor="inline"|"pool"`` —
-    calling process or shared-memory process pool);
-    a bitonic merge reassembles the result.  Aggregation/GROUP BY/FILTER
-    do strictly *less* total comparator work than single-shot vector
-    (``k`` smaller networks); the join, the cascade and ORDER BY are the
-    ``vector`` engine's own text over a ``shards``-way sharded sort — the
-    same comparator work, shared between the workers, and the same
-    leakage.  Additionally reveals
-    per-shard partial group counts and per-shard filter survivor counts
-    (both folded into public bounds under padded modes) — the positional
-    analogue of the multiway cascade's revealed intermediate sizes.
+    The multi-process scale-out path: every operator is the ``vector``
+    engine's own text over a ``shards``-way sharded sort — ``shards``
+    equal, padded, positional blocks sorted on a pluggable *executor*
+    (``executor="inline"|"pool"|"shuffle"`` — calling process, process
+    pool, or adversarial completion order), then a tournament of bitonic
+    merges.  The public schedule is compiled into a
+    :class:`~repro.plan.ir.Plan` up front.  Same comparator work, shared
+    between the workers; reveals what ``vector`` reveals plus the
+    ``(n, shards)`` block layout.
     Prefer it at ``n >= 2^14`` on multi-core hardware (measured on two
     cores only — nothing here has been run on more); knobs via
     ``get_engine("sharded", shards=K, workers=N, executor="pool")``.

@@ -26,14 +26,13 @@ Five knobs:
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
     executor — deterministic, fork-free, what the test suite uses;
-    ``workers>1`` defaults to the shared-memory process pool.
+    ``workers>1`` defaults to the process pool.
 ``executor``
     The execution substrate, overriding the workers-derived default:
-    ``"inline"`` (calling process), ``"pool"`` (persistent process pool
-    with shared-memory column transport — shard payloads are not pickled,
-    and merge-tournament runs stay cached in shared memory between
-    rounds), or ``"shuffle"`` (inline compute completing in adversarially
-    shuffled order — the validation substrate for the streaming seam).
+    ``"inline"`` (calling process), ``"pool"`` (persistent process pool;
+    block keys, row ids and merge runs travel pickled), or ``"shuffle"``
+    (inline compute completing in adversarially shuffled order — the
+    validation substrate for the streaming seam).
     Executors cannot change results or leakage, only wall-clock; the
     executor-parametrised differential suite pins the former.
 ``padding`` / ``bound``

@@ -26,9 +26,8 @@ A service installs nothing process-wide, so any number of them can live in
 one process and closing one leaves the others intact.  What they do share
 is stateless between queries: the persistent pools and the warm-executor
 registry of :mod:`repro.plan.executors`, and the per-process store handles
-of :mod:`repro.store.runtime`.  The pool transport assumes one dispatching
-thread per process, so two *pooled* services must not run queries at the
-same instant.  Results are bit-identical to a cold engine — pinned by the
+of :mod:`repro.store.runtime`; any number of threads may dispatch on them.
+Results are bit-identical to a cold engine — pinned by the
 serial-vs-concurrent and cold-vs-warm tests in ``tests/test_service.py``.
 """
 

@@ -30,10 +30,8 @@ Two ways to run the tournament:
     *folded in as their producing tasks complete* (fed from the executor's
     ordered-completion seam), a pairwise merge fires the moment a run's
     bracket mate exists, and — on executors whose ``submit`` crosses a
-    process boundary — the merges themselves run as worker tasks, with
-    intermediate runs parked in shared memory between rounds
-    (:func:`repro.plan.executors.publish_columns`) so they never
-    round-trip through the parent.  The bracket comes from
+    process boundary — the merges themselves run as worker tasks, their
+    runs travelling pickled.  The bracket comes from
     :func:`repro.plan.ir.tournament_schedule` — the same pure function of
     the run count the plan compilers emit ``merge_pair`` nodes from — so
     the pairing (and with it the comparator schedule) is fixed by the
@@ -49,13 +47,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..obliv.bitonic import next_power_of_two
-from ..plan.executors import (
-    adopt_segments,
-    materialize_columns,
-    publish_columns,
-    release_segments,
-    submit_task,
-)
+from ..plan.executors import submit_task
 from ..plan.ir import tournament_schedule
 from ..vector.sort import WORD_PAD, Key, lexicographic_greater, sort_words, word_column
 
@@ -189,25 +181,16 @@ def oblivious_merge_runs(
 # -- the streaming tournament -------------------------------------------------
 
 
-def merge_pair_task(payload) -> tuple[object, str | None, int]:
+def merge_pair_task(payload) -> tuple[dict[str, np.ndarray], int]:
     """One tournament pairing as an executor task (worker side).
 
-    ``payload`` is ``(a, b, keys, publish)`` — two runs (column dicts,
-    possibly shared-memory views), the sort keys, and whether to park the
-    output in shared memory.
-    Returns ``(run_or_refs, segment_name, comparators)``: with ``publish``
-    the merged run stays in a freshly published segment and only its ref
-    tree travels back (the cross-dispatch column cache — the next round's
-    merge references the segment by name instead of re-shipping the rows);
-    without it the plain column dict returns, ``segment_name=None``.
+    ``payload`` is ``(a, b, keys)`` — two runs (column dicts) and the sort
+    keys.  Returns ``(run, comparators)``.
     """
-    a, b, keys, publish = payload
+    a, b, keys = payload
     counter = [0]
     merged = bitonic_merge_two(a, b, keys, counter=counter)
-    if publish:
-        encoded, segment = publish_columns(merged)
-        return encoded, segment, counter[0]
-    return merged, None, counter[0]
+    return merged, counter[0]
 
 
 class StreamingTournament:
@@ -227,11 +210,7 @@ class StreamingTournament:
 
     ``executor`` decides where the merges run: executors exposing
     ``submit`` get each pairing as a task (overlapping merge work with
-    still-running producers), and when ``executor.remote_submit`` is true
-    the merge outputs are *published* to shared memory so successive
-    rounds hand refs between workers without a parent round-trip; the
-    parent materialises only the final run.  ``executor=None`` folds
-    inline.
+    still-running producers).  ``executor=None`` folds inline.
     """
 
     def __init__(
@@ -247,7 +226,6 @@ class StreamingTournament:
         self.keys = list(keys)
         self.counter = counter
         self._executor = executor
-        self._publish = bool(getattr(executor, "remote_submit", False))
         #: child (round, slot) -> the MergeNode consuming it.
         self._up = {}
         for node in tournament_schedule(runs):
@@ -257,11 +235,6 @@ class StreamingTournament:
         self._slots: dict[tuple[int, int], object] = {}
         #: dispatched merges, in dispatch order: (round, slot) -> completion.
         self._pending: "OrderedDict[tuple[int, int], object]" = OrderedDict()
-        #: id(live run value) -> the published segment holding its columns.
-        self._borne: dict[int, str] = {}
-        #: pending merge -> the child segments it is reading (released on
-        #: collection: the merge has consumed them by then).
-        self._feeds: dict[tuple[int, int], list[str]] = {}
         self._added: set[int] = set()
         self._root = None
 
@@ -290,27 +263,13 @@ class StreamingTournament:
             self._slots[(rnd, slot)] = value
             return
         left, right = (value, mate) if slot == node.left else (mate, value)
-        feeds = []
-        for child in (left, right):
-            segment = self._borne.pop(id(child), None)
-            if segment is not None:
-                feeds.append(segment)
-        key = (node.round, node.slot)
-        payload = (left, right, self.keys, self._publish)
-        self._pending[key] = submit_task(self._executor, merge_pair_task, payload)
-        self._feeds[key] = feeds
+        payload = (left, right, self.keys)
+        self._pending[(node.round, node.slot)] = submit_task(
+            self._executor, merge_pair_task, payload
+        )
 
-    def _collect(self, key: tuple[int, int], completion) -> object:
-        value, segment, comparators = completion.result()
-        # The merge has consumed its children; their segments can go now,
-        # which keeps peak shared memory at one round, not the whole tree.
-        release_segments(self._feeds.pop(key, ()))
-        if segment is not None:
-            # Book the adopted name with the resource tracker the moment
-            # the parent learns it, so even a hard parent crash between
-            # here and release_segments() reclaims the segment.
-            adopt_segments([segment])
-            self._borne[id(value)] = segment
+    def _collect(self, completion) -> dict[str, np.ndarray]:
+        value, comparators = completion.result()
         if self.counter is not None:
             self.counter[0] += comparators
         return value
@@ -331,35 +290,22 @@ class StreamingTournament:
             while self._pending:
                 key, completion = next(iter(self._pending.items()))
                 del self._pending[key]
-                self._place(*key, self._collect(key, completion))
-            if self._root is None:
-                return {}
-            root = materialize_columns(self._root)
+                self._place(*key, self._collect(completion))
         finally:
             self.close()
-        return root
+        return {} if self._root is None else self._root
 
     def close(self) -> None:
-        """Best-effort cleanup: collect strays, unlink published segments.
+        """Best-effort cleanup: collect stray merges.
 
         Called by :meth:`result` on success *and* failure, and safe to
         call directly when abandoning a tournament mid-stream (e.g. a
-        bound-exceeded abort): pending worker merges are drained so their
-        published segments can be unlinked rather than leaked.
+        bound-exceeded abort): pending worker merges are drained so no
+        task of this tournament is still running when the caller moves on.
         """
         while self._pending:
-            key, completion = self._pending.popitem(last=False)
+            _, completion = self._pending.popitem(last=False)
             try:
-                _, segment, _ = completion.result()
+                completion.result()
             except Exception:
-                segment = None
-            if segment is not None:
-                adopt_segments([segment])
-                release_segments([segment])
-            release_segments(self._feeds.pop(key, ()))
-        for feeds in self._feeds.values():
-            release_segments(feeds)
-        self._feeds = {}
-        if self._borne:
-            release_segments(self._borne.values())
-            self._borne = {}
+                pass

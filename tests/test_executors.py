@@ -1,15 +1,20 @@
-"""The executor layer: registry, shared-memory transport, and the contract
-that substrates cannot change a single output bit."""
+"""The executor layer: registry, the pickled pool transport, a lost worker,
+and the contract that substrates cannot change a single output bit."""
 
 from __future__ import annotations
 
 import importlib
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engines import get_engine
-from repro.errors import InputError
+from repro.errors import InputError, WorkerLostError
 from repro.plan import (
     InlineExecutor,
     PoolExecutor,
@@ -20,14 +25,7 @@ from repro.plan import (
     resolve_executor,
     submit_task,
 )
-from repro.plan.executors import (
-    _decode,
-    _pack,
-    adopt_segments,
-    materialize_columns,
-    publish_columns,
-    release_segments,
-)
+from repro.plan.executors import executor_stats
 
 #: One executor of each substrate; pool at 2 workers to force the real
 #: dispatch path (persistent pools are shared across the suite).
@@ -45,9 +43,9 @@ def _sum_task(payload):
 
 
 def _shape_task(payload):
-    """Report the dtypes/shapes/writability a worker actually received."""
+    """Report the dtype, shape and values a worker actually received."""
     array = payload["array"]
-    return (str(array.dtype), array.shape, bool(array.flags.writeable), array.tolist())
+    return (str(array.dtype), array.shape, array.tolist())
 
 
 # -- registry ----------------------------------------------------------------
@@ -61,7 +59,6 @@ def test_registry_contract(tmp_path, capsys):
         assert executor.name == name
         for seam in ("map", "imap", "submit"):
             assert callable(getattr(executor, seam)), (name, seam)
-        assert isinstance(executor.remote_submit, bool), name
 
     valid = "inline, pool, shuffle"
     with pytest.raises(InputError, match=valid):
@@ -122,40 +119,16 @@ def test_pool_ships_bool_and_int_columns_faithfully():
     payloads = [
         {"array": np.array([True, False, True])},
         {"array": np.arange(6, dtype=np.int64).reshape(2, 3)},
-        {"array": np.zeros(0, dtype=np.int64)},  # zero-size ships inline
+        {"array": np.zeros(0, dtype=np.int64)},
     ]
-    results = executor.map(_shape_task, payloads)
-    assert results[0] == ("bool", (3,), False, [True, False, True])
-    assert results[1] == ("int64", (2, 3), False, [[0, 1, 2], [3, 4, 5]])
-    # Zero-size arrays bypass shared memory, so they stay writable.
-    assert results[2][:2] == ("int64", (0,))
+    assert executor.map(_shape_task, payloads) == [
+        ("bool", (3,), [True, False, True]),
+        ("int64", (2, 3), [[0, 1, 2], [3, 4, 5]]),
+        ("int64", (0,), []),
+    ]
 
 
-def test_pack_writes_each_distinct_array_once():
-    shared = np.arange(100, dtype=np.int64)
-    other = np.ones(3, dtype=np.int64)
-    segment, encoded = _pack([(shared, other), (shared, 1), (shared,)])
-    try:
-        assert segment is not None
-        refs = {ref.offset for payload in encoded for ref in payload if hasattr(ref, "offset")}
-        assert len(refs) == 2  # shared written once, other once
-        decoded = [_decode(payload) for payload in encoded]
-        assert np.array_equal(decoded[0][0], shared)
-        assert np.array_equal(decoded[0][1], other)
-        assert decoded[1][1] == 1
-        assert not decoded[2][0].flags.writeable
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def test_pack_without_arrays_creates_no_segment():
-    segment, encoded = _pack([(1, 2), (3, 4)])
-    assert segment is None
-    assert encoded == [(1, 2), (3, 4)]
-
-
-# -- transport reporting (the path actually taken) ----------------------------
+# -- the ordered-completion seam ----------------------------------------------
 
 
 def _payloads(count, rows=8):
@@ -170,20 +143,6 @@ def _payloads(count, rows=8):
         )
         for index in range(count)
     ]
-
-
-def test_pool_transport_reflects_the_path_taken():
-    # workers=1 never crosses a process boundary, whatever the batch size.
-    assert PoolExecutor(workers=1).transport == "none"
-    executor = PoolExecutor(workers=2)
-    assert executor.transport == "shared_memory"  # configured default
-    executor.map(_sum_task, _payloads(1))  # single payload -> inline shortcut
-    assert executor.transport == "none"
-    executor.map(_sum_task, _payloads(4))
-    assert executor.transport == "shared_memory"
-
-
-# -- the ordered-completion seam ----------------------------------------------
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
@@ -214,7 +173,6 @@ def test_shuffle_executor_completes_in_adversarial_order():
 def test_completion_stream_falls_back_to_map_only_executors():
     class MapOnly:
         name = "maponly"
-        transport = "none"
 
         def map(self, task, payloads):
             return [task(p) for p in payloads]
@@ -227,69 +185,118 @@ def test_completion_stream_falls_back_to_map_only_executors():
     )
 
 
-# -- the cross-dispatch column cache ------------------------------------------
+# -- a lost worker and the deleted transport ----------------------------------
+
+#: The test process; a task only kills the worker it runs in, never this one
+#: (``workers=1`` and single payloads run inline).
+PARENT = os.getpid()
 
 
-def _publish_task(payload):
-    """Worker task: double a column and park the result in shared memory."""
-    columns = {"x": payload["x"] * 2}
-    return publish_columns(columns)
+def _kill_worker(payload):
+    """Task that SIGKILLs the pool worker running it."""
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return payload
 
 
-def _consume_refs_task(payload):
-    """Worker task reading a *published* run from an earlier dispatch."""
-    return int(payload["run"]["x"].sum())
+def _pid(_payload):
+    return os.getpid()
 
 
-def test_published_runs_cross_dispatches_without_a_parent_round_trip():
+def _lose_a_worker(seam, executor):
+    payloads = [1, 2, 3, 4]
+    if seam == "map":
+        return executor.map(_kill_worker, payloads)
+    if seam == "imap":
+        return list(executor.imap(_kill_worker, payloads))
+    return submit_task(executor, _kill_worker, 1).result()
+
+
+@pytest.mark.parametrize("seam", ["map", "imap", "submit"])
+def test_a_killed_worker_raises_and_the_next_dispatch_forks_a_fresh_pool(
+    seam, shm_leak_guard
+):
     executor = PoolExecutor(workers=2)
-    array = np.arange(10, dtype=np.int64)
-    encoded, segment = submit_task(
-        executor, _publish_task, {"x": array}
-    ).result()
-    assert segment is not None
-    adopt_segments([segment])  # crash-safe tracker booking on receipt
-    try:
-        # The parent holds refs, not bytes; a later dispatch consumes them.
-        total = submit_task(
-            executor, _consume_refs_task, {"run": encoded}
-        ).result()
-        assert total == int((array * 2).sum())
-        materialized = materialize_columns(encoded)
-        assert materialized["x"].tolist() == (array * 2).tolist()
-    finally:
-        release_segments([segment])
-    release_segments([segment])  # double release is tolerated
+    with pytest.raises(WorkerLostError, match="2-process pool"):
+        _lose_a_worker(seam, executor)
+    assert 2 not in executor_stats()["pools"]  # the broken pool was dropped
+    pids = executor.map(_pid, list(range(8)))
+    assert PARENT not in pids
+    assert executor.map(_sum_task, _payloads(3)) == [_sum_task(p) for p in _payloads(3)]
 
 
-def _attached_runs_task(_payload):
-    """Worker task: how many published segments this worker has attached."""
-    import os
+#: Two threads, 15 pooled sharded joins each, racing the first dispatch: one
+#: pool is forked, every row equals ``vector``'s, and (with no resource
+#: tracker patched mid-dispatch any more) the tracker has nothing to say.
+THREADED_JOINS = """
+import multiprocessing, threading
+from repro.engines import get_engine
 
+rows = [(k % 1000, k) for k in range(2000)]
+expected = get_engine("vector").join(rows, rows).pairs
+engine = get_engine("sharded", shards=4, workers=2, executor="pool")
+wrong = []
+
+def dispatch():
+    for _ in range(15):
+        if engine.join(rows, rows).pairs != expected:
+            wrong.append(threading.get_ident())
+
+threads = [threading.Thread(target=dispatch) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+assert not wrong, wrong
+assert len(multiprocessing.active_children()) == 2, multiprocessing.active_children()
+"""
+
+
+def test_two_threads_dispatch_on_one_pool_with_no_tracker_warning():
+    src = str(Path(importlib.import_module("repro").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", THREADED_JOINS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "resource_tracker" not in result.stderr, result.stderr
+
+
+def test_the_shared_memory_transport_is_gone():
+    """Payloads and results travel pickled: no arena, no published runs, no
+    resource-tracker patch, and no executor reports a transport."""
     from repro.plan import executors
+    from repro.shard import merge
 
-    return os.getpid(), len(executors._ATTACHED_RUNS)
-
-
-def test_pooled_worker_holds_at_most_two_published_segments():
-    """A merge task reads two published runs and none twice; every further
-    slot would only pin a dead, already-unlinked run per worker.  A pooled
-    join at k = 8 publishes four to seven runs per sort, five sorts."""
-    from repro.plan import executors
-    from repro.shard.join import sharded_oblivious_join
-
-    assert executors._RUN_LIMIT == 2
-    executor = PoolExecutor(workers=2)
-    rows = [(k % 9, k) for k in range(64)]
-    sharded_oblivious_join(rows, rows, shards=8, executor=executor)
-    held = dict(executor.map(_attached_runs_task, list(range(16))))
-    assert held and 1 <= max(held.values()) <= 2
-
-
-def test_publish_without_arrays_creates_no_segment():
-    encoded, segment = publish_columns({"empty": np.zeros(0, dtype=np.int64)})
-    assert segment is None
-    assert materialize_columns(encoded)["empty"].size == 0
+    for name in (
+        "_ArrayRef", "_borrowed_segment_ownership", "_map_tree", "_encode",
+        "_pack", "_rename", "_attach", "_decode", "_run_encoded",
+        "_ATTACHED_ARENAS", "_ARENA_LIMIT", "_ATTACHED_RUNS", "_RUN_LIMIT",
+        "_RUN_BYTES_LIMIT", "publish_columns", "adopt_segments",
+        "materialize_columns", "release_segments", "_PoolCompletion",
+        "_published_result_segments", "_pool_imap", "_pool_submit",
+    ):
+        assert not hasattr(executors, name), name
+        assert not hasattr(merge, name), name
+    for name in available_executors():
+        executor = get_executor(name, workers=2)
+        assert not hasattr(executor, "transport"), name
+        assert not hasattr(executor, "remote_submit"), name
+    assert "transport" not in executors.Executor.__annotations__
+    tournament = merge.StreamingTournament(2, [("x", True)], executor=InlineExecutor())
+    for name in ("_publish", "_borne", "_feeds"):
+        assert not hasattr(tournament, name), name
+    run, comparators = merge.merge_pair_task(
+        ({"x": np.array([1, 3])}, {"x": np.array([2])}, [("x", True)])
+    )
+    assert run["x"].tolist() == [1, 2, 3] and comparators > 0
+    root = Path(executors.__file__).parents[1]
+    for package in ("plan", "shard"):
+        for path in (root / package).glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            for module in ("shared_memory", "resource_tracker"):
+                assert module not in text, (path.name, module)
 
 
 # -- engine integration ------------------------------------------------------

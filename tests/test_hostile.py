@@ -5,7 +5,8 @@ Store cases first; the last sections are hostile *values*: through the
 sharded engine's packed sort, join-tree bands at the int64 limits on
 every engine, cells that are not int64 ints, refused by the array
 engines, rows that are not ``(j, d)`` pairs and malformed pipeline stages,
-refused by every engine (ROADMAP item 7's other conditions are not here).
+refused by every engine.  The very last is a pool worker SIGKILLed
+mid-query: a typed error within a bound, and the next query answered.
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -19,7 +20,10 @@ this file once per substrate.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,10 +32,11 @@ from test_service import _ServerThread
 from repro.core.padding import ANCHOR_KEY
 from repro.db.table import DBTable
 from repro.engines import get_engine
-from repro.errors import BoundError, InputError, StoreIntegrityError
+from repro.errors import BoundError, InputError, StoreIntegrityError, WorkerLostError
 from repro.plan import available_executors
-from repro.plan.executors import get_executor
+from repro.plan.executors import get_executor, shutdown_pools
 from repro.service import ServiceClient, ServiceEngine, ServiceError
+from repro.shard import sort as sort_module
 from repro.shard.join import sharded_oblivious_join
 from repro.store import FileStore, InMemoryStore, StorePairs, adopt, attach, detach_all
 from repro.store.blockstore import NONCE_BYTES, TAG_BYTES
@@ -197,9 +202,9 @@ def test_join_raises_and_the_same_executor_answers_a_clean_query(
 # -- a worker attaching by spec, the db layer, the service ---------------------
 
 
-def _first_block(spec: StoreSpec) -> bytes:
+def _first_block(spec: StoreSpec) -> tuple[int, bytes]:
     """What a pool worker does with a spec: attach by path, read a block."""
-    return attach(spec).read_block("L/j", 0)
+    return os.getpid(), attach(spec).read_block("L/j", 0)
 
 
 @pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
@@ -211,8 +216,9 @@ def test_wrong_key_fails_in_a_pool_worker_attaching_by_spec(tmp_path, shm_leak_g
     # The typed error survives the trip back from the worker process.
     with pytest.raises(StoreIntegrityError, match="block 0 under 'L/j'"):
         pool.map(_first_block, [good, bad])
-    assert pool.transport == "shared_memory"
-    assert pool.map(_first_block, [good, good]) == [store.read_block("L/j", 0)] * 2
+    (pid, block), (other, again) = pool.map(_first_block, [good, good])
+    assert os.getpid() not in (pid, other)  # both reads ran in a worker
+    assert block == again == store.read_block("L/j", 0)
 
 
 def _stored_tables(path, key):
@@ -605,3 +611,84 @@ def test_malformed_pipeline_stages_are_refused_before_any_operator_runs(config, 
             engine.pipeline(head + [stage])
     with pytest.raises(InputError, match="non-empty tuples"):
         engine.pipeline([()])
+
+
+# -- a pool worker killed mid-query ---------------------------------------------
+
+#: The test process: the killing task below only ever kills a pool worker.
+PARENT = os.getpid()
+
+#: How long a query may take to fail once its worker is killed (it reads
+#: about 0.02 s on a 2-core guest).  The bound is also a hard timeout: a
+#: pool that never returns the lost task fails the test instead of hanging.
+WORKER_LOSS_BOUND_S = 10.0
+
+_SORT_TASK = sort_module._sort_task
+
+KILL_LEFT = [(k % 5, k) for k in range(40)]
+KILL_RIGHT = [(k % 7, 2 * k) for k in range(40)]
+KILL_TREE = [KILL_LEFT[:12], KILL_RIGHT[:12], KILL_LEFT[20:30]]
+KILL_EDGES = [(0, 1, 0, 0), (0, 2, 0, 0)]
+KILL_SPEC = {"op": "join", "left": "l", "right": "r", "on": ["k", "k"]}
+POOLED = {"engine": "sharded", "shards": 2, "workers": 2, "executor": "pool"}
+
+
+def _killing_sort_task(payload):
+    """The sharded sort's block task, SIGKILLing the worker it runs in."""
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _SORT_TASK(payload)
+
+
+@contextmanager
+def _hard_timeout(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s: the query hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def _entry_point(entry: str, options: dict):
+    """Yield one engine's query for ``entry``, repeatable on that engine."""
+    if entry == "service":
+        columns = [["k:int", "v:int"], ["k:int", "w:int"]]
+        with ServiceEngine(**options) as service:
+            for name, schema, rows in zip("lr", columns, (KILL_LEFT, KILL_RIGHT)):
+                service.register_table(name, DBTable.from_rows(schema, rows))
+            yield lambda: service.query(KILL_SPEC).table.rows
+        return
+    options = dict(options)
+    engine = get_engine(options.pop("engine"), **options)
+    yield {
+        "sharded_join": lambda: engine.join(KILL_LEFT, KILL_RIGHT).pairs,
+        "join_tree": lambda: engine.join_tree(KILL_TREE, KILL_EDGES).rows,
+        "aggregate": lambda: engine.aggregate(KILL_LEFT, KILL_RIGHT),
+    }[entry]
+
+
+@pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
+@pytest.mark.parametrize("entry", ["sharded_join", "join_tree", "aggregate", "service"])
+def test_a_killed_pool_worker_fails_its_query_and_the_next_one_is_answered(
+    entry, monkeypatch, shm_leak_guard
+):
+    with _entry_point(entry, {"engine": "vector"}) as query:
+        expected = query()
+    shutdown_pools()  # the pool forked next inherits the killing task
+    monkeypatch.setattr(sort_module, "_sort_task", _killing_sort_task)
+    try:
+        with _entry_point(entry, POOLED) as query:
+            with _hard_timeout(WORKER_LOSS_BOUND_S), pytest.raises(WorkerLostError):
+                query()
+            assert not multiprocessing.active_children()  # the broken pool is reaped
+            monkeypatch.undo()
+            with _hard_timeout(WORKER_LOSS_BOUND_S):
+                assert query() == expected
+    finally:
+        shutdown_pools()  # no worker forked under the patch outlives the test
