@@ -394,8 +394,10 @@ def shutdown_warm_executors() -> None:
 
 def executor_stats() -> dict:
     """Live substrate state, for the service layer's queue stats."""
+    with _POOLS_LOCK:
+        pools = sorted(_POOLS)
     return {
-        "pools": sorted(_POOLS),
+        "pools": pools,
         "warm_executors": sorted(
             f"{name}:{workers}" for name, workers in _WARM_EXECUTORS
         ),

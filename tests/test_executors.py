@@ -229,8 +229,10 @@ def test_a_killed_worker_raises_and_the_next_dispatch_forks_a_fresh_pool(
 #: pool is forked, every row equals ``vector``'s, and (with no resource
 #: tracker patched mid-dispatch any more) the tracker has nothing to say.
 THREADED_JOINS = """
-import multiprocessing, threading
+import multiprocessing, sys, threading
 from repro.engines import get_engine
+
+sys.setswitchinterval(1e-6)  # switch threads often: race the first dispatch
 
 rows = [(k % 1000, k) for k in range(2000)]
 expected = get_engine("vector").join(rows, rows).pairs
@@ -246,7 +248,8 @@ threads = [threading.Thread(target=dispatch) for _ in range(2)]
 for thread in threads:
     thread.start()
 for thread in threads:
-    thread.join()
+    thread.join(timeout=240)
+    assert not thread.is_alive(), "a dispatching thread hung"
 assert not wrong, wrong
 assert len(multiprocessing.active_children()) == 2, multiprocessing.active_children()
 """
@@ -254,7 +257,8 @@ assert len(multiprocessing.active_children()) == 2, multiprocessing.active_child
 
 def test_two_threads_dispatch_on_one_pool_with_no_tracker_warning():
     src = str(Path(importlib.import_module("repro").__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-c", THREADED_JOINS],
         capture_output=True, text=True, env=env, timeout=300,
