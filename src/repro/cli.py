@@ -31,8 +31,8 @@ Every engine produces identical results; ``traced`` is the per-access-traced
 reference implementation, ``vector`` the numpy fast path (~10^3x faster),
 ``sharded`` the multi-process scale-out path (``--engine sharded --workers 4``,
 with ``--executor`` selecting inline / process pool / adversarially
-shuffled completion order; sorted blocks stream into the merge tournament as
-tasks complete, on every substrate).
+shuffled execution order; each sort maps its blocks, then maps each round of
+its merge tournament, on every substrate).
 """
 
 from __future__ import annotations
@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_executors(),
         help="sharded engine: execution substrate — 'inline' (calling "
         "process), 'pool' (persistent process pool, pickled payloads), "
-        "'shuffle' (inline compute, adversarial completion "
-        "order — validates the streaming merge); default: inline at "
+        "'shuffle' (inline compute, adversarially shuffled execution "
+        "order — validates that no task depends on it); default: inline at "
         "--workers 1, pool above",
     )
     join.add_argument(

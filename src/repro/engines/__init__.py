@@ -43,8 +43,8 @@ bounds;
     engine's own text over a ``shards``-way sharded sort — ``shards``
     equal, padded, positional blocks sorted on a pluggable *executor*
     (``executor="inline"|"pool"|"shuffle"`` — calling process, process
-    pool, or adversarial completion order), then a tournament of bitonic
-    merges.  The public schedule is compiled into a
+    pool, or adversarially shuffled execution order), then a tournament of
+    bitonic merges, one ``map`` per round.  The public schedule is compiled into a
     :class:`~repro.plan.ir.Plan` up front.  Same comparator work, shared
     between the workers; reveals what ``vector`` reveals plus the
     ``(n, shards)`` block layout.

@@ -5,9 +5,9 @@ engine seam: every workload is split into equal, padded, position-based
 shards (:mod:`repro.shard.partition`), its public schedule is compiled into
 a plan up front (:mod:`repro.plan.compile`), and the tasks run on a
 pluggable executor (:mod:`repro.plan.executors`).  What is sharded is the
-*sort* (:mod:`repro.shard.sort`): ``shards`` local bitonic sorts whose runs
-stream into a bitonic merge tournament (:mod:`repro.shard.merge`) as they
-finish, the merges themselves executor tasks.  Everything above the sort —
+*sort* (:mod:`repro.shard.sort`): ``shards`` local bitonic sorts, one
+``executor.map``, then a bitonic merge tournament (:mod:`repro.shard.merge`),
+one ``executor.map`` per round.  Everything above the sort —
 the join, the multiway cascade, the join tree, aggregation, GROUP BY,
 FILTER and ORDER BY — is the ``vector`` engine's own code, called with
 ``sort=sharded_sort``, so outputs are bit-identical and the leakage is the
@@ -31,8 +31,8 @@ Five knobs:
     The execution substrate, overriding the workers-derived default:
     ``"inline"`` (calling process), ``"pool"`` (persistent process pool;
     block keys, row ids and merge runs travel pickled), or ``"shuffle"``
-    (inline compute completing in adversarially shuffled order — the
-    validation substrate for the streaming seam).
+    (inline compute executing in adversarially shuffled order — a
+    validation substrate).
     Executors cannot change results or leakage, only wall-clock; the
     executor-parametrised differential suite pins the former.
 ``padding`` / ``bound``

@@ -13,10 +13,9 @@ emergent property into an explicit, testable artifact:
 :mod:`~repro.plan.partition`
     The pure shard-layout functions (``partition_plan`` et al.) — f(n, k).
 :mod:`~repro.plan.executors`
-    Pluggable execution substrates: ``inline``, ``pool`` (shared-memory
-    process pool), ``shuffle`` (adversarial completion order, for
-    validation) — each exposing the ordered-completion seam
-    (``imap``/``submit``) the streaming merge tournament folds through.
+    Pluggable execution substrates behind one ``map`` call: ``inline``,
+    ``pool`` (a process pool, pickled payloads), ``shuffle`` (shuffled
+    execution order, for validation).
 
 Usage::
 
@@ -47,13 +46,11 @@ from .executors import (
     PoolExecutor,
     ShuffleExecutor,
     available_executors,
-    completion_stream,
     executor_stats,
     get_executor,
     resolve_executor,
     shutdown_pools,
     shutdown_warm_executors,
-    submit_task,
     warm_executor,
     warm_pool,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "compile_multiway",
     "compile_order_by",
     "compile_workload",
-    "completion_stream",
     "executor_stats",
     "get_executor",
     "partition_plan",
@@ -87,7 +83,6 @@ __all__ = [
     "shard_counts",
     "shutdown_pools",
     "shutdown_warm_executors",
-    "submit_task",
     "tournament_schedule",
     "warm_executor",
     "warm_pool",

@@ -71,10 +71,11 @@ def _add_merge_tournament(
     """Emit one ``merge_pair`` node per tournament pairing; returns the root.
 
     The pairing schedule comes from :func:`~repro.plan.ir.tournament_schedule`
-    — the same pure function the runtime streaming tournament walks — so a
-    plan's ``merge_pair`` nodes *are* the bracket the drivers execute, with
-    carries (odd tail runs) skipping straight to the next round without a
-    node (they execute zero comparators).  ``run_lengths=None`` compiles
+    — the same pure function :func:`repro.shard.merge.oblivious_merge_runs`
+    walks round by round — so a plan's ``merge_pair`` nodes *are* the
+    bracket the drivers execute, with carries (odd tail runs) skipping
+    straight to the next round without a node (they execute zero
+    comparators).  ``run_lengths=None`` compiles
     the bracket structure with run-time-revealed lengths (``rows=None``).
     """
     current = list(leaves)

@@ -2,22 +2,15 @@
 
 A :class:`~repro.plan.ir.Plan` fixes the public schedule — which tasks run
 at which sizes, in which order.  Executors fix the substrate.  The contract
-has two seams::
+is one call::
 
-    executor.map(task, payloads)  -> list                  # payload order
-    executor.imap(task, payloads) -> iter[(index, result)] # completion order
-    executor.submit(task, payload) -> completion           # one deferred task
+    executor.map(task, payloads) -> list   # results in payload order
 
 ``task`` must be a module-level (picklable) function of one payload; every
 payload's *shape* is already data-independent (padded shards), so no
-executor can change the leakage — only the wall clock.  ``imap`` is the
-**ordered-completion seam**: it hands results back as they finish, so a
-streaming consumer (the sharded drivers' merge tournaments) can fold
-result ``i`` while task ``i + 1`` is still running, instead of waiting on
-a barrier.  Consumers must therefore be *arrival-order independent* —
-``tests/test_streaming_merge.py`` pins that with the adversarial
-``shuffle`` executor.  ``submit`` dispatches one task (a tournament's
-pairwise merge) and returns a completion whose ``.result()`` blocks.
+executor can change the leakage — only the wall clock.  A dispatch is a
+barrier: the sharded sort maps its ``k`` block sorts, then maps each round
+of its merge bracket (:func:`repro.shard.merge.oblivious_merge_runs`).
 Three executors ship in-tree:
 
 ``inline``
@@ -29,8 +22,8 @@ Three executors ship in-tree:
     row (or the key columns and a row id), so there is little to ship.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
-    *completion* order.  It exists to prove (in tests and the CI
-    differential matrix) that no consumer depends on arrival order.
+    *execution* order.  It exists to prove (in tests and the CI
+    differential matrix) that no task depends on running in payload order.
 
 Pools are *persistent*: the first ``workers=N`` dispatch forks the pool,
 later dispatches reuse it (:func:`shutdown_pools` tears them down).  ``map``
@@ -50,11 +43,10 @@ from __future__ import annotations
 import multiprocessing
 import random
 import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from ..errors import InputError, WorkerLostError
 
@@ -119,83 +111,16 @@ def warm_pool(workers: int) -> None:
             pool.submit(int).result()  # the first submit forks every worker
 
 
-# -- completions -------------------------------------------------------------
-
-
-@dataclass
-class _Immediate:
-    """A completion whose task already ran (inline substrates)."""
-
-    value: object
-
-    def result(self):
-        return self.value
-
-
-class _LazyCall:
-    """A completion that runs its task on first ``result()`` (shuffle)."""
-
-    def __init__(self, task: Callable, payload) -> None:
-        self._task = task
-        self._payload = payload
-        self._value = None
-        self._ran = False
-
-    def result(self):
-        if not self._ran:
-            self._value = self._task(self._payload)
-            self._task = self._payload = None
-            self._ran = True
-        return self._value
-
-
 # -- executors ---------------------------------------------------------------
 
 
 @runtime_checkable
 class Executor(Protocol):
-    """The execution substrate contract: ordered map over padded payloads.
-
-    ``imap``/``submit`` are optional seams; drivers reach them through
-    :func:`completion_stream` / :func:`submit_task`, which fall back to
-    ordered ``map`` / inline execution for executors that only implement
-    the minimal contract.
-    """
+    """The execution substrate contract: ordered map over padded payloads."""
 
     name: str
 
     def map(self, task: Callable, payloads: Sequence) -> list: ...
-
-
-def completion_stream(
-    executor, task: Callable, payloads: Sequence
-) -> Iterator[tuple[int, object]]:
-    """Yield ``(index, result)`` pairs as tasks complete.
-
-    The streaming seam the sharded drivers consume: uses the executor's
-    ``imap`` when it has one (completion order — arbitrary, even
-    adversarial), else falls back to ``map`` and yields in payload order.
-    Consumers must not depend on arrival order; the fold they feed must be
-    a pure function of the index space (the compiled bracket).
-    """
-    payloads = list(payloads)
-    imap = getattr(executor, "imap", None)
-    if imap is not None:
-        yield from imap(task, payloads)
-        return
-    for index, result in enumerate(executor.map(task, payloads)):
-        yield index, result
-
-
-def submit_task(executor, task: Callable, payload):
-    """Dispatch one task; returns a completion with ``.result()``.
-
-    Falls back to running inline for executors without ``submit``.
-    """
-    submit = getattr(executor, "submit", None)
-    if submit is not None:
-        return submit(task, payload)
-    return _Immediate(task(payload))
 
 
 class InlineExecutor:
@@ -209,25 +134,18 @@ class InlineExecutor:
     def map(self, task: Callable, payloads: Sequence) -> list:
         return [task(payload) for payload in payloads]
 
-    def imap(self, task: Callable, payloads: Sequence):
-        for index, payload in enumerate(payloads):
-            yield index, task(payload)
-
-    def submit(self, task: Callable, payload):
-        return _Immediate(task(payload))
-
 
 class ShuffleExecutor:
-    """Inline compute, adversarial completion order (a validation substrate).
+    """Inline compute, adversarially shuffled execution order (a validation
+    substrate).
 
-    Every task runs in the calling process, but ``map``/``imap`` *execute*
-    (and ``imap`` yields) the tasks in a deterministic shuffled order, and
-    ``submit`` defers execution until the consumer first blocks on the
-    completion.  Outputs are bit-identical to ``inline`` by the executor
-    contract; what this substrate exists to falsify is any *consumer*
-    assumption about arrival order — the streaming-merge suite and the CI
-    differential matrix run the sharded engine on it.  The shuffle is
-    seeded (``seed`` plus a per-dispatch counter), so failures reproduce.
+    Every task runs in the calling process, but ``map`` *executes* the tasks
+    in a deterministic shuffled order before returning their results in
+    payload order.  Outputs are bit-identical to ``inline`` by the executor
+    contract; what this substrate exists to falsify is any task that depends
+    on running in payload order — the CI differential matrix runs the
+    sharded engine on it.  The shuffle is seeded (``seed`` plus a
+    per-dispatch counter), so failures reproduce.
     """
 
     name = "shuffle"
@@ -250,28 +168,6 @@ class ShuffleExecutor:
             results[index] = task(payloads[index])
         return [results[index] for index in range(len(payloads))]
 
-    def imap(self, task: Callable, payloads: Sequence):
-        payloads = list(payloads)
-        for index in self._order(len(payloads)):
-            yield index, task(payloads[index])
-
-    def submit(self, task: Callable, payload):
-        return _LazyCall(task, payload)
-
-
-class _PoolFuture:
-    """A pool task's future whose ``result()`` reports a lost worker as
-    :class:`WorkerLostError`, like ``map`` and ``imap`` do."""
-
-    def __init__(self, workers: int, pool: ProcessPoolExecutor, future) -> None:
-        self._workers = workers
-        self._pool = pool
-        self._future = future
-
-    def result(self):
-        with _worker_loss(self._workers, self._pool):
-            return self._future.result()
-
 
 class PoolExecutor:
     """A persistent process pool; payloads and results travel pickled."""
@@ -281,44 +177,15 @@ class PoolExecutor:
     def __init__(self, workers: int = 2) -> None:
         self.workers = check_workers(workers)
 
-    def _inline(self, payloads: Sequence) -> bool:
+    def map(self, task: Callable, payloads: Sequence) -> list:
         # A single task (or a 1-process pool) gains nothing from the
         # round-trip; inline keeps the fast path fast.  Results are
         # identical either way — executors cannot change outputs.
-        return len(payloads) <= 1 or self.workers == 1
-
-    def map(self, task: Callable, payloads: Sequence) -> list:
-        if self._inline(payloads):
+        if len(payloads) <= 1 or self.workers == 1:
             return [task(payload) for payload in payloads]
         pool = _pool(self.workers)
         with _worker_loss(self.workers, pool):
             return list(pool.map(task, payloads))
-
-    def imap(self, task: Callable, payloads: Sequence):
-        payloads = list(payloads)
-        if self._inline(payloads):
-            for index, payload in enumerate(payloads):
-                yield index, task(payload)
-            return
-        pool = _pool(self.workers)
-        with _worker_loss(self.workers, pool):
-            futures = {
-                pool.submit(task, payload): index
-                for index, payload in enumerate(payloads)
-            }
-            try:
-                for future in as_completed(futures):
-                    yield futures[future], future.result()
-            finally:
-                for future in futures:  # an abort drops what has not started
-                    future.cancel()
-
-    def submit(self, task: Callable, payload):
-        if self.workers == 1:
-            return _Immediate(task(payload))
-        pool = _pool(self.workers)
-        with _worker_loss(self.workers, pool):
-            return _PoolFuture(self.workers, pool, pool.submit(task, payload))
 
 
 #: Executor factories by name (the ``--executor`` choices).
@@ -363,6 +230,9 @@ def resolve_executor(executor: str | Executor | None, workers: int = 1) -> Execu
 #: Warm executor instances the service layer reuses across queries,
 #: keyed by ``(name, workers)``.
 _WARM_EXECUTORS: dict[tuple[str, int], Executor] = {}
+#: Guards :data:`_WARM_EXECUTORS`; its own lock, since :func:`warm_pool`
+#: takes ``_POOLS_LOCK``.
+_WARM_LOCK = threading.Lock()
 
 
 def warm_executor(executor: str | Executor | None, workers: int = 1) -> Executor:
@@ -378,27 +248,23 @@ def warm_executor(executor: str | Executor | None, workers: int = 1) -> Executor
     resolved = resolve_executor(executor, workers=workers)
     if resolved is executor:
         return resolved
-    key = (resolved.name, workers)
-    instance = _WARM_EXECUTORS.get(key)
-    if instance is None:
-        instance = _WARM_EXECUTORS[key] = resolved
-        if isinstance(instance, PoolExecutor):
-            warm_pool(workers)
+    with _WARM_LOCK:
+        instance = _WARM_EXECUTORS.setdefault((resolved.name, workers), resolved)
+    if instance is resolved and isinstance(instance, PoolExecutor):
+        warm_pool(workers)
     return instance
 
 
 def shutdown_warm_executors() -> None:
     """Forget the warm executor instances (their pools stay in _POOLS)."""
-    _WARM_EXECUTORS.clear()
+    with _WARM_LOCK:
+        _WARM_EXECUTORS.clear()
 
 
 def executor_stats() -> dict:
     """Live substrate state, for the service layer's queue stats."""
     with _POOLS_LOCK:
         pools = sorted(_POOLS)
-    return {
-        "pools": pools,
-        "warm_executors": sorted(
-            f"{name}:{workers}" for name, workers in _WARM_EXECUTORS
-        ),
-    }
+    with _WARM_LOCK:
+        warm = sorted(f"{name}:{workers}" for name, workers in _WARM_EXECUTORS)
+    return {"pools": pools, "warm_executors": warm}

@@ -215,9 +215,9 @@ class MergeNode:
     at which sizes — is produced by :func:`tournament_schedule`, a pure
     function of ``(run count, run lengths)``.  Both the plan
     compilers (which emit one ``merge_pair`` op node per pairing) and the
-    runtime streaming tournament (:class:`repro.shard.merge.StreamingTournament`)
-    consume this same function, so the executed pairing order cannot drift
-    from the compiled artifact no matter in which order tasks finish.
+    runtime merge (:func:`repro.shard.merge.oblivious_merge_runs`, one
+    ``executor.map`` per round) consume this same function, so the executed
+    pairing cannot drift from the compiled artifact.
     """
 
     round: int

@@ -16,38 +16,23 @@ orders them after every real row, which keeps the layout bitonic
 stages sort it ascending.  The padding then sits in the tail — its position
 is a function of the (public) run lengths alone — and is cut off.
 
-The comparator schedule of the whole tournament is determined by the run
-lengths only; the obliviousness tests pin it.
-
-Two ways to run the tournament:
-
-:func:`oblivious_merge_runs`
-    The single-process barrier form: all runs in hand, merged round by
-    round on the calling core.
-
-:class:`StreamingTournament`
-    The streaming form :func:`repro.shard.sort.sharded_sort` uses: runs are
-    *folded in as their producing tasks complete* (fed from the executor's
-    ordered-completion seam), a pairwise merge fires the moment a run's
-    bracket mate exists, and — on executors whose ``submit`` crosses a
-    process boundary — the merges themselves run as worker tasks, their
-    runs travelling pickled.  The bracket comes from
-    :func:`repro.plan.ir.tournament_schedule` — the same pure function of
-    the run count the plan compilers emit ``merge_pair`` nodes from — so
-    the pairing (and with it the comparator schedule) is fixed by the
-    compiled plan, never by arrival order, and the output is bit-identical
-    to the barrier form under any completion order.
+The bracket — which runs pair in which round, an odd tail run carried up
+unmerged — is :func:`repro.plan.ir.tournament_schedule`, the same pure
+function of the run count the plan compilers emit ``merge_pair`` nodes
+from.  :func:`oblivious_merge_runs` walks it one round at a time, each
+round one ``executor.map`` of :func:`merge_pair_task`, so the comparator
+schedule is fixed by the run lengths and the obliviousness tests pin it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
-from ..errors import InputError
 from ..obliv.bitonic import next_power_of_two
-from ..plan.executors import submit_task
+from ..plan.executors import Executor, InlineExecutor
 from ..plan.ir import tournament_schedule
 from ..vector.sort import WORD_PAD, Key, lexicographic_greater, sort_words, word_column
 
@@ -152,37 +137,8 @@ def merge_comparator_count(lengths: list[int]) -> int:
     return count
 
 
-def oblivious_merge_runs(
-    runs: list[dict[str, np.ndarray]],
-    keys: list[Key],
-    counter: list | None = None,
-) -> dict[str, np.ndarray]:
-    """Tournament-merge sorted runs into one run sorted ascending by ``keys``.
-
-    Runs are merged pairwise round by round (a balanced tournament), so the
-    network depth over the runs is ``ceil(log2(len(runs)))`` rounds; the
-    comparator schedule depends only on the run lengths.
-    """
-    if not runs:
-        return {}
-    current = [_copy(run) for run in runs]
-    while len(current) > 1:
-        merged = []
-        for i in range(0, len(current) - 1, 2):
-            merged.append(
-                bitonic_merge_two(current[i], current[i + 1], keys, counter=counter)
-            )
-        if len(current) % 2:
-            merged.append(current[-1])
-        current = merged
-    return current[0]
-
-
-# -- the streaming tournament -------------------------------------------------
-
-
 def merge_pair_task(payload) -> tuple[dict[str, np.ndarray], int]:
-    """One tournament pairing as an executor task (worker side).
+    """One tournament pairing as an executor task.
 
     ``payload`` is ``(a, b, keys)`` — two runs (column dicts) and the sort
     keys.  Returns ``(run, comparators)``.
@@ -193,119 +149,36 @@ def merge_pair_task(payload) -> tuple[dict[str, np.ndarray], int]:
     return merged, counter[0]
 
 
-class StreamingTournament:
-    """Fold sorted runs into the fixed merge bracket as they arrive.
+def oblivious_merge_runs(
+    runs: list[dict[str, np.ndarray]],
+    keys: list[Key],
+    counter: list | None = None,
+    executor: Executor | None = None,
+) -> dict[str, np.ndarray]:
+    """Tournament-merge sorted runs into one run sorted ascending by ``keys``.
 
-    The bracket — which leaf pairs with which, round by round — is
-    precomputed from the run *count* by
-    :func:`repro.plan.ir.tournament_schedule`, the same pure function the
-    plan compilers emit ``merge_pair`` nodes from.  :meth:`add` may be
-    called in **any** order (the executor's completion order is scheduling
-    jitter, not schedule): a pairwise merge is dispatched the moment both
-    bracket mates exist, and an odd tail run is carried to the next round
-    untouched.  Because every merge is a deterministic function of its two
-    inputs and the pairing is fixed, the final run — and the total
-    comparator count, accumulated into ``counter`` — is bit-identical to
-    :func:`oblivious_merge_runs` under every arrival order.
-
-    ``executor`` decides where the merges run: executors exposing
-    ``submit`` get each pairing as a task (overlapping merge work with
-    still-running producers).  ``executor=None`` folds inline.
+    Walks :func:`~repro.plan.ir.tournament_schedule` round by round: each
+    round's pairings are one ``executor.map`` of :func:`merge_pair_task`
+    (``None`` runs them inline), and an odd tail run is carried to the next
+    round.  The network depth over the runs is ``ceil(log2(len(runs)))``
+    rounds; the comparator schedule depends only on the run lengths.
     """
-
-    def __init__(
-        self,
-        runs: int,
-        keys: list[Key],
-        executor=None,
-        counter: list | None = None,
-    ) -> None:
-        if runs < 0:
-            raise InputError(f"tournament needs a non-negative run count, got {runs}")
-        self.runs = runs
-        self.keys = list(keys)
-        self.counter = counter
-        self._executor = executor
-        #: child (round, slot) -> the MergeNode consuming it.
-        self._up = {}
-        for node in tournament_schedule(runs):
-            self._up[(node.round - 1, node.left)] = node
-            if node.right is not None:
-                self._up[(node.round - 1, node.right)] = node
-        self._slots: dict[tuple[int, int], object] = {}
-        #: dispatched merges, in dispatch order: (round, slot) -> completion.
-        self._pending: "OrderedDict[tuple[int, int], object]" = OrderedDict()
-        self._added: set[int] = set()
-        self._root = None
-
-    def add(self, index: int, run: dict[str, np.ndarray]) -> None:
-        """Fold leaf run ``index`` in; safe in any arrival order."""
-        if not 0 <= index < self.runs:
-            raise InputError(
-                f"tournament over {self.runs} runs got leaf index {index}"
-            )
-        if index in self._added:
-            raise InputError(f"tournament leaf {index} was already added")
-        self._added.add(index)
-        self._place(0, index, run)
-
-    def _place(self, rnd: int, slot: int, value) -> None:
-        node = self._up.get((rnd, slot))
-        if node is None:
-            self._root = value
-            return
-        if node.is_carry:
-            self._place(node.round, node.slot, value)
-            return
-        mate_slot = node.left if slot == node.right else node.right
-        mate = self._slots.pop((rnd, mate_slot), None)
-        if mate is None:
-            self._slots[(rnd, slot)] = value
-            return
-        left, right = (value, mate) if slot == node.left else (mate, value)
-        payload = (left, right, self.keys)
-        self._pending[(node.round, node.slot)] = submit_task(
-            self._executor, merge_pair_task, payload
+    if not runs:
+        return {}
+    if len(runs) == 1:
+        return _copy(runs[0])
+    executor = executor or InlineExecutor()
+    # Rebinding ``runs`` (not a copy) lets each round free the runs it
+    # merged, when the caller handed over a list it does not keep.
+    for _, nodes in groupby(tournament_schedule(len(runs)), key=attrgetter("round")):
+        nodes = list(nodes)
+        results = executor.map(
+            merge_pair_task,
+            [(runs[n.left], runs[n.right], keys) for n in nodes if not n.is_carry],
         )
-
-    def _collect(self, completion) -> dict[str, np.ndarray]:
-        value, comparators = completion.result()
-        if self.counter is not None:
-            self.counter[0] += comparators
-        return value
-
-    def result(self) -> dict[str, np.ndarray]:
-        """Drain pending merges and return the final sorted run.
-
-        Requires every leaf to have been added.  The drain order is the
-        dispatch order (deterministic given arrival order), but the
-        result does not depend on it — each collected merge just fills
-        its bracket slot, possibly firing the next round's pairing.
-        """
-        if len(self._added) != self.runs:
-            raise InputError(
-                f"tournament expected {self.runs} runs, got {len(self._added)}"
-            )
-        try:
-            while self._pending:
-                key, completion = next(iter(self._pending.items()))
-                del self._pending[key]
-                self._place(*key, self._collect(completion))
-        finally:
-            self.close()
-        return {} if self._root is None else self._root
-
-    def close(self) -> None:
-        """Best-effort cleanup: collect stray merges.
-
-        Called by :meth:`result` on success *and* failure, and safe to
-        call directly when abandoning a tournament mid-stream (e.g. a
-        bound-exceeded abort): pending worker merges are drained so no
-        task of this tournament is still running when the caller moves on.
-        """
-        while self._pending:
-            _, completion = self._pending.popitem(last=False)
-            try:
-                completion.result()
-            except Exception:
-                pass
+        if counter is not None:
+            counter[0] += sum(comparators for _, comparators in results)
+        # A carry is always its round's last slot.
+        carried = [runs[node.left] for node in nodes if node.is_carry]
+        runs = [run for run, _ in results] + carried
+    return runs[0]

@@ -3,11 +3,11 @@
 The one primitive every sharded operator above a sort is built on.  The
 table is cut into ``k`` positional blocks (:func:`partition_plan` — a
 function of ``(n, k)`` only), each block is sorted as an executor task, and
-the sorted runs fold into the :class:`~repro.shard.merge.StreamingTournament`
-of bitonic merges as they complete.  ``k`` local sorts plus ``log k`` merge
-rounds *are* one bitonic sort, so the comparator work is the single-process
-sort's (exactly, at ``k = 1``, when the keys fit one word) and the workers
-share it.
+the sorted runs meet in a tournament of bitonic merges, one ``executor.map``
+per round (:func:`~repro.shard.merge.oblivious_merge_runs`): every dispatch
+is a barrier.  ``k`` local sorts plus ``log k`` merge rounds *are* one
+bitonic sort, so the comparator work is the single-process sort's (exactly,
+at ``k = 1``, when the keys fit one word) and the workers share it.
 
 Only the keys and a row id cross to the workers — as **one int64 word per
 row**, ``key fields ‖ row id``, the shape the network sorts with ``minimum`` /
@@ -26,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InputError
-from ..plan.executors import Executor, completion_stream
+from ..plan.executors import Executor
 from ..plan.partition import WORD_BITS, word_passes
 from ..vector.sort import Key, index_bits, vector_bitonic_sort, word_column
-from .merge import StreamingTournament
+from .merge import oblivious_merge_runs
 from .partition import partition_columns
 
 #: Column carrying each row's input position through the network — alone, or
@@ -123,6 +123,15 @@ def _sort_task(payload) -> tuple[dict[str, np.ndarray], int]:
     return run, counter[0]
 
 
+def _sort_blocks(payloads, counter: list | None, executor: Executor) -> list:
+    """The sorted runs of one ``map`` over the blocks, in a list no one else
+    holds: passed straight to the merge, each run is freed once merged."""
+    results = executor.map(_sort_task, payloads)
+    if counter is not None:
+        counter[0] += sum(count for _, count in results)
+    return [run for run, _ in results]
+
+
 def sharded_sort(
     columns: dict[str, np.ndarray],
     keys: list[Key],
@@ -156,18 +165,9 @@ def sharded_sort(
     payloads = [
         (block, keys, real) for block, real in partition_columns(table, shards)
     ]
-    tournament = StreamingTournament(
-        len(payloads), keys, executor=executor, counter=counter
+    merged = oblivious_merge_runs(
+        _sort_blocks(payloads, counter, executor), keys, counter, executor
     )
-    try:
-        for index, (run, count) in completion_stream(executor, _sort_task, payloads):
-            if counter is not None:
-                counter[0] += count
-            tournament.add(index, run)
-        merged = tournament.result()
-    except BaseException:
-        tournament.close()
-        raise
     order = merged.pop(ROW_ID)
     if widths is not None:
         order = order & ((1 << widths[-1]) - 1)

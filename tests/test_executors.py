@@ -20,10 +20,8 @@ from repro.plan import (
     PoolExecutor,
     ShuffleExecutor,
     available_executors,
-    completion_stream,
     get_executor,
     resolve_executor,
-    submit_task,
 )
 from repro.plan.executors import executor_stats
 
@@ -52,13 +50,12 @@ def _shape_task(payload):
 
 
 def test_registry_contract(tmp_path, capsys):
-    """Three executors, every seam on each, and the deleted forks stay gone."""
+    """Three executors, ``map`` on each, and the deleted forks stay gone."""
     assert available_executors() == ["inline", "pool", "shuffle"]
     for name in available_executors():
         executor = get_executor(name, workers=2)
         assert executor.name == name
-        for seam in ("map", "imap", "submit"):
-            assert callable(getattr(executor, seam)), (name, seam)
+        assert callable(executor.map), name
 
     valid = "inline, pool, shuffle"
     with pytest.raises(InputError, match=valid):
@@ -128,7 +125,7 @@ def test_pool_ships_bool_and_int_columns_faithfully():
     ]
 
 
-# -- the ordered-completion seam ----------------------------------------------
+# -- the shuffled execution order --------------------------------------------
 
 
 def _payloads(count, rows=8):
@@ -145,44 +142,25 @@ def _payloads(count, rows=8):
     ]
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
-def test_imap_yields_every_result_with_its_index(executor):
-    payloads = _payloads(6)
-    expected = {index: _sum_task(payload) for index, payload in enumerate(payloads)}
-    got = dict(completion_stream(executor, _sum_task, payloads))
-    assert got == expected
-
-
-@pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
-def test_submit_returns_a_blocking_completion(executor):
-    payloads = _payloads(3)
-    completions = [submit_task(executor, _sum_task, p) for p in payloads]
-    assert [c.result() for c in completions] == [_sum_task(p) for p in payloads]
-
-
 def test_shuffle_executor_completes_in_adversarial_order():
+    """(The id predates the barrier.)  ``shuffle`` *executes* the tasks in a
+    seeded scrambled order and still returns payload order."""
     executor = ShuffleExecutor(seed=1)
     payloads = _payloads(8)
-    order = [index for index, _ in completion_stream(executor, _sum_task, payloads)]
-    assert sorted(order) == list(range(8))
-    assert order != list(range(8))  # seed 1 scrambles 8 tasks
-    # ... while map still returns payload order (the executor contract).
-    assert executor.map(_sum_task, payloads) == [_sum_task(p) for p in payloads]
+    ran = []
 
+    def task(payload):
+        ran.append(payload[2][0])
+        return _sum_task(payload)
 
-def test_completion_stream_falls_back_to_map_only_executors():
-    class MapOnly:
-        name = "maponly"
-
-        def map(self, task, payloads):
-            return [task(p) for p in payloads]
-
-    payloads = _payloads(4)
-    got = list(completion_stream(MapOnly(), _sum_task, payloads))
-    assert got == [(i, _sum_task(p)) for i, p in enumerate(payloads)]
-    assert submit_task(MapOnly(), _sum_task, payloads[0]).result() == _sum_task(
-        payloads[0]
-    )
+    assert executor.map(task, payloads) == [_sum_task(p) for p in payloads]
+    assert sorted(ran) == list(range(8))
+    assert ran != list(range(8))  # seed 1 scrambles 8 tasks
+    # The same seed replays the same order; the next dispatch draws another.
+    replay, again = [], []
+    ShuffleExecutor(seed=1).map(lambda p: replay.append(p[2][0]), payloads)
+    executor.map(lambda p: again.append(p[2][0]), payloads)
+    assert replay == ran and again != ran
 
 
 # -- a lost worker and the deleted transport ----------------------------------
@@ -203,22 +181,13 @@ def _pid(_payload):
     return os.getpid()
 
 
-def _lose_a_worker(seam, executor):
-    payloads = [1, 2, 3, 4]
-    if seam == "map":
-        return executor.map(_kill_worker, payloads)
-    if seam == "imap":
-        return list(executor.imap(_kill_worker, payloads))
-    return submit_task(executor, _kill_worker, 1).result()
-
-
-@pytest.mark.parametrize("seam", ["map", "imap", "submit"])
+@pytest.mark.parametrize("seam", ["map"])
 def test_a_killed_worker_raises_and_the_next_dispatch_forks_a_fresh_pool(
     seam, shm_leak_guard
 ):
     executor = PoolExecutor(workers=2)
     with pytest.raises(WorkerLostError, match="2-process pool"):
-        _lose_a_worker(seam, executor)
+        getattr(executor, seam)(_kill_worker, [1, 2, 3, 4])
     assert 2 not in executor_stats()["pools"]  # the broken pool was dropped
     pids = executor.map(_pid, list(range(8)))
     assert PARENT not in pids
@@ -267,6 +236,53 @@ def test_two_threads_dispatch_on_one_pool_with_no_tracker_warning():
     assert "resource_tracker" not in result.stderr, result.stderr
 
 
+#: One thread registers 3 000 warm executors while another reads the stats:
+#: the read must never see the registry change size mid-iteration.
+STATS_RACE = """
+import sys, threading
+from repro.plan.executors import executor_stats, warm_executor
+
+sys.setswitchinterval(1e-6)  # switch threads often: race the registry
+done = threading.Event()
+errors = []
+
+def register():
+    try:
+        for workers in range(1, 3001):
+            warm_executor("inline", workers=workers)
+    finally:
+        done.set()
+
+def read():
+    while not done.is_set():
+        try:
+            executor_stats()
+        except RuntimeError as error:
+            errors.append(repr(error))
+            return
+
+threads = [threading.Thread(target=register), threading.Thread(target=read)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "a racing thread hung"
+assert not errors, errors
+assert len(executor_stats()["warm_executors"]) == 3000
+"""
+
+
+def test_executor_stats_reads_the_warm_registry_under_its_lock():
+    src = str(Path(importlib.import_module("repro").__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", STATS_RACE],
+        capture_output=True, text=True, env=env, timeout=180,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_the_shared_memory_transport_is_gone():
     """Payloads and results travel pickled: no arena, no published runs, no
     resource-tracker patch, and no executor reports a transport."""
@@ -288,9 +304,6 @@ def test_the_shared_memory_transport_is_gone():
         assert not hasattr(executor, "transport"), name
         assert not hasattr(executor, "remote_submit"), name
     assert "transport" not in executors.Executor.__annotations__
-    tournament = merge.StreamingTournament(2, [("x", True)], executor=InlineExecutor())
-    for name in ("_publish", "_borne", "_feeds"):
-        assert not hasattr(tournament, name), name
     run, comparators = merge.merge_pair_task(
         ({"x": np.array([1, 3])}, {"x": np.array([2])}, [("x", True)])
     )

@@ -395,18 +395,6 @@ def test_padded_aggregation_keeps_the_keys_a_padded_join_reserves(
     assert [group.j for group in plain.group_by(RESERVED_KEYS)][-1] == I64_MAX
 
 
-class _Collected:
-    """A completion that tells its probe when it has been collected."""
-
-    def __init__(self, probe, completion) -> None:
-        self.probe, self.completion = probe, completion
-
-    def result(self):
-        value = self.completion.result()
-        self.probe.in_flight -= 1
-        return value
-
-
 class _InFlightProbe:
     """Wraps an executor substrate; counts tasks handed out and not yet
     collected, so a raise can be checked to happen with none in flight."""
@@ -417,20 +405,12 @@ class _InFlightProbe:
         self.in_flight = self.dispatched = 0
 
     def map(self, task, payloads):
-        return self.inner.map(task, payloads)
-
-    def imap(self, task, payloads):
         payloads = list(payloads)
         self.in_flight += len(payloads)
         self.dispatched += len(payloads)
-        for item in self.inner.imap(task, payloads):
-            self.in_flight -= 1
-            yield item
-
-    def submit(self, task, payload):
-        self.in_flight += 1
-        self.dispatched += 1
-        return _Collected(self, self.inner.submit(task, payload))
+        results = self.inner.map(task, payloads)
+        self.in_flight -= len(payloads)
+        return results
 
     def __getattr__(self, attribute):
         return getattr(self.inner, attribute)

@@ -3,11 +3,11 @@
 Every engine runs a chain through the one operator-at-a-time path
 (:meth:`repro.engines.base.PaddingOptionsMixin.pipeline`), so a pipeline
 must be *bit-identical* to the traced reference on any engine x executor —
-including when shard tasks complete in adversarial order (the ``shuffle``
-executor) and when they run on workers over shared memory (the ``pool``
+including when shard tasks run in adversarial order (the ``shuffle``
+executor) and when they run on pickled payloads in workers (the ``pool``
 executor).  Hypothesis drives whole chains — filter -> join,
 join -> group_by, filter -> multiway -> order_by — through every
-configuration, and a seed sweep pins that the shuffled completion order
+configuration, and a seed sweep pins that the shuffled execution order
 changes neither the output nor the plan.
 
 ``REPRO_ENGINES`` / ``REPRO_EXECUTORS`` restrict the configuration list
@@ -184,7 +184,7 @@ def test_filter_multiway_order_by_pipeline(configuration, source, mid, last):
     )
 
 
-# -- arrival-order independence ----------------------------------------------
+# -- execution-order independence --------------------------------------------
 
 #: A fixed adversarial chain: skewed keys, duplicate rows, a survivor-free
 #: middle block at shards=3.
@@ -215,7 +215,7 @@ _SWEEP_RIGHT = [(0, 5), (1, 6), (0, 5), (3, 7), (1, 6)]
     ],
 )
 def test_shuffle_seed_sweep_is_arrival_order_independent(chain):
-    """Ten adversarial completion orders: same bits, same plan."""
+    """Ten adversarial execution orders: same bits, same plan."""
     if "sharded" not in ENGINES:
         pytest.skip("sharded engine excluded by REPRO_ENGINES")
     reference = get_engine(REFERENCE).pipeline(chain)

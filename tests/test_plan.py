@@ -160,7 +160,7 @@ def test_sharded_join_plan_grid_uses_partition_counts():
 def test_sharded_plans_embed_the_merge_tournament_bracket():
     """Every pairwise merge of every sharded sort is a merge_pair node whose
     (round, slot, lengths) come from tournament_schedule — the same pure
-    function the runtime streaming tournament walks."""
+    function :func:`repro.shard.merge.oblivious_merge_runs` walks."""
     from repro.plan import tournament_schedule
 
     n1, n2, k = 10, 7, 3
@@ -359,10 +359,10 @@ def test_every_shard_sort_node_carries_its_passes():
 
 
 def test_executed_plan_bytes_survive_adversarial_completion_orders():
-    """The streaming merge folds sorted blocks in whatever order they
-    complete; the executed plan's canonical bytes must stay a pure
-    function of (sizes, k, bounds) anyway — completion order is
-    scheduling jitter, not schedule."""
+    """The shuffle substrate runs each dispatch's tasks in a scrambled
+    order; the executed plan's canonical bytes must stay a pure function
+    of (sizes, k, bounds) anyway — execution order is scheduling
+    jitter, not schedule."""
     from repro.plan import ShuffleExecutor
 
     target = 64
@@ -483,13 +483,6 @@ class CapturingExecutor(InlineExecutor):
 
     def map(self, task, payloads):
         return [self._run(task, payload) for payload in payloads]
-
-    def imap(self, task, payloads):
-        for index, payload in enumerate(payloads):
-            yield index, self._run(task, payload)
-
-    def submit(self, task, payload):
-        return super().submit(partial(self._run, task), payload)
 
 
 def _wire_shape(value):

@@ -182,10 +182,10 @@ class RecordingExecutor(InlineExecutor):
         super().__init__()
         self.shipped: set[str] = set()
 
-    def imap(self, task, payloads):
+    def map(self, task, payloads):
         for payload in payloads:
             self.shipped |= set(payload[0])
-        return super().imap(task, payloads)
+        return super().map(task, payloads)
 
 
 @pytest.mark.parametrize(
@@ -228,6 +228,37 @@ def test_sharded_sort_ships_only_keys_and_a_row_id():
     table = {name: np.arange(9, dtype=np.int64) for name in ("k", "p1", "p2")}
     sharded_sort(table, [("k", False)], shards=3, executor=executor)
     assert executor.shipped == {"k", ROW_ID}
+
+
+class MapOnlyExecutor:
+    """The minimal contract — a name and ``map`` — counting what it runs."""
+
+    name = "map-only"
+
+    def __init__(self) -> None:
+        self.tasks: list[str] = []
+
+    def map(self, task, payloads):
+        self.tasks += [task.__name__] * len(payloads)
+        return [task(payload) for payload in payloads]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_map_only_executor_receives_every_block_sort_and_merge(k):
+    """A sort on an executor with only ``map`` hands it all ``k`` block sorts
+    and all ``k - 1`` merges; none runs behind its back in the caller."""
+    rng = np.random.default_rng(k)
+    table = {
+        "a": rng.permutation(37).astype(np.int64),
+        "payload": rng.integers(INT64_MIN, INT64_MAX, 37, endpoint=True),
+    }
+    keys = [("a", True)]
+    executor = MapOnlyExecutor()
+    got = sharded_sort(table, keys, shards=k, executor=executor)
+    assert sorted(executor.tasks) == ["_sort_task"] * k + ["merge_pair_task"] * (k - 1)
+    reference = vector_bitonic_sort(table, keys)
+    for name in table:
+        assert np.array_equal(got[name], reference[name]), name
 
 
 # -- the packed path: one word per row, chosen by (key list, n) alone ----------

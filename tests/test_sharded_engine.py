@@ -333,7 +333,6 @@ def test_the_tree_and_cascade_drivers_are_gone():
     for module in ("repro.shard." "join_tree", "repro.shard." "multiway"):
         with pytest.raises(ImportError):
             importlib.import_module(module)
-    assert not hasattr(merge.StreamingTournament, "add_" "published")
     assert not hasattr(merge, "truncate" "_run")
     assert not hasattr(partition, "join_tree_" "window_plan")
     for function in (merge.oblivious_merge_runs, merge.merge_comparator_count):

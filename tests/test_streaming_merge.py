@@ -1,7 +1,9 @@
-"""The streaming parallel merge: runs fold into the tournament as their
-producing tasks complete, pairwise merges run as worker tasks, and neither
-the output bits nor the comparator schedule may depend on arrival order —
-pinned on the tournament itself and on the drivers whose sorts run on it.
+"""The sharded sort's merge tournament: the bracket is one pure function of
+the run count, each round is one ``executor.map`` of pairwise merges, and
+neither the output bits nor the comparator schedule may depend on the
+substrate — pinned on the merge itself and on the drivers whose sorts run
+on it.  (The file keeps the name of the streaming tournament it replaced,
+so the surviving test ids do not move.)
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from repro.plan.executors import (
 )
 from repro.plan.ir import tournament_schedule
 from repro.shard.join import MERGE_KEYS, ShardedJoinStats, sharded_oblivious_join
-from repro.shard.merge import (
-    StreamingTournament,
-    merge_comparator_count,
-    oblivious_merge_runs,
-)
+from repro.shard.merge import merge_comparator_count, oblivious_merge_runs
 from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
 from repro.vector.relational import vector_order_permutation
@@ -76,7 +74,7 @@ def test_schedule_is_pure_in_count_and_lengths():
         tournament_schedule(-1)
 
 
-# -- streaming tournament == barrier tournament -------------------------------
+# -- every substrate merges like the inline tournament ------------------------
 
 
 @pytest.mark.parametrize(
@@ -89,25 +87,22 @@ def test_schedule_is_pure_in_count_and_lengths():
     ],
 )
 def test_streaming_matches_barrier_bit_for_bit(executor):
+    """(The id predates the barrier merge.)  Any substrate's rounds give
+    the inline tournament's run and comparator count."""
     rng = random.Random(17)
     for trial in range(12):
         runs = _random_runs(rng, rng.randrange(0, 8))
         reference_counter = [0]
-        reference = oblivious_merge_runs(runs, KEYS, counter=reference_counter)
-        counter = [0]
-        tournament = StreamingTournament(
-            len(runs), KEYS, executor=executor, counter=counter
+        reference = oblivious_merge_runs(
+            runs, KEYS, counter=reference_counter, executor=InlineExecutor()
         )
-        order = list(range(len(runs)))
-        rng.shuffle(order)
-        for index in order:
-            tournament.add(index, runs[index])
-        merged = tournament.result()
+        counter = [0]
+        merged = oblivious_merge_runs(runs, KEYS, counter=counter, executor=executor)
         assert sorted(merged) == sorted(reference)
         for name in reference:
             assert np.array_equal(merged[name], reference[name]), (trial, name)
-        # The worker-side tournament executes the same comparator total as
-        # the single-process path, and both equal the pure schedule count.
+        # The worker-side rounds execute the same comparator total as the
+        # inline path, and both equal the pure schedule count.
         assert counter[0] == reference_counter[0]
         assert counter[0] == merge_comparator_count([len(run["a"]) for run in runs])
 
@@ -130,32 +125,18 @@ def test_packed_runs_merge_bit_identically_on_every_substrate():
         if lengths and lengths[-1]:
             runs[-1]["_row"][-1] = np.iinfo(np.int64).max
         rows = np.concatenate([run["_row"] for run in runs] + [np.zeros(0, np.int64)])
+        reference = oblivious_merge_runs(runs, keys, executor=InlineExecutor())
         for executor in executors:
             counter = [0]
-            tournament = StreamingTournament(
-                len(runs), keys, executor=executor, counter=counter
-            )
-            for index in rng.permutation(len(runs)):
-                tournament.add(int(index), runs[index])
-            merged = tournament.result()
+            merged = oblivious_merge_runs(runs, keys, counter, executor=executor)
             assert list(merged) == (["_row"] if runs else [])
             if runs:
                 assert merged["_row"].tobytes() == np.sort(rows).tobytes(), lengths
+                assert merged["_row"].tobytes() == reference["_row"].tobytes()
             assert counter[0] == merge_comparator_count(lengths)
 
 
-def test_tournament_validates_indices_and_completeness():
-    tournament = StreamingTournament(2, KEYS)
-    with pytest.raises(InputError, match="leaf index"):
-        tournament.add(2, {"a": np.zeros(0, dtype=np.int64)})
-    tournament.add(0, {"a": np.arange(2, dtype=np.int64)})
-    with pytest.raises(InputError, match="already added"):
-        tournament.add(0, {"a": np.arange(2, dtype=np.int64)})
-    with pytest.raises(InputError, match="expected 2 runs"):
-        tournament.result()
-
-
-# -- arrival-order independence of the full drivers ---------------------------
+# -- execution-order independence of the full drivers ---------------------------
 
 
 def _join_fixture():
@@ -167,7 +148,7 @@ def _join_fixture():
 
 @pytest.mark.parametrize("target", [None, 21 * 19])
 def test_join_is_bit_identical_under_adversarial_completion_orders(target):
-    """The acceptance pin: shuffled completion orders change nothing —
+    """The acceptance pin: shuffled execution orders change nothing —
     not the output bytes, not the schedule, not the executed plan bytes."""
     left, right = _join_fixture()
     reference, _ = sharded_oblivious_join(left, right, shards=3, target_m=target)
@@ -234,8 +215,8 @@ def test_padded_join_streams_identically_across_substrates():
 def test_bounded_abort_still_raises_while_merges_are_in_flight(shm_leak_guard):
     """A too-small bound aborts on every substrate, and the abort leaks no
     shared-memory run: it comes from the parent after the second augment
-    sort has drained its tournament, so no merge is in flight any more
-    (under the grid design some were — hence the name)."""
+    sort's last merge round has returned, so no merge is in flight any
+    more (under the grid design some were — hence the name)."""
     left = [(0, value) for value in range(8)]
     right = [(0, value) for value in range(8)]
     for executor in (ShuffleExecutor(seed=0), PoolExecutor(workers=2)):
@@ -313,3 +294,30 @@ def test_merge_keys_are_the_documented_total_order():
     # A stub since the output tournament went: only the frozen
     # benchmarks/e2e/layers.py reads it (ROADMAP item 1(b) retires both).
     assert MERGE_KEYS == [("j", True), ("d1", True), ("d2", True)]
+
+
+def test_the_streaming_seam_is_gone():
+    """The sharded sort maps its blocks, then maps each merge round: no
+    completion stream, deferred completion or stateful tournament is left,
+    and ``map`` is the whole executor contract (names split so a grep for
+    them finds only this test)."""
+    import inspect
+
+    import repro.plan as plan_package
+    from repro.plan import executors
+    from repro.shard import merge, sort
+
+    for name in ("completion_" "stream", "submit_" "task", "_Imm" "ediate",
+                 "_Lazy" "Call", "_Pool" "Future"):
+        assert not hasattr(executors, name), name
+        assert not hasattr(plan_package, name), name
+        assert name not in plan_package.__all__, name
+    assert not hasattr(merge, "Streaming" "Tournament")
+    for executor in (InlineExecutor(), ShuffleExecutor(), PoolExecutor(workers=2)):
+        for seam in ("i" "map", "sub" "mit"):
+            assert not hasattr(executor, seam), (executor.name, seam)
+    assert "executor" in inspect.signature(oblivious_merge_runs).parameters
+    for module in (sort, merge, executors):
+        text = inspect.getsource(module)
+        for name in ("i" "map", "as_" "completed"):
+            assert name not in text, (module.__name__, name)
