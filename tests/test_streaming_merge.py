@@ -136,6 +136,44 @@ def test_packed_runs_merge_bit_identically_on_every_substrate():
             assert counter[0] == merge_comparator_count(lengths)
 
 
+class _RoundRecorder:
+    """A ``map``-only executor that keeps each dispatch's run lengths."""
+
+    name = "rounds"
+
+    def __init__(self):
+        self.rounds = []
+
+    def map(self, task, payloads):
+        payloads = list(payloads)
+        self.rounds.append([(len(a["a"]), len(b["a"])) for a, b, _ in payloads])
+        return [task(payload) for payload in payloads]
+
+
+@pytest.mark.parametrize("count", [2, 3, 5, 7, 8])
+def test_each_merge_round_is_one_map_of_its_scheduled_pairs(count):
+    """The runtime walks the compiler's bracket: one ``map`` per round of
+    ``tournament_schedule``, its payloads that round's non-carry pairings
+    at the scheduled lengths, in slot order."""
+    rng = random.Random(count)
+    runs = _random_runs(rng, count, max_len=9)
+    lengths = [len(run["a"]) for run in runs]
+    schedule = tournament_schedule(count, lengths)
+    expected = []
+    for node in schedule:
+        if len(expected) < node.round:
+            expected.append([])
+        if not node.is_carry:
+            expected[-1].append((node.left_rows, node.right_rows))
+    recorder = _RoundRecorder()
+    merged = oblivious_merge_runs(runs, KEYS, executor=recorder)
+    assert recorder.rounds == expected
+    assert len(recorder.rounds) == (count - 1).bit_length()
+    reference = oblivious_merge_runs(runs, KEYS)
+    for name in reference:
+        assert np.array_equal(merged[name], reference[name]), name
+
+
 # -- execution-order independence of the full drivers ---------------------------
 
 
