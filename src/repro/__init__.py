@@ -7,7 +7,7 @@ numpy engine for benchmark-scale runs, a sharded multi-process engine,
 padded multiway cascades that hide intermediate result sizes behind public
 bounds (``padding="bounded"|"worst_case"``; see ``docs/leakage.md``), a
 compile-then-execute core (:mod:`repro.plan`: a public Plan IR compiled
-from input shapes, run by pluggable inline / shared-memory pool
+from input shapes, run by pluggable inline / process-pool
 executors), the Table 1 baselines, the Figure 6 type system, an SGX cost
 model for the Figure 8 series, and a small oblivious relational layer.
 

@@ -5,10 +5,10 @@ engine seam: every workload is split into equal, padded, position-based
 shards (:mod:`repro.shard.partition`), its public schedule is compiled into
 a plan up front (:mod:`repro.plan.compile`), and the tasks run on a
 pluggable executor (:mod:`repro.plan.executors`).  What is sharded is the
-*sort* (:mod:`repro.shard.sort`): ``shards`` local bitonic sorts, one
-``executor.map``, then a bitonic merge tournament (:mod:`repro.shard.merge`),
-one ``executor.map`` per round.  Everything above the sort —
-the join, the multiway cascade, the join tree, aggregation, GROUP BY,
+*sort* (:mod:`repro.shard.sort`): per one-word pass, ``shards`` local
+bitonic sorts, one ``executor.map``, then a bitonic merge tournament
+(:mod:`repro.shard.merge`), one ``executor.map`` per round.  Everything
+above the sort — the join, the multiway cascade, the join tree, aggregation, GROUP BY,
 FILTER and ORDER BY — is the ``vector`` engine's own code, called with
 ``sort=sharded_sort``, so outputs are bit-identical and the leakage is the
 ``vector`` engine's plus the ``(n, k)``-determined block layout.
@@ -17,11 +17,14 @@ Five knobs:
 
 ``shards``
     How many positional blocks each sort is split into — one task per
-    block.  The join does the single-process join's comparator work
-    whatever ``shards`` is; measured on a 2-core guest (nothing here has
-    been run on more), ``shards=2 workers=2`` takes about 0.4x the
-    ``vector`` engine's time at ``n1 = n2 = 16384``, more through the
-    one-word sort kernel than the second core.  Defaults to ``max(2, workers)`` so the tasks always
+    block and one-word pass.  The comparator work does not depend on
+    ``shards`` (at power-of-two block sizes, exactly): every sort runs
+    ``word_passes(keys, n)`` one-word passes of the single-process
+    network, 3 for the join's first sort and 1 for the other four.
+    Measured on a 2-core guest (nothing here has been run on more),
+    ``shards=2 workers=2`` takes 0.23–0.27x the ``vector`` engine's time
+    at ``n1 = n2 = 16384``, more through the one-word sort kernel than the
+    second core.  Defaults to ``max(2, workers)`` so the tasks always
     saturate the pool.
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
@@ -30,7 +33,7 @@ Five knobs:
 ``executor``
     The execution substrate, overriding the workers-derived default:
     ``"inline"`` (calling process), ``"pool"`` (persistent process pool;
-    block keys, row ids and merge runs travel pickled), or ``"shuffle"``
+    one int64 word per row and the merge runs travel pickled), or ``"shuffle"``
     (inline compute executing in adversarially shuffled order — a
     validation substrate).
     Executors cannot change results or leakage, only wall-clock; the

@@ -119,14 +119,22 @@ def _add_sharded_sort(
     """Emit one sharded sort of ``n`` rows by ``keys``; returns its root node.
 
     ``partition`` into ``k`` positional blocks, one ``shard_sort`` per
-    block with its one-word ``passes``, then the ``merge_pair`` bracket —
-    the public schedule of :func:`repro.shard.sort.sharded_sort`, a
-    function of ``(n, k)`` and the key widths.  ``n=None`` is a size
-    revealed at run time: the bracket is compiled, its lengths are not.
+    block, then the ``merge_pair`` bracket — the public schedule of
+    :func:`repro.shard.sort.sharded_sort`, a function of ``(n, k)`` and the
+    key widths.  The partition's ``passes`` is how many times that subgraph
+    runs, one stable one-word pass each.  ``n=None`` is a size revealed at
+    run time: the bracket is compiled, its lengths and passes are not.
     """
     capacity, counts = (None, None) if n is None else partition_plan(n, k)
     part = builder.add(
-        "partition", inputs=inputs, stage=stage, n=n, k=k, capacity=capacity, counts=counts
+        "partition",
+        inputs=inputs,
+        stage=stage,
+        n=n,
+        k=k,
+        capacity=capacity,
+        counts=counts,
+        passes=None if n is None else word_passes(keys, n),
     )
     sorts = tuple(
         builder.add(
@@ -135,7 +143,6 @@ def _add_sharded_sort(
             stage=stage,
             shard=i,
             rows=None if counts is None else counts[i],
-            passes=None if counts is None else word_passes(keys, counts[i]),
         )
         for i in range(k)
     )

@@ -19,7 +19,7 @@ Three executors ship in-tree:
 ``pool``
     A persistent :class:`concurrent.futures.ProcessPoolExecutor`; payloads
     and results travel pickled.  A sharded sort ships one int64 word per
-    row (or the key columns and a row id), so there is little to ship.
+    row, so there is little to ship.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *execution* order.  It exists to prove (in tests and the CI

@@ -18,9 +18,8 @@ Two properties make the IR useful:
    prints the artifact for any query so it can be audited offline.
 2. **Execution is substrate-independent.**  A plan says *what* runs at
    which public sizes; the :mod:`repro.plan.executors` layer decides *how*
-   (inline, shared-memory process pool).  Nothing in a
-   plan depends on the executor, so changing the substrate provably cannot
-   change the leakage.
+   (inline, process pool).  Nothing in a plan depends on the executor,
+   so changing the substrate provably cannot change the leakage.
 
 Attribute values are restricted to a JSON-safe, deterministic subset
 (ints, strings, bools, ``None`` and nested sequences thereof);
@@ -74,7 +73,10 @@ from ..errors import InputError
 #: it ran, each compiled at the input size its stage received and tagged
 #: ``pipeline_stage``; its ``stages`` shape is every stage's
 #: ``(name, input size)``.  ``join_deferred`` stays for unpadded cascades.
-PLAN_FORMAT = 11
+#: Format 12 moves ``passes`` from every ``shard_sort`` node to its sort's
+#: ``partition`` node: one value per sort, ``word_passes(keys, n)``, the
+#: number of times the partition -> block sorts -> bracket subgraph runs.
+PLAN_FORMAT = 12
 
 
 def _freeze(value, context: str):

@@ -11,8 +11,8 @@ Rows are assigned to shards by *position* — shard ``i`` receives the
 and payload byte, and the whole layout is a pure function of ``(n, k)``:
 the first ``n mod k`` shards carry ``ceil(n / k)`` rows, the rest
 ``floor(n / k)``, and every shard is padded to the common capacity
-``ceil(n / k)``; a block's local sort passes (:func:`word_passes`) are a
-function of its row count and the sort's key widths.
+``ceil(n / k)``; a sort's one-word passes (:func:`word_passes`) are a
+function of its row count and its key widths.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ WORD_BITS = 62
 
 
 def word_passes(keys: list[Key], rows: int) -> int:
-    """One-word sorts a ``rows``-row block takes to order by ``keys``: its key
-    fields (a declared width, else 64 bits) in digits of ``62 - ceil(log2
-    rows)`` bits, one stable ``digit ‖ row id`` sort each (1 if they fit)."""
+    """One-word passes a ``rows``-row sharded sort takes to order by ``keys``:
+    its key fields (a declared width, else 64 bits) in digits of ``62 -
+    ceil(log2 rows)`` bits, one stable ``digit ‖ position`` sort each (1 if
+    they fit)."""
     bits = sum(key[2] if len(key) == 3 else 64 for key in keys)
     return max(1, -(-bits // (WORD_BITS - index_bits(rows))))
 

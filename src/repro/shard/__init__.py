@@ -9,11 +9,12 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
 :mod:`~repro.shard.merge`
     Bitonic merge tournament that folds sorted runs into one.
 :mod:`~repro.shard.sort`
-    The sharded sort — ``k`` local bitonic sorts plus that tournament.
+    The sharded sort — one-word passes, each ``k`` local bitonic sorts
+    plus that tournament.
     Handed to the ``vector`` text as its ``sort``, it runs every sharded
     operator: the join, the multiway cascade, the join tree, aggregation,
     GROUP BY, FILTER and ORDER BY.  Tasks dispatch through a pluggable
-    executor (:mod:`repro.plan.executors`: inline / shared-memory pool /
+    executor (:mod:`repro.plan.executors`: inline / process pool /
     shuffle).
 :mod:`~repro.shard.join`
     The binary join's driver: the ``vector`` join over the sharded sort,

@@ -7,7 +7,8 @@ that is where the workers go: :func:`sharded_oblivious_join` calls
 place of the single-process sort.  Output rows and order are bit-identical
 to ``vector`` (every tie the five key lists leave open is between rows
 that are identical or later overwritten), the comparator work is the
-single join's rather than ``k**2`` of them, and the leakage is the
+same at every ``k`` — each sort's one-word passes times the single
+network's — rather than ``k**2`` joins', and the leakage is the
 ``vector`` engine's plus the ``(n, k)``-determined block sizes: one ``m``,
 no per-task sizes.  :class:`~repro.errors.BoundError` is raised in the
 parent right after the augment, exactly as ``vector`` raises it, while no
@@ -60,7 +61,7 @@ class ShardedJoinStats(VectorJoinStats):
         """The adversary-visible schedule: shard count and each phase's
         comparator count (local sorts plus merges) — a function of
         ``(n1, n2, k)``, ``m`` (the public bound under padding) and the
-        five sorts' fixed key widths, which set each block's passes."""
+        five sorts' fixed key widths, which set each sort's passes."""
         return (self.shards, tuple(sorted(self.comparisons_by_phase.items())))
 
 
@@ -78,7 +79,7 @@ def sharded_oblivious_join(
     ``pairs`` is the ``(m, 2)`` int64 array
     :func:`~repro.vector.join.vector_oblivious_join` produces, bit for bit,
     under every executor (``executor=None``: inline at ``workers=1``, the
-    shared-memory pool above) and every ``target_m``.
+    process pool above) and every ``target_m``.
     """
     executor = resolve_executor(executor, workers=workers)
     stats = stats if stats is not None else ShardedJoinStats()

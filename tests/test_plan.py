@@ -317,12 +317,14 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
 def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
     """At the three sharded benchmark shapes the executed plan's canonical
     bytes hash to the pinned digest and are the same bytes on adversarially
-    different data of one shape.  With the format tag set back to 10 they
-    are the parent commit's bytes (removing the pipeline's ops touched no
-    join plan), at 9 those of the commit before (nor did removing the
-    sharded aggregate's and filter's ops), at 8 the bytes of the commit
-    before that (the key lists the compiler now reads from
-    ``repro.vector.join`` are the ones it used to restate); without
+    different data of one shape.  With each partition's ``passes`` moved
+    back onto its ``shard_sort`` nodes and the format tag set back to 11
+    they are the parent commit's bytes (at these shapes a block's passes
+    were its sort's), at 10 those of the commit before (removing the
+    pipeline's ops touched no join plan), at 9 those of the commit before
+    (nor did removing the sharded aggregate's and filter's ops), at 8 the
+    bytes of the commit before that (the key lists the compiler now reads
+    from ``repro.vector.join`` are the ones it used to restate); without
     ``passes``, at format 7, the bytes from before the one-word passes."""
     _, _, digest, _ = BENCHMARK_SHAPES[shape]
     plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
@@ -336,26 +338,33 @@ def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    parent, format_9, format_8, before_passes = PARENT_PLAN_DIGESTS[shape]
+    format_11, parent, format_9, format_8, before_passes = PARENT_PLAN_DIGESTS[shape]
+    for node in payload["nodes"]:
+        assert (node["op"] == "partition") == ("passes" in node["attrs"])
+        if node["op"] == "partition":
+            passes = node["attrs"].pop("passes")
+        elif node["op"] == "shard_sort":
+            node["attrs"]["passes"] = passes
+    assert digest_at(11) == format_11
     assert digest_at(10) == parent
     assert digest_at(9) == format_9
     assert digest_at(8) == format_8
     for node in payload["nodes"]:
-        assert (node["op"] == "shard_sort") == ("passes" in node["attrs"])
         node["attrs"].pop("passes", None)
     assert digest_at(7) == before_passes
 
 
-def test_every_shard_sort_node_carries_its_passes():
+def test_every_sharded_sort_carries_its_passes_on_its_partition():
     """Sort 1 (130 key bits) takes 3 passes, the four packed sorts 1, at the
-    CLI smoke's shape; revealed sizes leave ``passes`` unknown with ``rows``."""
+    CLI smoke's shape — one value per sort, on its ``partition`` node, and
+    none on a ``shard_sort``; revealed sizes leave ``passes`` unknown with
+    ``n``."""
     plan = compile_join(64, 64, "sharded", shards=4, padding="worst_case")
-    passes = {}
-    for node in plan.nodes_by_op("shard_sort"):
-        passes.setdefault(node.attr("stage"), set()).add(node.attr("passes"))
-    assert passes == {stage: {3 if stage == "augment_sort1" else 1} for stage in JOIN_SORTS}
-    for node in sharded_join_plan(64, 64, 4, None).nodes_by_op("shard_sort"):
-        assert (node.attr("passes") is None) == (node.attr("rows") is None)
+    passes = {node.attr("stage"): node.attr("passes") for node in plan.nodes_by_op("partition")}
+    assert passes == {stage: 3 if stage == "augment_sort1" else 1 for stage in JOIN_SORTS}
+    assert not any("passes" in dict(node.attrs) for node in plan.nodes_by_op("shard_sort"))
+    for node in sharded_join_plan(64, 64, 4, None).nodes_by_op("partition"):
+        assert (node.attr("passes") is None) == (node.attr("n") is None)
 
 
 def test_executed_plan_bytes_survive_adversarial_completion_orders():

@@ -44,7 +44,7 @@ from repro.shard.partition import (
     shard_capacity,
     shard_counts,
 )
-from repro.shard.sort import ROW_ID, _sort_task, sharded_sort, word_layout, word_passes
+from repro.shard.sort import ROW_ID, _sort_task, sharded_sort, word_passes
 from repro.store import InMemoryStore, StorePairs, adopt, detach_all
 from repro.store.columns import write_int_column
 from repro.vector.join import vector_oblivious_join
@@ -95,18 +95,19 @@ def test_partition_validates_inputs():
 # -- oblivious merge ---------------------------------------------------------
 
 
-def _run(values: list[tuple[int, int]]) -> dict[str, np.ndarray]:
-    array = np.asarray(sorted(values), dtype=np.int64).reshape(len(values), 2)
-    return {"a": array[:, 0].copy(), "b": array[:, 1].copy()}
+def _run(values: list[int]) -> dict[str, np.ndarray]:
+    """A one-word run: one int64 column, sorted ascending."""
+    return {"w": np.sort(np.asarray(values, dtype=np.int64))}
+
+
+WORD = [("w", True)]
 
 
 @given(
     chunks=st.lists(
         st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=6),
-                st.integers(min_value=0, max_value=6),
-            ),
+            st.sampled_from([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max])
+            | st.integers(-6, 6),
             max_size=12,
         ),
         min_size=1,
@@ -117,28 +118,27 @@ def _run(values: list[tuple[int, int]]) -> dict[str, np.ndarray]:
 def test_merge_tournament_equals_global_sort(chunks):
     runs = [_run(chunk) for chunk in chunks]
     counter = [0]
-    merged = oblivious_merge_runs(runs, [("a", True), ("b", True)], counter=counter)
-    expected = sorted(pair for chunk in chunks for pair in chunk)
-    got = list(zip(merged["a"].tolist(), merged["b"].tolist()))
-    assert got == expected
+    merged = oblivious_merge_runs(runs, WORD, counter=counter)
+    assert merged["w"].tolist() == sorted(value for chunk in chunks for value in chunk)
     # Comparator count is a pure function of the run lengths.
     assert counter[0] == merge_comparator_count([len(c) for c in chunks])
 
 
 def test_merge_two_handles_empty_runs():
-    a = _run([(1, 1), (3, 3)])
+    a = _run([1, 3])
     empty = _run([])
-    assert bitonic_merge_two(a, empty, [("a", True)])["a"].tolist() == [1, 3]
-    assert bitonic_merge_two(empty, a, [("a", True)])["a"].tolist() == [1, 3]
+    assert bitonic_merge_two(a, empty, WORD)["w"].tolist() == [1, 3]
+    assert bitonic_merge_two(empty, a, WORD)["w"].tolist() == [1, 3]
 
 
-def test_merge_respects_descending_keys():
-    a = _run([(1, 0), (3, 0)])
-    b = _run([(2, 0), (5, 0)])
-    for run in (a, b):
-        run["a"] = run["a"][::-1].copy()
-    merged = bitonic_merge_two(a, b, [("a", False)])
-    assert merged["a"].tolist() == [5, 3, 2, 1]
+def test_merge_refuses_runs_that_are_not_one_word():
+    """Every sharded sort merges one-word runs; a descending key or a second
+    column is refused with a typed error, not merged by another network."""
+    a, b = _run([1, 3]), _run([2, 5])
+    with pytest.raises(InputError, match="one-word runs"):
+        bitonic_merge_two(a, b, [("w", False)])
+    with pytest.raises(InputError, match="one-word runs"):
+        bitonic_merge_two({**a, "v": a["w"]}, {**b, "v": b["w"]}, WORD)
 
 
 # -- executor ----------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_sharded_sort_ships_only_keys_and_a_row_id():
     executor = RecordingExecutor()
     table = {name: np.arange(9, dtype=np.int64) for name in ("k", "p1", "p2")}
     sharded_sort(table, [("k", False)], shards=3, executor=executor)
-    assert executor.shipped == {"k", ROW_ID}
+    assert executor.shipped == {ROW_ID}
 
 
 class MapOnlyExecutor:
@@ -246,37 +246,25 @@ class MapOnlyExecutor:
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_a_map_only_executor_receives_every_block_sort_and_merge(k):
     """A sort on an executor with only ``map`` hands it all ``k`` block sorts
-    and all ``k - 1`` merges; none runs behind its back in the caller."""
+    and all ``k - 1`` merges of each of the ``passes`` its plan compiles;
+    none runs behind its back in the caller."""
     rng = np.random.default_rng(k)
-    table = {
-        "a": rng.permutation(37).astype(np.int64),
-        "payload": rng.integers(INT64_MIN, INT64_MAX, 37, endpoint=True),
-    }
-    keys = [("a", True)]
+    n = 37
+    table, keys = order_columns([(rng.permutation(n) - 5, True)], n)
+    (partition,) = compile_order_by(n, "sharded", shards=k).nodes_by_op("partition")
     executor = MapOnlyExecutor()
     got = sharded_sort(table, keys, shards=k, executor=executor)
-    assert sorted(executor.tasks) == ["_sort_task"] * k + ["merge_pair_task"] * (k - 1)
+    passes = partition.attr("passes")
+    assert passes == 2
+    assert sorted(executor.tasks) == sorted(
+        (["_sort_task"] * k + ["merge_pair_task"] * (k - 1)) * passes
+    )
     reference = vector_bitonic_sort(table, keys)
     for name in table:
         assert np.array_equal(got[name], reference[name]), name
 
 
-# -- the packed path: one word per row, chosen by (key list, n) alone ----------
-
-
-def test_word_layout_is_a_pure_function_of_the_key_list_and_n():
-    """The decision helper is handed no column, so it can read no value: field
-    widths most significant first, the row id's ``ceil(log2 n)`` last."""
-    keys = [("a", True, 2), ("b", True, 15)]
-    assert word_layout(keys, 0) == word_layout(keys, 1) == (2, 15, 0)
-    assert word_layout(keys, 2) == (2, 15, 1)
-    assert word_layout(keys, 32768) == (2, 15, 15)
-    assert word_layout(keys, 32769) == (2, 15, 16)
-    assert word_layout([("a", True, 0)], 8) == (0, 3)
-    # No width, a descending key, or no key at all: the wide path.
-    assert word_layout([("a", True, 2), ("b", True)], 8) is None
-    assert word_layout([("a", True, 2), ("b", False, 15)], 8) is None
-    assert word_layout([], 8) is None
+# -- one word per row, in passes chosen by (key list, n) alone -----------------
 
 
 def _shipped(table, keys, shards=3, counter=None):
@@ -286,15 +274,13 @@ def _shipped(table, keys, shards=3, counter=None):
 
 
 def test_one_bit_over_the_budget_ships_key_columns_sorted_in_two_passes():
-    """52 key bits leave 10 for the row id: 1024 rows ship one word, 1025 ship
-    the key columns and sort their block in 2 one-word passes — the boundary
-    is crossed with sizes, not by patching the constant."""
+    """52 key bits leave 10 for the position: 1024 rows take one pass, 1025
+    take 2 — the boundary is crossed with sizes, not by patching the
+    constant — and both ship one word per row, never the key columns."""
     keys = [("a", True, 40), ("b", True, 12)]
-    assert word_layout(keys, 1024) == (40, 12, 10)
-    assert word_layout(keys, 1025) is None
     assert (word_passes(keys, 1024), word_passes(keys, 1025)) == (1, 2)
     rng = np.random.default_rng(2)
-    for n, shipped, passes in ((1024, {ROW_ID}, 1), (1025, {"a", "b", ROW_ID}, 2)):
+    for n, passes in ((1024, 1), (1025, 2)):
         table = {
             "a": rng.integers(0, 1 << 40, n),
             "b": rng.integers(0, 1 << 12, n),
@@ -302,7 +288,7 @@ def test_one_bit_over_the_budget_ships_key_columns_sorted_in_two_passes():
         }
         counter = [0]
         seen, got = _shipped(table, keys, shards=1, counter=counter)
-        assert seen == shipped
+        assert seen == {ROW_ID}
         assert counter[0] == sharded_sort_comparators(n, 1, passes)
         reference = vector_bitonic_sort(table, keys)
         for name in table:
@@ -310,16 +296,24 @@ def test_one_bit_over_the_budget_ships_key_columns_sorted_in_two_passes():
 
 
 def test_descending_unwidthed_and_non_int64_keys_take_the_wide_path():
+    """Descending, unwidthed and over-budget key lists ship one word per row
+    like any other; a key that is not int64 is an ``InputError`` naming it,
+    raised in the parent with nothing shipped."""
     n = 9
     ints = np.arange(n, dtype=np.int64)
     table = {"k": ints % 4, "p": ints}
-    assert _shipped(table, [("k", True, 2)])[0] == {ROW_ID}
-    for keys in ([("k", False, 2)], [("k", True)], [("k", True, 2), ("p", True)]):
-        assert _shipped(table, keys)[0] > {ROW_ID}  # key columns travel too
+    for keys in (
+        [("k", True, 2)], [("k", False, 2)], [("k", True)], [("k", True, 2), ("p", True)]
+    ):
+        assert _shipped(table, keys)[0] == {ROW_ID}
     for dtype in (np.int32, np.float64, np.uint64):
-        seen, got = _shipped({"k": (ints % 4).astype(dtype), "p": ints}, [("k", True, 2)])
-        assert seen == {"k", ROW_ID}
-        assert got["k"].dtype == dtype and got["k"].tolist() == sorted(ints % 4)
+        executor = RecordingExecutor()
+        with pytest.raises(InputError, match=f"sort key 'k' must be int64, got {dtype.__name__}"):
+            sharded_sort(
+                {"k": (ints % 4).astype(dtype), "p": ints}, [("k", True, 2)],
+                shards=3, executor=executor,
+            )
+        assert executor.shipped == set()
 
 
 @pytest.mark.parametrize("bad", [-1, 4, INT64_MIN, INT64_MAX])
@@ -371,7 +365,7 @@ def test_sorting_an_empty_table_returns_an_empty_table():
     assert sharded_sort({}, [("k", True)], shards=2, executor=InlineExecutor()) == {}
 
 
-# -- the wide path: one-word passes inside each block --------------------------
+# -- key lists wider than one word: several passes --------------------------
 
 #: Substrates for the tests below: every registered executor, or the
 #: REPRO_EXECUTORS subset (the CI matrix runs this file once per substrate).
@@ -402,16 +396,16 @@ def test_word_passes_is_a_pure_function_of_the_key_list_and_rows():
     assert word_passes(SORT1_KEYS, 0) == word_passes(SORT1_KEYS, 1) == 3
     assert word_passes([("nowhere", False)], 8) == 2
     assert word_passes([("a", True, 0)], 8) == word_passes([], 8) == 1
-    # A key list that packs at n takes one pass in any block of n or fewer rows.
-    for keys, n in (([("tid", True, 17)], 32768), ([("a", True, 40), ("b", True, 12)], 1024)):
-        assert word_layout(keys, n) is not None
+    # One pass exactly when the widths fit one word beside the position.
+    for keys, n in (([("tid", True, 17)], 1 << 45), ([("a", True, 40), ("b", True, 12)], 1024)):
         assert {word_passes(keys, rows) for rows in (0, 1, 2, n // 3, n)} == {1}
+        assert word_passes(keys, n + 1) == 2
 
 
 @pytest.mark.parametrize("bad", [-1, 4, INT64_MIN, INT64_MAX])
 def test_a_broken_width_beside_an_unwidthed_key_is_refused_before_any_dispatch(bad):
-    """The wide path packs its digits by the declared widths too, so it checks
-    them in the parent exactly as the packed path does."""
+    """A key list of several passes packs its digits by the declared widths
+    too, so it checks them in the parent exactly as a one-pass list does."""
     column = np.arange(9, dtype=np.int64) % 4
     column[4] = bad
     executor = RecordingExecutor()
@@ -446,26 +440,28 @@ def _local_sort_cases(rows, rng):
 
 
 def test_the_local_sort_is_the_stable_lexsort_permutation():
-    """``_sort_task`` on a padded block equals ``np.lexsort`` of its real rows
-    — ties in input order — and counts ``passes`` one-word networks."""
+    """``sharded_sort``'s one-word passes equal ``np.lexsort`` — ties in
+    input order — and count ``passes`` times the blocks' networks plus the
+    merges; ``_sort_task`` orders a padded block's real words only."""
     rng = np.random.default_rng(13)
     sizes = list(range(131)) + [(1 << k) + d for k in range(8, 13) for d in (-1, 1)]
     for rows in sizes:
         for case, keys, table in _local_sort_cases(rows, rng):
-            table[ROW_ID] = np.arange(rows, dtype=np.int64)
-            block = {
-                name: np.concatenate([column, np.full(3, 5, np.int64)])
-                for name, column in table.items()
-            }
-            run, count = _sort_task((block, keys, rows))
-            assert run[ROW_ID].tolist() == _lexsort(table, keys).tolist(), (rows, case, keys)
-            passes = word_passes(keys, rows)
-            assert count == passes * comparison_count(next_power_of_two(rows))
+            table["payload"] = np.arange(rows, dtype=np.int64)
+            for k in (1, 3):
+                counter = [0]
+                got = sharded_sort(table, keys, counter, shards=k, executor=InlineExecutor())
+                assert got["payload"].tolist() == _lexsort(table, keys).tolist(), (rows, case, keys)
+                assert counter[0] == sharded_sort_comparators(rows, k, word_passes(keys, rows))
+    words = rng.integers(0, 1 << 62, 37)
+    run, count = _sort_task(({ROW_ID: np.concatenate([words, np.zeros(3, np.int64)])}, 37))
+    assert run[ROW_ID].tolist() == sorted(words.tolist())
+    assert count == comparison_count(next_power_of_two(37))
 
 
 def _digit_edges(rows):
     """int64 extremes and the values around every digit boundary of sort 1's
-    ``d`` (bits 0–63) and ``j`` (bits 66–129) at this block size."""
+    ``d`` (bits 0–63) and ``j`` (bits 66–129) at this sort size."""
     digit = 62 - max(rows - 1, 0).bit_length()
     edges = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX}
     for bit in (47, 48, digit, 2 * digit - 66, 3 * digit - 66):
@@ -478,12 +474,13 @@ def _digit_edges(rows):
 def test_sort_one_orders_int64_extremes_and_digit_boundaries(executor):
     """Straight through ``sharded_sort``: ``j`` and ``d`` at ``INT64_MIN``,
     -1, 0, ``INT64_MAX`` and either side of every digit boundary (±2^47,
-    ±2^48 and the block's own) sort equal to the stable ``np.lexsort``."""
+    ±2^48 and the sort's own) sort equal to the stable ``np.lexsort`` — the
+    payload too, heavy ties and all, at every shard count."""
     rng = np.random.default_rng(17)
     substrate = get_executor(executor, workers=2)
     for n, choices in ((100, (1, 2, 3, 4)), (16384, (1, 2))):
         for k in choices:
-            edges = _digit_edges(-(-n // k))
+            edges = _digit_edges(n)
             table = {
                 "j": rng.choice(edges, n),
                 "tid": rng.integers(1, 3, n),
@@ -493,11 +490,31 @@ def test_sort_one_orders_int64_extremes_and_digit_boundaries(executor):
             order = _lexsort(table, SORT1_KEYS)
             counter = [0]
             got = sharded_sort(table, SORT1_KEYS, counter, shards=k, executor=substrate)
-            for name in ("j", "tid", "d"):  # ties may swap payloads in a merge
+            for name in table:
                 assert np.array_equal(got[name], table[name][order]), (n, k, name)
-            if k == 1:
-                assert np.array_equal(got["payload"], order)
             assert counter[0] == sharded_sort_comparators(n, k, passes=3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_heavy_ties_keep_input_order_at_every_shard_count(k):
+    """Every sharded sort is stable: 4 096 rows over a handful of key values
+    — one pass or three, ascending or descending, widthed or not — come
+    back in ``np.lexsort`` order, payload included."""
+    rng = np.random.default_rng(k)
+    n = 4096
+    table = {
+        "j": rng.choice([INT64_MIN, -1, 0, INT64_MAX], n),
+        "tid": rng.integers(0, 3, n),
+        "d": rng.integers(0, 2, n),
+        "payload": np.arange(n, dtype=np.int64),
+    }
+    for keys in (
+        SORT1_KEYS, [("tid", False, 2)], [("tid", True, 2), ("d", False)], [("j", False)]
+    ):
+        got = sharded_sort(table, keys, shards=k, executor=InlineExecutor())
+        order = _lexsort(table, keys)
+        for name in table:
+            assert np.array_equal(got[name], table[name][order]), (keys, name)
 
 
 @given(data=st.data())
@@ -528,14 +545,14 @@ def test_a_one_key_order_by_takes_two_passes_as_its_plan_says():
     position is 78 bits at 2^14 rows: 2 passes of 49-bit digits, not 3."""
     n, k = 1 << 14, 2
     plan = compile_order_by(n, "sharded", shards=k)
-    assert [node.attr("passes") for node in plan.nodes_by_op("shard_sort")] == [2, 2]
+    assert [node.attr("passes") for node in plan.nodes_by_op("partition")] == [2]
     rng = np.random.default_rng(3)
     table, keys = order_columns([(rng.integers(INT64_MIN, INT64_MAX, n), False)], n)
     counter = [0]
     sharded_sort(table, keys, counter, shards=k, executor=InlineExecutor())
     assert counter[0] == plan_sort_comparators(plan, "order")
     two_keys = compile_order_by(n, "sharded", shards=k, columns=2)
-    assert {node.attr("passes") for node in two_keys.nodes_by_op("shard_sort")} == {3}
+    assert [node.attr("passes") for node in two_keys.nodes_by_op("partition")] == [3]
 
 
 # -- the benchmark shapes: schedule pinned ----------------------------------
@@ -554,45 +571,51 @@ def _phases(sizes, sort1):
 
 
 #: shape -> (sharded_oblivious_join options, comparators per phase, plan
-#: digest, store block bytes).  Sort 1 runs 3 one-word passes per block:
-#: 2 x 3 x 860 160 + 245 760, 2 x 3 x 28 160 + 11 264 and 4 x 3 x 372 736 +
-#: 475 136 comparators, where the parent commit (642a1cd) recorded one
-#: masked-swap sort per block — augment_sort1 equal to augment_sort2,
-#: 1 966 080 / 67 584 / 1 966 080.  Every other phase is the parent's.  The
-#: digests are of plan format 11.
+#: digest, store block bytes).  Sort 1 runs 3 one-word passes of the whole
+#: sharded sort, each the packed sort 2's network and merges: 3 x 1 966 080
+#: = 5 898 240 at both 16 384-row shapes (k = 2 and k = 4 alike) and
+#: 3 x 67 584 = 202 752 at 512 rows.  The parent commit (88b8e9d) ran the
+#: passes inside each block and merged once with the masked-swap merge:
+#: 5 406 720 / 180 224 / 4 947 968.  Every other phase is the parent's.  The
+#: digests are of plan format 12.
 BENCHMARK_SHAPES = {
     "join_sharded_pool": (
-        {"shards": 2}, _phases(_SORT_16K, 5406720),
-        "b7174cf096b458df919ab200bb662a3c94bbda1272779e7ac8a6b3dd5718aa7e", None,
+        {"shards": 2}, _phases(_SORT_16K, 3 * _SORT_16K["augment"]),
+        "0f8e4a5fed4369a16eb174a75cf4517ed223f4ca249d0aa6112bdd198dee0fa8", None,
     ),
     "join_sharded_bounded": (
-        {"shards": 2, "target_m": 1024}, _phases(_SORT_512, 180224),
-        "e79bd026512fe836513030d8df45598ee4953dd4c045b286bf06d8e412e8c974", None,
+        {"shards": 2, "target_m": 1024}, _phases(_SORT_512, 3 * _SORT_512["augment"]),
+        "452118d72fa523a6e28f5a7abfb3d3023deabd2666c775bf52f1a60b4ce166a2", None,
     ),
     "store_paged_join": (
-        {"shards": 4}, _phases(_SORT_16K, 4947968),
-        "6bdb2a4a6d53c843c70a47f2b8094b288c79a3f73eb139bf5b925d460e6ed8b1", 4096,
+        {"shards": 4}, _phases(_SORT_16K, 3 * _SORT_16K["augment"]),
+        "75310f702330b412fd31d19a3c34227e98b70dd7707a88da9ceb5d69f25caa2a", 4096,
     ),
 }
 
-#: The same plans' digests at earlier commits: at 3aaff8a (plan format 10),
+#: The same plans' digests at earlier commits: at 88b8e9d (plan format 11),
+#: the bytes with each partition's ``passes`` moved back onto its
+#: ``shard_sort`` nodes (the same value at these shapes); at 3aaff8a (format 10),
 #: 6442b2c (format 9) and 1dc4b94 (format 8), the bytes with only the
 #: format tag set back; at 642a1cd (format 7), with every ``shard_sort``
 #: node's ``passes`` removed as well.
 PARENT_PLAN_DIGESTS = {
     "join_sharded_pool": (
+        "b7174cf096b458df919ab200bb662a3c94bbda1272779e7ac8a6b3dd5718aa7e",
         "91503f7ed3bdc06289bfa0bf68608def0294a1d0bb4e80f8a465086bb59bc20d",
         "97b53e399cb91bec206881e13ae771cc85c58e2dac964b77426024c165d5ec04",
         "107f180c6f3defec056d1c02f0dd85212215cbbdc5d2c648d9e9136838d90320",
         "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161",
     ),
     "join_sharded_bounded": (
+        "e79bd026512fe836513030d8df45598ee4953dd4c045b286bf06d8e412e8c974",
         "07b6aa42142c37eb207b33cbb2cbf7b140e5fa6914f42f39eaa3fcd7ce591dca",
         "f9886b598b4702cee823b856b422b006102b725ab87933e7e5b49a7ff1de548a",
         "638297776b7f3a4a999a3af506633ff0f0201134c29e071318c6643841cdf861",
         "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f",
     ),
     "store_paged_join": (
+        "6bdb2a4a6d53c843c70a47f2b8094b288c79a3f73eb139bf5b925d460e6ed8b1",
         "eb73e3ade15e3055d02e4a7026cbd6658d25694c53d2b3fddc38f2441af3b724",
         "eb9407218bc2eee5152278599edb37162487a589dfc66c9e9484539f6aad16d5",
         "4ee813f12f59416a88fc00d50fb9542d1506b40243c87471d92b86e6dea532f4",
@@ -657,7 +680,8 @@ def benchmark_shape_runs(shape: str):
 def test_benchmark_shapes_keep_the_parent_commits_schedule(shape):
     """Only sort 1 moved: ``stats.schedule`` and ``stats.comparisons_by_phase``
     are the pinned values — the parent commit's for every phase but
-    ``augment_sort1``, whose count is the one its plan's ``passes`` imply —
+    ``augment_sort1``, whose count is the one its plan's ``passes`` imply,
+    three times sort 2's —
     the same on adversarially different data of one shape, and the rows are
     the ``vector`` engine's."""
     options, phases, _, _ = BENCHMARK_SHAPES[shape]
@@ -668,16 +692,28 @@ def test_benchmark_shapes_keep_the_parent_commits_schedule(shape):
         assert np.array_equal(pairs, expected)
 
 
+def test_comparator_work_does_not_depend_on_the_shard_count():
+    """At n1 = n2 = 2^14 every phase counts the same comparators at k = 1, 2
+    and 4: each pass of a sort is one bitonic network over its 2^15 rows,
+    however it is cut — sort 1 three of them."""
+    left, right = _benchmark_datasets("join_sharded_pool")[0]
+    phases = {
+        k: sharded_oblivious_join(left, right, shards=k)[1].comparisons_by_phase
+        for k in (1, 2, 4)
+    }
+    assert phases[1] == phases[2] == phases[4]
+    assert phases[1]["augment_sort1"] == 3 * phases[1]["augment_sort2"] == 5898240
+    assert sum(phases[1].values()) == 10870786
+
+
 def test_merge_two_keeps_zero_padding_out_of_extreme_runs():
-    """The merge network pads with zero rows; flagged, they must sort after
-    INT64_MAX keys and never displace negative ones."""
-    a = {"k": np.array([INT64_MIN, -5, INT64_MAX], dtype=np.int64),
-         "v": np.array([-1, INT64_MIN, 7], dtype=np.int64)}
-    b = {"k": np.array([-7, INT64_MAX], dtype=np.int64),
-         "v": np.array([INT64_MAX, -2], dtype=np.int64)}
-    merged = bitonic_merge_two(a, b, [("k", True), ("v", True)])  # 5 rows in 8
-    assert merged["k"].tolist() == [INT64_MIN, -7, -5, INT64_MAX, INT64_MAX]
-    assert merged["v"].tolist() == [-1, INT64_MAX, INT64_MIN, -2, 7]
+    """The merge network pads with ``int64`` max: it sorts after every real
+    word, ties harmlessly with a real ``INT64_MAX`` and never displaces a
+    negative one."""
+    a = {"w": np.array([INT64_MIN, -5, INT64_MAX], dtype=np.int64)}
+    b = {"w": np.array([-7, INT64_MAX], dtype=np.int64)}
+    merged = bitonic_merge_two(a, b, WORD)  # 5 rows in 8
+    assert merged["w"].tolist() == [INT64_MIN, -7, -5, INT64_MAX, INT64_MAX]
 
 
 # -- sharded join: phase accounting partitions the wall clock ----------------

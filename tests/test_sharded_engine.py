@@ -74,7 +74,7 @@ def test_sharded_join_matches_vector_for_any_shard_count(shards):
                     vector = dict(vector_stats.comparisons_by_phase)
                     if "augment_sort1" in vector:
                         (node,) = [
-                            node for node in stats.plan.nodes_by_op("shard_sort")
+                            node for node in stats.plan.nodes_by_op("partition")
                             if node.attr("stage") == "augment_sort1"
                         ]
                         assert node.attr("passes") == 3

@@ -29,22 +29,16 @@ from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
 from repro.vector.relational import vector_order_permutation
 
-KEYS = [("a", True), ("b", True)]
+#: A run's one word, its own ascending key: the sharded sort's run shape.
+KEYS = [("a", True)]
 
 
 def _random_runs(rng, count, max_len=7):
-    runs = []
-    for _ in range(count):
-        length = rng.randrange(0, max_len)
-        runs.append(
-            {
-                "a": np.array(
-                    sorted(rng.randrange(10) for _ in range(length)), dtype=np.int64
-                ),
-                "b": np.arange(length, dtype=np.int64),
-            }
-        )
-    return runs
+    return [
+        {"a": np.array(sorted(rng.randrange(10) for _ in range(rng.randrange(0, max_len))),
+                       dtype=np.int64)}
+        for _ in range(count)
+    ]
 
 
 # -- the public bracket (tournament_schedule) ---------------------------------

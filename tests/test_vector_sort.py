@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import InputError
 from repro.obliv.bitonic import comparison_count, next_power_of_two
 from repro.obliv.network import is_valid_schedule
-from repro.shard.merge import bitonic_merge_two
+from repro.shard.merge import bitonic_merge_two, merge_comparator_count
 from repro.vector import sort as sort_module
 from repro.vector.sort import (
     WORD_PAD,
@@ -240,19 +240,18 @@ def test_transposed_kernel_runs_the_strided_network(log_n):
 
 @pytest.mark.parametrize("la,lb", [(1, 3), (300, 257), (5000, 7000)])
 def test_one_word_merge_matches_the_masked_swap_merge(la, lb):
-    """A merge of two one-word runs is ``sort_words(words, k=padded)``; a
-    second, constant column forces the masked-swap half-cleaners."""
+    """A merge of two one-word runs is ``sort_words(words, k=padded)``: it
+    equals the masked-swap network — forced by a second, constant column —
+    over both runs, and counts the bitonic merger's comparators."""
     rng = np.random.default_rng(la)
     a, b = (np.sort(rng.integers(-50, 50, size)) for size in (la, lb))
-    narrow, wide = [0], [0]
-    got = bitonic_merge_two({"w": a}, {"w": b}, [("w", True)], counter=narrow)
-    zeros = {"z": np.zeros(la, dtype=np.int64)}, {"z": np.zeros(lb, dtype=np.int64)}
-    reference = bitonic_merge_two(
-        {"w": a, **zeros[0]}, {"w": b, **zeros[1]}, [("w", True)], counter=wide
-    )
+    counter = [0]
+    got = bitonic_merge_two({"w": a}, {"w": b}, [("w", True)], counter=counter)
+    both = np.concatenate([a, b])
+    reference = vector_bitonic_sort({"w": both, "z": np.zeros_like(both)}, [("w", True)])
     assert np.array_equal(got["w"], reference["w"])
-    assert np.array_equal(got["w"], np.sort(np.concatenate([a, b])))
-    assert narrow == wide
+    assert np.array_equal(got["w"], np.sort(both))
+    assert counter[0] == merge_comparator_count([la, lb])
 
 
 def _access_log(monkeypatch, words, k):
