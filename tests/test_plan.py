@@ -269,6 +269,60 @@ def test_inline_engines_compile_linear_pipelines(engine):
     assert plan.nodes_by_op("augment")[0].attr("rows") == 12  # anchors included
 
 
+#: The single-process engines' plans at the end-to-end benchmark's shapes:
+#: ``(workload, compile_workload shapes, {engine: sha256 of the bytes})``.
+#: The digests were computed at 537fe3a, before the two join compilers and
+#: the two array engines were folded into one each.
+INLINE_PLAN_DIGESTS = {
+    "join": ("join", {"n1": 16384, "n2": 16384}, {
+        "traced": "b825f9d4f0a2f5bcc7ed308da261a825646a0e488d5248717f16ca548f1c26b4",
+        "vector": "4b7027d35316d3277b1e5449085a7a0829cecc2640f31c64cfccff8192261f37",
+    }),
+    "join_padded": (
+        "join", {"n1": 4096, "n2": 4096, "padding": "bounded", "bound": 32768}, {
+            "traced": "d3d5dedcd9a748c7e231edcc870594f642ebf524b2e68f2b4744fe5ce3395d9a",
+            "vector": "cbf69bc0b21ba70e8bec29777a692b48d8a9f53efc6617982f16a366b26fbaa3",
+        }),
+    "multiway": (
+        "multiway", {"sizes": [8192] * 3, "padding": "bounded", "bound": 16384}, {
+            "traced": "bee20f8f9bd820b495ae4a8ee7bd6081b4a5ec919b9c8e3887683d8c7d0d3d91",
+            "vector": "60695f5ce74448186c9c7bbf1472e2d5f30b78f9929f620f1700b90024c6bfd9",
+        }),
+    "join_tree": (
+        "join_tree", {"sizes": [4096] * 3, "edges": [(0, 1, 0, 0), (0, 2, 1, 0)]}, {
+            "traced": "8533d4d496db955607d8b4ae2129de9f36938dae1aa1ff526d93591c7220f2d5",
+            "vector": "0cb4607c2c1dbc964c39fc20610d3cbd4dae6b33ac2f592d2d654b044988efe2",
+        }),
+    "aggregate": ("aggregate", {"n1": 4096, "n2": 4096}, {
+        "traced": "9a3b9333a0c8176ba0f6a2ea6c9267f60d19945935af84e2886d64120466ee4d",
+        "vector": "3bff41b1bf5f06685430d96d9c84cf9046bfa44e42a80a112b7b2ad1d4b6b55c",
+    }),
+    "group_by": ("group_by", {"n": 4096}, {
+        "traced": "795765750a995bb991cad4ad8b74d40336330820b3597ec79f5e09a000524a11",
+        "vector": "875c6f0896b2b16ababb92fa3a1fb6480a8168f54a132e912ed8bd65d255709a",
+    }),
+    "filter": ("filter", {"n": 4096}, {
+        "traced": "d4c5834ae42de4e586f04b3b5c3aa7550c8d31889bed343ae46206bad9714d1c",
+        "vector": "3b46e01f5b5d474f8d24ff5fef89acb8585184b8705399f88489968a194315d1",
+    }),
+    "order_by": ("order_by", {"n": 4096, "columns": 2}, {
+        "traced": "cfba97ef24524990e0ef7a560d2f4ee304172ace8f5e61ed726ad85628616fc7",
+        "vector": "f86401275556676c988dab3a3aed28d3ff2a3a2c4adb60a8dac7d5da024791ca",
+    }),
+}
+
+
+@pytest.mark.parametrize("engine", ["traced", "vector"])
+@pytest.mark.parametrize("case", sorted(INLINE_PLAN_DIGESTS))
+def test_inline_plans_are_the_pinned_bytes(case, engine):
+    """Every workload's ``traced`` and ``vector`` plan at the benchmark
+    shapes hashes to the pinned digest, so no compiler refactor can move
+    an inline plan's bytes unnoticed."""
+    workload, shapes, digests = INLINE_PLAN_DIGESTS[case]
+    plan = compile_workload(workload, engine=engine, **shapes)
+    assert hashlib.sha256(plan.serialize()).hexdigest() == digests[engine]
+
+
 def test_engine_compile_plan_covers_every_workload():
     engine = get_engine("sharded", shards=3, padding="worst_case")
     for workload, shapes in [
