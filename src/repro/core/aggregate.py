@@ -115,24 +115,17 @@ def oblivious_join_aggregate(
     tracer: Tracer | None = None,
     stats: NetworkStats | None = None,
     local: LocalContext | None = None,
-    engine: str | None = None,
 ) -> list[GroupAggregate]:
     """Aggregate ``T1 ⋈ T2`` per join value without materialising the join.
 
     Returns one :class:`GroupAggregate` per join value present in *both*
     tables, ordered by join value.  Runs in `O(n log^2 n)`, independent of
-    the join's output size ``m``.  ``engine=None``/``"traced"`` runs this
-    reference implementation; any other name (e.g. ``"vector"``) is resolved
-    through :func:`repro.engines.get_engine` and produces identical groups.
-    ``stats`` and ``local`` apply to the traced implementation only — other
-    engines have their own accounting (e.g.
-    :class:`repro.vector.aggregate.VectorAggregateStats`) and leave them
-    untouched.
+    the join's output size ``m``.  This is the ``traced`` engine's
+    implementation; the other engines' ``aggregate``
+    (:func:`repro.engines.get_engine`) produce identical groups and keep
+    their own accounting (e.g.
+    :class:`repro.vector.aggregate.VectorAggregateStats`).
     """
-    if engine not in (None, "traced"):
-        from ..engines import get_engine  # deferred: engines imports this module
-
-        return get_engine(engine).aggregate(left, right, tracer=tracer)
     tracer = tracer or Tracer()
     local = local or LocalContext()
     n = len(left) + len(right)
@@ -211,20 +204,15 @@ def oblivious_group_by(
     table: list[tuple[int, int]],
     tracer: Tracer | None = None,
     stats: NetworkStats | None = None,
-    engine: str | None = None,
 ) -> list[GroupAggregate]:
     """Single-table oblivious GROUP BY (count/sum/min/max per join value).
 
     Implemented as the degenerate case of the join aggregation against a
     table holding one entry per distinct key — but computed directly with
-    the same sort + scan + compact shape, in `O(n log^2 n)`.  ``engine``
-    selects the implementation as in :func:`oblivious_join_aggregate`;
-    ``stats`` applies to the traced implementation only.
+    the same sort + scan + compact shape, in `O(n log^2 n)`: the ``traced``
+    engine's ``group_by``, as :func:`oblivious_join_aggregate` is its
+    ``aggregate``.
     """
-    if engine not in (None, "traced"):
-        from ..engines import get_engine  # deferred: engines imports this module
-
-        return get_engine(engine).group_by(table, tracer=tracer)
     tracer = tracer or Tracer()
     n = len(table)
     if n == 0:

@@ -17,8 +17,8 @@ how a real deployment would pass opaque record handles through the oblivious
 operator while the payload bytes travel alongside them.
 
 The same cascade also runs on the vectorised numpy engine
-(:mod:`repro.vector.multiway`); pass ``engine="vector"`` here or go through
-:func:`repro.engines.get_engine` to select it.
+(:mod:`repro.vector.multiway`); select it with
+``get_engine("vector").multiway_join`` (:func:`repro.engines.get_engine`).
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def oblivious_multiway_join(
     tables: list[list[tuple]],
     keys: list[tuple[int, int]],
     tracer: Tracer | None = None,
-    engine: str | None = None,
     padding: str | None = None,
     bound=None,
 ) -> MultiwayResult:
@@ -119,10 +118,6 @@ def oblivious_multiway_join(
         ``left_column`` indexes the *accumulated* row (all columns of the
         tables joined so far, concatenated), ``right_column`` indexes the
         next table's row.
-    engine:
-        ``None``/``"traced"`` runs this reference cascade; any other name is
-        resolved through :func:`repro.engines.get_engine` (e.g. ``"vector"``
-        for the numpy fast path, which produces bit-identical rows).
     padding / bound:
         ``"revealed"`` (default) reveals every intermediate size;
         ``"bounded"`` pads each intermediate to the public cap(s) in
@@ -136,12 +131,6 @@ def oblivious_multiway_join(
     MultiwayResult
         Concatenated row tuples plus the (revealed) size after every step.
     """
-    if engine not in (None, "traced"):
-        from ..engines import get_engine  # deferred: engines imports this module
-
-        return get_engine(engine).multiway_join(
-            tables, keys, tracer=tracer, padding=padding, bound=bound
-        )
     padding = check_padding(padding)
     validate_cascade(tables, keys)
     tracer = tracer or Tracer()

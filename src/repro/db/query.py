@@ -101,9 +101,11 @@ class ObliviousEngine:
 
         A store-backed table joining on an int column hands the sharded
         engine a :class:`~repro.store.StorePairs` descriptor instead of a
-        materialised array — the partitioner then ships block refs and the
-        workers fault in only their plan-named blocks (``str`` keys need
-        the dictionary encoder, so they take the resident path).  The numpy
+        materialised array: the parent scans each column's plan-named
+        blocks once per query (``StorePairs.scan`` in
+        :func:`~repro.shard.join.sharded_oblivious_join`), and each sort
+        ships the workers one int64 word per row (``str`` keys need the
+        dictionary encoder, so they take the resident path).  The numpy
         engines get the cached ``(n, 2)`` array; ``traced`` iterates
         tuples.
         """

@@ -1,8 +1,9 @@
 """The :class:`Engine` protocol and the process-wide engine registry.
 
 An *engine* is one complete implementation of the library's oblivious
-workloads — binary join, multiway cascade, and grouped aggregation — behind
-a uniform call surface.  Two engines ship in-tree:
+workloads — binary join, multiway cascade, join tree, grouped aggregation,
+GROUP BY, FILTER and ORDER BY — behind a uniform call surface.  Three
+engines ship in-tree, on two implementations:
 
 ``traced``
     :mod:`repro.core`, faithful to the paper at single-memory-access
@@ -10,11 +11,14 @@ a uniform call surface.  Two engines ship in-tree:
 ``vector``
     :mod:`repro.vector`, numpy whole-array primitives with bit-identical
     outputs; the one benchmarks and production-sized runs use.
+``sharded``
+    The ``vector`` engine with every sort sharded into ``k`` positional
+    blocks on a pluggable executor (:mod:`repro.shard.sort`); ``k`` is the
+    only thing the plan compiler learns from the engine's name.
 
 Every registered engine must produce identical results on identical inputs
 (`tests/test_engines.py` enforces this differentially), which is what makes
-the registry a safe seam for future backends (sharded, async,
-multi-process) to plug into.
+the registry a safe seam for further backends to plug into.
 """
 
 from __future__ import annotations
@@ -45,14 +49,23 @@ class PaddingOptionsMixin:
     GROUP BY and FILTER reveal only their output size on every engine, so
     the flag changes nothing there.
     Backends extend ``OPTIONS`` with their own knobs (the sharded engine
-    adds ``shards``/``workers``).
+    adds ``shards``/``workers``/``executor``) and pass their values on to
+    ``__init__``, which keeps them for :meth:`with_options`.
     """
 
     OPTIONS = ("padding", "bound")
 
-    def _init_padding(self, padding: str | None, bound) -> None:
+    def __init__(self, padding: str | None = None, bound=None, **options) -> None:
         self.padding = check_padding(padding)
         self.bound = bound
+        # The constructor arguments a configured copy is rebuilt from.
+        self._options = dict(options, padding=self.padding, bound=bound)
+
+    def with_options(self, **options):
+        """A configured copy: this engine's constructor arguments with
+        ``options`` overriding them; unknown options are rejected loudly."""
+        self._check_options(options)
+        return type(self)(**{**self._options, **options})
 
     def _join_target(self, left: Pairs, right: Pairs, target_m: int | None):
         if target_m is not None:

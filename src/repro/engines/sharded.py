@@ -7,11 +7,14 @@ a plan up front (:mod:`repro.plan.compile`), and the tasks run on a
 pluggable executor (:mod:`repro.plan.executors`).  What is sharded is the
 *sort* (:mod:`repro.shard.sort`): per one-word pass, ``shards`` local
 bitonic sorts, one ``executor.map``, then a bitonic merge tournament
-(:mod:`repro.shard.merge`), one ``executor.map`` per round.  Everything
-above the sort — the join, the multiway cascade, the join tree, aggregation, GROUP BY,
-FILTER and ORDER BY — is the ``vector`` engine's own code, called with
+(:mod:`repro.shard.merge`), one ``executor.map`` per round.  The engine is
+:class:`~repro.engines.vector.VectorEngine` with that sort in its ``_sort``
+slot: the join, the multiway cascade, the join tree, aggregation, GROUP BY,
+FILTER and ORDER BY are the ``vector`` engine's own operators over
 ``sort=sharded_sort``, so outputs are bit-identical and the leakage is the
-``vector`` engine's plus the ``(n, k)``-determined block layout.
+``vector`` engine's plus the ``(n, k)``-determined block layout.  Only
+``join`` is its own, to scan store-backed inputs once per query and compile
+the plan first (:func:`repro.shard.join.sharded_oblivious_join`).
 
 Five knobs:
 
@@ -58,25 +61,17 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..core.aggregate import GroupAggregate
 from ..core.join import JoinResult
-from ..core.join_tree import JoinTreeResult
-from ..core.multiway import MultiwayResult
-from ..errors import InputError
 from ..memory.tracer import Tracer
 from ..plan.executors import check_workers, resolve_executor
 from ..plan.partition import check_shards
 from ..shard.join import sharded_oblivious_join
 from ..shard.sort import sharded_sort
-from ..vector.aggregate import vector_group_by, vector_join_aggregate
-from ..vector.join_tree import vector_join_tree
-from ..vector.multiway import vector_multiway_join
-from ..vector.relational import vector_filter_indices, vector_order_permutation
-from .base import PaddingOptionsMixin, Pairs
-from .traced import traced_order_permutation
+from .base import Pairs
+from .vector import VectorEngine
 
 
-class ShardedEngine(PaddingOptionsMixin):
+class ShardedEngine(VectorEngine):
     """Sharded multi-process engine: padded partitions, identical outputs."""
 
     name = "sharded"
@@ -92,28 +87,18 @@ class ShardedEngine(PaddingOptionsMixin):
     ) -> None:
         self.workers = check_workers(workers)
         self._shards = None if shards is None else check_shards(shards)
-        self._executor_name = executor
         # Resolve eagerly so an unknown name fails at configuration time.
         self.executor = resolve_executor(executor, workers=self.workers)
-        self._init_padding(padding, bound)
-        # The sort every operator below hands the vector text.
+        super().__init__(
+            padding, bound, shards=shards, workers=self.workers, executor=executor
+        )
+        # The sort every inherited operator hands the vector text.
         self._sort = partial(sharded_sort, shards=self.shards, executor=self.executor)
 
     @property
     def shards(self) -> int:
         """Partitions per input: explicit, or ``max(2, workers)``."""
         return self._shards if self._shards is not None else max(2, self.workers)
-
-    def with_options(self, **options) -> "ShardedEngine":
-        """A configured copy; unknown options are rejected loudly."""
-        self._check_options(options)
-        return ShardedEngine(
-            shards=options.get("shards", self._shards),
-            workers=options.get("workers", self.workers),
-            executor=options.get("executor", self._executor_name),
-            padding=options.get("padding", self.padding),
-            bound=options.get("bound", self.bound),
-        )
 
     def join(
         self,
@@ -135,54 +120,3 @@ class ShardedEngine(PaddingOptionsMixin):
             n1=len(left),
             n2=len(right),
         )
-
-    def multiway_join(
-        self,
-        tables: list[list[tuple]],
-        keys: list[tuple[int, int]],
-        tracer: Tracer | None = None,
-        padding: str | None = None,
-        bound=None,
-    ) -> MultiwayResult:
-        padding, bound = self._cascade_padding(padding, bound)
-        return vector_multiway_join(
-            tables, keys, padding=padding, bound=bound, sort=self._sort
-        )
-
-    def join_tree(
-        self,
-        tables: list[list[tuple]],
-        edges,
-        tracer: Tracer | None = None,
-        padding: str | None = None,
-        bound=None,
-    ) -> JoinTreeResult:
-        padding, bound = self._cascade_padding(padding, bound)
-        result, _stats = vector_join_tree(
-            tables, edges, padding=padding, bound=bound, sort=self._sort
-        )
-        return result
-
-    def aggregate(
-        self, left: Pairs, right: Pairs, tracer: Tracer | None = None
-    ) -> list[GroupAggregate]:
-        return vector_join_aggregate(left, right, sort=self._sort)
-
-    def group_by(
-        self, table: Pairs, tracer: Tracer | None = None
-    ) -> list[GroupAggregate]:
-        return vector_group_by(table, sort=self._sort)
-
-    def filter_indices(
-        self, mask: list[bool], tracer: Tracer | None = None
-    ) -> list[int]:
-        return vector_filter_indices(mask, sort=self._sort)
-
-    def order_permutation(
-        self, columns: list[tuple[list, bool]], tracer: Tracer | None = None
-    ) -> list[int]:
-        n = len(columns[0][0]) if columns else 0
-        try:
-            return vector_order_permutation(columns, n, sort=self._sort)
-        except InputError:
-            return traced_order_permutation(columns, tracer=tracer)

@@ -85,17 +85,6 @@ class TracedEngine(PaddingOptionsMixin):
 
     name = "traced"
 
-    def __init__(self, padding: str | None = None, bound=None) -> None:
-        self._init_padding(padding, bound)
-
-    def with_options(self, **options) -> "TracedEngine":
-        """A configured copy; unknown options are rejected loudly."""
-        self._check_options(options)
-        return TracedEngine(
-            padding=options.get("padding", self.padding),
-            bound=options.get("bound", self.bound),
-        )
-
     def join(
         self,
         left: Pairs,

@@ -6,6 +6,10 @@ per-access trace — the ``tracer`` parameters are accepted for interface
 compatibility and ignored, because the adversary-visible behaviour of this
 engine is its primitive schedule (``Vector*Stats.schedule``), which depends
 only on public sizes.
+
+Every operator hands its ``vector`` text the engine's one ``_sort``; the
+``sharded`` engine (:mod:`repro.engines.sharded`) is this class with a
+sharded sort in that slot.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from ..vector.join import vector_oblivious_join
 from ..vector.join_tree import vector_join_tree
 from ..vector.multiway import vector_multiway_join
 from ..vector.relational import vector_filter_indices, vector_order_permutation
+from ..vector.sort import vector_bitonic_sort
 from .base import PaddingOptionsMixin, Pairs
 from .traced import traced_order_permutation
 
@@ -29,17 +34,9 @@ class VectorEngine(PaddingOptionsMixin):
     """Vectorised engine: whole-array numpy primitives, identical outputs."""
 
     name = "vector"
-
-    def __init__(self, padding: str | None = None, bound=None) -> None:
-        self._init_padding(padding, bound)
-
-    def with_options(self, **options) -> "VectorEngine":
-        """A configured copy; unknown options are rejected loudly."""
-        self._check_options(options)
-        return VectorEngine(
-            padding=options.get("padding", self.padding),
-            bound=options.get("bound", self.bound),
-        )
+    #: The sort every operator hands its text; the sharded engine's
+    #: instances shadow it with a sharded one.
+    _sort = staticmethod(vector_bitonic_sort)
 
     def join(
         self,
@@ -48,8 +45,9 @@ class VectorEngine(PaddingOptionsMixin):
         tracer: Tracer | None = None,
         target_m: int | None = None,
     ) -> JoinResult:
+        target_m = self._join_target(left, right, target_m)
         pairs, stats = vector_oblivious_join(
-            left, right, target_m=self._join_target(left, right, target_m)
+            left, right, target_m=target_m, sort=self._sort
         )
         return JoinResult(
             pairs=[tuple(p) for p in pairs.tolist()],
@@ -67,7 +65,9 @@ class VectorEngine(PaddingOptionsMixin):
         bound=None,
     ) -> MultiwayResult:
         padding, bound = self._cascade_padding(padding, bound)
-        return vector_multiway_join(tables, keys, padding=padding, bound=bound)
+        return vector_multiway_join(
+            tables, keys, padding=padding, bound=bound, sort=self._sort
+        )
 
     def join_tree(
         self,
@@ -79,31 +79,31 @@ class VectorEngine(PaddingOptionsMixin):
     ) -> JoinTreeResult:
         padding, bound = self._cascade_padding(padding, bound)
         result, _stats = vector_join_tree(
-            tables, edges, padding=padding, bound=bound
+            tables, edges, padding=padding, bound=bound, sort=self._sort
         )
         return result
 
     def aggregate(
         self, left: Pairs, right: Pairs, tracer: Tracer | None = None
     ) -> list[GroupAggregate]:
-        return vector_join_aggregate(left, right)
+        return vector_join_aggregate(left, right, sort=self._sort)
 
     def group_by(
         self, table: Pairs, tracer: Tracer | None = None
     ) -> list[GroupAggregate]:
-        return vector_group_by(table)
+        return vector_group_by(table, sort=self._sort)
 
     def filter_indices(
         self, mask: list[bool], tracer: Tracer | None = None
     ) -> list[int]:
-        return vector_filter_indices(mask)
+        return vector_filter_indices(mask, sort=self._sort)
 
     def order_permutation(
         self, columns: list[tuple[list, bool]], tracer: Tracer | None = None
     ) -> list[int]:
         n = len(columns[0][0]) if columns else 0
         try:
-            return vector_order_permutation(columns, n)
+            return vector_order_permutation(columns, n, sort=self._sort)
         except InputError:
             # Non-int64 sort keys (e.g. string columns): the traced network
             # computes the identical stable permutation, just slower.

@@ -10,13 +10,16 @@ agree by construction.
 
 Two levels of entry point:
 
-* the ``sharded_join_plan`` / ``inline_*_plan`` / ``*_tree_plan``
-  functions take already resolved bounds (``target``/``bounds`` arguments)
-  and, for the sharded engine, the shard count ``k``;
+* the ``*_plan`` functions take already resolved bounds (``target`` /
+  ``bounds`` arguments) and the shard count ``k``: each compiles the
+  ``vector`` text's pipeline and, under ``k``, expands every sort in it
+  into a sharded sort (``partition`` -> ``shard_sort`` x ``k`` ->
+  ``merge_pair`` bracket);
 * :func:`compile_workload` (and the per-workload ``compile_*`` wrappers)
-  additionally resolve a ``padding`` mode + ``bound`` cap into bounds, and
-  are what the engines' ``compile_plan`` method and the CLI ``plan``
-  subcommand call.
+  additionally resolve a ``padding`` mode + ``bound`` cap into bounds and
+  an engine name into ``k`` (:func:`_plan_shards`, the only place an
+  engine's name decides anything), and are what the engines'
+  ``compile_plan`` method and the CLI ``plan`` subcommand call.
 
 Everywhere, an attribute value of ``None`` means "not fixed at compile
 time": the size will be *revealed* at run time, which is exactly the
@@ -27,6 +30,8 @@ serialized plan — and therefore the execution schedule — is a function of
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from ..core.join_tree import (
     child_edge_indices,
@@ -54,10 +59,6 @@ WORKLOADS = (
     "filter",
     "order_by",
 )
-
-#: Engines whose plans are a single-process primitive pipeline.
-_INLINE_ENGINES = ("traced", "vector")
-
 
 # -- merge tournaments -------------------------------------------------------
 
@@ -149,54 +150,49 @@ def _add_sharded_sort(
     return _add_merge_tournament(builder, sorts, counts, stage)
 
 
+def _through_sorts(builder: PlanBuilder, k: int | None, inputs, *sorts):
+    """``inputs`` through the sorts ``(stage, rows, keys)`` one node of the
+    ``vector`` text runs: unchanged inline (the node's op implies them),
+    the last sharded sort's merge root under ``k``."""
+    for stage, n, keys in sorts if k is not None else ():
+        inputs = (_add_sharded_sort(builder, inputs, n, k, stage, keys),)
+    return inputs
+
+
+def _shard_shape(k: int | None) -> dict:
+    """A plan's ``k`` shape, checked: only when its sorts are sharded."""
+    return {} if k is None else {"k": check_shards(k)}
+
+
 def _deferred_join_plan(engine: str, n2: int, k: int | None) -> Plan:
     """A one-node stand-in for an unpadded cascade step's join, whose left
     size the previous step reveals at run time."""
-    shards = {} if k is None else {"k": k}
     builder = PlanBuilder("join", engine)
-    builder.add("join_deferred", n1=None, n2=n2, target=None, **shards)
+    builder.add("join_deferred", n1=None, n2=n2, target=None, **_shard_shape(k))
     return builder.build()
 
 
 # -- join --------------------------------------------------------------------
 
 
-def inline_join_plan(engine: str, n1: int, n2: int, target: int | None) -> Plan:
-    """Algorithm 1 as a linear pipeline at public sizes.
+def join_plan(
+    engine: str,
+    n1: int,
+    n2: int,
+    target: int | None,
+    k: int | None = None,
+    block_rows: tuple[int | None, int | None] = (None, None),
+) -> Plan:
+    """Algorithm 1 as a linear pipeline at public sizes; under ``k`` each
+    of its five sorts expanded into a sharded sort.
 
     ``target`` is the padded output bound (``None`` = unpadded; the
     expansion sizes are then the revealed ``m``).  Padded runs append one
-    anchor row per input, hence the ``+ 1`` input sizes.
-    """
-    builder = PlanBuilder("join", engine, n1=n1, n2=n2, target=target)
-    extra = 0 if target is None else 1
-    left = builder.add("input", side="left", rows=n1 + extra)
-    right = builder.add("input", side="right", rows=n2 + extra)
-    augment = builder.add(
-        "augment", inputs=(left, right), rows=n1 + n2 + 2 * extra
-    )
-    expand_1 = builder.add("expand", inputs=(augment,), side="left", rows=target)
-    expand_2 = builder.add("expand", inputs=(augment,), side="right", rows=target)
-    align = builder.add("align", inputs=(expand_2,), rows=target)
-    builder.add("zip", inputs=(expand_1, align), rows=target)
-    return builder.build()
-
-
-def sharded_join_plan(
-    n1: int,
-    n2: int,
-    k: int,
-    target: int | None,
-    block_rows: tuple[int | None, int | None] = (None, None),
-) -> Plan:
-    """:func:`inline_join_plan`'s pipeline with each of its five sorts
-    expanded into a sharded sort (``partition`` → ``k`` ``shard_sort`` →
-    ``merge_pair`` bracket).
-
-    The two augment sorts run at ``n1 + n2`` rows (plus the two anchors
-    under padding), the expansion sorts at ``max(n_i, target)`` and the
-    align sort at ``target`` — ``None`` throughout when ``target`` is, the
-    revealed ``m``.  Everything is a function of ``(n1, n2, k, target)``.
+    anchor row per input, hence the ``+ 1`` input sizes.  The two augment
+    sorts run at ``n1 + n2`` rows (plus the two anchors under padding),
+    the expansion sorts at ``max(n_i, target)`` and the align sort at
+    ``target`` — ``None`` throughout when ``target`` is, the revealed
+    ``m``.  Everything is a function of ``(n1, n2, k, target)``.
 
     ``block_rows`` is the per-side rows-per-block of store-backed inputs
     (``None`` per resident side; left out of the shapes when both are, so
@@ -205,11 +201,10 @@ def sharded_join_plan(
     ``0 … ceil(n / block_rows) - 1`` in order, a function of
     ``(n, block_rows)``.
     """
-    check_shards(k)
-    shapes: dict = {"n1": n1, "n2": n2, "k": k, "target": target}
+    shapes: dict = {"n1": n1, "n2": n2, **_shard_shape(k), "target": target}
     if tuple(block_rows) != (None, None):
         shapes["block_rows"] = block_rows
-    builder = PlanBuilder("join", "sharded", **shapes)
+    builder = PlanBuilder("join", engine, **shapes)
     extra = 0 if target is None else 1
     inputs = []
     for side, n, rows_per_block in zip(("left", "right"), (n1, n2), block_rows):
@@ -223,19 +218,20 @@ def sharded_join_plan(
     total = n1 + n2 + 2 * extra
     # The five sorts' keys, from repro.vector.join; m's width is unused while
     # m is revealed.
+    sorted_by = partial(_through_sorts, builder, k)
     first, second = augment_keys(total)
-    sort = _add_sharded_sort(builder, tuple(inputs), total, k, "augment_sort1", first)
-    sort = _add_sharded_sort(builder, (sort,), total, k, "augment_sort2", second)
-    augment = builder.add("augment", inputs=(sort,), rows=total)
+    ordered = sorted_by(
+        tuple(inputs), ("augment_sort1", total, first), ("augment_sort2", total, second)
+    )
+    augment = builder.add("augment", inputs=ordered, rows=total)
     expands = []
     keys = expand_keys(target or 0)
     for index, (side, n) in enumerate((("left", n1), ("right", n2)), start=1):
         size = None if target is None else max(n + extra, target)
-        sort = _add_sharded_sort(builder, (augment,), size, k, f"expand{index}_sort", keys)
-        expands.append(builder.add("expand", inputs=(sort,), side=side, rows=target))
-    keys = align_keys(target or 0)
-    sort = _add_sharded_sort(builder, (expands[1],), target, k, "align_sort", keys)
-    align = builder.add("align", inputs=(sort,), rows=target)
+        ordered = sorted_by((augment,), (f"expand{index}_sort", size, keys))
+        expands.append(builder.add("expand", inputs=ordered, side=side, rows=target))
+    ordered = sorted_by((expands[1],), ("align_sort", target, align_keys(target or 0)))
+    align = builder.add("align", inputs=ordered, rows=target)
     builder.add("zip", inputs=(expands[0], align), rows=target)
     return builder.build()
 
@@ -253,17 +249,14 @@ def _sorted_by(
     return _add_sharded_sort(builder, inputs, n, k, stage, keys)
 
 
-def inline_aggregate_plan(
+def aggregate_plan(
     engine: str, workload: str, n1: int, n2: int, k: int | None = None
 ) -> Plan:
     """Aggregation at ``n1 + n2`` rows: sort, segmented reduce, and (under
     ``k``) each of the text's two sorts sharded by
     :func:`~repro.vector.aggregate.aggregate_keys` — stages
     ``aggregate_sort`` / ``aggregate_compact``, or ``groupby_*``."""
-    shapes: dict = {"n1": n1, "n2": n2}
-    if k is not None:
-        shapes["k"] = check_shards(k)
-    builder = PlanBuilder(workload, engine, **shapes)
+    builder = PlanBuilder(workload, engine, n1=n1, n2=n2, **_shard_shape(k))
     left = builder.add("input", side="left", rows=n1)
     right = builder.add("input", side="right", rows=n2)
     prefix = "groupby" if workload == "group_by" else "aggregate"
@@ -276,26 +269,23 @@ def inline_aggregate_plan(
     return builder.build()
 
 
-def inline_filter_plan(engine: str, n: int, k: int | None = None) -> Plan:
+def filter_plan(engine: str, n: int, k: int | None = None) -> Plan:
     """Order-preserving compaction of ``n`` mask cells; under ``k`` its sort
     sharded by :func:`~repro.vector.relational.filter_keys`, stage
     ``filter_compact``."""
-    shapes: dict = {"n": n}
-    if k is not None:
-        shapes["k"] = check_shards(k)
-    builder = PlanBuilder("filter", engine, **shapes)
+    builder = PlanBuilder("filter", engine, n=n, **_shard_shape(k))
     mask = builder.add("input", side="mask", rows=n)
     _sorted_by(builder, (mask,), k, "filter_compact", n, filter_keys(n), op="compact")
     return builder.build()
 
 
-def inline_order_plan(engine: str, n: int, k: int | None = None, columns: int = 1) -> Plan:
+def order_plan(engine: str, n: int, k: int | None = None, columns: int = 1) -> Plan:
     """A stable sort of ``n`` rows; under ``k`` sharded by
     :func:`~repro.vector.relational.order_keys` (their directions do not
     change the plan), stage ``order``."""
-    shapes: dict = {"n": n}
+    shapes: dict = {"n": n, **_shard_shape(k)}
     if k is not None:
-        shapes.update(k=check_shards(k), columns=columns)
+        shapes["columns"] = columns
     builder = PlanBuilder("order_by", engine, **shapes)
     rows = builder.add("input", side="keys", rows=n)
     _sorted_by(builder, (rows,), k, "order", n, order_keys([True] * columns, n))
@@ -335,9 +325,10 @@ def multiway_plan(
     """A whole cascade's public schedule: one embedded join plan per step.
 
     ``bounds`` comes from :func:`repro.core.padding.cascade_bounds` (empty
-    = unpadded).  The per-step sub-plans are the binary join's own plans,
-    whose sort keys are the join text's key lists, so the cascade artifact
-    and the executed schedule cannot drift apart.
+    = unpadded).  The per-step sub-plans are the binary join's own plans
+    (under ``k``, with every sort sharded), whose sort keys are the join
+    text's key lists, so the cascade artifact and the executed schedule
+    cannot drift apart.
     """
     if len(sizes) < 2:
         raise InputError("a multiway plan needs at least two table sizes")
@@ -346,20 +337,17 @@ def multiway_plan(
             f"{len(sizes) - 1}-step cascade needs {len(sizes) - 1} bounds, "
             f"got {len(bounds)}"
         )
-    shapes: dict = {"sizes": tuple(sizes), "bounds": tuple(bounds)}
-    if engine == "sharded":
-        shapes["k"] = check_shards(k if k is not None else 2)
-    builder = PlanBuilder("multiway", engine, **shapes)
+    builder = PlanBuilder(
+        "multiway", engine, sizes=tuple(sizes), bounds=tuple(bounds), **_shard_shape(k)
+    )
     last: tuple[int, ...] = ()
     for step, (left, right, target) in enumerate(
         multiway_step_shapes(sizes, bounds)
     ):
         if left is None:
-            sub = _deferred_join_plan(engine, right, shapes.get("k"))
-        elif engine == "sharded":
-            sub = sharded_join_plan(left, right, shapes["k"], target)
+            sub = _deferred_join_plan(engine, right, k)
         else:
-            sub = inline_join_plan(engine, left, right, target)
+            sub = join_plan(engine, left, right, target, k)
         last = builder.embed(sub, step=step)
     builder.add("compact", inputs=(last[-1],) if last else ())
     return builder.build()
@@ -434,17 +422,12 @@ def join_tree_plan(
     """
     sizes = tuple(int(n) for n in sizes)
     edges, children, order = _plan_tree(sizes, edges)
-    shapes: dict = {"sizes": sizes, "edges": _edge_shapes(edges), "target": target}
-    if k is not None:
-        shapes["k"] = check_shards(k)
-    builder = PlanBuilder("join_tree", engine, **shapes)
+    builder = PlanBuilder(
+        "join_tree", engine, sizes=sizes, edges=_edge_shapes(edges), target=target,
+        **_shard_shape(k),
+    )
 
-    def sorted_by(inputs, *sorts):
-        """``inputs`` through the sorts ``(stage, rows, keys)`` a node runs:
-        unchanged inline, the last sharded sort's merge root under ``k``."""
-        for stage, n, keys in sorts if k is not None else ():
-            inputs = (_add_sharded_sort(builder, inputs, n, k, stage, keys),)
-        return inputs
+    sorted_by = partial(_through_sorts, builder, k)
 
     def stab(stage: str, size: int | None, tags: int):
         keys = stab_keys(size or 0, tags)
@@ -536,12 +519,7 @@ def compile_join_tree(
     """
     sizes = join_tree_sizes(tables)
     target = join_tree_bound(sizes, padding, bound)
-    if engine == "sharded":
-        shards = shards if shards is not None else 2
-        return join_tree_plan(engine, sizes, tree, target, shards)
-    if engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-    return join_tree_plan(engine, sizes, tree, target)
+    return join_tree_plan(engine, sizes, tree, target, _plan_shards(engine, shards))
 
 
 # -- mode-resolving front door ----------------------------------------------
@@ -559,11 +537,7 @@ def compile_join(
 ) -> Plan:
     """Compile a binary join's plan, resolving ``padding`` into a bound."""
     target = target_m if target_m is not None else join_bound(n1, n2, padding, bound)
-    if engine == "sharded":
-        return sharded_join_plan(n1, n2, shards if shards is not None else 2, target)
-    if engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-    return inline_join_plan(engine, n1, n2, target)
+    return join_plan(engine, n1, n2, target, _plan_shards(engine, shards))
 
 
 def compile_multiway(
@@ -575,16 +549,17 @@ def compile_multiway(
     bound=None,
 ) -> Plan:
     bounds = cascade_bounds(list(sizes), padding, bound)
-    if engine != "sharded" and engine not in _INLINE_ENGINES:
-        raise InputError(f"no plan compiler for engine {engine!r}")
-    return multiway_plan(list(sizes), engine, bounds=bounds, k=shards)
+    k = _plan_shards(engine, shards)
+    return multiway_plan(list(sizes), engine, bounds=bounds, k=k)
 
 
 def _plan_shards(engine: str, shards: int | None) -> int | None:
-    """The sharded engine's ``k`` (default 2), ``None`` for an inline one."""
+    """The ``k`` an engine's sorts are sharded into: the sharded engine's
+    (default 2), ``None`` for ``traced`` and ``vector``, whose sorts run
+    whole.  The only engine input the compilers read."""
     if engine == "sharded":
         return shards if shards is not None else 2
-    if engine not in _INLINE_ENGINES:
+    if engine not in ("traced", "vector"):
         raise InputError(f"no plan compiler for engine {engine!r}")
     return None
 
@@ -599,7 +574,7 @@ def compile_aggregate(
     padding: str | None = None,
 ) -> Plan:
     check_padding(padding)
-    return inline_aggregate_plan(engine, workload, n1, n2, _plan_shards(engine, shards))
+    return aggregate_plan(engine, workload, n1, n2, _plan_shards(engine, shards))
 
 
 def compile_filter(
@@ -610,13 +585,13 @@ def compile_filter(
     padding: str | None = None,
 ) -> Plan:
     check_padding(padding)
-    return inline_filter_plan(engine, n, _plan_shards(engine, shards))
+    return filter_plan(engine, n, _plan_shards(engine, shards))
 
 
 def compile_order_by(
     n: int, engine: str = "vector", *, shards: int | None = None, columns: int = 1
 ) -> Plan:
-    return inline_order_plan(engine, n, _plan_shards(engine, shards), columns)
+    return order_plan(engine, n, _plan_shards(engine, shards), columns)
 
 
 def compile_workload(

@@ -20,7 +20,7 @@ query, blocks ``0 … B-1`` of each column in order — a public function of
 
 ``stats.plan`` is the public plan compiled from ``(n1, n2, k, target,
 block_rows)`` before any data is touched
-(:func:`repro.plan.compile.sharded_join_plan`); the obliviousness suite
+(:func:`repro.plan.compile.join_plan` under ``k``); the obliviousness suite
 asserts it byte-identical across inputs of one shape.
 """
 
@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from ..core.padding import check_target_m
-from ..plan.compile import sharded_join_plan
+from ..plan.compile import join_plan
 from ..plan.executors import Executor, resolve_executor
 from ..plan.ir import Plan
 from ..store.runtime import StorePairs
@@ -90,7 +90,7 @@ def sharded_oblivious_join(
     block_rows = tuple(
         pairs.block_rows if isinstance(pairs, StorePairs) else None for pairs in sides
     )
-    stats.plan = sharded_join_plan(len(left), len(right), shards, target_m, block_rows)
+    stats.plan = join_plan("sharded", len(left), len(right), target_m, shards, block_rows)
     left, right = (
         pairs.scan() if isinstance(pairs, StorePairs) else pairs for pairs in sides
     )

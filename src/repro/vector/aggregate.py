@@ -171,8 +171,8 @@ def vector_join_aggregate(
 ) -> list[GroupAggregate]:
     """Aggregate ``T1 ⋈ T2`` per join value without materialising the join.
 
-    Vectorised counterpart of
-    :func:`repro.core.aggregate.oblivious_join_aggregate`: one
+    The ``vector`` engine's ``aggregate``, counterpart of the ``traced``
+    engine's :func:`repro.core.aggregate.oblivious_join_aggregate`: one
     :class:`~repro.core.aggregate.GroupAggregate` per join value present in
     *both* tables, ordered by join value, in `O(n log^2 n)` independent of
     the would-be join size ``m``.  ``sort`` runs both sorts (the sharded
@@ -203,7 +203,8 @@ def vector_group_by(
     stats: VectorAggregateStats | None = None,
     sort=vector_bitonic_sort,
 ) -> list[GroupAggregate]:
-    """Single-table oblivious GROUP BY — vectorised counterpart of
+    """Single-table oblivious GROUP BY — the ``vector`` engine's
+    ``group_by``, counterpart of the ``traced`` engine's
     :func:`repro.core.aggregate.oblivious_group_by` (count/sum/min/max per
     join value, every group emitted)."""
     stats = stats if stats is not None else VectorAggregateStats()

@@ -79,7 +79,8 @@ def vector_multiway_join(
     bound=None,
     sort=vector_bitonic_sort,
 ) -> MultiwayResult:
-    """Vectorised left-deep cascade; same contract as the traced version.
+    """Vectorised left-deep cascade, the ``vector`` engine's
+    ``multiway_join``; same contract as the ``traced`` engine's.
 
     ``tables`` / ``keys`` follow
     :func:`repro.core.multiway.oblivious_multiway_join`; rows may carry

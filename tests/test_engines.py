@@ -196,13 +196,15 @@ def test_engines_group_by_bit_identically(table):
 
 
 def test_engine_knob_on_core_functions_matches_traced():
+    """The core functions are the traced engine; the vector engine's front
+    door computes the same groups and rows."""
+    vector = get_engine("vector")
     left = [(0, 1), (0, 2), (1, 3)]
     right = [(0, 4), (1, 5), (1, 6)]
-    assert oblivious_join_aggregate(left, right, engine="vector") == \
-        oblivious_join_aggregate(left, right)
-    assert oblivious_group_by(left, engine="vector") == oblivious_group_by(left)
+    assert vector.aggregate(left, right) == oblivious_join_aggregate(left, right)
+    assert vector.group_by(left) == oblivious_group_by(left)
     tables = [[(1, 8), (2, 9)], [(1, 10), (1, 11)]]
-    assert oblivious_multiway_join(tables, [(0, 0)], engine="vector").rows == \
+    assert vector.multiway_join(tables, [(0, 0)]).rows == \
         oblivious_multiway_join(tables, [(0, 0)]).rows
 
 

@@ -29,7 +29,7 @@ from repro.plan import (
     compile_workload,
     partition_plan,
 )
-from repro.plan.compile import sharded_join_plan
+from repro.plan.compile import join_plan
 from repro.plan.executors import InlineExecutor, get_executor
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.shard.sort import sharded_sort
@@ -50,8 +50,8 @@ EXECUTORS = [
 
 
 def test_plan_serialization_is_canonical_and_digest_stable():
-    plan = sharded_join_plan(10, 7, 3, 70)
-    again = sharded_join_plan(10, 7, 3, 70)
+    plan = join_plan("sharded", 10, 7, 70, 3)
+    again = join_plan("sharded", 10, 7, 70, 3)
     assert plan == again
     assert plan.serialize() == again.serialize()
     assert plan.digest() == again.digest()
@@ -80,7 +80,7 @@ def test_plan_rejects_floats_and_unknown_inputs():
 
 
 def test_embed_offsets_inputs_and_tags_steps():
-    inner = sharded_join_plan(4, 4, 2, None)
+    inner = join_plan("sharded", 4, 4, None, 2)
     builder = PlanBuilder("multiway", "sharded", sizes=(4, 4))
     builder.add("marker")
     indices = builder.embed(inner, step=7)
@@ -141,7 +141,7 @@ def test_sharded_join_plan_grid_uses_partition_counts():
     """Every block size in the plan is ``partition_plan(sort size, k)``
     (the id predates the sort-sharded join, whose plan has no grid)."""
     n1, n2, k = 10, 7, 3
-    plan = sharded_join_plan(n1, n2, k, n1 * n2)
+    plan = join_plan("sharded", n1, n2, n1 * n2, k)
     for stage, size in _sort_sizes(n1, n2, n1 * n2).items():
         capacity, counts = partition_plan(size, k)
         (part,) = _stage(plan, "partition", stage)
@@ -164,7 +164,7 @@ def test_sharded_plans_embed_the_merge_tournament_bracket():
     from repro.plan import tournament_schedule
 
     n1, n2, k = 10, 7, 3
-    plan = sharded_join_plan(n1, n2, k, n1 * n2)
+    plan = join_plan("sharded", n1, n2, n1 * n2, k)
     for stage, size in _sort_sizes(n1, n2, n1 * n2).items():
         _, counts = partition_plan(size, k)
         expected = [n for n in tournament_schedule(k, counts) if not n.is_carry]
@@ -174,14 +174,14 @@ def test_sharded_plans_embed_the_merge_tournament_bracket():
             for p in _stage(plan, "merge_pair", stage)
         ] == [(n.round, n.slot, n.left_rows, n.right_rows, n.rows) for n in expected]
     # Revealed mode keeps every bracket but marks the m-sized ones run-time.
-    revealed = sharded_join_plan(n1, n2, k, None)
+    revealed = join_plan("sharded", n1, n2, None, k)
     assert len(revealed.nodes) == len(plan.nodes)
     for stage in JOIN_SORTS:
         known = stage.startswith("augment")
         for node in _stage(revealed, "merge_pair", stage):
             assert (node.attr("rows") is not None) == known
     # k = 1 is one block and no merge at all.
-    assert not sharded_join_plan(n1, n2, 1, None).nodes_by_op("merge_pair")
+    assert not join_plan("sharded", n1, n2, None, 1).nodes_by_op("merge_pair")
 
 
 @pytest.mark.parametrize(
@@ -201,7 +201,7 @@ def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
     the executed comparator counts are the ones the plan's sizes imply."""
     n1, n2, k = 8, 8, 3
     target = join_bound(n1, n2, padding, bound)
-    plan = sharded_join_plan(n1, n2, k, target)
+    plan = join_plan("sharded", n1, n2, target, k)
     sizes = _sort_sizes(n1, n2, target)
     assert {
         stage: _stage(plan, "partition", stage)[0].attr("n") for stage in JOIN_SORTS
@@ -214,7 +214,7 @@ def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
     assert json.loads(plan.serialize())["shapes"] == {
         "n1": n1, "n2": n2, "k": k, "target": target,
     }
-    assert plan.serialize() == sharded_join_plan(n1, n2, k, target).serialize()
+    assert plan.serialize() == join_plan("sharded", n1, n2, target, k).serialize()
     # Skewed-but-disjoint keys and DATASET_B both stay under every bound.
     disjoint = ([(0, v) for v in range(n1)], [(1, v) for v in range(n2)])
     for left, right in (DATASET_B, disjoint):
@@ -226,7 +226,7 @@ def test_padded_grid_cells_are_bounded_by_the_public_bound(padding, bound):
 
 
 def test_revealed_plans_mark_runtime_sizes_as_null():
-    plan = sharded_join_plan(6, 6, 2, None)
+    plan = join_plan("sharded", 6, 6, None, 2)
     for op in ("expand", "align", "zip"):
         assert all(n.attr("rows") is None for n in plan.nodes_by_op(op))
     for stage in JOIN_SORTS[2:]:
@@ -364,7 +364,7 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
     plan_b = _executed_join_plan(*DATASET_B, target)
     assert plan_a.serialize() == plan_b.serialize()
     # ... and identical to the plan compiled with no data in sight.
-    assert plan_a.serialize() == sharded_join_plan(8, 8, 3, target).serialize()
+    assert plan_a.serialize() == join_plan("sharded", 8, 8, target, 3).serialize()
 
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
@@ -417,7 +417,7 @@ def test_every_sharded_sort_carries_its_passes_on_its_partition():
     passes = {node.attr("stage"): node.attr("passes") for node in plan.nodes_by_op("partition")}
     assert passes == {stage: 3 if stage == "augment_sort1" else 1 for stage in JOIN_SORTS}
     assert not any("passes" in dict(node.attrs) for node in plan.nodes_by_op("shard_sort"))
-    for node in sharded_join_plan(64, 64, 4, None).nodes_by_op("partition"):
+    for node in join_plan("sharded", 64, 64, None, 4).nodes_by_op("partition"):
         assert (node.attr("passes") is None) == (node.attr("n") is None)
 
 
@@ -429,7 +429,7 @@ def test_executed_plan_bytes_survive_adversarial_completion_orders():
     from repro.plan import ShuffleExecutor
 
     target = 64
-    compiled = sharded_join_plan(8, 8, 3, target).serialize()
+    compiled = join_plan("sharded", 8, 8, target, 3).serialize()
     for data in (DATASET_A, DATASET_B):
         for seed in range(3):
             stats = ShardedJoinStats()
