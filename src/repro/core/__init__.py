@@ -11,7 +11,7 @@ from .distribute import (
 from .entry import Entry, EntryCodec, entries_from_pairs, pairs_from_entries
 from .expand import assign_first_slots, fill_down, oblivious_expand
 from .join import JoinResult, oblivious_join, oblivious_join_arrays
-from .multiway import MultiwayResult, oblivious_multiway_join
+from .multiway import MultiwayResult, cascade, oblivious_multiway_join
 from .padding import (
     ANCHOR_KEY,
     DUMMY_KEY_BASE,
@@ -20,7 +20,6 @@ from .padding import (
     check_padding,
     compact_pairs,
     join_bound,
-    padded_cascade,
 )
 from .stats import TABLE3_GROUPS, JoinCounters
 
@@ -46,6 +45,7 @@ __all__ = [
     "oblivious_join",
     "oblivious_join_arrays",
     "MultiwayResult",
+    "cascade",
     "oblivious_multiway_join",
     "ANCHOR_KEY",
     "DUMMY_KEY_BASE",
@@ -54,7 +54,6 @@ __all__ = [
     "check_padding",
     "compact_pairs",
     "join_bound",
-    "padded_cascade",
     "TABLE3_GROUPS",
     "JoinCounters",
 ]

@@ -16,9 +16,11 @@ is an index into a row catalogue kept in (untraced) client memory, mirroring
 how a real deployment would pass opaque record handles through the oblivious
 operator while the payload bytes travel alongside them.
 
-The same cascade also runs on the vectorised numpy engine
-(:mod:`repro.vector.multiway`); select it with
-``get_engine("vector").multiway_join`` (:func:`repro.engines.get_engine`).
+:func:`cascade` is the one fold, in every padding mode; the traced
+engine's :func:`oblivious_multiway_join` and the numpy engines'
+:func:`repro.vector.multiway.vector_multiway_join` are each one call to it
+with their binary join as the step, and the db layer's
+``ObliviousEngine.multiway_join`` calls the engine's.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 from ..errors import InputError
 from ..memory.tracer import Tracer
-from .join import JoinResult, oblivious_join
-from .padding import check_padding, padded_cascade
+from .join import oblivious_join
+from .padding import DUMMY_HANDLE, DUMMY_KEY_BASE, check_padded_key, check_padding
 
 
 @dataclass
@@ -57,45 +59,144 @@ class MultiwayResult:
         return sum(self.bounds or ())
 
 
-def encode_handles(rows: list[tuple], key_column: int) -> list[tuple[int, int]]:
+def check_int_key(key) -> int:
+    """Validate one join key of a revealed cascade: any Python int, ``bool``
+    included (:func:`~repro.core.padding.check_padded_key`, the padded
+    cascade's check, also refuses bools and the reserved key space)."""
+    if not isinstance(key, int):
+        raise InputError(
+            f"join keys must be dictionary-encoded ints, got {type(key).__name__}"
+        )
+    return key
+
+
+def encode_handles(
+    rows: list[tuple], dummies: int, key_column: int, check_key
+) -> list[tuple[int, int]]:
     """Project ``rows`` to ``(join_key, row_handle)`` pairs for one join step.
 
     The handle is the row's index into the client-side catalogue; only these
-    two int columns travel through the oblivious operator.
+    two int columns travel through the oblivious operator.  ``check_key``
+    validates each real key for the cascade's mode.  ``dummies`` is the
+    public length of a padded cascade's dummy tail, kept as a count: it
+    becomes rows ``len(rows) + i`` with the distinct reserved keys
+    ``DUMMY_KEY_BASE + len(rows) + i``, which match nothing downstream.
     """
-    pairs = []
-    for index, row in enumerate(rows):
-        key = row[key_column]
-        if not isinstance(key, int):
-            raise InputError(
-                f"join keys must be dictionary-encoded ints, got {type(key).__name__}"
-            )
-        pairs.append((key, index))
+    pairs = [(check_key(row[key_column]), index) for index, row in enumerate(rows)]
+    base = len(rows)
+    pairs.extend(
+        (DUMMY_KEY_BASE + base + offset, base + offset) for offset in range(dummies)
+    )
     return pairs
 
 
-def validate_cascade(tables: list[list[tuple]], keys: list[tuple[int, int]]) -> None:
-    """Shared input validation for every multiway-cascade implementation."""
+def compiled_bounds(
+    tables: list[list[tuple]],
+    keys: list[tuple[int, int]],
+    engine: str,
+    padding: str,
+    bound,
+) -> tuple[int, ...] | None:
+    """Validate a cascade's shape and read its public per-step bounds from
+    its compiled plan; ``None`` for a revealed cascade.
+
+    The bounds come from the same compiler the CLI ``plan`` command and the
+    plan-equality tests use (which itself reuses
+    :func:`~repro.core.padding.cascade_bounds`), so artifact and execution
+    cannot drift.
+    """
     if len(tables) < 2:
         raise InputError("a multiway join needs at least two tables")
     if len(keys) != len(tables) - 1:
         raise InputError(
             f"{len(tables)} tables need {len(tables) - 1} key specs, got {len(keys)}"
         )
+    if padding == "revealed":
+        return None
+    from ..plan.compile import compile_multiway  # deferred: plan imports core
+
+    plan = compile_multiway(
+        [len(t) for t in tables], engine, padding=padding, bound=bound
+    )
+    return plan.shape("bounds")
 
 
-def check_step_columns(
-    step: int,
-    accumulated: list[tuple],
-    next_table: list[tuple],
-    left_col: int,
-    right_col: int,
-) -> None:
-    """Validate one cascade step's key columns against the row widths."""
-    if accumulated and not 0 <= left_col < len(accumulated[0]):
-        raise InputError(f"left key column {left_col} out of range at step {step}")
-    if next_table and not 0 <= right_col < len(next_table[0]):
-        raise InputError(f"right key column {right_col} out of range at step {step}")
+def cascade(tables, keys, bounds, run_step):
+    """The left-deep cascade of binary joins, every engine's and every mode's.
+
+    ``run_step(left_pairs, right_pairs, target)`` executes one binary join
+    and returns its ``(left_handle, right_handle)`` pairs.  ``bounds=None``
+    is the revealed cascade: ``target`` is ``None``, every step returns
+    exactly its true output, and keys pass :func:`check_int_key`.  Padded
+    bounds give each step its public ``target``; the step returns
+    ``target`` pairs — real rows first (handles >= 0), then dummy rows
+    (:data:`DUMMY_HANDLE`) — and keys pass :func:`check_padded_key`.
+
+    This function owns everything around the joins: the client-side row
+    catalogue, the dummy tail threaded between steps, re-keying, and the
+    final compaction.  Returns ``(rows, true_sizes)`` where ``rows`` is the
+    same in every mode and ``true_sizes`` are the *client-side*
+    intermediate sizes (under padding the trace reveals only ``bounds``).
+
+    **Fused expand-truncate.**  A dummy row can never survive any later
+    step's bound — it joins nothing by construction — so the catalogue
+    drops dummy handles the moment a step returns them: real rows are
+    accumulated, the dummy tail is kept only as a public *count* and
+    re-expanded into engine input positions by :func:`encode_handles`.
+    The engine sees the inputs a materialised dummy tail would give it
+    (same sizes, same reserved keys at the same positions), while the
+    client-side cost per step is ``O(true_size * row_width)`` rather than
+    ``O(bound * row_width)`` — the dominant constant of ``worst_case``
+    cascades, whose bounds compound multiplicatively.
+    """
+    check_key = check_int_key if bounds is None else check_padded_key
+    accumulated = [tuple(row) for row in tables[0]]
+    dummies = 0  # public tail length; accumulated holds real rows only
+    # Folded row width.  Once a table is empty every later step is empty
+    # too (its bound is 0), so a width that stops growing there is never
+    # checked against.
+    width = len(accumulated[0]) if accumulated else 0
+    true_sizes: list[int] = []
+    for step, table in enumerate(tables[1:]):
+        next_table = [tuple(row) for row in table]
+        left_col, right_col = keys[step]
+        if (accumulated or dummies) and not 0 <= left_col < width:
+            raise InputError(
+                f"left key column {left_col} out of range at step {step}"
+            )
+        if next_table and not 0 <= right_col < len(next_table[0]):
+            raise InputError(
+                f"right key column {right_col} out of range at step {step}"
+            )
+        pairs = run_step(
+            encode_handles(accumulated, dummies, left_col, check_key),
+            encode_handles(next_table, 0, right_col, check_key),
+            None if bounds is None else bounds[step],
+        )
+        new_accumulated: list[tuple] = []
+        for left_index, right_index in pairs:
+            if left_index == DUMMY_HANDLE:
+                break
+            new_accumulated.append(
+                accumulated[left_index] + next_table[right_index]
+            )
+        # Engines contract to emit real rows first; a real handle after the
+        # first dummy would silently lose output, so verify the tail.
+        if any(
+            left_index != DUMMY_HANDLE
+            for left_index, _ in pairs[len(new_accumulated) :]
+        ):
+            raise InputError(
+                "padded join emitted a real row after its dummy tail; "
+                "engines must return real rows first"
+            )
+        accumulated = new_accumulated
+        if bounds is not None:
+            dummies = bounds[step] - len(accumulated)
+        if next_table:
+            width += len(next_table[0])
+        true_sizes.append(len(accumulated))
+    return accumulated, true_sizes
 
 
 def oblivious_multiway_join(
@@ -129,47 +230,18 @@ def oblivious_multiway_join(
     Returns
     -------
     MultiwayResult
-        Concatenated row tuples plus the (revealed) size after every step.
+        Concatenated row tuples plus the true size after every step.
     """
     padding = check_padding(padding)
-    validate_cascade(tables, keys)
+    bounds = compiled_bounds(tables, keys, "traced", padding, bound)
     tracer = tracer or Tracer()
 
-    if padding != "revealed":
-        # The cascade consumes its compiled public plan: the per-step
-        # bounds come from the same compiler the CLI `plan` command and
-        # the plan-equality tests use (which itself reuses
-        # `cascade_bounds`), so artifact and execution cannot drift.
-        from ..plan.compile import compile_multiway  # deferred: plan imports core
+    def run_step(left_pairs, right_pairs, target):
+        return oblivious_join(
+            left_pairs, right_pairs, tracer=tracer, target_m=target
+        ).pairs
 
-        plan = compile_multiway(
-            [len(t) for t in tables], "traced", padding=padding, bound=bound
-        )
-        bounds = plan.shape("bounds")
-
-        def run_step(step, left_pairs, right_pairs, target):
-            return oblivious_join(
-                left_pairs, right_pairs, tracer=tracer, target_m=target
-            ).pairs
-
-        rows, sizes = padded_cascade(tables, keys, bounds, run_step)
-        return MultiwayResult(
-            rows=rows, intermediate_sizes=sizes, padding=padding, bounds=bounds
-        )
-
-    accumulated = list(tables[0])
-    sizes: list[int] = []
-    for step, next_table in enumerate(tables[1:]):
-        left_col, right_col = keys[step]
-        check_step_columns(step, accumulated, list(next_table), left_col, right_col)
-        result: JoinResult = oblivious_join(
-            encode_handles(accumulated, left_col),
-            encode_handles(list(next_table), right_col),
-            tracer=tracer,
-        )
-        accumulated = [
-            accumulated[left_index] + tuple(next_table[right_index])
-            for left_index, right_index in result.pairs
-        ]
-        sizes.append(result.m)
-    return MultiwayResult(rows=accumulated, intermediate_sizes=sizes)
+    rows, sizes = cascade(tables, keys, bounds, run_step)
+    return MultiwayResult(
+        rows=rows, intermediate_sizes=sizes, padding=padding, bounds=bounds
+    )

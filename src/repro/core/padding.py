@@ -38,7 +38,7 @@ rows: ``m`` real rows in canonical order followed by ``target - m`` tagged
 dummy rows.  Every phase then runs at the public size ``target`` and the
 join's trace is a function of ``(n1, n2, target)`` only.
 
-Between steps, the dummy tail is *kept* (compacting it would reveal ``m``)
+Between steps (:func:`repro.core.multiway.cascade`), the dummy tail is *kept* (compacting it would reveal ``m``)
 and threaded through the next join: dummy rows are re-keyed with distinct
 reserved keys that match nothing, so they contribute zero output rows while
 still occupying public input slots.  Only the *final* result is compacted
@@ -199,49 +199,6 @@ def check_padded_key(key) -> int:
     return key
 
 
-def encode_padded_handles(
-    rows: list[tuple], dummy: list[bool] | None, key_column: int
-) -> list[tuple[int, int]]:
-    """Project ``rows`` to ``(join_key, row_handle)`` pairs, re-keying dummies.
-
-    The dummy-aware twin of :func:`repro.core.multiway.encode_handles`:
-    rows flagged in ``dummy`` get a *distinct* reserved key that matches
-    nothing downstream (so they join to zero rows), real rows are validated
-    against the padded-key contract.  ``dummy=None`` means all rows real.
-    """
-    pairs = []
-    for index, row in enumerate(rows):
-        if dummy is not None and dummy[index]:
-            pairs.append((DUMMY_KEY_BASE + index, index))
-        else:
-            pairs.append((check_padded_key(row[key_column]), index))
-    return pairs
-
-
-def encode_tail_handles(
-    rows: list[tuple], n_dummies: int, key_column: int
-) -> list[tuple[int, int]]:
-    """``(join_key, handle)`` pairs for real rows plus an all-dummy tail.
-
-    The fused cascade keeps its catalogue compact — real rows only — and
-    carries the dummy padding as a public *count*; this helper re-expands
-    the tail into the same ``DUMMY_KEY_BASE + position`` keys
-    :func:`encode_padded_handles` would have produced for materialised
-    dummy rows, so the engine input (and therefore the schedule) is
-    byte-identical to the unfused cascade's.
-    """
-    pairs = [
-        (check_padded_key(row[key_column]), index)
-        for index, row in enumerate(rows)
-    ]
-    base = len(rows)
-    pairs.extend(
-        (DUMMY_KEY_BASE + base + offset, base + offset)
-        for offset in range(n_dummies)
-    )
-    return pairs
-
-
 def compact_pairs(pairs):
     """Strip the dummy tail a padded join appends (client-side, final step).
 
@@ -260,84 +217,3 @@ def exceeds_bound(true_size: int, target: int) -> None:
             f"true output size {true_size} exceeds the public padding bound "
             f"{target}; raise the bound or use padding='worst_case'"
         )
-
-
-def padded_cascade(tables, keys, bounds, run_step):
-    """The engine-independent padded left-deep cascade, fused.
-
-    ``run_step(step, left_pairs, right_pairs, target)`` executes one padded
-    binary join and returns its ``target``-row ``(left_handle,
-    right_handle)`` pairs — real rows first (handles >= 0), then dummy rows
-    (:data:`DUMMY_HANDLE`).  This helper owns everything around it: the
-    dummy tail threaded between steps, re-keying, the client-side row
-    catalogue, and the final compaction.  Returns ``(rows, true_sizes)``
-    where ``rows`` is bit-identical to the unpadded cascade's output and
-    ``true_sizes`` are the *client-side* intermediate sizes (the adversary
-    never sees them; the trace reveals only ``bounds``).
-
-    **Fused expand-truncate.**  A dummy row can never survive any later
-    step's bound — it joins nothing by construction — so the catalogue
-    drops dummy handles the moment a step returns them, *before* merging
-    the step's output rows into the catalogue: real rows are accumulated,
-    the dummy tail is kept only as a public *count* and re-expanded into
-    engine input positions by :func:`encode_tail_handles`.  The engine
-    sees byte-identical inputs (same sizes, same reserved keys at the same
-    positions — the leakage profile is unchanged) while the client-side
-    cost per step falls from ``O(bound * row_width)`` materialised filler
-    tuples to ``O(true_size * row_width)`` — the dominant constant of
-    ``worst_case`` cascades, whose bounds compound multiplicatively.
-    """
-    from .multiway import check_step_columns  # deferred: multiway imports us
-
-    accumulated = [tuple(row) for row in tables[0]]
-    dummies = 0  # public tail length; accumulated holds real rows only
-    # Folded row width, None while no row (real or padding) has ever
-    # existed — an empty initial table makes the width unknowable, and the
-    # materialised cascade never validated key columns against it either.
-    width = len(accumulated[0]) if accumulated else None
-    true_sizes: list[int] = []
-    for step, table in enumerate(tables[1:]):
-        next_table = [tuple(row) for row in table]
-        left_col, right_col = keys[step]
-        # The catalogue no longer carries filler rows, so validate the left
-        # key column against the folded row width explicitly whenever the
-        # materialised cascade would have had (real or filler) rows to
-        # check against.
-        if (
-            width is not None
-            and (accumulated or dummies)
-            and not 0 <= left_col < width
-        ):
-            raise InputError(
-                f"left key column {left_col} out of range at step {step}"
-            )
-        check_step_columns(step, accumulated, next_table, left_col, right_col)
-        pairs = run_step(
-            step,
-            encode_tail_handles(accumulated, dummies, left_col),
-            encode_padded_handles(next_table, None, right_col),
-            bounds[step],
-        )
-        new_accumulated: list[tuple] = []
-        for left_index, right_index in pairs:
-            if left_index == DUMMY_HANDLE:
-                break
-            new_accumulated.append(
-                accumulated[left_index] + next_table[right_index]
-            )
-        # Engines contract to emit real rows first; a real handle after the
-        # first dummy would silently lose output, so verify the tail.
-        if any(
-            left_index != DUMMY_HANDLE
-            for left_index, _ in pairs[len(new_accumulated) :]
-        ):
-            raise InputError(
-                "padded join emitted a real row after its dummy tail; "
-                "engines must return real rows first"
-            )
-        accumulated = new_accumulated
-        dummies = bounds[step] - len(accumulated)
-        if width is not None and next_table:
-            width += len(next_table[0])
-        true_sizes.append(len(accumulated))
-    return accumulated, true_sizes

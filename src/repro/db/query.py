@@ -99,24 +99,21 @@ class ObliviousEngine:
         """One join side as ``(encoded key, row handle)`` pairs, in the form
         the engine reads without a rebuild.
 
-        A store-backed table joining on an int column hands the sharded
-        engine a :class:`~repro.store.StorePairs` descriptor instead of a
-        materialised array: the parent scans each column's plan-named
-        blocks once per query (``StorePairs.scan`` in
-        :func:`~repro.shard.join.sharded_oblivious_join`), and each sort
+        A store-backed table joining on an int column hands a numpy engine
+        a :class:`~repro.store.StorePairs` descriptor instead of a
+        materialised array: the engine's ``join`` scans each column's
+        blocks once per call (``StorePairs.scan``), and a sharded sort
         ships the workers one int64 word per row (``str`` keys need the
-        dictionary encoder, so they take the resident path).  The numpy
-        engines get the cached ``(n, 2)`` array; ``traced`` iterates
-        tuples.
+        dictionary encoder, so they take the resident path).  Resident
+        tables give the numpy engines the cached ``(n, 2)`` array;
+        ``traced`` iterates tuples.
         """
-        name = self.engine.name
-        if (
-            name == "sharded"
-            and hasattr(table, "store_pairs")
-            and table.schema.column(column).type == "int"
-        ):
-            return table.store_pairs(column)
-        if name in ("vector", "sharded"):
+        if self.engine.name in ("vector", "sharded"):
+            if (
+                hasattr(table, "store_pairs")
+                and table.schema.column(column).type == "int"
+            ):
+                return table.store_pairs(column)
             return self.encoding.key_handle_pairs(table, column, self.encoder)
         keys = self._encode_key(table, column)
         return list(zip(keys, range(len(keys))))
@@ -245,34 +242,41 @@ class ObliviousEngine:
 
         ``on[k] = (accumulated_col, next_col)`` names the key columns for
         step k; accumulated column names follow :meth:`join`'s prefixing.
-        Every step runs on the engine selected at construction time.
-
-        With a padding-configured engine, the cascade runs as *one* padded
-        engine-level multiway join instead of a step-by-step loop — that is
-        what keeps the intermediate sizes hidden: the intermediates (and
-        their dummy tails) never surface as relational tables, and only the
-        final compacted result does.  Both paths dictionary-encode ``str``
-        key columns in base-table row order (the encoder is pre-warmed), so
-        the canonical output order — which sorts by encoded code — is the
-        same whichever path runs.
+        The cascade is *one* engine-level multiway join in every padding
+        mode: rows travel through it as opaque tuples, ``str`` key columns
+        dictionary-encoded in place and decoded again in the result, and
+        no intermediate relation ever surfaces as a table — under padding,
+        that is what keeps the intermediate sizes (and their dummy tails)
+        hidden; only the final compacted result is returned.
         """
         if len(tables) < 2 or len(on) != len(tables) - 1:
             raise SchemaError("need k tables and k-1 key column pairs")
         keys, encoded, offsets, folded = self._multiway_key_plan(tables, on)
-        # Pre-warm the encoder so codes are assigned in base-table row
-        # order; the step-by-step loop's per-step _encode_key then reuses
-        # them (encoding is idempotent), keeping both paths' row order
-        # identical even for str keys first seen mid-cascade.
+        # The canonical output order sorts by encoded key, so the order in
+        # which codes are first assigned is part of the answer.  Pre-warm
+        # them key column by key column: ``encoded_rows`` alone assigns
+        # them row by row, which orders the values differently when one
+        # table's two key columns share values (tests/test_cascade_pin.py).
         for owner, col in sorted(encoded):
             self.encoding.prewarm(tables[owner], col, self.encoder)
-        if getattr(self.engine, "padding", "revealed") != "revealed":
-            return self._padded_multiway_join(tables, keys, encoded, offsets, folded)
-        current = tables[0]
-        for step, next_table in enumerate(tables[1:]):
-            current = self.join(
-                current, next_table, on[step], prefixes=(f"t{step}", f"t{step + 1}")
+        rows_per_table = [
+            self.encoding.encoded_rows(
+                table,
+                {col for owner, col in encoded if owner == index},
+                self.encoder,
             )
-        return current
+            for index, table in enumerate(tables)
+        ]
+        result = self.engine.multiway_join(rows_per_table, keys, tracer=self.tracer)
+        decode_positions = {offsets[owner] + col for owner, col in encoded}
+        rows = [
+            tuple(
+                self.encoder.decode(value) if pos in decode_positions else value
+                for pos, value in enumerate(row)
+            )
+            for row in result.rows
+        ]
+        return DBTable(folded, rows)
 
     def join_tree(self, tables: list[DBTable], tree) -> DBTable:
         """Acyclic multi-table join via the Yannakakis-style join tree.
@@ -466,36 +470,3 @@ class ObliviousEngine:
                 next_table.schema, (f"t{step}", f"t{step + 1}")
             )
         return keys, encoded, offsets, folded
-
-    def _padded_multiway_join(
-        self,
-        tables: list[DBTable],
-        keys: list[tuple[int, int]],
-        encoded: set[tuple[int, int]],
-        offsets: list[int],
-        folded: Schema,
-    ) -> DBTable:
-        """Run the cascade through ``engine.multiway_join`` with padding.
-
-        Rows travel through the cascade as opaque tuples; only the key
-        columns must be ints, so ``str`` key columns are dictionary-encoded
-        in place and decoded again in the result.
-        """
-        rows_per_table = [
-            self.encoding.encoded_rows(
-                table,
-                {col for owner, col in encoded if owner == index},
-                self.encoder,
-            )
-            for index, table in enumerate(tables)
-        ]
-        result = self.engine.multiway_join(rows_per_table, keys, tracer=self.tracer)
-        decode_positions = {offsets[owner] + col for owner, col in encoded}
-        rows = [
-            tuple(
-                self.encoder.decode(value) if pos in decode_positions else value
-                for pos, value in enumerate(row)
-            )
-            for row in result.rows
-        ]
-        return DBTable(folded, rows)

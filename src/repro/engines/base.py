@@ -40,6 +40,17 @@ from .pipeline import PipelineResult, check_pipeline_stages
 Pairs = list[tuple[int, int]]
 
 
+def order_rows(columns: list[tuple[list, bool]]) -> int:
+    """The row count ORDER BY's ``(values, ascending)`` key columns share;
+    columns of unequal length are an :class:`InputError` on every engine."""
+    lengths = sorted({len(values) for values, _ in columns})
+    if len(lengths) > 1:
+        raise InputError(
+            f"ORDER BY key columns must have equal lengths, got lengths {lengths}"
+        )
+    return lengths[0] if lengths else 0
+
+
 class PaddingOptionsMixin:
     """Shared ``padding`` / ``bound`` engine configuration.
 

@@ -12,9 +12,9 @@ bitonic sorts, one ``executor.map``, then a bitonic merge tournament
 slot: the join, the multiway cascade, the join tree, aggregation, GROUP BY,
 FILTER and ORDER BY are the ``vector`` engine's own operators over
 ``sort=sharded_sort``, so outputs are bit-identical and the leakage is the
-``vector`` engine's plus the ``(n, k)``-determined block layout.  Only
-``join`` is its own, to scan store-backed inputs once per query and compile
-the plan first (:func:`repro.shard.join.sharded_oblivious_join`).
+``vector`` engine's plus the ``(n, k)``-determined block layout.  Nothing
+but the sort is its own: the class defines only ``__init__`` and
+``shards``.
 
 Five knobs:
 
@@ -61,13 +61,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..core.join import JoinResult
-from ..memory.tracer import Tracer
 from ..plan.executors import check_workers, resolve_executor
 from ..plan.partition import check_shards
-from ..shard.join import sharded_oblivious_join
 from ..shard.sort import sharded_sort
-from .base import Pairs
 from .vector import VectorEngine
 
 
@@ -99,24 +95,3 @@ class ShardedEngine(VectorEngine):
     def shards(self) -> int:
         """Partitions per input: explicit, or ``max(2, workers)``."""
         return self._shards if self._shards is not None else max(2, self.workers)
-
-    def join(
-        self,
-        left: Pairs,
-        right: Pairs,
-        tracer: Tracer | None = None,
-        target_m: int | None = None,
-    ) -> JoinResult:
-        pairs, stats = sharded_oblivious_join(
-            left,
-            right,
-            shards=self.shards,
-            target_m=self._join_target(left, right, target_m),
-            executor=self.executor,
-        )
-        return JoinResult(
-            pairs=[tuple(p) for p in pairs.tolist()],
-            m=stats.m,
-            n1=len(left),
-            n2=len(right),
-        )

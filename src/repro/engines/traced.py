@@ -22,7 +22,7 @@ from ..memory.tracer import Tracer
 from ..obliv.bitonic import bitonic_sort
 from ..obliv.compact import compact_by_routing
 from ..obliv.compare import SortKey, SortSpec
-from .base import PaddingOptionsMixin, Pairs
+from .base import PaddingOptionsMixin, Pairs, order_rows
 
 
 def _check_pairs(*tables) -> None:
@@ -63,7 +63,7 @@ def traced_order_permutation(
     final tiebreak key, which makes the ordering total — so every engine
     computes the identical permutation, regardless of network structure.
     """
-    n = len(columns[0][0]) if columns else 0
+    n = order_rows(columns)
     if n <= 1:
         return list(range(n))
     cells = PublicArray(n, name="ORDER", tracer=tracer)

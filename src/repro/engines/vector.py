@@ -19,6 +19,7 @@ from ..core.join import JoinResult
 from ..core.multiway import MultiwayResult
 from ..errors import InputError
 from ..memory.tracer import Tracer
+from ..store.runtime import StorePairs
 from ..vector.aggregate import vector_group_by, vector_join_aggregate
 from ..core.join_tree import JoinTreeResult
 from ..vector.join import vector_oblivious_join
@@ -26,7 +27,7 @@ from ..vector.join_tree import vector_join_tree
 from ..vector.multiway import vector_multiway_join
 from ..vector.relational import vector_filter_indices, vector_order_permutation
 from ..vector.sort import vector_bitonic_sort
-from .base import PaddingOptionsMixin, Pairs
+from .base import PaddingOptionsMixin, Pairs, order_rows
 from .traced import traced_order_permutation
 
 
@@ -45,6 +46,12 @@ class VectorEngine(PaddingOptionsMixin):
         tracer: Tracer | None = None,
         target_m: int | None = None,
     ) -> JoinResult:
+        # A store-backed side is scanned once per call, blocks 0 … B-1 of
+        # each column in order — a public function of (n, block_rows).
+        left, right = (
+            pairs.scan() if isinstance(pairs, StorePairs) else pairs
+            for pairs in (left, right)
+        )
         target_m = self._join_target(left, right, target_m)
         pairs, stats = vector_oblivious_join(
             left, right, target_m=target_m, sort=self._sort
@@ -101,7 +108,7 @@ class VectorEngine(PaddingOptionsMixin):
     def order_permutation(
         self, columns: list[tuple[list, bool]], tracer: Tracer | None = None
     ) -> list[int]:
-        n = len(columns[0][0]) if columns else 0
+        n = order_rows(columns)
         try:
             return vector_order_permutation(columns, n, sort=self._sort)
         except InputError:

@@ -263,9 +263,9 @@ class StorePairs:
     db layer's ``(encoded key, row handle)`` inputs take — handles are
     ``arange(n)``, so they are never stored at all).
 
-    Sequence-shaped on purpose: the traced engine iterates it, the vector
-    engine materialises it through ``__array__``, and the sharded join
-    recognises the type and scans it afresh (:meth:`scan`) for every query.
+    Sequence-shaped on purpose: the traced engine iterates it, and the
+    numpy engines' ``join`` and the sharded join recognise the type and
+    scan it afresh (:meth:`scan`) for every call.
     """
 
     def __init__(

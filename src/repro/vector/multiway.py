@@ -1,7 +1,8 @@
 """Vectorised multi-way join cascade (§7) on the numpy engine.
 
-Structurally identical to :func:`repro.core.multiway.oblivious_multiway_join`:
-a left-deep fold of binary oblivious joins.  Each step projects the
+The same fold as :func:`repro.core.multiway.oblivious_multiway_join` —
+one call to :func:`repro.core.multiway.cascade`, the left-deep fold of
+binary oblivious joins, in every padding mode.  Each step projects the
 accumulated row catalogue to two int columns — ``(join_key, row_handle)`` —
 and runs them through :func:`repro.vector.join.vector_oblivious_join`, whose
 bitonic/routing networks (built on ``vector_bitonic_sort``) are scheduled by
@@ -26,13 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.multiway import (
-    MultiwayResult,
-    check_step_columns,
-    encode_handles,
-    validate_cascade,
-)
-from ..core.padding import check_padding, padded_cascade
+from ..core.multiway import MultiwayResult, cascade, compiled_bounds
+from ..core.padding import check_padding
 from .join import VectorJoinStats, vector_oblivious_join
 from .sort import vector_bitonic_sort
 
@@ -91,50 +87,19 @@ def vector_multiway_join(
     cascade is this text over :func:`repro.shard.sort.sharded_sort`.
     """
     padding = check_padding(padding)
-    validate_cascade(tables, keys)
+    bounds = compiled_bounds(tables, keys, "vector", padding, bound)
     stats = stats if stats is not None else VectorMultiwayStats()
+    stats.step_bounds = list(bounds or ())
 
-    if padding != "revealed":
-        # Consume the compiled public plan's bounds (the compiler reuses
-        # `cascade_bounds`, so the printed artifact and this execution
-        # agree by construction; `tests/test_plan.py` pins it).
-        from ..plan.compile import compile_multiway  # deferred: plan imports core
-
-        plan = compile_multiway(
-            [len(t) for t in tables], "vector", padding=padding, bound=bound
-        )
-        bounds = plan.shape("bounds")
-        stats.step_bounds = list(bounds)
-
-        def run_step(step, left_pairs, right_pairs, target):
-            handles, join_stats = vector_oblivious_join(
-                left_pairs, right_pairs, target_m=target, sort=sort
-            )
-            stats.step_stats.append(join_stats)
-            stats.intermediate_sizes.append(join_stats.m)
-            return [tuple(pair) for pair in handles.tolist()]
-
-        rows, sizes = padded_cascade(tables, keys, bounds, run_step)
-        return MultiwayResult(
-            rows=rows, intermediate_sizes=sizes, padding=padding, bounds=bounds
-        )
-
-    accumulated = list(tables[0])
-    for step, table in enumerate(tables[1:]):
-        next_table = list(table)
-        left_col, right_col = keys[step]
-        check_step_columns(step, accumulated, next_table, left_col, right_col)
+    def run_step(left_pairs, right_pairs, target):
         handles, join_stats = vector_oblivious_join(
-            encode_handles(accumulated, left_col),
-            encode_handles(next_table, right_col),
-            sort=sort,
+            left_pairs, right_pairs, target_m=target, sort=sort
         )
         stats.step_stats.append(join_stats)
         stats.intermediate_sizes.append(join_stats.m)
-        accumulated = [
-            accumulated[left_index] + tuple(next_table[right_index])
-            for left_index, right_index in handles.tolist()
-        ]
+        return handles.tolist()
+
+    rows, sizes = cascade(tables, keys, bounds, run_step)
     return MultiwayResult(
-        rows=accumulated, intermediate_sizes=list(stats.intermediate_sizes)
+        rows=rows, intermediate_sizes=sizes, padding=padding, bounds=bounds
     )

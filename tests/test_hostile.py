@@ -567,6 +567,19 @@ def test_non_pair_rows_are_refused_alike_on_every_engine(config, operator, shm_l
                 call(bad)
 
 
+@pytest.mark.parametrize("config", TREE_ENGINES)
+def test_order_by_key_columns_of_unequal_length_are_refused_alike(config, shm_leak_guard):
+    """Unequal ORDER BY key columns used to escape as ``IndexError`` on
+    ``traced`` and ``vector`` and as ``ValueError`` on ``sharded``."""
+    options = dict(config)
+    engine = get_engine(options.pop("name"), **options)
+    with pytest.raises(
+        InputError,
+        match=r"^ORDER BY key columns must have equal lengths, got lengths \[2, 3\]$",
+    ):
+        engine.order_permutation([([3, 1, 2], True), ([1, 2], True)])
+
+
 #: Chain tails after ``source -> join`` that the stage check refuses; they
 #: used to escape as ``TypeError`` / ``ValueError`` / ``IndexError``, or (a
 #: ``bool`` column) to run as column 1.

@@ -233,7 +233,7 @@ def test_db_padded_join_compacts_dummies():
 
 def test_db_padded_multiway_str_key_order_matches_plain_path():
     """Str keys first seen mid-cascade must not reorder the padded result:
-    both paths pre-warm the dictionary encoder in base-table row order."""
+    every mode pre-warms the dictionary encoder in base-table row order."""
     a = DBTable.from_rows(["ak:int", "p:int"], [(1, 0), (0, 1)])
     b = DBTable.from_rows(["bk:int", "x:str"], [(1, "zz"), (0, "aa")])
     c = DBTable.from_rows(["x2:str", "val:int"], [("aa", 10), ("zz", 20)])

@@ -58,8 +58,8 @@ def test_multiway_prewarm_pass_runs_once_across_calls():
     second = engine.multiway_join(tables, on)
     warm_passes = engine.encoding.stats["encode_passes"] - cold_passes
     assert first.rows == second.rows
-    # The three base-table pre-warm scans are cached; only the cascade's
-    # per-step intermediate encodings (fresh tables each call) remain.
+    # The three base-table pre-warm scans are cached, and the cascade
+    # encodes no intermediate table.
     assert warm_passes < cold_passes
 
 
@@ -78,12 +78,13 @@ def test_join_tree_adds_zero_encode_passes_when_warm():
     assert first.rows == second.rows
 
 
-def test_padded_multiway_adds_zero_encode_passes_when_warm():
+@pytest.mark.parametrize("padding", ["revealed", "worst_case"])
+def test_padded_multiway_adds_zero_encode_passes_when_warm(padding):
     tables = [
         DBTable.from_rows(["k:str", "a:int"], [("x", 1), ("y", 2)]),
         DBTable.from_rows(["k:str", "b:int"], [("x", 3), ("y", 4)]),
     ]
-    engine = ObliviousEngine(engine="vector", padding="worst_case")
+    engine = ObliviousEngine(engine="vector", padding=padding)
     first = engine.multiway_join(tables, [("k", "k")])
     cold_passes = engine.encoding.stats["encode_passes"]
     second = engine.multiway_join(tables, [("k", "k")])
