@@ -38,8 +38,9 @@ rows: ``m`` real rows in canonical order followed by ``target - m`` tagged
 dummy rows.  Every phase then runs at the public size ``target`` and the
 join's trace is a function of ``(n1, n2, target)`` only.
 
-Between steps (:func:`repro.core.multiway.cascade`), the dummy tail is *kept* (compacting it would reveal ``m``)
-and threaded through the next join: dummy rows are re-keyed with distinct
+Between steps (:func:`repro.core.multiway.cascade`), the dummy tail is
+*kept* (compacting it would reveal ``m``) and threaded through the next
+join: dummy rows are re-keyed with distinct
 reserved keys that match nothing, so they contribute zero output rows while
 still occupying public input slots.  Only the *final* result is compacted
 client-side — revealing the final output size, exactly the leak the paper's

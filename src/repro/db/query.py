@@ -259,24 +259,13 @@ class ObliviousEngine:
         # table's two key columns share values (tests/test_cascade_pin.py).
         for owner, col in sorted(encoded):
             self.encoding.prewarm(tables[owner], col, self.encoder)
-        rows_per_table = [
-            self.encoding.encoded_rows(
-                table,
-                {col for owner, col in encoded if owner == index},
-                self.encoder,
-            )
-            for index, table in enumerate(tables)
-        ]
-        result = self.engine.multiway_join(rows_per_table, keys, tracer=self.tracer)
-        decode_positions = {offsets[owner] + col for owner, col in encoded}
-        rows = [
-            tuple(
-                self.encoder.decode(value) if pos in decode_positions else value
-                for pos, value in enumerate(row)
-            )
-            for row in result.rows
-        ]
-        return DBTable(folded, rows)
+        return self._encoded_query(
+            tables,
+            encoded,
+            offsets,
+            folded,
+            lambda rows: self.engine.multiway_join(rows, keys, tracer=self.tracer).rows,
+        )
 
     def join_tree(self, tables: list[DBTable], tree) -> DBTable:
         """Acyclic multi-table join via the Yannakakis-style join tree.
@@ -336,29 +325,18 @@ class ObliviousEngine:
             for col, column in enumerate(table.schema.columns):
                 if column.type == "str":
                     encoded.add((index, col))
-        rows_per_table = [
-            self.encoding.encoded_rows(
-                table,
-                {col for owner, col in encoded if owner == index},
-                self.encoder,
-            )
-            for index, table in enumerate(tables)
-        ]
-        result = self.engine.join_tree(rows_per_table, edges, tracer=self.tracer)
         offsets = [0]
         folded = tables[0].schema
         for index, table in enumerate(tables[1:], start=1):
             offsets.append(offsets[-1] + len(tables[index - 1].schema.columns))
             folded = folded.concat(table.schema, (f"t{index - 1}", f"t{index}"))
-        decode_positions = {offsets[owner] + col for owner, col in encoded}
-        rows = [
-            tuple(
-                self.encoder.decode(value) if pos in decode_positions else value
-                for pos, value in enumerate(row)
-            )
-            for row in result.rows
-        ]
-        return DBTable(folded, rows)
+        return self._encoded_query(
+            tables,
+            encoded,
+            offsets,
+            folded,
+            lambda rows: self.engine.join_tree(rows, edges, tracer=self.tracer).rows,
+        )
 
     def pipeline(self, source: DBTable, steps) -> PipelineQueryResult:
         """Run a whole operator chain, one operator at a time.
@@ -470,3 +448,25 @@ class ObliviousEngine:
                 next_table.schema, (f"t{step}", f"t{step + 1}")
             )
         return keys, encoded, offsets, folded
+
+    def _encoded_query(self, tables, encoded, offsets, folded, run) -> DBTable:
+        """Run ``run`` over every table's rows with the ``(table, column)``
+        pairs in ``encoded`` dictionary-encoded in place, and decode those
+        columns (at ``offsets``) in the folded rows it returns."""
+        rows_per_table = [
+            self.encoding.encoded_rows(
+                table,
+                {col for owner, col in encoded if owner == index},
+                self.encoder,
+            )
+            for index, table in enumerate(tables)
+        ]
+        decode_positions = {offsets[owner] + col for owner, col in encoded}
+        rows = [
+            tuple(
+                self.encoder.decode(value) if pos in decode_positions else value
+                for pos, value in enumerate(row)
+            )
+            for row in run(rows_per_table)
+        ]
+        return DBTable(folded, rows)

@@ -80,14 +80,18 @@ def test_join_tree_adds_zero_encode_passes_when_warm():
 
 @pytest.mark.parametrize("padding", ["revealed", "worst_case"])
 def test_padded_multiway_adds_zero_encode_passes_when_warm(padding):
+    """Two steps, so a cascade that encoded its intermediate table would
+    pay a pass on every call."""
     tables = [
         DBTable.from_rows(["k:str", "a:int"], [("x", 1), ("y", 2)]),
         DBTable.from_rows(["k:str", "b:int"], [("x", 3), ("y", 4)]),
+        DBTable.from_rows(["k:str", "c:int"], [("y", 5), ("x", 6)]),
     ]
+    on = [("k", "k"), ("t1.k", "k")]
     engine = ObliviousEngine(engine="vector", padding=padding)
-    first = engine.multiway_join(tables, [("k", "k")])
+    first = engine.multiway_join(tables, on)
     cold_passes = engine.encoding.stats["encode_passes"]
-    second = engine.multiway_join(tables, [("k", "k")])
+    second = engine.multiway_join(tables, on)
     assert engine.encoding.stats["encode_passes"] == cold_passes
     assert first.rows == second.rows
 
