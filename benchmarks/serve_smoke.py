@@ -7,8 +7,9 @@ under test is the service layer's reason to exist: the first query is
 cold (the encoding cache misses), the second and third report
 ``warm: true`` with encoding-cache hits and no new encoder pass — and all
 three return byte-identical rows, because caching must be invisible in
-every output.  ``--engine sharded`` runs the same contract on the sharded
-engine's warm executor.
+every output.  ``--engine sharded`` serves with ``--workers 2 --executor
+pool`` and runs the same contract on the sharded engine's warm thread pool,
+which the server's stats must list as live after the three queries.
 
 Exits non-zero (assertion) on any violation; the server is torn down via
 the protocol's ``shutdown`` op so the clean-exit path is exercised too.
@@ -30,12 +31,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--engine", default="vector", help="serve --engine")
     args = parser.parse_args(argv)
 
+    pooled = args.engine == "sharded"
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--host", "127.0.0.1", "--port", "0", "--engine", args.engine,
+            *(["--workers", "2", "--executor", "pool"] if pooled else []),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -76,6 +79,10 @@ def main(argv: list[str] | None = None) -> int:
         with ServiceClient(host, int(port)) as client:
             totals = client.stats()
             assert totals["queries"] == 3, f"server counted {totals['queries']}"
+            if pooled:
+                executors = totals["executors"]
+                assert executors["pools"] == [2], f"no warm 2-thread pool: {executors}"
+                assert "pool:2" in executors["warm_executors"], executors
             client.shutdown()
         proc.wait(timeout=30)
         assert proc.returncode == 0, f"server exited {proc.returncode}"

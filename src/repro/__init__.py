@@ -3,11 +3,11 @@
 The package implements Krastnikov, Kerschbaum and Stebila's oblivious
 equi-join algorithm end to end: the traced reference engine whose
 public-memory access pattern is provably input-independent, a vectorised
-numpy engine for benchmark-scale runs, a sharded multi-process engine,
+numpy engine for benchmark-scale runs, a sharded multi-threaded engine,
 padded multiway cascades that hide intermediate result sizes behind public
 bounds (``padding="bounded"|"worst_case"``; see ``docs/leakage.md``), a
 compile-then-execute core (:mod:`repro.plan`: a public Plan IR compiled
-from input shapes, run by pluggable inline / process-pool
+from input shapes, run by pluggable inline / thread-pool
 executors), the Table 1 baselines, the Figure 6 type system, an SGX cost
 model for the Figure 8 series, and a small oblivious relational layer.
 
@@ -50,7 +50,6 @@ from .errors import (
     StoreIntegrityError,
     TraceMismatchError,
     TypingError,
-    WorkerLostError,
 )
 from .memory.monitor import verify_oblivious
 from .memory.tracer import CountSink, HashSink, ListSink, Tracer
@@ -106,7 +105,6 @@ __all__ = [
     "StoreIntegrityError",
     "TraceMismatchError",
     "TypingError",
-    "WorkerLostError",
     "verify_oblivious",
     "CountSink",
     "HashSink",

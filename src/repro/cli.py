@@ -29,8 +29,8 @@ Commands
 
 Every engine produces identical results; ``traced`` is the per-access-traced
 reference implementation, ``vector`` the numpy fast path (~10^3x faster),
-``sharded`` the multi-process scale-out path (``--engine sharded --workers 4``,
-with ``--executor`` selecting inline / process pool / adversarially
+``sharded`` the multi-threaded scale-out path (``--engine sharded --workers 4``,
+with ``--executor`` selecting inline / thread pool / adversarially
 shuffled execution order; each sort maps its blocks, then maps each round of
 its merge tournament, on every substrate).
 """
@@ -52,6 +52,7 @@ from .enclave.costmodel import EnclaveCostModel
 from .errors import BoundError, InputError
 from .memory.monitor import run_hashed, run_logged
 from .plan import WORKLOADS, available_executors
+from .plan.executors import MAX_POOL_WORKERS
 from .workloads.generators import matched_class
 
 
@@ -364,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="traced",
         choices=available_engines(),
         help="execution engine: 'traced' = per-access-traced reference, "
-        "'vector' = numpy fast path, 'sharded' = multi-process scale-out; "
+        "'vector' = numpy fast path, 'sharded' = multi-threaded scale-out; "
         "identical results (default: traced)",
     )
     join.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="sharded engine: process-pool size (default: 1 = inline)",
+        help="sharded engine: thread-pool size (default: 1 = inline)",
     )
     join.add_argument(
         "--shards",
@@ -384,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=available_executors(),
         help="sharded engine: execution substrate — 'inline' (calling "
-        "process), 'pool' (persistent process pool, pickled payloads), "
-        "'shuffle' (inline compute, adversarially shuffled execution "
+        f"thread), 'pool' (persistent thread pool, at most {MAX_POOL_WORKERS} "
+        "threads), 'shuffle' (inline compute, adversarially shuffled execution "
         "order — validates that no task depends on it); default: inline at "
         "--workers 1, pool above",
     )

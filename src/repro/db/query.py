@@ -11,7 +11,7 @@ Every relational operator — join, multiway join, group-by, join-aggregate,
 filter, order-by — runs on a pluggable execution engine from
 :mod:`repro.engines` (``engine="traced"`` for the per-access-traced
 reference, ``engine="vector"`` for the numpy fast path, ``engine="sharded"``
-for the multi-process scale-out path; results are identical).  Engine knobs
+for the multi-threaded scale-out path; results are identical).  Engine knobs
 pass straight through — including the sharded engine's execution substrate:
 ``ObliviousEngine(engine="sharded", workers=4, executor="pool")`` (see
 :mod:`repro.plan.executors`).

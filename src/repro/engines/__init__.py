@@ -39,10 +39,10 @@ bounds;
     view is the primitive schedule (``Vector*Stats.schedule``).
 
 ``sharded``
-    The multi-process scale-out path: every operator is the ``vector``
+    The multi-threaded scale-out path: every operator is the ``vector``
     engine's own text over a ``shards``-way sharded sort — ``shards``
     equal, padded, positional blocks sorted on a pluggable *executor*
-    (``executor="inline"|"pool"|"shuffle"`` — calling process, process
+    (``executor="inline"|"pool"|"shuffle"`` — calling thread, thread
     pool, or adversarially shuffled execution order), then a tournament of
     bitonic merges, one ``map`` per round.  The public schedule is compiled into a
     :class:`~repro.plan.ir.Plan` up front.  Same comparator work, shared

@@ -31,12 +31,13 @@ Five knobs:
     saturate the pool.
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
-    executor — deterministic, fork-free, what the test suite uses;
-    ``workers>1`` defaults to the process pool.
+    executor — deterministic, what the test suite uses; ``workers>1``
+    defaults to the thread pool, which refuses more than
+    :data:`~repro.plan.executors.MAX_POOL_WORKERS`.
 ``executor``
     The execution substrate, overriding the workers-derived default:
-    ``"inline"`` (calling process), ``"pool"`` (persistent process pool;
-    one int64 word per row and the merge runs travel pickled), or ``"shuffle"``
+    ``"inline"`` (calling thread), ``"pool"`` (persistent thread pool in
+    the calling process; blocks are handed over by reference), or ``"shuffle"``
     (inline compute executing in adversarially shuffled order — a
     validation substrate).
     Executors cannot change results or leakage, only wall-clock; the
@@ -68,7 +69,7 @@ from .vector import VectorEngine
 
 
 class ShardedEngine(VectorEngine):
-    """Sharded multi-process engine: padded partitions, identical outputs."""
+    """Sharded multi-threaded engine: padded partitions, identical outputs."""
 
     name = "sharded"
     OPTIONS = ("shards", "workers", "executor", "padding", "bound")

@@ -45,14 +45,6 @@ class StoreIntegrityError(ReproError):
     """
 
 
-class WorkerLostError(ReproError):
-    """A pool worker died before returning its task (SIGKILL, OOM, crash).
-
-    The dispatch that lost it fails with this error; the broken pool is
-    dropped, so the next dispatch forks a fresh one.
-    """
-
-
 class InjectivityError(InputError):
     """A destination map handed to oblivious distribution is not injective."""
 

@@ -14,7 +14,7 @@ emergent property into an explicit, testable artifact:
     The pure shard-layout functions (``partition_plan`` et al.) — f(n, k).
 :mod:`~repro.plan.executors`
     Pluggable execution substrates behind one ``map`` call: ``inline``,
-    ``pool`` (a process pool, pickled payloads), ``shuffle`` (shuffled
+    ``pool`` (a thread pool in the calling process), ``shuffle`` (shuffled
     execution order, for validation).
 
 Usage::

@@ -6,32 +6,34 @@ is one call::
 
     executor.map(task, payloads) -> list   # results in payload order
 
-``task`` must be a module-level (picklable) function of one payload; every
-payload's *shape* is already data-independent (padded shards), so no
-executor can change the leakage — only the wall clock.  A dispatch is a
-barrier: the sharded sort maps its ``k`` block sorts, then maps each round
-of its merge bracket (:func:`repro.shard.merge.oblivious_merge_runs`).
-Three executors ship in-tree:
+``task`` is a function of one payload; every payload's *shape* is already
+data-independent (padded shards), so no executor can change the leakage —
+only the wall clock.  A dispatch is a barrier: the sharded sort maps its
+``k`` block sorts, then maps each round of its merge bracket
+(:func:`repro.shard.merge.oblivious_merge_runs`).  Three executors ship
+in-tree, and all three run in the calling process — one address space, the
+paper's single enclave:
 
 ``inline``
-    Runs the task list in the calling process.  Deterministic, fork-free,
-    the default for ``workers=1`` and what the test suite hammers.
+    Runs the task list in the calling thread.  Deterministic, the default
+    for ``workers=1`` and what the test suite hammers.
 ``pool``
-    A persistent :class:`concurrent.futures.ProcessPoolExecutor`; payloads
-    and results travel pickled.  A sharded sort ships one int64 word per
-    row, so there is little to ship.
+    A persistent :class:`concurrent.futures.ThreadPoolExecutor` of
+    ``workers`` threads.  Payloads and results are passed by reference,
+    nothing is copied; every task is numpy ``minimum`` / ``maximum`` / copy
+    over views, which release the GIL, so the threads sort in parallel.
+    At most :data:`MAX_POOL_WORKERS` threads.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *execution* order.  It exists to prove (in tests and the CI
     differential matrix) that no task depends on running in payload order.
 
-Pools are *persistent*: the first ``workers=N`` dispatch forks the pool,
+Pools are *persistent*: the first ``workers=N`` dispatch creates the pool,
 later dispatches reuse it (:func:`shutdown_pools` tears them down).  ``map``
 returns results in payload order, so the execution strategy never changes
 the output — the executor-parametrised differential suite pins that bit
-for bit.  A worker that dies mid-task (SIGKILL, OOM) breaks its pool: the
-dispatch raises :class:`~repro.errors.WorkerLostError`, the broken pool is
-dropped, and the next dispatch forks a fresh one.
+for bit.  A task that raises ends its dispatch with that error; the pool
+stays usable for the next one.
 
 What is process-wide here is stateless between queries: the pools in
 ``_POOLS`` and the warm-executor registry (:func:`warm_executor`).  Any
@@ -40,18 +42,19 @@ number of threads may dispatch on them at once.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from ..errors import InputError, WorkerLostError
+from ..errors import InputError
+
+#: The most threads one ``pool`` executor may start: each dispatch runs up
+#: to ``workers`` of them, so a hostile ``--workers`` is refused up front.
+MAX_POOL_WORKERS = 64
 
 #: Live pools keyed by worker count (see :func:`_pool`).
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+_POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
 
@@ -62,35 +65,12 @@ def check_workers(workers: int) -> int:
     return workers
 
 
-def _context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, POSIX) and fall back to spawn elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int) -> ThreadPoolExecutor:
     with _POOLS_LOCK:
         pool = _POOLS.get(workers)
         if pool is None:
-            pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=_context())
+            pool = _POOLS[workers] = ThreadPoolExecutor(workers)
         return pool
-
-
-@contextmanager
-def _worker_loss(workers: int, pool: ProcessPoolExecutor):
-    """Turn a broken pool into :class:`WorkerLostError` and drop it, so the
-    next dispatch forks a fresh pool instead of failing too."""
-    try:
-        yield
-    except BrokenProcessPool as error:
-        with _POOLS_LOCK:
-            if _POOLS.get(workers) is pool:
-                del _POOLS[workers]
-        pool.shutdown(wait=True)  # reaps the surviving workers
-        raise WorkerLostError(
-            f"a worker of the {workers}-process pool died mid-task; "
-            "the pool was dropped and the next dispatch forks a fresh one"
-        ) from error
 
 
 def shutdown_pools() -> None:
@@ -103,12 +83,9 @@ def shutdown_pools() -> None:
 
 
 def warm_pool(workers: int) -> None:
-    """Fork the ``workers``-process pool ahead of time (bench warm-up)."""
-    check_workers(workers)
-    if workers > 1:
-        pool = _pool(workers)
-        with _worker_loss(workers, pool):
-            pool.submit(int).result()  # the first submit forks every worker
+    """Create the ``workers``-thread pool ahead of time (bench warm-up)."""
+    if PoolExecutor(workers).workers > 1:  # refuses a count over the limit
+        _pool(workers)
 
 
 # -- executors ---------------------------------------------------------------
@@ -124,7 +101,7 @@ class Executor(Protocol):
 
 
 class InlineExecutor:
-    """Run the task list in the calling process (no pool, no transport)."""
+    """Run the task list in the calling thread (no pool)."""
 
     name = "inline"
 
@@ -170,22 +147,24 @@ class ShuffleExecutor:
 
 
 class PoolExecutor:
-    """A persistent process pool; payloads and results travel pickled."""
+    """A persistent thread pool in the calling process."""
 
     name = "pool"
 
     def __init__(self, workers: int = 2) -> None:
         self.workers = check_workers(workers)
+        if workers > MAX_POOL_WORKERS:
+            raise InputError(
+                f"a pool runs at most {MAX_POOL_WORKERS} workers, got {workers}"
+            )
 
     def map(self, task: Callable, payloads: Sequence) -> list:
-        # A single task (or a 1-process pool) gains nothing from the
-        # round-trip; inline keeps the fast path fast.  Results are
+        # A single task (or a 1-thread pool) gains nothing from the
+        # hand-off; inline keeps the fast path fast.  Results are
         # identical either way — executors cannot change outputs.
         if len(payloads) <= 1 or self.workers == 1:
             return [task(payload) for payload in payloads]
-        pool = _pool(self.workers)
-        with _worker_loss(self.workers, pool):
-            return list(pool.map(task, payloads))
+        return list(_pool(self.workers).map(task, payloads))
 
 
 #: Executor factories by name (the ``--executor`` choices).
@@ -219,7 +198,7 @@ def resolve_executor(executor: str | Executor | None, workers: int = 1) -> Execu
     """The drivers' default rule: explicit choice wins, else by workers.
 
     ``None`` keeps the historical behaviour — ``workers=1`` runs inline,
-    ``workers>1`` runs on the process pool.
+    ``workers>1`` runs on the thread pool.
     """
     check_workers(workers)
     if executor is None:
@@ -240,10 +219,10 @@ def warm_executor(executor: str | Executor | None, workers: int = 1) -> Executor
 
     Same resolution rule as :func:`resolve_executor`, but the instance is
     cached by ``(name, workers)`` and handed out again on the next query,
-    and its process pool (persistent in :data:`_POOLS`) is forked eagerly
-    rather than on the first dispatch.  Nothing a query shipped outlives
-    it: payloads and results are pickled copies.  Instances pass straight
-    through (the caller already owns their lifetime).
+    and its thread pool (persistent in :data:`_POOLS`) is created eagerly
+    rather than on the first dispatch.  Its idle threads hold nothing of
+    a past query.  Instances pass straight through (the caller already owns
+    their lifetime).
     """
     resolved = resolve_executor(executor, workers=workers)
     if resolved is executor:

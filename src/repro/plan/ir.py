@@ -18,7 +18,7 @@ Two properties make the IR useful:
    prints the artifact for any query so it can be audited offline.
 2. **Execution is substrate-independent.**  A plan says *what* runs at
    which public sizes; the :mod:`repro.plan.executors` layer decides *how*
-   (inline, process pool).  Nothing in a plan depends on the executor,
+   (inline, thread pool).  Nothing in a plan depends on the executor,
    so changing the substrate provably cannot change the leakage.
 
 Attribute values are restricted to a JSON-safe, deterministic subset

@@ -228,7 +228,7 @@ LEAKAGE_PROFILES: dict[tuple[str, str], tuple[str, ...]] = {
 #: ``shape_reuse`` the fact that two queries shared an encoding-cache
 #: entry (same table at the same version; equal plan *shapes* alone share
 #: nothing), ``warm_timing`` the cold-vs-warm latency difference (cached
-#: encodings, an already-forked pool) a timing observer can use to infer
+#: encodings, an already-created pool) a timing observer can use to infer
 #: that reuse, and ``queue_depth`` the admission queue length reported in
 #: (and observable through) per-query stats under concurrency.  The prose
 #: twin is the "What repetition reveals" section of ``docs/leakage.md``;

@@ -2,7 +2,7 @@
 
 A single oblivious query pays two setup costs a *series* of queries over
 unchanged tables can share: dictionary-encoding the input tables, and — on
-the sharded engine — forking a process pool.  Neither depends on anything
+the sharded engine — starting a thread pool.  Neither depends on anything
 but the (unchanged) tables and the public engine configuration, so a
 process serving a series of queries pays them once.  This package is that
 process:

@@ -8,7 +8,7 @@ and the two things a series of queries can share —
   engine's own), so repeated tables skip the dictionary-encoding scans and
   the pairs materialization;
 * the warm executor registry (:func:`repro.plan.executors.warm_executor`),
-  so the sharded engine's process pool is forked once, not per query.
+  so the sharded engine's thread pool is created once, not per query.
 
 Plans are recompiled and shard parts re-cut and re-shipped by every query:
 caching them measured level against the query they serve (the sizing is in
@@ -82,8 +82,8 @@ class QueryStats:
     #: Block-store IO this query drove *in this process* (reads, cache
     #: hits/misses/evictions, decryptions — deltas of the attached
     #: handles' counters).  All zeros when no store-backed table was
-    #: touched or the IO happened in worker processes.  Local-only
-    #: diagnostics: never part of any plan or wire-visible schedule.
+    #: touched.  Local-only diagnostics: never part of any plan or
+    #: wire-visible schedule.
     store: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

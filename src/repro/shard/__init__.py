@@ -1,4 +1,4 @@
-"""Sharded multi-process execution of the oblivious workloads.
+"""Sharded execution of the oblivious workloads.
 
 The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
 
@@ -14,7 +14,7 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
     Handed to the ``vector`` text as its ``sort``, it runs every sharded
     operator: the join, the multiway cascade, the join tree, aggregation,
     GROUP BY, FILTER and ORDER BY.  Tasks dispatch through a pluggable
-    executor (:mod:`repro.plan.executors`: inline / process pool /
+    executor (:mod:`repro.plan.executors`: inline / thread pool /
     shuffle).
 :mod:`~repro.shard.join`
     The binary join's driver: the ``vector`` join over the sharded sort,

@@ -79,7 +79,7 @@ def sharded_oblivious_join(
     ``pairs`` is the ``(m, 2)`` int64 array
     :func:`~repro.vector.join.vector_oblivious_join` produces, bit for bit,
     under every executor (``executor=None``: inline at ``workers=1``, the
-    process pool above) and every ``target_m``.
+    thread pool above) and every ``target_m``.
     """
     executor = resolve_executor(executor, workers=workers)
     stats = stats if stats is not None else ShardedJoinStats()

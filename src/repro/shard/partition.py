@@ -4,7 +4,7 @@ Rows are assigned to shards by *position* — shard ``i`` receives the ``i``-th
 contiguous block of the input — so shard membership is independent of every
 key and payload byte.  Each shard is then padded with zero rows up to the
 common capacity ``ceil(n / k)``, which makes every shard (and therefore every
-message the executor ships to a worker process) the exact same shape for a
+payload the executor hands a worker thread) the exact same shape for a
 given ``(n, k)``.
 
 The number of *real* rows per shard is also a pure function of ``(n, k)``:

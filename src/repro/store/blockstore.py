@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 import urllib.parse
 from collections import OrderedDict
 
@@ -367,7 +368,9 @@ class BlockCache:
     Keys are ``(store key, block index)``; values are plaintext payloads.
     ``budget_bytes`` is the trusted-memory size — exceeding it evicts LRU
     entries, which is exactly the paging event
-    :class:`~repro.enclave.epc.EPCModel` prices.
+    :class:`~repro.enclave.epc.EPCModel` prices.  One cache serves every
+    thread of its process (the pool's worker threads attach to the same
+    handle), so each read-modify-write of it holds a lock.
     """
 
     def __init__(self, budget_bytes: int) -> None:
@@ -379,26 +382,29 @@ class BlockCache:
         self._entries: "OrderedDict[tuple[str, int], bytes]" = OrderedDict()
         self._bytes = 0
         self.stats = {"hits": 0, "misses": 0, "evictions": 0}
+        self._lock = threading.Lock()
 
     def get(self, key: tuple[str, int]) -> bytes | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats["misses"] += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats["hits"] += 1
-        return entry
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats["misses"] += 1
+                return None
+            self._entries.move_to_end(key)
+            self.stats["hits"] += 1
+            return entry
 
     def put(self, key: tuple[str, int], payload: bytes) -> None:
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= len(previous)
-        self._entries[key] = payload
-        self._bytes += len(payload)
-        while self._bytes > self.budget_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= len(evicted)
-            self.stats["evictions"] += 1
+        with self._lock:
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._bytes -= len(previous)
+            self._entries[key] = payload
+            self._bytes += len(payload)
+            while self._bytes > self.budget_bytes and len(self._entries) > 1:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= len(evicted)
+                self.stats["evictions"] += 1
 
     @property
     def cached_bytes(self) -> int:
@@ -408,5 +414,6 @@ class BlockCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0

@@ -1,20 +1,20 @@
-"""The executor layer: registry, the pickled pool transport, a lost worker,
-and the contract that substrates cannot change a single output bit."""
+"""The executor layer: registry, the thread pool and its worker limit, and
+the contract that substrates cannot change a single output bit."""
 
 from __future__ import annotations
 
 import importlib
 import os
-import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engines import get_engine
-from repro.errors import InputError, WorkerLostError
+from repro.errors import InputError
 from repro.plan import (
     InlineExecutor,
     PoolExecutor,
@@ -23,7 +23,7 @@ from repro.plan import (
     get_executor,
     resolve_executor,
 )
-from repro.plan.executors import executor_stats
+from repro.plan.executors import MAX_POOL_WORKERS, executor_stats, warm_pool
 
 #: One executor of each substrate; pool at 2 workers to force the real
 #: dispatch path (persistent pools are shared across the suite).
@@ -35,7 +35,7 @@ EXECUTOR_PARAMS = [
 
 
 def _sum_task(payload):
-    """Module-level (picklable) task: fold a nested payload to one int."""
+    """Fold a nested payload to one int."""
     block, real, extra = payload
     return int(block["j"][:real].sum() + block["d"][:real].sum()) + sum(extra)
 
@@ -163,40 +163,33 @@ def test_shuffle_executor_completes_in_adversarial_order():
     assert replay == ran and again != ran
 
 
-# -- a lost worker and the deleted transport ----------------------------------
-
-#: The test process; a task only kills the worker it runs in, never this one
-#: (``workers=1`` and single payloads run inline).
-PARENT = os.getpid()
+# -- the worker limit, one process and the deleted transport ------------------
 
 
-def _kill_worker(payload):
-    """Task that SIGKILLs the pool worker running it."""
-    if os.getpid() != PARENT:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return payload
-
-
-def _pid(_payload):
-    return os.getpid()
-
-
-@pytest.mark.parametrize("seam", ["map"])
-def test_a_killed_worker_raises_and_the_next_dispatch_forks_a_fresh_pool(
-    seam, shm_leak_guard
-):
-    executor = PoolExecutor(workers=2)
-    with pytest.raises(WorkerLostError, match="2-process pool"):
-        getattr(executor, seam)(_kill_worker, [1, 2, 3, 4])
-    assert 2 not in executor_stats()["pools"]  # the broken pool was dropped
-    pids = executor.map(_pid, list(range(8)))
-    assert PARENT not in pids
-    assert executor.map(_sum_task, _payloads(3)) == [_sum_task(p) for p in _payloads(3)]
+def test_a_pool_refuses_more_workers_than_its_limit():
+    """A hostile worker count fails at construction, before any thread starts;
+    the substrates that start nothing take any count."""
+    threads = threading.active_count()
+    limit = f"at most {MAX_POOL_WORKERS} workers"
+    for build in (
+        lambda: get_engine("sharded", workers=MAX_POOL_WORKERS + 1),
+        lambda: get_engine("sharded", workers=MAX_POOL_WORKERS + 1, executor="pool"),
+        lambda: PoolExecutor(workers=MAX_POOL_WORKERS + 1),
+        lambda: warm_pool(MAX_POOL_WORKERS + 1),
+    ):
+        with pytest.raises(InputError, match=limit):
+            build()
+    assert MAX_POOL_WORKERS + 1 not in executor_stats()["pools"]
+    assert PoolExecutor(workers=MAX_POOL_WORKERS).workers == MAX_POOL_WORKERS
+    for name in ("inline", "shuffle"):
+        engine = get_engine("sharded", workers=MAX_POOL_WORKERS + 1, executor=name)
+        assert engine.executor.workers == MAX_POOL_WORKERS + 1
+    assert threading.active_count() == threads
 
 
 #: Two threads, 15 pooled sharded joins each, racing the first dispatch: one
-#: pool is forked, every row equals ``vector``'s, and (with no resource
-#: tracker patched mid-dispatch any more) the tracker has nothing to say.
+#: thread pool serves both, every row equals ``vector``'s, no child process is
+#: started, and the resource tracker has nothing to say.
 THREADED_JOINS = """
 import multiprocessing, sys, threading
 from repro.engines import get_engine
@@ -220,7 +213,7 @@ for thread in threads:
     thread.join(timeout=240)
     assert not thread.is_alive(), "a dispatching thread hung"
 assert not wrong, wrong
-assert len(multiprocessing.active_children()) == 2, multiprocessing.active_children()
+assert len(multiprocessing.active_children()) == 0, multiprocessing.active_children()
 """
 
 
@@ -234,6 +227,27 @@ def test_two_threads_dispatch_on_one_pool_with_no_tracker_warning():
     )
     assert result.returncode == 0, result.stderr
     assert "resource_tracker" not in result.stderr, result.stderr
+
+
+def test_more_pool_threads_than_cores_join_like_vector():
+    """Four worker threads on a short switch interval sort eight blocks per
+    pass: a block written by the wrong thread would change a row."""
+    rows = [(k % 97, k) for k in range(3000)]
+    expected = get_engine("vector").join(rows, rows).pairs
+    engine = get_engine("sharded", shards=8, workers=4, executor="pool")
+    joined = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: joined.extend(engine.join(rows, rows).pairs for _ in range(4))
+        )
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "a pooled join hung"
+    assert joined == [expected] * 4
 
 
 #: One thread registers 3 000 warm executors while another reads the stats:

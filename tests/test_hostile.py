@@ -5,8 +5,9 @@ Store cases first; the last sections are hostile *values*: through the
 sharded engine's packed sort, join-tree bands at the int64 limits on
 every engine, cells that are not int64 ints, refused by the array
 engines, rows that are not ``(j, d)`` pairs and malformed pipeline stages,
-refused by every engine.  The very last is a pool worker SIGKILLed
-mid-query: a typed error within a bound, and the next query answered.
+refused by every engine.  The very last is a block task that raises
+mid-query on every substrate: a typed error within a bound, and the next
+query answered.
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,9 +34,9 @@ from test_service import _ServerThread
 from repro.core.padding import ANCHOR_KEY
 from repro.db.table import DBTable
 from repro.engines import get_engine
-from repro.errors import BoundError, InputError, StoreIntegrityError, WorkerLostError
+from repro.errors import BoundError, InputError, StoreIntegrityError
 from repro.plan import available_executors
-from repro.plan.executors import get_executor, shutdown_pools
+from repro.plan.executors import get_executor
 from repro.service import ServiceClient, ServiceEngine, ServiceError
 from repro.shard import sort as sort_module
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
@@ -204,7 +206,7 @@ def test_join_raises_and_the_same_executor_answers_a_clean_query(
 
 def _first_block(spec: StoreSpec) -> tuple[int, bytes]:
     """What a pool worker does with a spec: attach by path, read a block."""
-    return os.getpid(), attach(spec).read_block("L/j", 0)
+    return threading.get_ident(), attach(spec).read_block("L/j", 0)
 
 
 @pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
@@ -213,11 +215,11 @@ def test_wrong_key_fails_in_a_pool_worker_attaching_by_spec(tmp_path, shm_leak_g
     good = StoreSpec("file", store.path, BLOCK_BYTES, KEY)
     bad = StoreSpec("file", store.path, BLOCK_BYTES, WRONG_KEY)
     pool = get_executor("pool", workers=2)
-    # The typed error survives the trip back from the worker process.
+    # The typed error comes back from the worker thread.
     with pytest.raises(StoreIntegrityError, match="block 0 under 'L/j'"):
         pool.map(_first_block, [good, bad])
-    (pid, block), (other, again) = pool.map(_first_block, [good, good])
-    assert os.getpid() not in (pid, other)  # both reads ran in a worker
+    (ident, block), (other, again) = pool.map(_first_block, [good, good])
+    assert threading.get_ident() not in (ident, other)  # both reads ran in a worker
     assert block == again == store.read_block("L/j", 0)
 
 
@@ -613,31 +615,23 @@ def test_malformed_pipeline_stages_are_refused_before_any_operator_runs(config, 
         engine.pipeline([()])
 
 
-# -- a pool worker killed mid-query ---------------------------------------------
+# -- a block task that fails mid-query ------------------------------------------
 
-#: The test process: the killing task below only ever kills a pool worker.
-PARENT = os.getpid()
+#: How long a query may take to fail once its block task raises, and to
+#: answer the next one.  The bound is also a hard timeout: a dispatch that
+#: never returns fails the test instead of hanging.
+TASK_FAILURE_BOUND_S = 10.0
 
-#: How long a query may take to fail once its worker is killed (it reads
-#: about 0.02 s on a 2-core guest).  The bound is also a hard timeout: a
-#: pool that never returns the lost task fails the test instead of hanging.
-WORKER_LOSS_BOUND_S = 10.0
-
-_SORT_TASK = sort_module._sort_task
-
-KILL_LEFT = [(k % 5, k) for k in range(40)]
-KILL_RIGHT = [(k % 7, 2 * k) for k in range(40)]
-KILL_TREE = [KILL_LEFT[:12], KILL_RIGHT[:12], KILL_LEFT[20:30]]
-KILL_EDGES = [(0, 1, 0, 0), (0, 2, 0, 0)]
-KILL_SPEC = {"op": "join", "left": "l", "right": "r", "on": ["k", "k"]}
-POOLED = {"engine": "sharded", "shards": 2, "workers": 2, "executor": "pool"}
+FAIL_LEFT = [(k % 5, k) for k in range(40)]
+FAIL_RIGHT = [(k % 7, 2 * k) for k in range(40)]
+FAIL_TREE = [FAIL_LEFT[:12], FAIL_RIGHT[:12], FAIL_LEFT[20:30]]
+FAIL_EDGES = [(0, 1, 0, 0), (0, 2, 0, 0)]
+FAIL_SPEC = {"op": "join", "left": "l", "right": "r", "on": ["k", "k"]}
 
 
-def _killing_sort_task(payload):
-    """The sharded sort's block task, SIGKILLing the worker it runs in."""
-    if os.getpid() != PARENT:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _SORT_TASK(payload)
+def _failing_sort_task(payload):
+    """The sharded sort's block task, failing wherever it runs."""
+    raise InputError("a block sort failed mid-query")
 
 
 @contextmanager
@@ -660,35 +654,34 @@ def _entry_point(entry: str, options: dict):
     if entry == "service":
         columns = [["k:int", "v:int"], ["k:int", "w:int"]]
         with ServiceEngine(**options) as service:
-            for name, schema, rows in zip("lr", columns, (KILL_LEFT, KILL_RIGHT)):
+            for name, schema, rows in zip("lr", columns, (FAIL_LEFT, FAIL_RIGHT)):
                 service.register_table(name, DBTable.from_rows(schema, rows))
-            yield lambda: service.query(KILL_SPEC).table.rows
+            yield lambda: service.query(FAIL_SPEC).table.rows
         return
     options = dict(options)
     engine = get_engine(options.pop("engine"), **options)
     yield {
-        "sharded_join": lambda: engine.join(KILL_LEFT, KILL_RIGHT).pairs,
-        "join_tree": lambda: engine.join_tree(KILL_TREE, KILL_EDGES).rows,
-        "aggregate": lambda: engine.aggregate(KILL_LEFT, KILL_RIGHT),
+        "sharded_join": lambda: engine.join(FAIL_LEFT, FAIL_RIGHT).pairs,
+        "join_tree": lambda: engine.join_tree(FAIL_TREE, FAIL_EDGES).rows,
+        "aggregate": lambda: engine.aggregate(FAIL_LEFT, FAIL_RIGHT),
     }[entry]
 
 
-@pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
+@pytest.mark.parametrize("name", EXECUTORS)
 @pytest.mark.parametrize("entry", ["sharded_join", "join_tree", "aggregate", "service"])
-def test_a_killed_pool_worker_fails_its_query_and_the_next_one_is_answered(
-    entry, monkeypatch, shm_leak_guard
+def test_a_failing_block_task_fails_its_query_and_the_next_one_is_answered(
+    entry, name, monkeypatch, shm_leak_guard
 ):
     with _entry_point(entry, {"engine": "vector"}) as query:
         expected = query()
-    shutdown_pools()  # the pool forked next inherits the killing task
-    monkeypatch.setattr(sort_module, "_sort_task", _killing_sort_task)
-    try:
-        with _entry_point(entry, POOLED) as query:
-            with _hard_timeout(WORKER_LOSS_BOUND_S), pytest.raises(WorkerLostError):
+    options = {"engine": "sharded", "shards": 2, "workers": 2, "executor": name}
+    monkeypatch.setattr(sort_module, "_sort_task", _failing_sort_task)
+    with _entry_point(entry, options) as query:
+        with _hard_timeout(TASK_FAILURE_BOUND_S):
+            with pytest.raises(InputError, match="a block sort failed mid-query"):
                 query()
-            assert not multiprocessing.active_children()  # the broken pool is reaped
-            monkeypatch.undo()
-            with _hard_timeout(WORKER_LOSS_BOUND_S):
-                assert query() == expected
-    finally:
-        shutdown_pools()  # no worker forked under the patch outlives the test
+        assert not multiprocessing.active_children()
+        monkeypatch.undo()
+        with _hard_timeout(TASK_FAILURE_BOUND_S):
+            assert query() == expected
+        assert not multiprocessing.active_children()

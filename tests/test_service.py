@@ -11,9 +11,7 @@ from __future__ import annotations
 import asyncio
 import importlib
 import inspect
-import os
 import threading
-from pathlib import Path
 
 import pytest
 from conftest import shm_segments
@@ -22,7 +20,6 @@ from repro.db.encoding_cache import EncodingCache
 from repro.db.query import ObliviousEngine
 from repro.db.table import DBTable
 from repro.errors import BoundError, InputError
-from repro.plan.executors import shutdown_pools
 from repro.service import QueryServer, ServiceClient, ServiceEngine, ServiceError
 from repro.service.server import MAX_REQUEST_BYTES
 from repro.shard import sort as sort_module
@@ -279,38 +276,31 @@ def test_warm_pool_survives_bound_abort_without_leaking(shm_leak_guard):
     assert not (shm_segments() - shm_leak_guard)
 
 
-#: Where :func:`_pid_recording_sort_task` leaves one file per process.
-_PID_DIR = None
 _SORT_TASK = sort_module._sort_task
 
 
-def _pid_recording_sort_task(payload):
-    """The sharded sort's block task, noting the process it ran in."""
-    Path(_PID_DIR, str(os.getpid())).touch()
-    return _SORT_TASK(payload)
-
-
 def test_sharded_pool_service_holds_no_segment_between_queries(
-    tmp_path, monkeypatch, shm_leak_guard
+    monkeypatch, shm_leak_guard
 ):
-    monkeypatch.setitem(globals(), "_PID_DIR", str(tmp_path))
-    shutdown_pools()  # the pool forked next sees the recording task
-    monkeypatch.setattr(sort_module, "_sort_task", _pid_recording_sort_task)
+    idents = set()
+
+    def recording_sort_task(payload):
+        """The sharded sort's block task, noting the thread it ran on."""
+        idents.add(threading.get_ident())
+        return _SORT_TASK(payload)
+
+    monkeypatch.setattr(sort_module, "_sort_task", recording_sort_task)
     left, right = _tables()
     spec = {"op": "join", "left": "l", "right": "r", "on": ["k", "k"]}
-    try:
-        with ServiceEngine(
-            engine="sharded", shards=2, workers=2, executor="pool"
-        ) as service:
-            service.register_table("l", left)
-            service.register_table("r", right)
-            for _ in range(3):
-                service.query(spec)
-                assert not (shm_segments() - shm_leak_guard)
-    finally:
-        shutdown_pools()  # its workers still hold the recording task
-    pids = {int(path.name) for path in tmp_path.iterdir()}
-    assert pids and os.getpid() not in pids  # every block sorted in a worker
+    with ServiceEngine(
+        engine="sharded", shards=2, workers=2, executor="pool"
+    ) as service:
+        service.register_table("l", left)
+        service.register_table("r", right)
+        for _ in range(3):
+            service.query(spec)
+            assert not (shm_segments() - shm_leak_guard)
+    assert idents and threading.get_ident() not in idents  # every block sorted on a worker
 
 
 def _module_state() -> dict:

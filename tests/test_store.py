@@ -17,6 +17,8 @@ Covers the out-of-core storage layer bottom-up:
 """
 
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -185,6 +187,33 @@ def test_block_cache_lru_budget_and_counters():
     cache.clear()
     cache.put(("c", 9), b"y" * 100)
     assert len(cache) == 1
+
+
+def test_block_cache_keeps_its_byte_count_under_racing_threads():
+    """Two threads missing, filling and evicting one small cache on a short
+    switch interval: a lost update would leave ``cached_bytes`` off the
+    bytes actually held."""
+    cache = BlockCache(budget_bytes=64 * 8)
+
+    def hammer(seed):
+        for step in range(20_000):
+            key = ("c", (7 * step + seed) % 16)
+            if cache.get(key) is None:
+                cache.put(key, b"x" * 64)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in (0, 1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a racing thread hung"
+    held = sum(len(payload) for payload in cache._entries.values())
+    assert cache.cached_bytes == held <= cache.budget_bytes
 
 
 def test_handle_miss_rate_drives_the_epc_model(tmp_path):
