@@ -152,8 +152,8 @@ def _parse_tree_edge(text: str, numeric: bool = False):
 
 def _cmd_join(args: argparse.Namespace) -> int:
     check_padding_args(args.padding, args.bound)
-    engine = ObliviousEngine(engine=args.engine, **engine_options(args))
     try:
+        engine = ObliviousEngine(engine=args.engine, **engine_options(args))
         if args.join_tree:
             tables = [
                 _infer_table(path)
@@ -177,6 +177,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
         # The documented bounded-mode abort (a deliberate one-bit leak, see
         # docs/leakage.md) — a clean message, not a traceback.
         raise SystemExit(f"padding bound exceeded: {error}") from None
+    except InputError as error:
+        raise SystemExit(str(error)) from None
     writer = csv.writer(sys.stdout if args.output == "-" else open(args.output, "w", newline=""))
     writer.writerow(result.schema.names())
     for row in result.rows:

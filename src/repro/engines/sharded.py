@@ -26,14 +26,17 @@ Five knobs:
     network, 3 for the join's first sort and 1 for the other four.
     Measured on a 2-core guest (nothing here has been run on more),
     ``shards=2 workers=2`` takes 0.23–0.27x the ``vector`` engine's time
-    at ``n1 = n2 = 16384``, more through the one-word sort kernel than the
-    second core.  Defaults to ``max(2, workers)`` so the tasks always
-    saturate the pool.
+    at ``n1 = n2 = 16384`` through the one-word sort kernel, not the
+    second core: blocks that small run in the calling thread.  Defaults to
+    ``max(2, workers)`` so a pooled dispatch has a task per thread.
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
     executor — deterministic, what the test suite uses; ``workers>1``
     defaults to the thread pool, which refuses more than
-    :data:`~repro.plan.executors.MAX_POOL_WORKERS`.
+    :data:`~repro.plan.executors.MAX_POOL_WORKERS`.  Threads pay only
+    from blocks of :data:`~repro.plan.executors.POOL_MIN_CELLS` (2**16)
+    words on two cores, so the pool runs smaller dispatches in the
+    calling thread; which ones is a function of ``(n, shards)``.
 ``executor``
     The execution substrate, overriding the workers-derived default:
     ``"inline"`` (calling thread), ``"pool"`` (persistent thread pool in

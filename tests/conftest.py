@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.memory.tracer import HashSink, ListSink, Tracer
 from repro.obliv.bitonic import next_power_of_two
+from repro.plan import executors
 from repro.plan.partition import partition_plan, word_passes
 from repro.shard.merge import merge_comparator_count
 
@@ -35,6 +36,21 @@ def shm_leak_guard():
     yield before
     leaked = shm_segments() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture
+def pool_threads(monkeypatch):
+    """Every ``pool`` dispatch runs on the worker threads, however small its
+    tasks (the shipped rule runs small ones in the calling thread)."""
+    monkeypatch.setattr(executors, "POOL_MIN_CELLS", 0)
+
+
+@pytest.fixture(autouse=True)
+def _pool_matrix_runs_threads(request):
+    """The ``REPRO_EXECUTORS=pool`` rows of the differential matrix dispatch
+    every task to the threads, so they keep racing them at test sizes."""
+    if os.environ.get("REPRO_EXECUTORS") == "pool":
+        request.getfixturevalue("pool_threads")
 
 
 @pytest.fixture

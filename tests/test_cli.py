@@ -1,10 +1,16 @@
 """The command-line interface."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.plan.executors import MAX_POOL_WORKERS
 
 
 @pytest.fixture
@@ -172,3 +178,20 @@ def test_empty_csv_rejected(tmp_path):
     empty.write_text("")
     with pytest.raises(SystemExit, match="empty"):
         main(["join", str(empty), str(empty), "--left-on", "x", "--right-on", "x"])
+
+
+@pytest.mark.parametrize("workers", ["0", str(MAX_POOL_WORKERS + 1)])
+def test_join_refuses_a_bad_worker_count_in_one_line(csv_pair, workers):
+    """A refused engine option ends ``join`` the way it ends ``serve``: a
+    non-zero exit and a one-line error, no traceback."""
+    left, right = csv_pair
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "join", left, right, "--left-on", "pid",
+         "--right-on", "pid", "--engine", "sharded", "--workers", workers],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode != 0
+    assert "Traceback" not in result.stderr, result.stderr
+    assert "worker" in result.stderr, result.stderr

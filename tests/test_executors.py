@@ -20,13 +20,21 @@ from repro.plan import (
     PoolExecutor,
     ShuffleExecutor,
     available_executors,
+    executors,
     get_executor,
     resolve_executor,
 )
 from repro.plan.executors import MAX_POOL_WORKERS, executor_stats, warm_pool
+from repro.shard import sort as sort_module
+from repro.shard.sort import sharded_sort
 
-#: One executor of each substrate; pool at 2 workers to force the real
-#: dispatch path (persistent pools are shared across the suite).
+#: The shipped small-task threshold, bound at import: the pool matrix's
+#: autouse fixture (conftest.py) moves the live one to 0 before each test.
+SHIPPED_MIN_CELLS = executors.POOL_MIN_CELLS
+
+#: One executor of each substrate; pool at 2 workers (persistent pools are
+#: shared across the suite).  Its payloads here are small, so they run on
+#: the threads only under ``REPRO_EXECUTORS=pool`` (conftest.py).
 EXECUTOR_PARAMS = [
     pytest.param(InlineExecutor(), id="inline"),
     pytest.param(PoolExecutor(workers=2), id="pool"),
@@ -125,6 +133,83 @@ def test_pool_ships_bool_and_int_columns_faithfully():
     ]
 
 
+# -- the small-task rule ------------------------------------------------------
+
+
+#: The sharded sort's block task, before any test patches it.
+_SORT_TASK = sort_module._sort_task
+
+
+def _ident_task(payload):
+    """The thread a task ran on, and a fold of every cell it received."""
+    runs = [part["_row"] for part in payload if isinstance(part, dict)]
+    return threading.get_ident(), sum(int(run.sum()) for run in runs)
+
+
+def _sized_payloads(cells: int, merge: bool) -> list:
+    """Four payloads of ``cells`` cells each, shaped like the sharded sort's
+    block sorts ``(block, real)`` or merges ``(a, b, keys)``."""
+    payloads = []
+    for index in range(4):
+        words = np.arange(cells, dtype=np.int64) * (index + 1)
+        if merge:
+            half = cells // 2
+            payloads.append(({"_row": words[:half]}, {"_row": words[half:]}, [("_row", True)]))
+        else:
+            payloads.append(({"_row": words}, cells))
+    return payloads
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["sort", "merge"])
+@pytest.mark.parametrize("below", [1, 0], ids=["one_cell_below", "at_threshold"])
+def test_a_pool_runs_tasks_below_the_threshold_in_the_calling_thread(
+    monkeypatch, below, merge
+):
+    """Below :data:`POOL_MIN_CELLS` a dispatch stays in the caller; at it,
+    every task runs on a worker thread; both return what ``inline`` does."""
+    monkeypatch.setattr(executors, "POOL_MIN_CELLS", SHIPPED_MIN_CELLS)
+    payloads = _sized_payloads(SHIPPED_MIN_CELLS - below, merge)
+    pooled = PoolExecutor(workers=2).map(_ident_task, payloads)
+    inline = InlineExecutor().map(_ident_task, payloads)
+    assert [total for _, total in pooled] == [total for _, total in inline]
+    idents, caller = {ident for ident, _ in pooled}, threading.get_ident()
+    if below:
+        assert idents == {caller}
+    else:
+        assert caller not in idents
+
+
+@pytest.mark.parametrize("block", [2**16 - 1, 2**16])
+def test_a_pooled_sharded_sort_straddling_the_threshold_equals_inline(
+    monkeypatch, block
+):
+    """Block rows one under and at the threshold: the block sorts run in the
+    caller, then on the threads, and the sort is inline's bit for bit."""
+    monkeypatch.setattr(executors, "POOL_MIN_CELLS", SHIPPED_MIN_CELLS)
+    idents = set()
+
+    def recording_sort_task(payload):
+        idents.add(threading.get_ident())
+        return _SORT_TASK(payload)
+
+    rng = np.random.default_rng(block)
+    n = 2 * block
+    columns = {"k": rng.integers(0, 2**40, n), "v": np.arange(n, dtype=np.int64)}
+    keys = [("k", True, 40)]
+    counters = [0], [0]
+    expected = sharded_sort(columns, keys, counters[0], shards=2, executor=InlineExecutor())
+    monkeypatch.setattr(sort_module, "_sort_task", recording_sort_task)
+    pooled = sharded_sort(columns, keys, counters[1], shards=2, executor=PoolExecutor(workers=2))
+    for name in columns:
+        np.testing.assert_array_equal(pooled[name], expected[name])
+    assert counters[0] == counters[1]
+    caller = threading.get_ident()
+    if block < SHIPPED_MIN_CELLS:
+        assert idents == {caller}
+    else:
+        assert idents and caller not in idents
+
+
 # -- the shuffled execution order --------------------------------------------
 
 
@@ -193,8 +278,10 @@ def test_a_pool_refuses_more_workers_than_its_limit():
 THREADED_JOINS = """
 import multiprocessing, sys, threading
 from repro.engines import get_engine
+from repro.plan import executors
 
 sys.setswitchinterval(1e-6)  # switch threads often: race the first dispatch
+executors.POOL_MIN_CELLS = 0  # every task on the threads, however small
 
 rows = [(k % 1000, k) for k in range(2000)]
 expected = get_engine("vector").join(rows, rows).pairs
@@ -229,7 +316,7 @@ def test_two_threads_dispatch_on_one_pool_with_no_tracker_warning():
     assert "resource_tracker" not in result.stderr, result.stderr
 
 
-def test_more_pool_threads_than_cores_join_like_vector():
+def test_more_pool_threads_than_cores_join_like_vector(pool_threads):
     """Four worker threads on a short switch interval sort eight blocks per
     pass: a block written by the wrong thread would change a row."""
     rows = [(k % 97, k) for k in range(3000)]

@@ -210,7 +210,9 @@ def _first_block(spec: StoreSpec) -> tuple[int, bytes]:
 
 
 @pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
-def test_wrong_key_fails_in_a_pool_worker_attaching_by_spec(tmp_path, shm_leak_guard):
+def test_wrong_key_fails_in_a_pool_worker_attaching_by_spec(
+    tmp_path, shm_leak_guard, pool_threads
+):
     store = _build("file", tmp_path / "db")
     good = StoreSpec("file", store.path, BLOCK_BYTES, KEY)
     bad = StoreSpec("file", store.path, BLOCK_BYTES, WRONG_KEY)

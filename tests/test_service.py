@@ -280,7 +280,7 @@ _SORT_TASK = sort_module._sort_task
 
 
 def test_sharded_pool_service_holds_no_segment_between_queries(
-    monkeypatch, shm_leak_guard
+    monkeypatch, shm_leak_guard, pool_threads
 ):
     idents = set()
 
