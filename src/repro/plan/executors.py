@@ -61,7 +61,8 @@ MAX_POOL_WORKERS = 64
 
 #: A ``pool`` dispatch whose every payload holds fewer array cells than this
 #: runs in the calling thread: below it, GIL hand-offs cost two threads more
-#: than the second core gives back (sweep in ``docs/architecture.md``).
+#: than the second core gives back.  Swept for block sorts and for merge
+#: rounds (``docs/architecture.md``, "Threads only where they pay").
 POOL_MIN_CELLS = 2**16
 
 #: Live pools keyed by worker count (see :func:`_pool`).

@@ -33,8 +33,9 @@ from repro.shard.sort import sharded_sort
 SHIPPED_MIN_CELLS = executors.POOL_MIN_CELLS
 
 #: One executor of each substrate; pool at 2 workers (persistent pools are
-#: shared across the suite).  Its payloads here are small, so they run on
-#: the threads only under ``REPRO_EXECUTORS=pool`` (conftest.py).
+#: shared across the suite).  The tests that take them also take
+#: ``pool_threads`` (conftest.py), so the pool's small payloads here still
+#: run on its worker threads; inline and shuffle never read the threshold.
 EXECUTOR_PARAMS = [
     pytest.param(InlineExecutor(), id="inline"),
     pytest.param(PoolExecutor(workers=2), id="pool"),
@@ -103,7 +104,7 @@ def test_resolve_executor_default_rule():
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
-def test_every_executor_maps_in_payload_order(executor):
+def test_every_executor_maps_in_payload_order(executor, pool_threads):
     payloads = [
         (
             {
@@ -119,7 +120,7 @@ def test_every_executor_maps_in_payload_order(executor):
     assert executor.map(_sum_task, payloads) == expected
 
 
-def test_pool_ships_bool_and_int_columns_faithfully():
+def test_pool_ships_bool_and_int_columns_faithfully(pool_threads):
     executor = PoolExecutor(workers=2)
     payloads = [
         {"array": np.array([True, False, True])},
@@ -428,7 +429,7 @@ COLUMNS = [([j for j, _ in LEFT], False)]
 
 
 @pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
-def test_every_workload_is_bit_identical_across_executors(executor):
+def test_every_workload_is_bit_identical_across_executors(executor, pool_threads):
     """The acceptance contract: executors change wall-clock, not outputs."""
     reference = get_engine("vector")
     engine = get_engine("sharded", shards=3, workers=2, executor=executor)
@@ -444,7 +445,7 @@ def test_every_workload_is_bit_identical_across_executors(executor):
 
 
 @pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
-def test_padded_workloads_match_across_executors(executor):
+def test_padded_workloads_match_across_executors(executor, pool_threads):
     reference = get_engine("traced", padding="worst_case")
     engine = get_engine(
         "sharded", shards=2, workers=2, executor=executor, padding="worst_case"

@@ -128,7 +128,7 @@ SERVICE_CONFIGS = [
 
 
 @pytest.mark.parametrize("engine,options", SERVICE_CONFIGS)
-def test_service_warm_results_bit_identical_to_cold(engine, options):
+def test_service_warm_results_bit_identical_to_cold(engine, options, pool_threads):
     left, right = _tables()
     reference = ObliviousEngine(engine=engine, **options).join(
         left, right, ("k", "k")
@@ -244,7 +244,7 @@ def test_concurrent_submissions_bit_identical_to_serial():
     assert [result.table.rows for result in concurrent] == serial
 
 
-def test_warm_pool_survives_bound_abort_without_leaking(shm_leak_guard):
+def test_warm_pool_survives_bound_abort_without_leaking(shm_leak_guard, pool_threads):
     """Satellite fix: a BoundError between publish and tournament adoption
     must return the warm pool to a clean, reusable state — no residual
     /dev/shm segments, and the very next query on the same pool succeeds."""

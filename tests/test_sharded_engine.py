@@ -26,6 +26,10 @@ from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
+#: Every ``pool`` dispatch in this module runs on the worker threads, however
+#: small its tasks (conftest.py); inline and shuffle never read the threshold.
+pytestmark = pytest.mark.usefixtures("pool_threads")
+
 
 def _matched_pair(n, key_shift, data_seed):
     """Same-shape inputs: n 1-1-matched keys, arbitrary payloads.
