@@ -380,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="sharded engine: partitions per input (default: workers, min 2)",
+        metavar="K",
+        help="sharded engine: at most K blocks per sort, each >= 2^16 rows "
+        "(default: workers, min 2)",
     )
     join.add_argument(
         "--executor",
@@ -448,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="sharded engine: partitions per input (default: 2)",
+        metavar="K",
+        help="sharded engine: at most K blocks per sort, each >= 2^16 rows (default: 2)",
     )
     plan.add_argument(
         "--padding",

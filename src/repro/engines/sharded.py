@@ -5,8 +5,8 @@ engine seam: every workload is split into equal, padded, position-based
 shards (:mod:`repro.shard.partition`), its public schedule is compiled into
 a plan up front (:mod:`repro.plan.compile`), and the tasks run on a
 pluggable executor (:mod:`repro.plan.executors`).  What is sharded is the
-*sort* (:mod:`repro.shard.sort`): per one-word pass, ``shards`` local
-bitonic sorts, one ``executor.map``, then a bitonic merge tournament
+*sort* (:mod:`repro.shard.sort`): per one-word pass, at most ``shards``
+local bitonic sorts, one ``executor.map``, then a bitonic merge tournament
 (:mod:`repro.shard.merge`), one ``executor.map`` per round.  The engine is
 :class:`~repro.engines.vector.VectorEngine` with that sort in its ``_sort``
 slot: the join, the multiway cascade, the join tree, aggregation, GROUP BY,
@@ -19,24 +19,23 @@ but the sort is its own: the class defines only ``__init__`` and
 Five knobs:
 
 ``shards``
-    How many positional blocks each sort is split into — one task per
-    block and one-word pass.  The comparator work does not depend on
-    ``shards`` (at power-of-two block sizes, exactly): every sort runs
-    ``word_passes(keys, n)`` one-word passes of the single-process
-    network, 3 for the join's first sort and 1 for the other four.
-    Measured on a 2-core guest (nothing here has been run on more),
-    ``shards=2 workers=2`` takes 0.23–0.27x the ``vector`` engine's time
-    at ``n1 = n2 = 16384`` through the one-word sort kernel, not the
-    second core: blocks that small run in the calling thread.  Defaults to
-    ``max(2, workers)`` so a pooled dispatch has a task per thread.
+    The most positional blocks a sort is split into — one task per block
+    and one-word pass.  A sort of ``n`` rows runs
+    :func:`~repro.plan.partition.blocks` ``(n, shards)`` of them: no block
+    is cut under :data:`~repro.plan.partition.MIN_BLOCK_ROWS` (2**16)
+    rows, below which threads do not pay on two cores, so a sort of fewer
+    than 2**17 rows is one block.  The comparator work does not depend on
+    the block count (at power-of-two block sizes, exactly).  Measured on a
+    2-core guest (nothing here has been run on more), ``shards=2
+    workers=2`` takes about 0.17x the ``vector`` engine's time at ``n1 =
+    n2 = 16384`` through the one-word sort kernel, not the second core:
+    every sort at that size is one block.  Defaults to ``max(2, workers)``
+    so a pooled dispatch has a task per thread.
 ``workers``
     Parallelism of the executor.  ``workers=1`` defaults to the inline
     executor — deterministic, what the test suite uses; ``workers>1``
     defaults to the thread pool, which refuses more than
-    :data:`~repro.plan.executors.MAX_POOL_WORKERS`.  Threads pay only
-    from blocks of :data:`~repro.plan.executors.POOL_MIN_CELLS` (2**16)
-    words on two cores, so the pool runs smaller dispatches in the
-    calling thread; which ones is a function of ``(n, shards)``.
+    :data:`~repro.plan.executors.MAX_POOL_WORKERS`.
 ``executor``
     The execution substrate, overriding the workers-derived default:
     ``"inline"`` (calling thread), ``"pool"`` (persistent thread pool in

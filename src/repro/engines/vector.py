@@ -57,7 +57,7 @@ class VectorEngine(PaddingOptionsMixin):
             left, right, target_m=target_m, sort=self._sort
         )
         return JoinResult(
-            pairs=[tuple(p) for p in pairs.tolist()],
+            pairs=list(zip(*pairs.T.tolist())),
             m=stats.m,
             n1=len(left),
             n2=len(right),

@@ -11,7 +11,7 @@ emergent property into an explicit, testable artifact:
     Compilers from workload shapes ``(n1, n2, …, k, padding, bound)`` to
     plans, reusing the padding planner and the partition-plan functions.
 :mod:`~repro.plan.partition`
-    The pure shard-layout functions (``partition_plan`` et al.) — f(n, k).
+    The pure shard-layout functions (``partition_plan``, ``blocks``) — f(n, k).
 :mod:`~repro.plan.executors`
     Pluggable execution substrates behind one ``map`` call: ``inline``,
     ``pool`` (a thread pool in the calling process), ``shuffle`` (shuffled

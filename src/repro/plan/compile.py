@@ -13,8 +13,8 @@ Two levels of entry point:
 * the ``*_plan`` functions take already resolved bounds (``target`` /
   ``bounds`` arguments) and the shard count ``k``: each compiles the
   ``vector`` text's pipeline and, under ``k``, expands every sort in it
-  into a sharded sort (``partition`` -> ``shard_sort`` x ``k`` ->
-  ``merge_pair`` bracket);
+  into a sharded sort (``partition`` -> ``shard_sort`` x ``blocks(n, k)``
+  -> ``merge_pair`` bracket; ``k`` is a cap);
 * :func:`compile_workload` (and the per-workload ``compile_*`` wrappers)
   additionally resolve a ``padding`` mode + ``bound`` cap into bounds and
   an engine name into ``k`` (:func:`_plan_shards`, the only place an
@@ -47,7 +47,7 @@ from ..vector.join_tree import prefix_keys, stab_keys
 from ..vector.relational import filter_keys, order_keys
 from ..vector.sort import Key
 from .ir import Plan, PlanBuilder, tournament_schedule
-from .partition import block_count, check_shards, partition_plan, word_passes
+from .partition import block_count, blocks, check_shards, partition_plan, word_passes
 
 #: Workload names `compile_workload` accepts.
 WORKLOADS = (
@@ -119,24 +119,27 @@ def _add_sharded_sort(
 ) -> int:
     """Emit one sharded sort of ``n`` rows by ``keys``; returns its root node.
 
-    ``partition`` into ``k`` positional blocks, one ``shard_sort`` per
-    block, then the ``merge_pair`` bracket — the public schedule of
+    ``partition`` into ``blocks(n, k)`` positional blocks, one ``shard_sort``
+    per block, then the ``merge_pair`` bracket — the public schedule of
     :func:`repro.shard.sort.sharded_sort`, a function of ``(n, k)`` and the
     key widths.  The partition's ``passes`` is how many times that subgraph
     runs, one stable one-word pass each.  ``n=None`` is a size revealed at
-    run time: the bracket is compiled, its lengths and passes are not.
+    run time: its passes are not compiled, nor its blocks unless fixed.
     """
-    capacity, counts = (None, None) if n is None else partition_plan(n, k)
+    count = blocks(n, k)
+    capacity, counts = (None, None) if n is None else partition_plan(n, count)
     part = builder.add(
         "partition",
         inputs=inputs,
         stage=stage,
         n=n,
-        k=k,
+        k=count,
         capacity=capacity,
         counts=counts,
         passes=None if n is None else word_passes(keys, n),
     )
+    if count is None:
+        return part
     sorts = tuple(
         builder.add(
             "shard_sort",
@@ -145,7 +148,7 @@ def _add_sharded_sort(
             shard=i,
             rows=None if counts is None else counts[i],
         )
-        for i in range(k)
+        for i in range(count)
     )
     return _add_merge_tournament(builder, sorts, counts, stage)
 

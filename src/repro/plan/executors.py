@@ -22,11 +22,11 @@ paper's single enclave:
     ``workers`` threads.  Payloads and results are passed by reference,
     nothing is copied; every task is numpy ``minimum`` / ``maximum`` / copy
     over views.  Those release the GIL, but two threads only beat one when
-    each call covers the hand-off: measured on two cores, a dispatch whose
-    tasks hold fewer than :data:`POOL_MIN_CELLS` (2**16) array cells each
-    runs faster in the calling thread, so it does (the crossover sweep is in
-    ``docs/architecture.md``).  Payload shapes are public, so which thread
-    runs a task reveals nothing.  At most :data:`MAX_POOL_WORKERS` threads.
+    each call covers the hand-off, which is why a sharded sort never cuts a
+    block under :data:`~repro.plan.partition.MIN_BLOCK_ROWS` (2**16) rows
+    (:func:`~repro.plan.partition.blocks`; the crossover sweep is in
+    ``docs/architecture.md``).  A dispatch of one task runs in the calling
+    thread.  At most :data:`MAX_POOL_WORKERS` threads.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *execution* order.  It exists to prove (in tests and the CI
@@ -51,19 +51,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from ..errors import InputError
 
 #: The most threads one ``pool`` executor may start: each dispatch runs up
 #: to ``workers`` of them, so a hostile ``--workers`` is refused up front.
 MAX_POOL_WORKERS = 64
-
-#: A ``pool`` dispatch whose every payload holds fewer array cells than this
-#: runs in the calling thread: below it, GIL hand-offs cost two threads more
-#: than the second core gives back.  Swept for block sorts and for merge
-#: rounds (``docs/architecture.md``, "Threads only where they pay").
-POOL_MIN_CELLS = 2**16
 
 #: Live pools keyed by worker count (see :func:`_pool`).
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -75,18 +67,6 @@ def check_workers(workers: int) -> int:
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise InputError(f"worker count must be an int >= 1, got {workers!r}")
     return workers
-
-
-def _payload_cells(payload) -> int:
-    """The array cells a payload holds: numpy arrays anywhere in nested
-    tuples, lists and dict values; anything else counts 0."""
-    if isinstance(payload, np.ndarray):
-        return payload.size
-    if isinstance(payload, dict):
-        payload = payload.values()
-    elif not isinstance(payload, (tuple, list)):
-        return 0
-    return sum(_payload_cells(item) for item in payload)
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -183,15 +163,9 @@ class PoolExecutor:
             )
 
     def map(self, task: Callable, payloads: Sequence) -> list:
-        # A single task, a 1-thread pool or tasks too small to cover the
-        # hand-off gain nothing from threads; inline keeps them fast.  The
-        # rule reads payload shapes only, and results are identical either
-        # way — executors cannot change outputs.
-        if (
-            len(payloads) <= 1
-            or self.workers == 1
-            or all(_payload_cells(payload) < POOL_MIN_CELLS for payload in payloads)
-        ):
+        # A single task or a 1-thread pool gains nothing from threads;
+        # inline keeps it fast, and results are identical either way.
+        if len(payloads) <= 1 or self.workers == 1:
             return [task(payload) for payload in payloads]
         return list(_pool(self.workers).map(task, payloads))
 

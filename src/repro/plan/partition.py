@@ -12,7 +12,8 @@ and payload byte, and the whole layout is a pure function of ``(n, k)``:
 the first ``n mod k`` shards carry ``ceil(n / k)`` rows, the rest
 ``floor(n / k)``, and every shard is padded to the common capacity
 ``ceil(n / k)``; a sort's one-word passes (:func:`word_passes`) are a
-function of its row count and its key widths.
+function of its row count and its key widths, its ``k`` (:func:`blocks`)
+of ``n`` and its ``shards`` cap.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from ..vector.sort import Key, index_bits
 
 #: Bits a packed word may use (it stays below the network's int64 padding).
 WORD_BITS = 62
+
+#: The fewest rows a sharded sort cuts a block into: below it a second thread
+#: does not pay on two cores (``docs/architecture.md``, "Blocks only where a
+#: thread pays"), and each extra block only adds partition and merge work.
+MIN_BLOCK_ROWS = 2**16
 
 
 def word_passes(keys: list[Key], rows: int) -> int:
@@ -38,6 +44,18 @@ def check_shards(shards: int) -> int:
     if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise InputError(f"shard count must be an int >= 1, got {shards!r}")
     return shards
+
+
+def blocks(n: int | None, shards: int) -> int | None:
+    """Blocks a sharded sort of ``n`` rows runs: ``shards`` when each holds
+    :data:`MIN_BLOCK_ROWS` rows, else as many such as fit, at least one.  A
+    size revealed at run time (``None``) reveals it too, unless it is fixed."""
+    check_shards(shards)
+    if n is None:
+        return shards if shards == 1 or not MIN_BLOCK_ROWS else None
+    if n >= shards * MIN_BLOCK_ROWS:
+        return shards
+    return max(1, n // MIN_BLOCK_ROWS)
 
 
 def shard_capacity(n: int, k: int) -> int:

@@ -9,8 +9,8 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
 :mod:`~repro.shard.merge`
     Bitonic merge tournament that folds sorted runs into one.
 :mod:`~repro.shard.sort`
-    The sharded sort — one-word passes, each ``k`` local bitonic sorts
-    plus that tournament.
+    The sharded sort — one-word passes, each ``blocks(n, shards)`` local
+    bitonic sorts plus that tournament.
     Handed to the ``vector`` text as its ``sort``, it runs every sharded
     operator: the join, the multiway cascade, the join tree, aggregation,
     GROUP BY, FILTER and ORDER BY.  Tasks dispatch through a pluggable

@@ -16,9 +16,10 @@ work (exactly, when the blocks are powers of two) and the workers share it;
 a key list that fits one word beside the position takes one pass.
 
 The position composes the permutation pass by pass, and every column is
-gathered once, in the parent, at the end.  The schedule — passes, block
-sizes, bracket, comparator counts — is a function of ``(n, k)`` and the key
-list, so a caller's leakage is whatever its own sort sizes reveal.
+gathered once, in the parent, at the end.  The schedule — passes, ``k =
+blocks(n, shards)``, block sizes, bracket, comparator counts — is a function
+of ``(n, shards)`` and the key list, so a caller's leakage is whatever its
+own sort sizes reveal.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..plan.executors import Executor
-from ..plan.partition import WORD_BITS, word_passes
+from ..plan.partition import WORD_BITS, blocks, word_passes
 from ..vector.sort import Key, index_bits, vector_bitonic_sort
 from .merge import oblivious_merge_runs
 from .partition import partition_columns
@@ -103,7 +104,8 @@ def sharded_sort(
     shards: int,
     executor: Executor,
 ) -> dict[str, np.ndarray]:
-    """:func:`~repro.vector.sort.vector_bitonic_sort` over ``shards`` blocks.
+    """:func:`~repro.vector.sort.vector_bitonic_sort` over at most ``shards``
+    blocks, :func:`~repro.plan.partition.blocks` of them.
 
     Same contract — a new column dict sorted by ``keys``, comparators added
     to ``counter`` — and **stable**: rows that tie on every key keep their
@@ -119,7 +121,8 @@ def sharded_sort(
     row_bits = index_bits(n)
     order = positions = np.arange(n, dtype=np.int64)
     for digit in _digits(table, keys, n, WORD_BITS - row_bits, word_passes(keys, n)):
-        payloads = partition_columns({ROW_ID: (digit[order] << row_bits) | positions}, shards)
+        words = (digit[order] << row_bits) | positions
+        payloads = partition_columns({ROW_ID: words}, blocks(n, shards))
         merged = oblivious_merge_runs(
             _sort_blocks(payloads, counter, executor), _WORD, counter, executor
         )

@@ -336,11 +336,11 @@ def vector_oblivious_join(
     :class:`~repro.errors.BoundError` right after the augment phase.
 
     ``sort`` is the oblivious sort all five sorting steps call, with
-    :func:`~repro.vector.sort.vector_bitonic_sort`'s signature.  It is how
-    :mod:`repro.shard.join` runs this same text over a sharded sort; no
-    engine option reaches it.  Every tie the five key lists leave open is
-    between rows that are identical or whose order a later step
-    overwrites, so the output does not depend on how ``sort`` breaks them.
+    :func:`~repro.vector.sort.vector_bitonic_sort`'s signature; a sharded
+    engine and :mod:`repro.shard.join` pass a sharded sort.  Every tie the
+    five key lists leave open is between rows that are identical or whose
+    order a later step overwrites, so the output does not depend on how
+    ``sort`` breaks them.
     """
     stats = stats or VectorJoinStats()
     table1, table2, m = _augmented_tables(left, right, stats, target_m, sort)

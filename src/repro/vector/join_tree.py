@@ -339,7 +339,7 @@ def vector_join_tree(
     columns = [
         stabbed[v][f"d{c}"][:m] for v in range(len(sizes)) for c in range(widths[v])
     ]
-    rows = [tuple(row) for row in np.stack(columns, axis=1).tolist()]
+    rows = list(zip(*(column.tolist() for column in columns)))
     stats.seconds_by_phase["align_concat"] = time.perf_counter() - start_time
     result = JoinTreeResult(
         rows=rows, m=m, padding=padding, target=target, sizes=sizes

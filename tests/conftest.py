@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.memory.tracer import HashSink, ListSink, Tracer
 from repro.obliv.bitonic import next_power_of_two
-from repro.plan import executors
+from repro.plan import partition
 from repro.plan.partition import partition_plan, word_passes
 from repro.shard.merge import merge_comparator_count
 
@@ -39,18 +39,21 @@ def shm_leak_guard():
 
 
 @pytest.fixture
-def pool_threads(monkeypatch):
-    """Every ``pool`` dispatch runs on the worker threads, however small its
-    tasks (the shipped rule runs small ones in the calling thread)."""
-    monkeypatch.setattr(executors, "POOL_MIN_CELLS", 0)
+def blocks_at_any_size(monkeypatch):
+    """Every sharded sort is cut into ``shards`` blocks however few its rows
+    (the shipped rule cuts no block under ``MIN_BLOCK_ROWS``), so its plan
+    shows them and every multi-payload ``pool`` dispatch runs on the
+    threads."""
+    monkeypatch.setattr(partition, "MIN_BLOCK_ROWS", 0)
 
 
 @pytest.fixture(autouse=True)
 def _pool_matrix_runs_threads(request):
-    """The ``REPRO_EXECUTORS=pool`` rows of the differential matrix dispatch
-    every task to the threads, so they keep racing them at test sizes."""
+    """The ``REPRO_EXECUTORS=pool`` rows of the differential matrix cut every
+    sort into ``shards`` blocks, so they keep racing the threads at test
+    sizes."""
     if os.environ.get("REPRO_EXECUTORS") == "pool":
-        request.getfixturevalue("pool_threads")
+        request.getfixturevalue("blocks_at_any_size")
 
 
 @pytest.fixture

@@ -39,6 +39,10 @@ from repro.shard.sort import sharded_sort
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 from repro.vector.sort import vector_bitonic_sort
 
+#: These tests pin block structure (counts, schedules, dispatches) at test
+#: sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 ENGINES = [
     name
     for name in available_engines()

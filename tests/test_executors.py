@@ -20,22 +20,20 @@ from repro.plan import (
     PoolExecutor,
     ShuffleExecutor,
     available_executors,
-    executors,
     get_executor,
+    partition,
     resolve_executor,
 )
 from repro.plan.executors import MAX_POOL_WORKERS, executor_stats, warm_pool
 from repro.shard import sort as sort_module
 from repro.shard.sort import sharded_sort
 
-#: The shipped small-task threshold, bound at import: the pool matrix's
-#: autouse fixture (conftest.py) moves the live one to 0 before each test.
-SHIPPED_MIN_CELLS = executors.POOL_MIN_CELLS
+#: The shipped block threshold, bound at import: the pool matrix's autouse
+#: fixture (conftest.py) moves the live one to 0 before each test.
+SHIPPED_MIN_BLOCK_ROWS = partition.MIN_BLOCK_ROWS
 
 #: One executor of each substrate; pool at 2 workers (persistent pools are
-#: shared across the suite).  The tests that take them also take
-#: ``pool_threads`` (conftest.py), so the pool's small payloads here still
-#: run on its worker threads; inline and shuffle never read the threshold.
+#: shared across the suite).
 EXECUTOR_PARAMS = [
     pytest.param(InlineExecutor(), id="inline"),
     pytest.param(PoolExecutor(workers=2), id="pool"),
@@ -104,7 +102,7 @@ def test_resolve_executor_default_rule():
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
-def test_every_executor_maps_in_payload_order(executor, pool_threads):
+def test_every_executor_maps_in_payload_order(executor):
     payloads = [
         (
             {
@@ -120,7 +118,7 @@ def test_every_executor_maps_in_payload_order(executor, pool_threads):
     assert executor.map(_sum_task, payloads) == expected
 
 
-def test_pool_ships_bool_and_int_columns_faithfully(pool_threads):
+def test_pool_ships_bool_and_int_columns_faithfully():
     executor = PoolExecutor(workers=2)
     payloads = [
         {"array": np.array([True, False, True])},
@@ -134,63 +132,25 @@ def test_pool_ships_bool_and_int_columns_faithfully(pool_threads):
     ]
 
 
-# -- the small-task rule ------------------------------------------------------
+# -- the block rule -----------------------------------------------------------
 
 
 #: The sharded sort's block task, before any test patches it.
 _SORT_TASK = sort_module._sort_task
 
 
-def _ident_task(payload):
-    """The thread a task ran on, and a fold of every cell it received."""
-    runs = [part["_row"] for part in payload if isinstance(part, dict)]
-    return threading.get_ident(), sum(int(run.sum()) for run in runs)
-
-
-def _sized_payloads(cells: int, merge: bool) -> list:
-    """Four payloads of ``cells`` cells each, shaped like the sharded sort's
-    block sorts ``(block, real)`` or merges ``(a, b, keys)``."""
-    payloads = []
-    for index in range(4):
-        words = np.arange(cells, dtype=np.int64) * (index + 1)
-        if merge:
-            half = cells // 2
-            payloads.append(({"_row": words[:half]}, {"_row": words[half:]}, [("_row", True)]))
-        else:
-            payloads.append(({"_row": words}, cells))
-    return payloads
-
-
-@pytest.mark.parametrize("merge", [False, True], ids=["sort", "merge"])
-@pytest.mark.parametrize("below", [1, 0], ids=["one_cell_below", "at_threshold"])
-def test_a_pool_runs_tasks_below_the_threshold_in_the_calling_thread(
-    monkeypatch, below, merge
-):
-    """Below :data:`POOL_MIN_CELLS` a dispatch stays in the caller; at it,
-    every task runs on a worker thread; both return what ``inline`` does."""
-    monkeypatch.setattr(executors, "POOL_MIN_CELLS", SHIPPED_MIN_CELLS)
-    payloads = _sized_payloads(SHIPPED_MIN_CELLS - below, merge)
-    pooled = PoolExecutor(workers=2).map(_ident_task, payloads)
-    inline = InlineExecutor().map(_ident_task, payloads)
-    assert [total for _, total in pooled] == [total for _, total in inline]
-    idents, caller = {ident for ident, _ in pooled}, threading.get_ident()
-    if below:
-        assert idents == {caller}
-    else:
-        assert caller not in idents
-
-
 @pytest.mark.parametrize("block", [2**16 - 1, 2**16])
 def test_a_pooled_sharded_sort_straddling_the_threshold_equals_inline(
     monkeypatch, block
 ):
-    """Block rows one under and at the threshold: the block sorts run in the
-    caller, then on the threads, and the sort is inline's bit for bit."""
-    monkeypatch.setattr(executors, "POOL_MIN_CELLS", SHIPPED_MIN_CELLS)
-    idents = set()
+    """Two blocks' worth of rows one under and at the threshold: one block
+    sorted in the caller, then two on the threads, and the sort is inline's
+    bit for bit."""
+    monkeypatch.setattr(partition, "MIN_BLOCK_ROWS", SHIPPED_MIN_BLOCK_ROWS)
+    idents = []
 
     def recording_sort_task(payload):
-        idents.add(threading.get_ident())
+        idents.append(threading.get_ident())
         return _SORT_TASK(payload)
 
     rng = np.random.default_rng(block)
@@ -205,10 +165,10 @@ def test_a_pooled_sharded_sort_straddling_the_threshold_equals_inline(
         np.testing.assert_array_equal(pooled[name], expected[name])
     assert counters[0] == counters[1]
     caller = threading.get_ident()
-    if block < SHIPPED_MIN_CELLS:
-        assert idents == {caller}
+    if block < SHIPPED_MIN_BLOCK_ROWS:
+        assert idents == [caller]
     else:
-        assert idents and caller not in idents
+        assert len(idents) == 2 and caller not in idents
 
 
 # -- the shuffled execution order --------------------------------------------
@@ -279,10 +239,10 @@ def test_a_pool_refuses_more_workers_than_its_limit():
 THREADED_JOINS = """
 import multiprocessing, sys, threading
 from repro.engines import get_engine
-from repro.plan import executors
+from repro.plan import partition
 
 sys.setswitchinterval(1e-6)  # switch threads often: race the first dispatch
-executors.POOL_MIN_CELLS = 0  # every task on the threads, however small
+partition.MIN_BLOCK_ROWS = 0  # four blocks per sort, however small
 
 rows = [(k % 1000, k) for k in range(2000)]
 expected = get_engine("vector").join(rows, rows).pairs
@@ -317,7 +277,7 @@ def test_two_threads_dispatch_on_one_pool_with_no_tracker_warning():
     assert "resource_tracker" not in result.stderr, result.stderr
 
 
-def test_more_pool_threads_than_cores_join_like_vector(pool_threads):
+def test_more_pool_threads_than_cores_join_like_vector(blocks_at_any_size):
     """Four worker threads on a short switch interval sort eight blocks per
     pass: a block written by the wrong thread would change a row."""
     rows = [(k % 97, k) for k in range(3000)]
@@ -429,7 +389,7 @@ COLUMNS = [([j for j, _ in LEFT], False)]
 
 
 @pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
-def test_every_workload_is_bit_identical_across_executors(executor, pool_threads):
+def test_every_workload_is_bit_identical_across_executors(executor, blocks_at_any_size):
     """The acceptance contract: executors change wall-clock, not outputs."""
     reference = get_engine("vector")
     engine = get_engine("sharded", shards=3, workers=2, executor=executor)
@@ -445,7 +405,7 @@ def test_every_workload_is_bit_identical_across_executors(executor, pool_threads
 
 
 @pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
-def test_padded_workloads_match_across_executors(executor, pool_threads):
+def test_padded_workloads_match_across_executors(executor, blocks_at_any_size):
     reference = get_engine("traced", padding="worst_case")
     engine = get_engine(
         "sharded", shards=2, workers=2, executor=executor, padding="worst_case"

@@ -211,7 +211,7 @@ def _first_block(spec: StoreSpec) -> tuple[int, bytes]:
 
 @pytest.mark.skipif("pool" not in EXECUTORS, reason="pool substrate not selected")
 def test_wrong_key_fails_in_a_pool_worker_attaching_by_spec(
-    tmp_path, shm_leak_guard, pool_threads
+    tmp_path, shm_leak_guard, blocks_at_any_size
 ):
     store = _build("file", tmp_path / "db")
     good = StoreSpec("file", store.path, BLOCK_BYTES, KEY)
@@ -423,7 +423,7 @@ class _InFlightProbe:
 @pytest.mark.parametrize("name", EXECUTORS)
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
 def test_an_exceeded_bound_raises_in_the_parent_with_no_task_in_flight(
-    shards, name, shm_leak_guard
+    shards, name, shm_leak_guard, blocks_at_any_size
 ):
     left, right = _value_cases(padded=True)["one-giant-group"]
     true_m = len(vector_oblivious_join(left, right)[0])

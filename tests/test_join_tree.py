@@ -42,6 +42,10 @@ from repro.plan.executors import get_executor
 from repro.shard.sort import sharded_sort
 from repro.vector.join_tree import stab_keys, vector_join_tree
 
+#: These tests pin block structure (counts, schedules, dispatches) at test
+#: sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 ENGINES = [
     name
     for name in available_engines()

@@ -37,6 +37,10 @@ from repro.vector.aggregate import VectorAggregateStats, vector_group_by, vector
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 from repro.vector.relational import vector_filter_indices, vector_order_permutation
 
+#: These tests pin block structure (counts, schedules, dispatches) at test
+#: sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 #: Substrates: every registered executor, or the REPRO_EXECUTORS subset.
 EXECUTORS = [
     name

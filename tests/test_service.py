@@ -128,7 +128,7 @@ SERVICE_CONFIGS = [
 
 
 @pytest.mark.parametrize("engine,options", SERVICE_CONFIGS)
-def test_service_warm_results_bit_identical_to_cold(engine, options, pool_threads):
+def test_service_warm_results_bit_identical_to_cold(engine, options, blocks_at_any_size):
     left, right = _tables()
     reference = ObliviousEngine(engine=engine, **options).join(
         left, right, ("k", "k")
@@ -244,7 +244,7 @@ def test_concurrent_submissions_bit_identical_to_serial():
     assert [result.table.rows for result in concurrent] == serial
 
 
-def test_warm_pool_survives_bound_abort_without_leaking(shm_leak_guard, pool_threads):
+def test_warm_pool_survives_bound_abort_without_leaking(shm_leak_guard, blocks_at_any_size):
     """Satellite fix: a BoundError between publish and tournament adoption
     must return the warm pool to a clean, reusable state — no residual
     /dev/shm segments, and the very next query on the same pool succeeds."""
@@ -280,7 +280,7 @@ _SORT_TASK = sort_module._sort_task
 
 
 def test_sharded_pool_service_holds_no_segment_between_queries(
-    monkeypatch, shm_leak_guard, pool_threads
+    monkeypatch, shm_leak_guard, blocks_at_any_size
 ):
     idents = set()
 

@@ -51,6 +51,10 @@ from repro.vector.join import vector_oblivious_join
 from repro.vector.relational import order_columns, vector_order_permutation
 from repro.vector.sort import vector_bitonic_sort
 
+#: These tests pin block structure (counts, schedules, dispatches) at test
+#: sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 # -- partitioner -------------------------------------------------------------
 
 

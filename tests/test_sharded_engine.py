@@ -28,7 +28,7 @@ from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
 #: Every ``pool`` dispatch in this module runs on the worker threads, however
 #: small its tasks (conftest.py); inline and shuffle never read the threshold.
-pytestmark = pytest.mark.usefixtures("pool_threads")
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
 
 
 def _matched_pair(n, key_shift, data_seed):

@@ -485,7 +485,7 @@ def test_mixed_resident_and_store_inputs_join_identically(tmp_path):
     assert stats.plan.shape("block_rows") == (8, None)
 
 
-def test_sharded_join_over_store_on_process_pool(tmp_path, pool_threads):
+def test_sharded_join_over_store_on_process_pool(tmp_path, blocks_at_any_size):
     rng = np.random.default_rng(23)
     n1, n2 = 70, 90
     lj = rng.integers(0, 12, n1)
