@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="sharded engine: at most K blocks per sort, each >= 2^16 rows "
-        "(default: workers, min 2)",
+        "unless fewer would pad to more comparators (default: workers, min 2)",
     )
     join.add_argument(
         "--executor",
@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="sharded engine: at most K blocks per sort, each >= 2^16 rows (default: 2)",
+        help="sharded engine: at most K blocks per sort, each >= 2^16 rows "
+        "unless fewer would pad to more comparators (default: 2)",
     )
     plan.add_argument(
         "--padding",

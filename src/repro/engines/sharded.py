@@ -23,9 +23,9 @@ Five knobs:
     and one-word pass.  A sort of ``n`` rows runs
     :func:`~repro.plan.partition.blocks` ``(n, shards)`` of them: no block
     is cut under :data:`~repro.plan.partition.MIN_BLOCK_ROWS` (2**16)
-    rows, below which threads do not pay on two cores, so a sort of fewer
-    than 2**17 rows is one block.  The comparator work does not depend on
-    the block count (at power-of-two block sizes, exactly).  Measured on a
+    rows, below which threads do not pay on two cores, unless fewer blocks
+    pad to more comparators than ``shards``, so a sort of fewer than 2**17
+    rows is one block except just above a power of two.  Measured on a
     2-core guest (nothing here has been run on more), ``shards=2
     workers=2`` takes about 0.17x the ``vector`` engine's time at ``n1 =
     n2 = 16384`` through the one-word sort kernel, not the second core:

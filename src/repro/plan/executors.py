@@ -22,10 +22,10 @@ paper's single enclave:
     ``workers`` threads.  Payloads and results are passed by reference,
     nothing is copied; every task is numpy ``minimum`` / ``maximum`` / copy
     over views.  Those release the GIL, but two threads only beat one when
-    each call covers the hand-off, which is why a sharded sort never cuts a
-    block under :data:`~repro.plan.partition.MIN_BLOCK_ROWS` (2**16) rows
-    (:func:`~repro.plan.partition.blocks`; the crossover sweep is in
-    ``docs/architecture.md``).  A dispatch of one task runs in the calling
+    each call covers the hand-off, which is why a sharded sort cuts blocks
+    under :data:`~repro.plan.partition.MIN_BLOCK_ROWS` (2**16) rows only
+    to save comparators (:func:`~repro.plan.partition.blocks`; the
+    crossover sweep is in ``docs/architecture.md``).  A dispatch of one task runs in the calling
     thread.  At most :data:`MAX_POOL_WORKERS` threads.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled

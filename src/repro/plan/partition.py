@@ -19,14 +19,15 @@ of ``n`` and its ``shards`` cap.
 from __future__ import annotations
 
 from ..errors import InputError
+from ..obliv.bitonic import comparison_count, next_power_of_two
 from ..vector.sort import Key, index_bits
 
 #: Bits a packed word may use (it stays below the network's int64 padding).
 WORD_BITS = 62
 
-#: The fewest rows a sharded sort cuts a block into: below it a second thread
-#: does not pay on two cores (``docs/architecture.md``, "Blocks only where a
-#: thread pays"), and each extra block only adds partition and merge work.
+#: The fewest rows a sharded sort cuts a block into, unless fewer blocks pad
+#: to more comparators: below it a second thread does not pay on two cores
+#: (``docs/architecture.md``, "Blocks only where a thread pays").
 MIN_BLOCK_ROWS = 2**16
 
 
@@ -48,14 +49,36 @@ def check_shards(shards: int) -> int:
 
 def blocks(n: int | None, shards: int) -> int | None:
     """Blocks a sharded sort of ``n`` rows runs: ``shards`` when each holds
-    :data:`MIN_BLOCK_ROWS` rows, else as many such as fit, at least one.  A
-    size revealed at run time (``None``) reveals it too, unless it is fixed."""
+    :data:`MIN_BLOCK_ROWS` rows, else as many such as fit, at least one, if
+    they pad to no more comparators than ``shards`` blocks (else ``shards``).
+    A size revealed at run time (``None``) reveals the count too."""
     check_shards(shards)
     if n is None:
-        return shards if shards == 1 or not MIN_BLOCK_ROWS else None
+        return shards if shards == 1 else None
     if n >= shards * MIN_BLOCK_ROWS:
         return shards
-    return max(1, n // MIN_BLOCK_ROWS)
+    k = max(1, n // MIN_BLOCK_ROWS)
+    return k if pass_comparators(n, k) <= pass_comparators(n, shards) else shards
+
+
+def pass_comparators(n: int, k: int) -> int:
+    """Comparators one pass of a sharded sort of ``n`` rows over ``k`` blocks
+    executes: every block's padded bitonic network plus the merges."""
+    counts = shard_counts(n, k)
+    networks = sum(comparison_count(next_power_of_two(c)) for c in counts)
+    return networks + merge_comparator_count(counts)
+
+
+def merge_comparator_count(lengths: list[int]) -> int:
+    """Comparators the merge tournament executes for runs of these lengths."""
+    lengths, count = list(lengths), 0
+    while len(lengths) > 1:
+        for la, lb in zip(lengths[::2], lengths[1::2]):
+            if la and lb:
+                padded = next_power_of_two(la + lb)
+                count += padded // 2 * (padded.bit_length() - 1)
+        lengths = [sum(lengths[i : i + 2]) for i in range(0, len(lengths), 2)]
+    return count
 
 
 def shard_capacity(n: int, k: int) -> int:

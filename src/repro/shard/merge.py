@@ -37,6 +37,7 @@ from ..errors import InputError
 from ..obliv.bitonic import next_power_of_two
 from ..plan.executors import Executor, InlineExecutor
 from ..plan.ir import tournament_schedule
+from ..plan.partition import merge_comparator_count
 from ..vector.sort import WORD_PAD, Key, sort_words, word_column
 
 
@@ -79,31 +80,6 @@ def bitonic_merge_two(
     if counter is not None:
         counter[0] += merge_comparator_count([la, lb])
     return {word: words[: la + lb]}
-
-
-def merge_comparator_count(lengths: list[int]) -> int:
-    """Comparators the tournament executes for runs of the given lengths.
-
-    A pure function of the run lengths — used to document (and test) that
-    the merge schedule is independent of the data being merged.
-    """
-    lengths = list(lengths)
-    count = 0
-    while len(lengths) > 1:
-        merged = []
-        for i in range(0, len(lengths) - 1, 2):
-            la, lb = lengths[i], lengths[i + 1]
-            if la and lb:
-                padded = next_power_of_two(la + lb)
-                gap = padded // 2
-                while gap >= 1:
-                    count += padded // 2
-                    gap //= 2
-            merged.append(la + lb)
-        if len(lengths) % 2:
-            merged.append(lengths[-1])
-        lengths = merged
-    return count
 
 
 def merge_pair_task(payload) -> tuple[dict[str, np.ndarray], int]:

@@ -48,11 +48,12 @@ def blocks_at_any_size(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _pool_matrix_runs_threads(request):
-    """The ``REPRO_EXECUTORS=pool`` rows of the differential matrix cut every
-    sort into ``shards`` blocks, so they keep racing the threads at test
-    sizes."""
-    if os.environ.get("REPRO_EXECUTORS") == "pool":
+def _executor_matrix_cuts_blocks(request):
+    """The ``REPRO_EXECUTORS`` rows of the differential matrix cut every sort
+    into ``shards`` blocks, so at test sizes the pool keeps racing the
+    threads, the shuffle keeps scrambling tasks and every row keeps
+    merging."""
+    if os.environ.get("REPRO_EXECUTORS"):
         request.getfixturevalue("blocks_at_any_size")
 
 

@@ -33,11 +33,46 @@ def test_min_block_rows_is_two_to_the_sixteen():
 def test_blocks_cap_at_shards_and_hold_min_block_rows(shards):
     assert blocks(shards * MIN_BLOCK_ROWS, shards) == shards
     assert blocks(shards * MIN_BLOCK_ROWS + 1, shards) == shards
-    assert blocks(shards * MIN_BLOCK_ROWS - 1, shards) == shards - 1
+    assert blocks(2 * MIN_BLOCK_ROWS, shards) == 2
+    assert blocks(MIN_BLOCK_ROWS, shards) == 1
     assert blocks(MIN_BLOCK_ROWS - 1, shards) == 1
-    assert blocks(7, shards) == 1
     assert blocks(0, shards) == 1
     assert blocks(None, shards) is None  # revealed with the size
+    # Two blocks of 2**16 - 1 rows and one of 2**16 - 2 (shards=3) pad to
+    # 2**17 each: more comparators than ``shards`` blocks, so it keeps them.
+    assert blocks(shards * MIN_BLOCK_ROWS - 1, shards) == (1 if shards == 2 else shards)
+
+
+@pytest.mark.parametrize("shards", [2, 3, 4, 8])
+def test_fewer_blocks_never_count_more_comparators(shards):
+    """Over sizes around powers of two and multiples of the threshold, the
+    rule's blocks count no more comparators than ``shards`` blocks would,
+    and hold ``MIN_BLOCK_ROWS`` rows each unless they are ``shards`` or one."""
+    sizes = {0, 1, 7, 1026, MIN_BLOCK_ROWS + 1, 2**17 + 2, 3 * MIN_BLOCK_ROWS - 1}
+    sizes |= {2**e + d for e in range(1, 20) for d in (-1, 0, 1, 2, 3)}
+    for n in sorted(sizes):
+        k = blocks(n, shards)
+        assert 1 <= k <= shards
+        assert sharded_sort_comparators(n, k) <= sharded_sort_comparators(n, shards), n
+        assert k in (1, shards) or n // k >= MIN_BLOCK_ROWS, n
+
+
+def test_just_above_a_power_of_two_a_sort_keeps_its_shards_blocks():
+    """The augment sort of a join at ``n1 = n2 = 2**16`` has 2**17 + 2 rows.
+    Two blocks of 65 537 rows would pad to two 2**17 networks, 22 413 312
+    comparators; four blocks of 32 768-32 769 rows count 16 842 752, so at
+    ``shards=4`` the sort keeps its four blocks and counts exactly that."""
+    n = 2**17 + 2
+    assert blocks(n, 4) == 4
+    assert sharded_sort_comparators(n, 2) == 22_413_312
+    words = np.random.default_rng(17).permutation(n).astype(np.int64)
+    counter = [0]
+    out = sharded_sort({"k": words}, [("k", True, 18)], counter, shards=4,
+                       executor=InlineExecutor())
+    assert out["k"].tolist() == list(range(n))
+    assert counter[0] == sharded_sort_comparators(n, 4) == 16_842_752
+    # One block of 2**16 + 1 rows would pad to a 2**17 network as well.
+    assert blocks(MIN_BLOCK_ROWS + 1, 2) == 2
 
 
 def test_one_shard_is_one_block_at_every_size():
@@ -47,8 +82,9 @@ def test_one_shard_is_one_block_at_every_size():
 
 def test_a_zero_threshold_cuts_every_sort_into_shards_blocks(monkeypatch):
     monkeypatch.setattr(partition, "MIN_BLOCK_ROWS", 0)
-    for n in (0, 1, 7, None):
+    for n in (0, 1, 7, 2**17 + 2):
         assert blocks(n, 3) == 3
+    assert blocks(None, 3) is None
 
 
 @pytest.mark.parametrize("shards", [0, -1, True, 2.0])
@@ -87,10 +123,11 @@ def test_a_revealed_sort_shows_no_blocks():
 
 def test_the_compiled_plan_is_the_blocks_a_join_at_two_to_the_sixteen_runs(monkeypatch):
     """At ``n1 = n2 = 2**16`` the augment sorts (2**17 + 2 rows) run two
-    blocks and the m-sized ones one: every pass cuts the blocks its
-    sort's ``shard_sort`` nodes name, the ``_sort_task`` dispatches sort
-    blocks of their rows, each phase counts the comparators the plan
-    implies, and the rows are ``vector``'s."""
+    blocks, the expand sorts (2**16 + 1 rows) two as well (one block would
+    pad to a 2**17 network), and the align sort (2**16 rows) one: every
+    pass cuts the blocks its sort's ``shard_sort`` nodes name, the
+    ``_sort_task`` dispatches sort blocks of their rows, each phase counts
+    the comparators the plan implies, and the rows are ``vector``'s."""
     n = MIN_BLOCK_ROWS
     rng = np.random.default_rng(16)
     left = np.stack([rng.permutation(n), np.arange(n)], axis=1)
@@ -118,7 +155,7 @@ def test_the_compiled_plan_is_the_blocks_a_join_at_two_to_the_sixteen_runs(monke
         stage = part.attr("stage")
         rows = [s.attr("rows") for s in plan.nodes_by_op("shard_sort")
                 if s.attr("stage") == stage]
-        assert part.attr("k") == len(rows) == (2 if stage.startswith("augment") else 1)
+        assert part.attr("k") == len(rows) == (1 if stage == "align_sort" else 2)
         expected += [len(rows)] * part.attr("passes")
         block_rows += rows * part.attr("passes")
         assert stats.comparisons_by_phase[stage] == plan_sort_comparators(plan, stage)

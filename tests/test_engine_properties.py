@@ -37,6 +37,10 @@ from repro.baselines.hash_join import join_multiset
 from repro.engines import ShardedEngine, available_engines, get_engine
 from repro.plan import available_executors
 
+#: These tests race and scramble the blocks and merges of sharded sorts at
+#: test sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 #: Engines under test: the full registry, or the REPRO_ENGINES subset.
 ENGINES = [
     name

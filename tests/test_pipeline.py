@@ -25,6 +25,10 @@ from hypothesis import strategies as st
 from repro.engines import ShardedEngine, available_engines, get_engine
 from repro.plan import ShuffleExecutor, available_executors
 
+#: These tests race and scramble the blocks and merges of sharded sorts at
+#: test sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 ENGINES = [
     name
     for name in available_engines()

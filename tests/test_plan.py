@@ -168,22 +168,32 @@ def test_sharded_plans_embed_the_merge_tournament_bracket():
     from repro.plan import tournament_schedule
 
     n1, n2, k = 10, 7, 3
-    plan = join_plan("sharded", n1, n2, n1 * n2, k)
-    for stage, size in _sort_sizes(n1, n2, n1 * n2).items():
-        _, counts = partition_plan(size, k)
-        expected = [n for n in tournament_schedule(k, counts) if not n.is_carry]
-        assert [
+
+    def bracket(plan, stage):
+        return [
             (p.attr("round"), p.attr("slot"), p.attr("left_rows"),
              p.attr("right_rows"), p.attr("rows"))
             for p in _stage(plan, "merge_pair", stage)
-        ] == [(n.round, n.slot, n.left_rows, n.right_rows, n.rows) for n in expected]
-    # Revealed mode keeps every bracket but marks the m-sized ones run-time.
+        ]
+
+    def expected(size):
+        _, counts = partition_plan(size, k)
+        return [(n.round, n.slot, n.left_rows, n.right_rows, n.rows)
+                for n in tournament_schedule(k, counts) if not n.is_carry]
+
+    plan = join_plan("sharded", n1, n2, n1 * n2, k)
+    for stage, size in _sort_sizes(n1, n2, n1 * n2).items():
+        assert bracket(plan, stage) == expected(size)
+    # Revealed mode keeps the augment sorts' brackets; an m-sized sort's
+    # block count is revealed with m, so it shows a k=None partition alone.
     revealed = join_plan("sharded", n1, n2, None, k)
-    assert len(revealed.nodes) == len(plan.nodes)
     for stage in JOIN_SORTS:
-        known = stage.startswith("augment")
-        for node in _stage(revealed, "merge_pair", stage):
-            assert (node.attr("rows") is not None) == known
+        (part,) = _stage(revealed, "partition", stage)
+        if stage.startswith("augment"):
+            assert part.attr("k") == k and bracket(revealed, stage) == expected(part.attr("n"))
+        else:
+            assert part.attr("k") is None and not _stage(revealed, "shard_sort", stage)
+            assert not bracket(revealed, stage)
     # k = 1 is one block and no merge at all.
     assert not join_plan("sharded", n1, n2, None, 1).nodes_by_op("merge_pair")
 
@@ -372,23 +382,34 @@ def test_padded_join_plans_are_byte_identical_across_key_distributions():
 
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
-def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
+def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape, monkeypatch):
     """At the three sharded benchmark shapes the executed plan's canonical
     bytes hash to the pinned digest and are the same bytes on adversarially
-    different data of one shape.  With each partition's ``passes`` moved
-    back onto its ``shard_sort`` nodes and the format tag set back to 11
-    they are the parent commit's bytes (at these shapes a block's passes
-    were its sort's), at 10 those of the commit before (removing the
-    pipeline's ops touched no join plan), at 9 those of the commit before
-    (nor did removing the sharded aggregate's and filter's ops), at 8 the
-    bytes of the commit before that (the key lists the compiler now reads
-    from ``repro.vector.join`` are the ones it used to restate); without
-    ``passes``, at format 7, the bytes from before the one-word passes."""
+    different data of one shape.  With every sort shown in ``shards``
+    blocks, a revealed-size one too (as before a revealed size revealed its
+    block count with it), they are the parent commit's bytes.  With each
+    partition's ``passes`` moved back onto its ``shard_sort`` nodes and the
+    format tag set back to 11 they are the bytes of the commit before (at
+    these shapes a block's passes were its sort's), at 10 those of the
+    commit before that (removing the pipeline's ops touched no join plan),
+    at 9 those of the commit before (nor did removing the sharded
+    aggregate's and filter's ops), at 8 the bytes of the commit before that
+    (the key lists the compiler now reads from ``repro.vector.join`` are the
+    ones it used to restate); without ``passes``, at format 7, the bytes
+    from before the one-word passes."""
+    import repro.plan.compile as compile_module
+
     _, _, digest, _ = BENCHMARK_SHAPES[shape]
     plans = {stats.plan.serialize() for _, stats, _ in benchmark_shape_runs(shape)}
     assert len(plans) == 1
+    assert hashlib.sha256(plans.pop()).hexdigest() == digest
+    monkeypatch.setattr(compile_module, "blocks", lambda n, shards: shards)
+    runs = benchmark_shape_runs.__wrapped__(shape)  # past the cache, patched
+    plans = {stats.plan.serialize() for _, stats, _ in runs}
+    assert len(plans) == 1
     plan = plans.pop()
-    assert hashlib.sha256(plan).hexdigest() == digest
+    parent, format_11, format_10, format_9, format_8, before_passes = PARENT_PLAN_DIGESTS[shape]
+    assert hashlib.sha256(plan).hexdigest() == parent
     payload = json.loads(plan)
 
     def digest_at(fmt):
@@ -396,7 +417,6 @@ def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    format_11, parent, format_9, format_8, before_passes = PARENT_PLAN_DIGESTS[shape]
     for node in payload["nodes"]:
         assert (node["op"] == "partition") == ("passes" in node["attrs"])
         if node["op"] == "partition":
@@ -404,7 +424,7 @@ def test_benchmark_shape_plans_are_the_parent_commits_bytes(shape):
         elif node["op"] == "shard_sort":
             node["attrs"]["passes"] = passes
     assert digest_at(11) == format_11
-    assert digest_at(10) == parent
+    assert digest_at(10) == format_10
     assert digest_at(9) == format_9
     assert digest_at(8) == format_8
     for node in payload["nodes"]:

@@ -581,11 +581,13 @@ def _phases(sizes, sort1):
 #: 3 x 67 584 = 202 752 at 512 rows.  The parent commit (88b8e9d) ran the
 #: passes inside each block and merged once with the masked-swap merge:
 #: 5 406 720 / 180 224 / 4 947 968.  Every other phase is the parent's.  The
-#: digests are of plan format 12.
+#: digests are of plan format 12, every sort cut into ``shards`` blocks (the
+#: tests' ``blocks_at_any_size``); at the two revealed-size shapes an m-sized
+#: sort shows a ``k=None`` partition and no blocks.
 BENCHMARK_SHAPES = {
     "join_sharded_pool": (
         {"shards": 2}, _phases(_SORT_16K, 3 * _SORT_16K["augment"]),
-        "0f8e4a5fed4369a16eb174a75cf4517ed223f4ca249d0aa6112bdd198dee0fa8", None,
+        "bc272b053cd1e1072eee9295de06c4e2f503cc386001788346383b3c42ce4638", None,
     ),
     "join_sharded_bounded": (
         {"shards": 2, "target_m": 1024}, _phases(_SORT_512, 3 * _SORT_512["augment"]),
@@ -593,11 +595,13 @@ BENCHMARK_SHAPES = {
     ),
     "store_paged_join": (
         {"shards": 4}, _phases(_SORT_16K, 3 * _SORT_16K["augment"]),
-        "75310f702330b412fd31d19a3c34227e98b70dd7707a88da9ceb5d69f25caa2a", 4096,
+        "158cf87cf8ef1b9ec0aa9d1b90af88890d2c9c18cf88299eaf02e3fadf58f811", 4096,
     ),
 }
 
-#: The same plans' digests at earlier commits: at 88b8e9d (plan format 11),
+#: The same plans' digests at earlier commits: at 9e4030f (plan format 12),
+#: the bytes with every sort shown in ``shards`` blocks, a revealed-size one
+#: too; at 88b8e9d (plan format 11), from those,
 #: the bytes with each partition's ``passes`` moved back onto its
 #: ``shard_sort`` nodes (the same value at these shapes); at 3aaff8a (format 10),
 #: 6442b2c (format 9) and 1dc4b94 (format 8), the bytes with only the
@@ -605,6 +609,7 @@ BENCHMARK_SHAPES = {
 #: node's ``passes`` removed as well.
 PARENT_PLAN_DIGESTS = {
     "join_sharded_pool": (
+        "0f8e4a5fed4369a16eb174a75cf4517ed223f4ca249d0aa6112bdd198dee0fa8",
         "b7174cf096b458df919ab200bb662a3c94bbda1272779e7ac8a6b3dd5718aa7e",
         "91503f7ed3bdc06289bfa0bf68608def0294a1d0bb4e80f8a465086bb59bc20d",
         "97b53e399cb91bec206881e13ae771cc85c58e2dac964b77426024c165d5ec04",
@@ -612,6 +617,7 @@ PARENT_PLAN_DIGESTS = {
         "45908fde4feae3729dd86ee9da3e7a39062908bcf21158b3805b80653118b161",
     ),
     "join_sharded_bounded": (
+        "452118d72fa523a6e28f5a7abfb3d3023deabd2666c775bf52f1a60b4ce166a2",
         "e79bd026512fe836513030d8df45598ee4953dd4c045b286bf06d8e412e8c974",
         "07b6aa42142c37eb207b33cbb2cbf7b140e5fa6914f42f39eaa3fcd7ce591dca",
         "f9886b598b4702cee823b856b422b006102b725ab87933e7e5b49a7ff1de548a",
@@ -619,6 +625,7 @@ PARENT_PLAN_DIGESTS = {
         "a620e846961ae8f06fbfe574445689f129ac9e6cfca355ddd5728adba720c05f",
     ),
     "store_paged_join": (
+        "75310f702330b412fd31d19a3c34227e98b70dd7707a88da9ceb5d69f25caa2a",
         "6bdb2a4a6d53c843c70a47f2b8094b288c79a3f73eb139bf5b925d460e6ed8b1",
         "eb73e3ade15e3055d02e4a7026cbd6658d25694c53d2b3fddc38f2441af3b724",
         "eb9407218bc2eee5152278599edb37162487a589dfc66c9e9484539f6aad16d5",

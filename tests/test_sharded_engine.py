@@ -26,8 +26,8 @@ from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
-#: Every ``pool`` dispatch in this module runs on the worker threads, however
-#: small its tasks (conftest.py); inline and shuffle never read the threshold.
+#: Every sort in this module is cut into ``shards`` blocks however few its
+#: rows, on every executor (conftest.py), and the pool runs them on its threads.
 pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
 
 

@@ -29,6 +29,10 @@ from repro.shard.sort import sharded_sort
 from repro.vector.join import vector_oblivious_join
 from repro.vector.relational import vector_order_permutation
 
+#: These tests race and scramble the blocks and merges of sharded sorts at
+#: test sizes, so every sort is cut into ``shards`` blocks however small.
+pytestmark = pytest.mark.usefixtures("blocks_at_any_size")
+
 #: A run's one word, its own ascending key: the sharded sort's run shape.
 KEYS = [("a", True)]
 
