@@ -58,10 +58,11 @@ def test_fewer_blocks_never_count_more_comparators(shards):
 
 
 def test_just_above_a_power_of_two_a_sort_keeps_its_shards_blocks():
-    """The augment sort of a join at ``n1 = n2 = 2**16`` has 2**17 + 2 rows.
-    Two blocks of 65 537 rows would pad to two 2**17 networks, 22 413 312
-    comparators; four blocks of 32 768-32 769 rows count 16 842 752, so at
-    ``shards=4`` the sort keeps its four blocks and counts exactly that."""
+    """The augment sort of a padded join at ``n1 = n2 = 2**16`` has 2**17 + 2
+    rows.  Two blocks of 65 537 rows would pad to two 2**17 networks,
+    22 413 312 comparators; four blocks of 32 768-32 769 rows count
+    16 842 752, so at ``shards=4`` the sort keeps its four blocks and counts
+    exactly that."""
     n = 2**17 + 2
     assert blocks(n, 4) == 4
     assert sharded_sort_comparators(n, 2) == 22_413_312
