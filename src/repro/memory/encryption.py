@@ -11,11 +11,11 @@ twice are indistinguishable at rest, and every ciphertext carries a tag over
 to another address or written under another key raises
 :class:`~repro.errors.StoreIntegrityError` instead of decrypting to garbage.
 
-Encrypt-then-MAC from the standard library: the keystream is one
-``shake_256(key || nonce)`` squeeze XORed in one wide operation, the tag is
-keyed BLAKE2b-128.  Deliberately dependency-free — the point is behavioural
-fidelity (fresh randomisation per write, round-trip, tamper evidence) at
-memory speed, not cryptographic review.  Replay of an older ciphertext
+Encrypt-then-MAC from the standard library and numpy: the keystream is one
+``shake_256(key || nonce)`` squeeze XORed bytewise in numpy, the tag is
+keyed BLAKE2b-128.  Deliberately free of crypto libraries — the point is
+behavioural fidelity (fresh randomisation per write, round-trip, tamper
+evidence) at memory speed, not cryptographic review.  Replay of an older ciphertext
 under the same associated data is *not* detected (``docs/leakage.md``).
 """
 
@@ -25,6 +25,8 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import InputError, StoreIntegrityError
 
@@ -70,8 +72,7 @@ class ProbabilisticEncryptor:
 
     def _mask(self, nonce: bytes, data: bytes) -> bytes:
         stream = hashlib.shake_256(self.key + nonce).digest(len(data))
-        masked = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
-        return masked.to_bytes(len(data), "little")
+        return (np.frombuffer(data, np.uint8) ^ np.frombuffer(stream, np.uint8)).tobytes()
 
     def _tag(self, aad: bytes, nonce: bytes, payload: bytes) -> bytes:
         mac = self._mac.copy()

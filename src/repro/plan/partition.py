@@ -31,13 +31,23 @@ WORD_BITS = 62
 MIN_BLOCK_ROWS = 2**16
 
 
+def key_bits(keys: list[Key]) -> int:
+    """The key fields' total width: a declared width, else 64 bits each."""
+    return sum(key[2] if len(key) == 3 else 64 for key in keys)
+
+
 def word_passes(keys: list[Key], rows: int) -> int:
     """One-word passes a ``rows``-row sharded sort takes to order by ``keys``:
-    its key fields (a declared width, else 64 bits) in digits of ``62 -
-    ceil(log2 rows)`` bits, one stable ``digit ‖ position`` sort each (1 if
-    they fit)."""
-    bits = sum(key[2] if len(key) == 3 else 64 for key in keys)
-    return max(1, -(-bits // (WORD_BITS - index_bits(rows))))
+    its :func:`key_bits` in digits of ``62 - ceil(log2 rows)`` bits, one
+    stable ``digit ‖ position`` sort each (1 if they fit)."""
+    return max(1, -(-key_bits(keys) // (WORD_BITS - index_bits(rows))))
+
+
+def threads_pay(n: int, k: int) -> bool:
+    """Whether ``k`` blocks of an ``n``-row sort hold :data:`MIN_BLOCK_ROWS`
+    rows each; only :func:`blocks`' comparator fallback cuts smaller ones,
+    and those run in the calling thread."""
+    return n // k >= MIN_BLOCK_ROWS
 
 
 def check_shards(shards: int) -> int:

@@ -10,9 +10,10 @@ One pairwise merge of ascending runs ``A`` and ``B`` lays the rows out as
 
     [ A ascending | padding | B reversed ]
 
-padded to the next power of two.  A run is one int64 word per row (the
-sharded sort's ``digit ‖ position``), and the padding is ``int64`` max,
-which sorts after every real word and keeps the layout bitonic
+padded to the next power of two.  A run is one word per row (the sharded
+sort's ``digit ‖ position``, int64 or uint32), and the padding is the
+dtype's maximum, which sorts no earlier than any real word and keeps the
+layout bitonic
 (non-decreasing then non-increasing), so the classic ``log P``
 half-cleaner stages — ``minimum`` / ``maximum`` on views — sort it
 ascending.  The padding then sits in the tail — its position is a
@@ -38,7 +39,7 @@ from ..obliv.bitonic import next_power_of_two
 from ..plan.executors import Executor, InlineExecutor
 from ..plan.ir import tournament_schedule
 from ..plan.partition import merge_comparator_count
-from ..vector.sort import WORD_PAD, Key, sort_words, word_column
+from ..vector.sort import Key, padded_words, sort_words, word_column
 
 
 def _run_length(run: dict[str, np.ndarray]) -> int:
@@ -57,9 +58,10 @@ def bitonic_merge_two(
 ) -> dict[str, np.ndarray]:
     """Merge two one-word runs sorted ascending into one sorted run.
 
-    Each run is one int64 column sorted ascending by itself
-    (:func:`~repro.vector.sort.word_column`), so the half-cleaners are
-    ``minimum`` / ``maximum`` on views and the padding is ``int64`` max.
+    Each run is one word column (int64 or uint32, both runs alike) sorted
+    ascending by itself (:func:`~repro.vector.sort.word_column`), so the
+    half-cleaners are ``minimum`` / ``maximum`` on views and the padding is
+    the dtype's maximum.
     Executes exactly the ``log P`` comparator stages of a bitonic merger of
     size ``P = next_power_of_two(len(a) + len(b))``; when ``counter`` (a
     one-element list) is given, the comparator count is added to it.
@@ -71,9 +73,9 @@ def bitonic_merge_two(
         return _copy(a)
     word = word_column(a, keys)
     if word is None:
-        raise InputError("merges take one-word runs: one int64 column, its own ascending key")
+        raise InputError("merges take one-word runs: one word column, its own ascending key")
     padded = next_power_of_two(la + lb)
-    words = np.full(padded, WORD_PAD)
+    words = padded_words(padded, a[word].dtype)
     words[:la] = a[word]
     words[padded - lb :] = b[word][::-1]
     sort_words(words, k=padded)

@@ -2,10 +2,12 @@
 of merges.
 
 The one primitive every sharded operator above a sort is built on.  Only one
-int64 word per row crosses to the workers, ``digit ‖ position``, and the
-sort is a stable LSD radix sort whose digits are whole sorts of those words:
-the key fields form one unsigned bit string, cut into :func:`word_passes`
-digits of ``62 - ceil(log2 n)`` bits, least significant first.  One pass is
+word per row crosses to the workers, ``digit ‖ position``, and the sort is a
+stable LSD radix sort whose digits are whole sorts of those words: the key
+fields form one unsigned bit string, cut into :func:`word_passes` digits of
+``62 - ceil(log2 n)`` bits, least significant first.  The word is uint32
+when the key bits and the position fit 32 bits (:func:`word_dtype`, so one
+pass), else int64: half the bytes through every stage.  One pass is
 the table cut into ``k`` positional blocks (:func:`partition_plan` — a
 function of ``(n, k)`` only), one ``executor.map`` of block sorts, and the
 sorted runs meeting in a tournament of bitonic merges, one ``executor.map``
@@ -16,8 +18,9 @@ work (exactly, when the blocks are powers of two) and the workers share it;
 a key list that fits one word beside the position takes one pass.
 
 The position composes the permutation pass by pass, and every column is
-gathered once, in the parent, at the end.  The schedule — passes, ``k =
-blocks(n, shards)``, block sizes, bracket, comparator counts — is a function
+gathered once, in the parent, at the end.  The schedule — passes, word
+width, ``k = blocks(n, shards)``, block sizes, bracket, comparator counts,
+whether the blocks go to ``executor`` (:func:`threads_pay`) — is a function
 of ``(n, shards)`` and the key list, so a caller's leakage is whatever its
 own sort sizes reveal.
 """
@@ -27,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InputError
-from ..plan.executors import Executor
-from ..plan.partition import WORD_BITS, blocks, word_passes
+from ..plan.executors import Executor, InlineExecutor
+from ..plan.partition import WORD_BITS, blocks, key_bits, threads_pay, word_passes
 from ..vector.sort import Key, index_bits, vector_bitonic_sort
 from .merge import oblivious_merge_runs
 from .partition import partition_columns
@@ -53,6 +56,12 @@ def _check_keys(table: dict[str, np.ndarray], keys: list[Key]) -> None:
             continue
         if int(column.min()) < 0 or int(column.max()) >> bits[0]:
             raise InputError(f"sort key {name!r} outside its declared [0, 2**{bits[0]})")
+
+
+def word_dtype(keys: list[Key], rows: int) -> np.dtype:
+    """The word a ``rows``-row sort by ``keys`` ships: uint32 when its
+    :func:`key_bits` and the position fit 32 bits, else int64."""
+    return np.dtype(np.uint32 if key_bits(keys) + index_bits(rows) <= 32 else np.int64)
 
 
 def _digits(table: dict[str, np.ndarray], keys: list[Key], n: int, bits: int, passes: int):
@@ -118,11 +127,16 @@ def sharded_sort(
     n = len(next(iter(columns.values())))
     table = {name: columns[name] for name, *_ in keys}
     _check_keys(table, keys)
-    row_bits = index_bits(n)
+    k = blocks(n, shards)
+    if not threads_pay(n, k):
+        executor = InlineExecutor()
+    row_bits, dtype = index_bits(n), word_dtype(keys, n)
     order = positions = np.arange(n, dtype=np.int64)
     for digit in _digits(table, keys, n, WORD_BITS - row_bits, word_passes(keys, n)):
-        words = (digit[order] << row_bits) | positions
-        payloads = partition_columns({ROW_ID: words}, blocks(n, shards))
+        if order is not positions:  # the first pass's order is the identity
+            digit = digit[order]
+        words = ((digit << row_bits) | positions).astype(dtype, copy=False)
+        payloads = partition_columns({ROW_ID: words}, k)
         merged = oblivious_merge_runs(
             _sort_blocks(payloads, counter, executor), _WORD, counter, executor
         )

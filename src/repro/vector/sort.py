@@ -10,10 +10,11 @@ the array length — so the engine preserves the algorithm's structure and
 cost shape while running ~10^3x faster; the test suite cross-checks its
 output against the traced engine row for row.
 
-One table shape has its own kernel: a single int64 column sorted ascending by
-itself carries no payload, so a compare-exchange is ``minimum`` / ``maximum``
-over two views (:func:`sort_words`) — same stages and counts, a write set
-that does not depend on the data.  :mod:`repro.shard.sort` packs into it.
+One table shape has its own kernel: a single word column (int64 or uint32)
+sorted ascending by itself carries no payload, so a compare-exchange is
+``minimum`` / ``maximum`` over two views (:func:`sort_words`) — same stages
+and counts, a write set that does not depend on the data.
+:mod:`repro.shard.sort` packs into it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ PAD_COLUMN = "_pad"
 #: ``[0, 2**bits)``.  Ignored here; :mod:`repro.shard.sort` packs by it.
 Key = tuple[str, bool] | tuple[str, bool, int]
 
-WORD_PAD = np.iinfo(np.int64).max  #: pads a payload-free buffer: sorts last
+#: The dtypes a word column may have: a sharded sort's ``digit ‖ position``.
+WORD_DTYPES = (np.dtype(np.int64), np.dtype(np.uint32))
 
 
 def index_bits(size: int) -> int:
@@ -40,13 +42,22 @@ def index_bits(size: int) -> int:
 
 
 def word_column(columns: dict[str, np.ndarray], keys: list[Key]) -> str | None:
-    """The column's name if the table is one int64 column sorted ascending by itself."""
+    """The column's name if the table is one word column (int64 or uint32)
+    sorted ascending by itself."""
     if len(columns) == len(keys) == 1:
         ((name, column),) = columns.items()
         key, ascending, *_ = keys[0]
-        if key == name and ascending and np.asarray(column).dtype == np.int64:
+        if key == name and ascending and np.asarray(column).dtype in WORD_DTYPES:
             return name
     return None
+
+
+def padded_words(size: int, dtype: np.dtype) -> np.ndarray:
+    """A word buffer of ``size`` pads: the dtype's maximum, which sorts last.
+
+    A real word can equal it only as an identical value, so the ``n``
+    smallest of the buffer are the real words whatever they hold."""
+    return np.full(size, np.iinfo(dtype).max, dtype=dtype)
 
 
 def exchange(lo: np.ndarray, hi: np.ndarray) -> None:
@@ -54,6 +65,11 @@ def exchange(lo: np.ndarray, hi: np.ndarray) -> None:
     smaller = np.minimum(lo, hi)
     np.maximum(lo, hi, out=hi)
     lo[...] = smaller
+
+
+def complement(view: np.ndarray) -> None:
+    """Reverse a view's order in place: ``~`` does, for int64 and unsigned alike."""
+    np.invert(view, out=view)
 
 
 def transpose(src: np.ndarray, dst: np.ndarray) -> None:
@@ -71,10 +87,11 @@ def sort_words(words: np.ndarray, k: int = 2) -> None:
     """Phases ``k, 2k, … n`` of :func:`stage_pairs`' network over a power-of-two
     buffer, in place; ``k = len(words)`` is the bitonic merger alone.
 
-    Stages with partners ``j >= b`` slots apart exchange views of the buffer;
-    shorter ones run on its transpose ``rows`` (slot ``c·b + r`` at ``rows[r,
-    c]``), partners whole rows, the phase's descending blocks complemented
-    around them.  Every view and copy is a fixed function of ``(n, k)``.
+    A phase's descending blocks are complemented around its stages, so every
+    stage is one ascending exchange.  Stages with partners ``j >= b`` slots
+    apart exchange views of the buffer; shorter ones run on its transpose
+    ``rows`` (slot ``c·b + r`` at ``rows[r, c]``), partners whole rows.
+    Every view and copy is a fixed function of ``(n, k)``.
     """
     n = len(words)
     b = min(n, 128)  # the sweep is in docs/architecture.md, "One word per row"
@@ -85,25 +102,24 @@ def sort_words(words: np.ndarray, k: int = 2) -> None:
         while k <= b:
             # Slot c·b + r descends if r & k (k < b) or c is odd (k = b < n).
             descending = _view(rows, -1, min(2, n // k), k * n // b if k < b else 1)[:, 1:]
-            np.invert(descending, out=descending)  # ~ reverses int64 order
+            complement(descending)
             _short_stages(rows, k // 2)
-            np.invert(descending, out=descending)
+            complement(descending)
             k *= 2
         transpose(rows, natural)
     while k <= n:
+        # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]).
+        descending = _view(words, -1, min(2, n // k), k)[:, 1:]
+        complement(descending)
         j = k // 2
         while j >= b:
-            # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]).
-            view = _view(words, -1, min(2, n // k), k // (2 * j), 2, j)
-            exchange(view[:, 0, :, 0], view[:, 0, :, 1])
-            exchange(view[:, 1:, :, 1], view[:, 1:, :, 0])
+            pairs = _view(words, -1, 2, j)
+            exchange(pairs[:, 0], pairs[:, 1])
             j //= 2
-        descending = _view(words, -1, min(2, n // k), k)[:, 1:]
-        np.invert(descending, out=descending)
         transpose(natural, rows)
         _short_stages(rows, j)
         transpose(rows, natural)
-        np.invert(descending, out=descending)
+        complement(descending)
         k *= 2
 
 
@@ -181,8 +197,9 @@ def vector_bitonic_sort(
     padded = next_power_of_two(n)
     word = word_column(columns, keys)
     if word is not None:
-        words = np.full(padded, WORD_PAD)
-        words[:n] = columns[word]
+        column = np.asarray(columns[word])
+        words = padded_words(padded, column.dtype)
+        words[:n] = column
         sort_words(words)
         if counter is not None:
             counter[0] += comparison_count(padded)

@@ -12,7 +12,7 @@ from repro.engines import get_engine
 from repro.errors import InputError
 from repro.plan import partition
 from repro.plan.compile import compile_join, join_plan
-from repro.plan.executors import InlineExecutor
+from repro.plan.executors import InlineExecutor, PoolExecutor
 from repro.plan.partition import MIN_BLOCK_ROWS, blocks
 from repro.shard import sort as sort_module
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
@@ -74,6 +74,41 @@ def test_just_above_a_power_of_two_a_sort_keeps_its_shards_blocks():
     assert counter[0] == sharded_sort_comparators(n, 4) == 16_842_752
     # One block of 2**16 + 1 rows would pad to a 2**17 network as well.
     assert blocks(MIN_BLOCK_ROWS + 1, 2) == 2
+
+
+class _CountingPool(PoolExecutor):
+    """The thread pool, recording how many payloads each dispatch carries."""
+
+    def __init__(self) -> None:
+        super().__init__(workers=2)
+        self.dispatches: list[int] = []
+
+    def map(self, task, payloads):
+        self.dispatches.append(len(payloads))
+        return super().map(task, payloads)
+
+
+def test_the_fallbacks_small_blocks_run_in_the_calling_thread(monkeypatch):
+    """130 rows at ``shards=4`` keep four blocks (one would pad to 256), each
+    under ``MIN_BLOCK_ROWS``: their sorts and merges make no multi-payload
+    dispatch on the pool, and the rows and count are inline's bit for bit.
+    At a zero threshold the same blocks do reach the pool."""
+    n = 130
+    assert blocks(n, 4) == 4
+    rng = np.random.default_rng(130)
+    columns = {"k": rng.integers(0, 2**20, n), "v": np.arange(n, dtype=np.int64)}
+    keys = [("k", True, 20)]
+    counters = [0], [0]
+    expected = sharded_sort(columns, keys, counters[0], shards=4, executor=InlineExecutor())
+    pool = _CountingPool()
+    pooled = sharded_sort(columns, keys, counters[1], shards=4, executor=pool)
+    assert all(count <= 1 for count in pool.dispatches), pool.dispatches
+    for name in columns:
+        np.testing.assert_array_equal(pooled[name], expected[name])
+    assert counters[0] == counters[1] == [sharded_sort_comparators(n, 4)]
+    monkeypatch.setattr(partition, "MIN_BLOCK_ROWS", 0)
+    sharded_sort(columns, keys, shards=4, executor=pool)
+    assert 4 in pool.dispatches
 
 
 def test_one_shard_is_one_block_at_every_size():

@@ -1,6 +1,7 @@
 """Probabilistic, authenticated encryption simulation."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -68,13 +69,31 @@ def test_injected_nonces_give_byte_deterministic_ciphertexts():
 
 @pytest.mark.parametrize("length", [0, 1, 9, 31, 32, 33, 4095, 4096, 4097])
 def test_roundtrip_at_boundary_lengths(length):
-    enc = ProbabilisticEncryptor(key=b"k" * 32)
+    # A fixed nonce: under this key the keystream's first byte is 0x47, so
+    # every non-empty ciphertext differs from its plaintext for certain.
+    enc = ProbabilisticEncryptor(key=b"k" * 32, nonce_source=lambda: bytes(16))
     plaintext = bytes(i % 251 for i in range(length))
     ct = enc.encrypt(plaintext, aad=b"slot")
     assert len(ct) == length
     assert enc.decrypt(ct, aad=b"slot") == plaintext
     if length:
         assert ct.payload != plaintext
+
+
+def test_ciphertext_bytes_are_pinned_under_a_fixed_nonce():
+    """The mask is shake_256(key || nonce) XORed bytewise: these bytes are the
+    big-int XOR's, so a change to how the XOR runs cannot change a slot."""
+    enc = ProbabilisticEncryptor(key=b"k" * 32, nonce_source=lambda: bytes(16))
+    digest = hashlib.sha256()
+    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4096, 4097):
+        plaintext = bytes((i * 37 + n) % 256 for i in range(n))
+        ct = enc.encrypt(plaintext, aad=b"a")
+        digest.update(ct.payload + ct.tag)
+        assert enc.decrypt(ct, aad=b"a") == plaintext
+    assert digest.hexdigest() == (
+        "d815a12ad938215dde0c6589cff0c86997f1afea585d7c8cf33427009d181ecf"
+    )
+    assert enc.encrypt(b"\x00").payload == b"\x47"
 
 
 def test_decrypt_with_different_aad_raises():

@@ -44,12 +44,14 @@ from repro.shard.partition import (
     shard_capacity,
     shard_counts,
 )
-from repro.shard.sort import ROW_ID, _sort_task, sharded_sort, word_passes
+from repro.shard import merge as merge_module
+from repro.shard import sort as sort_module
+from repro.shard.sort import ROW_ID, _sort_task, sharded_sort, word_dtype, word_passes
 from repro.store import InMemoryStore, StorePairs, adopt, detach_all
 from repro.store.columns import write_int_column
 from repro.vector.join import vector_oblivious_join
 from repro.vector.relational import order_columns, vector_order_permutation
-from repro.vector.sort import vector_bitonic_sort
+from repro.vector.sort import index_bits, vector_bitonic_sort
 
 #: These tests pin block structure (counts, schedules, dispatches) at test
 #: sizes, so every sort is cut into ``shards`` blocks however small.
@@ -389,6 +391,77 @@ def _lexsort(table, keys):
     return np.lexsort(
         [table[name] if ascending else ~table[name] for name, ascending, *_ in reversed(keys)]
     )
+
+
+# -- the word's width: uint32 where the key bits and the position fit 32 -----
+
+
+def _recording_word_dtypes(monkeypatch):
+    """The word dtype of every block sort's and every merge's payload."""
+    seen = {"_sort_task": [], "merge_pair_task": []}
+    sort_task, merge_task = sort_module._sort_task, merge_module.merge_pair_task
+
+    def sorting(payload):
+        seen["_sort_task"].append(payload[0][ROW_ID].dtype)
+        return sort_task(payload)
+
+    def merging(payload):
+        seen["merge_pair_task"] += [payload[0][ROW_ID].dtype, payload[1][ROW_ID].dtype]
+        return merge_task(payload)
+
+    monkeypatch.setattr(sort_module, "_sort_task", sorting)
+    monkeypatch.setattr(merge_module, "merge_pair_task", merging)
+    return seen
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("word_bits,dtype", [(32, np.uint32), (33, np.int64)])
+def test_a_word_ships_as_uint32_exactly_when_it_fits_32_bits(
+    monkeypatch, executor, word_bits, dtype
+):
+    """Key bits plus ``index_bits(n)`` = 32 ship uint32 words, 33 int64 —
+    one pass either way, crossed with widths, not by patching a constant.
+    Blocks and merges alike carry that dtype, and the rows, heavy ties and
+    the width's extremes included, are the stable order: ``vector``'s with
+    the input position as a last key."""
+    n = 1000
+    keys = [("a", True, word_bits - index_bits(n) - 4), ("b", False, 4)]
+    assert word_dtype(keys, n) == dtype and word_passes(keys, n) == 1
+    rng = np.random.default_rng(word_bits)
+    top = (1 << keys[0][2]) - 1
+    table = {
+        "a": rng.choice([0, 1, top - 1, top], n),
+        "b": rng.choice([0, 7, 15], n),
+        "payload": np.arange(n, dtype=np.int64),
+    }
+    reference = vector_bitonic_sort(table, keys + [("payload", True)])
+    seen = _recording_word_dtypes(monkeypatch)
+    substrate = get_executor(executor, workers=2)
+    for k in (1, 3):
+        counter = [0]
+        got = sharded_sort(table, keys, counter, shards=k, executor=substrate)
+        for name in table:
+            assert np.array_equal(got[name], reference[name]), (k, name)
+        assert np.array_equal(got["payload"], _lexsort(table, keys))
+        assert counter[0] == sharded_sort_comparators(n, k)
+    assert len(seen["_sort_task"]) == 1 + 3 and len(seen["merge_pair_task"]) == 2 * 2
+    assert {*seen["_sort_task"], *seen["merge_pair_task"]} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_real_uint32_word_equal_to_the_pad_sorts_right(k):
+    """At a power-of-two ``n`` with every key all ones, the last row's word is
+    ``digit ‖ position`` = 2**32 - 1, the uint32 pad itself: the block
+    networks and the merges pad with it, and the sort stays the identity."""
+    n = 1024
+    keys = [("a", True, 32 - index_bits(n))]
+    assert word_dtype(keys, n) == np.uint32
+    table = {"a": np.full(n, (1 << keys[0][2]) - 1), "payload": np.arange(n, dtype=np.int64)}
+    counter = [0]
+    got = sharded_sort(table, keys, counter, shards=k, executor=InlineExecutor())
+    for name in table:
+        assert np.array_equal(got[name], table[name]), name
+    assert counter[0] == sharded_sort_comparators(n, k)
 
 
 def test_word_passes_is_a_pure_function_of_the_key_list_and_rows():

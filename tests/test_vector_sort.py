@@ -11,7 +11,6 @@ from repro.obliv.network import is_valid_schedule
 from repro.shard.merge import bitonic_merge_two, merge_comparator_count
 from repro.vector import sort as sort_module
 from repro.vector.sort import (
-    WORD_PAD,
     is_sorted_by,
     lexicographic_greater,
     sort_words,
@@ -113,32 +112,34 @@ def test_lexicographic_greater_tie_break():
     assert gt.tolist() == [True]
 
 
-# -- the payload-free shape: one int64 column sorted ascending by itself ------
+# -- the payload-free shape: one word column sorted ascending by itself --------
 
 WORD_SIZES = sorted(
     set(range(131)) | {2**k + step for k in range(1, 13) for step in (-1, 0, 1)}
 )
 
 
-@pytest.mark.parametrize("flavour", ["distinct", "duplicates", "with_int64_max"])
+@pytest.mark.parametrize(
+    "flavour", ["distinct", "duplicates", "with_int64_max", "with_uint32_max"]
+)
 def test_single_column_kernel_matches_numpy_sort_at_every_size(flavour):
     """The min / max kernel against ``np.sort`` for every n in 0..130 and
-    2**k - 1, 2**k, 2**k + 1 up to 2**12: the padding is ``int64`` max, so
-    rows holding that very value must survive it; the comparator count is
-    the padded network's, as on the multi-column path."""
-    limit = np.iinfo(np.int64).max
+    2**k - 1, 2**k, 2**k + 1 up to 2**12: the padding is the word dtype's
+    maximum, so rows holding that very value must survive it; the comparator
+    count is the padded network's, as on the multi-column path."""
+    dtype = np.uint32 if flavour == "with_uint32_max" else np.int64
     rng = np.random.default_rng(11)
     for n in WORD_SIZES:
         if flavour == "distinct":
             words = rng.permutation(n).astype(np.int64) - n // 2
         else:
-            words = rng.integers(0, 4, n)
-        if flavour == "with_int64_max":
-            words[rng.random(n) < 0.3] = limit
+            words = rng.integers(0, 4, n).astype(dtype)
+        if flavour.startswith("with_"):
+            words[rng.random(n) < 0.3] = np.iinfo(dtype).max
         before = words.copy()
         counter = [0]
         got = vector_bitonic_sort({"w": words}, [("w", True, 62)], counter=counter)
-        assert list(got) == ["w"] and got["w"].dtype == np.int64
+        assert list(got) == ["w"] and got["w"].dtype == dtype
         assert np.array_equal(got["w"], np.sort(before)), (flavour, n)
         assert np.array_equal(words, before)  # input not mutated
         assert counter[0] == comparison_count(next_power_of_two(n)), n
@@ -212,30 +213,49 @@ def strided_sort_words(words, k=2):
         k *= 2
 
 
-def _word_inputs(n, rng):
-    """Arbitrary words, a few values with many ties, and ~40 % int64 limits
-    (``WORD_PAD`` and ``~WORD_PAD``, which the complement swaps)."""
-    limits = rng.choice([WORD_PAD, ~WORD_PAD], n)
+WORD_DTYPES = (np.int64, np.uint32)
+
+
+def _random_words(n, rng, dtype):
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, n, endpoint=True, dtype=dtype)
+
+
+def _word_inputs(n, rng, dtype):
+    """Arbitrary words, a few values with many ties, and the dtype's limits:
+    its maximum (the pad) and ``~`` of it, the pair the complement swaps —
+    ~40 % of int64 words, ~40 % each of uint32 words."""
+    top = np.iinfo(dtype).max
+    draw = rng.random(n)
+    if dtype == np.int64:
+        limits = np.where(draw < 0.4, rng.choice([top, ~top], n), rng.integers(-9, 9, n))
+        ties = rng.integers(-2, 2, n, endpoint=True)
+    else:
+        limits = np.select([draw < 0.4, draw < 0.8], [0, top], rng.integers(1, 9, n))
+        ties = rng.integers(0, 4, n, endpoint=True)
     return {
-        "random": rng.integers(~WORD_PAD, WORD_PAD, n, endpoint=True),
-        "ties": rng.integers(-2, 2, n, endpoint=True),
-        "limits": np.where(rng.random(n) < 0.4, limits, rng.integers(-9, 9, n)),
+        "random": _random_words(n, rng, dtype),
+        "ties": ties.astype(dtype),
+        "limits": limits.astype(dtype),
     }
 
 
 @pytest.mark.parametrize("log_n", range(13))
 def test_transposed_kernel_runs_the_strided_network(log_n):
-    """Every starting phase, on unsorted input: partial networks agree only
-    if their comparators do, so this pins the network, not just the order."""
+    """Every starting phase, on unsorted input of either word dtype: partial
+    networks agree only if their comparators do, so this pins the network,
+    not just the order."""
     n = 2**log_n
     rng = np.random.default_rng(log_n)
     for k in [2**e for e in range(1, log_n + 1)] or [2]:
-        for flavour, words in _word_inputs(n, rng).items():
-            expected = words.copy()
-            strided_sort_words(expected, k)
-            got = words.copy()
-            sort_words(got, k)
-            assert np.array_equal(got, expected), (n, k, flavour)
+        for dtype in WORD_DTYPES:
+            for flavour, words in _word_inputs(n, rng, dtype).items():
+                expected = words.copy()
+                strided_sort_words(expected, k)
+                got = words.copy()
+                sort_words(got, k)
+                assert got.dtype == dtype
+                assert np.array_equal(got, expected), (n, k, dtype, flavour)
 
 
 @pytest.mark.parametrize("la,lb", [(1, 3), (300, 257), (5000, 7000)])
@@ -255,7 +275,7 @@ def test_one_word_merge_matches_the_masked_swap_merge(la, lb):
 
 
 def _access_log(monkeypatch, words, k):
-    """Every exchange and transpose of one ``sort_words`` call as
+    """Every exchange, complement and transpose of one ``sort_words`` call as
     ``(name, [(buffer, shape, strides, byte offset)])`` — ``buffer`` says
     whether the view is of the caller's words or of the kernel's own."""
     log = []
@@ -266,7 +286,7 @@ def _access_log(monkeypatch, words, k):
         owner = "words" if root.ctypes.data == start else "rows"
         return owner, view.shape, view.strides, view.ctypes.data - root.ctypes.data
 
-    for name in ("exchange", "transpose"):
+    for name in ("exchange", "complement", "transpose"):
         original = getattr(sort_module, name)
 
         def spy(*views, name=name, original=original):
@@ -281,15 +301,17 @@ def _access_log(monkeypatch, words, k):
 
 @pytest.mark.parametrize("n", [2, 64, 256, 1024, 4096])
 def test_access_schedule_is_a_function_of_n(monkeypatch, n):
-    """Two inputs of one size take the same views and transposes, at the
-    same offsets; and the stages are the network's."""
+    """Two inputs of one size and dtype take the same views, complements and
+    transposes, at the same offsets; and the stages are the network's."""
     rng = np.random.default_rng(n)
     log_n = n.bit_length() - 1
-    for k, stages in ((2, log_n * (log_n + 1) // 2), (n, log_n)):
-        first, second = (rng.integers(~WORD_PAD, WORD_PAD, n, endpoint=True) for _ in "ab")
-        log = _access_log(monkeypatch, first, k)
-        assert log == _access_log(monkeypatch, second, k), (n, k)
-        exchanges = [views[0][0] for name, views in log if name == "exchange"]
-        # A long stage is two exchanges on the words, a short one one on rows.
-        assert exchanges.count("words") / 2 + exchanges.count("rows") == stages
-        assert k == n or np.array_equal(first, np.sort(first))
+    for dtype in WORD_DTYPES:
+        for k, stages in ((2, log_n * (log_n + 1) // 2), (n, log_n)):
+            first, second = (_random_words(n, rng, dtype) for _ in "ab")
+            log = _access_log(monkeypatch, first, k)
+            assert log == _access_log(monkeypatch, second, k), (n, dtype, k)
+            # Every stage, long on the words or short on rows, is one exchange.
+            assert [name for name, _ in log].count("exchange") == stages
+            complements = [views for name, views in log if name == "complement"]
+            assert complements[::2] == complements[1::2]  # each phase's, undone
+            assert k == n or np.array_equal(first, np.sort(first))
