@@ -25,8 +25,10 @@ paper's single enclave:
     each call covers the hand-off, which is why a sharded sort cuts blocks
     under :data:`~repro.plan.partition.MIN_BLOCK_ROWS` (2**16) rows only
     to save comparators (:func:`~repro.plan.partition.blocks`; the
-    crossover sweep is in ``docs/architecture.md``).  A dispatch of one task runs in the calling
-    thread.  At most :data:`MAX_POOL_WORKERS` threads.
+    crossover sweep is in ``docs/architecture.md``) and sorts those in the
+    calling thread (:func:`~repro.plan.partition.threads_pay`).  A dispatch
+    of one task runs in the calling thread.  At most
+    :data:`MAX_POOL_WORKERS` threads.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *execution* order.  It exists to prove (in tests and the CI
