@@ -27,7 +27,7 @@ Five knobs:
     pad to more comparators than ``shards``, so a sort of fewer than 2**17
     rows is one block except just above a power of two.  Measured on a
     2-core guest (nothing here has been run on more), ``shards=2
-    workers=2`` takes about 0.17x the ``vector`` engine's time at ``n1 =
+    workers=2`` takes about 0.11x the ``vector`` engine's time at ``n1 =
     n2 = 16384`` through the one-word sort kernel, not the second core:
     every sort at that size is one block.  Defaults to ``max(2, workers)``
     so a pooled dispatch has a task per thread.

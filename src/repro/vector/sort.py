@@ -35,6 +35,11 @@ Key = tuple[str, bool] | tuple[str, bool, int]
 #: The dtypes a word column may have: a sharded sort's ``digit ‖ position``.
 WORD_DTYPES = (np.dtype(np.int64), np.dtype(np.uint32))
 
+#: numpy's ufunc buffer, in elements, while :func:`sort_words` runs (its
+#: default is 8192): a stage's strided views are copied through it in chunks
+#: this long.  The sweep is in docs/architecture.md, "One word per row".
+BUFFER = 512
+
 
 def index_bits(size: int) -> int:
     """Public width of a column of indices into ``size`` slots, ``[0, size)``."""
@@ -91,36 +96,40 @@ def sort_words(words: np.ndarray, k: int = 2) -> None:
     stage is one ascending exchange.  Stages with partners ``j >= b`` slots
     apart exchange views of the buffer; shorter ones run on its transpose
     ``rows`` (slot ``c·b + r`` at ``rows[r, c]``), partners whole rows.
-    Every view and copy is a fixed function of ``(n, k)``.
+    Every view and copy is a fixed function of ``(n, k)``.  numpy's ufunc
+    buffer holds :data:`BUFFER` elements for the call, in the calling thread
+    only, so every caller and pool thread keeps its own setting.
     """
-    n = len(words)
-    b = min(n, 128)  # the sweep is in docs/architecture.md, "One word per row"
-    natural = _view(words, n // b, b).T
-    rows = np.empty((b, n // b), dtype=words.dtype)
-    if k <= b:  # phases of short stages only: transposed once, in and out
-        transpose(natural, rows)
-        while k <= b:
-            # Slot c·b + r descends if r & k (k < b) or c is odd (k = b < n).
-            descending = _view(rows, -1, min(2, n // k), k * n // b if k < b else 1)[:, 1:]
+    with np.errstate():  # restores the caller's buffer size on the way out
+        np.setbufsize(BUFFER)
+        n = len(words)
+        b = min(n, 128)  # the sweep is in docs/architecture.md, "One word per row"
+        natural = _view(words, n // b, b).T
+        rows = np.empty((b, n // b), dtype=words.dtype)
+        if k <= b:  # phases of short stages only: transposed once, in and out
+            transpose(natural, rows)
+            while k <= b:
+                # Slot c·b + r descends if r & k (k < b) or c is odd (k = b < n).
+                descending = _view(rows, -1, min(2, n // k), k * n // b if k < b else 1)[:, 1:]
+                complement(descending)
+                _short_stages(rows, k // 2)
+                complement(descending)
+                k *= 2
+            transpose(rows, natural)
+        while k <= n:
+            # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]).
+            descending = _view(words, -1, min(2, n // k), k)[:, 1:]
             complement(descending)
-            _short_stages(rows, k // 2)
+            j = k // 2
+            while j >= b:
+                pairs = _view(words, -1, 2, j)
+                exchange(pairs[:, 0], pairs[:, 1])
+                j //= 2
+            transpose(natural, rows)
+            _short_stages(rows, j)
+            transpose(rows, natural)
             complement(descending)
             k *= 2
-        transpose(rows, natural)
-    while k <= n:
-        # Blocks of k alternate ascending ([:, 0]) and descending ([:, 1:]).
-        descending = _view(words, -1, min(2, n // k), k)[:, 1:]
-        complement(descending)
-        j = k // 2
-        while j >= b:
-            pairs = _view(words, -1, 2, j)
-            exchange(pairs[:, 0], pairs[:, 1])
-            j //= 2
-        transpose(natural, rows)
-        _short_stages(rows, j)
-        transpose(rows, natural)
-        complement(descending)
-        k *= 2
 
 
 def _short_stages(rows: np.ndarray, j: int) -> None:

@@ -1,5 +1,7 @@
 """Vectorised bitonic sort over struct-of-arrays tables."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,10 @@ from hypothesis import strategies as st
 from repro.errors import InputError
 from repro.obliv.bitonic import comparison_count, next_power_of_two
 from repro.obliv.network import is_valid_schedule
+from repro.plan.executors import PoolExecutor
+from repro.shard import sort as shard_sort_module
 from repro.shard.merge import bitonic_merge_two, merge_comparator_count
+from repro.shard.sort import sharded_sort
 from repro.vector import sort as sort_module
 from repro.vector.sort import (
     is_sorted_by,
@@ -315,3 +320,82 @@ def test_access_schedule_is_a_function_of_n(monkeypatch, n):
             complements = [views for name, views in log if name == "complement"]
             assert complements[::2] == complements[1::2]  # each phase's, undone
             assert k == n or np.array_equal(first, np.sort(first))
+
+
+# -- numpy's ufunc buffer: stages on both sides of its size --------------------
+
+#: 2**13 … 2**17, ±1: stages whose inner runs are shorter and longer than
+#: :data:`~repro.vector.sort.BUFFER`, and than numpy's default 8192.
+BUFFER_SIZES = [2**e + step for e in range(13, 18) for step in (-1, 0, 1)]
+
+
+def _pad_heavy(n, rng, dtype):
+    """Words of which ~half are the dtype's maximum, the pad itself."""
+    words = _random_words(n, rng, dtype)
+    words[rng.random(n) < 0.5] = np.iinfo(dtype).max
+    return words
+
+
+@pytest.mark.parametrize("n", BUFFER_SIZES, ids=lambda n: f"n={n}")
+def test_kernel_matches_numpy_sort_across_the_buffer_size(n):
+    """The full sort and a merge of unequal runs against ``np.sort``, on
+    random and pad-heavy words of either dtype."""
+    rng = np.random.default_rng(n)
+    for dtype in WORD_DTYPES:
+        for words in (_random_words(n, rng, dtype), _pad_heavy(n, rng, dtype)):
+            got = vector_bitonic_sort({"w": words}, [("w", True)])["w"]
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.sort(words)), (n, dtype)
+            split = n // 3
+            a, b = np.sort(words[:split]), np.sort(words[split:])
+            merged = bitonic_merge_two({"w": a}, {"w": b}, [("w", True)])["w"]
+            assert np.array_equal(merged, np.sort(words)), (n, dtype, split)
+
+
+def _bufsize_spy(monkeypatch, module, name, readings):
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        readings.append(np.getbufsize())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("caller", [None, 4096], ids=["default", "caller-set"])
+def test_the_buffer_size_is_scoped_to_the_kernel(monkeypatch, blocks_at_any_size, caller):
+    """The kernel runs at ``BUFFER`` and leaves every thread's own setting as
+    it found it: the caller's, at numpy's default or its own value, and a
+    pool thread's; a masked-swap sort never runs at ``BUFFER``."""
+    inside, tasks, masked = [], [], []
+    _bufsize_spy(monkeypatch, sort_module, "exchange", inside)
+    _bufsize_spy(monkeypatch, sort_module, "lexicographic_greater", masked)
+    original_task = shard_sort_module._sort_task
+
+    def task(payload):
+        before = np.getbufsize()
+        result = original_task(payload)
+        tasks.append((threading.get_ident(), before, np.getbufsize()))
+        return result
+
+    monkeypatch.setattr(shard_sort_module, "_sort_task", task)
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 2**40, 4096)
+    with np.errstate():
+        if caller is not None:
+            np.setbufsize(caller)
+        expected = np.getbufsize()
+        vector_bitonic_sort({"w": words}, [("w", True)])
+        assert np.getbufsize() == expected
+        table = {"a": rng.integers(0, 9, 300), "b": rng.integers(0, 9, 300)}
+        keys = [("a", True, 4), ("b", True, 4)]  # one pass: two blocks, one merge
+        got = sharded_sort(table, keys, shards=2, executor=PoolExecutor(workers=2))
+        assert np.getbufsize() == expected
+        assert is_sorted_by(got, keys)
+        vector_bitonic_sort(table, [("a", True), ("b", False)])
+        assert np.getbufsize() == expected
+    assert inside and set(inside) == {sort_module.BUFFER}
+    assert len(tasks) == 2 and all(before == after for _, before, after in tasks)
+    assert threading.get_ident() not in {thread for thread, _, _ in tasks}
+    assert {before for _, before, _ in tasks} == {8192}  # numpy's default, a pool thread's
+    assert masked and set(masked) == {expected}
