@@ -29,14 +29,6 @@ PAPER_SHARES = {
     "align sort on S2": 0.12,
 }
 
-_PHASES = {
-    "initial sorts on TC": ("augment_sort1", "augment_sort2"),
-    "o.d. on T1, T2 (sort)": ("expand1_sort", "expand2_sort"),
-    "o.d. on T1, T2 (route)": ("expand1_route", "expand2_route"),
-    "align sort on S2": ("align_sort",),
-}
-
-
 def test_table3_counts_paper_vs_exact_vs_measured(benchmark):
     n = 512 * SCALE
     w = balanced_output(n, seed=n)
@@ -72,10 +64,10 @@ def test_table3_runtime_share(benchmark):
     _, stats = vector_oblivious_join(w.left, w.right)
 
     sort_total = sum(
-        stats.seconds_by_phase[p] for group in _PHASES.values() for p in group
+        stats.seconds_by_phase[p] for group in TABLE3_GROUPS.values() for p in group
     )
     rows = []
-    for component, phases in _PHASES.items():
+    for component, phases in TABLE3_GROUPS.items():
         seconds = sum(stats.seconds_by_phase[p] for p in phases)
         share = seconds / sort_total
         rows.append(
@@ -89,7 +81,7 @@ def test_table3_runtime_share(benchmark):
 
     shares = {
         comp: sum(stats.seconds_by_phase[p] for p in phases) / sort_total
-        for comp, phases in _PHASES.items()
+        for comp, phases in TABLE3_GROUPS.items()
     }
     # Shape assertions: the initial sorts dominate; routing is the smallest.
     assert shares["initial sorts on TC"] == max(shares.values())

@@ -21,7 +21,7 @@ from .padding import (
     compact_pairs,
     join_bound,
 )
-from .stats import TABLE3_GROUPS, JoinCounters
+from .stats import TABLE3_GROUPS, JoinCounters, PhaseStats
 
 __all__ = [
     "GroupAggregate",
@@ -56,4 +56,5 @@ __all__ = [
     "join_bound",
     "TABLE3_GROUPS",
     "JoinCounters",
+    "PhaseStats",
 ]

@@ -124,7 +124,7 @@ def oblivious_join_aggregate(
     implementation; the other engines' ``aggregate``
     (:func:`repro.engines.get_engine`) produce identical groups and keep
     their own accounting (e.g.
-    :class:`repro.vector.aggregate.VectorAggregateStats`).
+    :class:`repro.core.stats.PhaseStats`).
     """
     tracer = tracer or Tracer()
     local = local or LocalContext()

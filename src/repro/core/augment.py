@@ -107,11 +107,11 @@ def augment_tables(
         combined.write(n1 + i, e)
 
     counters = counters or JoinCounters()
-    with tracer.phase("augment:sort(j,tid)"), counters.timed(PHASE_AUGMENT_SORT1):
+    with tracer.phase("augment:sort(j,tid)"), counters.phase(PHASE_AUGMENT_SORT1):
         bitonic_sort(combined, SPEC_J_TID, stats=counters.stats(PHASE_AUGMENT_SORT1))
-    with tracer.phase("augment:fill_dimensions"), counters.timed(PHASE_FILL_DIMS):
+    with tracer.phase("augment:fill_dimensions"), counters.phase(PHASE_FILL_DIMS):
         m = fill_dimensions(combined, local=local)
-    with tracer.phase("augment:sort(tid,j,d)"), counters.timed(PHASE_AUGMENT_SORT2):
+    with tracer.phase("augment:sort(tid,j,d)"), counters.phase(PHASE_AUGMENT_SORT2):
         bitonic_sort(combined, SPEC_TID_J_D, stats=counters.stats(PHASE_AUGMENT_SORT2))
 
     out1 = PublicArray(n1, name="T1", tracer=tracer)

@@ -122,7 +122,7 @@ def oblivious_join_arrays(
         _apply_output_padding(t1, t2, _m, target_m, tracer, local)
         _m = target_m
 
-    with tracer.phase("expand:S1"), counters.timed("expand1"):
+    with tracer.phase("expand:S1"), counters.phase("expand1"):
         s1, m1 = oblivious_expand(
             t1,
             lambda e: e.a2,
@@ -131,7 +131,7 @@ def oblivious_join_arrays(
             route_stats=counters.stats(PHASE_EXPAND1_ROUTE),
             local=local,
         )
-    with tracer.phase("expand:S2"), counters.timed("expand2"):
+    with tracer.phase("expand:S2"), counters.phase("expand2"):
         s2, m2 = oblivious_expand(
             t2,
             lambda e: e.a1,
@@ -142,11 +142,11 @@ def oblivious_join_arrays(
         )
     assert m1 == m2 == _m, "expansion sizes must agree with the group-dimension sum"
 
-    with counters.timed(PHASE_ALIGN_SORT):
+    with counters.phase(PHASE_ALIGN_SORT):
         align_table(s2, tracer, stats=counters.stats(PHASE_ALIGN_SORT), local=local)
 
     output = PublicArray(_m, name="TD", tracer=tracer)
-    with tracer.phase("zip"), counters.timed(PHASE_LINEAR), local.slot(2):
+    with tracer.phase("zip"), counters.phase(PHASE_LINEAR), local.slot(2):
         for i in range(_m):
             e1 = s1.read(i)
             e2 = s2.read(i)

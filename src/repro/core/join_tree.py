@@ -382,7 +382,7 @@ def oblivious_join_tree(
     edge_bs: list[PublicArray | None] = [None] * len(edges)
 
     # -- bottom-up multiplicity, deepest child edges first -------------------
-    with counters.timed(PHASE_MULTIPLICITY), tracer.phase(PHASE_MULTIPLICITY):
+    with counters.phase(PHASE_MULTIPLICITY), tracer.phase(PHASE_MULTIPLICITY):
         stats = counters.stats(PHASE_MULTIPLICITY)
         for e in reversed(order):
             edge = edges[e]
@@ -440,7 +440,7 @@ def oblivious_join_tree(
     # ep[v] holds, per row, the flattened (beta, start, Q) triple per child
     # edge — everything a slot needs to address that node's children.
     ep: list[PublicArray | None] = [None] * count
-    with counters.timed(PHASE_FINALIZE), tracer.phase(PHASE_FINALIZE):
+    with counters.phase(PHASE_FINALIZE), tracer.phase(PHASE_FINALIZE):
         for v in range(count):
             kids = children.get(v, ())
             if not kids:
@@ -463,7 +463,7 @@ def oblivious_join_tree(
     # slots[v] holds (handle, sigma, data..., edge params...) per slot.
     slots: list[list[tuple] | None] = [None] * count
     stats = counters.stats(PHASE_EXPAND)
-    with counters.timed(PHASE_EXPAND), tracer.phase(PHASE_EXPAND):
+    with counters.phase(PHASE_EXPAND), tracer.phase(PHASE_EXPAND):
         # Root markers at the exclusive prefix of alpha, input order; under
         # padded modes one anchor marker owns the slot tail [m, target).
         marker_cells = []
@@ -552,7 +552,7 @@ def oblivious_join_tree(
             ]
 
     # -- align-concat + client-side compaction -------------------------------
-    with counters.timed(PHASE_ALIGN), tracer.phase(PHASE_ALIGN):
+    with counters.phase(PHASE_ALIGN), tracer.phase(PHASE_ALIGN):
         rows = []
         for g in range(target):
             row: tuple = ()

@@ -1,11 +1,13 @@
-"""Per-phase instrumentation for the join pipeline (feeds Table 3).
+"""Per-phase instrumentation of every operator text (feeds Table 3).
 
 The paper's Table 3 breaks the algorithm's cost into four components
 (initial sorts on TC, the sorts inside the two oblivious distributions, the
 routing passes, and the align sort) and reports both comparison counts and
-each component's share of total runtime.  :class:`JoinCounters` collects
-exactly that: a :class:`~repro.obliv.network.NetworkStats` per named phase
-plus wall-clock time per phase.
+each component's share of total runtime.  :class:`PhaseStats` is the one
+record every text fills: wall time and comparators per named phase, timed
+through :meth:`PhaseStats.phase`.  :class:`JoinCounters` is the traced
+engine's, which counts through a :class:`~repro.obliv.network.NetworkStats`
+per named network.
 """
 
 from __future__ import annotations
@@ -38,11 +40,66 @@ TABLE3_GROUPS = {
 
 
 @dataclass
-class JoinCounters:
-    """Comparison counts and wall time, keyed by pipeline phase."""
+class PhaseStats:
+    """Wall time and comparator counts of one operator run, keyed by the
+    phase names its plan uses, plus the public sizes the text records.
+
+    ``m`` is a join's emitted row count (the public bound under padding),
+    ``target`` a join tree's slot count, ``n`` and ``groups`` an
+    aggregation's input rows and emitted groups.
+    """
+
+    seconds_by_phase: dict[str, float] = field(default_factory=dict)
+    comparisons_by_phase: dict[str, int] = field(default_factory=dict)
+    m: int = 0
+    target: int | None = None
+    n: int = 0
+    groups: int = 0
+
+    @contextmanager
+    def phase(self, name: str, counted: bool = True) -> Iterator[list[int]]:
+        """Time the block under ``name``; if ``counted``, also record the
+        comparators its sorts add to the one-element counter it yields."""
+        counter = [0]
+        start = time.perf_counter()
+        try:
+            yield counter
+        finally:
+            seconds = time.perf_counter() - start
+            self.seconds_by_phase[name] = self.seconds_by_phase.get(name, 0.0) + seconds
+            if counted:
+                self.comparisons_by_phase[name] = self.comparisons(name) + counter[0]
+            self._closed()
+
+    def _closed(self) -> None:
+        """Called as each phase block closes."""
+
+    def comparisons(self, phase: str) -> int:
+        return self.comparisons_by_phase.get(phase, 0)
+
+    @property
+    def total_seconds(self) -> float:
+        return sum(self.seconds_by_phase.values())
+
+    @property
+    def total_comparisons(self) -> int:
+        return sum(self.comparisons_by_phase.values())
+
+    @property
+    def schedule(self) -> tuple[tuple[str, int], ...]:
+        """The primitive schedule ``(phase, comparators)`` — under padding a
+        function of the public sizes only."""
+        return tuple(sorted(self.comparisons_by_phase.items()))
+
+
+@dataclass
+class JoinCounters(PhaseStats):
+    """The traced engine's record: its texts count through a
+    :class:`NetworkStats` bundle per named network, not through a phase's
+    counter, so ``comparisons_by_phase`` is refiled from the bundles as
+    each phase block closes."""
 
     stats_by_phase: dict[str, NetworkStats] = field(default_factory=dict)
-    seconds_by_phase: dict[str, float] = field(default_factory=dict)
 
     def stats(self, phase: str) -> NetworkStats:
         """The (auto-created) counter bundle for ``phase``."""
@@ -50,29 +107,10 @@ class JoinCounters:
             self.stats_by_phase[phase] = NetworkStats()
         return self.stats_by_phase[phase]
 
-    @contextmanager
-    def timed(self, phase: str) -> Iterator[None]:
-        """Accumulate wall-clock time spent in the block under ``phase``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds_by_phase[phase] = (
-                self.seconds_by_phase.get(phase, 0.0) + elapsed
-            )
-
-    def comparisons(self, phase: str) -> int:
-        stats = self.stats_by_phase.get(phase)
-        return stats.comparisons if stats else 0
-
-    @property
-    def total_comparisons(self) -> int:
-        return sum(s.comparisons for s in self.stats_by_phase.values())
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds_by_phase.values())
+    def _closed(self) -> None:
+        self.comparisons_by_phase = {
+            phase: bundle.comparisons for phase, bundle in self.stats_by_phase.items()
+        }
 
     def table3_rows(self) -> list[tuple[str, int, float]]:
         """(component, comparisons, runtime share) rows in Table 3's layout."""

@@ -39,7 +39,7 @@ from ..memory.tracer import Tracer
 from ..plan.ir import Plan
 from .encoding import DictionaryEncoder
 from .encoding_cache import EncodingCache
-from .schema import Schema
+from .schema import Column, Schema
 from .table import DBTable, require_int_column
 
 
@@ -70,6 +70,16 @@ def _pair_rows(table: DBTable, role: str) -> list[tuple]:
             f"(join_value, data_value); got {table.schema.names()}"
         )
     return [tuple(row) for row in table.rows]
+
+
+def _check_key_types(left: Column, right: Column) -> None:
+    """Equi-join keys must share a type: a ``str`` key reaches the engine as
+    dictionary codes, so an ``int`` key would meet codes, not values."""
+    if left.type != right.type:
+        raise SchemaError(
+            f"join key columns {left.name!r} ({left.type}) and "
+            f"{right.name!r} ({right.type}) have different types"
+        )
 
 
 class ObliviousEngine:
@@ -132,6 +142,7 @@ class ObliviousEngine:
         The result contains all columns of both inputs (clashing names get
         dotted prefixes).  Core algorithm: the paper's Algorithm 1.
         """
+        _check_key_types(left.schema.column(on[0]), right.schema.column(on[1]))
         result = self.engine.join(
             self._join_input(left, on[0]),
             self._join_input(right, on[1]),
@@ -212,6 +223,7 @@ class ObliviousEngine:
         over the joined rows, and SUM of their product — all computed in
         `O(n log^2 n)` independent of the join size.
         """
+        _check_key_types(left.schema.column(on[0]), right.schema.column(on[1]))
         left_keys = self._encode_key(left, on[0])
         right_keys = self._encode_key(right, on[1])
         lv = require_int_column(left, values[0])
@@ -308,14 +320,19 @@ class ObliviousEngine:
             c_index = (
                 tables[child].schema.index(ccol) if isinstance(ccol, str) else ccol
             )
-            if band and (
-                tables[parent].schema.columns[p_index].type == "str"
-                or tables[child].schema.columns[c_index].type == "str"
-            ):
-                raise SchemaError(
-                    "band predicates need int key columns; a distance over "
-                    "dictionary codes has no meaning"
-                )
+            key_columns = [
+                tables[node].schema.columns[col]
+                for node, col in ((parent, p_index), (child, c_index))
+                if 0 <= col < len(tables[node].schema)
+            ]
+            # An out-of-range column is left to the engine, which refuses it.
+            if len(key_columns) == 2:
+                _check_key_types(*key_columns)
+                if band and key_columns[0].type == "str":
+                    raise SchemaError(
+                        "band predicates need int key columns; a distance over "
+                        "dictionary codes has no meaning"
+                    )
             edges.append((parent, child, p_index, c_index, band))
         # The join-tree engines carry whole rows as int arrays (no opaque
         # payload handles like the cascade), so *every* str column is
@@ -437,6 +454,7 @@ class ObliviousEngine:
         for step, next_table in enumerate(tables[1:]):
             left_index = folded.index(on[step][0])
             right_index = next_table.schema.index(on[step][1])
+            _check_key_types(folded.columns[left_index], next_table.schema.columns[right_index])
             keys.append((left_index, right_index))
             owner = max(t for t in range(len(tables)) if offsets[t] <= left_index)
             owner_col = left_index - offsets[owner]

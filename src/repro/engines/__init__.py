@@ -36,7 +36,7 @@ bounds;
     The numpy fast path: whole-array bitonic/routing networks whose
     schedule depends only on public sizes.  The default choice for
     benchmarks and production-sized single-process runs.  Its adversary
-    view is the primitive schedule (``Vector*Stats.schedule``).
+    view is the primitive schedule (``PhaseStats.schedule``).
 
 ``sharded``
     The multi-threaded scale-out path: every operator is the ``vector``

@@ -4,7 +4,7 @@ The numpy fast path for every workload.  Outputs are bit-identical to the
 ``traced`` engine (enforced by the differential suite); there is no
 per-access trace — the ``tracer`` parameters are accepted for interface
 compatibility and ignored, because the adversary-visible behaviour of this
-engine is its primitive schedule (``Vector*Stats.schedule``), which depends
+engine is its primitive schedule (``PhaseStats.schedule``), which depends
 only on public sizes.
 
 Every operator hands its ``vector`` text the engine's one ``_sort``; the

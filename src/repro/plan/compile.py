@@ -616,6 +616,9 @@ def compile_workload(
         raise InputError(
             f"unknown workload {workload!r}; expected one of {WORKLOADS}"
         )
+    for size in (n1, n2, n, *(sizes or ())):
+        if isinstance(size, int) and size < 0:
+            raise InputError(f"table sizes must be >= 0, got {size}")
     if workload == "join_tree":
         if not sizes:
             raise InputError("join_tree plans need sizes (one per table)")

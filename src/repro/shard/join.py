@@ -36,7 +36,8 @@ from ..plan.compile import join_plan
 from ..plan.executors import Executor, resolve_executor
 from ..plan.ir import Plan
 from ..store.runtime import StorePairs
-from ..vector.join import VectorJoinStats, vector_oblivious_join
+from ..core.stats import PhaseStats
+from ..vector.join import vector_oblivious_join
 from .sort import sharded_sort
 
 #: Sort keys of the deleted output tournament.  Nothing in ``src`` reads
@@ -46,7 +47,7 @@ MERGE_KEYS = [("j", True), ("d1", True), ("d2", True)]
 
 
 @dataclass
-class ShardedJoinStats(VectorJoinStats):
+class ShardedJoinStats(PhaseStats):
     """The vector join's per-phase record plus the shard count and plan."""
 
     shards: int = 1
@@ -62,7 +63,7 @@ class ShardedJoinStats(VectorJoinStats):
         comparator count (local sorts plus merges) — a function of
         ``(n1, n2, k)``, ``m`` (the public bound under padding) and the
         five sorts' fixed key widths, which set each sort's passes."""
-        return (self.shards, tuple(sorted(self.comparisons_by_phase.items())))
+        return (self.shards, super().schedule)
 
 
 def sharded_oblivious_join(

@@ -13,7 +13,7 @@ numpy operations:
    first ``g`` cells are the surviving groups.
 
 Both bitonic networks run on ``n = n1 + n2`` cells regardless of data, so
-the primitive schedule (exposed as :attr:`VectorAggregateStats.schedule`)
+the primitive schedule (exposed as :attr:`~repro.core.stats.PhaseStats.schedule`)
 depends only on ``n``; the number of emitted groups ``g`` is the same
 deliberate reveal as in the traced engine.  Outputs are bit-identical to
 :func:`repro.core.aggregate.oblivious_join_aggregate` — same
@@ -29,12 +29,10 @@ surviving keys are distinct.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..core.aggregate import GroupAggregate
+from ..core.stats import PhaseStats
 from ..errors import InputError
 from .join import _as_columns, _group_ids
 from .sort import Key, vector_bitonic_sort
@@ -44,43 +42,11 @@ _INT_MAX = np.iinfo(np.int64).max
 _INT_MIN = np.iinfo(np.int64).min
 
 
-@dataclass
-class VectorAggregateStats:
-    """Wall time and comparator counts of one vectorised aggregation."""
-
-    seconds_by_phase: dict[str, float] = field(default_factory=dict)
-    comparisons_by_phase: dict[str, int] = field(default_factory=dict)
-    n: int = 0
-    groups: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds_by_phase.values())
-
-    @property
-    def total_comparisons(self) -> int:
-        return sum(self.comparisons_by_phase.values())
-
-    @property
-    def schedule(self) -> tuple[tuple[str, int], ...]:
-        """Primitive schedule ``(phase, comparators)`` — a function of n only."""
-        return tuple(sorted(self.comparisons_by_phase.items()))
-
-
 def aggregate_keys() -> tuple[list[Key], list[Key]]:
     """The two sorts' keys: rows by ``(j, tid)``, then the compaction's
     surviving boundary cells first, by ``j``.  ``tid`` is 1 or 2, the null
     flag 0 or 1; ``j`` is any int64, so it carries no width."""
     return [("j", True), ("tid", True, 2)], [("null", True, 1), ("j", True)]
-
-
-def _timed_sort(columns, keys, phase, stats, sort):
-    start = time.perf_counter()
-    counter = [0]
-    columns = sort(columns, keys, counter=counter)
-    stats.seconds_by_phase[phase] = time.perf_counter() - start
-    stats.comparisons_by_phase[phase] = counter[0]
-    return columns
 
 
 def _segment_accumulators(j, d, member):
@@ -115,30 +81,31 @@ def _aggregate_columns(combined, keep_if, sort_phase, compact_phase, stats, sort
             f"(|d| <= {limit} at n = {n}); use the traced engine"
         )
     group_keys, compact_keys = aggregate_keys()
-    combined = _timed_sort(combined, group_keys, sort_phase, stats, sort)
+    with stats.phase(sort_phase) as counter:
+        combined = sort(combined, group_keys, counter=counter)
 
-    start = time.perf_counter()
-    j, d, tid = combined["j"], combined["d"], combined["tid"]
-    gid = _group_ids(j)
-    is_left = tid == 1
-    c1, s1, mn1, mx1 = _segment_accumulators(j, d, is_left)
-    c2, s2, mn2, mx2 = _segment_accumulators(j, d, ~is_left)
+    with stats.phase("scan", counted=False):
+        j, d, tid = combined["j"], combined["d"], combined["tid"]
+        gid = _group_ids(j)
+        is_left = tid == 1
+        c1, s1, mn1, mx1 = _segment_accumulators(j, d, is_left)
+        c2, s2, mn2, mx2 = _segment_accumulators(j, d, ~is_left)
 
-    # Scatter each group's totals onto its last (boundary) cell; every other
-    # cell becomes a null that the compaction sort pushes to the back.
-    boundary = np.concatenate([j[1:] != j[:-1], [True]])
-    null = ~(boundary & keep_if(c1, c2)[gid])
-    cells = {
-        "null": null.astype(_INT),
-        "j": j.copy(),
-        "c1": c1[gid], "c2": c2[gid],
-        "s1": s1[gid], "s2": s2[gid],
-        "mn1": mn1[gid], "mx1": mx1[gid],
-        "mn2": mn2[gid], "mx2": mx2[gid],
-    }
-    stats.seconds_by_phase["scan"] = time.perf_counter() - start
+        # Scatter each group's totals onto its last (boundary) cell; every other
+        # cell becomes a null that the compaction sort pushes to the back.
+        boundary = np.concatenate([j[1:] != j[:-1], [True]])
+        null = ~(boundary & keep_if(c1, c2)[gid])
+        cells = {
+            "null": null.astype(_INT),
+            "j": j.copy(),
+            "c1": c1[gid], "c2": c2[gid],
+            "s1": s1[gid], "s2": s2[gid],
+            "mn1": mn1[gid], "mx1": mx1[gid],
+            "mn2": mn2[gid], "mx2": mx2[gid],
+        }
 
-    cells = _timed_sort(cells, compact_keys, compact_phase, stats, sort)
+    with stats.phase(compact_phase) as counter:
+        cells = sort(cells, compact_keys, counter=counter)
     groups = int(n - null.sum())
     stats.groups = groups
     return cells, groups
@@ -166,7 +133,7 @@ def _emit(cells, groups, left_only: bool) -> list[GroupAggregate]:
 def vector_join_aggregate(
     left,
     right,
-    stats: VectorAggregateStats | None = None,
+    stats: PhaseStats | None = None,
     sort=vector_bitonic_sort,
 ) -> list[GroupAggregate]:
     """Aggregate ``T1 ⋈ T2`` per join value without materialising the join.
@@ -178,7 +145,7 @@ def vector_join_aggregate(
     the would-be join size ``m``.  ``sort`` runs both sorts (the sharded
     engine passes :func:`repro.shard.sort.sharded_sort`).
     """
-    stats = stats if stats is not None else VectorAggregateStats()
+    stats = stats if stats is not None else PhaseStats()
     left_cols = _as_columns(left, tid=1)
     right_cols = _as_columns(right, tid=2)
     if len(left_cols["j"]) + len(right_cols["j"]) == 0:
@@ -200,14 +167,14 @@ def vector_join_aggregate(
 
 def vector_group_by(
     table,
-    stats: VectorAggregateStats | None = None,
+    stats: PhaseStats | None = None,
     sort=vector_bitonic_sort,
 ) -> list[GroupAggregate]:
     """Single-table oblivious GROUP BY — the ``vector`` engine's
     ``group_by``, counterpart of the ``traced`` engine's
     :func:`repro.core.aggregate.oblivious_group_by` (count/sum/min/max per
     join value, every group emitted)."""
-    stats = stats if stats is not None else VectorAggregateStats()
+    stats = stats if stats is not None else PhaseStats()
     columns = _as_columns(table, tid=1, side="group-by")
     if len(columns["j"]) == 0:
         return []

@@ -11,9 +11,6 @@ engine while proving security claims on the traced one.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..core.padding import (
@@ -24,31 +21,12 @@ from ..core.padding import (
     check_target_m,
     exceeds_bound,
 )
+from ..core.stats import PhaseStats
 from ..errors import InputError
 from ..obliv.routing import largest_hop
 from .sort import Key, index_bits, vector_bitonic_sort
 
 _INT = np.int64
-
-
-@dataclass
-class VectorJoinStats:
-    """Per-phase wall time and comparator counts of one vectorised join.
-
-    ``m`` is the emitted row count (the public bound under padding).
-    """
-
-    seconds_by_phase: dict[str, float] = field(default_factory=dict)
-    comparisons_by_phase: dict[str, int] = field(default_factory=dict)
-    m: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds_by_phase.values())
-
-    @property
-    def total_comparisons(self) -> int:
-        return sum(self.comparisons_by_phase.values())
 
 
 def int64_cells(values, what: str) -> np.ndarray:
@@ -134,7 +112,7 @@ def _expand(
     columns: dict[str, np.ndarray],
     count_column: str,
     m: int,
-    stats: VectorJoinStats,
+    stats: PhaseStats,
     sort_phase: str,
     route_phase: str,
     sort=vector_bitonic_sort,
@@ -157,24 +135,18 @@ def _expand(
         extended[name] = ext
     extended["_null"][n:] = 1
 
-    start = time.perf_counter()
-    counter = [0]
-    extended = sort(extended, expand_keys(m), counter=counter)
-    stats.seconds_by_phase[sort_phase] = time.perf_counter() - start
-    stats.comparisons_by_phase[sort_phase] = counter[0]
+    with stats.phase(sort_phase) as counter:
+        extended = sort(extended, expand_keys(m), counter=counter)
     extended["f"] = extended.pop("slot") - extended["_null"]
 
-    start = time.perf_counter()
-    _route_forward(extended, m)
-    stats.seconds_by_phase[route_phase] = time.perf_counter() - start
-    # The routing network compares one pair of cells per inner step; the
-    # vectorised loop covers the same (size - hop) slots per phase.
-    route_comparisons = 0
-    hop = largest_hop(m)
-    while hop >= 1:
-        route_comparisons += max(size - hop, 0)
-        hop //= 2
-    stats.comparisons_by_phase[route_phase] = route_comparisons
+    with stats.phase(route_phase) as counter:
+        _route_forward(extended, m)
+        # The routing network compares one pair of cells per inner step; the
+        # vectorised loop covers the same (size - hop) slots per phase.
+        hop = largest_hop(m)
+        while hop >= 1:
+            counter[0] += max(size - hop, 0)
+            hop //= 2
 
     # Truncate to m cells and fill nulls downward from the last real row.
     result = {name: col[:m] for name, col in extended.items()}
@@ -196,7 +168,7 @@ def align_keys(m: int) -> list[Key]:
 
 
 def _align(
-    s2: dict[str, np.ndarray], m: int, stats: VectorJoinStats, sort=vector_bitonic_sort
+    s2: dict[str, np.ndarray], m: int, stats: PhaseStats, sort=vector_bitonic_sort
 ) -> dict[str, np.ndarray]:
     """Vectorised Algorithm 5: transpose each group block of S2."""
     new_group = _group_starts(s2["j"])
@@ -205,12 +177,8 @@ def _align(
     # The group id stands in for j: same order, public width, j is not read again.
     s2 = {**s2, "j": gid, "ii": q // s2["a1"] + (q % s2["a1"]) * s2["a2"]}
 
-    start = time.perf_counter()
-    counter = [0]
-    s2 = sort(s2, align_keys(m), counter=counter)
-    stats.seconds_by_phase["align_sort"] = time.perf_counter() - start
-    stats.comparisons_by_phase["align_sort"] = counter[0]
-    return s2
+    with stats.phase("align_sort") as counter:
+        return sort(s2, align_keys(m), counter=counter)
 
 
 def _append_anchor(columns: dict[str, np.ndarray], tid: int) -> dict[str, np.ndarray]:
@@ -235,7 +203,7 @@ def augment_keys(total: int) -> tuple[list[Key], list[Key]]:
 def _augmented_tables(
     left,
     right,
-    stats: VectorJoinStats,
+    stats: PhaseStats,
     target_m: int | None,
     sort=vector_bitonic_sort,
 ):
@@ -268,33 +236,26 @@ def _augmented_tables(
     }
 
     first, second = augment_keys(n1 + n2)
-    start = time.perf_counter()
-    counter = [0]
-    combined = sort(combined, first, counter=counter)
-    stats.seconds_by_phase["augment_sort1"] = time.perf_counter() - start
-    stats.comparisons_by_phase["augment_sort1"] = counter[0]
+    with stats.phase("augment_sort1") as counter:
+        combined = sort(combined, first, counter=counter)
 
-    start = time.perf_counter()
-    gid = _group_ids(combined["j"])
-    group_count = int(gid[-1]) + 1
-    count1 = np.bincount(gid, weights=(combined["tid"] == 1), minlength=group_count).astype(_INT)
-    count2 = np.bincount(gid, weights=(combined["tid"] == 2), minlength=group_count).astype(_INT)
-    combined["a1"] = count1[gid]
-    combined["a2"] = count2[gid]
-    m = int((count1 * count2).sum())
-    stats.seconds_by_phase["fill_dimensions"] = time.perf_counter() - start
+    with stats.phase("fill_dimensions", counted=False):
+        gid = _group_ids(combined["j"])
+        group_count = int(gid[-1]) + 1
+        count1 = np.bincount(gid, weights=(combined["tid"] == 1), minlength=group_count).astype(_INT)
+        count2 = np.bincount(gid, weights=(combined["tid"] == 2), minlength=group_count).astype(_INT)
+        combined["a1"] = count1[gid]
+        combined["a2"] = count2[gid]
+        m = int((count1 * count2).sum())
     stats.m = m
 
     # Sort 1 ordered by (j, tid, d), so a row's position is its rank under
     # (j, d) within its table: tid ‖ position is the (tid, j, d) order as one
     # key of public width, carried in the tid column (dropped below).
-    start = time.perf_counter()
-    counter = [0]
-    bits = index_bits(n1 + n2)
-    combined["tid"] = (combined["tid"] << bits) | np.arange(n1 + n2, dtype=_INT)
-    combined = sort(combined, second, counter=counter)
-    stats.seconds_by_phase["augment_sort2"] = time.perf_counter() - start
-    stats.comparisons_by_phase["augment_sort2"] = counter[0]
+    with stats.phase("augment_sort2") as counter:
+        bits = index_bits(n1 + n2)
+        combined["tid"] = (combined["tid"] << bits) | np.arange(n1 + n2, dtype=_INT)
+        combined = sort(combined, second, counter=counter)
 
     table1 = {name: col[:n1].copy() for name, col in combined.items() if name != "tid"}
     table2 = {name: col[n1:].copy() for name, col in combined.items() if name != "tid"}
@@ -318,10 +279,10 @@ def _augmented_tables(
 def vector_oblivious_join(
     left,
     right,
-    stats: VectorJoinStats | None = None,
+    stats: PhaseStats | None = None,
     target_m: int | None = None,
     sort=vector_bitonic_sort,
-) -> tuple[np.ndarray, VectorJoinStats]:
+) -> tuple[np.ndarray, PhaseStats]:
     """Vectorised Algorithm 1; returns ``(pairs, stats)``.
 
     ``pairs`` is an ``(m, 2)`` int64 array of joined data values in the same
@@ -342,7 +303,7 @@ def vector_oblivious_join(
     order a later step overwrites, so the output does not depend on how
     ``sort`` breaks them.
     """
-    stats = stats or VectorJoinStats()
+    stats = stats if stats is not None else PhaseStats()
     table1, table2, m = _augmented_tables(left, right, stats, target_m, sort)
     if table1 is None or m == 0:
         return np.zeros((0, 2), dtype=_INT), stats
@@ -351,7 +312,6 @@ def vector_oblivious_join(
     s2 = _expand(table2, "a1", m, stats, "expand2_sort", "expand2_route", sort)
     s2 = _align(s2, m, stats, sort)
 
-    start = time.perf_counter()
-    pairs = np.stack([s1["d"], s2["d"]], axis=1)
-    stats.seconds_by_phase["zip"] = time.perf_counter() - start
+    with stats.phase("zip", counted=False):
+        pairs = np.stack([s1["d"], s2["d"]], axis=1)
     return pairs, stats

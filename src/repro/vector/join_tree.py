@@ -19,9 +19,6 @@ output cannot depend on how ``sort`` breaks ties.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..core.join_tree import (
@@ -32,6 +29,7 @@ from ..core.join_tree import (
     validate_join_tree_tables,
 )
 from ..core.padding import DUMMY_HANDLE, check_padding, exceeds_bound
+from ..core.stats import PhaseStats
 from ..errors import InputError
 from .join import int64_cells
 from .sort import Key, index_bits, vector_bitonic_sort
@@ -51,24 +49,6 @@ def stab_keys(size: int, tags: int) -> tuple[list[Key], list[Key]]:
     ``(coordinate, tag, position)``, then back by ``(tag, position)``."""
     tag, position = ("t", True, index_bits(tags)), ("i", True, index_bits(size))
     return [("x", True), tag, position], [tag, position]
-
-
-@dataclass
-class VectorJoinTreeStats:
-    """Per-phase wall time and comparator counts of one join-tree run."""
-
-    seconds_by_phase: dict[str, float] = field(default_factory=dict)
-    comparisons_by_phase: dict[str, int] = field(default_factory=dict)
-    m: int = 0
-    target: int | None = None
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds_by_phase.values())
-
-    @property
-    def total_comparisons(self) -> int:
-        return sum(self.comparisons_by_phase.values())
 
 
 def _table_array(table, width: int, index: int) -> np.ndarray:
@@ -237,9 +217,9 @@ def vector_join_tree(
     edges,
     padding: str | None = None,
     bound=None,
-    stats: VectorJoinTreeStats | None = None,
+    stats: PhaseStats | None = None,
     sort=vector_bitonic_sort,
-) -> tuple[JoinTreeResult, VectorJoinTreeStats]:
+) -> tuple[JoinTreeResult, PhaseStats]:
     """The vectorised join tree; returns ``(result, stats)``.
 
     ``result.rows`` are bit-identical (values and order) to
@@ -249,7 +229,7 @@ def vector_join_tree(
     option reaches it.  Under padding, a true size above the public bound
     raises :class:`~repro.errors.BoundError` right after ``multiplicity``.
     """
-    stats = stats if stats is not None else VectorJoinTreeStats()
+    stats = stats if stats is not None else PhaseStats()
     padding = check_padding(padding)
     tables = [[tuple(row) for row in table] for table in tables]
     widths, edges = validate_join_tree_tables(tables, edges, padding)
@@ -259,24 +239,21 @@ def vector_join_tree(
     order = topdown_edge_order(edges, len(tables))
 
     # -- multiplicity: bottom-up, deepest edges first --------------------------
-    start_time = time.perf_counter()
-    counter = [0]
-    alpha = [np.ones(n, dtype=_INT) for n in sizes]
-    edge_bs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for e in reversed(order):
-        edge = edges[e]
-        beta, start = edge_multiplicity(
-            arrays[edge.parent][:, edge.parent_col],
-            arrays[edge.child][:, edge.child_col],
-            alpha[edge.child],
-            edge.band,
-            counter,
-            sort,
-        )
-        edge_bs[e] = (beta, start)
-        alpha[edge.parent] = alpha[edge.parent] * beta
-    stats.seconds_by_phase["multiplicity"] = time.perf_counter() - start_time
-    stats.comparisons_by_phase["multiplicity"] = counter[0]
+    with stats.phase("multiplicity") as counter:
+        alpha = [np.ones(n, dtype=_INT) for n in sizes]
+        edge_bs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for e in reversed(order):
+            edge = edges[e]
+            beta, start = edge_multiplicity(
+                arrays[edge.parent][:, edge.parent_col],
+                arrays[edge.child][:, edge.child_col],
+                alpha[edge.child],
+                edge.band,
+                counter,
+                sort,
+            )
+            edge_bs[e] = (beta, start)
+            alpha[edge.parent] = alpha[edge.parent] * beta
 
     m = int(alpha[0].sum())
     target = join_tree_bound(sizes, padding, bound)
@@ -289,58 +266,51 @@ def vector_join_tree(
     # -- finalize: every node's markers, at the exclusive prefix of its mass ---
     # The root's lie in input order (plus, padded, the anchor owning the pad
     # slots [m, target)); each child's in (key, index)-sorted order.
-    start_time = time.perf_counter()
-    counter = [0]
-    defaults = [_marker_defaults(v, widths, children) for v in range(len(sizes))]
-    prefix = np.cumsum(alpha[0], dtype=_INT) - alpha[0]
-    root = {"x": prefix, "h": np.arange(sizes[0], dtype=_INT), "a": prefix}
-    root.update(_payload_columns(0, arrays[0], widths, children, edge_bs))
-    if target is not None:
-        anchor = {**defaults[0], "x": m, "a": m}
-        root = {name: np.append(col, _INT(anchor[name])) for name, col in root.items()}
-    markers = {0: root}
-    for e in order:
-        c, key_col = edges[e].child, edges[e].child_col
-        payload = _payload_columns(c, arrays[c], widths, children, edge_bs)
-        prep = {
-            "x": arrays[c][:, key_col].copy(),
-            "i": np.arange(sizes[c], dtype=_INT),
-            "al": alpha[c],
-            **payload,
-        }
-        prep = sort(prep, prefix_keys(sizes[c]), counter=counter)
-        mass = np.cumsum(prep["al"], dtype=_INT) - prep["al"]
-        markers[c] = {"x": mass, "h": prep["i"], "a": mass}
-        markers[c].update((name, prep[name]) for name in payload)
-    stats.seconds_by_phase["finalize"] = time.perf_counter() - start_time
-    stats.comparisons_by_phase["finalize"] = counter[0]
+    with stats.phase("finalize") as counter:
+        defaults = [_marker_defaults(v, widths, children) for v in range(len(sizes))]
+        prefix = np.cumsum(alpha[0], dtype=_INT) - alpha[0]
+        root = {"x": prefix, "h": np.arange(sizes[0], dtype=_INT), "a": prefix}
+        root.update(_payload_columns(0, arrays[0], widths, children, edge_bs))
+        if target is not None:
+            anchor = {**defaults[0], "x": m, "a": m}
+            root = {name: np.append(col, _INT(anchor[name])) for name, col in root.items()}
+        markers = {0: root}
+        for e in order:
+            c, key_col = edges[e].child, edges[e].child_col
+            payload = _payload_columns(c, arrays[c], widths, children, edge_bs)
+            prep = {
+                "x": arrays[c][:, key_col].copy(),
+                "i": np.arange(sizes[c], dtype=_INT),
+                "al": alpha[c],
+                **payload,
+            }
+            prep = sort(prep, prefix_keys(sizes[c]), counter=counter)
+            mass = np.cumsum(prep["al"], dtype=_INT) - prep["al"]
+            markers[c] = {"x": mass, "h": prep["i"], "a": mass}
+            markers[c].update((name, prep[name]) for name in payload)
 
     # -- distribute_expand: top-down, each node stabs the slot space ----------
-    start_time = time.perf_counter()
-    counter = [0]
-    stabbed = {0: stab_markers(root, np.arange(slots, dtype=_INT), defaults[0], counter, sort)}
-    for e in order:
-        edge = edges[e]
-        parent = stabbed[edge.parent]
-        j = children[edge.parent].index(e)
-        digit = (parent["sg"] // np.maximum(parent[f"q{j}"], 1)) % np.maximum(
-            parent[f"b{j}"], 1
-        )
-        real = parent["h"] != DUMMY_HANDLE
-        coords = np.where(real, parent[f"s{j}"] + digit, -1).astype(_INT)
-        stabbed[edge.child] = stab_markers(
-            markers[edge.child], coords, defaults[edge.child], counter, sort
-        )
-    stats.seconds_by_phase["distribute_expand"] = time.perf_counter() - start_time
-    stats.comparisons_by_phase["distribute_expand"] = counter[0]
+    with stats.phase("distribute_expand") as counter:
+        stabbed = {0: stab_markers(root, np.arange(slots, dtype=_INT), defaults[0], counter, sort)}
+        for e in order:
+            edge = edges[e]
+            parent = stabbed[edge.parent]
+            j = children[edge.parent].index(e)
+            digit = (parent["sg"] // np.maximum(parent[f"q{j}"], 1)) % np.maximum(
+                parent[f"b{j}"], 1
+            )
+            real = parent["h"] != DUMMY_HANDLE
+            coords = np.where(real, parent[f"s{j}"] + digit, -1).astype(_INT)
+            stabbed[edge.child] = stab_markers(
+                markers[edge.child], coords, defaults[edge.child], counter, sort
+            )
 
     # -- align_concat: zip the nodes' slot columns, keep the real prefix ------
-    start_time = time.perf_counter()
-    columns = [
-        stabbed[v][f"d{c}"][:m] for v in range(len(sizes)) for c in range(widths[v])
-    ]
-    rows = list(zip(*(column.tolist() for column in columns)))
-    stats.seconds_by_phase["align_concat"] = time.perf_counter() - start_time
+    with stats.phase("align_concat", counted=False):
+        columns = [
+            stabbed[v][f"d{c}"][:m] for v in range(len(sizes)) for c in range(widths[v])
+        ]
+        rows = list(zip(*(column.tolist() for column in columns)))
     result = JoinTreeResult(
         rows=rows, m=m, padding=padding, target=target, sizes=sizes
     )

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from ..core.multiway import MultiwayResult, cascade, compiled_bounds
 from ..core.padding import check_padding
-from .join import VectorJoinStats, vector_oblivious_join
+from ..core.stats import PhaseStats
+from .join import vector_oblivious_join
 from .sort import vector_bitonic_sort
 
 
@@ -37,7 +38,7 @@ from .sort import vector_bitonic_sort
 class VectorMultiwayStats:
     """Per-step vector-join stats for one cascade run."""
 
-    step_stats: list[VectorJoinStats] = field(default_factory=list)
+    step_stats: list[PhaseStats] = field(default_factory=list)
     intermediate_sizes: list[int] = field(default_factory=list)
     #: Per-step public output bounds of a padded run (empty when revealed) —
     #: the adversary-visible sizes, one per join step, so comparison tests
@@ -63,7 +64,7 @@ class VectorMultiwayStats:
         return tuple(
             (step, phase, count)
             for step, stats in enumerate(self.step_stats)
-            for phase, count in sorted(stats.comparisons_by_phase.items())
+            for phase, count in stats.schedule
         )
 
 

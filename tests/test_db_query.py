@@ -1,10 +1,13 @@
 """The oblivious query engine: relational integration tests."""
 
+import os
+
 import pytest
 
 from repro.db.query import ObliviousEngine
 from repro.db.table import DBTable
-from repro.errors import SchemaError
+from repro.engines import available_engines
+from repro.errors import InputError, SchemaError
 from repro.memory.tracer import HashSink, Tracer
 
 
@@ -204,3 +207,43 @@ def test_query_trace_independent_of_data():
     a = run([(1, 10), (2, 20)], [(1, 5), (3, 6)])
     b = run([(8, 99), (9, 11)], [(9, 1), (4, 2)])
     assert a == b  # same (n1, n2, m) class
+
+
+KEY_ENGINES = [
+    name
+    for name in available_engines()
+    if name in os.environ.get("REPRO_ENGINES", ",".join(available_engines())).split(",")
+]
+
+
+@pytest.mark.parametrize("engine_name", KEY_ENGINES)
+def test_key_columns_of_different_types_are_refused_before_encoding(engine_name):
+    # An int key would reach the engine raw and a str key as dictionary
+    # codes, so int 1 would meet the code of "y".
+    ints = DBTable.from_rows(["k:int", "v:int"], [(1, 5), (2, 6)])
+    strs = DBTable.from_rows(["k:str", "w:int"], [("x", 10), ("y", 20)])
+    engine = ObliviousEngine(engine=engine_name)
+    for left, right, message in (
+        (ints, strs, r"'k' \(int\) and 'k' \(str\)"),
+        (strs, ints, r"'k' \(str\) and 'k' \(int\)"),
+    ):
+        calls = {
+            "join": lambda: engine.join(left, right, ("k", "k")),
+            "join_aggregate": lambda: engine.join_aggregate(
+                left, right, ("k", "k"), (left.schema.names()[1], right.schema.names()[1])
+            ),
+            "multiway_join": lambda: engine.multiway_join([left, right], [("k", "k")]),
+            "join_tree": lambda: engine.join_tree([left, right], [(0, 1, "k", "k")]),
+        }
+        for name, call in calls.items():
+            with pytest.raises(SchemaError, match=message):
+                call()
+            assert len(engine.encoder) == 0, name
+
+
+def test_a_join_tree_key_column_out_of_range_stays_an_input_error():
+    table = DBTable.from_rows(["k:int", "v:int"], [(1, 5), (2, 6)])
+    engine = ObliviousEngine(engine="vector")
+    for edge in ((0, 1, 5, 0), (0, 1, 0, 7)):
+        with pytest.raises(InputError, match="out of range"):
+            engine.join_tree([table, table], [edge])

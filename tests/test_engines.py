@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from repro.baselines.hash_join import join_multiset
 from repro.core.aggregate import oblivious_group_by, oblivious_join_aggregate
 from repro.core.multiway import oblivious_multiway_join
+from repro.core.stats import PhaseStats as VectorAggregateStats
 from repro.db.query import ObliviousEngine
 from repro.db.table import DBTable
 from repro.engines import (
@@ -28,7 +29,7 @@ from repro.engines import (
     register_engine,
 )
 from repro.errors import InputError
-from repro.vector.aggregate import VectorAggregateStats, vector_join_aggregate
+from repro.vector.aggregate import vector_join_aggregate
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 
 from conftest import pairs_strategy

@@ -17,6 +17,7 @@ from test_shard import BENCHMARK_SHAPES, PARENT_PLAN_DIGESTS, benchmark_shape_ru
 
 from repro.cli import main
 from repro.core.padding import cascade_bounds, join_bound
+from repro.core.stats import PhaseStats as VectorAggregateStats
 from repro.engines import get_engine
 from repro.errors import InputError
 from repro.plan import (
@@ -33,7 +34,7 @@ from repro.plan.compile import join_plan
 from repro.plan.executors import InlineExecutor, get_executor
 from repro.shard.join import ShardedJoinStats, sharded_oblivious_join
 from repro.shard.sort import sharded_sort
-from repro.vector.aggregate import VectorAggregateStats, vector_group_by, vector_join_aggregate
+from repro.vector.aggregate import vector_group_by, vector_join_aggregate
 from repro.vector.multiway import VectorMultiwayStats, vector_multiway_join
 from repro.vector.relational import vector_filter_indices, vector_order_permutation
 
@@ -862,3 +863,32 @@ def test_cli_plan_rejects_missing_shapes_and_bad_bounds(capsys):
     with pytest.raises(SystemExit):  # engine-option errors exit cleanly too
         main(["plan", "--engine", "vector", "--shards", "4", "--n1", "4", "--n2", "4"])
     capsys.readouterr()
+
+
+#: One negative size per workload, in the shape ``compile_workload`` reads.
+NEGATIVE_SHAPES = {
+    "join": {"n1": -1, "n2": 3},
+    "multiway": {"sizes": [-1, 3]},
+    "join_tree": {"sizes": [-1, 3], "edges": [(0, 1, 0, 0)]},
+    "aggregate": {"n1": 3, "n2": -1},
+    "group_by": {"n": -1},
+    "filter": {"n": -1},
+    "order_by": {"n": -1},
+}
+
+
+@pytest.mark.parametrize("engine", ["traced", "vector", "sharded"])
+@pytest.mark.parametrize("workload", sorted(NEGATIVE_SHAPES))
+def test_every_workload_refuses_a_negative_size(workload, engine):
+    shapes = NEGATIVE_SHAPES[workload]
+    with pytest.raises(InputError, match="table sizes must be >= 0"):
+        compile_workload(workload, engine, **shapes)
+    with pytest.raises(InputError, match="table sizes must be >= 0"):
+        get_engine(engine).compile_plan(workload, **shapes)
+
+
+def test_cli_plan_refuses_a_negative_size_in_one_line(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plan", "--engine", "vector", "--workload", "join", "--n1", "-1", "--n2", "3"])
+    assert str(exit_info.value) == "table sizes must be >= 0, got -1"
+    assert capsys.readouterr().out == ""

@@ -566,3 +566,16 @@ def test_service_reports_store_io_for_stored_tables(tmp_path):
             assert vector_service.query(spec).table.rows == expected.rows
     finally:
         detach_all()
+
+
+def test_server_refuses_a_join_on_key_columns_of_different_types():
+    service = ServiceEngine(engine="vector")
+    with _ServerThread(service) as server:
+        with ServiceClient(port=server.port) as client:
+            client.register_table("l", DBTable.from_rows(["k:int", "v:int"], [(1, 5), (2, 6)]))
+            client.register_table("r", DBTable.from_rows(["k:str", "w:int"], [("x", 10), ("y", 20)]))
+            with pytest.raises(ServiceError, match=r"'k' \(int\) and 'k' \(str\)") as failure:
+                client.query({"op": "join", "left": "l", "right": "r", "on": ["k", "k"]})
+            assert failure.value.kind == "SchemaError"
+            assert client.ping()
+            client.shutdown()

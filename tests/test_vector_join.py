@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines.hash_join import join_multiset
+from repro.core.stats import PhaseStats
 from repro.errors import InputError
 from repro.vector.baseline import vector_sort_merge_join
-from repro.vector.join import VectorJoinStats, vector_oblivious_join
+from repro.vector.join import vector_oblivious_join
 
 from conftest import pairs_strategy
 
@@ -77,6 +78,6 @@ def test_vector_sort_merge_malformed():
 
 
 def test_stats_dataclass_defaults():
-    stats = VectorJoinStats()
+    stats = PhaseStats()
     assert stats.total_seconds == 0.0
     assert stats.total_comparisons == 0
