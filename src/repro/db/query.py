@@ -454,7 +454,9 @@ class ObliviousEngine:
         for step, next_table in enumerate(tables[1:]):
             left_index = folded.index(on[step][0])
             right_index = next_table.schema.index(on[step][1])
-            _check_key_types(folded.columns[left_index], next_table.schema.columns[right_index])
+            _check_key_types(
+                folded.columns[left_index], next_table.schema.columns[right_index]
+            )
             keys.append((left_index, right_index))
             owner = max(t for t in range(len(tables)) if offsets[t] <= left_index)
             owner_col = left_index - offsets[owner]

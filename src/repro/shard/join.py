@@ -32,11 +32,11 @@ from functools import partial
 import numpy as np
 
 from ..core.padding import check_target_m
+from ..core.stats import PhaseStats
 from ..plan.compile import join_plan
 from ..plan.executors import Executor, resolve_executor
 from ..plan.ir import Plan
 from ..store.runtime import StorePairs
-from ..core.stats import PhaseStats
 from ..vector.join import vector_oblivious_join
 from .sort import sharded_sort
 

@@ -91,8 +91,8 @@ def _aggregate_columns(combined, keep_if, sort_phase, compact_phase, stats, sort
         c1, s1, mn1, mx1 = _segment_accumulators(j, d, is_left)
         c2, s2, mn2, mx2 = _segment_accumulators(j, d, ~is_left)
 
-        # Scatter each group's totals onto its last (boundary) cell; every other
-        # cell becomes a null that the compaction sort pushes to the back.
+        # Scatter each group's totals onto its last (boundary) cell; every
+        # other cell becomes a null that the compaction sort pushes to the back.
         boundary = np.concatenate([j[1:] != j[:-1], [True]])
         null = ~(boundary & keep_if(c1, c2)[gid])
         cells = {
