@@ -323,9 +323,9 @@ class ObliviousEngine:
             key_columns = [
                 tables[node].schema.columns[col]
                 for node, col in ((parent, p_index), (child, c_index))
-                if 0 <= col < len(tables[node].schema)
+                if isinstance(col, int) and 0 <= col < len(tables[node].schema)
             ]
-            # An out-of-range column is left to the engine, which refuses it.
+            # Any other column is left to the engine, which coerces or refuses it.
             if len(key_columns) == 2:
                 _check_key_types(*key_columns)
                 if band and key_columns[0].type == "str":
