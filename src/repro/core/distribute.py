@@ -27,6 +27,10 @@ from ..obliv.network import NetworkStats
 from ..obliv.permute import FeistelPRP
 from ..obliv.routing import route_forward
 from .entry import Entry
+from .stats import JoinCounters
+
+#: The phase names a distribution's sort and route are recorded under.
+DISTRIBUTE_PHASES = ("distribute_sort", "distribute_route")
 
 #: Order null entries last, real entries by destination index.
 SPEC_NULL_F = SortSpec(
@@ -58,9 +62,9 @@ def ext_oblivious_distribute(
     array: PublicArray,
     m: int,
     tracer: Tracer,
-    stats: NetworkStats | None = None,
-    route_stats: NetworkStats | None = None,
+    counters: JoinCounters | None = None,
     validate: bool = True,
+    phases: tuple[str, str] = DISTRIBUTE_PHASES,
 ) -> PublicArray:
     """Distribute the non-null entries of ``array`` to their ``f`` targets.
 
@@ -68,7 +72,11 @@ def ext_oblivious_distribute(
     ``x.f`` and every other cell is null.  The number of non-null entries
     must not exceed ``m``.  ``validate`` runs an (untraced) precondition
     check; disable it only in hot paths that construct ``f`` themselves.
+    ``counters`` times and counts the sort and the route under the two
+    names in ``phases``.
     """
+    counters = counters if counters is not None else JoinCounters()
+    sort_phase, route_phase = phases
     n = len(array)
     if validate:
         count = _check_targets(array.snapshot(), m)
@@ -82,10 +90,10 @@ def ext_oblivious_distribute(
             out.write(i, array.read(i))
         for i in range(n, size):
             out.write(i, Entry.make_null())
-    with tracer.phase("distribute:sort(f)"):
-        bitonic_sort(out, SPEC_NULL_F, stats=stats)
-    with tracer.phase("distribute:route"):
-        route_forward(out, _target_of, m, stats=route_stats if route_stats is not None else stats)
+    with tracer.phase("distribute:sort(f)"), counters.phase(sort_phase):
+        bitonic_sort(out, SPEC_NULL_F, stats=counters.stats(sort_phase))
+    with tracer.phase("distribute:route"), counters.phase(route_phase):
+        route_forward(out, _target_of, m, stats=counters.stats(route_phase))
     if size == m:
         return out
     trimmed = PublicArray(m, name=f"{array.name}#distm", tracer=tracer)
@@ -99,7 +107,7 @@ def oblivious_distribute(
     array: PublicArray,
     m: int,
     tracer: Tracer,
-    stats: NetworkStats | None = None,
+    counters: JoinCounters | None = None,
     validate: bool = True,
 ) -> PublicArray:
     """Algorithm 3 proper: all entries real, ``m >= n`` required."""
@@ -107,7 +115,7 @@ def oblivious_distribute(
         raise CapacityError(
             f"destination array of size {m} cannot hold {len(array)} elements"
         )
-    return ext_oblivious_distribute(array, m, tracer, stats=stats, validate=validate)
+    return ext_oblivious_distribute(array, m, tracer, counters=counters, validate=validate)
 
 
 def probabilistic_distribute(

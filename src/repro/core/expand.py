@@ -16,9 +16,9 @@ from ..errors import InputError
 from ..memory.local import LocalContext
 from ..memory.public import PublicArray
 from ..memory.tracer import Tracer
-from ..obliv.network import NetworkStats
-from .distribute import ext_oblivious_distribute
+from .distribute import DISTRIBUTE_PHASES, ext_oblivious_distribute
 from .entry import Entry
+from .stats import JoinCounters
 
 
 def assign_first_slots(
@@ -73,19 +73,20 @@ def oblivious_expand(
     array: PublicArray,
     count_of: Callable[[Entry], int],
     tracer: Tracer,
-    stats: NetworkStats | None = None,
-    route_stats: NetworkStats | None = None,
+    counters: JoinCounters | None = None,
+    phases: tuple[str, str] = DISTRIBUTE_PHASES,
     local: LocalContext | None = None,
 ) -> tuple[PublicArray, int]:
     """Expand ``array`` so each element ``x`` appears ``count_of(x)`` times.
 
     Returns ``(expanded_array, m)``.  Elements appear in input order, each as
     a contiguous run of copies, which is what Align-Table (Alg. 5) assumes.
+    ``counters`` records the distribution's sort and route under ``phases``.
     """
     with tracer.phase("expand:prefix"):
         m = assign_first_slots(array, count_of, local=local)
     expanded = ext_oblivious_distribute(
-        array, m, tracer, stats=stats, route_stats=route_stats, validate=False
+        array, m, tracer, counters=counters, validate=False, phases=phases
     )
     with tracer.phase("expand:fill"):
         fill_down(expanded, local=local)

@@ -122,22 +122,22 @@ def oblivious_join_arrays(
         _apply_output_padding(t1, t2, _m, target_m, tracer, local)
         _m = target_m
 
-    with tracer.phase("expand:S1"), counters.phase("expand1"):
+    with tracer.phase("expand:S1"):
         s1, m1 = oblivious_expand(
             t1,
             lambda e: e.a2,
             tracer,
-            stats=counters.stats(PHASE_EXPAND1_SORT),
-            route_stats=counters.stats(PHASE_EXPAND1_ROUTE),
+            counters=counters,
+            phases=(PHASE_EXPAND1_SORT, PHASE_EXPAND1_ROUTE),
             local=local,
         )
-    with tracer.phase("expand:S2"), counters.phase("expand2"):
+    with tracer.phase("expand:S2"):
         s2, m2 = oblivious_expand(
             t2,
             lambda e: e.a1,
             tracer,
-            stats=counters.stats(PHASE_EXPAND2_SORT),
-            route_stats=counters.stats(PHASE_EXPAND2_ROUTE),
+            counters=counters,
+            phases=(PHASE_EXPAND2_SORT, PHASE_EXPAND2_ROUTE),
             local=local,
         )
     assert m1 == m2 == _m, "expansion sizes must agree with the group-dimension sum"

@@ -332,8 +332,9 @@ def _stab(
         coord, tag, idx, payload = cells.read(i)
         if tag == 0:
             carry = payload
-        else:
-            cells.write(i, (coord, tag, idx, carry))
+        # Every cell is written, a marker with its own payload, so the
+        # write set does not depend on where the sorted markers land.
+        cells.write(i, (coord, tag, idx, carry))
     bitonic_sort(cells, _STAB_UNSORT, stats=stats)
     out = []
     for g in range(q):
@@ -415,8 +416,7 @@ def oblivious_join_tree(
                 coord, tag, idx, acc = cells.read(i)
                 if tag == 1:
                     running = acc
-                else:
-                    cells.write(i, (coord, tag, idx, running))
+                cells.write(i, (coord, tag, idx, running))
             bitonic_sort(cells, _STAB_UNSORT, stats=stats)
             bs = PublicArray(n_v, name=f"JT_BS{e}", tracer=tracer)
             for t in range(n_v):

@@ -30,7 +30,13 @@ from dataclasses import dataclass
 from ..errors import InputError
 from ..memory.tracer import Tracer
 from .join import oblivious_join
-from .padding import DUMMY_HANDLE, DUMMY_KEY_BASE, check_padded_key, check_padding
+from .padding import (
+    DUMMY_HANDLE,
+    DUMMY_KEY_BASE,
+    cascade_bounds,
+    check_padded_key,
+    check_padding,
+)
 
 
 @dataclass
@@ -90,20 +96,18 @@ def encode_handles(
     return pairs
 
 
-def compiled_bounds(
+def checked_cascade_bounds(
     tables: list[list[tuple]],
     keys: list[tuple[int, int]],
-    engine: str,
     padding: str,
     bound,
 ) -> tuple[int, ...] | None:
-    """Validate a cascade's shape and read its public per-step bounds from
-    its compiled plan; ``None`` for a revealed cascade.
+    """Validate a cascade's shape and return its public per-step bounds;
+    ``None`` for a revealed cascade.
 
-    The bounds come from the same compiler the CLI ``plan`` command and the
-    plan-equality tests use (which itself reuses
-    :func:`~repro.core.padding.cascade_bounds`), so artifact and execution
-    cannot drift.
+    The bounds are :func:`~repro.core.padding.cascade_bounds`, the call the
+    plan compiler makes for a multiway plan's ``bounds`` shape, so artifact
+    and execution cannot drift.
     """
     if len(tables) < 2:
         raise InputError("a multiway join needs at least two tables")
@@ -113,12 +117,7 @@ def compiled_bounds(
         )
     if padding == "revealed":
         return None
-    from ..plan.compile import compile_multiway  # deferred: plan imports core
-
-    plan = compile_multiway(
-        [len(t) for t in tables], engine, padding=padding, bound=bound
-    )
-    return plan.shape("bounds")
+    return cascade_bounds([len(t) for t in tables], padding, bound)
 
 
 def cascade(tables, keys, bounds, run_step):
@@ -233,7 +232,7 @@ def oblivious_multiway_join(
         Concatenated row tuples plus the true size after every step.
     """
     padding = check_padding(padding)
-    bounds = compiled_bounds(tables, keys, "traced", padding, bound)
+    bounds = checked_cascade_bounds(tables, keys, padding, bound)
     tracer = tracer or Tracer()
 
     def run_step(left_pairs, right_pairs, target):

@@ -3,7 +3,7 @@
 from .distinct import oblivious_distinct, oblivious_union
 from .encoding import DictionaryEncoder
 from .encoding_cache import EncodingCache
-from .query import ObliviousEngine, PipelineQueryResult
+from .query import ObliviousEngine
 from .schema import COLUMN_TYPES, Column, Schema
 from .table import DBTable
 
@@ -13,7 +13,6 @@ __all__ = [
     "DictionaryEncoder",
     "EncodingCache",
     "ObliviousEngine",
-    "PipelineQueryResult",
     "COLUMN_TYPES",
     "Column",
     "Schema",

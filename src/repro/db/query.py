@@ -29,47 +29,17 @@ is revealed.  See :mod:`repro.core.padding` and ``docs/leakage.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ..core.join_tree import validate_join_tree
 from ..core.padding import compact_pairs
 from ..engines import Engine, get_engine
 from ..errors import SchemaError
 from ..memory.tracer import Tracer
-from ..plan.ir import Plan
 from .encoding import DictionaryEncoder
 from .encoding_cache import EncodingCache
 from .schema import Column, Schema
 from .table import DBTable, require_int_column
-
-
-@dataclass
-class PipelineQueryResult:
-    """Result of :meth:`ObliviousEngine.pipeline`: the rows plus the plan.
-
-    ``plan`` is the plans of the operators the chain ran, each compiled at
-    the input size its stage received, and ``sizes`` the revealed
-    per-stage output sizes (the same values running the operators one at a
-    time would reveal one call at a time).
-    """
-
-    table: DBTable
-    sizes: list[int]
-    plan: Plan
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
-def _pair_rows(table: DBTable, role: str) -> list[tuple]:
-    """A pipeline stage table must be two int columns (the (j, d) model)."""
-    columns = table.schema.columns
-    if len(columns) != 2 or any(column.type != "int" for column in columns):
-        raise SchemaError(
-            f"pipeline {role} table needs exactly two int columns "
-            f"(join_value, data_value); got {table.schema.names()}"
-        )
-    return [tuple(row) for row in table.rows]
 
 
 def _check_key_types(left: Column, right: Column) -> None:
@@ -334,6 +304,8 @@ class ObliviousEngine:
                         "dictionary codes has no meaning"
                     )
             edges.append((parent, child, p_index, c_index, band))
+        # Refuse a malformed tree before any column is encoded.
+        validate_join_tree([len(table.schema) for table in tables], edges)
         # The join-tree engines carry whole rows as int arrays (no opaque
         # payload handles like the cascade), so *every* str column is
         # dictionary-encoded — in base-table row order, which keeps the
@@ -353,88 +325,6 @@ class ObliviousEngine:
             offsets,
             folded,
             lambda rows: self.engine.join_tree(rows, edges, tracer=self.tracer).rows,
-        )
-
-    def pipeline(self, source: DBTable, steps) -> PipelineQueryResult:
-        """Run a whole operator chain, one operator at a time.
-
-        ``source`` (and every other stage table) is a two-int-column table
-        in the paper's ``(join_value, data_value)`` model.  ``steps`` is a
-        sequence of:
-
-        ``("filter", predicate)``
-            Oblivious selection over the source rows (first step only).
-        ``("join", right)``
-            Equi-join on the join columns; the result carries the two data
-            columns (the join values are consumed by the match).
-        ``("multiway", tables, keys)``
-            Left-deep cascade; ``keys[k] = (left_col, right_col)`` are
-            column *indices* into the accumulated row, as in
-            :meth:`multiway_join`'s engine-level form.  The result folds
-            every table's full row.
-        ``("group_by",)``
-            Terminal grouped count/sum/min/max keyed on the first column.
-        ``("order_by", [(column_name, ascending), ...])``
-            Stable oblivious sort of the current rows.
-
-        The chain runs one operator at a time on the configured engine, so
-        it reveals exactly what the same operators called one by one
-        reveal; ``plan`` is those operators' plans, each compiled at the
-        input size its stage received
-        (:meth:`~repro.engines.base.PaddingOptionsMixin.pipeline`).
-        """
-        stages: list[tuple] = [("source", _pair_rows(source, "source"))]
-        schema = source.schema
-        for step in steps:
-            name = step[0]
-            if name == "filter":
-                stages.append(
-                    ("filter", [bool(step[1](row)) for row in source.rows])
-                )
-            elif name == "join":
-                right = step[1]
-                stages.append(("join", _pair_rows(right, "join right")))
-                schema = Schema.of(
-                    f"l_{schema.columns[1].name}:int",
-                    f"r_{right.schema.columns[1].name}:int",
-                )
-            elif name == "multiway":
-                tables = [
-                    _pair_rows(table, f"multiway table {index + 1}")
-                    for index, table in enumerate(step[1])
-                ]
-                stages.append(
-                    ("multiway", tables, [tuple(key) for key in step[2]])
-                )
-                for index, table in enumerate(step[1]):
-                    schema = schema.concat(
-                        table.schema, (f"t{index}", f"t{index + 1}")
-                    )
-            elif name == "group_by":
-                stages.append(("group_by",))
-                key, value = schema.columns[0].name, schema.columns[1].name
-                schema = Schema.of(
-                    f"{key}:int", "count:int", f"sum_{value}:int",
-                    f"min_{value}:int", f"max_{value}:int",
-                )
-            elif name == "order_by":
-                spec = [
-                    (schema.index(column), ascending)
-                    for column, ascending in step[1]
-                ]
-                stages.append(("order_by", spec))
-            else:
-                raise SchemaError(f"unknown pipeline step {name!r}")
-        result = self.engine.pipeline(stages, tracer=self.tracer)
-        if result.groups is not None:
-            rows = [
-                (g.j, g.count1, g.sum_d1, g.min_d1, g.max_d1)
-                for g in result.groups
-            ]
-        else:
-            rows = list(result.rows)
-        return PipelineQueryResult(
-            table=DBTable(schema, rows), sizes=result.sizes, plan=result.plan
         )
 
     def _multiway_key_plan(self, tables: list[DBTable], on: list[tuple[str, str]]):

@@ -67,7 +67,6 @@ from .base import (
     get_engine,
     register_engine,
 )
-from .pipeline import PipelineResult, check_pipeline_stages
 from .sharded import ShardedEngine
 from .traced import TracedEngine
 from .vector import VectorEngine
@@ -80,9 +79,7 @@ SHARDED_ENGINE = register_engine(ShardedEngine())
 __all__ = [
     "Engine",
     "Pairs",
-    "PipelineResult",
     "available_engines",
-    "check_pipeline_stages",
     "engine_option_names",
     "get_engine",
     "register_engine",

@@ -29,12 +29,11 @@ from ..core.aggregate import GroupAggregate
 from ..core.join import JoinResult
 from ..core.join_tree import JoinTreeResult
 from ..core.multiway import MultiwayResult
-from ..core.padding import check_padding, compact_pairs, join_bound
+from ..core.padding import check_padding, join_bound
 from ..errors import InputError
 from ..memory.tracer import Tracer
 from ..plan.compile import compile_workload
-from ..plan.ir import Plan, PlanBuilder
-from .pipeline import PipelineResult, check_pipeline_stages
+from ..plan.ir import Plan
 
 #: A table in the paper's model: a list of ``(join_value, data_value)`` pairs.
 Pairs = list[tuple[int, int]]
@@ -116,90 +115,6 @@ class PaddingOptionsMixin:
         if shapes["padding"] == "revealed":
             shapes["bound"] = None  # a cap is meaningless without padding
         return compile_workload(workload, engine=self.name, **shapes)
-
-    def pipeline(self, stages, tracer: Tracer | None = None) -> PipelineResult:
-        """Run a whole operator chain, one operator at a time.
-
-        This is the one pipeline path every engine shares: each stage
-        materialises fully before the next starts, calling the engine's
-        own operator entry points, so the output is whatever the
-        single-operator differential suite already guarantees
-        (``tests/test_pipeline.py`` pins every engine x executor against
-        ``traced``).
-
-        ``stages`` is a list of data-carrying stage tuples — see
-        :func:`repro.engines.pipeline.check_pipeline_stages` for the
-        vocabulary.  Returns a
-        :class:`~repro.engines.pipeline.PipelineResult` whose ``plan`` is
-        the plans of the operators that ran: stage ``i``'s
-        :meth:`compile_plan` at the input size it received (``sizes[i -
-        1]``, already revealed), embedded with ``pipeline_stage=i``; the
-        plan's ``stages`` shape is every stage's ``(name, input size)``.
-        No plan is compiled ahead of the run: a stage's input size is the
-        output size of the stage before it.
-        """
-        stages = list(stages)
-        check_pipeline_stages(stages)
-        rows = [tuple(row) for row in stages[0][1]]
-        sizes = [len(rows)]
-        shapes = [("source", len(rows))]
-        plans: list[Plan] = []
-        groups: list[GroupAggregate] | None = None
-        for stage in stages[1:]:
-            name, n = stage[0], len(rows)
-            shapes.append((name, n))
-            if name == "filter":
-                plans.append(self.compile_plan("filter", n=n))
-                kept = self.filter_indices(
-                    [bool(flag) for flag in stage[1]], tracer=tracer
-                )
-                rows = [rows[index] for index in kept]
-            elif name == "join":
-                right = [tuple(pair) for pair in stage[1]]
-                plans.append(self.compile_plan("join", n1=n, n2=len(right)))
-                result = self.join(rows, right, tracer=tracer)
-                # Padded joins append tagged dummies; the chain continues
-                # with the real rows (the final output size is public in
-                # the paper's model, and so is every stage's true size
-                # here — sizes is exactly that reveal).
-                pairs = (
-                    result.pairs
-                    if self.padding == "revealed"
-                    else compact_pairs(result.pairs)
-                )
-                rows = [tuple(pair) for pair in pairs]
-            elif name == "multiway":
-                tables = [[tuple(row) for row in table] for table in stage[1]]
-                plans.append(
-                    self.compile_plan("multiway", sizes=[n] + [len(t) for t in tables])
-                )
-                result = self.multiway_join(
-                    [rows] + tables, list(stage[2]), tracer=tracer
-                )
-                rows = [tuple(row) for row in result.rows]
-            elif name == "group_by":
-                plans.append(self.compile_plan("group_by", n=n))
-                groups = self.group_by(rows, tracer=tracer)
-                sizes.append(len(groups))
-                continue
-            else:  # order_by
-                plans.append(self.compile_plan("order_by", n=n, columns=len(stage[1])))
-                key_columns = [
-                    ([row[column] for row in rows], ascending)
-                    for column, ascending in stage[1]
-                ]
-                permutation = self.order_permutation(key_columns, tracer=tracer)
-                rows = [rows[index] for index in permutation]
-            sizes.append(len(rows))
-        builder = PlanBuilder("pipeline", self.name, stages=shapes)
-        for index, plan in enumerate(plans, start=1):
-            builder.embed(plan, pipeline_stage=index)
-        return PipelineResult(
-            rows=None if groups is not None else rows,
-            groups=groups,
-            sizes=sizes,
-            plan=builder.build(),
-        )
 
 
 @runtime_checkable
@@ -283,10 +198,6 @@ class Engine(Protocol):
     ) -> list[int]: ...
 
     def compile_plan(self, workload: str = "join", **shapes) -> Plan: ...
-
-    def pipeline(
-        self, stages, tracer: Tracer | None = None
-    ) -> PipelineResult: ...
 
 
 _REGISTRY: dict[str, Engine] = {}

@@ -36,46 +36,8 @@ from dataclasses import dataclass
 
 from ..errors import InputError
 
-#: Serialization format tag, bumped on any change to the byte layout.
-#: Format 3 adds pipeline plans: ``channel`` edge nodes carrying public
-#: per-block capacities between embedded per-operator sub-plans.
-#: Format 4 split each padded sharded grid cell's distribute-expand into
-#: plan-bounded output-window nodes (removed again by format 6).
-#: Format 5 adds ``join_tree`` plans: bottom-up ``multiplicity`` nodes (one
-#: per tree edge), per-node ``finalize``/``markers`` nodes, one
-#: ``distribute_expand`` stab per node (sharded: one slot-window task per
-#: shard, feeding the merge bracket) and a final ``align_concat``
-#: — every attribute a pure function of ``(sizes, edges, k, padding, bound)``.
-#: Format 6 removes those window nodes (op vocabulary -1): a padded
-#: ``grid_join`` node is one task and its ``target`` is redefined as the
-#: public cell bound ``min(target, n1_i * n2_j)``.
-#: Format 7 removes the sharded join's grid (ops ``grid_join``,
-#: ``grid_join_deferred`` and the join's ``merge`` / ``gather`` gone): a
-#: sharded join or order-by plan is the inline pipeline with every sort
-#: expanded to ``partition`` -> ``shard_sort`` x k -> ``merge_pair`` nodes
-#: tagged with the sort's ``stage``; store-backed ``input`` nodes name the
-#: scanned ``blocks``.
-#: Format 8 adds ``shard_sort.passes`` (one-word sorts per block, ``None``
-#: with ``rows``) and an order-by plan's ``columns`` (its sort key count).
-#: Format 9 removes the sharded join tree's own ops — its marker
-#: catalogues, slot windows, whole-space expand, ``merge`` and ``gather``:
-#: a sharded join-tree plan is the inline one with every sort expanded to
-#: ``partition`` -> ``shard_sort`` x k -> ``merge_pair`` nodes.
-#: Format 10 removes the sharded aggregate's and filter's own ops
-#: (``partial_aggregate``, ``block_filter``, ``combine``, ``concat``): their
-#: plans are the inline ones with every sort expanded the same way, stages
-#: ``aggregate_sort`` / ``aggregate_compact`` (``groupby_*``) and
-#: ``filter_compact``; the pipeline's deferred stand-ins become
-#: ``filter_deferred`` and ``group_by_deferred``.
-#: Format 11 removes the ahead-of-time pipeline DAG (ops ``channel``,
-#: ``filter_deferred``, ``group_by_deferred``, ``shard_sort_deferred`` and
-#: ``cascade_deferred`` gone): a pipeline plan is the plans of the operators
-#: it ran, each compiled at the input size its stage received and tagged
-#: ``pipeline_stage``; its ``stages`` shape is every stage's
-#: ``(name, input size)``.  ``join_deferred`` stays for unpadded cascades.
-#: Format 12 moves ``passes`` from every ``shard_sort`` node to its sort's
-#: ``partition`` node: one value per sort, ``word_passes(keys, n)``, the
-#: number of times the partition -> block sorts -> bracket subgraph runs.
+#: Serialization format tag, bumped whenever a plan's bytes change for the
+#: same public inputs (an op, attribute or shape added, removed or redefined).
 PLAN_FORMAT = 12
 
 

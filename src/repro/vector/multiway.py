@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.multiway import MultiwayResult, cascade, compiled_bounds
+from ..core.multiway import MultiwayResult, cascade, checked_cascade_bounds
 from ..core.padding import check_padding
 from ..core.stats import PhaseStats
 from .join import vector_oblivious_join
@@ -88,7 +88,7 @@ def vector_multiway_join(
     cascade is this text over :func:`repro.shard.sort.sharded_sort`.
     """
     padding = check_padding(padding)
-    bounds = compiled_bounds(tables, keys, "vector", padding, bound)
+    bounds = checked_cascade_bounds(tables, keys, padding, bound)
     stats = stats if stats is not None else VectorMultiwayStats()
     stats.step_bounds = list(bounds or ())
 

@@ -148,51 +148,6 @@ def test_engine_operations_share_one_tracer():
     assert sink.count > 0
 
 
-def test_pipeline_runs_chain_and_exposes_full_dag_plan():
-    """Regression: ``plan`` must expose what the chain executed end to end
-    — every stage's operator plan at the size that stage received — not
-    just the final operator's sub-plan."""
-    source = DBTable.from_rows(
-        ["k:int", "v:int"], [(1, 10), (2, 20), (1, 30), (3, 40), (2, 50)]
-    )
-    right = DBTable.from_rows(["k:int", "w:int"], [(1, 5), (2, 6), (1, 7)])
-    for name in ("traced", "vector", "sharded"):
-        engine = ObliviousEngine(engine=name)
-        result = engine.pipeline(
-            source,
-            [("filter", lambda row: row[1] >= 20), ("join", right), ("group_by",)],
-        )
-        by_key = {row[0]: row for row in result.table.rows}
-        # Survivors (2,20), (1,30), (3,40), (2,50) join 1 + 2 + 0 + 1 ways.
-        assert by_key[30] == (30, 2, 12, 5, 7)
-        assert by_key[20][1] == 1 and by_key[50][1] == 1
-        assert result.sizes == [5, 4, 4, 3]
-        assert result.table.schema.names() == [
-            "l_v", "count", "sum_r_w", "min_r_w", "max_r_w",
-        ]
-        plan = result.plan
-        assert plan.workload == "pipeline"
-        assert plan.shape("stages") == (
-            ("source", 5), ("filter", 5), ("join", 4), ("group_by", 4),
-        )
-        ops = {node.op for node in plan.nodes}
-        assert {"zip", "reduce"} <= ops, ops
-        staged = {node.attr("pipeline_stage") for node in plan.nodes}
-        # Every operator stage contributed nodes, and every node is a stage's.
-        assert staged == {1, 2, 3}, (name, staged, ops)
-
-
-def test_pipeline_rejects_wide_stage_tables():
-    engine = ObliviousEngine()
-    wide = DBTable.from_rows(["a:int", "b:int", "c:int"], [(1, 2, 3)])
-    with pytest.raises(SchemaError):
-        engine.pipeline(wide, [("group_by",)])
-    narrow = DBTable.from_rows(["k:int", "v:int"], [(1, 2)])
-    strings = DBTable.from_rows(["k:int", "s:str"], [(1, "x")])
-    with pytest.raises(SchemaError):
-        engine.pipeline(narrow, [("join", strings)])
-
-
 def test_query_trace_independent_of_data():
     """End-to-end §6.1 experiment at the SQL layer."""
 
@@ -247,3 +202,14 @@ def test_a_join_tree_key_column_out_of_range_stays_an_input_error():
     for edge in ((0, 1, 5, 0), (0, 1, 0, 7)):
         with pytest.raises(InputError, match="out of range"):
             engine.join_tree([table, table], [edge])
+
+
+@pytest.mark.parametrize("engine_name", KEY_ENGINES)
+def test_a_refused_join_tree_encodes_nothing(engine_name):
+    """The tree is checked against the tables' widths before any str
+    column is dictionary-encoded."""
+    table = DBTable.from_rows(["k:int", "name:str"], [(1, "a"), (2, "b")])
+    engine = ObliviousEngine(engine=engine_name)
+    with pytest.raises(InputError, match="out of range"):
+        engine.join_tree([table, table], [(0, 1, 5, 0)])
+    assert len(engine.encoder) == 0

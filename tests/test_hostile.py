@@ -4,8 +4,7 @@ typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
 Store cases first; the last sections are hostile *values*: through the
 sharded engine's packed sort, join-tree bands at the int64 limits on
 every engine, cells that are not int64 ints, refused by the array
-engines, rows that are not ``(j, d)`` pairs and malformed pipeline stages,
-refused by every engine.  The very last is a block task that raises
+engines, and rows that are not ``(j, d)`` pairs, refused by every engine.  The very last is a block task that raises
 mid-query on every substrate: a typed error within a bound, and the next
 query answered.
 Each tamper case is driven through ``store.read_block``, through
@@ -582,39 +581,6 @@ def test_order_by_key_columns_of_unequal_length_are_refused_alike(config, shm_le
         match=r"^ORDER BY key columns must have equal lengths, got lengths \[2, 3\]$",
     ):
         engine.order_permutation([([3, 1, 2], True), ([1, 2], True)])
-
-
-#: Chain tails after ``source -> join`` that the stage check refuses; they
-#: used to escape as ``TypeError`` / ``ValueError`` / ``IndexError``, or (a
-#: ``bool`` column) to run as column 1.
-BAD_STAGES = {
-    "string-order-column": ("order_by", [("a", True)]),
-    "float-order-column": ("order_by", [(1.0, True)]),
-    "bool-order-column": ("order_by", [(True, True)]),
-    "one-item-order-key": ("order_by", [(1,)]),
-    "bare-order-key": ("order_by", [1]),
-    "empty-stage": (),
-    "one-item-multiway-key": ("multiway", [[(3, 4)]], [(0,)]),
-    "bare-multiway-key": ("multiway", [[(3, 4)]], [0]),
-}
-
-
-@pytest.mark.parametrize("config", TREE_ENGINES)
-def test_malformed_pipeline_stages_are_refused_before_any_operator_runs(config, monkeypatch):
-    options = dict(config)
-    engine = get_engine(options.pop("name"), **options)
-
-    def ran(*args, **kwargs):
-        raise AssertionError("an operator ran before the stages were checked")
-
-    for operator in ("join", "multiway_join", "group_by", "filter_indices", "order_permutation"):
-        monkeypatch.setattr(engine, operator, ran)
-    head = [("source", [(0, 1), (1, 2)]), ("join", [(0, 3)])]
-    for case, stage in BAD_STAGES.items():
-        with pytest.raises(InputError):
-            engine.pipeline(head + [stage])
-    with pytest.raises(InputError, match="non-empty tuples"):
-        engine.pipeline([()])
 
 
 # -- a block task that fails mid-query ------------------------------------------

@@ -34,8 +34,10 @@ from conftest import plan_sort_comparators, sort_comparators
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.join_tree import oblivious_join_tree
 from repro.engines import ShardedEngine, available_engines, get_engine
 from repro.errors import BoundError, InputError
+from repro.memory.monitor import run_hashed
 from repro.plan import available_executors
 from repro.plan.compile import compile_join_tree
 from repro.plan.executors import get_executor
@@ -298,6 +300,29 @@ def test_invalid_trees_are_rejected():
         engine.join_tree(tables, [(0, 1, 0, 0)])
     with pytest.raises(InputError):  # key column out of range
         engine.join_tree(tables, [(0, 1, 0, 5), (0, 2, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "padding,bound", [("worst_case", None), ("bounded", 30)], ids=["worst_case", "bounded"]
+)
+def test_padded_join_tree_trace_is_independent_of_the_data(padding, bound):
+    """The traced tree's per-access trace under padding is a function of
+    ``(sizes, tree, target)``: a 3-table chain with 2 output rows and one
+    with 27 (every key shared) hash equal.  A scan that skipped writing its
+    marker cells made the write set follow where the sorted markers land."""
+    edges = [(0, 1, 0, 0), (1, 2, 1, 0)]
+    datasets = [
+        [[(1, 10), (2, 11), (3, 12)], [(1, 5), (2, 6), (9, 7)], [(5, 0), (6, 1), (8, 2)]],
+        [[(4, 4)] * 3, [(4, 3)] * 3, [(3, 9)] * 3],
+    ]
+    runs = [
+        run_hashed(
+            partial(oblivious_join_tree, tables, edges, padding=padding, bound=bound)
+        )
+        for tables in datasets
+    ]
+    assert [result.m for _, _, result in runs] == [2, 27]
+    assert runs[0][:2] == runs[1][:2]
 
 
 # -- plan byte-pins: the compiled tree is a pure function of shapes ----------

@@ -18,10 +18,9 @@ from test_shard import BENCHMARK_SHAPES, PARENT_PLAN_DIGESTS, benchmark_shape_ru
 from repro.cli import main
 from repro.core.padding import cascade_bounds, join_bound
 from repro.core.stats import PhaseStats as VectorAggregateStats
-from repro.engines import get_engine
+from repro.engines import available_engines, get_engine
 from repro.errors import InputError
 from repro.plan import (
-    OpNode,
     Plan,
     PlanBuilder,
     available_executors,
@@ -639,156 +638,36 @@ def test_padded_filter_via_engine_matches_reference():
     ).filter_indices(mask)
 
 
-# -- pipeline plans -------------------------------------------------------------
-
-#: Eight source rows, four survivors, each joining one of three right rows,
-#: four groups: sizes 8, 4, 4, 4.  The second dataset has the same sizes
-#: from one all-duplicate key, the other survivors and one matching row.
-PIPELINE_DATASETS = [
-    (
-        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (1, 6), (2, 7), (3, 8)],
-        [True, False] * 4,
-        [(0, 9), (2, 9), (4, 9)],
-    ),
-    ([(5, v) for v in range(8)], [False] * 4 + [True] * 4, [(6, 0), (5, 1), (7, 0)]),
-]
-
-PIPELINE_ENGINES = [{"name": "traced"}, {"name": "vector"}, {"name": "sharded", "shards": 3}]
-PADDINGS = [{"padding": "revealed"}, {"padding": "bounded", "bound": 10}, {"padding": "worst_case"}]
-
-
-def _pipeline_engine(config: dict, padding: dict):
-    options = dict(config)
-    return get_engine(options.pop("name"), **options, **padding)
-
-
-def _pipeline_chain(source, mask, right):
-    return [("source", source), ("filter", mask), ("join", right), ("group_by",)]
-
-
-def _stage_nodes(plan: Plan, stage: int) -> list:
-    """Stage ``stage``'s embedded nodes, untagged, with inputs rebased: the
-    sub-plan's own nodes, if it was embedded verbatim."""
-    indices = [i for i, node in enumerate(plan.nodes) if node.attr("pipeline_stage") == stage]
-    return [
-        OpNode(
-            node.op,
-            tuple(item for item in node.attrs if item[0] != "pipeline_stage"),
-            tuple(i - indices[0] for i in node.inputs),
-        )
-        for node in (plan.nodes[i] for i in indices)
-    ]
-
-
-def _stage_workloads(stages, sizes):
-    """What every operator stage compiles alone at the size it received."""
-    for index, stage in enumerate(stages[1:], start=1):
-        n = sizes[index - 1]
-        if stage[0] == "join":
-            yield "join", {"n1": n, "n2": len(stage[1])}
-        elif stage[0] == "multiway":
-            yield "multiway", {"sizes": [n] + [len(table) for table in stage[1]]}
-        elif stage[0] == "order_by":
-            yield "order_by", {"n": n, "columns": len(stage[1])}
-        else:
-            yield stage[0], {"n": n}
-
-
-@pytest.mark.parametrize("padding", PADDINGS, ids=lambda padding: padding["padding"])
-@pytest.mark.parametrize("config", PIPELINE_ENGINES, ids=lambda config: config["name"])
-@pytest.mark.parametrize(
-    "chain",
-    [
-        pytest.param(_pipeline_chain(*PIPELINE_DATASETS[0]), id="filter-join-group_by"),
-        pytest.param(
-            [
-                ("source", PIPELINE_DATASETS[0][0]),
-                ("filter", PIPELINE_DATASETS[0][1]),
-                ("multiway", [[(1, 0), (3, 1), (5, 2)], [(0, 4), (1, 5)]], [(1, 0), (3, 0)]),
-                ("order_by", [(5, False), (0, True), (3, False)]),
-            ],
-            id="filter-multiway-order_by",
-        ),
-    ],
-)
-def test_pipeline_plan_is_the_plans_of_the_operators_it_ran(chain, config, padding):
-    """Every stage's embedded nodes are the plan its operator compiles alone
-    for the input that stage received, and nothing else is in the plan: the
-    8 -> 4 survivors join at n1 = 4 (target 12 under worst_case), not at
-    the filter's input size."""
-    engine = _pipeline_engine(config, padding)
-    result = engine.pipeline(chain)
-    assert result.sizes[:2] == [8, 4]
-    plan = result.plan
-    assert plan.workload == "pipeline" and plan.engine == engine.name
-    expected = list(_stage_workloads(chain, result.sizes))
-    assert sum(len(engine.compile_plan(w, **s).nodes) for w, s in expected) == len(plan.nodes)
-    for stage, (workload, shapes) in enumerate(expected, start=1):
-        alone = engine.compile_plan(workload, **shapes)
-        assert _stage_nodes(plan, stage) == list(alone.nodes), (stage, workload)
-    if chain[2][0] == "join":
-        join = engine.compile_plan("join", n1=4, n2=3)
-        assert join.nodes_by_op("input")[0].attr("rows") == 4 + (padding["padding"] != "revealed")
-        target = {"revealed": None, "bounded": 10, "worst_case": 12}[padding["padding"]]
-        assert join.nodes_by_op("zip")[0].attr("rows") == target
+# -- retired pipeline -----------------------------------------------------------
 
 
 def test_a_three_key_order_by_stage_compiles_its_three_keys():
-    """``compile_plan("order_by", columns=...)`` reaches the compiler, so an
-    order-by stage's sub-plan sorts by as many keys as its spec names."""
-    source, mask, _ = PIPELINE_DATASETS[0]
-    spec = [(1, True), (0, False), (1, False)]
-    for name in ("traced", "vector", "sharded"):
-        engine = get_engine(name)
-        plan = engine.pipeline([("source", source), ("filter", mask), ("order_by", spec)]).plan
-        three = engine.compile_plan("order_by", n=4, columns=3)
-        assert _stage_nodes(plan, 2) == list(three.nodes)
+    """``compile_plan("order_by", columns=...)`` reaches the compiler, so a
+    sharded order-by partitions on as many keys as it names (plus the row
+    position), and a three-key plan is not the one-key plan."""
+    engine = get_engine("sharded")
+    three = engine.compile_plan("order_by", n=4, columns=3)
+    one = engine.compile_plan("order_by", n=4)
     assert three.shape("columns") == 3
-    assert three.digest() != get_engine("sharded").compile_plan("order_by", n=4).digest()
-
-
-def test_pipeline_plan_bytes_identical_across_adversarial_data():
-    """Datasets with equal revealed ``sizes`` — skewed keys against one
-    all-duplicate key, other survivors — run byte-identical plans on every
-    engine and padding mode; the ``stages`` shape is every stage's input
-    size, read from ``sizes``, and another survivor count is another plan."""
-    source, mask, right = PIPELINE_DATASETS[0]
-    for config in PIPELINE_ENGINES:
-        for padding in PADDINGS:
-            engine = _pipeline_engine(config, padding)
-            results = [engine.pipeline(_pipeline_chain(*data)) for data in PIPELINE_DATASETS]
-            assert {tuple(result.sizes) for result in results} == {(8, 4, 4, 4)}
-            assert len({result.plan.serialize() for result in results}) == 1, engine.name
-            sizes = results[0].sizes
-            stages = results[0].plan.shape("stages")
-            assert stages[0] == ("source", sizes[0])
-            assert [n for _, n in stages[1:]] == sizes[:-1]
-            other = engine.pipeline(_pipeline_chain(source, [True] * 6 + [False] * 2, right))
-            assert other.sizes[1] == 6 and other.plan.digest() != results[0].plan.digest()
-
-
-def test_pipeline_plan_bytes_survive_adversarial_completion_orders():
-    from repro.engines import ShardedEngine
-    from repro.plan import ShuffleExecutor
-
-    chain = _pipeline_chain(*PIPELINE_DATASETS[0])
-    reference = ShardedEngine(shards=3).pipeline(chain).plan.serialize()
-    for seed in range(4):
-        engine = ShardedEngine(shards=3, executor=ShuffleExecutor(seed=seed))
-        assert engine.pipeline(chain).plan.serialize() == reference
+    assert three.nodes_by_op("partition")[0].attr("passes") == 4
+    assert one.nodes_by_op("partition")[0].attr("passes") == 2
+    assert three.digest() != one.digest()
 
 
 def test_the_ahead_of_time_pipeline_plan_is_gone():
-    """A pipeline's plan exists only once it has run: no DAG compiler, its
-    stage vocabulary, engine method, stats class, CLI flag or ops are left."""
+    """No pipeline is left: no DAG compiler, stage vocabulary, engine or
+    db-layer method, stats class, CLI flag or ops."""
     import repro
     import repro.cli as cli_module
+    import repro.db as db_module
     import repro.engines as engines_module
-    import repro.engines.pipeline as pipeline_module
     import repro.plan as plan_module
     import repro.plan.compile as compile_module
+    from repro.db import ObliviousEngine
     from repro.engines.base import Engine
 
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engines.pipeline")
     for module, name in (
         (compile_module, "compile_pipeline"),
         (compile_module, "PIPELINE_OPS"),
@@ -796,13 +675,17 @@ def test_the_ahead_of_time_pipeline_plan_is_gone():
         (plan_module, "compile_pipeline"),
         (plan_module, "PIPELINE_OPS"),
         (engines_module, "PipelineStats"),
-        (pipeline_module, "PipelineStats"),
+        (engines_module, "PipelineResult"),
+        (engines_module, "check_pipeline_stages"),
+        (db_module, "PipelineQueryResult"),
         (cli_module, "_parse_pipeline_stage"),
     ):
         assert not hasattr(module, name), name
-    assert not hasattr(Engine, "compile_pipeline")
-    for name in ("traced", "vector", "sharded"):
-        assert not hasattr(get_engine(name), "compile_pipeline")
+    for attribute in ("compile_pipeline", "pipeline"):
+        assert not hasattr(Engine, attribute)
+        assert not hasattr(ObliviousEngine(), attribute)
+        for name in available_engines():
+            assert not hasattr(get_engine(name), attribute)
     with pytest.raises(SystemExit):
         main(["plan", "--n", "8", "--stages", "filter"])
     root = os.path.dirname(repro.__file__)
