@@ -25,6 +25,7 @@ with their binary join as the step, and the db layer's
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from ..errors import InputError
@@ -102,8 +103,8 @@ def checked_cascade_bounds(
     padding: str,
     bound,
 ) -> tuple[int, ...] | None:
-    """Validate a cascade's shape and return its public per-step bounds;
-    ``None`` for a revealed cascade.
+    """Validate a cascade's shape and keys and return its public per-step
+    bounds; ``None`` for a revealed cascade.
 
     The bounds are :func:`~repro.core.padding.cascade_bounds`, the call the
     plan compiler makes for a multiway plan's ``bounds`` shape, so artifact
@@ -115,6 +116,18 @@ def checked_cascade_bounds(
         raise InputError(
             f"{len(tables)} tables need {len(tables) - 1} key specs, got {len(keys)}"
         )
+    for key in keys:
+        # A bool is not column 1, and a bare or one-item key is no pair.
+        if not (
+            isinstance(key, (tuple, list))
+            and len(key) == 2
+            and all(
+                isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in key
+            )
+        ):
+            raise InputError(
+                f"multiway keys are (left_column, right_column) index pairs, got {key!r}"
+            )
     if padding == "revealed":
         return None
     return cascade_bounds([len(t) for t in tables], padding, bound)

@@ -41,7 +41,17 @@ Pairs = list[tuple[int, int]]
 
 def order_rows(columns: list[tuple[list, bool]]) -> int:
     """The row count ORDER BY's ``(values, ascending)`` key columns share;
-    columns of unequal length are an :class:`InputError` on every engine."""
+    a key that is no such pair, or columns of unequal length, are an
+    :class:`InputError` on every engine."""
+    for column in columns:
+        if not (
+            isinstance(column, (tuple, list))
+            and len(column) == 2
+            and hasattr(column[0], "__len__")
+        ):
+            raise InputError(
+                f"ORDER BY keys are (values, ascending) pairs, got {column!r}"
+            )
     lengths = sorted({len(values) for values, _ in columns})
     if len(lengths) > 1:
         raise InputError(

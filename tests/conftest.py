@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.padding import compact_pairs
 from repro.memory.tracer import HashSink, ListSink, Tracer
 from repro.obliv.bitonic import next_power_of_two
 from repro.plan import partition
@@ -121,3 +123,59 @@ def plan_sort_comparators(plan, stage: str) -> int:
     rows = [n.attr("rows") for n in plan.nodes_by_op("shard_sort") if n.attr("stage") == stage]
     network = sum(map(_bitonic_comparators, rows)) + merge_comparator_count(rows)
     return part.attr("passes") * network
+
+
+@dataclass
+class ChainRun:
+    """One operator chain's output: rows, or groups after a ``group_by``.
+
+    ``sizes`` are the source's size, then every operator's output size (the
+    values the operators reveal one call at a time).  ``plans`` are the
+    operators' plans, each compiled at the size of the input it received.
+    """
+
+    rows: list[tuple] | None
+    groups: list | None
+    sizes: list[int]
+    plans: list
+
+
+def run_chain(engine, stages) -> ChainRun:
+    """Run ``[("source", rows), stage, ...]`` the way a caller chains an
+    engine's operators: one at a time, each on the rows the one before
+    returned, a padded join's dummies dropped.  The stages are
+    ``("filter", mask)``, ``("join", right)``, ``("multiway", tables,
+    keys)``, ``("group_by",)`` (last) and ``("order_by", [(column,
+    ascending), ...])``."""
+    rows = [tuple(row) for row in stages[0][1]]
+    sizes, plans, groups = [len(rows)], [], None
+    for stage in stages[1:]:
+        name, n = stage[0], len(rows)
+        if name == "filter":
+            plans.append(engine.compile_plan("filter", n=n))
+            rows = [rows[index] for index in engine.filter_indices(list(stage[1]))]
+        elif name == "join":
+            right = [tuple(pair) for pair in stage[1]]
+            plans.append(engine.compile_plan("join", n1=n, n2=len(right)))
+            rows = [tuple(pair) for pair in compact_pairs(engine.join(rows, right).pairs)]
+        elif name == "multiway":
+            tables = [[tuple(row) for row in table] for table in stage[1]]
+            plans.append(
+                engine.compile_plan("multiway", sizes=[n] + [len(t) for t in tables])
+            )
+            result = engine.multiway_join([rows] + tables, list(stage[2]))
+            rows = [tuple(row) for row in result.rows]
+        elif name == "group_by":
+            plans.append(engine.compile_plan("group_by", n=n))
+            groups = engine.group_by(rows)
+            sizes.append(len(groups))
+            continue
+        else:
+            assert name == "order_by", name
+            plans.append(engine.compile_plan("order_by", n=n, columns=len(stage[1])))
+            permutation = engine.order_permutation(
+                [([row[column] for row in rows], ascending) for column, ascending in stage[1]]
+            )
+            rows = [rows[index] for index in permutation]
+        sizes.append(len(rows))
+    return ChainRun(None if groups is not None else rows, groups, sizes, plans)

@@ -148,6 +148,24 @@ def test_engine_operations_share_one_tracer():
     assert sink.count > 0
 
 
+def test_a_filter_join_group_by_chain_agrees_on_every_engine():
+    """A query chain is the db operators called one at a time, each on the
+    table the one before returned; every engine answers it alike."""
+    source = DBTable.from_rows(
+        ["k:int", "v:int"], [(1, 10), (2, 20), (1, 30), (3, 40), (2, 50)]
+    )
+    right = DBTable.from_rows(["k:int", "w:int"], [(1, 5), (2, 6), (1, 7)])
+    for name in ("traced", "vector", "sharded"):
+        engine = ObliviousEngine(engine=name)
+        survivors = engine.filter(source, lambda row: row[1] >= 20)
+        joined = engine.join(survivors, right, on=("k", "k"))
+        result = engine.group_by(joined, "v", "w")
+        # Survivors (2,20), (1,30), (3,40), (2,50) join 1 + 2 + 0 + 1 ways.
+        assert [len(survivors), len(joined), len(result)] == [4, 4, 3], name
+        assert result.schema.names() == ["v", "count", "sum_w", "min_w", "max_w"]
+        assert result.rows == [(20, 1, 6, 6, 6), (30, 2, 12, 5, 7), (50, 1, 6, 6, 6)]
+
+
 def test_query_trace_independent_of_data():
     """End-to-end §6.1 experiment at the SQL layer."""
 

@@ -4,9 +4,10 @@ typed :class:`~repro.errors.StoreIntegrityError`, never garbage rows.
 Store cases first; the last sections are hostile *values*: through the
 sharded engine's packed sort, join-tree bands at the int64 limits on
 every engine, cells that are not int64 ints, refused by the array
-engines, and rows that are not ``(j, d)`` pairs, refused by every engine.  The very last is a block task that raises
-mid-query on every substrate: a typed error within a bound, and the next
-query answered.
+engines, rows that are not ``(j, d)`` pairs and malformed multiway and
+ORDER BY keys, refused by every engine.  The very last is a block task
+that raises mid-query on every substrate: a typed error within a bound,
+and the next query answered.
 Each tamper case is driven through ``store.read_block``, through
 ``StorePairs.scan()`` and through ``sharded_oblivious_join`` on every
 executor substrate; afterwards no plaintext of the bad block sits in the
@@ -30,9 +31,12 @@ import numpy as np
 import pytest
 from test_service import _ServerThread
 
+from repro.core import multiway as multiway_module
 from repro.core.padding import ANCHOR_KEY
 from repro.db.table import DBTable
 from repro.engines import get_engine
+from repro.engines import traced as traced_engine_module
+from repro.engines import vector as vector_engine_module
 from repro.errors import BoundError, InputError, StoreIntegrityError
 from repro.plan import available_executors
 from repro.plan.executors import get_executor
@@ -43,6 +47,7 @@ from repro.store import FileStore, InMemoryStore, StorePairs, adopt, attach, det
 from repro.store.blockstore import NONCE_BYTES, TAG_BYTES
 from repro.store.columns import write_int_column
 from repro.store.runtime import StoreSpec
+from repro.vector import multiway as vector_multiway_module
 from repro.vector.join import vector_oblivious_join
 
 EXECUTORS = [
@@ -581,6 +586,47 @@ def test_order_by_key_columns_of_unequal_length_are_refused_alike(config, shm_le
         match=r"^ORDER BY key columns must have equal lengths, got lengths \[2, 3\]$",
     ):
         engine.order_permutation([([3, 1, 2], True), ([1, 2], True)])
+
+
+#: Keys an operator chain could hand the multiway join and ORDER BY; they
+#: used to escape as ``TypeError`` / ``ValueError``, or (a ``bool`` column)
+#: to run as column 1.
+BAD_MULTIWAY_KEYS = {
+    "string-column": ("a", 0),
+    "float-column": (1.0, 0),
+    "bool-column": (True, 0),
+    "one-item-key": (0,),
+    "bare-key": 0,
+}
+BAD_ORDER_KEYS = {
+    "one-item-key": ([2, 1],),
+    "three-item-key": ([2, 1], True, 0),
+    "bare-values": [2, 1],
+    "bare-column": 0,
+}
+
+
+@pytest.mark.parametrize("config", TREE_ENGINES)
+def test_malformed_operator_keys_are_refused_before_any_operator_runs(config, monkeypatch):
+    options = dict(config)
+    engine = get_engine(options.pop("name"), **options)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a join step or sort ran before the keys were checked")
+
+    for module, name in (
+        (multiway_module, "cascade"),
+        (vector_multiway_module, "cascade"),
+        (traced_engine_module, "bitonic_sort"),
+        (vector_engine_module, "vector_order_permutation"),
+    ):
+        monkeypatch.setattr(module, name, ran)
+    for case, key in BAD_MULTIWAY_KEYS.items():
+        with pytest.raises(InputError, match="index pairs"):
+            engine.multiway_join([[(0, 1), (1, 2)], [(0, 3)]], [key])
+    for case, key in BAD_ORDER_KEYS.items():
+        with pytest.raises(InputError, match=r"\(values, ascending\) pairs"):
+            engine.order_permutation([([1, 2], True), key])
 
 
 # -- a block task that fails mid-query ------------------------------------------

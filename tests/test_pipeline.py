@@ -1,14 +1,14 @@
-"""Cross-engine differential suite for pipeline execution.
+"""Cross-engine differential suite for operator chains.
 
-Every engine runs a chain through the one operator-at-a-time path
-(:meth:`repro.engines.base.PaddingOptionsMixin.pipeline`), so a pipeline
-must be *bit-identical* to the traced reference on any engine x executor —
+A chain is the engine's operators called one at a time, each on the rows
+the one before returned (:func:`conftest.run_chain`), so a chain must be
+*bit-identical* to the traced reference on any engine x executor —
 including when shard tasks run in adversarial order (the ``shuffle``
 executor) and when they run on pickled payloads in workers (the ``pool``
 executor).  Hypothesis drives whole chains — filter -> join,
 join -> group_by, filter -> multiway -> order_by — through every
 configuration, and a seed sweep pins that the shuffled execution order
-changes neither the output nor the plan.
+changes neither the output nor the operators' plans.
 
 ``REPRO_ENGINES`` / ``REPRO_EXECUTORS`` restrict the configuration list
 exactly as in ``test_engine_properties.py``.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from conftest import run_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -107,10 +108,10 @@ def table(draw, max_rows: int = 16):
     )
 
 
-def _assert_pipelines_agree(configuration, stages):
+def _assert_chains_agree(configuration, stages):
     engine = get_engine(configuration)
-    reference = get_engine(REFERENCE).pipeline(stages)
-    result = engine.pipeline(stages)
+    reference = run_chain(get_engine(REFERENCE), stages)
+    result = run_chain(engine, stages)
     assert result.rows == reference.rows
     assert result.groups == reference.groups
     assert result.sizes == reference.sizes
@@ -127,7 +128,7 @@ def _assert_pipelines_agree(configuration, stages):
 @example(source=([(0, 1), (0, 1), (0, 2)], [True, True, False]), right=[(0, 3), (0, 4)])
 def test_filter_join_pipeline(configuration, source, right):
     rows, mask = source
-    _assert_pipelines_agree(
+    _assert_chains_agree(
         configuration, [("source", rows), ("filter", mask), ("join", right)]
     )
 
@@ -138,7 +139,7 @@ def test_filter_join_pipeline(configuration, source, right):
 @example(source=[], right=[])
 @example(source=[(0, 1), (0, 1), (1, 2)], right=[(0, 3), (1, 4), (1, 4)])
 def test_join_group_by_pipeline(configuration, source, right):
-    _assert_pipelines_agree(
+    _assert_chains_agree(
         configuration, [("source", source), ("join", right), ("group_by",)]
     )
 
@@ -150,7 +151,7 @@ def test_join_group_by_pipeline(configuration, source, right):
 @example(source=([(1, 5), (0, 5), (1, 5), (0, 2)], [True, True, True, True]))
 def test_filter_group_by_pipeline(configuration, source):
     rows, mask = source
-    _assert_pipelines_agree(
+    _assert_chains_agree(
         configuration, [("source", rows), ("filter", mask), ("group_by",)]
     )
 
@@ -162,7 +163,7 @@ def test_filter_group_by_pipeline(configuration, source):
 @example(source=([(0, 1), (1, 1), (0, 1), (2, 0)], [True, False, True, True]))
 def test_filter_order_by_pipeline(configuration, source):
     rows, mask = source
-    _assert_pipelines_agree(
+    _assert_chains_agree(
         configuration,
         [("source", rows), ("filter", mask), ("order_by", [(1, False), (0, True)])],
     )
@@ -177,7 +178,7 @@ def test_filter_order_by_pipeline(configuration, source):
 )
 def test_filter_multiway_order_by_pipeline(configuration, source, mid, last):
     rows, mask = source
-    _assert_pipelines_agree(
+    _assert_chains_agree(
         configuration,
         [
             ("source", rows),
@@ -222,13 +223,13 @@ def test_shuffle_seed_sweep_is_arrival_order_independent(chain):
     """Ten adversarial execution orders: same bits, same plan."""
     if "sharded" not in ENGINES:
         pytest.skip("sharded engine excluded by REPRO_ENGINES")
-    reference = get_engine(REFERENCE).pipeline(chain)
+    reference = run_chain(get_engine(REFERENCE), chain)
     digests = set()
     for seed in range(10):
         engine = ShardedEngine(shards=3, executor=ShuffleExecutor(seed=seed))
-        result = engine.pipeline(chain)
+        result = run_chain(engine, chain)
         assert result.rows == reference.rows
         assert result.groups == reference.groups
         assert result.sizes == reference.sizes
-        digests.add(result.plan.digest())
+        digests.add(tuple(plan.digest() for plan in result.plans))
     assert len(digests) == 1

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import plan_sort_comparators
+from conftest import plan_sort_comparators, run_chain
 from test_shard import BENCHMARK_SHAPES, PARENT_PLAN_DIGESTS, benchmark_shape_runs
 
 from repro.cli import main
@@ -636,6 +636,122 @@ def test_padded_filter_via_engine_matches_reference():
     assert padded_engine.filter_indices(mask) == get_engine(
         "traced"
     ).filter_indices(mask)
+
+
+# -- chain plans ----------------------------------------------------------------
+
+#: Eight source rows, four survivors, each joining one of three right rows,
+#: four groups: sizes 8, 4, 4, 4.  The second dataset has the same sizes
+#: from one all-duplicate key, the other survivors and one matching row.
+PIPELINE_DATASETS = [
+    (
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (1, 6), (2, 7), (3, 8)],
+        [True, False] * 4,
+        [(0, 9), (2, 9), (4, 9)],
+    ),
+    ([(5, v) for v in range(8)], [False] * 4 + [True] * 4, [(6, 0), (5, 1), (7, 0)]),
+]
+
+PIPELINE_ENGINES = [{"name": "traced"}, {"name": "vector"}, {"name": "sharded", "shards": 3}]
+PADDINGS = [{"padding": "revealed"}, {"padding": "bounded", "bound": 10}, {"padding": "worst_case"}]
+
+
+def _pipeline_engine(config: dict, padding: dict):
+    options = dict(config)
+    return get_engine(options.pop("name"), **options, **padding)
+
+
+def _pipeline_chain(source, mask, right):
+    return [("source", source), ("filter", mask), ("join", right), ("group_by",)]
+
+
+def _stage_workloads(stages, sizes):
+    """What every operator stage compiles alone at the size it received."""
+    for index, stage in enumerate(stages[1:], start=1):
+        n = sizes[index - 1]
+        if stage[0] == "join":
+            yield "join", {"n1": n, "n2": len(stage[1])}
+        elif stage[0] == "multiway":
+            yield "multiway", {"sizes": [n] + [len(table) for table in stage[1]]}
+        elif stage[0] == "order_by":
+            yield "order_by", {"n": n, "columns": len(stage[1])}
+        else:
+            yield stage[0], {"n": n}
+
+
+@pytest.mark.parametrize("padding", PADDINGS, ids=lambda padding: padding["padding"])
+@pytest.mark.parametrize("config", PIPELINE_ENGINES, ids=lambda config: config["name"])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        pytest.param(_pipeline_chain(*PIPELINE_DATASETS[0]), id="filter-join-group_by"),
+        pytest.param(
+            [
+                ("source", PIPELINE_DATASETS[0][0]),
+                ("filter", PIPELINE_DATASETS[0][1]),
+                ("multiway", [[(1, 0), (3, 1), (5, 2)], [(0, 4), (1, 5)]], [(1, 0), (3, 0)]),
+                ("order_by", [(5, False), (0, True), (3, False)]),
+            ],
+            id="filter-multiway-order_by",
+        ),
+    ],
+)
+def test_pipeline_plan_is_the_plans_of_the_operators_it_ran(chain, config, padding):
+    """Every operator of a chain runs the plan it compiles alone for the
+    input it received: the 8 -> 4 survivors join at n1 = 4 (target 12
+    under worst_case), not at the filter's input size, and the padded join
+    returns exactly its plan's target rows."""
+    engine = _pipeline_engine(config, padding)
+    result = run_chain(engine, chain)
+    assert result.sizes[:2] == [8, 4]
+    expected = list(_stage_workloads(chain, result.sizes))
+    assert len(result.plans) == len(expected) == len(chain) - 1
+    for plan, (workload, shapes) in zip(result.plans, expected):
+        assert plan.workload == workload and plan.engine == engine.name
+        assert plan.serialize() == engine.compile_plan(workload, **shapes).serialize()
+    if chain[2][0] == "join":
+        join = result.plans[1]
+        assert join.nodes_by_op("input")[0].attr("rows") == 4 + (padding["padding"] != "revealed")
+        target = {"revealed": None, "bounded": 10, "worst_case": 12}[padding["padding"]]
+        assert join.nodes_by_op("zip")[0].attr("rows") == target
+        source, mask = chain[0][1], chain[1][1]
+        survivors = [row for row, keep in zip(source, mask) if keep]
+        ran = engine.join(survivors, chain[2][1])
+        assert len(ran.pairs) == (result.sizes[2] if target is None else target)
+
+
+def test_pipeline_plan_bytes_identical_across_adversarial_data():
+    """Datasets with equal revealed ``sizes`` — skewed keys against one
+    all-duplicate key, other survivors — run byte-identical operator plans
+    on every engine and padding mode; each plan is compiled at the size the
+    stage before revealed, and another survivor count is another plan."""
+    source, mask, right = PIPELINE_DATASETS[0]
+    for config in PIPELINE_ENGINES:
+        for padding in PADDINGS:
+            engine = _pipeline_engine(config, padding)
+            results = [run_chain(engine, _pipeline_chain(*data)) for data in PIPELINE_DATASETS]
+            assert {tuple(result.sizes) for result in results} == {(8, 4, 4, 4)}
+            serialized = {
+                tuple(plan.serialize() for plan in result.plans) for result in results
+            }
+            assert len(serialized) == 1, engine.name
+            plans = results[0].plans
+            assert plans[0].shape("n") == 8
+            assert plans[1].shape("n1") == 4 and plans[1].shape("n2") == 3
+            other = run_chain(engine, _pipeline_chain(source, [True] * 6 + [False] * 2, right))
+            assert other.sizes[1] == 6
+            assert other.plans[1].digest() != plans[1].digest()
+
+
+def test_pipeline_plan_bytes_survive_adversarial_completion_orders():
+    from repro.engines import ShardedEngine
+    from repro.plan import ShuffleExecutor
+
+    chain = _pipeline_chain(*PIPELINE_DATASETS[0])
+    reference = [plan.serialize() for plan in run_chain(ShardedEngine(shards=3), chain).plans]
+    for seed in range(4):
+        engine = ShardedEngine(shards=3, executor=ShuffleExecutor(seed=seed))
+        assert [plan.serialize() for plan in run_chain(engine, chain).plans] == reference
 
 
 # -- retired pipeline -----------------------------------------------------------
